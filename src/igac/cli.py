@@ -365,17 +365,11 @@ def _cmd_jacobi(cfg):
     tol = cfg["numerics"]["ode_tol"]
     path = dyn.integrate_geodesic(metric, cfg["theta0"], cfg["v0"],
                                   float(cfg["tau_end"]), tol=tol)
-    dim = metric.dim
-    j0 = np.asarray(cfg.get("j0", np.zeros(dim)), float)
+    j0 = np.asarray(cfg.get("j0", np.zeros(metric.dim)), float)
     if "dj0" in cfg:
         dj0 = np.asarray(cfg["dj0"], float)
     else:
-        g = metric.eval(np.asarray(cfg["theta0"], float))
-        e = np.zeros(dim)
-        e[min(1, dim - 1)] = 1.0
-        v = np.asarray(cfg["v0"], float)
-        e -= (v @ g @ e) / (v @ g @ v) * v
-        dj0 = e / np.sqrt(e @ g @ e)
+        dj0 = dyn.normal_direction(metric, cfg["theta0"], cfg["v0"])
     jac = dyn.integrate_jacobi(metric, path, j0, dj0)
     report = sc.ScenarioReport("jacobi", {k: cfg[k] for k in
                                           ("manifold", "theta0", "v0",

@@ -2,9 +2,10 @@
 
 Geodesics solve theta-ddot^a + Gamma^a_bc theta-dot^b theta-dot^c = 0 with an
 embedded adaptive 5(4) pair; two-point problems are solved by damped-Newton
-shooting on the initial velocity.  Jacobi fields solve the geodesic deviation
-equation in its fully expanded coordinate form (connection, connection
-derivative and curvature terms), interpolating the carrier geodesic.
+shooting on the initial velocity.  Jacobi fields are the linearized geodesic
+flow: the carrier state (theta, theta-dot) and the deviation (J, J-dot) are
+integrated as one system, with the connection derivative taken from the
+metric's exact second jet where it has one.
 
 The tanh/cosh closed-form geodesics of the colliding wave-packet manifolds
 are provided for oracle checks, together with the finite-time growth-rate
@@ -23,10 +24,11 @@ from scipy.interpolate import BPoly
 from .errors import (
     BvpFailureError,
     ChartBoundaryError,
+    DegeneratePlaneError,
     StiffnessError,
     UndefinedRateError,
 )
-from .geometry import _christoffel_core, _gamma_derivative
+from .geometry import _CHART_FLOOR, _christoffel_core, connection_jet
 from .models import MetricField
 
 __all__ = [
@@ -38,13 +40,11 @@ __all__ = [
     "solve_geodesic_bvp",
     "wavepacket_geodesics",
     "path_from_functions",
+    "normal_direction",
     "integrate_jacobi",
     "lyapunov_estimate",
     "jacobi_q_coefficient",
 ]
-
-_CHART_FLOOR = 1e-8
-
 
 @dataclass(frozen=True, eq=False)
 class GeodesicPath:
@@ -339,15 +339,43 @@ class JacobiTrace:
             object.__setattr__(self, name, arr)
 
 
+def normal_direction(metric: MetricField, theta, v, axis: int = 1):
+    """Unit vector g-orthogonal to v, built from a coordinate axis.
+
+    The component along v is removed from the unit vector of ``axis``; when
+    v is (nearly) parallel to that axis, the following axes are tried in
+    turn.  Raises DegeneratePlaneError when no axis is usable, as for
+    dimension 1 or v = 0.
+    """
+    v = np.asarray(v, float)
+    g = metric.eval(np.asarray(theta, float))
+    vv = v @ g @ v
+    n = v.size
+    if vv > 0:
+        for k in range(n):
+            i = (axis + k) % n
+            w = np.zeros(n)
+            w[i] = 1.0
+            w = w - (v @ g @ w) / vv * v
+            norm2 = w @ g @ w
+            if norm2 > 1e-10 * g[i, i]:
+                return w / np.sqrt(norm2)
+    raise DegeneratePlaneError(
+        f"no coordinate axis spans a nondegenerate plane with v = {v}")
+
+
 def integrate_jacobi(metric: MetricField, path: GeodesicPath, J0, DJ0,
                      rtol: float = 1e-9) -> JacobiTrace:
-    """Solve the geodesic deviation equation along ``path``.
+    """Jacobi field along ``path`` as the linearized geodesic flow.
 
-    Uses the expanded coordinate form: the second coordinate derivative of J
-    balances connection terms (with the connection derivative along the
-    path) plus the curvature coupling R^a_bcd thdot^b J^c thdot^d.  ``DJ0``
-    is the covariant derivative of J at tau = 0; the equation is linear in
-    (J0, DJ0).
+    Linearizing theta-ddot^a = -Gamma^a_bc v^b v^c gives
+    J-ddot^a = -d_d Gamma^a_bc v^b v^c J^d - 2 Gamma^a_bc v^b J-dot^c.
+    (theta, v, J, J-dot) is integrated as one adaptive system from the
+    path's state at its first grid point, so the carrier takes part in step
+    control and is never interpolated; the output is sampled on the path's
+    grid.  Gamma and its derivative come from one ``connection_jet`` call
+    per step stage.  ``DJ0`` is the covariant derivative of J at the start;
+    the field is linear in (J0, DJ0).
     """
     dim = metric.dim
     J0 = np.asarray(J0, float)
@@ -356,34 +384,25 @@ def integrate_jacobi(metric: MetricField, path: GeodesicPath, J0, DJ0,
     gam0 = _christoffel_core(metric, th0)
     jdot0 = DJ0 - np.einsum("abc,b,c->a", gam0, J0, v0)
 
-    def rhs(tau, y):
-        th, v = path.state(tau)
-        j, jdot = y[:dim], y[dim:]
-        gam = _christoffel_core(metric, th)
-        dgam = _gamma_derivative(metric, th)
-        acc = -np.einsum("abc,b,c->a", gam, v, v)
-        riem = (np.einsum("cabd->abcd", dgam) - np.einsum("dabc->abcd", dgam)
-                + np.einsum("afc,fbd->abcd", gam, gam)
-                - np.einsum("afd,fbc->abcd", gam, gam))
-        jdd = -(2.0 * np.einsum("abc,b,c->a", gam, jdot, v)
-                + np.einsum("abc,b,c->a", gam, j, acc)
-                + np.einsum("dabc,d,c,b->a", dgam, v, v, j)
-                + np.einsum("abc,bdf,f,c,d->a", gam, gam, v, v, j)
-                + np.einsum("abcd,b,c,d->a", riem, v, j, v))
-        return np.concatenate([jdot, jdd])
+    def rhs(_tau, y):
+        th, v, j, jdot = y.reshape(4, dim)
+        gam, dgam = connection_jet(metric, th)
+        gv = gam @ v                      # gv[a, b] = Gamma^a_bc v^c
+        jdd = -j @ (dgam @ v @ v) - 2.0 * gv @ jdot
+        return np.concatenate([v, -gv @ v, jdot, jdd])
 
     t0, t1 = float(path.tau_grid[0]), float(path.tau_grid[-1])
-    sol = solve_ivp(rhs, (t0, t1), np.concatenate([J0, jdot0]), method="RK45",
-                    rtol=rtol, atol=rtol * 1e-3, t_eval=path.tau_grid,
-                    dense_output=False)
+    sol = solve_ivp(rhs, (t0, t1), np.concatenate([th0, v0, J0, jdot0]),
+                    method="RK45", rtol=rtol, atol=rtol * 1e-3,
+                    t_eval=path.tau_grid, dense_output=False)
     if not sol.success:
         raise StiffnessError(f"deviation integrator failed: {sol.message}")
-    j = sol.y[:dim].T
-    jdot = sol.y[dim:].T
+    theta, theta_dot, j, jdot = np.transpose(
+        sol.y.reshape(4, dim, -1), (0, 2, 1))
 
-    g = metric.eval(path.theta)
-    gam_grid = np.stack([_christoffel_core(metric, th) for th in path.theta])
-    dj_cov = jdot + np.einsum("nabc,nb,nc->na", gam_grid, j, path.theta_dot)
+    g = metric.eval(theta)
+    gam_grid = np.stack([_christoffel_core(metric, th) for th in theta])
+    dj_cov = jdot + np.einsum("nabc,nb,nc->na", gam_grid, j, theta_dot)
     inten2 = np.einsum("nab,na,nb->n", g, j, j)
     inten = np.sqrt(np.maximum(inten2, 0.0))
     cov_norm = np.sqrt(np.maximum(

@@ -1,8 +1,9 @@
 """Connection and curvature machinery for metric fields.
 
-Everything is computed pointwise from a MetricField jet: Christoffel symbols,
-the Riemann tensor (mixed and fully lowered), Ricci tensor and scalar,
-sectional curvatures, the projective anisotropy tensor and Killing residuals.
+Everything is computed pointwise from a MetricField jet: Christoffel symbols
+and their derivative (exact from the second jet of closed-form metrics), the
+Riemann tensor (mixed and fully lowered), Ricci tensor and scalar, sectional
+curvatures, the projective anisotropy tensor and Killing residuals.
 
 Sign conventions: Gamma^a_bc = (1/2) g^ad (d_b g_dc + d_c g_db - d_d g_bc),
 R^a_bcd = d_c Gamma^a_bd - d_d Gamma^a_bc + Gamma^a_fc Gamma^f_bd
@@ -20,11 +21,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DegenerateMetricError, DegeneratePlaneError
-from .models import MetricField
+from .models import MetricField, _richardson_diff, fd_step
 
 __all__ = [
     "CurvatureReport",
     "christoffel",
+    "connection_jet",
     "riemann",
     "riemann_lowered",
     "ricci_tensor",
@@ -52,18 +54,25 @@ def _check_chart(metric: MetricField, theta):
     return theta
 
 
-def _christoffel_core(metric: MetricField, theta) -> np.ndarray:
-    """Connection coefficients without the chart-floor rejection (used by
-    integrators whose trial steps may probe just past the boundary)."""
-    g, dg = metric.jet(theta)
+def _inverse(g, theta) -> np.ndarray:
     try:
-        ginv = np.linalg.inv(g)
+        return np.linalg.inv(g)
     except np.linalg.LinAlgError as exc:
         raise DegenerateMetricError(f"singular metric at {theta}") from exc
+
+
+def _christoffel_from(ginv, dg) -> np.ndarray:
     # dg[c, a, b] = d_c g_ab
     term = dg + np.transpose(dg, (2, 1, 0)) - np.transpose(dg, (1, 0, 2))
     # term[b, d, c] = d_b g_dc + d_c g_db - d_d g_bc
     return 0.5 * np.einsum("ad,bdc->abc", ginv, term)
+
+
+def _christoffel_core(metric: MetricField, theta) -> np.ndarray:
+    """Connection coefficients without the chart-floor rejection (used by
+    integrators whose trial steps may probe just past the boundary)."""
+    g, dg = metric.jet(theta)
+    return _christoffel_from(_inverse(g, theta), dg)
 
 
 def christoffel(metric: MetricField, theta) -> np.ndarray:
@@ -72,50 +81,71 @@ def christoffel(metric: MetricField, theta) -> np.ndarray:
     return _christoffel_core(metric, theta)
 
 
-def fd_step(metric: MetricField, theta, c: int, base: float) -> float:
-    """FD step in direction c: base * max(1, |theta_c|), except on half-line
-    coordinates where it is proportional to theta_c so perturbed points stay
-    inside the chart."""
-    if c in metric.scale_coords:
-        return base * abs(theta[c])
-    return base * max(1.0, abs(theta[c]))
-
-
 def _gamma_derivative(metric: MetricField, theta) -> np.ndarray:
     """dG[c, a, b, d] = d_c Gamma^a_bd by central differences.
 
     Step 1e-4 * max(1, |theta_c|) with one Richardson level when the metric
     jet is analytic, 1e-3 plain central otherwise (noise control for jets
-    that are themselves finite differences).
+    that are themselves finite differences).  The path for metrics without
+    a second jet, and the tests' oracle for the exact one.
     """
     n = metric.dim
     out = np.empty((n, n, n, n))
-    base_step = 1e-4 if metric.has_analytic_jet else 1e-3
+    analytic = metric.has_analytic_jet
     for c in range(n):
-        h = fd_step(metric, theta, c, base_step)
+        h = fd_step(metric, theta, c, 1e-4 if analytic else 1e-3)
 
         def shifted(t, c=c):
             th = np.array(theta, float)
             th[c] += t
             return _christoffel_core(metric, th)
 
-        d1 = (shifted(h) - shifted(-h)) / (2 * h)
-        if metric.has_analytic_jet:
-            d2 = (shifted(h / 2) - shifted(-h / 2)) / h
-            out[c] = (4.0 * d2 - d1) / 3.0
-        else:
-            out[c] = d1
+        out[c] = _richardson_diff(shifted, h) if analytic \
+            else (shifted(h) - shifted(-h)) / (2 * h)
     return out
+
+
+def _connection(metric: MetricField, theta):
+    """(g, g^-1, dg, Gamma, dGamma) at theta from one metric jet."""
+    if not metric.has_second_jet:
+        g, dg = metric.jet(theta)
+        ginv = _inverse(g, theta)
+        return g, ginv, dg, _christoffel_from(ginv, dg), \
+            _gamma_derivative(metric, theta)
+    g, dg, d2g = metric.jet(theta, order=2)
+    ginv = _inverse(g, theta)
+    gam = _christoffel_from(ginv, dg)
+    # Gamma^a_bc = g^ad T_dbc with T the first-kind symbols, and
+    # d_e g^ad = -g^ap d_e g_pq g^qd, so
+    # d_e Gamma^a_bc = g^ad d_e T_dbc - g^ap d_e g_pq Gamma^q_bc
+    d2t = d2g + np.transpose(d2g, (0, 3, 2, 1)) \
+        - np.transpose(d2g, (0, 2, 1, 3))
+    # d2t[e, b, d, c] = d_e (d_b g_dc + d_c g_db - d_d g_bc)
+    dgam = 0.5 * np.einsum("ad,ebdc->eabc", ginv, d2t) \
+        - np.einsum("eaq,qbc->eabc", ginv @ dg, gam)
+    return g, ginv, dg, gam, dgam
+
+
+def connection_jet(metric: MetricField, theta):
+    """(Gamma, dGamma) with dGamma[c, a, b, d] = d_c Gamma^a_bd.
+
+    Exact, from one second-order metric jet and one inverse, when the
+    metric has a closed-form second jet; a Richardson difference of the
+    connection otherwise.  No chart-floor rejection, so integrators may call
+    it on trial steps.
+    """
+    return _connection(metric, np.asarray(theta, float))[3:]
+
+
+def _riemann_from(gam, dgam) -> np.ndarray:
+    return (np.einsum("cabd->abcd", dgam) - np.einsum("dabc->abcd", dgam)
+            + np.einsum("afc,fbd->abcd", gam, gam)
+            - np.einsum("afd,fbc->abcd", gam, gam))
 
 
 def riemann(metric: MetricField, theta) -> np.ndarray:
     """Mixed curvature tensor R^a_bcd."""
-    theta = _check_chart(metric, theta)
-    gam = christoffel(metric, theta)
-    dgam = _gamma_derivative(metric, theta)
-    return (np.einsum("cabd->abcd", dgam) - np.einsum("dabc->abcd", dgam)
-            + np.einsum("afc,fbd->abcd", gam, gam)
-            - np.einsum("afd,fbc->abcd", gam, gam))
+    return _riemann_from(*connection_jet(metric, _check_chart(metric, theta)))
 
 
 def riemann_lowered(metric: MetricField, theta) -> np.ndarray:
@@ -144,17 +174,19 @@ def sectional(metric: MetricField, theta, u, v,
     passed to amortize repeated evaluations at one point.
     """
     theta = np.asarray(theta, float)
+    if riemann_low is None:
+        riemann_low = riemann_lowered(metric, theta)
+    return _sectional_from(metric.eval(theta), riemann_low, u, v)
+
+
+def _sectional_from(g, rl, u, v) -> float:
     u = np.asarray(u, float)
     v = np.asarray(v, float)
-    g = metric.eval(theta)
     uu, vv, uv = u @ g @ u, v @ g @ v, u @ g @ v
     den = uu * vv - uv * uv
     if abs(den) < 1e-14:
         raise DegeneratePlaneError("u, v span a degenerate plane")
-    if riemann_low is None:
-        riemann_low = riemann_lowered(metric, theta)
-    num = np.einsum("abcd,a,b,c,d->", riemann_low, u, v, u, v)
-    return float(num / den)
+    return float(np.einsum("abcd,a,b,c,d->", rl, u, v, u, v) / den)
 
 
 def orthonormal_frame(g: np.ndarray) -> list:
@@ -199,13 +231,17 @@ def weyl_projective(metric: MetricField, theta):
     on constant-curvature (isotropic) manifolds.
     """
     theta = np.asarray(theta, float)
-    n = metric.dim
+    g = metric.eval(theta)
+    rm = riemann(metric, theta)
+    scal = float(np.einsum("ab,ab->", _inverse(g, theta),
+                           np.einsum("cacb->ab", rm)))
+    return _weyl(g, np.einsum("ae,ebcd->abcd", g, rm), scal)
+
+
+def _weyl(g, rl, scal):
+    n = g.shape[0]
     if n < 2:
         raise DegenerateMetricError("anisotropy needs dimension >= 2")
-    g = metric.eval(theta)
-    rl = riemann_lowered(metric, theta)
-    scal = float(np.einsum("ab,ab->", np.linalg.inv(g),
-                           np.einsum("cacb->ab", riemann(metric, theta))))
     w = rl - scal / (n * (n - 1)) * (
         np.einsum("bd,ac->abcd", g, g) - np.einsum("bc,ad->abcd", g, g))
     return w, float(np.max(np.abs(w)))
@@ -215,7 +251,10 @@ def metric_compatibility_residual(metric: MetricField, theta) -> float:
     """max-abs of the covariant derivative of g (zero for Levi-Civita)."""
     theta = np.asarray(theta, float)
     g, dg = metric.jet(theta)
-    gam = christoffel(metric, theta)
+    return _compat_residual(g, dg, christoffel(metric, theta))
+
+
+def _compat_residual(g, dg, gam) -> float:
     nabla = dg - np.einsum("dca,db->cab", gam, g) \
         - np.einsum("dcb,ad->cab", gam, g)
     return float(np.max(np.abs(nabla)))
@@ -239,16 +278,12 @@ def killing_residual(metric: MetricField, k_field: Callable,
         n = metric.dim
         dk = np.empty((n, n))    # dk[a, b] = d_a K_b
         for a in range(n):
-            h = fd_step(metric, theta, a, 1e-6)
-
             def shifted(t, a=a):
                 th = np.array(theta)
                 th[a] += t
                 return lowered(th)
 
-            d1 = (shifted(h) - shifted(-h)) / (2 * h)
-            d2 = (shifted(h / 2) - shifted(-h / 2)) / h
-            dk[a] = (4.0 * d2 - d1) / 3.0
+            dk[a] = _richardson_diff(shifted, fd_step(metric, theta, a, 1e-6))
         gam = christoffel(metric, theta)
         kb = lowered(theta)
         cov = dk - np.einsum("cba,c->ab", gam, kb)
@@ -271,26 +306,20 @@ class CurvatureReport:
 
 
 def curvature_report(metric: MetricField, theta) -> CurvatureReport:
-    theta = np.asarray(theta, float)
-    gam = christoffel(metric, theta)
-    rm = riemann(metric, theta)
-    g = metric.eval(theta)
+    """Every curvature object at one point from a single connection jet."""
+    theta = _check_chart(metric, theta)
+    g, ginv, dg, gam, dgam = _connection(metric, theta)
+    rm = _riemann_from(gam, dgam)
     rl = np.einsum("ae,ebcd->abcd", g, rm)
     ric = np.einsum("cacb->ab", rm)
-    scal = float(np.einsum("ab,ab->", np.linalg.inv(g), ric))
-    sec = []
-    for i in range(metric.dim):
-        for j in range(i + 1, metric.dim):
-            u = np.zeros(metric.dim)
-            v = np.zeros(metric.dim)
-            u[i], v[j] = 1.0, 1.0
-            sec.append(((i, j), sectional(metric, theta, u, v,
-                                          riemann_low=rl)))
-    _, wmax = weyl_projective(metric, theta)
+    scal = float(np.einsum("ab,ab->", ginv, ric))
+    eye = np.eye(metric.dim)
+    sec = [((i, j), _sectional_from(g, rl, eye[i], eye[j]))
+           for i in range(metric.dim) for j in range(i + 1, metric.dim)]
     return CurvatureReport(
         theta=theta, christoffel=gam, riemann=rm, ricci=ric, scalar=scal,
-        sectional=sec, weyl_max_abs=wmax,
-        metric_compat_residual=metric_compatibility_residual(metric, theta))
+        sectional=sec, weyl_max_abs=_weyl(g, rl, scal)[1],
+        metric_compat_residual=_compat_residual(g, dg, gam))
 
 
 def rescaled_chart(metric: MetricField, scale) -> MetricField:

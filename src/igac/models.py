@@ -256,21 +256,25 @@ def score(model: StatModel, x) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class MetricField:
-    """A Riemannian metric g_ab(theta) with first-derivative jets.
+    """A Riemannian metric g_ab(theta) with first- and second-derivative jets.
 
     ``matrix_fn`` maps (..., dim) chart points to (..., dim, dim) matrices.
-    ``blocks`` lists coordinate groups on which the metric factorizes (the
-    block submatrix depends only on the block's own coordinates), enabling
-    separable volume integrals.  ``scale_coords`` are indices restricted to
-    the open half line.
+    ``jet_fn`` returns (g, dg) at one point; without it dg is a Richardson
+    difference of ``matrix_fn``.  ``jet2_fn`` returns (g, dg, d2g) at one
+    point; closed-form metrics supply it, and curvature falls back to a
+    difference of the connection without it.  ``blocks`` lists coordinate
+    groups on which the metric factorizes (the block submatrix depends only
+    on the block's own coordinates), enabling separable volume integrals.
+    ``scale_coords`` are indices restricted to the open half line.
     """
 
     def __init__(self, dim: int, matrix_fn: Callable, jet_fn: Callable = None,
                  source: str = "analytic", blocks=None, scale_coords=(),
-                 fd_step: float = 1e-5):
+                 fd_step: float = 1e-5, jet2_fn: Callable = None):
         self.dim = dim
         self._matrix_fn = matrix_fn
         self._jet_fn = jet_fn
+        self._jet2_fn = jet2_fn
         self.source = source
         self.blocks = tuple(tuple(b) for b in blocks) if blocks \
             else (tuple(range(dim)),)
@@ -280,6 +284,10 @@ class MetricField:
     @property
     def has_analytic_jet(self) -> bool:
         return self._jet_fn is not None
+
+    @property
+    def has_second_jet(self) -> bool:
+        return self._jet2_fn is not None
 
     def in_chart(self, theta) -> bool:
         theta = np.asarray(theta, float)
@@ -291,25 +299,29 @@ class MetricField:
         theta = np.asarray(theta, float)
         return self._matrix_fn(theta)
 
-    def jet(self, theta):
-        """(g, dg) with dg[c, a, b] = d g_ab / d theta_c."""
+    def jet(self, theta, order: int = 1):
+        """(g, dg) with dg[c, a, b] = d g_ab / d theta_c.
+
+        ``order=2`` returns (g, dg, d2g) with d2g[c, d, a, b] =
+        d^2 g_ab / d theta_c d theta_d; only metrics with
+        ``has_second_jet`` support it.
+        """
         theta = np.asarray(theta, float)
+        if order == 2:
+            if self._jet2_fn is None:
+                raise ValueError("metric has no closed-form second jet")
+            return self._jet2_fn(theta)
         if self._jet_fn is not None:
             return self._jet_fn(theta)
         return self.eval(theta), self._fd_jet(theta)
 
     def _fd_jet(self, theta):
-        # central differences with one Richardson level; steps on half-line
-        # coordinates are proportional to the coordinate itself
+        # central differences with one Richardson level
         n = self.dim
         dg = np.empty((n, n, n))
         for c in range(n):
-            if c in self.scale_coords:
-                h = self._fd_step * abs(theta[c])
-            else:
-                h = self._fd_step * max(1.0, abs(theta[c]))
             dg[c] = _richardson_diff(lambda t, c=c: self._shifted(theta, c, t),
-                                     h)
+                                     fd_step(self, theta, c, self._fd_step))
         return dg
 
     def _shifted(self, theta, c, t):
@@ -350,7 +362,17 @@ class MetricField:
                                if c in self.scale_coords))
 
 
+def fd_step(metric: MetricField, theta, c: int, base: float) -> float:
+    """FD step in direction c: base * max(1, |theta_c|), except on half-line
+    coordinates where it is proportional to theta_c so perturbed points stay
+    inside the chart."""
+    if c in metric.scale_coords:
+        return base * abs(theta[c])
+    return base * max(1.0, abs(theta[c]))
+
+
 def _richardson_diff(fn, h):
+    """Central difference of fn at 0 with one Richardson level (error h^4)."""
     d1 = (fn(h) - fn(-h)) / (2 * h)
     d2 = (fn(h / 2) - fn(-h / 2)) / h
     return (4.0 * d2 - d1) / 3.0
@@ -365,6 +387,8 @@ def flat_metric(dim: int) -> MetricField:
 
     return MetricField(dim, mat, jet_fn=lambda th: (eye.copy(),
                                                     np.zeros((dim,) * 3)),
+                       jet2_fn=lambda th: (eye.copy(), np.zeros((dim,) * 3),
+                                           np.zeros((dim,) * 4)),
                        blocks=[(i,) for i in range(dim)])
 
 
@@ -391,25 +415,40 @@ def metric_from_function(dim: int, fn: Callable, jet_fn=None,
 # closed-form Fisher metrics
 # ---------------------------------------------------------------------------
 
-def _assemble_block_metric(dim, blocks, fill, dfill, scale_coords, source):
-    """Build a MetricField from per-block fill(theta batch, view) callables."""
+def _inverse_square_metric(dim, blocks) -> MetricField:
+    """Metric C_k / s_k^2 on each coordinate block k, zero across blocks.
+
+    ``blocks`` holds (indices, C) pairs: the block's chart indices, whose
+    last entry is its spread coordinate s, and the constant SPD matrix C.
+    Every block entry scales as s^-2, so d_s g = -2 g / s and
+    d_s^2 g = 6 g / s^2 are exact and all other derivatives vanish.
+    """
+    c_full = np.zeros((dim, dim))
+    owner = np.empty(dim, dtype=int)     # spread coordinate of each index
+    for idx, c in blocks:
+        c_full[np.ix_(idx, idx)] = c
+        owner[list(idx)] = idx[-1]
+    ia, ib = np.nonzero(owner[:, None] == owner[None, :])
+    ic = owner[ia]
 
     def mat(th):
-        th = np.asarray(th, float)
-        g = np.zeros(th.shape[:-1] + (dim, dim))
-        fill(th, g)
-        return g
+        s = np.asarray(th, float)[..., owner]
+        return c_full / (s[..., :, None] * s[..., None, :])
 
-    def jet(th):
-        th = np.asarray(th, float)
-        g = np.zeros((dim, dim))
-        fill(th, g)
+    def jet(th, order=1):
+        s = np.asarray(th, float)[owner]
+        g = c_full / (s[:, None] * s[None, :])
         dg = np.zeros((dim, dim, dim))
-        dfill(th, dg)
-        return g, dg
+        dg[ic, ia, ib] = (-2.0 * g / s[:, None])[ia, ib]
+        if order == 1:
+            return g, dg
+        d2g = np.zeros((dim, dim, dim, dim))
+        d2g[ic, ic, ia, ib] = (6.0 * g / (s * s)[:, None])[ia, ib]
+        return g, dg, d2g
 
-    return MetricField(dim, mat, jet_fn=jet, source=source, blocks=blocks,
-                       scale_coords=scale_coords)
+    return MetricField(dim, mat, jet_fn=jet, jet2_fn=lambda th: jet(th, 2),
+                       blocks=[idx for idx, _ in blocks],
+                       scale_coords=tuple(idx[-1] for idx, _ in blocks))
 
 
 def analytic_fisher(model: StatModel) -> MetricField:
@@ -419,52 +458,22 @@ def analytic_fisher(model: StatModel) -> MetricField:
     level spacing -> 4/mu^2; correlated bivariate Gaussian -> the (mu_x,
     mu_y, sigma) block with 1/(1-r^2) mean entries and 4/s^2 spread entry.
     """
-    dim = model.param_dim
-    blocks, scale = [], []
+    blocks = []
     for f in model.factors:
-        blocks.append(f.theta_at)
-        scale.append(f.theta_at[-1])
-        if f.kind not in ("gauss_pair", "exponential", "wigner_dyson",
-                          "gauss_biv"):
+        if f.kind == "gauss_pair":
+            c = np.diag([1.0, 2.0])
+        elif f.kind == "exponential":
+            c = np.array([[1.0]])
+        elif f.kind == "wigner_dyson":
+            c = np.array([[4.0]])
+        elif f.kind == "gauss_biv":
+            a = 1.0 / (1 - f.r ** 2)
+            c = np.array([[a, -f.r * a, 0.0], [-f.r * a, a, 0.0],
+                          [0.0, 0.0, 4.0]])
+        else:
             raise UnsupportedFamilyError(f.kind)
-    factors = model.factors
-
-    def fill(th, g):
-        for f in factors:
-            if f.kind == "gauss_pair":
-                i, j = f.theta_at
-                s2 = th[..., j] ** 2
-                g[..., i, i] = 1.0 / s2
-                g[..., j, j] = 2.0 / s2
-            elif f.kind == "exponential":
-                i = f.theta_at[0]
-                g[..., i, i] = 1.0 / th[..., i] ** 2
-            elif f.kind == "wigner_dyson":
-                i = f.theta_at[0]
-                g[..., i, i] = 4.0 / th[..., i] ** 2
-            else:
-                i, j, k = f.theta_at
-                s2 = th[..., k] ** 2
-                a = 1.0 / ((1 - f.r ** 2) * s2)
-                g[..., i, i] = a
-                g[..., j, j] = a
-                g[..., i, j] = -f.r * a
-                g[..., j, i] = -f.r * a
-                g[..., k, k] = 4.0 / s2
-
-    def dfill(th, dg):
-        # every block entry scales as 1/s^2: d_s g = -2 g / s
-        for f in factors:
-            s_idx = f.theta_at[-1]
-            s = th[s_idx]
-            gblk = np.zeros((len(th), len(th)))
-            fill(th, gblk)
-            for a in f.theta_at:
-                for b in f.theta_at:
-                    dg[s_idx, a, b] = -2.0 * gblk[a, b] / s
-
-    return _assemble_block_metric(dim, blocks, fill, dfill, tuple(scale),
-                                  "analytic")
+        blocks.append((f.theta_at, c))
+    return _inverse_square_metric(model.param_dim, blocks)
 
 
 def macro_correlated_metric(r_values: Sequence[float]) -> MetricField:
@@ -477,33 +486,10 @@ def macro_correlated_metric(r_values: Sequence[float]) -> MetricField:
     for r in r_values:
         if not 0.0 <= r < 1.0:
             raise ValueError(f"macro-correlation must lie in [0, 1), got {r}")
-    l = len(r_values)
-    dim = 2 * l
-    blocks = [(2 * k, 2 * k + 1) for k in range(l)]
-
-    def mat(th):
-        th = np.asarray(th, float)
-        g = np.zeros(th.shape[:-1] + (dim, dim))
-        for k, r in enumerate(r_values):
-            i, j = 2 * k, 2 * k + 1
-            s2 = th[..., j] ** 2
-            g[..., i, i] = 1.0 / s2
-            g[..., i, j] = r / s2
-            g[..., j, i] = r / s2
-            g[..., j, j] = 2.0 / s2
-        return g
-
-    def jet(th):
-        g = mat(th)
-        dg = np.zeros((dim, dim, dim))
-        for k in range(l):
-            i, j = 2 * k, 2 * k + 1
-            s = th[j]
-            dg[j, i:j + 1, i:j + 1] = -2.0 * g[i:j + 1, i:j + 1] / s
-        return g, dg
-
-    return MetricField(dim, mat, jet_fn=jet, source="analytic", blocks=blocks,
-                       scale_coords=tuple(2 * k + 1 for k in range(l)))
+    return _inverse_square_metric(
+        2 * len(r_values),
+        [((2 * k, 2 * k + 1), np.array([[1.0, r], [r, 2.0]]))
+         for k, r in enumerate(r_values)])
 
 
 # ---------------------------------------------------------------------------

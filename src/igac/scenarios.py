@@ -178,16 +178,6 @@ def _ige_trace(metric, theta0, v0, tau_end, ode_tol, quad_tol, n_out):
     return path, cx.complexity_trace(metric, path, rel_tol=quad_tol)
 
 
-def _normal_direction(metric, theta, v):
-    """Unit vector orthogonal to v in the metric, in the plane of the first
-    coordinate pair."""
-    g = metric.eval(theta)
-    w = np.zeros_like(v)
-    w[1] = 1.0
-    w = w - (v @ g @ w) / (v @ g @ v) * v
-    return w / np.sqrt(w @ g @ w)
-
-
 def run_uncorrelated_gaussian(l: int, theta0=None, v0=None,
                               tau_end: float = None, ode_tol: float = 1e-10,
                               quad_tol: float = 1e-6, n_out: int = 257,
@@ -234,7 +224,7 @@ def run_uncorrelated_gaussian(l: int, theta0=None, v0=None,
 
     # deviation-field growth rate against the per-pair entropy slope
     j0 = np.zeros(metric.dim)
-    dj0 = _normal_direction(metric, theta0, v0)
+    dj0 = dyn.normal_direction(metric, theta0, v0)
     jac = dyn.integrate_jacobi(metric, path, j0, dj0, rtol=1e-9)
     jrate = _exp_rate(jac.tau_grid, jac.intensity)
     report.observables["jacobi_exp_rate"] = jrate
@@ -442,7 +432,14 @@ def iho_metric(omegas) -> md.MetricField:
         dg = np.einsum("c,ab->cab", omegas ** 2 * th, np.eye(dim))
         return g, dg
 
-    return md.MetricField(dim, mat, jet_fn=jet, source="analytic")
+    # d_c d_d g_ab = w_c^2 delta_cd delta_ab
+    d2g = np.einsum("cd,ab->cdab", np.diag(omegas ** 2), np.eye(dim))
+
+    def jet2(th):
+        return jet(th) + (d2g.copy(),)
+
+    return md.MetricField(dim, mat, jet_fn=jet, jet2_fn=jet2,
+                          source="analytic")
 
 
 def iho_delta_v_asymptotic(cfg: IHOConfig, tau):
@@ -615,13 +612,9 @@ def run_spin_chain(regime: str, theta0=None, v0=None, tau_end: float = None,
                "winning r2 exceeds the loser by at least 0.05", mode="min")
 
     if regime == "chaotic":
-        j0 = np.zeros(metric.dim)
-        g = metric.eval(theta0)
-        w = np.zeros(metric.dim)
-        w[2] = 1.0
-        w -= (v0 @ g @ w) / (v0 @ g @ v0) * v0
-        w /= np.sqrt(w @ g @ w)
-        jac = dyn.integrate_jacobi(metric, path, j0, w, rtol=1e-9)
+        w = dyn.normal_direction(metric, theta0, v0, axis=2)
+        jac = dyn.integrate_jacobi(metric, path, np.zeros(metric.dim), w,
+                                   rtol=1e-9)
         lam = dyn.lyapunov_estimate(jac)
         report.observables["lyapunov_estimate"] = lam.value
         k_ig = report.observables["k_ig"]
@@ -826,7 +819,8 @@ def _wavepacket_lyapunov(args):
     path = dyn.integrate_geodesic(metric, th0, v0, min(20.0 / a0, tau_cap),
                                   tol=1e-11, n_out=257)
     jac = dyn.integrate_jacobi(metric, path, np.zeros(3),
-                               _normal_direction(metric, th0, v0), rtol=1e-10)
+                               dyn.normal_direction(metric, th0, v0),
+                               rtol=1e-10)
     return dyn.lyapunov_estimate(jac).value
 
 
@@ -883,7 +877,7 @@ def run_wavepacket(cfg: ScatterConfig, r_sweep=(0.1, 0.3, 0.5),
     th0, v0 = wavepacket_initial_state(p_after, "after")
     path = dyn.integrate_geodesic(metric, th0, v0, 10.0 / a0, tol=1e-11,
                                   n_out=n_out)
-    dj0 = _normal_direction(metric, th0, v0)
+    dj0 = dyn.normal_direction(metric, th0, v0)
     jac = dyn.integrate_jacobi(metric, path, np.zeros(3), dj0, rtol=1e-10)
     oracle = (1.0 / a0) * np.sinh(a0 * jac.tau_grid)   # |DJ0| = 1
     late = jac.tau_grid >= 0.1 / a0

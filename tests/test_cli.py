@@ -120,6 +120,32 @@ def test_jacobi_command(tmp_path):
     assert csv.splitlines()[0] == "tau,theta_1,theta_2,speed,jacobi_intensity"
 
 
+def test_jacobi_default_dj0_skips_axis_parallel_to_v0(tmp_path):
+    # v0 along coordinate axis 1 leaves no residual there; axis 0 is used
+    cfg = tmp_path / "jac.yaml"
+    cfg.write_text("manifold: {kind: gaussian_diag, means: [0.0], "
+                   "sigmas: [1.0]}\n"
+                   "theta0: [0.0, 1.0]\nv0: [0.0, 1.0]\ntau_end: 2.0\n"
+                   f"output: {{directory: '{tmp_path}/out'}}\n")
+    assert cli.main(["jacobi", "--config", str(cfg)]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["inputs"]["dj0"] == pytest.approx([1.0, 0.0])
+
+
+@pytest.mark.parametrize("manifold,theta0,v0", [
+    ("{kind: exponential, mu: 1.0}", "[1.0]", "[0.5]"),
+    ("{kind: gaussian_diag, means: [0.0], sigmas: [1.0]}", "[0.0, 1.0]",
+     "[0.0, 0.0]"),
+])
+def test_jacobi_without_normal_direction_exits_2(tmp_path, capsys, manifold,
+                                                 theta0, v0):
+    cfg = tmp_path / "jac.yaml"
+    cfg.write_text(f"manifold: {manifold}\ntheta0: {theta0}\nv0: {v0}\n"
+                   f"tau_end: 2.0\noutput: {{directory: '{tmp_path}/out'}}\n")
+    assert cli.main(["jacobi", "--config", str(cfg)]) == 2
+    assert "DegeneratePlaneError" in capsys.readouterr().err
+
+
 def test_mre_command(tmp_path):
     cfg = tmp_path / "mre.yaml"
     cfg.write_text(
