@@ -51,7 +51,8 @@ print("connection at spread 1: G^s_mm = %.3f, G^m_ms = %.3f, G^s_ss = %.3f"
       % (gam[1, 0, 0], gam[0, 0, 1], gam[1, 1, 1]))
 print("scalar curvature:", geo.ricci_scalar(metric, theta),
       " (hyperbolic, R = -1)")
-print("sum of sectional curvatures:", geo.sectional_sum(metric, theta))
+print("sum of sectional curvatures:",
+      geo.curvature_report(metric, theta).sectional_sum)
 
 banner("4. Scaling with the number of degrees of freedom")
 for l in (1, 2, 3):

@@ -32,7 +32,7 @@ _SCENARIOS = ("uncorrelated_gaussian", "macro_correlated", "iho",
 _FORMATS = ("csv", "json")
 
 _NUMERIC_DEFAULTS = {"ode_tol": 1e-10, "quad_tol": 1e-9,
-                     "fit_window_fraction": 0.25, "seed": 0}
+                     "fit_window_fraction": 0.25}
 
 
 def parse_config(text: str, command: str = "scenario") -> dict:
@@ -47,21 +47,16 @@ def parse_config(text: str, command: str = "scenario") -> dict:
     failures = []
     cfg = dict(raw)
 
-    numerics = dict(_NUMERIC_DEFAULTS)
-    numerics.update(cfg.get("numerics") or {})
-    for key in ("ode_tol", "quad_tol", "fit_window_fraction"):
+    numerics = _section(cfg, "numerics", _NUMERIC_DEFAULTS, failures)
+    for key in _NUMERIC_DEFAULTS:
         val = numerics.get(key)
-        if not isinstance(val, (int, float)) or val <= 0:
+        if not _is_number(val) or val <= 0:
             failures.append((f"numerics.{key}", f"must be positive, got "
                              f"{val!r}"))
-    seed = numerics.get("seed", 0)
-    if not isinstance(seed, int) or not 0 <= seed < 2 ** 64:
-        failures.append(("numerics.seed", "must be a 64-bit unsigned "
-                         f"integer, got {seed!r}"))
     cfg["numerics"] = numerics
 
-    output = {"directory": ".", "formats": ["json", "csv"]}
-    output.update(cfg.get("output") or {})
+    output = _section(cfg, "output",
+                      {"directory": ".", "formats": ["json", "csv"]}, failures)
     fmts = output.get("formats")
     if not isinstance(fmts, (list, tuple)) or \
             not set(fmts) <= set(_FORMATS) or not fmts:
@@ -79,6 +74,41 @@ def parse_config(text: str, command: str = "scenario") -> dict:
     if failures:
         raise ConfigError(failures)
     return cfg
+
+
+def _section(cfg, key, defaults, failures):
+    """The mapping at ``key`` laid over a copy of ``defaults``."""
+    merged = dict(defaults)
+    val = cfg.get(key) or {}
+    if isinstance(val, dict):
+        merged.update(val)
+    else:
+        failures.append((key, "must be a mapping"))
+    return merged
+
+
+def _is_number(val) -> bool:
+    return isinstance(val, (int, float)) and not isinstance(val, bool)
+
+
+def _check_vector(val, path, dim, failures):
+    """``val`` must be a list of numbers, with ``dim`` entries unless
+    ``dim`` is None."""
+    if not isinstance(val, (list, tuple)) or \
+            not all(_is_number(x) for x in val):
+        failures.append((path, f"must be a list of numbers, got {val!r}"))
+    elif dim is not None and len(val) != dim:
+        failures.append((path, f"needs {dim} components for this manifold, "
+                         f"got {len(val)}"))
+
+
+def _check_correlations(r, path, failures):
+    """Each macro-correlation a number in [0, 1); returns their count."""
+    rs = list(r) if isinstance(r, (list, tuple)) else [r]
+    for i, ri in enumerate(rs):
+        if not _is_number(ri) or not 0.0 <= ri < 1.0:
+            failures.append((f"{path}[{i}]", f"must lie in [0, 1), got {ri}"))
+    return len(rs)
 
 
 def _req(mapping, key, path, failures, types=None):
@@ -112,10 +142,8 @@ def _validate_scenario(cfg, failures):
             failures.append(("parameters.l", "must be at least 1"))
     if name == "macro_correlated":
         r = _req(params, "r", "parameters", failures)
-        for i, ri in enumerate(np.atleast_1d(r if r is not None else [])):
-            if not 0.0 <= float(ri) < 1.0:
-                failures.append((f"parameters.r[{i}]",
-                                 f"must lie in [0, 1), got {ri}"))
+        if r is not None:
+            _check_correlations(r, "parameters.r", failures)
     if name == "iho" and isinstance(params, dict):
         if "omega" not in params and "omega_total" not in params:
             failures.append(("parameters.omega",
@@ -130,38 +158,50 @@ def _validate_scenario(cfg, failures):
         if not isinstance(r, (int, float)) or not 0.0 <= r < 1.0:
             failures.append(("parameters.r", f"must lie in [0, 1), got {r}"))
     if name == "custom_manifold":
-        _validate_manifold(params.get("manifold"), "parameters.manifold",
-                           failures)
+        dim = _validate_manifold(params.get("manifold"),
+                                 "parameters.manifold", failures)
         if "theta" not in params:
             failures.append(("parameters.theta", "missing required key"))
+        else:
+            _check_vector(params["theta"], "parameters.theta", dim, failures)
     if name == "mre_update":
         _validate_mre(params, "parameters", failures)
 
 
 def _validate_manifold(spec, path, failures):
+    """Record the spec's failures; returns the manifold's dimension, or
+    None when the spec is invalid."""
     kinds = ("gaussian_diag", "exponential", "wigner_dyson",
              "gaussian_bivariate_corr", "macro_correlated", "product")
     if not isinstance(spec, dict):
         failures.append((path, "missing manifold mapping"))
-        return
+        return None
     kind = spec.get("kind")
     if kind not in kinds:
         failures.append((f"{path}.kind",
                          f"unknown manifold kind {kind!r}; choose from "
                          f"{kinds}"))
-        return
+        return None
+    n_failures = len(failures)
+    dim = None
     if kind == "gaussian_diag":
         means = _req(spec, "means", path, failures, (list, tuple))
         sigmas = _req(spec, "sigmas", path, failures, (list, tuple))
-        if sigmas and any(s <= 0 for s in sigmas):
-            failures.append((f"{path}.sigmas", "must be positive"))
-        if means is not None and sigmas is not None and \
-                len(means) != len(sigmas):
-            failures.append((f"{path}.sigmas", "length mismatch with means"))
+        for key, vals in (("means", means), ("sigmas", sigmas)):
+            if vals is not None:
+                _check_vector(vals, f"{path}.{key}", None, failures)
+        if len(failures) == n_failures:
+            if any(s <= 0 for s in sigmas):
+                failures.append((f"{path}.sigmas", "must be positive"))
+            if len(means) != len(sigmas):
+                failures.append((f"{path}.sigmas",
+                                 "length mismatch with means"))
+            dim = 2 * len(means)
     elif kind in ("exponential", "wigner_dyson"):
         mu = _req(spec, "mu", path, failures, (int, float))
         if mu is not None and mu <= 0:
             failures.append((f"{path}.mu", "must be positive"))
+        dim = 1
     elif kind == "gaussian_bivariate_corr":
         for key in ("mu_x", "mu_y", "sigma"):
             _req(spec, key, path, failures, (int, float))
@@ -169,29 +209,40 @@ def _validate_manifold(spec, path, failures):
         if isinstance(sig, (int, float)) and sig <= 0:
             failures.append((f"{path}.sigma", "must be positive"))
         r = spec.get("r", 0.0)
-        if not -1.0 < float(r) < 1.0:
+        if not _is_number(r) or not -1.0 < r < 1.0:
             failures.append((f"{path}.r", f"must lie in (-1, 1), got {r}"))
+        dim = 3
     elif kind == "macro_correlated":
         r = _req(spec, "r", path, failures, (list, tuple, int, float))
-        for i, ri in enumerate(np.atleast_1d(r if r is not None else [])):
-            if not 0.0 <= float(ri) < 1.0:
-                failures.append((f"{path}.r[{i}]",
-                                 f"must lie in [0, 1), got {ri}"))
+        if r is not None:
+            dim = 2 * _check_correlations(r, f"{path}.r", failures)
     elif kind == "product":
         factors = _req(spec, "factors", path, failures, list)
-        for i, sub in enumerate(factors or []):
-            _validate_manifold(sub, f"{path}.factors[{i}]", failures)
+        dims = [_validate_manifold(sub, f"{path}.factors[{i}]", failures)
+                for i, sub in enumerate(factors or [])]
+        dim = sum(dims) if None not in dims else None
+    if dim == 0:
+        failures.append((path, "manifold has no coordinates"))
+    return dim if len(failures) == n_failures else None
 
 
 def _validate_manifold_command(cfg, command, failures):
-    _validate_manifold(cfg.get("manifold"), "manifold", failures)
+    dim = _validate_manifold(cfg.get("manifold"), "manifold", failures)
     if command == "curvature":
-        if "theta" not in cfg:
-            failures.append(("theta", "missing required key"))
+        required, vectors = ("theta",), ("theta",)
     else:
-        for key in ("theta0", "v0", "tau_end"):
-            if key not in cfg:
-                failures.append((key, "missing required key"))
+        required, vectors = ("theta0", "v0", "tau_end"), \
+            ("theta0", "v0", "j0", "dj0")
+        if not _is_number(cfg.get("tau_end", 0.0)):
+            failures.append(("tau_end", "must be a number"))
+    for key in required:
+        if key not in cfg:
+            failures.append((key, "missing required key"))
+    if cfg.get("metric_source", "analytic") not in ("analytic", "quadrature"):
+        failures.append(("metric_source", "must be analytic or quadrature"))
+    for key in vectors:
+        if key in cfg:
+            _check_vector(cfg[key], key, dim, failures)
 
 
 def _validate_mre(spec, path, failures):
@@ -220,6 +271,9 @@ def _validate_mre(spec, path, failures):
         if "target" not in c:
             failures.append((f"{path}.constraints[{i}].target",
                              "missing required key"))
+        elif not _is_number(c["target"]):
+            failures.append((f"{path}.constraints[{i}].target",
+                             f"must be a number, got {c['target']!r}"))
         if fname == "poly" and not c.get("coefficients"):
             failures.append((f"{path}.constraints[{i}].coefficients",
                              "poly constraint needs coefficients"))
@@ -338,8 +392,8 @@ def _cmd_curvature(cfg):
     report.observables["ricci_tensor"] = rep.ricci
     report.add("metric_compatibility", rep.metric_compat_residual, 0.0, 1e-8,
                "Levi-Civita connection")
-    report.add("scalar_vs_sectional_sum", geo.sectional_sum(metric, theta),
-               rep.scalar, 1e-8, "scalar equals the sectional sum")
+    report.add("scalar_vs_sectional_sum", rep.sectional_sum, rep.scalar,
+               1e-8, "scalar equals the sectional sum")
     return report, {}
 
 
@@ -432,9 +486,8 @@ def _run_named_scenario(cfg):
     name = cfg["scenario"]
     params = cfg["parameters"]
     num = cfg["numerics"]
-    seed = num["seed"]
     quad_tol = max(num["quad_tol"], 1e-10)
-    common = dict(ode_tol=num["ode_tol"], quad_tol=quad_tol, seed=seed)
+    common = dict(ode_tol=num["ode_tol"], quad_tol=quad_tol)
     if name == "uncorrelated_gaussian":
         return sc.run_uncorrelated_gaussian(
             params["l"], theta0=params.get("theta0"), v0=params.get("v0"),
@@ -500,7 +553,6 @@ def run(cfg: dict, command: str) -> int:
     outdir = Path(cfg["output"]["directory"])
     payload = report.to_dict()
     payload["command"] = command
-    payload["seed"] = cfg["numerics"]["seed"]
     emit(payload, traces, outdir, cfg["output"]["formats"])
     if not report.passed:
         sys.stderr.write(json.dumps({"failures": report.failures()},
@@ -519,8 +571,6 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--format", default=None, choices=_FORMATS,
                         help="restrict output to one format")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="override numerics.seed")
     parser.add_argument("--tol", type=float, default=None,
                         help="override numerics.ode_tol")
     args = parser.parse_args(argv)
@@ -536,8 +586,6 @@ def main(argv=None) -> int:
             cfg["output"]["directory"] = args.out
         if args.format is not None:
             cfg["output"]["formats"] = [args.format]
-        if args.seed is not None:
-            cfg["numerics"]["seed"] = args.seed
         if args.tol is not None:
             cfg["numerics"]["ode_tol"] = args.tol
         return run(cfg, args.command)

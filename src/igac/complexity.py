@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.optimize import curve_fit
@@ -109,11 +108,6 @@ class ComplexityTrace:
     igc: np.ndarray
     ige: np.ndarray
     region: str = REGION_CONVENTION
-    fit: Optional["AsymptoticFit"] = None
-
-    def with_fit(self, fit):
-        return ComplexityTrace(self.tau_grid, self.delta_v, self.igc,
-                               self.ige, self.region, fit)
 
 
 def complexity_trace(metric: MetricField, path: GeodesicPath,

@@ -15,11 +15,10 @@ estimator built from the Jacobi intensity.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.interpolate import BPoly
 
 from .errors import (
     BvpFailureError,
@@ -48,18 +47,14 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class GeodesicPath:
-    """Discretized geodesic with dense state access.
-
-    ``label`` carries the opaque family parameter distinguishing members of
-    a geodesic congruence; it does not enter any computation.
-    """
+    """Discretized geodesic with dense state access through ``_interp``,
+    tau -> (theta, theta_dot)."""
 
     tau_grid: np.ndarray
     theta: np.ndarray        # (n, dim)
     theta_dot: np.ndarray    # (n, dim)
     speed: np.ndarray        # g(theta_dot, theta_dot) per grid point
-    label: Optional[str] = None
-    _interp: Optional[Callable] = field(default=None, repr=False)
+    _interp: Callable = field(repr=False)
 
     def __post_init__(self):
         for name in ("tau_grid", "theta", "theta_dot", "speed"):
@@ -73,28 +68,7 @@ class GeodesicPath:
 
     def state(self, tau):
         """(theta, theta_dot) at arbitrary tau inside the grid range."""
-        if self._interp is not None:
-            return self._interp(tau)
-        return self._hermite()(tau)
-
-    def _hermite(self):
-        interp = _hermite_interpolant(self.tau_grid, self.theta,
-                                      self.theta_dot)
-        object.__setattr__(self, "_interp", interp)
-        return interp
-
-
-def _hermite_interpolant(taus, theta, theta_dot):
-    order = np.argsort(taus)
-    t = taus[order]
-    pos = BPoly.from_derivatives(
-        t, np.stack([theta[order], theta_dot[order]], axis=1))
-    vel = pos.derivative()
-
-    def interp(tau):
-        return pos(tau), vel(tau)
-
-    return interp
+        return self._interp(tau)
 
 
 def _geodesic_rhs(metric):
@@ -120,8 +94,7 @@ def _boundary_events(metric):
 
 
 def integrate_geodesic(metric: MetricField, theta0, v0, tau_end: float,
-                       tol: float = 1e-10, n_out: int = 513,
-                       label: str = None) -> GeodesicPath:
+                       tol: float = 1e-10, n_out: int = 513) -> GeodesicPath:
     """Geodesic initial value problem with adaptive error control.
 
     Affine parametrization keeps the speed g(v, v) constant; the relative
@@ -159,8 +132,7 @@ def integrate_geodesic(metric: MetricField, theta0, v0, tau_end: float,
         y = dense(tau)
         return y[:dim], y[dim:]
 
-    return GeodesicPath(taus, theta, theta_dot, speed, label=label,
-                        _interp=interp)
+    return GeodesicPath(taus, theta, theta_dot, speed, _interp=interp)
 
 
 def solve_geodesic_bvp(metric: MetricField, theta_init, theta_final,
@@ -293,8 +265,7 @@ def wavepacket_geodesics(params: WavePacketParams, tau, branch: str):
 
 
 def path_from_functions(tau_grid, theta_fn: Callable, theta_dot_fn: Callable,
-                        metric: MetricField = None,
-                        label: str = None) -> GeodesicPath:
+                        metric: MetricField = None) -> GeodesicPath:
     """Wrap closed-form trajectory functions as a GeodesicPath."""
     taus = np.asarray(tau_grid, float)
     theta = np.stack([np.asarray(theta_fn(t), float) for t in taus])
@@ -309,8 +280,7 @@ def path_from_functions(tau_grid, theta_fn: Callable, theta_dot_fn: Callable,
         return (np.asarray(theta_fn(tau), float),
                 np.asarray(theta_dot_fn(tau), float))
 
-    return GeodesicPath(taus, theta, theta_dot, speed, label=label,
-                        _interp=interp)
+    return GeodesicPath(taus, theta, theta_dot, speed, _interp=interp)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
 """Connection and curvature machinery for metric fields.
 
 Everything is computed pointwise from a MetricField jet: Christoffel symbols
-and their derivative (exact from the second jet of closed-form metrics), the
-Riemann tensor (mixed and fully lowered), Ricci tensor and scalar, sectional
-curvatures, the projective anisotropy tensor and Killing residuals.
+and their derivative (exact from the second jet of closed-form metrics) and
+the Riemann tensor.  ``curvature_report`` derives every curvature quantity
+of a point from one connection jet: lowered Riemann, Ricci tensor and
+scalar, sectional curvatures and their orthonormal-frame sum, projective
+anisotropy and the metric-compatibility residual.  ``ricci_scalar`` and
+``sectional`` are one-value shortcuts; Killing residuals complete the set.
 
 Sign conventions: Gamma^a_bc = (1/2) g^ad (d_b g_dc + d_c g_db - d_d g_bc),
 R^a_bcd = d_c Gamma^a_bd - d_d Gamma^a_bc + Gamma^a_fc Gamma^f_bd
@@ -28,14 +31,9 @@ __all__ = [
     "christoffel",
     "connection_jet",
     "riemann",
-    "riemann_lowered",
-    "ricci_tensor",
     "ricci_scalar",
     "sectional",
-    "sectional_sum",
     "orthonormal_frame",
-    "weyl_projective",
-    "metric_compatibility_residual",
     "killing_residual",
     "curvature_report",
     "rescaled_chart",
@@ -148,35 +146,24 @@ def riemann(metric: MetricField, theta) -> np.ndarray:
     return _riemann_from(*connection_jet(metric, _check_chart(metric, theta)))
 
 
-def riemann_lowered(metric: MetricField, theta) -> np.ndarray:
-    """R_abcd = g_ae R^e_bcd."""
-    g = metric.eval(np.asarray(theta, float))
-    return np.einsum("ae,ebcd->abcd", g, riemann(metric, theta))
-
-
-def ricci_tensor(metric: MetricField, theta) -> np.ndarray:
-    """R_ab = R^c_acb."""
-    return np.einsum("cacb->ab", riemann(metric, theta))
-
-
 def ricci_scalar(metric: MetricField, theta) -> float:
-    """R = g^ab R_ab."""
-    ginv = metric.inverse(np.asarray(theta, float))
-    return float(np.einsum("ab,ab->", ginv, ricci_tensor(metric, theta)))
+    """R = g^ab R_ab with R_ab = R^c_acb."""
+    theta = _check_chart(metric, theta)
+    _, ginv, _, gam, dgam = _connection(metric, theta)
+    ric = np.einsum("cacb->ab", _riemann_from(gam, dgam))
+    return float(np.einsum("ab,ab->", ginv, ric))
 
 
-def sectional(metric: MetricField, theta, u, v,
-              riemann_low: np.ndarray = None) -> float:
+def sectional(metric: MetricField, theta, u, v) -> float:
     """Sectional curvature of the plane spanned by u and v.
 
     K = R_abcd u^a v^b u^c v^d / (<u,u><v,v> - <u,v>^2); invariant under any
-    basis change of the plane.  A precomputed lowered Riemann tensor may be
-    passed to amortize repeated evaluations at one point.
+    basis change of the plane.
     """
-    theta = np.asarray(theta, float)
-    if riemann_low is None:
-        riemann_low = riemann_lowered(metric, theta)
-    return _sectional_from(metric.eval(theta), riemann_low, u, v)
+    theta = _check_chart(metric, theta)
+    g, _, _, gam, dgam = _connection(metric, theta)
+    rl = np.einsum("ae,ebcd->abcd", g, _riemann_from(gam, dgam))
+    return _sectional_from(g, rl, u, v)
 
 
 def _sectional_from(g, rl, u, v) -> float:
@@ -206,52 +193,17 @@ def orthonormal_frame(g: np.ndarray) -> list:
     return frame
 
 
-def sectional_sum(metric: MetricField, theta) -> float:
-    """Sum of sectional curvatures over ordered orthonormal pairs i != j.
-
-    Equals the Ricci scalar; kept as an independent route for validation.
-    """
-    theta = np.asarray(theta, float)
-    g = metric.eval(theta)
-    frame = orthonormal_frame(g)
-    rl = riemann_lowered(metric, theta)
-    total = 0.0
-    for i in range(metric.dim):
-        for j in range(metric.dim):
-            if i != j:
-                total += sectional(metric, theta, frame[i], frame[j],
-                                   riemann_low=rl)
-    return total
-
-
-def weyl_projective(metric: MetricField, theta):
-    """Projective anisotropy tensor and its max-abs entry.
-
-    W_abcd = R_abcd - R / (N(N-1)) (g_bd g_ac - g_bc g_ad); vanishes exactly
-    on constant-curvature (isotropic) manifolds.
-    """
-    theta = np.asarray(theta, float)
-    g = metric.eval(theta)
-    rm = riemann(metric, theta)
-    scal = float(np.einsum("ab,ab->", _inverse(g, theta),
-                           np.einsum("cacb->ab", rm)))
-    return _weyl(g, np.einsum("ae,ebcd->abcd", g, rm), scal)
-
-
-def _weyl(g, rl, scal):
+def _weyl(g, rl, scal) -> float:
+    """max-abs entry of the projective anisotropy tensor
+    W_abcd = R_abcd - R / (N(N-1)) (g_bd g_ac - g_bc g_ad), which vanishes
+    exactly on constant-curvature (isotropic) manifolds.  A 1-D manifold has
+    no 2-planes, so its anisotropy is zero."""
     n = g.shape[0]
     if n < 2:
-        raise DegenerateMetricError("anisotropy needs dimension >= 2")
+        return 0.0
     w = rl - scal / (n * (n - 1)) * (
         np.einsum("bd,ac->abcd", g, g) - np.einsum("bc,ad->abcd", g, g))
-    return w, float(np.max(np.abs(w)))
-
-
-def metric_compatibility_residual(metric: MetricField, theta) -> float:
-    """max-abs of the covariant derivative of g (zero for Levi-Civita)."""
-    theta = np.asarray(theta, float)
-    g, dg = metric.jet(theta)
-    return _compat_residual(g, dg, christoffel(metric, theta))
+    return float(np.max(np.abs(w)))
 
 
 def _compat_residual(g, dg, gam) -> float:
@@ -298,9 +250,11 @@ class CurvatureReport:
     theta: np.ndarray
     christoffel: np.ndarray
     riemann: np.ndarray            # mixed R^a_bcd
-    ricci: np.ndarray
+    riemann_lowered: np.ndarray    # R_abcd = g_ae R^e_bcd
+    ricci: np.ndarray              # R_ab = R^c_acb
     scalar: float
     sectional: list                # ((i, j) plane, K) over coordinate pairs
+    sectional_sum: float           # K over ordered orthonormal pairs i != j
     weyl_max_abs: float
     metric_compat_residual: float
 
@@ -313,12 +267,18 @@ def curvature_report(metric: MetricField, theta) -> CurvatureReport:
     rl = np.einsum("ae,ebcd->abcd", g, rm)
     ric = np.einsum("cacb->ab", rm)
     scal = float(np.einsum("ab,ab->", ginv, ric))
-    eye = np.eye(metric.dim)
+    n = metric.dim
+    eye = np.eye(n)
     sec = [((i, j), _sectional_from(g, rl, eye[i], eye[j]))
-           for i in range(metric.dim) for j in range(i + 1, metric.dim)]
+           for i in range(n) for j in range(i + 1, n)]
+    # equals the scalar: a second route, through the Gram-Schmidt frame
+    frame = orthonormal_frame(g)
+    sec_sum = sum((_sectional_from(g, rl, frame[i], frame[j])
+                   for i in range(n) for j in range(n) if i != j), 0.0)
     return CurvatureReport(
-        theta=theta, christoffel=gam, riemann=rm, ricci=ric, scalar=scal,
-        sectional=sec, weyl_max_abs=_weyl(g, rl, scal)[1],
+        theta=theta, christoffel=gam, riemann=rm, riemann_lowered=rl,
+        ricci=ric, scalar=scal, sectional=sec, sectional_sum=sec_sum,
+        weyl_max_abs=_weyl(g, rl, scal),
         metric_compat_residual=_compat_residual(g, dg, gam))
 
 

@@ -45,7 +45,6 @@ __all__ = [
     "fisher_quadrature",
     "macro_correlated_metric",
     "flat_metric",
-    "metric_from_function",
     "normalization_residual",
     "score_expectation_residual",
 ]
@@ -270,7 +269,7 @@ class MetricField:
 
     def __init__(self, dim: int, matrix_fn: Callable, jet_fn: Callable = None,
                  source: str = "analytic", blocks=None, scale_coords=(),
-                 fd_step: float = 1e-5, jet2_fn: Callable = None):
+                 jet2_fn: Callable = None):
         self.dim = dim
         self._matrix_fn = matrix_fn
         self._jet_fn = jet_fn
@@ -279,7 +278,6 @@ class MetricField:
         self.blocks = tuple(tuple(b) for b in blocks) if blocks \
             else (tuple(range(dim)),)
         self.scale_coords = tuple(scale_coords)
-        self._fd_step = fd_step
 
     @property
     def has_analytic_jet(self) -> bool:
@@ -321,20 +319,13 @@ class MetricField:
         dg = np.empty((n, n, n))
         for c in range(n):
             dg[c] = _richardson_diff(lambda t, c=c: self._shifted(theta, c, t),
-                                     fd_step(self, theta, c, self._fd_step))
+                                     fd_step(self, theta, c, 1e-5))
         return dg
 
     def _shifted(self, theta, c, t):
         th = np.array(theta)
         th[c] += t
         return self.eval(th)
-
-    def inverse(self, theta) -> np.ndarray:
-        g = self.eval(theta)
-        try:
-            return np.linalg.inv(g)
-        except np.linalg.LinAlgError as exc:
-            raise DegenerateMetricError(f"singular metric at {theta}") from exc
 
     def sqrt_det(self, theta) -> float | np.ndarray:
         g = self.eval(theta)
@@ -390,25 +381,6 @@ def flat_metric(dim: int) -> MetricField:
                        jet2_fn=lambda th: (eye.copy(), np.zeros((dim,) * 3),
                                            np.zeros((dim,) * 4)),
                        blocks=[(i,) for i in range(dim)])
-
-
-def metric_from_function(dim: int, fn: Callable, jet_fn=None,
-                         source: str = "finite_difference", blocks=None,
-                         scale_coords=(), batched: bool = False) -> MetricField:
-    """Wrap a user metric function; non-batched functions get a loop adapter."""
-    if batched:
-        matrix_fn = fn
-    else:
-        def matrix_fn(th):
-            th = np.asarray(th, float)
-            if th.ndim == 1:
-                return np.asarray(fn(th), float)
-            flat = th.reshape(-1, dim)
-            out = np.stack([np.asarray(fn(p), float) for p in flat])
-            return out.reshape(th.shape[:-1] + (dim, dim))
-
-    return MetricField(dim, matrix_fn, jet_fn=jet_fn, source=source,
-                       blocks=blocks, scale_coords=scale_coords)
 
 
 # ---------------------------------------------------------------------------

@@ -133,11 +133,6 @@ def _plain(obj):
     return obj
 
 
-def rng_from_seed(seed: int) -> np.random.Generator:
-    """Counter-based generator; identical streams on every platform."""
-    return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-
-
 def _exp_rate(taus, values, lo_frac=0.25):
     """Slope of ln(values) over the late window; values must be positive."""
     lo = taus[0] + lo_frac * (taus[-1] - taus[0])
@@ -180,9 +175,8 @@ def _ige_trace(metric, theta0, v0, tau_end, ode_tol, quad_tol, n_out):
 
 def run_uncorrelated_gaussian(l: int, theta0=None, v0=None,
                               tau_end: float = None, ode_tol: float = 1e-10,
-                              quad_tol: float = 1e-6, n_out: int = 257,
-                              seed: int = 0,
-                              compare_doubled: bool = True) -> ScenarioReport:
+                              quad_tol: float = 1e-6,
+                              n_out: int = 257) -> ScenarioReport:
     """Gaussian model with l independent (mean, spread) pairs.
 
     Verifies the constant negative scalar curvature -l (analytic and
@@ -201,7 +195,7 @@ def run_uncorrelated_gaussian(l: int, theta0=None, v0=None,
     metric = md.analytic_fisher(model)
     report = ScenarioReport("uncorrelated_gaussian",
                             {"l": l, "theta0": theta0, "v0": v0,
-                             "tau_end": tau_end, "seed": seed})
+                             "tau_end": tau_end})
 
     report.add("ricci_scalar_analytic", geo.ricci_scalar(metric, theta0),
                -float(l), 1e-6, "closed form: constant curvature -l")
@@ -231,15 +225,14 @@ def run_uncorrelated_gaussian(l: int, theta0=None, v0=None,
     report.add("jacobi_rate_vs_slope_per_pair", jrate, slope / l, 0.10,
                "entropy slope per pair", mode="rel")
 
-    if compare_doubled:
-        th2, vv2 = np.tile(theta0, 2), np.tile(v0, 2)
-        m2 = md.analytic_fisher(_gaussian_model_at(th2))
-        _, tr2 = _ige_trace(m2, th2, vv2, tau_end, ode_tol, quad_tol, n_out)
-        slope2 = cx.fit_asymptotics(tr2, "linear", window=fit_window,
-                                    min_points=16).params[0]
-        report.observables["ige_slope_doubled"] = slope2
-        report.add("slope_ratio_doubling", slope2 / slope, 2.0, 0.2,
-                   "entropy slope proportional to pair count", mode="abs")
+    th2, vv2 = np.tile(theta0, 2), np.tile(v0, 2)
+    m2 = md.analytic_fisher(_gaussian_model_at(th2))
+    _, tr2 = _ige_trace(m2, th2, vv2, tau_end, ode_tol, quad_tol, n_out)
+    slope2 = cx.fit_asymptotics(tr2, "linear", window=fit_window,
+                                min_points=16).params[0]
+    report.observables["ige_slope_doubled"] = slope2
+    report.add("slope_ratio_doubling", slope2 / slope, 2.0, 0.2,
+               "entropy slope proportional to pair count", mode="abs")
 
     report.traces["geodesic"] = {
         "tau": trace.tau_grid, "theta": path.theta, "speed": path.speed,
@@ -276,8 +269,8 @@ def macro_pair_ricci(r: float) -> float:
 
 def run_macro_correlated(l: int, r_list, theta0=None, v0=None,
                          tau_end: float = None, ode_tol: float = 1e-10,
-                         quad_tol: float = 1e-6, n_out: int = 257,
-                         seed: int = 0) -> ScenarioReport:
+                         quad_tol: float = 1e-6,
+                         n_out: int = 257) -> ScenarioReport:
     """Gaussian pairs with constant macro-correlations r_j.
 
     Reports the kernel scalar curvature next to the reference closed form
@@ -299,7 +292,7 @@ def run_macro_correlated(l: int, r_list, theta0=None, v0=None,
     metric = md.macro_correlated_metric(r_list)
     report = ScenarioReport("macro_correlated",
                             {"l": l, "r": r_list, "theta0": theta0, "v0": v0,
-                             "tau_end": tau_end, "seed": seed})
+                             "tau_end": tau_end})
 
     kernel_r = geo.ricci_scalar(metric, theta0)
     derived = sum(macro_pair_ricci(r) for r in r_list)
@@ -553,7 +546,7 @@ def spin_chain_model(regime: str, theta):
 
 def run_spin_chain(regime: str, theta0=None, v0=None, tau_end: float = None,
                    ode_tol: float = 1e-10, quad_tol: float = 1e-6,
-                   n_out: int = 257, seed: int = 0) -> ScenarioReport:
+                   n_out: int = 257) -> ScenarioReport:
     """Level-spacing statistics manifolds and their entropy growth class.
 
     The regular (Poisson x exponential-bath) manifold is flat and shows
@@ -586,7 +579,7 @@ def run_spin_chain(regime: str, theta0=None, v0=None, tau_end: float = None,
     metric = md.analytic_fisher(model)
     report = ScenarioReport("spin_chain",
                             {"regime": regime, "theta0": theta0, "v0": v0,
-                             "tau_end": tau_end, "seed": seed})
+                             "tau_end": tau_end})
     report.add("ricci_scalar", geo.ricci_scalar(metric, theta0), oracle_r,
                tol_r, "flat product" if regime == "regular"
                else "flat spacing factor plus curvature -1 Gaussian factor")
@@ -826,7 +819,7 @@ def _wavepacket_lyapunov(args):
 
 def run_wavepacket(cfg: ScatterConfig, r_sweep=(0.1, 0.3, 0.5),
                    ode_tol: float = 1e-10, quad_tol: float = 1e-6,
-                   n_out: int = 257, seed: int = 0) -> ScenarioReport:
+                   n_out: int = 257) -> ScenarioReport:
     """Full wave-packet chain: curvature, geodesics, deviation growth,
     complexity compression and the scattering observables."""
     params = cfg.params
@@ -836,7 +829,7 @@ def run_wavepacket(cfg: ScatterConfig, r_sweep=(0.1, 0.3, 0.5),
         "wavepacket",
         {"p0": cfg.p0, "sigma0": cfg.sigma0, "tau0": cfg.tau0, "r": cfg.r,
          "R0": cfg.r0_separation, "L": cfg.potential_range,
-         "mu_mass": cfg.mu_mass, "r_sweep": list(r_sweep), "seed": seed})
+         "mu_mass": cfg.mu_mass, "r_sweep": list(r_sweep)})
     report.observables["a0"] = a0
     report.observables["lambda"] = lam
 

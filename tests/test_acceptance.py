@@ -85,7 +85,8 @@ def test_criterion_2_wavepacket_curvatures():
             worst_k = max(worst_k,
                           abs(geo.sectional(metric, th, u, v) + 0.25))
         worst_r = max(worst_r, abs(geo.ricci_scalar(metric, th) + 1.5))
-        worst_w = max(worst_w, geo.weyl_projective(metric, th)[1])
+        worst_w = max(worst_w,
+                      geo.curvature_report(metric, th).weyl_max_abs)
     _line("criterion 2: wavepacket sectional/scalar/anisotropy",
           worst_k < 1e-6 and worst_r < 1e-6 and worst_w < 1e-8,
           f"K {worst_k:.2e}, R {worst_r:.2e}, W {worst_w:.2e}")
@@ -319,7 +320,7 @@ def test_criterion_11_property_suites():
         md.gaussian_bivariate_corr(0.0, 0.0, 1.0, r=0.45))
     for _ in range(10):
         th = np.array([rng.normal(), rng.normal(), rng.uniform(0.5, 2.0)])
-        rl = geo.riemann_lowered(metric, th)
+        rl = geo.curvature_report(metric, th).riemann_lowered
         if np.max(np.abs(rl + np.transpose(rl, (1, 0, 2, 3)))) > 1e-9 or \
                 np.max(np.abs(rl + np.transpose(rl, (0, 1, 3, 2)))) > 1e-9:
             fails.append("antisymmetry")
@@ -327,7 +328,7 @@ def test_criterion_11_property_suites():
             + np.transpose(rl, (0, 3, 1, 2))
         if np.max(np.abs(bianchi)) > 1e-9:
             fails.append("bianchi")
-        if abs(geo.sectional_sum(metric, th)
+        if abs(geo.curvature_report(metric, th).sectional_sum
                - geo.ricci_scalar(metric, th)) > 1e-8:
             fails.append("sectional-sum")
 

@@ -25,7 +25,6 @@ def test_defaults_filled():
     assert cfg["numerics"]["ode_tol"] == 1e-10
     assert cfg["numerics"]["quad_tol"] == 1e-9
     assert cfg["numerics"]["fit_window_fraction"] == 0.25
-    assert cfg["numerics"]["seed"] == 0
     assert cfg["output"]["formats"] == ["json", "csv"]
 
 
@@ -250,3 +249,75 @@ def test_curvature_on_macro_correlated_manifold(tmp_path):
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["observables"]["ricci_scalar"] == pytest.approx(
         -2.0 / 1.75, abs=1e-8)
+
+
+DIAG_2D = "{kind: gaussian_diag, means: [0.0], sigmas: [1.0]}"
+
+
+@pytest.mark.parametrize("command,body,field", [
+    ("curvature", "manifold: {kind: gaussian_bivariate_corr, mu_x: 0.0, "
+     "mu_y: 0.0, sigma: 1.0, r: abc}\ntheta: [0.0, 0.0, 1.0]\n",
+     "manifold.r"),
+    ("curvature", "manifold: {kind: gaussian_diag, means: [0.0], "
+     "sigmas: [x]}\ntheta: [0.0, 1.0]\n", "manifold.sigmas"),
+    ("curvature", f"manifold: {DIAG_2D}\ntheta: [0.0, 1.0]\nnumerics: 5\n",
+     "numerics"),
+    ("curvature", f"manifold: {DIAG_2D}\ntheta: [0.0, 1.0, 3.0]\n", "theta"),
+    ("curvature", f"manifold: {DIAG_2D}\ntheta: [0.0]\n", "theta"),
+    ("geodesic", f"manifold: {DIAG_2D}\ntheta0: [0.0, 1.0, 3.0]\n"
+     "v0: [1.0, 0.0]\ntau_end: 1.0\n", "theta0"),
+    ("geodesic", f"manifold: {DIAG_2D}\ntheta0: [0.0, 1.0]\n"
+     "v0: [1.0, 0.0, 0.0]\ntau_end: 1.0\n", "v0"),
+    ("jacobi", f"manifold: {DIAG_2D}\ntheta0: [0.0, 1.0]\nv0: [1.0, 0.0]\n"
+     "tau_end: 1.0\ndj0: [0.0, 1.0, 0.0]\n", "dj0"),
+    ("scenario", "scenario: custom_manifold\nparameters:\n"
+     f"  manifold: {DIAG_2D}\n  theta: [0.0, 1.0, 2.0]\n",
+     "parameters.theta"),
+    ("geodesic", f"manifold: {DIAG_2D}\ntheta0: [0.0, 1.0]\nv0: [1.0, 0.0]\n"
+     "tau_end: abc\n", "tau_end"),
+    ("curvature", "manifold: {kind: product, factors: []}\ntheta: []\n",
+     "manifold"),
+    ("mre", "mre:\n  prior: {family: uniform}\n"
+     "  constraints: [{f: identity, target: abc}]\n",
+     "mre.constraints[0].target"),
+    ("scenario", "scenario: macro_correlated\nparameters: {l: 1, r: [abc]}\n",
+     "parameters.r[0]"),
+    ("curvature", f"manifold: {DIAG_2D}\ntheta: [0.0, 1.0]\n"
+     "metric_source: quadratur\n", "metric_source"),
+], ids=["r-text", "sigma-text", "numerics-scalar", "theta-long",
+        "theta-short", "theta0-long", "v0-long", "dj0-long",
+        "custom-theta-long", "tau-end-text", "no-coordinates", "target-text",
+        "macro-r-text", "metric-source-typo"])
+def test_malformed_config_exits_1_naming_field(tmp_path, capsys, command,
+                                               body, field):
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(body + f"output: {{directory: '{tmp_path}/out'}}\n")
+    assert cli.main([command, "--config", str(cfg)]) == 1
+    assert f"config error at {field}:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_curvature_on_one_dimensional_manifold(tmp_path):
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text("manifold: {kind: exponential, mu: 1.0}\ntheta: [1.0]\n"
+                   f"output: {{directory: '{tmp_path}/out'}}\n")
+    assert cli.main(["curvature", "--config", str(cfg)]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["observables"]["ricci_scalar"] == 0.0
+    assert report["observables"]["sectional"] == []
+    assert report["observables"]["weyl_max_abs"] == 0.0
+
+
+def test_curvature_op_expands_riemann_once(tmp_path, monkeypatch):
+    from igac import geometry as geo
+
+    calls = []
+    expand = geo._riemann_from
+    monkeypatch.setattr(geo, "_riemann_from",
+                        lambda *a: calls.append(1) or expand(*a))
+    cfg = tmp_path / "q.yaml"
+    cfg.write_text(f"manifold: {DIAG_2D}\ntheta: [0.0, 1.0]\n"
+                   "metric_source: quadrature\n"
+                   f"output: {{directory: '{tmp_path}/out'}}\n")
+    assert cli.main(["curvature", "--config", str(cfg)]) == 0
+    assert len(calls) == 1

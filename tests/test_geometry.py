@@ -48,7 +48,7 @@ def test_metric_compatibility_at_random_points():
     metric = wavepacket_metric(0.4)
     for _ in range(10):
         th = random_theta(rng, metric)
-        assert geo.metric_compatibility_residual(metric, th) < 1e-8
+        assert geo.curvature_report(metric, th).metric_compat_residual < 1e-8
 
 
 def test_christoffel_symmetry():
@@ -70,7 +70,7 @@ def test_riemann_antisymmetries_and_bianchi():
                    md.macro_correlated_metric([0.4])):
         for _ in range(10):
             th = random_theta(rng, metric)
-            rl = geo.riemann_lowered(metric, th)
+            rl = geo.curvature_report(metric, th).riemann_lowered
             assert np.max(np.abs(rl + np.transpose(rl, (1, 0, 2, 3)))) < 1e-9
             assert np.max(np.abs(rl + np.transpose(rl, (0, 1, 3, 2)))) < 1e-9
             bianchi = rl + np.transpose(rl, (0, 2, 3, 1)) \
@@ -134,21 +134,23 @@ def test_scalar_equals_sectional_sum():
                    md.macro_correlated_metric([0.2, 0.5])):
         for _ in range(10):
             th = random_theta(rng, metric)
-            assert geo.sectional_sum(metric, th) == pytest.approx(
+            rep = geo.curvature_report(metric, th)
+            assert rep.sectional_sum == pytest.approx(
                 geo.ricci_scalar(metric, th), abs=1e-8)
 
 
 def test_weyl_vanishes_in_two_dims_and_isotropic_three():
-    _, wmax = geo.weyl_projective(gaussian_metric(1), [0.2, 1.4])
+    wmax = geo.curvature_report(gaussian_metric(1), [0.2, 1.4]).weyl_max_abs
     assert wmax < 1e-9
-    _, wmax = geo.weyl_projective(wavepacket_metric(0.5), [0.1, -0.2, 0.9])
+    wmax = geo.curvature_report(wavepacket_metric(0.5),
+                                [0.1, -0.2, 0.9]).weyl_max_abs
     assert wmax < 1e-8
 
 
 def test_weyl_nonzero_for_four_dim_gaussian():
     # dim 4 product manifold is anisotropic; record a strictly positive value
     metric = gaussian_metric(2)
-    _, wmax = geo.weyl_projective(metric, [0.0, 1.0, 0.0, 1.0])
+    wmax = geo.curvature_report(metric, [0.0, 1.0, 0.0, 1.0]).weyl_max_abs
     assert wmax > 1e-3
 
 
@@ -197,3 +199,17 @@ def test_curvature_report_fields():
     assert rep.metric_compat_residual < 1e-8
     gam = rep.christoffel
     assert np.max(np.abs(gam - np.transpose(gam, (0, 2, 1)))) == 0.0
+
+
+def test_public_names_resolve():
+    import importlib
+    import pkgutil
+
+    import igac
+
+    modules = [igac] + [importlib.import_module(f"igac.{m.name}")
+                        for m in pkgutil.iter_modules(igac.__path__)]
+    for mod in modules:
+        missing = [n for n in getattr(mod, "__all__", ())
+                   if not hasattr(mod, n)]
+        assert not missing, (mod.__name__, missing)

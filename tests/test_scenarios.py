@@ -225,13 +225,6 @@ def test_wavepacket_report_full_chain():
         2.0, rel=0.02)
 
 
-def test_rng_stream_is_counter_based_and_stable():
-    a = sc.rng_from_seed(42).random(4)
-    b = sc.rng_from_seed(42).random(4)
-    assert a == pytest.approx(b, abs=0.0)
-    assert sc.rng_from_seed(43).random(4) != pytest.approx(a)
-
-
 def test_wavepacket_chain_consistency():
     """r -> V -> exact phase shift -> a_s -> cross section -> purity agrees
     with the direct low-energy formulas within their truncation order."""
