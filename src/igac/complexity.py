@@ -7,6 +7,13 @@ is the complexity C(tau); S(tau) = ln C(tau) is the entropy trace.  Late-time
 behavior is summarized by least-squares fits to linear, logarithmic, power,
 exponential and saturating forms.
 
+Closed-form metrics (``analytic_fisher``, ``macro_correlated_metric``,
+``flat_metric`` and ``iho_metric`` at even l) supply the exact box volume;
+every other metric (``fisher_quadrature``, ``rescaled_chart``, odd-l
+``iho_metric``, user metrics) goes through adaptive Gauss-Legendre
+quadrature (``integrate_box``), separable per block where the metric
+factorizes.
+
 The box reading of the region integral is a convention choice (the endpoint
 notation leaves the region open for more than one coordinate); it is recorded
 in every report so alternates can be compared later.
@@ -61,12 +68,16 @@ def volume_between(metric: MetricField, path: GeodesicPath, tau: float,
                    rel_tol: float = 1e-6) -> float:
     """Volume of the coordinate box traced by the geodesic up to tau.
 
-    Separates into per-block iterated integrals when the metric factorizes;
-    a box with zero extent in any coordinate has zero volume.
+    Metrics with a closed-form box volume (``has_exact_volume``) evaluate it
+    on the whole box.  Otherwise the volume separates into per-block
+    iterated integrals by ``integrate_box`` when the metric factorizes.  A
+    box with zero extent in any coordinate has zero volume.
     """
     bounds = path_box(path, tau)
     if any(hi <= lo for lo, hi in bounds):
         return 0.0
+    if metric.has_exact_volume:
+        return metric.box_volume(bounds)
     total = 1.0
     for block in metric.blocks:
         sub = metric.block_metric(block)

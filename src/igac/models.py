@@ -261,19 +261,23 @@ class MetricField:
     ``jet_fn`` returns (g, dg) at one point; without it dg is a Richardson
     difference of ``matrix_fn``.  ``jet2_fn`` returns (g, dg, d2g) at one
     point; closed-form metrics supply it, and curvature falls back to a
-    difference of the connection without it.  ``blocks`` lists coordinate
-    groups on which the metric factorizes (the block submatrix depends only
-    on the block's own coordinates), enabling separable volume integrals.
-    ``scale_coords`` are indices restricted to the open half line.
+    difference of the connection without it.  ``volume_fn`` maps a list of
+    per-coordinate (lo, hi) bounds to the exact integral of sqrt(det g) over
+    that box; closed-form metrics supply it, and box volumes fall back to
+    quadrature without it.  ``blocks`` lists coordinate groups on which the
+    metric factorizes (the block submatrix depends only on the block's own
+    coordinates), enabling separable volume integrals.  ``scale_coords``
+    are indices restricted to the open half line.
     """
 
     def __init__(self, dim: int, matrix_fn: Callable, jet_fn: Callable = None,
                  source: str = "analytic", blocks=None, scale_coords=(),
-                 jet2_fn: Callable = None):
+                 jet2_fn: Callable = None, volume_fn: Callable = None):
         self.dim = dim
         self._matrix_fn = matrix_fn
         self._jet_fn = jet_fn
         self._jet2_fn = jet2_fn
+        self._volume_fn = volume_fn
         self.source = source
         self.blocks = tuple(tuple(b) for b in blocks) if blocks \
             else (tuple(range(dim)),)
@@ -286,6 +290,10 @@ class MetricField:
     @property
     def has_second_jet(self) -> bool:
         return self._jet2_fn is not None
+
+    @property
+    def has_exact_volume(self) -> bool:
+        return self._volume_fn is not None
 
     def in_chart(self, theta) -> bool:
         theta = np.asarray(theta, float)
@@ -326,6 +334,14 @@ class MetricField:
         th = np.array(theta)
         th[c] += t
         return self.eval(th)
+
+    def box_volume(self, bounds) -> float:
+        """Exact integral of sqrt(det g) over the box of (lo, hi) bounds;
+        only metrics with ``has_exact_volume`` support it."""
+        if self._volume_fn is None:
+            raise ValueError("metric has no closed-form box volume")
+        return float(self._volume_fn([(float(lo), float(hi))
+                                      for lo, hi in bounds]))
 
     def sqrt_det(self, theta) -> float | np.ndarray:
         g = self.eval(theta)
@@ -380,6 +396,8 @@ def flat_metric(dim: int) -> MetricField:
                                                     np.zeros((dim,) * 3)),
                        jet2_fn=lambda th: (eye.copy(), np.zeros((dim,) * 3),
                                            np.zeros((dim,) * 4)),
+                       volume_fn=lambda bounds: np.prod(
+                           [hi - lo for lo, hi in bounds]),
                        blocks=[(i,) for i in range(dim)])
 
 
@@ -393,7 +411,9 @@ def _inverse_square_metric(dim, blocks) -> MetricField:
     ``blocks`` holds (indices, C) pairs: the block's chart indices, whose
     last entry is its spread coordinate s, and the constant SPD matrix C.
     Every block entry scales as s^-2, so d_s g = -2 g / s and
-    d_s^2 g = 6 g / s^2 are exact and all other derivatives vanish.
+    d_s^2 g = 6 g / s^2 are exact and all other derivatives vanish.  The
+    box volume is prod_k sqrt(det C_k) * (mean-axis extents) *
+    integral of s^-d_k over the spread interval.
     """
     c_full = np.zeros((dim, dim))
     owner = np.empty(dim, dtype=int)     # spread coordinate of each index
@@ -418,9 +438,29 @@ def _inverse_square_metric(dim, blocks) -> MetricField:
         d2g[ic, ic, ia, ib] = (6.0 * g / (s * s)[:, None])[ia, ib]
         return g, dg, d2g
 
+    root_dets = [np.sqrt(np.linalg.det(c)) for _, c in blocks]
+
+    def volume(bounds):
+        total = 1.0
+        for (idx, _), root_det in zip(blocks, root_dets):
+            total *= root_det * _inverse_power_integral(*bounds[idx[-1]],
+                                                        len(idx))
+            for i in idx[:-1]:
+                total *= bounds[i][1] - bounds[i][0]
+        return total
+
     return MetricField(dim, mat, jet_fn=jet, jet2_fn=lambda th: jet(th, 2),
-                       blocks=[idx for idx, _ in blocks],
+                       volume_fn=volume, blocks=[idx for idx, _ in blocks],
                        scale_coords=tuple(idx[-1] for idx, _ in blocks))
+
+
+def _inverse_power_integral(lo, hi, d):
+    """integral of s^-d over [lo, hi] with 0 < lo < hi, written through
+    log1p/expm1 so that thin intervals keep full relative precision."""
+    log_ratio = np.log1p((hi - lo) / lo)
+    if d == 1:
+        return log_ratio
+    return -lo ** (1 - d) * np.expm1((1 - d) * log_ratio) / (d - 1)
 
 
 def analytic_fisher(model: StatModel) -> MetricField:

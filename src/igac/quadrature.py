@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import QuadratureAccuracyError
+
 _SQRT2PI = np.sqrt(2.0 * np.pi)
 
 _herm_cache: dict = {}
@@ -107,49 +109,52 @@ def integrate_box(fn, bounds, rel_tol: float = 1e-6, start_nodes: int = 32,
     the value changes by less than ``rel_tol`` relatively.  Integrands that
     factor across axes (detected by a rank-1 probe) are integrated axis by
     axis; everything else goes through the full tensor-product grid.
-    Returns the last estimate when the node cap is reached first.
+    Raises QuadratureAccuracyError, with the last estimate attached, when
+    the node cap is reached first.
     """
     bounds = [(float(lo), float(hi)) for lo, hi in bounds]
     if any(hi == lo for lo, hi in bounds):
         return 0.0
 
+    def refine(value, start):
+        # double n from start_nodes until two estimates agree
+        n, prev = start_nodes, start
+        while n < max_nodes:
+            n *= 2
+            cur = value(n)
+            if abs(cur - prev) <= rel_tol * max(abs(cur), abs(prev), 1e-300):
+                return cur, True
+            prev = cur
+        return prev, False
+
     axes, fm = _separable_factors(fn, bounds, start_nodes)
     if axes is not None:
-        total = fm ** (1 - len(bounds))
-        for a, (lo, hi) in enumerate(bounds):
-            x, w, vals = axes[a]
-            cur = float(w @ vals)
-            n = start_nodes
-            while n < max_nodes:
-                n *= 2
-                x2, w2 = legendre_panels(lo, hi, n)
-                pts = np.tile([0.5 * (b[0] + b[1]) for b in bounds],
-                              (x2.size, 1))
-                pts[:, a] = x2
-                nxt = float(w2 @ np.asarray(fn(pts), float))
-                if abs(nxt - cur) <= rel_tol * max(abs(nxt), abs(cur), 1e-300):
-                    cur = nxt
-                    break
-                cur = nxt
+        mid = [0.5 * (lo + hi) for lo, hi in bounds]
+
+        def axis_value(a, n):
+            x, w = legendre_panels(*bounds[a], n)
+            pts = np.tile(mid, (x.size, 1))
+            pts[:, a] = x
+            return float(w @ np.asarray(fn(pts), float))
+
+        total, converged = fm ** (1 - len(bounds)), True
+        for a, (_, w, vals) in enumerate(axes):
+            cur, ok = refine(lambda n, a=a: axis_value(a, n), float(w @ vals))
             total *= cur
-        return total
+            converged &= ok
+    else:
+        def tensor_value(n):
+            rules = [legendre_panels(lo, hi, n) for lo, hi in bounds]
+            grids = np.meshgrid(*[x for x, _ in rules], indexing="ij")
+            pts = np.stack([g.ravel() for g in grids], axis=-1)
+            vals = np.asarray(fn(pts)).reshape(grids[0].shape)
+            for _, w in reversed(rules):
+                vals = vals @ w
+            return float(vals)
 
-    def tensor_value(n):
-        rules = [legendre_panels(lo, hi, n) for lo, hi in bounds]
-        grids = np.meshgrid(*[x for x, _ in rules], indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=-1)
-        vals = np.asarray(fn(pts)).reshape(grids[0].shape)
-        for _, w in reversed(rules):
-            vals = vals @ w
-        return float(vals)
-
-    n = start_nodes
-    prev = tensor_value(n)
-    while n < max_nodes:
-        n *= 2
-        cur = tensor_value(n)
-        scale = max(abs(cur), abs(prev), 1e-300)
-        if abs(cur - prev) <= rel_tol * scale:
-            return cur
-        prev = cur
-    return prev
+        total, converged = refine(tensor_value, tensor_value(start_nodes))
+    if not converged:
+        raise QuadratureAccuracyError(
+            f"box integral did not converge below {rel_tol} within "
+            f"{max_nodes} nodes per axis", estimate=total)
+    return total

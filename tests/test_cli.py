@@ -188,6 +188,17 @@ def test_scenario_report_json_roundtrip(tmp_path):
                 "pass"} <= set(chk)
 
 
+def test_iho_scenario_at_l4(tmp_path):
+    cfg = tmp_path / "sc.yaml"
+    cfg.write_text("scenario: iho\n"
+                   "parameters: {l: 4, omega_total: 2.0}\n"
+                   f"output: {{directory: '{tmp_path}/out'}}\n")
+    assert cli.main(["scenario", "--config", str(cfg)]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["pass"] is True
+    assert all(chk["pass"] for chk in report["checks"])
+
+
 def test_custom_manifold_scenario(tmp_path):
     cfg = tmp_path / "cm.yaml"
     cfg.write_text(

@@ -234,9 +234,9 @@ def test_closed_form_entropy_asymptote():
 
 
 def test_iho_volume_against_nested_adaptive_quadrature():
-    """The conformal oscillator-ensemble density does not factor across
-    axes, exercising the tensor-grid path; a nested adaptive integral is
-    the independent oracle."""
+    """The conformal oscillator-ensemble density is a polynomial at even l,
+    so ``volume_between`` takes the exact Gauss-Legendre path; a nested
+    adaptive integral is the independent oracle."""
     from scipy.integrate import dblquad
 
     from igac.scenarios import iho_metric
@@ -257,5 +257,32 @@ def test_iho_volume_against_nested_adaptive_quadrature():
 
     hi = x0 * np.exp(omegas * tau)
     oracle, err = dblquad(dens, x0[0], hi[0], x0[1], hi[1],
+                          epsabs=1e-12, epsrel=1e-12)
+    assert got == pytest.approx(oracle, rel=1e-8)
+
+
+def test_iho_tensor_grid_against_nested_adaptive_quadrature():
+    """The same l = 2 oscillator density does not factor across axes, so
+    ``integrate_box`` runs its tensor-grid path; the nested adaptive
+    integral is again the oracle."""
+    from scipy.integrate import dblquad
+
+    from igac.quadrature import _separable_factors, integrate_box
+
+    omegas = np.array([0.5, 1.5])
+    lo = np.array([1.0, 1.0])
+    hi = lo * np.exp(omegas * 2.0)
+
+    def dens(y, x):
+        return 1.0 + 0.5 * (omegas[0] ** 2 * x ** 2
+                            + omegas[1] ** 2 * y ** 2)
+
+    def dens_pts(pts):
+        return dens(pts[:, 1], pts[:, 0])
+
+    bounds = list(zip(lo, hi))
+    assert _separable_factors(dens_pts, bounds, 32)[0] is None
+    got = integrate_box(dens_pts, bounds, rel_tol=1e-9)
+    oracle, err = dblquad(dens, lo[0], hi[0], lo[1], hi[1],
                           epsabs=1e-12, epsrel=1e-12)
     assert got == pytest.approx(oracle, rel=1e-8)

@@ -1,0 +1,203 @@
+"""Box volumes: the exact closed-form path of every closed-form metric
+against per-block adaptive quadrature (``integrate_box``), the even-l
+oscillator volume against a hand-expanded polynomial integral, and the
+quadrature node cap.
+
+No test here builds a tensor grid in more than two dimensions: at 4-D the
+grid of ``integrate_box`` needs gigabytes.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from igac import complexity as cx
+from igac import dynamics as dyn
+from igac import models as md
+from igac.errors import QuadratureAccuracyError
+from igac.quadrature import integrate_box
+from igac.scenarios import iho_metric
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True,
+                    database=None)
+
+corners = st.floats(-3.0, 3.0)
+# extents from 1e-6 to 10 on mean and oscillator axes
+extents = st.floats(-6.0, 1.0).map(lambda e: 10.0 ** e)
+# spread intervals from hi/lo - 1 = 1e-6 (thin) to hi/lo = 1e5 (wide)
+spread_lo = st.floats(-2.0, np.log10(5.0)).map(lambda e: 10.0 ** e)
+spread_ratio = st.floats(-6.0, 5.0).map(lambda e: 1.0 + 10.0 ** e)
+corr = st.floats(-0.95, 0.95, exclude_min=True, exclude_max=True)
+macro_corr = st.floats(0.0, 0.95, exclude_max=True)
+omega = st.floats(0.3, 2.0)
+
+
+@st.composite
+def factor(draw):
+    kind = draw(st.sampled_from(["gaussian_diag", "exponential",
+                                 "wigner_dyson", "gaussian_bivariate_corr"]))
+    if kind == "gaussian_diag":
+        l = draw(st.integers(1, 3))
+        return md.gaussian_diag([0.0] * l, [1.0] * l)
+    if kind == "exponential":
+        return md.exponential(1.0)
+    if kind == "wigner_dyson":
+        return md.wigner_dyson(1.0)
+    return md.gaussian_bivariate_corr(0.0, 0.0, 1.0, r=draw(corr))
+
+
+@st.composite
+def exact_volume_case(draw):
+    """(closed-form metric, box) over every metric with an exact volume."""
+    family = draw(st.sampled_from(["fisher", "product", "macro", "flat",
+                                   "iho"]))
+    if family in ("fisher", "product"):
+        factors = draw(st.lists(factor(), min_size=1,
+                                max_size=1 if family == "fisher" else 3))
+        metric = md.analytic_fisher(md.product(*factors))
+    elif family == "macro":
+        metric = md.macro_correlated_metric(
+            draw(st.lists(macro_corr, min_size=1, max_size=3)))
+    elif family == "flat":
+        metric = md.flat_metric(draw(st.integers(1, 4)))
+    else:
+        metric = iho_metric([draw(omega), draw(omega)])
+    bounds = []
+    for i in range(metric.dim):
+        if i in metric.scale_coords:
+            lo = draw(spread_lo)
+            bounds.append((lo, lo * draw(spread_ratio)))
+        else:
+            lo = draw(corners)
+            bounds.append((lo, lo + draw(extents)))
+    return metric, bounds
+
+
+def per_block_quadrature(metric, bounds):
+    """The quadrature path of ``volume_between``, as the oracle."""
+    total = 1.0
+    for block in metric.blocks:
+        sub = metric.block_metric(block)
+        total *= integrate_box(sub.sqrt_det, [bounds[i] for i in block],
+                               rel_tol=1e-12)
+    return total
+
+
+@PROPERTY
+@given(exact_volume_case())
+def test_exact_box_volume_matches_block_quadrature(case):
+    metric, bounds = case
+    assert metric.has_exact_volume
+    oracle = per_block_quadrature(metric, bounds)
+    assert metric.box_volume(bounds) == pytest.approx(oracle, rel=1e-9,
+                                                      abs=0.0)
+
+
+@pytest.mark.parametrize("eps", [1e-9, 1e-12])
+def test_thin_spread_boxes_keep_full_precision(eps):
+    # integrals of s^-2 and s^-3 over [lo, hi] rewritten without the
+    # cancellation of lo^(1-d) - hi^(1-d): (hi - lo) is exact here
+    lo = 0.7
+    hi = lo * (1.0 + eps)
+    pair = md.analytic_fisher(md.gaussian_diag([0.0], [1.0]))
+    assert pair.box_volume([(0.0, 2.0), (lo, hi)]) == pytest.approx(
+        np.sqrt(2.0) * 2.0 * (hi - lo) / (lo * hi), rel=1e-13, abs=0.0)
+    biv = md.analytic_fisher(md.gaussian_bivariate_corr(0.0, 0.0, 1.0, r=0.5))
+    oracle = 2.0 / np.sqrt(1 - 0.25) * 3.0 * (hi - lo) * (hi + lo) \
+        / (2 * lo ** 2 * hi ** 2)
+    assert biv.box_volume([(0.0, 1.0), (0.0, 3.0), (lo, hi)]) == \
+        pytest.approx(oracle, rel=1e-13, abs=0.0)
+
+
+def _iho4_polynomial_volume(omegas, bounds):
+    """Integral of (1 + sum_j c_j x_j^2)^2, c_j = w_j^2 / 2, expanded by
+    hand: 1 + 2 sum c_j x_j^2 + sum c_j^2 x_j^4 + 2 sum_{j<k} c_j c_k
+    x_j^2 x_k^2, each monomial integrated axis by axis."""
+    c = 0.5 * np.asarray(omegas) ** 2
+    lo, hi = np.array(bounds).T
+    p0 = hi - lo
+    p2 = (hi ** 3 - lo ** 3) / 3
+    p4 = (hi ** 5 - lo ** 5) / 5
+
+    def box(moments):           # product over axes, extents where not given
+        out = p0.copy()
+        for j, p in moments.items():
+            out[j] = p
+        return np.prod(out)
+
+    total = box({})
+    for j in range(4):
+        total += 2 * c[j] * box({j: p2[j]})
+        total += c[j] ** 2 * box({j: p4[j]})
+        for k in range(j + 1, 4):
+            total += 2 * c[j] * c[k] * box({j: p2[j], k: p2[k]})
+    return total
+
+
+@PROPERTY
+@given(st.lists(omega, min_size=4, max_size=4),
+       st.lists(st.tuples(corners, st.floats(0.1, 3.0)), min_size=4,
+                max_size=4))
+def test_iho_l4_volume_matches_expanded_polynomial(omegas, boxes):
+    metric = iho_metric(omegas)
+    bounds = [(lo, lo + w) for lo, w in boxes]
+    assert metric.box_volume(bounds) == pytest.approx(
+        _iho4_polynomial_volume(omegas, bounds), rel=1e-12, abs=0.0)
+
+
+def test_only_even_iho_has_exact_volume():
+    assert iho_metric([0.5, 1.0, 1.5, 2.0]).has_exact_volume
+    assert not iho_metric([0.5, 1.0, 1.5]).has_exact_volume
+    assert not iho_metric([0.5]).has_exact_volume
+    with pytest.raises(ValueError):
+        iho_metric([0.5]).box_volume([(0.0, 1.0)])
+
+
+def test_odd_iho_volume_takes_quadrature():
+    # l = 1: the integral of sqrt(1 + w^2 x^2 / 2) has a closed form
+    w = 1.3
+    metric = iho_metric([w])
+    path = dyn.path_from_functions(np.linspace(0.0, 1.0, 5),
+                                   lambda t: np.array([1.0 + 2.0 * t]),
+                                   lambda t: np.array([2.0]), metric=metric)
+    a = w / np.sqrt(2.0)
+
+    def antiderivative(x):
+        return 0.5 * x * np.sqrt(1 + (a * x) ** 2) \
+            + np.arcsinh(a * x) / (2 * a)
+
+    assert cx.volume_between(metric, path, 1.0, rel_tol=1e-10) == \
+        pytest.approx(antiderivative(3.0) - antiderivative(1.0), rel=1e-9,
+                      abs=0.0)
+
+
+def test_exact_volume_skips_quadrature(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("integrate_box called on a closed-form metric")
+
+    monkeypatch.setattr(cx, "integrate_box", forbidden)
+    metric = md.analytic_fisher(md.gaussian_diag([0.0], [1.0]))
+    path = dyn.integrate_geodesic(metric, [0.0, 1.0], [np.sqrt(2.0), 0.0],
+                                  2.0, tol=1e-10)
+    trace = cx.complexity_trace(metric, path)
+    assert np.all(trace.delta_v[1:] > 0)
+
+
+def test_integrate_box_cap_raises_with_estimate_separable():
+    # a step at x = 1/3 never converges; the rank-1 probe sees a product
+    def step(pts):
+        return (pts[:, 0] > 1.0 / 3.0) * (1.0 + pts[:, 1])
+
+    with pytest.raises(QuadratureAccuracyError) as err:
+        integrate_box(step, [(0.0, 1.0), (0.0, 1.0)], max_nodes=256)
+    assert err.value.estimate == pytest.approx(1.0, rel=1e-2)
+
+
+def test_integrate_box_cap_raises_with_estimate_tensor():
+    # the x y term defeats the rank-1 probe, so the tensor grid runs
+    def step(pts):
+        return (pts[:, 0] > 1.0 / 3.0) * (1.0 + pts[:, 0] * pts[:, 1])
+
+    with pytest.raises(QuadratureAccuracyError) as err:
+        integrate_box(step, [(0.0, 1.0), (0.0, 1.0)], max_nodes=256)
+    assert err.value.estimate == pytest.approx(2 / 3 + 2 / 9, rel=1e-2)
