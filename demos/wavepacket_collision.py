@@ -42,7 +42,8 @@ w = np.zeros(3)
 w[2] = 1.0
 w -= (v0 @ g0 @ w) / (v0 @ g0 @ v0) * v0
 w /= np.sqrt(w @ g0 @ w)
-jac = dyn.integrate_jacobi(metric, path, np.zeros(3), w, rtol=1e-10)
+jac = dyn.integrate_jacobi(metric, th0, v0, path.tau_grid, np.zeros(3), w,
+                           rtol=1e-10)
 for k in (32, 128, 256, 512):
     t = jac.tau_grid[k]
     print(f"  tau = {t:6.3f}: |J| = {jac.intensity[k]:10.4f}   "

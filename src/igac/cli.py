@@ -424,7 +424,8 @@ def _cmd_jacobi(cfg):
         dj0 = np.asarray(cfg["dj0"], float)
     else:
         dj0 = dyn.normal_direction(metric, cfg["theta0"], cfg["v0"])
-    jac = dyn.integrate_jacobi(metric, path, j0, dj0)
+    jac = dyn.integrate_jacobi(metric, cfg["theta0"], cfg["v0"],
+                               path.tau_grid, j0, dj0)
     report = sc.ScenarioReport("jacobi", {k: cfg[k] for k in
                                           ("manifold", "theta0", "v0",
                                            "tau_end")})

@@ -64,27 +64,38 @@ def path_box(path: GeodesicPath, tau: float):
     return list(zip(pts.min(axis=0), pts.max(axis=0)))
 
 
+def _box_volume_fn(metric: MetricField, rel_tol: float):
+    """bounds -> volume of that coordinate box, with the block sub-metrics
+    built once."""
+    exact = metric.has_exact_volume
+    subs = [] if exact else [(block, metric.block_metric(block))
+                             for block in metric.blocks]
+
+    def volume(bounds):
+        if any(hi <= lo for lo, hi in bounds):
+            return 0.0
+        if exact:
+            return metric.box_volume(bounds)
+        total = 1.0
+        for block, sub in subs:
+            total *= integrate_box(sub.sqrt_det, [bounds[i] for i in block],
+                                   rel_tol=rel_tol)
+        return total
+
+    return volume
+
+
 def volume_between(metric: MetricField, path: GeodesicPath, tau: float,
                    rel_tol: float = 1e-6) -> float:
-    """Volume of the coordinate box traced by the geodesic up to tau.
+    """Volume of the coordinate box traced by the geodesic up to tau, on or
+    off the path grid.
 
     Metrics with a closed-form box volume (``has_exact_volume``) evaluate it
     on the whole box.  Otherwise the volume separates into per-block
     iterated integrals by ``integrate_box`` when the metric factorizes.  A
     box with zero extent in any coordinate has zero volume.
     """
-    bounds = path_box(path, tau)
-    if any(hi <= lo for lo, hi in bounds):
-        return 0.0
-    if metric.has_exact_volume:
-        return metric.box_volume(bounds)
-    total = 1.0
-    for block in metric.blocks:
-        sub = metric.block_metric(block)
-        sub_bounds = [bounds[i] for i in block]
-        total *= integrate_box(lambda pts: sub.sqrt_det(pts), sub_bounds,
-                               rel_tol=rel_tol)
-    return total
+    return _box_volume_fn(metric, rel_tol)(path_box(path, tau))
 
 
 def igc(metric: MetricField, path: GeodesicPath, tau: float,
@@ -96,8 +107,8 @@ def igc(metric: MetricField, path: GeodesicPath, tau: float,
     taus = path.tau_grid[(path.tau_grid > path.tau_grid[0])
                          & (path.tau_grid < tau)]
     taus = np.concatenate([[path.tau_grid[0]], taus, [tau]])
-    vals = np.array([0.0] + [volume_between(metric, path, t, rel_tol)
-                             for t in taus[1:]])
+    volume = _box_volume_fn(metric, rel_tol)
+    vals = np.array([0.0] + [volume(path_box(path, t)) for t in taus[1:]])
     return float(np.trapezoid(vals, taus) / (tau - path.tau_grid[0]))
 
 
@@ -123,11 +134,18 @@ class ComplexityTrace:
 
 def complexity_trace(metric: MetricField, path: GeodesicPath,
                      rel_tol: float = 1e-6) -> ComplexityTrace:
-    """Evaluate delta-V, C and S on the path's own tau grid."""
+    """Evaluate delta-V, C and S on the path's own tau grid.
+
+    The box at each grid point is the running per-coordinate min/max of the
+    path up to that point, the same box ``volume_between`` takes there.
+    """
     taus = path.tau_grid
+    lo = np.minimum.accumulate(path.theta, axis=0)
+    hi = np.maximum.accumulate(path.theta, axis=0)
+    volume = _box_volume_fn(metric, rel_tol)
     dv = np.zeros_like(taus)
     for k in range(1, taus.size):
-        dv[k] = volume_between(metric, path, taus[k], rel_tol)
+        dv[k] = volume(list(zip(lo[k], hi[k])))
     # running trapezoid average of delta-V
     seg = 0.5 * (dv[1:] + dv[:-1]) * np.diff(taus)
     cum = np.concatenate([[0.0], np.cumsum(seg)])

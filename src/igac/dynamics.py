@@ -1,11 +1,12 @@
 """Geodesic flows and Jacobi fields on metric fields.
 
-Geodesics solve theta-ddot^a + Gamma^a_bc theta-dot^b theta-dot^c = 0 with an
-embedded adaptive 5(4) pair; two-point problems are solved by damped-Newton
-shooting on the initial velocity.  Jacobi fields are the linearized geodesic
-flow: the carrier state (theta, theta-dot) and the deviation (J, J-dot) are
-integrated as one system, with the connection derivative taken from the
-metric's exact second jet where it has one.
+Geodesics solve theta-ddot^a + Gamma^a_bc theta-dot^b theta-dot^c = 0 with
+the adaptive Dormand-Prince 8(5,3) pair (DOP853); two-point problems are
+solved by damped-Newton shooting on the initial velocity.  Jacobi fields are
+the linearized geodesic flow: the carrier state (theta, theta-dot) and the
+deviation (J, J-dot) are integrated as one DOP853 system from the carrier's
+start, with the connection derivative taken from the metric's exact second
+jet where it has one.
 
 The tanh/cosh closed-form geodesics of the colliding wave-packet manifolds
 are provided for oracle checks, together with the finite-time growth-rate
@@ -107,9 +108,9 @@ def integrate_geodesic(metric: MetricField, theta0, v0, tau_end: float,
     if not metric.in_chart(theta0):
         raise ChartBoundaryError(f"initial point {theta0} outside chart")
     y0 = np.concatenate([theta0, v0])
-    sol = solve_ivp(_geodesic_rhs(metric), (0.0, tau_end), y0, method="RK45",
-                    rtol=tol, atol=tol * 1e-2, dense_output=True,
-                    events=_boundary_events(metric))
+    sol = solve_ivp(_geodesic_rhs(metric), (0.0, tau_end), y0,
+                    method="DOP853", rtol=tol, atol=tol * 1e-2,
+                    dense_output=True, events=_boundary_events(metric))
     if sol.status == 1:    # terminated by a chart-boundary event
         t_ev = max((t[-1] for t in sol.t_events if t.size), key=abs)
         y_ev = sol.sol(t_ev)
@@ -289,21 +290,26 @@ def path_from_functions(tau_grid, theta_fn: Callable, theta_dot_fn: Callable,
 
 @dataclass(frozen=True, eq=False)
 class JacobiTrace:
-    """Geodesic deviation field along a carrier path.
+    """Geodesic deviation field along the carrier geodesic it was integrated
+    with.
 
-    ``dj_dtau`` holds the covariant derivative DJ/Dtau; ``intensity`` is the
-    metric norm of J and ``intensity_rate`` its tau-derivative.
+    ``theta`` and ``theta_dot`` are the carrier state on ``tau_grid``, from
+    the same solve as the field; ``dj_dtau`` holds the covariant derivative
+    DJ/Dtau; ``intensity`` is the metric norm of J and ``intensity_rate``
+    its tau-derivative.
     """
 
     tau_grid: np.ndarray
+    theta: np.ndarray        # (n, dim)
+    theta_dot: np.ndarray    # (n, dim)
     j: np.ndarray
     dj_dtau: np.ndarray
     intensity: np.ndarray
     intensity_rate: np.ndarray
 
     def __post_init__(self):
-        for name in ("tau_grid", "j", "dj_dtau", "intensity",
-                     "intensity_rate"):
+        for name in ("tau_grid", "theta", "theta_dot", "j", "dj_dtau",
+                     "intensity", "intensity_rate"):
             arr = np.asarray(getattr(self, name), float)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -334,23 +340,23 @@ def normal_direction(metric: MetricField, theta, v, axis: int = 1):
         f"no coordinate axis spans a nondegenerate plane with v = {v}")
 
 
-def integrate_jacobi(metric: MetricField, path: GeodesicPath, J0, DJ0,
+def integrate_jacobi(metric: MetricField, theta0, v0, tau_grid, J0, DJ0,
                      rtol: float = 1e-9) -> JacobiTrace:
-    """Jacobi field along ``path`` as the linearized geodesic flow.
+    """Jacobi field along the geodesic from (theta0, v0) at ``tau_grid[0]``,
+    as the linearized geodesic flow.
 
     Linearizing theta-ddot^a = -Gamma^a_bc v^b v^c gives
     J-ddot^a = -d_d Gamma^a_bc v^b v^c J^d - 2 Gamma^a_bc v^b J-dot^c.
-    (theta, v, J, J-dot) is integrated as one adaptive system from the
-    path's state at its first grid point, so the carrier takes part in step
-    control and is never interpolated; the output is sampled on the path's
-    grid.  Gamma and its derivative come from one ``connection_jet`` call
-    per step stage.  ``DJ0`` is the covariant derivative of J at the start;
-    the field is linear in (J0, DJ0).
+    (theta, v, J, J-dot) is integrated as one adaptive DOP853 system, so the
+    carrier takes part in step control and needs no separate geodesic
+    solve; field and carrier are sampled on ``tau_grid``, which may run
+    backward.  Gamma and its derivative come from one ``connection_jet``
+    call per step stage.  ``DJ0`` is the covariant derivative of J at the
+    start; the field is linear in (J0, DJ0).
     """
     dim = metric.dim
-    J0 = np.asarray(J0, float)
-    DJ0 = np.asarray(DJ0, float)
-    th0, v0 = path.state(path.tau_grid[0])
+    th0, v0, J0, DJ0, tau_grid = (np.asarray(a, float) for a in
+                                  (theta0, v0, J0, DJ0, tau_grid))
     gam0 = _christoffel_core(metric, th0)
     jdot0 = DJ0 - np.einsum("abc,b,c->a", gam0, J0, v0)
 
@@ -361,10 +367,10 @@ def integrate_jacobi(metric: MetricField, path: GeodesicPath, J0, DJ0,
         jdd = -j @ (dgam @ v @ v) - 2.0 * gv @ jdot
         return np.concatenate([v, -gv @ v, jdot, jdd])
 
-    t0, t1 = float(path.tau_grid[0]), float(path.tau_grid[-1])
+    t0, t1 = float(tau_grid[0]), float(tau_grid[-1])
     sol = solve_ivp(rhs, (t0, t1), np.concatenate([th0, v0, J0, jdot0]),
-                    method="RK45", rtol=rtol, atol=rtol * 1e-3,
-                    t_eval=path.tau_grid, dense_output=False)
+                    method="DOP853", rtol=rtol, atol=rtol * 1e-3,
+                    t_eval=tau_grid, dense_output=False)
     if not sol.success:
         raise StiffnessError(f"deviation integrator failed: {sol.message}")
     theta, theta_dot, j, jdot = np.transpose(
@@ -381,7 +387,7 @@ def integrate_jacobi(metric: MetricField, path: GeodesicPath, J0, DJ0,
                     np.einsum("nab,na,nb->n", g, dj_cov, j)
                     / np.where(inten > 1e-300, inten, 1.0),
                     cov_norm)
-    return JacobiTrace(path.tau_grid, j, dj_cov, inten, rate)
+    return JacobiTrace(tau_grid, theta, theta_dot, j, dj_cov, inten, rate)
 
 
 @dataclass(frozen=True)

@@ -221,7 +221,8 @@ def run_uncorrelated_gaussian(l: int, theta0=None, v0=None,
     # deviation-field growth rate against the per-pair entropy slope
     j0 = np.zeros(metric.dim)
     dj0 = dyn.normal_direction(metric, theta0, v0)
-    jac = dyn.integrate_jacobi(metric, path, j0, dj0, rtol=1e-9)
+    jac = dyn.integrate_jacobi(metric, theta0, v0, path.tau_grid, j0, dj0,
+                               rtol=1e-9)
     jrate = _exp_rate(jac.tau_grid, jac.intensity)
     report.observables["jacobi_exp_rate"] = jrate
     report.add("jacobi_rate_vs_slope_per_pair", jrate, slope / l, 0.10,
@@ -515,7 +516,7 @@ def run_iho(cfg: IHOConfig, quad_tol: float = 1e-6,
     sol = solve_ivp(lambda _t, y: np.concatenate([y[cfg.l:],
                                                   w ** 2 * y[:cfg.l]]),
                     (0.0, min(cfg.tau_end, 12.0 / np.max(w))),
-                    np.concatenate([x0, w * x0]), method="RK45",
+                    np.concatenate([x0, w * x0]), method="DOP853",
                     rtol=1e-10, atol=1e-12, dense_output=True)
     taus = np.linspace(sol.t[0], sol.t[-1], n_out)[1:]
     states = sol.sol(taus)
@@ -531,8 +532,7 @@ def run_iho(cfg: IHOConfig, quad_tol: float = 1e-6,
         lambda t: x0 * np.exp(w * t),
         lambda t: w * x0 * np.exp(w * t),
         metric=metric)
-    dv_num = np.array([cx.volume_between(metric, path, t, rel_tol=quad_tol)
-                       for t in taus])
+    dv_num = cx.complexity_trace(metric, path, rel_tol=quad_tol).delta_v[1:]
     dv_asy = iho_delta_v_asymptotic(cfg, taus)
     rate_num = _exp_rate(taus, dv_num, lo_frac=0.5)
     rate_asy = _exp_rate(taus, dv_asy, lo_frac=0.5)
@@ -640,8 +640,8 @@ def run_spin_chain(regime: str, theta0=None, v0=None, tau_end: float = None,
 
     if regime == "chaotic":
         w = dyn.normal_direction(metric, theta0, v0, axis=2)
-        jac = dyn.integrate_jacobi(metric, path, np.zeros(metric.dim), w,
-                                   rtol=1e-9)
+        jac = dyn.integrate_jacobi(metric, theta0, v0, path.tau_grid,
+                                   np.zeros(metric.dim), w, rtol=1e-9)
         lam = dyn.lyapunov_estimate(jac)
         report.observables["lyapunov_estimate"] = lam.value
         k_ig = report.observables["k_ig"]
@@ -843,9 +843,8 @@ def _wavepacket_lyapunov(args):
     th0, v0 = wavepacket_initial_state(p, "after")
     # stay an order of magnitude above the sigma chart floor
     tau_cap = np.arccosh(p.sigma_peak / 1e-7) / a0
-    path = dyn.integrate_geodesic(metric, th0, v0, min(20.0 / a0, tau_cap),
-                                  tol=1e-11, n_out=257)
-    jac = dyn.integrate_jacobi(metric, path, np.zeros(3),
+    tau_grid = np.linspace(0.0, min(20.0 / a0, tau_cap), 257)
+    jac = dyn.integrate_jacobi(metric, th0, v0, tau_grid, np.zeros(3),
                                dyn.normal_direction(metric, th0, v0),
                                rtol=1e-10)
     return dyn.lyapunov_estimate(jac).value
@@ -905,7 +904,8 @@ def run_wavepacket(cfg: ScatterConfig, r_sweep=(0.1, 0.3, 0.5),
     path = dyn.integrate_geodesic(metric, th0, v0, 10.0 / a0, tol=1e-11,
                                   n_out=n_out)
     dj0 = dyn.normal_direction(metric, th0, v0)
-    jac = dyn.integrate_jacobi(metric, path, np.zeros(3), dj0, rtol=1e-10)
+    jac = dyn.integrate_jacobi(metric, th0, v0, path.tau_grid, np.zeros(3),
+                               dj0, rtol=1e-10)
     oracle = (1.0 / a0) * np.sinh(a0 * jac.tau_grid)   # |DJ0| = 1
     late = jac.tau_grid >= 0.1 / a0
     rel = np.max(np.abs(jac.intensity[late] - oracle[late])

@@ -1,4 +1,5 @@
-"""Shared fixtures: counter-based RNG streams and finite-difference oracles."""
+"""Shared fixtures: counter-based RNG streams, finite-difference oracles and
+the carrier start of a geodesic path."""
 
 import numpy as np
 import pytest
@@ -28,6 +29,13 @@ def fd_score(model, x, step=1e-5):
         d2 = (val(h / 2) - val(-h / 2)) / h
         out[a] = (4 * d2 - d1) / 3
     return out
+
+
+def carrier(path):
+    """(theta0, v0, tau_grid) of a geodesic path, the carrier arguments of
+    ``integrate_jacobi``."""
+    theta0, v0 = path.state(path.tau_grid[0])
+    return theta0, v0, path.tau_grid
 
 
 def random_model(rng, family: str):

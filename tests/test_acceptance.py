@@ -18,7 +18,7 @@ from igac import mre
 from igac import scenarios as sc
 from igac.errors import RegimeError
 
-from conftest import fd_score, philox
+from conftest import carrier, fd_score, philox
 
 # wave-packet parameters used throughout; sigma_peak = 3 keeps the spread
 # coordinate above the chart floor out to tau = 20 / a0
@@ -123,7 +123,8 @@ def test_criterion_4_jacobi_and_lyapunov():
     within 5% of 2 a0 at 20/a0, invariant over r in {0, 0.2, 0.5}."""
     p, metric, th0, v0, path = _wp_setup(0.5, 10.0, tol=1e-11)
     w = _normal_vector(metric, th0, v0)
-    jac = dyn.integrate_jacobi(metric, path, np.zeros(3), w, rtol=1e-10)
+    jac = dyn.integrate_jacobi(metric, *carrier(path), np.zeros(3), w,
+                               rtol=1e-10)
     oracle = np.sinh(p.a0 * jac.tau_grid) / p.a0
     late = jac.tau_grid >= 0.1 / p.a0
     rel = float(np.max(np.abs(jac.intensity[late] - oracle[late])
@@ -132,7 +133,7 @@ def test_criterion_4_jacobi_and_lyapunov():
     for r in (0.0, 0.2, 0.5):
         pr, metric_r, th0r, v0r, path20 = _wp_setup(r, 20.0, tol=1e-11)
         wr = _normal_vector(metric_r, th0r, v0r)
-        jr = dyn.integrate_jacobi(metric_r, path20, np.zeros(3), wr,
+        jr = dyn.integrate_jacobi(metric_r, *carrier(path20), np.zeros(3), wr,
                                   rtol=1e-10)
         est = dyn.lyapunov_estimate(jr)
         lam_errs.append(abs(est.value - 2 * pr.a0) / (2 * pr.a0))
@@ -346,9 +347,11 @@ def test_criterion_11_property_suites():
         j0a, dj0a = rng.normal(size=3), rng.normal(size=3)
         j0b, dj0b = rng.normal(size=3), rng.normal(size=3)
         a, b = rng.normal(), rng.normal()
-        ja = dyn.integrate_jacobi(metric_j, path, j0a, dj0a, rtol=1e-11)
-        jb = dyn.integrate_jacobi(metric_j, path, j0b, dj0b, rtol=1e-11)
-        jc = dyn.integrate_jacobi(metric_j, path, a * j0a + b * j0b,
+        ja = dyn.integrate_jacobi(metric_j, *carrier(path), j0a, dj0a,
+                                  rtol=1e-11)
+        jb = dyn.integrate_jacobi(metric_j, *carrier(path), j0b, dj0b,
+                                  rtol=1e-11)
+        jc = dyn.integrate_jacobi(metric_j, *carrier(path), a * j0a + b * j0b,
                                   a * dj0a + b * dj0b, rtol=1e-11)
         lin = a * ja.j + b * jb.j
         if np.max(np.abs(jc.j - lin)) / max(np.max(np.abs(lin)), 1.0) > 1e-8:

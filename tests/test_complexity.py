@@ -286,3 +286,41 @@ def test_iho_tensor_grid_against_nested_adaptive_quadrature():
     oracle, err = dblquad(dens, lo[0], hi[0], lo[1], hi[1],
                           epsabs=1e-12, epsrel=1e-12)
     assert got == pytest.approx(oracle, rel=1e-8)
+
+
+def _iho_path(l):
+    w = np.linspace(0.5, 1.5, l)
+    x0 = np.full(l, 0.2)
+    metric = sc.iho_metric(w)
+    return metric, dyn.path_from_functions(
+        np.linspace(0.0, 4.0, 41), lambda t: x0 * np.exp(w * t),
+        lambda t: w * x0 * np.exp(w * t), metric=metric)
+
+
+def _gauss_path(source, tau_end, n_out):
+    # the spread rises and then falls, so the box is not set by the ends
+    model = md.gaussian_diag([0.0], [1.0])
+    metric = (md.analytic_fisher(model) if source == "analytic"
+              else md.fisher_quadrature(model))
+    return metric, dyn.integrate_geodesic(metric, [0.0, 1.0], [1.0, 0.5],
+                                          tau_end, tol=1e-10, n_out=n_out)
+
+
+@pytest.mark.parametrize("case", ["analytic", "analytic_backward",
+                                  "quadrature", "iho_l1", "iho_l2"])
+def test_trace_volumes_equal_volume_between(case):
+    """The running-box trace gives exactly the per-point volumes, on
+    closed-form, quadrature-metric and closed-form-function paths."""
+    if case == "analytic":
+        metric, path = _gauss_path("analytic", 4.0, 65)
+    elif case == "analytic_backward":
+        metric, path = _gauss_path("analytic", -4.0, 65)
+    elif case == "quadrature":
+        metric, path = _gauss_path("quadrature", 2.0, 9)
+    else:
+        metric, path = _iho_path(int(case[-1]))
+    trace = cx.complexity_trace(metric, path, rel_tol=1e-7)
+    expect = [cx.volume_between(metric, path, t, rel_tol=1e-7)
+              for t in path.tau_grid]
+    assert np.array_equal(trace.delta_v, expect)
+    assert np.all(trace.delta_v[1:] > 0)

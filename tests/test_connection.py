@@ -10,6 +10,8 @@ from igac import geometry as geo
 from igac import models as md
 from igac.scenarios import iho_metric
 
+from conftest import carrier
+
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True,
                     database=None)
 
@@ -105,7 +107,8 @@ def test_jacobi_on_metric_without_second_jet_meets_sinh():
     path = dyn.integrate_geodesic(scaled, scale * th0, scale * v0, 5.0 / a0,
                                   tol=1e-11, n_out=65)
     w = scale * dyn.normal_direction(metric, th0, v0, axis=2)
-    trace = dyn.integrate_jacobi(scaled, path, np.zeros(3), w, rtol=1e-10)
+    trace = dyn.integrate_jacobi(scaled, *carrier(path), np.zeros(3), w,
+                                 rtol=1e-10)
     oracle = np.sinh(a0 * trace.tau_grid) / a0
     late = trace.tau_grid >= 0.1 / a0
     rel = np.abs(trace.intensity[late] - oracle[late]) / oracle[late]

@@ -2,11 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from igac import dynamics as dyn
 from igac import models as md
+from igac import scenarios as sc
 from igac.errors import BvpFailureError, ChartBoundaryError, \
     UndefinedRateError
+
+from conftest import carrier
 
 PARAMS = dyn.WavePacketParams(1.0, 0.25, 1.0, 0.5)
 
@@ -135,7 +139,7 @@ def test_params_validation():
 def test_flat_jacobi_grows_linearly():
     m = md.flat_metric(2)
     path = dyn.integrate_geodesic(m, [0.0, 0.0], [1.0, 0.0], 4.0, tol=1e-10)
-    trace = dyn.integrate_jacobi(m, path, np.zeros(2), [0.0, 1.0])
+    trace = dyn.integrate_jacobi(m, *carrier(path), np.zeros(2), [0.0, 1.0])
     assert np.max(np.abs(trace.intensity - path.tau_grid)) < 1e-8
 
 
@@ -144,7 +148,8 @@ def test_tangential_jacobi_field():
     metric = wavepacket_metric(0.4)
     p, th0, v0 = wavepacket_start(0.4)
     path = dyn.integrate_geodesic(metric, th0, v0, 3.0, tol=1e-11)
-    trace = dyn.integrate_jacobi(metric, path, np.zeros(3), v0, rtol=1e-10)
+    trace = dyn.integrate_jacobi(metric, *carrier(path), np.zeros(3), v0,
+                                 rtol=1e-10)
     expect = path.tau_grid[:, None] * path.theta_dot
     assert np.max(np.abs(trace.j - expect)) < 1e-7
 
@@ -153,14 +158,14 @@ def test_jacobi_superposition():
     metric = wavepacket_metric(0.2)
     p, th0, v0 = wavepacket_start(0.2)
     path = dyn.integrate_geodesic(metric, th0, v0, 4.0, tol=1e-11)
-    j1 = dyn.integrate_jacobi(metric, path, [0.1, 0.0, 0.0], [0.0, 0.2, 0.0],
-                              rtol=1e-11)
-    j2 = dyn.integrate_jacobi(metric, path, [0.0, 0.3, 0.0], [0.0, 0.0, 0.4],
-                              rtol=1e-11)
+    j1 = dyn.integrate_jacobi(metric, *carrier(path), [0.1, 0.0, 0.0],
+                              [0.0, 0.2, 0.0], rtol=1e-11)
+    j2 = dyn.integrate_jacobi(metric, *carrier(path), [0.0, 0.3, 0.0],
+                              [0.0, 0.0, 0.4], rtol=1e-11)
     a, b = 1.7, -0.6
     combo = dyn.integrate_jacobi(
-        metric, path, a * np.array([0.1, 0.0, 0.0]) + b * np.array([0.0, 0.3,
-                                                                    0.0]),
+        metric, *carrier(path),
+        a * np.array([0.1, 0.0, 0.0]) + b * np.array([0.0, 0.3, 0.0]),
         a * np.array([0.0, 0.2, 0.0]) + b * np.array([0.0, 0.0, 0.4]),
         rtol=1e-11)
     lin = a * j1.j + b * j2.j
@@ -179,7 +184,8 @@ def test_wavepacket_jacobi_intensity_sinh():
     w[2] = 1.0
     w -= (v0 @ g @ w) / (v0 @ g @ v0) * v0
     w /= np.sqrt(w @ g @ w)
-    trace = dyn.integrate_jacobi(metric, path, np.zeros(3), w, rtol=1e-10)
+    trace = dyn.integrate_jacobi(metric, *carrier(path), np.zeros(3), w,
+                                 rtol=1e-10)
     oracle = np.sinh(a0 * trace.tau_grid) / a0
     late = trace.tau_grid >= 0.1 / a0
     rel = np.abs(trace.intensity[late] - oracle[late]) / oracle[late]
@@ -197,7 +203,7 @@ def test_jacobi_q_coefficient():
 def test_lyapunov_flat_decays_to_zero():
     m = md.flat_metric(2)
     path = dyn.integrate_geodesic(m, [0.0, 0.0], [1.0, 0.0], 200.0, tol=1e-9)
-    trace = dyn.integrate_jacobi(m, path, np.zeros(2), [0.0, 1.0])
+    trace = dyn.integrate_jacobi(m, *carrier(path), np.zeros(2), [0.0, 1.0])
     est = dyn.lyapunov_estimate(trace)
     # polynomial growth: the estimate decays like ln(tau^2) / tau
     tau = trace.tau_grid[-1]
@@ -223,11 +229,11 @@ def test_lyapunov_error_cases():
     m = md.flat_metric(2)
     path = dyn.integrate_geodesic(m, [0.0, 0.0], [1.0, 0.0], 1.0, tol=1e-9,
                                   n_out=8)
-    trace = dyn.integrate_jacobi(m, path, np.zeros(2), [0.0, 1.0])
+    trace = dyn.integrate_jacobi(m, *carrier(path), np.zeros(2), [0.0, 1.0])
     with pytest.raises(UndefinedRateError):
         dyn.lyapunov_estimate(trace)
     path = dyn.integrate_geodesic(m, [0.0, 0.0], [1.0, 0.0], 1.0, tol=1e-9)
-    zero = dyn.integrate_jacobi(m, path, np.zeros(2), np.zeros(2))
+    zero = dyn.integrate_jacobi(m, *carrier(path), np.zeros(2), np.zeros(2))
     with pytest.raises(UndefinedRateError):
         dyn.lyapunov_estimate(zero)
 
@@ -247,7 +253,8 @@ def test_lyapunov_independent_of_correlation(r):
     w[2] = 1.0
     w -= (v0 @ g @ w) / (v0 @ g @ v0) * v0
     w /= np.sqrt(w @ g @ w)
-    trace = dyn.integrate_jacobi(metric, path, np.zeros(3), w, rtol=1e-10)
+    trace = dyn.integrate_jacobi(metric, *carrier(path), np.zeros(3), w,
+                                 rtol=1e-10)
     est = dyn.lyapunov_estimate(trace)
     assert abs(est.value - 2 * p.a0) / (2 * p.a0) < 0.05
 
@@ -296,7 +303,50 @@ def test_lyapunov_on_backward_trace():
     w -= (v0 @ g @ w) / (v0 @ g @ v0) * v0
     w /= np.sqrt(w @ g @ w)
     est_f = dyn.lyapunov_estimate(
-        dyn.integrate_jacobi(metric, fwd, np.zeros(3), w, rtol=1e-10))
+        dyn.integrate_jacobi(metric, *carrier(fwd), np.zeros(3), w,
+                             rtol=1e-10))
     est_b = dyn.lyapunov_estimate(
-        dyn.integrate_jacobi(metric, back, np.zeros(3), w, rtol=1e-10))
+        dyn.integrate_jacobi(metric, *carrier(back), np.zeros(3), w,
+                             rtol=1e-10))
     assert est_b.value == pytest.approx(est_f.value, rel=1e-6)
+
+
+# initial data of demos/configs/wavepacket.yaml
+DEMO = dyn.WavePacketParams(1.0, 0.1, 1.0)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(r=st.floats(0.0, 0.9, exclude_max=True),
+       tol=st.sampled_from([1e-8, 1e-9, 1e-10, 1e-11]))
+def test_geodesic_closed_forms_across_tolerances(r, tol):
+    """Both wave-packet branches meet the tanh/cosh forms within the
+    report's bounds at every tolerance: error 1e-6, speed drift 10 tol."""
+    for branch, rr in (("before", 0.0), ("after", r)):
+        p = dyn.WavePacketParams(DEMO.p0, DEMO.sigma0, DEMO.tau0, rr)
+        metric = md.analytic_fisher(sc.wavepacket_model(p,
+                                                        correlated=rr > 0))
+        th0, v0 = sc.wavepacket_initial_state(p, branch)
+        sign = -1.0 if branch == "before" else 1.0
+        path = dyn.integrate_geodesic(metric, th0, v0, sign * 5.0 / p.a0,
+                                      tol=tol, n_out=257)
+        closed = np.column_stack(
+            dyn.wavepacket_geodesics(p, path.tau_grid, branch))
+        assert np.max(np.abs(path.theta - closed)) <= 1e-6
+        assert np.max(np.abs(path.speed / path.speed[0] - 1.0)) <= 10 * tol
+
+
+@pytest.mark.parametrize("branch,sign", [("after", 1.0), ("before", -1.0)])
+def test_jacobi_carrier_matches_geodesic(branch, sign):
+    """The carrier a Jacobi field integrates is the geodesic itself, on
+    forward and backward grids."""
+    metric = wavepacket_metric(0.3)
+    p, th0, v0 = wavepacket_start(0.3, branch)
+    path = dyn.integrate_geodesic(metric, th0, v0, sign * 10.0 / p.a0,
+                                  tol=1e-11, n_out=257)
+    trace = dyn.integrate_jacobi(metric, th0, v0, path.tau_grid,
+                                 np.zeros(3),
+                                 dyn.normal_direction(metric, th0, v0),
+                                 rtol=1e-10)
+    assert np.array_equal(trace.tau_grid, path.tau_grid)
+    assert np.max(np.abs(trace.theta - path.theta)) < 1e-8
+    assert np.max(np.abs(trace.theta_dot - path.theta_dot)) < 1e-8

@@ -1,9 +1,12 @@
 """Scenario drivers: report structure, oracle checks and the scattering
 formula chain."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from igac import cli
 from igac import dynamics as dyn
 from igac import scenarios as sc
 from igac.errors import RegimeError
@@ -269,3 +272,33 @@ def test_potential_density_identity_at_self_consistent_r():
 def test_purity_equals_one_minus_r_qm_squared():
     obs = sc.scattering_observables(in_regime_cfg())
     assert obs["purity"] == pytest.approx(1.0 - obs["r_qm"] ** 2, abs=1e-15)
+
+
+def test_wavepacket_demo_integrator_work(monkeypatch, tmp_path):
+    """Right-hand-side evaluations summed over the demo wave-packet run, a
+    machine-independent cost of its geodesic and Jacobi flows."""
+    nfev = []
+    solve_ivp = dyn.solve_ivp
+
+    def counting(*args, **kwargs):
+        sol = solve_ivp(*args, **kwargs)
+        nfev.append(sol.nfev)
+        return sol
+
+    monkeypatch.setattr(dyn, "solve_ivp", counting)
+    config = Path(__file__).parents[1] / "demos/configs/wavepacket.yaml"
+    assert cli.main(["scenario", "--config", str(config),
+                     "--out", str(tmp_path)]) == 0
+    assert sum(nfev) <= 10_000
+
+
+def test_wavepacket_lyapunov_solves_no_geodesic(monkeypatch):
+    """The Lyapunov fields integrate their own carrier."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("integrate_geodesic called")
+
+    monkeypatch.setattr(dyn, "integrate_geodesic", forbidden)
+    params = in_regime_cfg().params
+    for r in (0.0, 0.2, 0.5):
+        value = sc._wavepacket_lyapunov((params, r, params.a0))
+        assert value == pytest.approx(2.0 * params.a0, rel=0.05)
