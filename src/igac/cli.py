@@ -70,6 +70,9 @@ def parse_config(text: str, command: str = "scenario") -> dict:
         _validate_manifold_command(cfg, command, failures)
     elif command == "mre":
         _validate_mre(cfg.get("mre"), "mre", failures)
+        tol = cfg.get("tol", 1e-12)
+        if not _is_number(tol) or tol <= 0:
+            failures.append(("tol", f"must be positive, got {tol!r}"))
 
     if failures:
         raise ConfigError(failures)
@@ -240,6 +243,14 @@ def _validate_manifold_command(cfg, command, failures):
             failures.append((key, "missing required key"))
     if cfg.get("metric_source", "analytic") not in ("analytic", "quadrature"):
         failures.append(("metric_source", "must be analytic or quadrature"))
+    if command == "ige":
+        if cfg.get("fit_form", "linear") not in cx._FORMS:
+            failures.append(("fit_form", f"must be one of {cx._FORMS}"))
+        n_out = cfg.get("n_out", 257)
+        if not isinstance(n_out, int) or isinstance(n_out, bool) or \
+                n_out < 2:
+            failures.append(("n_out", f"must be an integer >= 2, got "
+                             f"{n_out!r}"))
     for key in vectors:
         if key in cfg:
             _check_vector(cfg[key], key, dim, failures)
@@ -416,16 +427,14 @@ def _cmd_geodesic(cfg):
 def _cmd_jacobi(cfg):
     metric = build_metric(cfg["manifold"], cfg.get("metric_source",
                                                    "analytic"))
-    tol = cfg["numerics"]["ode_tol"]
-    path = dyn.integrate_geodesic(metric, cfg["theta0"], cfg["v0"],
-                                  float(cfg["tau_end"]), tol=tol)
     j0 = np.asarray(cfg.get("j0", np.zeros(metric.dim)), float)
     if "dj0" in cfg:
         dj0 = np.asarray(cfg["dj0"], float)
     else:
         dj0 = dyn.normal_direction(metric, cfg["theta0"], cfg["v0"])
     jac = dyn.integrate_jacobi(metric, cfg["theta0"], cfg["v0"],
-                               path.tau_grid, j0, dj0)
+                               np.linspace(0.0, float(cfg["tau_end"]), 513),
+                               j0, dj0, rtol=cfg["numerics"]["ode_tol"])
     report = sc.ScenarioReport("jacobi", {k: cfg[k] for k in
                                           ("manifold", "theta0", "v0",
                                            "tau_end")})
@@ -434,7 +443,7 @@ def _cmd_jacobi(cfg):
     est = dyn.lyapunov_estimate(jac)
     report.observables["lyapunov_estimate"] = est.value
     report.observables["final_intensity"] = jac.intensity[-1]
-    trace = {"tau": path.tau_grid, "theta": path.theta, "speed": path.speed,
+    trace = {"tau": jac.tau_grid, "theta": jac.theta, "speed": jac.speed,
              "jacobi_intensity": jac.intensity}
     return report, {"jacobi": trace}
 
@@ -445,7 +454,7 @@ def _cmd_ige(cfg):
     num = cfg["numerics"]
     path = dyn.integrate_geodesic(metric, cfg["theta0"], cfg["v0"],
                                   float(cfg["tau_end"]), tol=num["ode_tol"],
-                                  n_out=int(cfg.get("n_out", 257)))
+                                  n_out=cfg.get("n_out", 257))
     trace = cx.complexity_trace(metric, path,
                                 rel_tol=max(num["quad_tol"], 1e-10))
     report = sc.ScenarioReport("ige", {k: cfg[k] for k in

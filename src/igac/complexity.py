@@ -7,9 +7,9 @@ is the complexity C(tau); S(tau) = ln C(tau) is the entropy trace.  Late-time
 behavior is summarized by least-squares fits to linear, logarithmic, power,
 exponential and saturating forms.
 
-Closed-form metrics (``analytic_fisher``, ``macro_correlated_metric``,
-``flat_metric`` and ``iho_metric`` at even l) supply the exact box volume;
-every other metric (``fisher_quadrature``, ``rescaled_chart``, odd-l
+Closed-form metrics (``analytic_fisher``, ``fisher_quadrature``,
+``macro_correlated_metric``, ``flat_metric`` and ``iho_metric`` at even l)
+supply the exact box volume; every other metric (``rescaled_chart``, odd-l
 ``iho_metric``, user metrics) goes through adaptive Gauss-Legendre
 quadrature (``integrate_box``), separable per block where the metric
 factorizes.

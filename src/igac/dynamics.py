@@ -6,7 +6,7 @@ solved by damped-Newton shooting on the initial velocity.  Jacobi fields are
 the linearized geodesic flow: the carrier state (theta, theta-dot) and the
 deviation (J, J-dot) are integrated as one DOP853 system from the carrier's
 start, with the connection derivative taken from the metric's exact second
-jet where it has one.
+jet.
 
 The tanh/cosh closed-form geodesics of the colliding wave-packet manifolds
 are provided for oracle checks, together with the finite-time growth-rate
@@ -94,6 +94,19 @@ def _boundary_events(metric):
     return events
 
 
+def _check_boundary_exit(sol, dim, what):
+    """Raise ChartBoundaryError, with the last carrier state (tau, theta,
+    theta_dot), when a chart-boundary event ended the solve."""
+    if sol.status != 1:
+        return
+    t_ev, y_ev = max(((t[-1], y[-1]) for t, y in
+                      zip(sol.t_events, sol.y_events) if t.size),
+                     key=lambda ty: abs(ty[0]))
+    raise ChartBoundaryError(
+        f"{what} reached the chart boundary at tau = {t_ev}",
+        last_state=(t_ev, y_ev[:dim], y_ev[dim:2 * dim]))
+
+
 def integrate_geodesic(metric: MetricField, theta0, v0, tau_end: float,
                        tol: float = 1e-10, n_out: int = 513) -> GeodesicPath:
     """Geodesic initial value problem with adaptive error control.
@@ -111,12 +124,7 @@ def integrate_geodesic(metric: MetricField, theta0, v0, tau_end: float,
     sol = solve_ivp(_geodesic_rhs(metric), (0.0, tau_end), y0,
                     method="DOP853", rtol=tol, atol=tol * 1e-2,
                     dense_output=True, events=_boundary_events(metric))
-    if sol.status == 1:    # terminated by a chart-boundary event
-        t_ev = max((t[-1] for t in sol.t_events if t.size), key=abs)
-        y_ev = sol.sol(t_ev)
-        raise ChartBoundaryError(
-            f"geodesic reached the chart boundary at tau = {t_ev}",
-            last_state=(t_ev, y_ev[:metric.dim], y_ev[metric.dim:]))
+    _check_boundary_exit(sol, metric.dim, "geodesic")
     if not sol.success:
         raise StiffnessError(f"integrator failed: {sol.message}")
 
@@ -294,22 +302,23 @@ class JacobiTrace:
     with.
 
     ``theta`` and ``theta_dot`` are the carrier state on ``tau_grid``, from
-    the same solve as the field; ``dj_dtau`` holds the covariant derivative
-    DJ/Dtau; ``intensity`` is the metric norm of J and ``intensity_rate``
-    its tau-derivative.
+    the same solve as the field, and ``speed`` its g(theta_dot, theta_dot);
+    ``dj_dtau`` holds the covariant derivative DJ/Dtau; ``intensity`` is the
+    metric norm of J and ``intensity_rate`` its tau-derivative.
     """
 
     tau_grid: np.ndarray
     theta: np.ndarray        # (n, dim)
     theta_dot: np.ndarray    # (n, dim)
+    speed: np.ndarray
     j: np.ndarray
     dj_dtau: np.ndarray
     intensity: np.ndarray
     intensity_rate: np.ndarray
 
     def __post_init__(self):
-        for name in ("tau_grid", "theta", "theta_dot", "j", "dj_dtau",
-                     "intensity", "intensity_rate"):
+        for name in ("tau_grid", "theta", "theta_dot", "speed", "j",
+                     "dj_dtau", "intensity", "intensity_rate"):
             arr = np.asarray(getattr(self, name), float)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -352,7 +361,9 @@ def integrate_jacobi(metric: MetricField, theta0, v0, tau_grid, J0, DJ0,
     solve; field and carrier are sampled on ``tau_grid``, which may run
     backward.  Gamma and its derivative come from one ``connection_jet``
     call per step stage.  ``DJ0`` is the covariant derivative of J at the
-    start; the field is linear in (J0, DJ0).
+    start; the field is linear in (J0, DJ0).  A carrier that reaches the
+    chart boundary raises ChartBoundaryError with its last state, as in
+    ``integrate_geodesic``.
     """
     dim = metric.dim
     th0, v0, J0, DJ0, tau_grid = (np.asarray(a, float) for a in
@@ -370,7 +381,9 @@ def integrate_jacobi(metric: MetricField, theta0, v0, tau_grid, J0, DJ0,
     t0, t1 = float(tau_grid[0]), float(tau_grid[-1])
     sol = solve_ivp(rhs, (t0, t1), np.concatenate([th0, v0, J0, jdot0]),
                     method="DOP853", rtol=rtol, atol=rtol * 1e-3,
-                    t_eval=tau_grid, dense_output=False)
+                    t_eval=tau_grid, dense_output=False,
+                    events=_boundary_events(metric))
+    _check_boundary_exit(sol, dim, "Jacobi carrier")
     if not sol.success:
         raise StiffnessError(f"deviation integrator failed: {sol.message}")
     theta, theta_dot, j, jdot = np.transpose(
@@ -387,7 +400,9 @@ def integrate_jacobi(metric: MetricField, theta0, v0, tau_grid, J0, DJ0,
                     np.einsum("nab,na,nb->n", g, dj_cov, j)
                     / np.where(inten > 1e-300, inten, 1.0),
                     cov_norm)
-    return JacobiTrace(tau_grid, theta, theta_dot, j, dj_cov, inten, rate)
+    speed = np.einsum("nab,na,nb->n", g, theta_dot, theta_dot)
+    return JacobiTrace(tau_grid, theta, theta_dot, speed, j, dj_cov, inten,
+                       rate)
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,13 @@
 """Connection and curvature machinery for metric fields.
 
 Everything is computed pointwise from a MetricField jet: Christoffel symbols
-and their derivative (exact from the second jet of closed-form metrics) and
-the Riemann tensor.  ``curvature_report`` derives every curvature quantity
-of a point from one connection jet: lowered Riemann, Ricci tensor and
-scalar, sectional curvatures and their orthonormal-frame sum, projective
-anisotropy and the metric-compatibility residual.  ``ricci_scalar`` and
-``sectional`` are one-value shortcuts; Killing residuals complete the set.
+and their derivative (exact, from the metric's second jet) and the Riemann
+tensor.  ``curvature_report`` derives every curvature quantity of a point
+from one connection jet: lowered Riemann, Ricci tensor and scalar,
+sectional curvatures and their orthonormal-frame sum, projective anisotropy
+and the metric-compatibility residual.  ``ricci_scalar`` and
+``sectional`` are one-value shortcuts; Killing residuals, which difference
+the caller's Killing field, complete the set.
 
 Sign conventions: Gamma^a_bc = (1/2) g^ad (d_b g_dc + d_c g_db - d_d g_bc),
 R^a_bcd = d_c Gamma^a_bd - d_d Gamma^a_bc + Gamma^a_fc Gamma^f_bd
@@ -19,12 +20,13 @@ over ordered orthonormal pairs i != j.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import DegenerateMetricError, DegeneratePlaneError
-from .models import MetricField, _richardson_diff, fd_step
+from .models import MetricField
 
 __all__ = [
     "CurvatureReport",
@@ -79,37 +81,8 @@ def christoffel(metric: MetricField, theta) -> np.ndarray:
     return _christoffel_core(metric, theta)
 
 
-def _gamma_derivative(metric: MetricField, theta) -> np.ndarray:
-    """dG[c, a, b, d] = d_c Gamma^a_bd by central differences.
-
-    Step 1e-4 * max(1, |theta_c|) with one Richardson level when the metric
-    jet is analytic, 1e-3 plain central otherwise (noise control for jets
-    that are themselves finite differences).  The path for metrics without
-    a second jet, and the tests' oracle for the exact one.
-    """
-    n = metric.dim
-    out = np.empty((n, n, n, n))
-    analytic = metric.has_analytic_jet
-    for c in range(n):
-        h = fd_step(metric, theta, c, 1e-4 if analytic else 1e-3)
-
-        def shifted(t, c=c):
-            th = np.array(theta, float)
-            th[c] += t
-            return _christoffel_core(metric, th)
-
-        out[c] = _richardson_diff(shifted, h) if analytic \
-            else (shifted(h) - shifted(-h)) / (2 * h)
-    return out
-
-
 def _connection(metric: MetricField, theta):
     """(g, g^-1, dg, Gamma, dGamma) at theta from one metric jet."""
-    if not metric.has_second_jet:
-        g, dg = metric.jet(theta)
-        ginv = _inverse(g, theta)
-        return g, ginv, dg, _christoffel_from(ginv, dg), \
-            _gamma_derivative(metric, theta)
     g, dg, d2g = metric.jet(theta, order=2)
     ginv = _inverse(g, theta)
     gam = _christoffel_from(ginv, dg)
@@ -127,10 +100,8 @@ def _connection(metric: MetricField, theta):
 def connection_jet(metric: MetricField, theta):
     """(Gamma, dGamma) with dGamma[c, a, b, d] = d_c Gamma^a_bd.
 
-    Exact, from one second-order metric jet and one inverse, when the
-    metric has a closed-form second jet; a Richardson difference of the
-    connection otherwise.  No chart-floor rejection, so integrators may call
-    it on trial steps.
+    Exact, from one second-order metric jet and one inverse.  No
+    chart-floor rejection, so integrators may call it on trial steps.
     """
     return _connection(metric, np.asarray(theta, float))[3:]
 
@@ -212,13 +183,30 @@ def _compat_residual(g, dg, gam) -> float:
     return float(np.max(np.abs(nabla)))
 
 
+def _fd_step(metric: MetricField, theta, c: int, base: float) -> float:
+    """FD step in direction c: base * max(1, |theta_c|), except on half-line
+    coordinates where it is proportional to theta_c so perturbed points stay
+    inside the chart."""
+    if c in metric.scale_coords:
+        return base * abs(theta[c])
+    return base * max(1.0, abs(theta[c]))
+
+
+def _richardson_diff(fn, h):
+    """Central difference of fn at 0 with one Richardson level (error h^4)."""
+    d1 = (fn(h) - fn(-h)) / (2 * h)
+    d2 = (fn(h / 2) - fn(-h / 2)) / h
+    return (4.0 * d2 - d1) / 3.0
+
+
 def killing_residual(metric: MetricField, k_field: Callable,
                      grid: Sequence) -> float:
     """sup over the grid of max-abs of D_a K_b + D_b K_a.
 
     ``k_field`` maps theta to the contravariant components K^a; the index is
     lowered with g before differentiating.  Zero iff K generates an isometry
-    on the grid.
+    on the grid.  The derivative of the caller's field is a Richardson
+    difference, the one finite difference in the package.
     """
     def lowered(th):
         th = np.asarray(th, float)
@@ -235,7 +223,8 @@ def killing_residual(metric: MetricField, k_field: Callable,
                 th[a] += t
                 return lowered(th)
 
-            dk[a] = _richardson_diff(shifted, fd_step(metric, theta, a, 1e-6))
+            dk[a] = _richardson_diff(shifted,
+                                     _fd_step(metric, theta, a, 1e-6))
         gam = christoffel(metric, theta)
         kb = lowered(theta)
         cov = dk - np.einsum("cba,c->ab", gam, kb)
@@ -285,16 +274,23 @@ def curvature_report(metric: MetricField, theta) -> CurvatureReport:
 def rescaled_chart(metric: MetricField, scale) -> MetricField:
     """Pullback of the metric under theta' = diag(scale) theta.
 
-    Used to verify that statistical volumes are chart-invariant.
+    Every index of g and of its derivatives picks up one factor 1/scale, so
+    the jets follow from the base metric's by the chain rule.  It carries
+    no exact box volume, so that the chart-invariance checks of statistical
+    volumes compare two independent computations.
     """
     scale = np.asarray(scale, float)
     inv = 1.0 / scale
+    # outer product of k copies of 1/scale, for g (k = 2), dg (3), d2g (4)
+    factor = {k: reduce(np.multiply.outer, [inv] * k) for k in (2, 3, 4)}
 
     def mat(thp):
-        thp = np.asarray(thp, float)
-        g = metric.eval(thp * inv)
-        return g * inv[:, None] * inv[None, :]
+        return metric.eval(np.asarray(thp, float) * inv) * factor[2]
 
-    return MetricField(metric.dim, mat, jet_fn=None, source=metric.source,
+    def jet(thp, order=1):
+        return tuple(part * factor[part.ndim]
+                     for part in metric.jet(thp * inv, order))
+
+    return MetricField(metric.dim, mat, jet_fn=jet, source=metric.source,
                        blocks=metric.blocks,
                        scale_coords=metric.scale_coords)

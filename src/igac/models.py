@@ -5,7 +5,10 @@ parametrized by (mean, spread), exponential and Wigner-Dyson level-spacing
 densities parametrized by their mean spacing, a correlated bivariate Gaussian
 with a constant micro-correlation r, and products of these.  Every model
 decomposes internally into primitive factors, so log-densities, scores and
-Fisher metrics compose block-diagonally.
+Fisher metrics compose block-diagonally.  Each factor is a location-scale
+family in its chart, so its Fisher block is a constant matrix over the square
+of its spread; the closed-form and the quadrature metric both build on those
+constants and carry exact first and second derivatives and box volumes.
 
 Chart conventions
 -----------------
@@ -255,13 +258,14 @@ def score(model: StatModel, x) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class MetricField:
-    """A Riemannian metric g_ab(theta) with first- and second-derivative jets.
+    """A Riemannian metric g_ab(theta) with exact first- and second-derivative
+    jets.
 
     ``matrix_fn`` maps (..., dim) chart points to (..., dim, dim) matrices.
-    ``jet_fn`` returns (g, dg) at one point; without it dg is a Richardson
-    difference of ``matrix_fn``.  ``jet2_fn`` returns (g, dg, d2g) at one
-    point; closed-form metrics supply it, and curvature falls back to a
-    difference of the connection without it.  ``volume_fn`` maps a list of
+    ``jet_fn(theta, order)`` returns (g, dg) at one point for ``order=1`` and
+    (g, dg, d2g) for ``order=2``; every in-package metric supplies it, and a
+    metric without it (the block sub-metrics of ``block_metric``) serves
+    ``eval`` and ``sqrt_det`` only.  ``volume_fn`` maps a list of
     per-coordinate (lo, hi) bounds to the exact integral of sqrt(det g) over
     that box; closed-form metrics supply it, and box volumes fall back to
     quadrature without it.  ``blocks`` lists coordinate groups on which the
@@ -272,24 +276,15 @@ class MetricField:
 
     def __init__(self, dim: int, matrix_fn: Callable, jet_fn: Callable = None,
                  source: str = "analytic", blocks=None, scale_coords=(),
-                 jet2_fn: Callable = None, volume_fn: Callable = None):
+                 volume_fn: Callable = None):
         self.dim = dim
         self._matrix_fn = matrix_fn
         self._jet_fn = jet_fn
-        self._jet2_fn = jet2_fn
         self._volume_fn = volume_fn
         self.source = source
         self.blocks = tuple(tuple(b) for b in blocks) if blocks \
             else (tuple(range(dim)),)
         self.scale_coords = tuple(scale_coords)
-
-    @property
-    def has_analytic_jet(self) -> bool:
-        return self._jet_fn is not None
-
-    @property
-    def has_second_jet(self) -> bool:
-        return self._jet2_fn is not None
 
     @property
     def has_exact_volume(self) -> bool:
@@ -309,31 +304,12 @@ class MetricField:
         """(g, dg) with dg[c, a, b] = d g_ab / d theta_c.
 
         ``order=2`` returns (g, dg, d2g) with d2g[c, d, a, b] =
-        d^2 g_ab / d theta_c d theta_d; only metrics with
-        ``has_second_jet`` support it.
+        d^2 g_ab / d theta_c d theta_d.  A metric without ``jet_fn``
+        raises ValueError.
         """
-        theta = np.asarray(theta, float)
-        if order == 2:
-            if self._jet2_fn is None:
-                raise ValueError("metric has no closed-form second jet")
-            return self._jet2_fn(theta)
-        if self._jet_fn is not None:
-            return self._jet_fn(theta)
-        return self.eval(theta), self._fd_jet(theta)
-
-    def _fd_jet(self, theta):
-        # central differences with one Richardson level
-        n = self.dim
-        dg = np.empty((n, n, n))
-        for c in range(n):
-            dg[c] = _richardson_diff(lambda t, c=c: self._shifted(theta, c, t),
-                                     fd_step(self, theta, c, 1e-5))
-        return dg
-
-    def _shifted(self, theta, c, t):
-        th = np.array(theta)
-        th[c] += t
-        return self.eval(th)
+        if self._jet_fn is None:
+            raise ValueError("metric has no jet")
+        return self._jet_fn(np.asarray(theta, float), order)
 
     def box_volume(self, bounds) -> float:
         """Exact integral of sqrt(det g) over the box of (lo, hi) bounds;
@@ -351,7 +327,8 @@ class MetricField:
         return np.sqrt(det)
 
     def block_metric(self, block):
-        """Restriction of the metric to one coordinate block."""
+        """Restriction of the metric to one coordinate block, for
+        ``eval`` and ``sqrt_det``."""
         idx = np.asarray(block)
 
         def sub(th):
@@ -369,22 +346,6 @@ class MetricField:
                                if c in self.scale_coords))
 
 
-def fd_step(metric: MetricField, theta, c: int, base: float) -> float:
-    """FD step in direction c: base * max(1, |theta_c|), except on half-line
-    coordinates where it is proportional to theta_c so perturbed points stay
-    inside the chart."""
-    if c in metric.scale_coords:
-        return base * abs(theta[c])
-    return base * max(1.0, abs(theta[c]))
-
-
-def _richardson_diff(fn, h):
-    """Central difference of fn at 0 with one Richardson level (error h^4)."""
-    d1 = (fn(h) - fn(-h)) / (2 * h)
-    d2 = (fn(h / 2) - fn(-h / 2)) / h
-    return (4.0 * d2 - d1) / 3.0
-
-
 def flat_metric(dim: int) -> MetricField:
     eye = np.eye(dim)
 
@@ -392,10 +353,12 @@ def flat_metric(dim: int) -> MetricField:
         th = np.asarray(th, float)
         return np.broadcast_to(eye, th.shape[:-1] + (dim, dim)).copy()
 
-    return MetricField(dim, mat, jet_fn=lambda th: (eye.copy(),
-                                                    np.zeros((dim,) * 3)),
-                       jet2_fn=lambda th: (eye.copy(), np.zeros((dim,) * 3),
-                                           np.zeros((dim,) * 4)),
+    def jet(th, order=1):
+        # g followed by its first ``order`` derivatives, all zero
+        return (eye.copy(),) + tuple(np.zeros((dim,) * k)
+                                     for k in range(3, 3 + order))
+
+    return MetricField(dim, mat, jet_fn=jet,
                        volume_fn=lambda bounds: np.prod(
                            [hi - lo for lo, hi in bounds]),
                        blocks=[(i,) for i in range(dim)])
@@ -405,7 +368,7 @@ def flat_metric(dim: int) -> MetricField:
 # closed-form Fisher metrics
 # ---------------------------------------------------------------------------
 
-def _inverse_square_metric(dim, blocks) -> MetricField:
+def _inverse_square_metric(dim, blocks, source="analytic") -> MetricField:
     """Metric C_k / s_k^2 on each coordinate block k, zero across blocks.
 
     ``blocks`` holds (indices, C) pairs: the block's chart indices, whose
@@ -413,7 +376,8 @@ def _inverse_square_metric(dim, blocks) -> MetricField:
     Every block entry scales as s^-2, so d_s g = -2 g / s and
     d_s^2 g = 6 g / s^2 are exact and all other derivatives vanish.  The
     box volume is prod_k sqrt(det C_k) * (mean-axis extents) *
-    integral of s^-d_k over the spread interval.
+    integral of s^-d_k over the spread interval.  ``source`` records how
+    the C_k were obtained (closed form or quadrature).
     """
     c_full = np.zeros((dim, dim))
     owner = np.empty(dim, dtype=int)     # spread coordinate of each index
@@ -449,8 +413,8 @@ def _inverse_square_metric(dim, blocks) -> MetricField:
                 total *= bounds[i][1] - bounds[i][0]
         return total
 
-    return MetricField(dim, mat, jet_fn=jet, jet2_fn=lambda th: jet(th, 2),
-                       volume_fn=volume, blocks=[idx for idx, _ in blocks],
+    return MetricField(dim, mat, jet_fn=jet, source=source, volume_fn=volume,
+                       blocks=[idx for idx, _ in blocks],
                        scale_coords=tuple(idx[-1] for idx, _ in blocks))
 
 
@@ -550,47 +514,34 @@ def fisher_quadrature(model: StatModel, nodes: int = 64,
                       max_nodes: int = 4096) -> MetricField:
     """Fisher-Rao metric integrated numerically against the model density.
 
-    Uses Hermite rules for full-line factors and Laguerre rules for half-line
-    factors, doubling the node count until the entrywise relative change falls
-    below ``rel_tol``.  Raises QuadratureAccuracyError (with the last estimate
-    attached) when the node cap is reached first.
+    Every factor is a location-scale family in its chart (x = mu + s t), so
+    its score is h(t) / s and its Fisher block is exactly C / s^2 with
+    C = E[h h^T] independent of theta.  C is integrated once, at the model's
+    own theta, with Hermite rules for full-line factors and Laguerre rules
+    for half-line factors, doubling the node count until the entrywise
+    relative change falls below ``rel_tol``; the metric then has the exact
+    jets and box volume of the closed forms.  Raises
+    QuadratureAccuracyError (with the last block estimate attached) when the
+    node cap is reached first.
     """
-    dim = model.param_dim
-    blocks = [f.theta_at for f in model.factors]
-    scale = tuple(f.theta_at[-1] for f in model.factors)
-    base = model
-
-    def mat_single(th):
-        m = with_theta(base, th)
-        g = np.zeros((dim, dim))
-        for f in m.factors:
-            idx = np.asarray(f.theta_at)
-            n = nodes
-            cur = _factor_fisher_block(m, f, m.theta, n)
-            while True:
-                if 2 * n > max_nodes:
-                    raise QuadratureAccuracyError(
-                        f"fisher quadrature did not converge below {rel_tol} "
-                        f"within {max_nodes} nodes", estimate=cur)
-                nxt = _factor_fisher_block(m, f, m.theta, 2 * n)
-                scale_ = max(np.max(np.abs(nxt)), 1e-300)
-                if np.max(np.abs(nxt - cur)) <= rel_tol * scale_:
-                    cur = nxt
-                    break
-                cur, n = nxt, 2 * n
-            g[idx[:, None], idx[None, :]] = cur
-        return g
-
-    def mat(th):
-        th = np.asarray(th, float)
-        if th.ndim == 1:
-            return mat_single(th)
-        flat = th.reshape(-1, dim)
-        return np.stack([mat_single(p) for p in flat]).reshape(
-            th.shape[:-1] + (dim, dim))
-
-    return MetricField(dim, mat, jet_fn=None, source="quadrature",
-                       blocks=blocks, scale_coords=scale)
+    th = model.theta
+    blocks = []
+    for f in model.factors:
+        n = nodes
+        cur = _factor_fisher_block(model, f, th, n)
+        while True:
+            if 2 * n > max_nodes:
+                raise QuadratureAccuracyError(
+                    f"fisher quadrature did not converge below {rel_tol} "
+                    f"within {max_nodes} nodes", estimate=cur)
+            nxt = _factor_fisher_block(model, f, th, 2 * n)
+            scale = max(np.max(np.abs(nxt)), 1e-300)
+            if np.max(np.abs(nxt - cur)) <= rel_tol * scale:
+                break
+            cur, n = nxt, 2 * n
+        blocks.append((f.theta_at, nxt * th[f.theta_at[-1]] ** 2))
+    return _inverse_square_metric(model.param_dim, blocks,
+                                  source="quadrature")
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
-"""Shared fixtures: counter-based RNG streams, finite-difference oracles and
-the carrier start of a geodesic path."""
+"""Shared fixtures: counter-based RNG streams, finite-difference and
+per-point quadrature oracles and the carrier start of a geodesic path."""
 
 import numpy as np
 import pytest
 
+from igac import geometry as geo
 from igac import models as md
+from igac.errors import QuadratureAccuracyError
 
 
 def philox(seed: int) -> np.random.Generator:
@@ -29,6 +31,54 @@ def fd_score(model, x, step=1e-5):
         d2 = (val(h / 2) - val(-h / 2)) / h
         out[a] = (4 * d2 - d1) / 3
     return out
+
+
+def gamma_derivative_fd(metric, theta):
+    """Independent oracle for the connection derivative: dG[c, a, b, d] =
+    d_c Gamma^a_bd by central differences of the Christoffel symbols with one
+    Richardson level, step 1e-4 * max(1, |theta_c|) (proportional to
+    theta_c on spread coordinates)."""
+    theta = np.asarray(theta, float)
+    n = metric.dim
+    out = np.empty((n, n, n, n))
+    for c in range(n):
+        h = 1e-4 * (abs(theta[c]) if c in metric.scale_coords
+                    else max(1.0, abs(theta[c])))
+
+        def shifted(t, c=c):
+            th = np.array(theta)
+            th[c] += t
+            return geo._christoffel_core(metric, th)
+
+        d1 = (shifted(h) - shifted(-h)) / (2 * h)
+        d2 = (shifted(h / 2) - shifted(-h / 2)) / h
+        out[c] = (4 * d2 - d1) / 3
+    return out
+
+
+def fisher_quadrature_at(model, theta, nodes=64, rel_tol=1e-9,
+                         max_nodes=4096):
+    """Reference Fisher metric at theta by per-point quadrature: every
+    factor block integrated against the density at theta itself, doubling
+    the node count until the entrywise relative change falls below
+    ``rel_tol``."""
+    m = md.with_theta(model, theta)
+    g = np.zeros((m.param_dim, m.param_dim))
+    for f in m.factors:
+        idx = np.asarray(f.theta_at)
+        n = nodes
+        cur = md._factor_fisher_block(m, f, m.theta, n)
+        while True:
+            if 2 * n > max_nodes:
+                raise QuadratureAccuracyError("node cap reached",
+                                              estimate=cur)
+            nxt = md._factor_fisher_block(m, f, m.theta, 2 * n)
+            if np.max(np.abs(nxt - cur)) <= \
+                    rel_tol * max(np.max(np.abs(nxt)), 1e-300):
+                break
+            cur, n = nxt, 2 * n
+        g[idx[:, None], idx[None, :]] = nxt
+    return g
 
 
 def carrier(path):

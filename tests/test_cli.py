@@ -145,6 +145,17 @@ def test_jacobi_without_normal_direction_exits_2(tmp_path, capsys, manifold,
     assert "DegeneratePlaneError" in capsys.readouterr().err
 
 
+def test_jacobi_carrier_leaving_chart_exits_2(tmp_path, capsys):
+    # the spread falls as e^(-3 tau) and crosses the chart floor near
+    # tau = 6; the Jacobi carrier stops there, as a geodesic solve would
+    cfg = tmp_path / "jac.yaml"
+    cfg.write_text(f"manifold: {DIAG_2D}\ntheta0: [0.0, 1.0]\n"
+                   "v0: [0.0, -3.0]\ntau_end: 20\n"
+                   f"output: {{directory: '{tmp_path}/out'}}\n")
+    assert cli.main(["jacobi", "--config", str(cfg)]) == 2
+    assert "ChartBoundaryError" in capsys.readouterr().err
+
+
 def test_mre_command(tmp_path):
     cfg = tmp_path / "mre.yaml"
     cfg.write_text(
@@ -263,6 +274,10 @@ def test_curvature_on_macro_correlated_manifold(tmp_path):
 
 
 DIAG_2D = "{kind: gaussian_diag, means: [0.0], sigmas: [1.0]}"
+MRE_UNIFORM = "mre:\n  prior: {family: uniform}\n" \
+    "  constraints: [{f: identity, target: 0.1}]\n"
+IGE_2D = f"manifold: {DIAG_2D}\ntheta0: [0.0, 1.0]\nv0: [1.0, 0.0]\n" \
+    "tau_end: 2.0\n"
 
 
 @pytest.mark.parametrize("command,body,field", [
@@ -295,10 +310,15 @@ DIAG_2D = "{kind: gaussian_diag, means: [0.0], sigmas: [1.0]}"
      "parameters.r[0]"),
     ("curvature", f"manifold: {DIAG_2D}\ntheta: [0.0, 1.0]\n"
      "metric_source: quadratur\n", "metric_source"),
+    ("mre", f"{MRE_UNIFORM}tol: abc\n", "tol"),
+    ("mre", f"{MRE_UNIFORM}tol: -1\n", "tol"),
+    ("ige", f"{IGE_2D}fit_form: cubic\n", "fit_form"),
+    ("ige", f"{IGE_2D}n_out: abc\n", "n_out"),
 ], ids=["r-text", "sigma-text", "numerics-scalar", "theta-long",
         "theta-short", "theta0-long", "v0-long", "dj0-long",
         "custom-theta-long", "tau-end-text", "no-coordinates", "target-text",
-        "macro-r-text", "metric-source-typo"])
+        "macro-r-text", "metric-source-typo", "mre-tol-text",
+        "mre-tol-negative", "ige-fit-form-unknown", "ige-n-out-text"])
 def test_malformed_config_exits_1_naming_field(tmp_path, capsys, command,
                                                body, field):
     cfg = tmp_path / "bad.yaml"

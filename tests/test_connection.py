@@ -1,6 +1,7 @@
 """Property tests of the connection jet: the exact derivative of the
-Christoffel symbols on every closed-form family against the Richardson
-difference of the connection, and the Jacobi flow on the difference path."""
+Christoffel symbols on every closed-form family, on quadrature metrics and on
+their chart rescalings against the Richardson difference of the connection,
+and the Jacobi flow on chain-rule jets."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -10,7 +11,7 @@ from igac import geometry as geo
 from igac import models as md
 from igac.scenarios import iho_metric
 
-from conftest import carrier
+from conftest import carrier, gamma_derivative_fd
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True,
                     database=None)
@@ -20,6 +21,8 @@ means = st.floats(-3.0, 3.0)
 spreads = st.floats(-3.0, np.log10(5.0)).map(lambda e: 10.0 ** e)
 corr = st.floats(-0.95, 0.95, exclude_min=True, exclude_max=True)
 macro_corr = st.floats(0.0, 0.95, exclude_max=True)
+# chart rescalings log-uniform in [0.1, 10]
+scales = st.floats(-1.0, 1.0).map(lambda e: 10.0 ** e)
 
 
 @st.composite
@@ -40,16 +43,19 @@ def factor(draw):
 
 
 @st.composite
-def closed_form_metric(draw):
-    """(metric with a second jet, in-chart point)."""
+def base_metric(draw):
+    """(metric, in-chart point) of every closed-form family or of a
+    quadrature metric."""
     family = draw(st.sampled_from(["fisher", "product", "macro", "iho",
-                                   "flat"]))
-    if family in ("fisher", "product"):
+                                   "flat", "quadrature"]))
+    if family in ("fisher", "product", "quadrature"):
         parts = draw(st.lists(factor(), min_size=1,
                               max_size=1 if family == "fisher" else 3))
         model = md.product(*[m for m, _ in parts])
         point = [x for _, p in parts for x in p]
-        return md.analytic_fisher(model), np.array(point)
+        build = md.fisher_quadrature if family == "quadrature" \
+            else md.analytic_fisher
+        return build(model), np.array(point)
     if family == "macro":
         rs = draw(st.lists(macro_corr, min_size=1, max_size=3))
         point = [x for _ in rs for x in (draw(means), draw(spreads))]
@@ -62,19 +68,28 @@ def closed_form_metric(draw):
     return md.flat_metric(dim), point
 
 
+@st.composite
+def jet_metric(draw):
+    """(metric, in-chart point): a base metric or its chart rescaling."""
+    metric, point = draw(base_metric())
+    if draw(st.booleans()):
+        scale = np.array([draw(scales) for _ in range(metric.dim)])
+        return geo.rescaled_chart(metric, scale), scale * point
+    return metric, point
+
+
 @PROPERTY
-@given(closed_form_metric())
+@given(jet_metric())
 def test_connection_jet_matches_finite_difference(case):
     metric, theta = case
-    assert metric.has_second_jet
     gam, dgam = geo.connection_jet(metric, theta)
     assert np.array_equal(gam, geo.christoffel(metric, theta))
-    oracle = geo._gamma_derivative(metric, theta)
+    oracle = gamma_derivative_fd(metric, theta)
     assert np.max(np.abs(dgam - oracle)) <= 1e-6 * np.max(np.abs(oracle))
 
 
 @PROPERTY
-@given(closed_form_metric())
+@given(jet_metric())
 def test_connection_derivative_symmetric_in_lower_pair(case):
     metric, theta = case
     _, dgam = geo.connection_jet(metric, theta)
@@ -82,19 +97,9 @@ def test_connection_derivative_symmetric_in_lower_pair(case):
     assert np.max(np.abs(asym)) <= 1e-14 * np.max(np.abs(dgam))
 
 
-def test_connection_jet_falls_back_without_second_jet():
-    metric = md.analytic_fisher(md.gaussian_bivariate_corr(0.0, 0.0, 1.0,
-                                                           r=0.4))
-    scaled = geo.rescaled_chart(metric, [2.0, 0.5, 1.0])
-    assert not scaled.has_second_jet
-    thp = np.array([0.6, -0.05, 1.1])
-    _, dgam = geo.connection_jet(scaled, thp)
-    assert np.array_equal(dgam, geo._gamma_derivative(scaled, thp))
-
-
 def test_jacobi_on_metric_without_second_jet_meets_sinh():
-    # the chart pullback has neither an analytic jet nor a second jet, so
-    # the deviation flow runs on the difference connection derivative
+    # the chart pullback has no jet of its own: the deviation flow runs on
+    # jets carried over from the base metric by the chain rule
     params = dyn.WavePacketParams(1.0, 0.25, 1.0, 0.5)
     metric = md.analytic_fisher(md.gaussian_bivariate_corr(
         0.0, 0.0, params.sigma_peak, r=params.r))

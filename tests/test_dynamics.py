@@ -67,6 +67,19 @@ def test_chart_boundary_error_carries_state():
     assert theta[2] == pytest.approx(1e-8, rel=1e-3)
 
 
+def test_jacobi_carrier_at_chart_boundary_carries_state():
+    metric = wavepacket_metric(0.0)
+    _, th0, v0 = wavepacket_start(0.0)
+    with pytest.raises(ChartBoundaryError) as err:
+        dyn.integrate_jacobi(metric, th0, v0, np.linspace(0.0, 50.0, 65),
+                             np.zeros(3), dyn.normal_direction(metric, th0,
+                                                               v0))
+    tau, theta, theta_dot = err.value.last_state
+    assert 0 < tau < 50.0
+    assert theta[2] == pytest.approx(1e-8, rel=1e-3)
+    assert theta_dot.shape == (3,)
+
+
 def test_bvp_flat():
     m = md.flat_metric(2)
     path = dyn.solve_geodesic_bvp(m, [0.0, 0.0], [3.0, 6.0], 3.0, tol=1e-10)

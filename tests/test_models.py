@@ -2,12 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from igac import models as md
 from igac.errors import DomainError
 
-from conftest import FAMILIES, fd_score, philox, random_micro_point, \
-    random_model
+from conftest import FAMILIES, fd_score, fisher_quadrature_at, philox, \
+    random_micro_point, random_model
 
 
 def test_log_density_standard_normal_at_mean():
@@ -138,16 +139,17 @@ def test_product_metric_block_diagonal():
         assert mat[i, j] == 0.0
 
 
-def test_fd_jet_matches_analytic_jet():
-    m = md.gaussian_bivariate_corr(0.1, -0.2, 1.4, r=0.4)
-    analytic = md.analytic_fisher(m)
-    fd = md.MetricField(3, analytic.eval, jet_fn=None,
-                        source="finite_difference",
-                        scale_coords=analytic.scale_coords)
-    ga, dga = analytic.jet(m.theta)
-    gf, dgf = fd.jet(m.theta)
-    assert np.max(np.abs(ga - gf)) < 1e-12
-    assert np.max(np.abs(dga - dgf)) < 1e-8
+def test_metric_without_jet_raises_from_jet():
+    metric = md.analytic_fisher(md.gaussian_diag([0.0], [1.0]))
+    bare = md.MetricField(2, metric.eval, scale_coords=(1,))
+    for order in (1, 2):
+        with pytest.raises(ValueError):
+            bare.jet([0.0, 1.0], order)
+    # block sub-metrics carry no jet; they serve sqrt_det
+    sub = metric.block_metric((0, 1))
+    assert sub.sqrt_det([0.0, 2.0]) == pytest.approx(np.sqrt(2.0) / 4.0)
+    with pytest.raises(ValueError):
+        sub.jet([0.0, 2.0])
 
 
 def test_with_theta_rebinds_and_validates():
@@ -171,8 +173,52 @@ def test_quadrature_cap_reports_estimate():
     from igac.errors import QuadratureAccuracyError
 
     m = md.gaussian_diag([0.0], [1.0])
-    metric = md.fisher_quadrature(m, nodes=4, max_nodes=4)
     with pytest.raises(QuadratureAccuracyError) as err:
-        metric.eval(m.theta)
+        md.fisher_quadrature(m, nodes=4, max_nodes=4)
     assert err.value.estimate is not None
     assert err.value.estimate.shape == (2, 2)
+
+
+means = st.floats(-3.0, 3.0)
+# spreads log-uniform in [1e-2, 1e2]
+spreads = st.floats(-2.0, 2.0).map(lambda e: 10.0 ** e)
+
+
+@st.composite
+def chart_point(draw, model):
+    theta = np.empty(model.param_dim)
+    for f in model.factors:
+        for i in f.theta_at[:-1]:
+            theta[i] = draw(means)
+        theta[f.theta_at[-1]] = draw(spreads)
+    return theta
+
+
+@st.composite
+def quadrature_case(draw):
+    """(model at a drawn point, a second drawn point) for every family."""
+    family = draw(st.sampled_from(FAMILIES))
+    l = draw(st.integers(1, 3))
+    pairs = md.gaussian_diag([0.0] * l, [1.0] * l)
+    biv = md.gaussian_bivariate_corr(0.0, 0.0, 1.0,
+                                     r=draw(st.floats(-0.9, 0.9)))
+    model = {"gaussian_diag": pairs, "exponential": md.exponential(1.0),
+             "wigner_dyson": md.wigner_dyson(1.0),
+             "gaussian_bivariate_corr": biv,
+             "product": md.product(md.exponential(1.0), pairs,
+                                   md.wigner_dyson(1.0), biv)}[family]
+    model = md.with_theta(model, draw(chart_point(model)))
+    return model, draw(chart_point(model))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(quadrature_case())
+def test_quadrature_metric_matches_per_point_quadrature(case):
+    """The constant-per-factor metric, built at the model's own point and
+    evaluated elsewhere, against quadrature redone at the evaluation point;
+    entry ab is compared on the scale sqrt(g_aa g_bb)."""
+    model, theta = case
+    g = md.fisher_quadrature(model).eval(theta)
+    ref = fisher_quadrature_at(model, theta)
+    scale = np.sqrt(np.outer(np.diag(ref), np.diag(ref)))
+    assert np.all(np.abs(g - ref) <= 1e-12 * scale)

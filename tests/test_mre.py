@@ -65,6 +65,17 @@ def test_degenerate_variance_rejected():
         mre.update(mre.uniform_prior(-20.0, 20.0), 1.0, 1.0)
 
 
+@pytest.mark.parametrize("mean,second", [(1.0, 3.0), (2.0, 10.0)])
+def test_half_line_variance_above_squared_mean_is_infeasible(mean, second):
+    # on [0, inf) a tilt e^((b1 - 1) x + b2 x^2) of the Exp(1) prior is
+    # normalizable only for b2 <= 0, where it is log-concave, and a
+    # log-concave density on the half line has variance <= mean^2; a larger
+    # variance has no maximum-entropy solution
+    assert second - mean ** 2 > mean ** 2
+    with pytest.raises(InfeasibleConstraintError):
+        mre.update(md.exponential(1.0), mean, second)
+
+
 def test_divergent_tilt_rejected():
     # a linear tilt of the exponential tail diverges once beta reaches 1
     with pytest.raises(InfeasibleConstraintError):

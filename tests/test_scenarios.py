@@ -26,6 +26,8 @@ def test_uncorrelated_gaussian_report():
     assert {"ricci_scalar_analytic", "ricci_scalar_quadrature",
             "jacobi_rate_vs_slope_per_pair",
             "slope_ratio_doubling"} <= names
+    quad = next(c for c in rep.checks if c.name == "ricci_scalar_quadrature")
+    assert abs(quad.value + 1.0) < 1e-12 and quad.tol == 1e-4
     assert 1.8 <= rep.observables["ige_slope_doubled"] \
         / rep.observables["ige_linear_slope"] <= 2.2
     d = rep.to_dict()
