@@ -256,6 +256,31 @@ def _validate_manifold_command(cfg, command, failures):
             _check_vector(cfg[key], key, dim, failures)
 
 
+# the checked keys of each prior family, with their defaults
+_PRIOR_KEYS = {"exponential": {"mu": 1.0},
+               "gaussian": {"mu": 0.0, "sigma": 1.0},
+               "uniform": {"lo": -1.0, "hi": 1.0}}
+
+
+def _check_prior(prior, path, failures):
+    """Finite parameters, positive scales (exponential ``mu``, gaussian
+    ``sigma``) and ``lo < hi`` for the uniform prior."""
+    n_failures = len(failures)
+    vals = {key: prior.get(key, default)
+            for key, default in _PRIOR_KEYS[prior["family"]].items()}
+    for key, val in vals.items():
+        positive = key == "sigma" or prior["family"] == "exponential"
+        if not _is_number(val) or not np.isfinite(val) or \
+                (positive and val <= 0):
+            kind = "a positive" if positive else "a finite"
+            failures.append((f"{path}.{key}",
+                             f"must be {kind} number, got {val!r}"))
+    if len(failures) == n_failures and "lo" in vals \
+            and not vals["lo"] < vals["hi"]:
+        failures.append((f"{path}.hi",
+                         f"must exceed lo = {vals['lo']}, got {vals['hi']}"))
+
+
 def _validate_mre(spec, path, failures):
     if not isinstance(spec, dict):
         failures.append((path, "missing mre problem mapping"))
@@ -263,9 +288,17 @@ def _validate_mre(spec, path, failures):
     prior = spec.get("prior")
     if not isinstance(prior, dict) or "family" not in prior:
         failures.append((f"{path}.prior.family", "missing required key"))
-    elif prior["family"] not in ("exponential", "gaussian", "uniform"):
+    elif prior["family"] not in _PRIOR_KEYS:
         failures.append((f"{path}.prior.family",
                          f"unknown prior family {prior['family']!r}"))
+    else:
+        _check_prior(prior, f"{path}.prior", failures)
+    dom = spec.get("domain")
+    if dom is not None and not (
+            isinstance(dom, (list, tuple)) and len(dom) == 2
+            and all(_is_number(x) for x in dom) and dom[0] < dom[1]):
+        failures.append((f"{path}.domain",
+                         f"must be two numbers lo < hi, got {dom!r}"))
     cons = spec.get("constraints")
     if not isinstance(cons, list) or not cons:
         failures.append((f"{path}.constraints",
@@ -322,13 +355,12 @@ def build_model(spec: dict) -> md.StatModel:
 
 def _build_prior(spec):
     fam = spec["family"]
+    par = {**_PRIOR_KEYS[fam], **spec}
     if fam == "exponential":
-        return md.exponential(spec.get("mu", 1.0)), None
+        return md.exponential(par["mu"]), None
     if fam == "gaussian":
-        return md.gaussian_diag([spec.get("mu", 0.0)],
-                                [spec.get("sigma", 1.0)]), None
-    lo, hi = spec.get("lo", -1.0), spec.get("hi", 1.0)
-    return mre.uniform_prior(lo, hi), (lo, hi)
+        return md.gaussian_diag([par["mu"]], [par["sigma"]]), None
+    return mre.uniform_prior(par["lo"], par["hi"]), (par["lo"], par["hi"])
 
 
 def _build_mre_problem(spec):

@@ -67,11 +67,13 @@ class UndefinedEntropyError(IgacError):
 
 
 class InfeasibleConstraintError(IgacError):
-    """Moment constraint incompatible with the prior (divergent tilt)."""
+    """Moment constraints incompatible with the prior: the tilt diverges or
+    the multiplier solve does not converge."""
 
 
 class BracketingError(IgacError):
-    """Root bracketing failed: no sign change on the expanded interval."""
+    """A moment target lies outside the range its constraint function takes
+    on the working grid, so no tilt can reach it."""
 
 
 class FitFailureError(IgacError):

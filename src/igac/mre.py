@@ -3,14 +3,16 @@
 Given a prior density, constraints <f_j(X)> = F_j and normalization, the
 maximizer of the relative entropy S[P, P_old] = -int P ln(P/P_old) is the
 exponential tilt P_new = P_old exp(beta . f) / Z(beta), with the multipliers
-fixed by grad ln Z = F.  ln Z is convex in beta, so the one-constraint solve
-is a safeguarded Newton iteration inside a sign-change bracket and the
-multi-constraint solve is a damped Newton iteration on the moment residual
-with the tilted covariance as Jacobian.
+fixed by grad ln Z = F.  These minimize the convex dual ln Z(beta) - beta . F,
+whose gradient is the moment residual and whose Hessian is the tilted
+covariance of f; one damped Newton iteration with Armijo backtracking solves
+it for any number of constraints.
 
 Integrals use composite Gauss-Legendre grids (2048 points, endpoint
-clustered); infinite prior supports are truncated at the prior's effective
-range and checked for genuine divergence of the tilted integrand.
+clustered).  Infinite prior supports are truncated at the prior's effective
+range, where ln Z is finite for every beta; whether Z stays finite on the
+untruncated support is decided once, at the solution, from the tilted
+integrand far beyond each truncated end.
 """
 
 from __future__ import annotations
@@ -19,13 +21,9 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .errors import (
-    BracketingError,
-    DomainError,
-    InfeasibleConstraintError,
-)
+from .errors import BracketingError, DomainError, \
+    InfeasibleConstraintError
 from .models import StatModel, log_density, _factor_box
 from .quadrature import gauss_legendre
 
@@ -42,6 +40,8 @@ __all__ = [
 
 _GRID_POINTS = 2048
 _PANEL_NODES = 64
+_NEWTON_STEPS = 100
+_HALVINGS = 60
 
 
 def _composite_grid(lo: float, hi: float, total: int = _GRID_POINTS):
@@ -102,7 +102,7 @@ def _prior_interval(prior, domain):
     """Finite working interval plus flags marking truncated infinite ends.
 
     A hard support boundary (the origin of a half-line density) is not a
-    truncation; only genuinely infinite ends get the tail-divergence guard.
+    truncation; only genuinely infinite ends get the integrability check.
     """
     if domain is not None:
         lo, hi = float(domain[0]), float(domain[1])
@@ -168,142 +168,111 @@ class _Workspace:
     def __init__(self, problem: MrEProblem):
         lo, hi, self.open_lo, self.open_hi = _prior_interval(
             problem.prior, problem.domain)
+        self.problem = problem
         self.bounds = (lo, hi)
         self.x, self.w = _composite_grid(lo, hi)
         self.lnp_old = _log_prior_values(problem.prior, self.x)
-        mass = float(np.exp(logsumexp(self.lnp_old + np.log(self.w))))
-        if abs(mass - 1.0) > 1e-6:
-            raise ValueError(f"prior is not normalized on the domain "
-                             f"(mass {mass})")
-        self.lnp_old -= np.log(mass)
         self.f = np.column_stack([np.asarray(fn(self.x), float)
                                   for fn, _ in problem.constraints])
         self.targets = np.array([F for _, F in problem.constraints])
+        self.lnpw = self.lnp_old + np.log(self.w)
+        log_mass = self.dual(np.zeros(self.targets.size))[0]
+        if abs(np.expm1(log_mass)) > 1e-6:
+            raise ValueError(f"prior is not normalized on the domain "
+                             f"(mass {np.exp(log_mass)})")
+        self.lnp_old -= log_mass
+        self.lnpw -= log_mass
 
-    def log_z(self, beta):
-        return float(logsumexp(self.lnp_old + np.log(self.w)
-                               + self.f @ beta))
-
-    def tilted_stats(self, beta):
-        lw = self.lnp_old + np.log(self.w) + self.f @ beta
-        lw -= logsumexp(lw)
-        prob = np.exp(lw)
+    def dual(self, beta):
+        """(ln Z(beta) - beta . F, tilted mean of f, tilted covariance of
+        f): the dual, its gradient plus F and its Hessian, from one
+        max-shifted exponential."""
+        g = self.lnpw + self.f @ beta
+        top = np.max(g)
+        prob = np.exp(g - top)
+        total = np.sum(prob)
+        prob /= total
         mean = prob @ self.f
         centered = self.f - mean
         cov = centered.T @ (centered * prob[:, None])
-        return mean, cov
+        return top + np.log(total) - beta @ self.targets, mean, cov
 
-    def check_divergence(self, beta):
-        """The true (untruncated) tilted integrand must decay at every
-        artificially truncated end; otherwise Z diverges."""
-        g = self.lnp_old + self.f @ beta
-        k = 8    # compare the outermost nodes with their inner neighbors
-        if self.open_hi and g[-1] > g[-k]:
+
+def _check_integrable(ws: _Workspace, beta):
+    """Z is finite on the untruncated support only if ln P_old + beta . f
+    decreases far beyond every truncated infinite end (100 and 10^4 spans
+    of the working interval)."""
+    lo, hi = ws.bounds
+    reach = (hi - lo) * np.array([0.0, 1e2, 1e4])
+    for is_open, x, side in ((ws.open_lo, lo - reach, "-inf"),
+                             (ws.open_hi, hi + reach, "+inf")):
+        if not is_open:
+            continue
+        f = np.column_stack([np.asarray(fn(x), float)
+                             for fn, _ in ws.problem.constraints])
+        g = _log_prior_values(ws.problem.prior, x) + f @ beta
+        if not np.all(np.diff(g) < 0.0):
             raise InfeasibleConstraintError(
-                "tilted integrand grows toward +inf; Z diverges")
-        if self.open_lo and g[0] > g[k - 1]:
-            raise InfeasibleConstraintError(
-                "tilted integrand grows toward -inf; Z diverges")
+                f"tilted integrand does not decay toward {side}; Z diverges")
 
 
-def _solve_scalar(ws: _Workspace, tol: float):
-    # no tilt can push the moment outside the range of f on the domain
-    f_lo, f_hi = float(np.min(ws.f[:, 0])), float(np.max(ws.f[:, 0]))
-    if not f_lo < ws.targets[0] < f_hi:
-        raise BracketingError(
-            f"target {ws.targets[0]} outside the reachable moment range "
-            f"[{f_lo}, {f_hi}]; no sign change exists")
-
-    def residual(b):
-        mean, _ = ws.tilted_stats(np.array([b]))
-        return mean[0] - ws.targets[0]
-
-    lo, hi = -1.0, 1.0
-    rlo, rhi = residual(lo), residual(hi)
-    for _ in range(60):
-        if rlo <= 0.0 <= rhi:
-            break
-        # residual is increasing in beta (dln Z/dbeta has positive slope)
-        if rlo > 0:
-            lo *= 2.0
-            ws.check_divergence(np.array([lo]))
-            rlo = residual(lo)
-        else:
-            hi *= 2.0
-            ws.check_divergence(np.array([hi]))
-            rhi = residual(hi)
-    else:
-        raise BracketingError("no sign change of the moment residual on the "
-                              f"expanded bracket [{lo}, {hi}]")
-
-    b = 0.5 * (lo + hi)
-    for _ in range(200):
-        mean, cov = ws.tilted_stats(np.array([b]))
-        res = mean[0] - ws.targets[0]
-        if res > 0:
-            hi = b
-        else:
-            lo = b
-        if abs(res) < tol:
-            break
-        var = cov[0, 0]
-        step = res / var if var > 0 else 0.0
-        cand = b - step
-        if not lo < cand < hi:    # Newton left the bracket; bisect instead
-            cand = 0.5 * (lo + hi)
-        b = cand
-    ws.check_divergence(np.array([b]))
-    return np.array([b])
-
-
-def _solve_newton(ws: _Workspace, tol: float):
+def _solve(ws: _Workspace, tol: float):
+    """Damped Newton on the convex dual of the truncated problem, with
+    Armijo backtracking; integrability is decided at the solution."""
+    # no tilt can push a moment outside the range of its f on the grid
+    for f, F in zip(ws.f.T, ws.targets):
+        if not np.min(f) < F < np.max(f):
+            raise BracketingError(
+                f"target {F} outside the reachable moment range "
+                f"[{np.min(f)}, {np.max(f)}]")
     beta = np.zeros(ws.targets.size)
-    mean, cov = ws.tilted_stats(beta)
-    res = mean - ws.targets
-    best = float(np.max(np.abs(res)))
-    for _ in range(200):
-        if best < tol:
-            break
+    val, mean, cov = ws.dual(beta)
+    for _ in range(_NEWTON_STEPS):
+        grad = mean - ws.targets
+        res = float(np.max(np.abs(grad)))
+        if res < tol:
+            _check_integrable(ws, beta)
+            return beta
         try:
-            step = np.linalg.solve(cov, -res)
+            step = np.linalg.solve(cov, -grad)
         except np.linalg.LinAlgError as exc:
             raise InfeasibleConstraintError(
                 "degenerate tilted covariance") from exc
-        lam = 1.0
-        while lam > 1e-10:
-            cand = beta + lam * step
-            ws.check_divergence(cand)
-            mean_c, cov_c = ws.tilted_stats(cand)
-            res_c = mean_c - ws.targets
-            if np.max(np.abs(res_c)) < best:
-                beta, res, cov = cand, res_c, cov_c
-                best = float(np.max(np.abs(res_c)))
+        slope = float(grad @ step)      # minus the squared Newton decrement
+        # below the dual's rounding the Armijo test means nothing
+        rounding = 1e-13 * (1.0 + abs(val) + abs(beta @ ws.targets))
+        t = 1.0
+        for _ in range(_HALVINGS):
+            trial = ws.dual(beta + t * step)
+            if -slope < rounding or trial[0] <= val + 0.25 * t * slope:
                 break
-            lam *= 0.5
+            t *= 0.5
         else:
             raise InfeasibleConstraintError(
-                f"moment residual stalled at {best}")
-    else:
-        raise InfeasibleConstraintError(
-            f"no convergence; residual {best} above {tol}")
-    return beta
+                f"line search stalled; residual {res}")
+        beta = beta + t * step
+        val, mean, cov = trial
+    raise InfeasibleConstraintError(
+        f"no convergence in {_NEWTON_STEPS} Newton steps; residual "
+        f"{np.max(np.abs(mean - ws.targets))} above {tol}")
 
 
 def solve_multiplier(problem: MrEProblem, tol: float = 1e-12) -> MrEResult:
-    """Solve grad ln Z(beta) = F and build the canonical posterior.
+    """Minimize ln Z(beta) - beta . F, so that grad ln Z = F, and build the
+    canonical posterior.
 
-    Raises InfeasibleConstraintError when the tilt makes Z diverge on an
-    infinite prior support and BracketingError when no sign change of the
-    residual can be bracketed.
+    Raises BracketingError when a target lies outside the range of its
+    constraint function on the working grid, and InfeasibleConstraintError
+    when the tilt makes Z diverge on an infinite prior support or Newton
+    does not bring the moment residual below ``tol``.
     """
     ws = _Workspace(problem)
-    beta = _solve_scalar(ws, tol) if ws.targets.size == 1 \
-        else _solve_newton(ws, tol)
-    log_z = ws.log_z(beta)
+    beta = _solve(ws, tol)
+    val, achieved, _ = ws.dual(beta)
+    log_z = float(val + beta @ ws.targets)
     lnp_new = ws.lnp_old + ws.f @ beta - log_z
     posterior = TabulatedDensity(ws.x, ws.w, np.exp(lnp_new),
                                  bounds=ws.bounds)
-    achieved, _ = ws.tilted_stats(beta)
     objective = log_z - float(beta @ achieved)
     return MrEResult(beta, log_z, posterior, achieved, objective)
 

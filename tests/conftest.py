@@ -1,12 +1,21 @@
-"""Shared fixtures: counter-based RNG streams, finite-difference and
-per-point quadrature oracles and the carrier start of a geodesic path."""
+"""Shared fixtures: the hypothesis profile, counter-based RNG streams,
+finite-difference and per-point quadrature oracles and the carrier start of
+a geodesic path."""
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from igac import geometry as geo
 from igac import models as md
 from igac.errors import QuadratureAccuracyError
+
+
+# property tests replay the same examples on every run and store nothing;
+# each test sets only its own max_examples
+settings.register_profile("igac", deadline=None, derandomize=True,
+                          database=None)
+settings.load_profile("igac")
 
 
 def philox(seed: int) -> np.random.Generator:

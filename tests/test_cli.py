@@ -1,6 +1,7 @@
 """Config validation, deterministic emission and exit-code contract."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -170,6 +171,15 @@ def test_mre_command(tmp_path):
     assert report["observables"]["beta"][1] == pytest.approx(-0.5, abs=1e-9)
 
 
+def test_mre_demo_report_is_byte_identical(tmp_path):
+    config = Path(__file__).parents[1] / "demos/configs/mre.yaml"
+    for run in ("a", "b"):
+        assert cli.main(["mre", "--config", str(config),
+                         "--out", str(tmp_path / run)]) == 0
+    assert (tmp_path / "a" / "report.json").read_bytes() == \
+        (tmp_path / "b" / "report.json").read_bytes()
+
+
 def test_mre_constraint_validation():
     with pytest.raises(ConfigError) as err:
         cli.parse_config(
@@ -274,8 +284,15 @@ def test_curvature_on_macro_correlated_manifold(tmp_path):
 
 
 DIAG_2D = "{kind: gaussian_diag, means: [0.0], sigmas: [1.0]}"
-MRE_UNIFORM = "mre:\n  prior: {family: uniform}\n" \
-    "  constraints: [{f: identity, target: 0.1}]\n"
+
+
+def mre_body(prior_line):
+    return f"mre:\n  {prior_line}\n" \
+        "  constraints: [{f: identity, target: 0.1}]\n"
+
+
+MRE_UNIFORM = mre_body("prior: {family: uniform}")
+
 IGE_2D = f"manifold: {DIAG_2D}\ntheta0: [0.0, 1.0]\nv0: [1.0, 0.0]\n" \
     "tau_end: 2.0\n"
 
@@ -314,11 +331,25 @@ IGE_2D = f"manifold: {DIAG_2D}\ntheta0: [0.0, 1.0]\nv0: [1.0, 0.0]\n" \
     ("mre", f"{MRE_UNIFORM}tol: -1\n", "tol"),
     ("ige", f"{IGE_2D}fit_form: cubic\n", "fit_form"),
     ("ige", f"{IGE_2D}n_out: abc\n", "n_out"),
+    ("mre", mre_body("prior: {family: gaussian, sigma: -1.0}"),
+     "mre.prior.sigma"),
+    ("mre", mre_body("prior: {family: exponential, mu: abc}"),
+     "mre.prior.mu"),
+    ("mre", mre_body("prior: {family: gaussian}\n  domain: [0.5]"),
+     "mre.domain"),
+    ("mre", mre_body("prior: {family: uniform, lo: 1.0, hi: -1.0}"),
+     "mre.prior.hi"),
+    ("scenario", "scenario: mre_update\nparameters:\n"
+     "  prior: {family: gaussian, sigma: -1.0}\n"
+     "  constraints: [{f: identity, target: 0.1}]\n",
+     "parameters.prior.sigma"),
 ], ids=["r-text", "sigma-text", "numerics-scalar", "theta-long",
         "theta-short", "theta0-long", "v0-long", "dj0-long",
         "custom-theta-long", "tau-end-text", "no-coordinates", "target-text",
         "macro-r-text", "metric-source-typo", "mre-tol-text",
-        "mre-tol-negative", "ige-fit-form-unknown", "ige-n-out-text"])
+        "mre-tol-negative", "ige-fit-form-unknown", "ige-n-out-text",
+        "mre-sigma-negative", "mre-mu-text", "mre-domain-short",
+        "mre-uniform-reversed", "mre-update-sigma-negative"])
 def test_malformed_config_exits_1_naming_field(tmp_path, capsys, command,
                                                body, field):
     cfg = tmp_path / "bad.yaml"

@@ -13,8 +13,7 @@ from igac.scenarios import iho_metric
 
 from conftest import carrier, gamma_derivative_fd
 
-PROPERTY = settings(max_examples=40, deadline=None, derandomize=True,
-                    database=None)
+PROPERTY = settings(max_examples=40)
 
 means = st.floats(-3.0, 3.0)
 # spreads log-uniform down to 1e-3

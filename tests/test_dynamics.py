@@ -328,7 +328,7 @@ def test_lyapunov_on_backward_trace():
 DEMO = dyn.WavePacketParams(1.0, 0.1, 1.0)
 
 
-@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@settings(max_examples=30)
 @given(r=st.floats(0.0, 0.9, exclude_max=True),
        tol=st.sampled_from([1e-8, 1e-9, 1e-10, 1e-11]))
 def test_geodesic_closed_forms_across_tolerances(r, tol):

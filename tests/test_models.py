@@ -211,7 +211,7 @@ def quadrature_case(draw):
     return model, draw(chart_point(model))
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(quadrature_case())
 def test_quadrature_metric_matches_per_point_quadrature(case):
     """The constant-per-factor metric, built at the model's own point and

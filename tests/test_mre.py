@@ -3,6 +3,7 @@ perturbation oracle, and the error taxonomy."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from igac import models as md
 from igac import mre
@@ -89,6 +90,83 @@ def test_bracketing_error_for_unreachable_target():
         mre.solve_multiplier(
             mre.MrEProblem(md.gaussian_diag([0.0], [1.0]),
                            ((np.tanh, 2.0),)))
+
+
+# (mean, second moment) inside the moment cone of each prior
+IN_CONE = [("gaussian", 2.0, 4.5), ("gaussian", 2.0, 6.0),
+           ("gaussian", 2.0, 7.9), ("gaussian", 3.0, 17.0),
+           ("gaussian", 0.3, 2.0), ("gaussian", 1.0, 3.0),
+           ("exponential", 0.5, 0.4), ("exponential", 2.0, 6.0),
+           ("exponential", 2.0, 7.9), ("exponential", 3.0, 17.0),
+           ("exponential", 1.0, 1.5)]
+# Gaussian targets whose posterior N(m, v) fits inside the +-13 box
+UNTRUNCATED = {(2.0, 4.5), (2.0, 6.0), (0.3, 2.0), (1.0, 3.0)}
+
+
+def _prior(family):
+    if family == "gaussian":
+        return md.gaussian_diag([0.0], [1.0])
+    if family == "exponential":
+        return md.exponential(1.0)
+    return mre.uniform_prior(-1.0, 1.0)
+
+
+@pytest.mark.parametrize("family,mean,second", IN_CONE)
+def test_in_cone_two_moment_targets_converge(family, mean, second):
+    res = mre.update(_prior(family), mean, second)
+    assert np.max(np.abs(res.achieved - [mean, second])) < 1e-10
+    if family == "gaussian" and (mean, second) in UNTRUNCATED:
+        # N(0,1) e^(b1 x + b2 x^2) = N(m, v): b1 = m/v, b2 = 1/2 - 1/(2v)
+        var = second - mean ** 2
+        assert res.beta == pytest.approx(
+            [mean / var, 0.5 - 0.5 / var], abs=1e-9)
+
+
+def _cone_target(family, u, v):
+    """(mean, second moment) from u, v in [0, 1], inside the moment cone."""
+    if family == "gaussian":
+        mean, var = -3.0 + 6.0 * u, 0.05 + 7.95 * v
+    elif family == "exponential":      # var < mean^2 on the half line
+        mean = 0.2 + 3.8 * u
+        var = (0.05 + 0.9 * v) * mean ** 2
+    else:                              # Bhatia-Davis on (-1, 1)
+        mean = -0.9 + 1.8 * u
+        var = (0.05 + 0.9 * v) * (1.0 - mean * mean)
+    return mean, var + mean * mean
+
+
+unit = st.floats(0.0, 1.0)
+
+
+@settings(max_examples=60)
+@given(st.sampled_from(["gaussian", "exponential", "uniform"]), unit, unit)
+def test_moment_cone_interior_converges(family, u, v):
+    mean, second = _cone_target(family, u, v)
+    res = mre.update(_prior(family), mean, second)
+    assert np.max(np.abs(res.achieved - [mean, second])) < 1e-10
+
+
+@settings(max_examples=30)
+@given(st.sampled_from(["exponential", "uniform"]), unit, unit)
+def test_moment_cone_exterior_raises(family, u, v):
+    if family == "exponential":
+        # var > mean^2 has no maximum-entropy solution on the half line
+        mean = 0.2 + 3.8 * u
+        with pytest.raises(InfeasibleConstraintError):
+            mre.update(_prior(family), mean, (2.05 + 3.0 * v) * mean ** 2)
+    else:
+        # E x^2 < 1 on (-1, 1): a second moment of 1 or more is unreachable
+        with pytest.raises(BracketingError):
+            mre.update(_prior(family), -0.9 + 1.8 * u, 1.0 + v)
+
+
+def test_jointly_infeasible_targets_raise():
+    # each target lies inside its own reachable range, but Jensen gives
+    # E x^2 >= (E|x|)^2 = 0.81 > 0.5: the dual is unbounded below
+    problem = mre.MrEProblem(mre.uniform_prior(-1.0, 1.0),
+                             ((np.abs, 0.9), (lambda x: x * x, 0.5)))
+    with pytest.raises(InfeasibleConstraintError):
+        mre.solve_multiplier(problem)
 
 
 def test_relative_entropy_values():

@@ -18,8 +18,7 @@ from igac.errors import QuadratureAccuracyError
 from igac.quadrature import integrate_box
 from igac.scenarios import iho_metric
 
-PROPERTY = settings(max_examples=60, deadline=None, derandomize=True,
-                    database=None)
+PROPERTY = settings(max_examples=60)
 
 corners = st.floats(-3.0, 3.0)
 # extents from 1e-6 to 10 on mean and oscillator axes
