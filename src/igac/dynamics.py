@@ -1,12 +1,13 @@
 """Geodesic flows and Jacobi fields on metric fields.
 
 Geodesics solve theta-ddot^a + Gamma^a_bc theta-dot^b theta-dot^c = 0 with
-the adaptive Dormand-Prince 8(5,3) pair (DOP853); two-point problems are
-solved by damped-Newton shooting on the initial velocity.  Jacobi fields are
-the linearized geodesic flow: the carrier state (theta, theta-dot) and the
-deviation (J, J-dot) are integrated as one DOP853 system from the carrier's
-start, with the connection derivative taken from the metric's exact second
-jet.
+the adaptive Dormand-Prince 8(5,3) pair (DOP853).  The linearized geodesic
+flow carries a block of deviations (J, J-dot) together with the carrier
+state (theta, theta-dot) as one DOP853 system, with the connection
+derivative taken from the metric's exact second jet.  Jacobi fields are one
+column of it; two-point problems are solved by damped-Newton shooting on the
+initial velocity, each shot integrating the n x n block that starts at
+(J, J-dot) = (0, I), which is the exact Jacobian of the endpoint map.
 
 The tanh/cosh closed-form geodesics of the colliding wave-packet manifolds
 are provided for oracle checks, together with the finite-time growth-rate
@@ -78,8 +79,30 @@ def _geodesic_rhs(metric):
     def rhs(_tau, y):
         th, v = y[:dim], y[dim:]
         gam = _christoffel_core(metric, th)
-        acc = -np.einsum("abc,b,c->a", gam, v, v)
-        return np.concatenate([v, acc])
+        return np.concatenate([v, -(gam @ v) @ v])
+
+    return rhs
+
+
+def _variational_rhs(metric):
+    """Right-hand side of the geodesic flow and its linearization.
+
+    The state is (theta, v, J, J-dot) with a deviation block J of shape
+    (dim, k), flattened; k follows from the state size.  Linearizing
+    theta-ddot^a = -Gamma^a_bc v^b v^c gives
+    J-ddot^a = -d_d Gamma^a_bc v^b v^c J^d - 2 Gamma^a_bc v^b J-dot^c,
+    column by column.  Gamma and its derivative come from one
+    ``connection_jet`` call per step stage.
+    """
+    dim = metric.dim
+
+    def rhs(_tau, y):
+        th, v = y[:dim], y[dim:2 * dim]
+        j, jdot = y[2 * dim:].reshape(2, dim, -1)
+        gam, dgam = connection_jet(metric, th)
+        gv = gam @ v                      # gv[a, b] = Gamma^a_bc v^c
+        jdd = -(dgam @ v @ v).T @ j - 2.0 * gv @ jdot
+        return np.concatenate([v, -gv @ v, jdot.ravel(), jdd.ravel()])
 
     return rhs
 
@@ -144,31 +167,58 @@ def integrate_geodesic(metric: MetricField, theta0, v0, tau_end: float,
     return GeodesicPath(taus, theta, theta_dot, speed, _interp=interp)
 
 
+def _shoot(metric: MetricField, theta_init, v0, tau_span: float,
+           tol: float):
+    """Endpoint theta(tau_span) of the geodesic from (theta_init, v0) and
+    its exact Jacobian d theta(tau_span) / d v0.
+
+    One DOP853 solve of the variational flow from (J, J-dot) = (0, I),
+    where covariant and ordinary derivatives of J agree, at the tolerances
+    of ``integrate_geodesic`` and without dense output.  Leaving the chart
+    raises ChartBoundaryError.
+    """
+    dim = metric.dim
+    y0 = np.concatenate([theta_init, v0, np.zeros(dim * dim),
+                         np.eye(dim).ravel()])
+    sol = solve_ivp(_variational_rhs(metric), (0.0, tau_span), y0,
+                    method="DOP853", rtol=tol, atol=tol * 1e-2,
+                    events=_boundary_events(metric))
+    _check_boundary_exit(sol, dim, "geodesic")
+    if not sol.success:
+        raise StiffnessError(f"integrator failed: {sol.message}")
+    y = sol.y[:, -1]
+    return y[:dim], y[2 * dim:dim * (2 + dim)].reshape(dim, dim)
+
+
 def solve_geodesic_bvp(metric: MetricField, theta_init, theta_final,
                        tau_span: float, tol: float = 1e-8,
                        max_iter: int = 50, n_out: int = 513) -> GeodesicPath:
     """Two-point geodesic by damped-Newton shooting on the initial velocity.
 
-    The Jacobian of the endpoint map is built from forward differences; the
-    Newton step is halved whenever the endpoint mismatch grows.  Failure
-    raises BvpFailureError with the best residual reached.
+    Each shot integrates the variational flow along with the geodesic, so
+    it returns the endpoint together with the exact Jacobian of the
+    endpoint map (simple shooting, Stoer & Bulirsch, Introduction to
+    Numerical Analysis, section 7.3).  The Newton step is halved whenever
+    the endpoint mismatch grows.  A start or end point outside the open
+    chart raises ChartBoundaryError; failure to converge raises
+    BvpFailureError with the best residual reached.
     """
     theta_init = np.asarray(theta_init, float)
     theta_final = np.asarray(theta_final, float)
-    if not metric.in_chart(theta_final):
-        raise ChartBoundaryError(
-            f"final point {theta_final} outside the open chart")
+    for name, point in (("initial", theta_init), ("final", theta_final)):
+        if not metric.in_chart(point):
+            raise ChartBoundaryError(
+                f"{name} point {point} outside the open chart")
     ode_tol = max(min(tol * 1e-3, 1e-10), 1e-13)
 
-    def endpoint(v):
-        path = integrate_geodesic(metric, theta_init, v, tau_span,
-                                  tol=ode_tol, n_out=2)
-        return path.theta[-1]
+    def shoot(v):
+        end, jac = _shoot(metric, theta_init, v, tau_span, ode_tol)
+        return end - theta_final, jac
 
     v = (theta_final - theta_init) / tau_span
     for _ in range(60):    # damp an initial shot that exits the chart
         try:
-            res = endpoint(v) - theta_final
+            res, jac = shoot(v)
             break
         except ChartBoundaryError:
             v = 0.5 * v
@@ -180,12 +230,6 @@ def solve_geodesic_bvp(metric: MetricField, theta_init, theta_final,
         if best < tol:
             return integrate_geodesic(metric, theta_init, v, tau_span,
                                       tol=ode_tol, n_out=n_out)
-        jac = np.empty((metric.dim, metric.dim))
-        for i in range(metric.dim):
-            h = 1e-7 * max(1.0, abs(v[i]))
-            vp = np.array(v)
-            vp[i] += h
-            jac[:, i] = (endpoint(vp) - theta_final - res) / h
         try:
             step = np.linalg.solve(jac, -res)
         except np.linalg.LinAlgError as exc:
@@ -195,12 +239,12 @@ def solve_geodesic_bvp(metric: MetricField, theta_init, theta_final,
         while lam > 1e-8:
             cand = v + lam * step
             try:
-                cres = endpoint(cand) - theta_final
+                cres, cjac = shoot(cand)
             except ChartBoundaryError:
                 lam *= 0.5
                 continue
             if np.linalg.norm(cres) < best:
-                v, res = cand, cres
+                v, res, jac = cand, cres, cjac
                 best = float(np.linalg.norm(cres))
                 break
             lam *= 0.5
@@ -354,16 +398,13 @@ def integrate_jacobi(metric: MetricField, theta0, v0, tau_grid, J0, DJ0,
     """Jacobi field along the geodesic from (theta0, v0) at ``tau_grid[0]``,
     as the linearized geodesic flow.
 
-    Linearizing theta-ddot^a = -Gamma^a_bc v^b v^c gives
-    J-ddot^a = -d_d Gamma^a_bc v^b v^c J^d - 2 Gamma^a_bc v^b J-dot^c.
-    (theta, v, J, J-dot) is integrated as one adaptive DOP853 system, so the
-    carrier takes part in step control and needs no separate geodesic
-    solve; field and carrier are sampled on ``tau_grid``, which may run
-    backward.  Gamma and its derivative come from one ``connection_jet``
-    call per step stage.  ``DJ0`` is the covariant derivative of J at the
-    start; the field is linear in (J0, DJ0).  A carrier that reaches the
-    chart boundary raises ChartBoundaryError with its last state, as in
-    ``integrate_geodesic``.
+    (theta, v, J, J-dot) is integrated as one adaptive DOP853 system of the
+    variational flow with a single deviation column, so the carrier takes
+    part in step control and needs no separate geodesic solve; field and
+    carrier are sampled on ``tau_grid``, which may run backward.  ``DJ0`` is
+    the covariant derivative of J at the start; the field is linear in
+    (J0, DJ0).  A carrier that reaches the chart boundary raises
+    ChartBoundaryError with its last state, as in ``integrate_geodesic``.
     """
     dim = metric.dim
     th0, v0, J0, DJ0, tau_grid = (np.asarray(a, float) for a in
@@ -371,15 +412,9 @@ def integrate_jacobi(metric: MetricField, theta0, v0, tau_grid, J0, DJ0,
     gam0 = _christoffel_core(metric, th0)
     jdot0 = DJ0 - np.einsum("abc,b,c->a", gam0, J0, v0)
 
-    def rhs(_tau, y):
-        th, v, j, jdot = y.reshape(4, dim)
-        gam, dgam = connection_jet(metric, th)
-        gv = gam @ v                      # gv[a, b] = Gamma^a_bc v^c
-        jdd = -j @ (dgam @ v @ v) - 2.0 * gv @ jdot
-        return np.concatenate([v, -gv @ v, jdot, jdd])
-
     t0, t1 = float(tau_grid[0]), float(tau_grid[-1])
-    sol = solve_ivp(rhs, (t0, t1), np.concatenate([th0, v0, J0, jdot0]),
+    sol = solve_ivp(_variational_rhs(metric), (t0, t1),
+                    np.concatenate([th0, v0, J0, jdot0]),
                     method="DOP853", rtol=rtol, atol=rtol * 1e-3,
                     t_eval=tau_grid, dense_output=False,
                     events=_boundary_events(metric))

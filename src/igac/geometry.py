@@ -61,11 +61,17 @@ def _inverse(g, theta) -> np.ndarray:
         raise DegenerateMetricError(f"singular metric at {theta}") from exc
 
 
+def _first_kind(dg) -> np.ndarray:
+    """t[..., d, b, c] = d_b g_dc + d_c g_db - d_d g_bc from
+    dg[..., c, a, b] = d_c g_ab; leading axes are carried along."""
+    swapped = np.swapaxes(dg, -3, -2)      # swapped[..., d, b, c] = d_b g_dc
+    return swapped + np.swapaxes(swapped, -2, -1) - dg
+
+
 def _christoffel_from(ginv, dg) -> np.ndarray:
-    # dg[c, a, b] = d_c g_ab
-    term = dg + np.transpose(dg, (2, 1, 0)) - np.transpose(dg, (1, 0, 2))
-    # term[b, d, c] = d_b g_dc + d_c g_db - d_d g_bc
-    return 0.5 * np.einsum("ad,bdc->abc", ginv, term)
+    # Gamma^a_bc = (1/2) g^ad t_dbc, one (n, n) @ (n, n^2) product
+    n = ginv.shape[0]
+    return 0.5 * (ginv @ _first_kind(dg).reshape(n, n * n)).reshape(n, n, n)
 
 
 def _christoffel_core(metric: MetricField, theta) -> np.ndarray:
@@ -86,15 +92,14 @@ def _connection(metric: MetricField, theta):
     g, dg, d2g = metric.jet(theta, order=2)
     ginv = _inverse(g, theta)
     gam = _christoffel_from(ginv, dg)
-    # Gamma^a_bc = g^ad T_dbc with T the first-kind symbols, and
+    # Gamma^a_bc = (1/2) g^ad t_dbc with t the first-kind symbols, and
     # d_e g^ad = -g^ap d_e g_pq g^qd, so
-    # d_e Gamma^a_bc = g^ad d_e T_dbc - g^ap d_e g_pq Gamma^q_bc
-    d2t = d2g + np.transpose(d2g, (0, 3, 2, 1)) \
-        - np.transpose(d2g, (0, 2, 1, 3))
-    # d2t[e, b, d, c] = d_e (d_b g_dc + d_c g_db - d_d g_bc)
-    dgam = 0.5 * np.einsum("ad,ebdc->eabc", ginv, d2t) \
-        - np.einsum("eaq,qbc->eabc", ginv @ dg, gam)
-    return g, ginv, dg, gam, dgam
+    # d_e Gamma^a_bc = (1/2) g^ad d_e t_dbc - g^ap d_e g_pq Gamma^q_bc;
+    # both terms are batched (n, n) @ (n, n^2) products over e
+    n = ginv.shape[0]
+    dt = _first_kind(d2g).reshape(n, n, n * n)    # dt[e, d, bc]
+    dgam = 0.5 * (ginv @ dt) - (ginv @ dg) @ gam.reshape(n, n * n)
+    return g, ginv, dg, gam, dgam.reshape(n, n, n, n)
 
 
 def connection_jet(metric: MetricField, theta):

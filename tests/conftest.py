@@ -1,11 +1,12 @@
 """Shared fixtures: the hypothesis profile, counter-based RNG streams,
-finite-difference and per-point quadrature oracles and the carrier start of
-a geodesic path."""
+finite-difference, einsum and per-point quadrature oracles and the carrier
+start of a geodesic path."""
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
+from igac import dynamics as dyn
 from igac import geometry as geo
 from igac import models as md
 from igac.errors import QuadratureAccuracyError
@@ -62,6 +63,47 @@ def gamma_derivative_fd(metric, theta):
         d1 = (shifted(h) - shifted(-h)) / (2 * h)
         d2 = (shifted(h / 2) - shifted(-h / 2)) / h
         out[c] = (4 * d2 - d1) / 3
+    return out
+
+
+def connection_einsum(metric, theta):
+    """Reference (Gamma, dGamma) written index by index with einsum, the
+    form the package used before its kernels became matrix products:
+    Gamma^a_bc = (1/2) g^ad T_dbc and
+    d_e Gamma^a_bc = (1/2) g^ad d_e T_dbc - g^ap d_e g_pq Gamma^q_bc."""
+    g, dg, d2g = metric.jet(np.asarray(theta, float), order=2)
+    ginv = np.linalg.inv(g)
+    # term[b, d, c] = d_b g_dc + d_c g_db - d_d g_bc
+    term = dg + np.transpose(dg, (2, 1, 0)) - np.transpose(dg, (1, 0, 2))
+    gam = 0.5 * np.einsum("ad,bdc->abc", ginv, term)
+    # d2t[e, b, d, c] = d_e (d_b g_dc + d_c g_db - d_d g_bc)
+    d2t = d2g + np.transpose(d2g, (0, 3, 2, 1)) \
+        - np.transpose(d2g, (0, 2, 1, 3))
+    dgam = 0.5 * np.einsum("ad,ebdc->eabc", ginv, d2t) \
+        - np.einsum("eaq,qbc->eabc", ginv @ dg, gam)
+    return gam, dgam
+
+
+def shooting_jacobian_fd(metric, theta0, v0, tau, tol=1e-13, step=1e-3):
+    """Independent oracle for the shooting Jacobian d theta(tau) / d v0:
+    central differences of geodesic endpoints with one Richardson level,
+    step ``step`` * max(1, |v0_i|)."""
+    theta0 = np.asarray(theta0, float)
+    v0 = np.asarray(v0, float)
+    n = v0.size
+    out = np.empty((n, n))
+    for i in range(n):
+        h = step * max(1.0, abs(v0[i]))
+
+        def endpoint(t, i=i):
+            v = np.array(v0)
+            v[i] += t
+            return dyn.integrate_geodesic(metric, theta0, v, tau, tol=tol,
+                                          n_out=2).theta[-1]
+
+        d1 = (endpoint(h) - endpoint(-h)) / (2 * h)
+        d2 = (endpoint(h / 2) - endpoint(-h / 2)) / h
+        out[:, i] = (4 * d2 - d1) / 3
     return out
 
 

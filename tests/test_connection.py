@@ -1,17 +1,21 @@
 """Property tests of the connection jet: the exact derivative of the
 Christoffel symbols on every closed-form family, on quadrature metrics and on
 their chart rescalings against the Richardson difference of the connection,
-and the Jacobi flow on chain-rule jets."""
+the matrix-product kernels against their einsum form, the shooting Jacobian
+of the variational flow against differences of geodesic endpoints, and the
+Jacobi flow on chain-rule jets."""
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from igac import dynamics as dyn
 from igac import geometry as geo
 from igac import models as md
 from igac.scenarios import iho_metric
 
-from conftest import carrier, gamma_derivative_fd
+from conftest import (carrier, connection_einsum, gamma_derivative_fd,
+                      philox, shooting_jacobian_fd)
 
 PROPERTY = settings(max_examples=40)
 
@@ -25,30 +29,30 @@ scales = st.floats(-1.0, 1.0).map(lambda e: 10.0 ** e)
 
 
 @st.composite
-def factor(draw):
+def factor(draw, spread=spreads):
     """(model factor, in-chart point of its coordinates)."""
     kind = draw(st.sampled_from(["gaussian_diag", "exponential",
                                  "wigner_dyson", "gaussian_bivariate_corr"]))
     if kind == "gaussian_diag":
         l = draw(st.integers(1, 3))
-        point = [x for _ in range(l) for x in (draw(means), draw(spreads))]
+        point = [x for _ in range(l) for x in (draw(means), draw(spread))]
         return md.gaussian_diag([0.0] * l, [1.0] * l), point
     if kind == "exponential":
-        return md.exponential(1.0), [draw(spreads)]
+        return md.exponential(1.0), [draw(spread)]
     if kind == "wigner_dyson":
-        return md.wigner_dyson(1.0), [draw(spreads)]
+        return md.wigner_dyson(1.0), [draw(spread)]
     return (md.gaussian_bivariate_corr(0.0, 0.0, 1.0, r=draw(corr)),
-            [draw(means), draw(means), draw(spreads)])
+            [draw(means), draw(means), draw(spread)])
 
 
 @st.composite
-def base_metric(draw):
+def base_metric(draw, spread=spreads):
     """(metric, in-chart point) of every closed-form family or of a
     quadrature metric."""
     family = draw(st.sampled_from(["fisher", "product", "macro", "iho",
                                    "flat", "quadrature"]))
     if family in ("fisher", "product", "quadrature"):
-        parts = draw(st.lists(factor(), min_size=1,
+        parts = draw(st.lists(factor(spread), min_size=1,
                               max_size=1 if family == "fisher" else 3))
         model = md.product(*[m for m, _ in parts])
         point = [x for _, p in parts for x in p]
@@ -57,7 +61,7 @@ def base_metric(draw):
         return build(model), np.array(point)
     if family == "macro":
         rs = draw(st.lists(macro_corr, min_size=1, max_size=3))
-        point = [x for _ in rs for x in (draw(means), draw(spreads))]
+        point = [x for _ in rs for x in (draw(means), draw(spread))]
         return md.macro_correlated_metric(rs), np.array(point)
     dim = draw(st.integers(1, 4))
     point = np.array([draw(means) for _ in range(dim)])
@@ -68,9 +72,9 @@ def base_metric(draw):
 
 
 @st.composite
-def jet_metric(draw):
+def jet_metric(draw, spread=spreads):
     """(metric, in-chart point): a base metric or its chart rescaling."""
-    metric, point = draw(base_metric())
+    metric, point = draw(base_metric(spread))
     if draw(st.booleans()):
         scale = np.array([draw(scales) for _ in range(metric.dim)])
         return geo.rescaled_chart(metric, scale), scale * point
@@ -94,6 +98,86 @@ def test_connection_derivative_symmetric_in_lower_pair(case):
     _, dgam = geo.connection_jet(metric, theta)
     asym = dgam - np.transpose(dgam, (0, 1, 3, 2))
     assert np.max(np.abs(asym)) <= 1e-14 * np.max(np.abs(dgam))
+
+
+def assert_matches_einsum(metric, theta):
+    gam, dgam = geo.connection_jet(metric, theta)
+    ref_gam, ref_dgam = connection_einsum(metric, theta)
+    assert np.max(np.abs(gam - ref_gam)) <= \
+        1e-13 * np.max(np.abs(ref_gam), initial=1e-300)
+    assert np.max(np.abs(dgam - ref_dgam)) <= \
+        1e-13 * np.max(np.abs(ref_dgam), initial=1e-300)
+    assert np.array_equal(geo.christoffel(metric, theta), gam)
+
+
+@PROPERTY
+@given(jet_metric().filter(lambda case: case[0].dim <= 8))
+def test_connection_kernels_match_einsum_form(case):
+    assert_matches_einsum(*case)
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_connection_kernels_match_einsum_form_by_dimension(dim):
+    # factors of 3, 2 and 1 coordinates filled in to the requested dimension
+    rng = philox(dim)
+    factors, point, left = [], [], dim
+    while left:
+        if left >= 3:
+            factors.append(md.gaussian_bivariate_corr(
+                0.0, 0.0, 1.0, r=rng.uniform(-0.8, 0.8)))
+            point += [*rng.normal(size=2), rng.uniform(0.3, 3.0)]
+        elif left == 2:
+            factors.append(md.gaussian_diag([0.0], [1.0]))
+            point += [rng.normal(), rng.uniform(0.3, 3.0)]
+        else:
+            factors.append(md.exponential(1.0))
+            point.append(rng.uniform(0.3, 3.0))
+        left -= factors[-1].param_dim
+    point = np.array(point)
+    fisher = md.analytic_fisher(md.product(*factors))
+    scale = 10.0 ** rng.uniform(-1.0, 1.0, dim)
+    for metric, theta in ((fisher, point),
+                          (md.fisher_quadrature(md.product(*factors)), point),
+                          (geo.rescaled_chart(fisher, scale), scale * point),
+                          (iho_metric(rng.uniform(0.3, 2.0, dim)),
+                           rng.normal(size=dim))):
+        assert_matches_einsum(metric, theta)
+
+
+@st.composite
+def shot(draw):
+    """(metric, start, initial velocity) on a chart of dimension 2-8.
+
+    Spreads stay in [0.3, 3], where the endpoint differences of the oracle
+    are well conditioned; the velocity has metric speed 1/2, so that over
+    tau = 1 no spread changes by more than a factor e^0.82 on the closed-form
+    blocks (|d ln s / d tau| <= speed / sqrt(lambda_min(C)))."""
+    metric, theta = draw(jet_metric(st.floats(0.3, 3.0)).filter(
+        lambda case: 2 <= case[0].dim <= 8))
+    raw = np.array([draw(st.floats(-1.0, 1.0)) for _ in range(metric.dim)])
+    raw[draw(st.integers(0, metric.dim - 1))] = 1.0
+    return metric, theta, 0.5 * raw / np.sqrt(raw @ metric.eval(theta) @ raw)
+
+
+MIXED8 = md.analytic_fisher(md.product(
+    md.gaussian_bivariate_corr(0.0, 0.0, 1.0, r=0.6), md.exponential(1.0),
+    md.gaussian_diag([0.0, 0.0], [1.0, 1.0])))
+MIXED8_START = np.array([0.4, -0.7, 1.3, 0.8, -1.1, 0.5, 2.0, 1.7])
+MIXED8_V = np.array([0.3, -0.1, 0.2, -0.25, 0.4, 0.1, -0.3, 0.35])
+
+
+@settings(max_examples=20)
+@given(shot())
+@example((MIXED8, MIXED8_START,
+          MIXED8_V / np.sqrt(4.0 * MIXED8_V @ MIXED8.eval(MIXED8_START)
+                             @ MIXED8_V)))
+def test_shooting_jacobian_matches_endpoint_differences(case):
+    # Newton with an exact residual also converges on a wrong Jacobian, only
+    # in more shots, so the Jacobian is checked on its own
+    metric, theta, v = case
+    _, jac = dyn._shoot(metric, theta, v, 1.0, 1e-12)
+    oracle = shooting_jacobian_fd(metric, theta, v, 1.0)
+    assert np.max(np.abs(jac - oracle)) <= 1e-6 * np.max(np.abs(oracle))
 
 
 def test_jacobi_on_metric_without_second_jet_meets_sinh():

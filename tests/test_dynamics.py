@@ -104,6 +104,14 @@ def test_bvp_rejects_boundary_endpoint():
         dyn.solve_geodesic_bvp(metric, th0, [1.0, -1.0, 0.0], 1.0)
 
 
+def test_bvp_rejects_boundary_start():
+    # a start outside the chart is bad input, rejected like a bad endpoint
+    metric = wavepacket_metric(0.0)
+    _, th0, _ = wavepacket_start(0.0)
+    with pytest.raises(ChartBoundaryError, match="initial point"):
+        dyn.solve_geodesic_bvp(metric, [1.0, -1.0, 0.0], th0, 1.0)
+
+
 def test_bvp_failure_reports_residual():
     p, th0, _ = wavepacket_start(0.5)
     metric = wavepacket_metric(0.5)
@@ -113,6 +121,42 @@ def test_bvp_failure_reports_residual():
         dyn.solve_geodesic_bvp(metric, th0, [mu1, mu2, sig], tau_span,
                                tol=1e-12, max_iter=1)
     assert err.value.best_residual > 0
+
+
+BVP_WORK_CASES = [
+    # (metric, start, end): pair, bivariate, macro and an 8-D mixed product
+    (md.analytic_fisher(md.gaussian_diag([0.0], [1.0])),
+     [0.2, 1.1], [-0.1, 1.5]),
+    (md.analytic_fisher(md.gaussian_bivariate_corr(0.0, 0.0, 1.0, r=0.4)),
+     [0.3, -0.5, 0.9], [0.1, -0.2, 1.3]),
+    (md.macro_correlated_metric([0.3, 0.6]),
+     [0.1, 0.9, -0.4, 1.4], [0.4, 1.2, -0.6, 0.8]),
+    (md.analytic_fisher(md.product(
+        md.gaussian_bivariate_corr(0.0, 0.0, 1.0, r=-0.5),
+        md.exponential(1.0), md.gaussian_diag([0.0, 0.0], [1.0, 1.0]))),
+     [0.2, 0.7, 1.2, 0.9, -0.3, 1.6, 0.5, 0.7],
+     [-0.1, 0.4, 0.8, 1.4, 0.1, 1.1, 0.2, 1.0]),
+]
+
+
+def test_bvp_integrator_work(monkeypatch):
+    """Right-hand-side evaluations summed over four two-point problems, a
+    machine-independent cost of shooting: 7,969 with a forward-difference
+    Jacobian (dim + 1 geodesic solves per Newton step), 2,023 with the
+    variational flow."""
+    nfev = []
+    solve_ivp = dyn.solve_ivp
+
+    def counting(*args, **kwargs):
+        sol = solve_ivp(*args, **kwargs)
+        nfev.append(sol.nfev)
+        return sol
+
+    monkeypatch.setattr(dyn, "solve_ivp", counting)
+    for metric, start, end in BVP_WORK_CASES:
+        path = dyn.solve_geodesic_bvp(metric, start, end, 1.0, tol=1e-8)
+        assert np.linalg.norm(path.theta[-1] - end) < 1e-8
+    assert sum(nfev) <= 3_000
 
 
 def test_wavepacket_closed_form_values():
