@@ -3,8 +3,10 @@
 Geodesics solve theta-ddot^a + Gamma^a_bc theta-dot^b theta-dot^c = 0 with
 the adaptive Dormand-Prince 8(5,3) pair (DOP853).  The linearized geodesic
 flow carries a block of deviations (J, J-dot) together with the carrier
-state (theta, theta-dot) as one DOP853 system, with the connection
-derivative taken from the metric's exact second jet.  Jacobi fields are one
+state (theta, theta-dot) as one DOP853 system.  Both flows read the
+connection and its derivative from the metric's closed-form connection, so
+a right-hand-side call needs no metric jet and no matrix inverse.  Jacobi
+fields are one
 column of it; two-point problems are solved by damped-Newton shooting on the
 initial velocity, each shot integrating the n x n block that starts at
 (J, J-dot) = (0, I), which is the exact Jacobian of the endpoint map.
@@ -92,7 +94,8 @@ def _variational_rhs(metric):
     theta-ddot^a = -Gamma^a_bc v^b v^c gives
     J-ddot^a = -d_d Gamma^a_bc v^b v^c J^d - 2 Gamma^a_bc v^b J-dot^c,
     column by column.  Gamma and its derivative come from one
-    ``connection_jet`` call per step stage.
+    ``connection_jet`` call per step stage, which evaluates the metric
+    family's closed-form connection.
     """
     dim = metric.dim
 

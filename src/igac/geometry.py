@@ -1,13 +1,14 @@
 """Connection and curvature machinery for metric fields.
 
-Everything is computed pointwise from a MetricField jet: Christoffel symbols
-and their derivative (exact, from the metric's second jet) and the Riemann
-tensor.  ``curvature_report`` derives every curvature quantity of a point
-from one connection jet: lowered Riemann, Ricci tensor and scalar,
-sectional curvatures and their orthonormal-frame sum, projective anisotropy
-and the metric-compatibility residual.  ``ricci_scalar`` and
-``sectional`` are one-value shortcuts; Killing residuals, which difference
-the caller's Killing field, complete the set.
+Everything is computed pointwise from the exact connection each MetricField
+family supplies in closed form: Christoffel symbols and their derivative
+and, from them, the Riemann tensor.  ``curvature_report`` derives every
+curvature quantity of a point from one connection jet: lowered Riemann,
+Ricci tensor and scalar, sectional curvatures and their orthonormal-frame
+sum, projective anisotropy and the metric-compatibility residual, which
+checks the connection against the metric's own first jet.  ``ricci_scalar``
+and ``sectional`` are one-value shortcuts; Killing residuals, which
+difference the caller's Killing field, complete the set.
 
 Sign conventions: Gamma^a_bc = (1/2) g^ad (d_b g_dc + d_c g_db - d_d g_bc),
 R^a_bcd = d_c Gamma^a_bd - d_d Gamma^a_bc + Gamma^a_fc Gamma^f_bd
@@ -61,24 +62,10 @@ def _inverse(g, theta) -> np.ndarray:
         raise DegenerateMetricError(f"singular metric at {theta}") from exc
 
 
-def _first_kind(dg) -> np.ndarray:
-    """t[..., d, b, c] = d_b g_dc + d_c g_db - d_d g_bc from
-    dg[..., c, a, b] = d_c g_ab; leading axes are carried along."""
-    swapped = np.swapaxes(dg, -3, -2)      # swapped[..., d, b, c] = d_b g_dc
-    return swapped + np.swapaxes(swapped, -2, -1) - dg
-
-
-def _christoffel_from(ginv, dg) -> np.ndarray:
-    # Gamma^a_bc = (1/2) g^ad t_dbc, one (n, n) @ (n, n^2) product
-    n = ginv.shape[0]
-    return 0.5 * (ginv @ _first_kind(dg).reshape(n, n * n)).reshape(n, n, n)
-
-
 def _christoffel_core(metric: MetricField, theta) -> np.ndarray:
     """Connection coefficients without the chart-floor rejection (used by
     integrators whose trial steps may probe just past the boundary)."""
-    g, dg = metric.jet(theta)
-    return _christoffel_from(_inverse(g, theta), dg)
+    return metric.connection(theta)
 
 
 def christoffel(metric: MetricField, theta) -> np.ndarray:
@@ -87,28 +74,13 @@ def christoffel(metric: MetricField, theta) -> np.ndarray:
     return _christoffel_core(metric, theta)
 
 
-def _connection(metric: MetricField, theta):
-    """(g, g^-1, dg, Gamma, dGamma) at theta from one metric jet."""
-    g, dg, d2g = metric.jet(theta, order=2)
-    ginv = _inverse(g, theta)
-    gam = _christoffel_from(ginv, dg)
-    # Gamma^a_bc = (1/2) g^ad t_dbc with t the first-kind symbols, and
-    # d_e g^ad = -g^ap d_e g_pq g^qd, so
-    # d_e Gamma^a_bc = (1/2) g^ad d_e t_dbc - g^ap d_e g_pq Gamma^q_bc;
-    # both terms are batched (n, n) @ (n, n^2) products over e
-    n = ginv.shape[0]
-    dt = _first_kind(d2g).reshape(n, n, n * n)    # dt[e, d, bc]
-    dgam = 0.5 * (ginv @ dt) - (ginv @ dg) @ gam.reshape(n, n * n)
-    return g, ginv, dg, gam, dgam.reshape(n, n, n, n)
-
-
 def connection_jet(metric: MetricField, theta):
     """(Gamma, dGamma) with dGamma[c, a, b, d] = d_c Gamma^a_bd.
 
-    Exact, from one second-order metric jet and one inverse.  No
-    chart-floor rejection, so integrators may call it on trial steps.
+    Exact, from the metric's closed-form connection.  No chart-floor
+    rejection, so integrators may call it on trial steps.
     """
-    return _connection(metric, np.asarray(theta, float))[3:]
+    return metric.connection(theta, order=2)
 
 
 def _riemann_from(gam, dgam) -> np.ndarray:
@@ -125,8 +97,8 @@ def riemann(metric: MetricField, theta) -> np.ndarray:
 def ricci_scalar(metric: MetricField, theta) -> float:
     """R = g^ab R_ab with R_ab = R^c_acb."""
     theta = _check_chart(metric, theta)
-    _, ginv, _, gam, dgam = _connection(metric, theta)
-    ric = np.einsum("cacb->ab", _riemann_from(gam, dgam))
+    ginv = _inverse(metric.eval(theta), theta)
+    ric = np.einsum("cacb->ab", _riemann_from(*connection_jet(metric, theta)))
     return float(np.einsum("ab,ab->", ginv, ric))
 
 
@@ -137,8 +109,9 @@ def sectional(metric: MetricField, theta, u, v) -> float:
     basis change of the plane.
     """
     theta = _check_chart(metric, theta)
-    g, _, _, gam, dgam = _connection(metric, theta)
-    rl = np.einsum("ae,ebcd->abcd", g, _riemann_from(gam, dgam))
+    g = metric.eval(theta)
+    rl = np.einsum("ae,ebcd->abcd", g,
+                   _riemann_from(*connection_jet(metric, theta)))
     return _sectional_from(g, rl, u, v)
 
 
@@ -183,9 +156,13 @@ def _weyl(g, rl, scal) -> float:
 
 
 def _compat_residual(g, dg, gam) -> float:
+    """max|nabla_c g_ab| relative to max|d_c g_ab|; the absolute residual
+    where dg vanishes, which is 0 for a correct connection."""
     nabla = dg - np.einsum("dca,db->cab", gam, g) \
         - np.einsum("dcb,ad->cab", gam, g)
-    return float(np.max(np.abs(nabla)))
+    worst = float(np.max(np.abs(nabla)))
+    scale = float(np.max(np.abs(dg)))
+    return worst / scale if scale > 0 else worst
 
 
 def _fd_step(metric: MetricField, theta, c: int, base: float) -> float:
@@ -254,9 +231,13 @@ class CurvatureReport:
 
 
 def curvature_report(metric: MetricField, theta) -> CurvatureReport:
-    """Every curvature object at one point from a single connection jet."""
+    """Every curvature object at one point from a single connection jet;
+    the metric's first jet enters only the compatibility residual, which
+    thereby checks the closed-form connection against the metric."""
     theta = _check_chart(metric, theta)
-    g, ginv, dg, gam, dgam = _connection(metric, theta)
+    g, dg = metric.jet(theta)
+    ginv = _inverse(g, theta)
+    gam, dgam = connection_jet(metric, theta)
     rm = _riemann_from(gam, dgam)
     rl = np.einsum("ae,ebcd->abcd", g, rm)
     ric = np.einsum("cacb->ab", rm)
@@ -280,9 +261,11 @@ def rescaled_chart(metric: MetricField, scale) -> MetricField:
     """Pullback of the metric under theta' = diag(scale) theta.
 
     Every index of g and of its derivatives picks up one factor 1/scale, so
-    the jets follow from the base metric's by the chain rule.  It carries
-    no exact box volume, so that the chart-invariance checks of statistical
-    volumes compare two independent computations.
+    the jets follow from the base metric's by the chain rule.  So does the
+    connection: Gamma'^a_bc(theta') = Gamma^a_bc(theta' / scale) scale_a /
+    (scale_b scale_c), and each derivative adds one factor 1/scale.  It
+    carries no exact box volume, so that the chart-invariance checks of
+    statistical volumes compare two independent computations.
     """
     scale = np.asarray(scale, float)
     inv = 1.0 / scale
@@ -296,6 +279,17 @@ def rescaled_chart(metric: MetricField, scale) -> MetricField:
         return tuple(part * factor[part.ndim]
                      for part in metric.jet(thp * inv, order))
 
-    return MetricField(metric.dim, mat, jet_fn=jet, source=metric.source,
-                       blocks=metric.blocks,
+    # scale_a (1/scale_b 1/scale_c), with the (b, c) product formed first so
+    # that the pulled-back Gamma stays exactly symmetric
+    gam_factor = scale[:, None, None] * factor[2]
+    dgam_factor = np.multiply.outer(inv, gam_factor)
+
+    def connection(thp, order=1):
+        if order == 1:
+            return metric.connection(thp * inv) * gam_factor
+        gam, dgam = metric.connection(thp * inv, order)
+        return gam * gam_factor, dgam * dgam_factor
+
+    return MetricField(metric.dim, mat, jet_fn=jet, connection_fn=connection,
+                       source=metric.source, blocks=metric.blocks,
                        scale_coords=metric.scale_coords)

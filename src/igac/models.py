@@ -259,27 +259,32 @@ def score(model: StatModel, x) -> np.ndarray:
 
 class MetricField:
     """A Riemannian metric g_ab(theta) with exact first- and second-derivative
-    jets.
+    jets and its exact Levi-Civita connection.
 
     ``matrix_fn`` maps (..., dim) chart points to (..., dim, dim) matrices.
     ``jet_fn(theta, order)`` returns (g, dg) at one point for ``order=1`` and
-    (g, dg, d2g) for ``order=2``; every in-package metric supplies it, and a
-    metric without it (the block sub-metrics of ``block_metric``) serves
-    ``eval`` and ``sqrt_det`` only.  ``volume_fn`` maps a list of
-    per-coordinate (lo, hi) bounds to the exact integral of sqrt(det g) over
-    that box; closed-form metrics supply it, and box volumes fall back to
-    quadrature without it.  ``blocks`` lists coordinate groups on which the
-    metric factorizes (the block submatrix depends only on the block's own
-    coordinates), enabling separable volume integrals.  ``scale_coords``
-    are indices restricted to the open half line.
+    (g, dg, d2g) for ``order=2``.  ``connection_fn(theta, order)`` mirrors
+    it: Gamma with Gamma[a, b, c] = Gamma^a_bc, symmetric in (b, c), for
+    ``order=1`` and (Gamma, dGamma) with dGamma[c, a, b, d] =
+    d_c Gamma^a_bd for ``order=2``, each family in its own closed form.
+    Every in-package metric supplies both, and a metric without them (the
+    block sub-metrics of ``block_metric``) serves ``eval`` and ``sqrt_det``
+    only.  ``volume_fn`` maps a list of per-coordinate (lo, hi) bounds to
+    the exact integral of sqrt(det g) over that box; closed-form metrics
+    supply it, and box volumes fall back to quadrature without it.
+    ``blocks`` lists coordinate groups on which the metric factorizes (the
+    block submatrix depends only on the block's own coordinates), enabling
+    separable volume integrals.  ``scale_coords`` are indices restricted to
+    the open half line.
     """
 
     def __init__(self, dim: int, matrix_fn: Callable, jet_fn: Callable = None,
                  source: str = "analytic", blocks=None, scale_coords=(),
-                 volume_fn: Callable = None):
+                 volume_fn: Callable = None, connection_fn: Callable = None):
         self.dim = dim
         self._matrix_fn = matrix_fn
         self._jet_fn = jet_fn
+        self._connection_fn = connection_fn
         self._volume_fn = volume_fn
         self.source = source
         self.blocks = tuple(tuple(b) for b in blocks) if blocks \
@@ -310,6 +315,14 @@ class MetricField:
         if self._jet_fn is None:
             raise ValueError("metric has no jet")
         return self._jet_fn(np.asarray(theta, float), order)
+
+    def connection(self, theta, order: int = 1):
+        """Gamma^a_bc at one point, or (Gamma, dGamma) with dGamma[c, a, b, d]
+        = d_c Gamma^a_bd for ``order=2``.  A metric without
+        ``connection_fn`` raises ValueError."""
+        if self._connection_fn is None:
+            raise ValueError("metric has no connection")
+        return self._connection_fn(np.asarray(theta, float), order)
 
     def box_volume(self, bounds) -> float:
         """Exact integral of sqrt(det g) over the box of (lo, hi) bounds;
@@ -358,7 +371,11 @@ def flat_metric(dim: int) -> MetricField:
         return (eye.copy(),) + tuple(np.zeros((dim,) * k)
                                      for k in range(3, 3 + order))
 
-    return MetricField(dim, mat, jet_fn=jet,
+    def connection(th, order=1):
+        gam = np.zeros((dim,) * 3)
+        return gam if order == 1 else (gam, np.zeros((dim,) * 4))
+
+    return MetricField(dim, mat, jet_fn=jet, connection_fn=connection,
                        volume_fn=lambda bounds: np.prod(
                            [hi - lo for lo, hi in bounds]),
                        blocks=[(i,) for i in range(dim)])
@@ -375,6 +392,10 @@ def _inverse_square_metric(dim, blocks, source="analytic") -> MetricField:
     last entry is its spread coordinate s, and the constant SPD matrix C.
     Every block entry scales as s^-2, so d_s g = -2 g / s and
     d_s^2 g = 6 g / s^2 are exact and all other derivatives vanish.  The
+    connection within a block with spread index sigma is Gamma^a_bc =
+    T^a_bc / s with the constant T^a_bc = -(delta_ac delta_b sigma +
+    delta_ab delta_c sigma - (C^-1)_a sigma C_bc), built once per metric, so
+    d_s Gamma = -Gamma / s and its other derivatives vanish.  The
     box volume is prod_k sqrt(det C_k) * (mean-axis extents) *
     integral of s^-d_k over the spread interval.  ``source`` records how
     the C_k were obtained (closed form or quadrature).
@@ -402,6 +423,27 @@ def _inverse_square_metric(dim, blocks, source="analytic") -> MetricField:
         d2g[ic, ic, ia, ib] = (6.0 * g / (s * s)[:, None])[ia, ib]
         return g, dg, d2g
 
+    # T is symmetrized in (b, c) here: a quadrature C is symmetric only to
+    # roundoff, and Gamma must be symmetric exactly
+    t = np.zeros((dim, dim, dim))
+    for idx, c in blocks:
+        eye = np.eye(len(idx))
+        t[np.ix_(idx, idx, idx)] = -(
+            eye[:, None, :] * eye[-1][None, :, None]
+            + eye[:, :, None] * eye[-1][None, None, :]
+            - np.linalg.inv(c)[:, -1][:, None, None] * c[None])
+    t = 0.5 * (t + np.swapaxes(t, 1, 2))
+    rows = np.arange(dim)
+
+    def connection(th, order=1):
+        s = th[owner][:, None, None]
+        gam = t / s
+        if order == 1:
+            return gam
+        dgam = np.zeros((dim,) * 4)
+        dgam[owner, rows] = -gam / s
+        return gam, dgam
+
     root_dets = [np.sqrt(np.linalg.det(c)) for _, c in blocks]
 
     def volume(bounds):
@@ -413,7 +455,8 @@ def _inverse_square_metric(dim, blocks, source="analytic") -> MetricField:
                 total *= bounds[i][1] - bounds[i][0]
         return total
 
-    return MetricField(dim, mat, jet_fn=jet, source=source, volume_fn=volume,
+    return MetricField(dim, mat, jet_fn=jet, connection_fn=connection,
+                       source=source, volume_fn=volume,
                        blocks=[idx for idx, _ in blocks],
                        scale_coords=tuple(idx[-1] for idx, _ in blocks))
 

@@ -412,7 +412,12 @@ class IHOConfig:
 
 
 def iho_metric(omegas) -> md.MetricField:
-    """Conformally flat metric (1 + sum w_j^2 x_j^2 / 2) delta_ab."""
+    """Conformally flat metric phi delta_ab, phi = 1 + sum w_j^2 x_j^2 / 2.
+
+    Its connection is Gamma^a_bc = (delta_ab d_c phi + delta_ac d_b phi
+    - delta_bc d_a phi) / (2 phi), and d_e Gamma follows by the quotient
+    rule from the constant d_e d_c phi = w_c^2 delta_ec.
+    """
     omegas = np.asarray(omegas, float)
     dim = omegas.size
 
@@ -431,7 +436,25 @@ def iho_metric(omegas) -> md.MetricField:
         dg = np.einsum("c,ab->cab", omegas ** 2 * th, np.eye(dim))
         return (g, dg) if order == 1 else (g, dg, d2g.copy())
 
-    return md.MetricField(dim, mat, jet_fn=jet,
+    eye = np.eye(dim)
+
+    def lc_terms(v):
+        # delta_ab v_c + delta_ac v_b - delta_bc v_a, leading axes of v kept
+        return (np.einsum("ab,...c->...abc", eye, v)
+                + np.einsum("ac,...b->...abc", eye, v)
+                - np.einsum("bc,...a->...abc", eye, v))
+
+    half_d2 = 0.5 * lc_terms(np.diag(omegas ** 2))   # [e, a, b, c]
+
+    def connection(th, order=1):
+        phi = 1.0 + 0.5 * float(np.sum(omegas ** 2 * th ** 2))
+        dphi = omegas ** 2 * th
+        gam = lc_terms(dphi) / (2.0 * phi)
+        if order == 1:
+            return gam
+        return gam, (half_d2 - dphi[:, None, None, None] * gam) / phi
+
+    return md.MetricField(dim, mat, jet_fn=jet, connection_fn=connection,
                           volume_fn=_iho_box_volume(omegas),
                           source="analytic")
 

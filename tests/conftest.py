@@ -1,15 +1,17 @@
 """Shared fixtures: the hypothesis profile, counter-based RNG streams,
-finite-difference, einsum and per-point quadrature oracles and the carrier
-start of a geodesic path."""
+finite-difference, einsum and per-point quadrature oracles, the carrier
+start of a geodesic path and the metric strategy over every in-package
+family."""
 
 import numpy as np
 import pytest
-from hypothesis import settings
+from hypothesis import settings, strategies as st
 
 from igac import dynamics as dyn
 from igac import geometry as geo
 from igac import models as md
 from igac.errors import QuadratureAccuracyError
+from igac.scenarios import iho_metric
 
 
 # property tests replay the same examples on every run and store nothing;
@@ -174,3 +176,65 @@ FAMILIES = ("gaussian_diag", "exponential", "wigner_dyson",
 @pytest.fixture
 def rng():
     return philox(20240817)
+
+
+means = st.floats(-3.0, 3.0)
+# spreads log-uniform down to 1e-3
+spreads = st.floats(-3.0, np.log10(5.0)).map(lambda e: 10.0 ** e)
+corr = st.floats(-0.95, 0.95, exclude_min=True, exclude_max=True)
+macro_corr = st.floats(0.0, 0.95, exclude_max=True)
+# chart rescalings log-uniform in [0.1, 10]
+scales = st.floats(-1.0, 1.0).map(lambda e: 10.0 ** e)
+
+
+@st.composite
+def factor(draw, spread=spreads):
+    """(model factor, in-chart point of its coordinates)."""
+    kind = draw(st.sampled_from(["gaussian_diag", "exponential",
+                                 "wigner_dyson", "gaussian_bivariate_corr"]))
+    if kind == "gaussian_diag":
+        l = draw(st.integers(1, 3))
+        point = [x for _ in range(l) for x in (draw(means), draw(spread))]
+        return md.gaussian_diag([0.0] * l, [1.0] * l), point
+    if kind == "exponential":
+        return md.exponential(1.0), [draw(spread)]
+    if kind == "wigner_dyson":
+        return md.wigner_dyson(1.0), [draw(spread)]
+    return (md.gaussian_bivariate_corr(0.0, 0.0, 1.0, r=draw(corr)),
+            [draw(means), draw(means), draw(spread)])
+
+
+@st.composite
+def base_metric(draw, spread=spreads):
+    """(metric, in-chart point) of every closed-form family or of a
+    quadrature metric."""
+    family = draw(st.sampled_from(["fisher", "product", "macro", "iho",
+                                   "flat", "quadrature"]))
+    if family in ("fisher", "product", "quadrature"):
+        parts = draw(st.lists(factor(spread), min_size=1,
+                              max_size=1 if family == "fisher" else 3))
+        model = md.product(*[m for m, _ in parts])
+        point = [x for _, p in parts for x in p]
+        build = md.fisher_quadrature if family == "quadrature" \
+            else md.analytic_fisher
+        return build(model), np.array(point)
+    if family == "macro":
+        rs = draw(st.lists(macro_corr, min_size=1, max_size=3))
+        point = [x for _ in rs for x in (draw(means), draw(spread))]
+        return md.macro_correlated_metric(rs), np.array(point)
+    dim = draw(st.integers(1, 4))
+    point = np.array([draw(means) for _ in range(dim)])
+    if family == "iho":
+        omegas = [draw(st.floats(0.3, 2.0)) for _ in range(dim)]
+        return iho_metric(omegas), point
+    return md.flat_metric(dim), point
+
+
+@st.composite
+def jet_metric(draw, spread=spreads):
+    """(metric, in-chart point): a base metric or its chart rescaling."""
+    metric, point = draw(base_metric(spread))
+    if draw(st.booleans()):
+        scale = np.array([draw(scales) for _ in range(metric.dim)])
+        return geo.rescaled_chart(metric, scale), scale * point
+    return metric, point

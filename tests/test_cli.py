@@ -370,6 +370,28 @@ def test_curvature_on_one_dimensional_manifold(tmp_path):
     assert report["observables"]["weyl_max_abs"] == 0.0
 
 
+@pytest.mark.parametrize("body,scalar", [
+    ("manifold: {kind: gaussian_bivariate_corr, mu_x: 0.0, mu_y: 0.0, "
+     "sigma: 1.0, r: 0.5}\ntheta: [0.2, -0.3, 0.001]\n", -1.5),
+    ("manifold: {kind: macro_correlated, r: [0.5]}\ntheta: [0.2, 0.001]\n",
+     -2.0 / 1.75),
+], ids=["bivariate", "macro"])
+def test_curvature_near_chart_edge_passes_compatibility(tmp_path, body,
+                                                        scalar):
+    # at spread 1e-3 the metric derivative reaches 4e9-8e9, so the
+    # compatibility residual is read relative to it: roundoff of order 1e-7
+    # in the absolute residual must not exit 2
+    cfg = tmp_path / "edge.yaml"
+    cfg.write_text(body + f"output: {{directory: '{tmp_path}/out'}}\n")
+    assert cli.main(["curvature", "--config", str(cfg)]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    check, = (c for c in report["checks"]
+              if c["name"] == "metric_compatibility")
+    assert check["pass"] and check["tol"] == 1e-8
+    assert report["observables"]["ricci_scalar"] == pytest.approx(
+        scalar, rel=1e-12)
+
+
 def test_curvature_op_expands_riemann_once(tmp_path, monkeypatch):
     from igac import geometry as geo
 

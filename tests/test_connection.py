@@ -1,9 +1,10 @@
 """Property tests of the connection jet: the exact derivative of the
 Christoffel symbols on every closed-form family, on quadrature metrics and on
 their chart rescalings against the Richardson difference of the connection,
-the matrix-product kernels against their einsum form, the shooting Jacobian
-of the variational flow against differences of geodesic endpoints, and the
-Jacobi flow on chain-rule jets."""
+the closed-form connections against the einsum form of the jet-derived one,
+the shooting Jacobian of the variational flow against differences of
+geodesic endpoints, the flows' independence of the metric jet, and the
+Jacobi flow on a chain-rule connection."""
 
 import numpy as np
 import pytest
@@ -15,71 +16,9 @@ from igac import models as md
 from igac.scenarios import iho_metric
 
 from conftest import (carrier, connection_einsum, gamma_derivative_fd,
-                      philox, shooting_jacobian_fd)
+                      jet_metric, philox, shooting_jacobian_fd)
 
 PROPERTY = settings(max_examples=40)
-
-means = st.floats(-3.0, 3.0)
-# spreads log-uniform down to 1e-3
-spreads = st.floats(-3.0, np.log10(5.0)).map(lambda e: 10.0 ** e)
-corr = st.floats(-0.95, 0.95, exclude_min=True, exclude_max=True)
-macro_corr = st.floats(0.0, 0.95, exclude_max=True)
-# chart rescalings log-uniform in [0.1, 10]
-scales = st.floats(-1.0, 1.0).map(lambda e: 10.0 ** e)
-
-
-@st.composite
-def factor(draw, spread=spreads):
-    """(model factor, in-chart point of its coordinates)."""
-    kind = draw(st.sampled_from(["gaussian_diag", "exponential",
-                                 "wigner_dyson", "gaussian_bivariate_corr"]))
-    if kind == "gaussian_diag":
-        l = draw(st.integers(1, 3))
-        point = [x for _ in range(l) for x in (draw(means), draw(spread))]
-        return md.gaussian_diag([0.0] * l, [1.0] * l), point
-    if kind == "exponential":
-        return md.exponential(1.0), [draw(spread)]
-    if kind == "wigner_dyson":
-        return md.wigner_dyson(1.0), [draw(spread)]
-    return (md.gaussian_bivariate_corr(0.0, 0.0, 1.0, r=draw(corr)),
-            [draw(means), draw(means), draw(spread)])
-
-
-@st.composite
-def base_metric(draw, spread=spreads):
-    """(metric, in-chart point) of every closed-form family or of a
-    quadrature metric."""
-    family = draw(st.sampled_from(["fisher", "product", "macro", "iho",
-                                   "flat", "quadrature"]))
-    if family in ("fisher", "product", "quadrature"):
-        parts = draw(st.lists(factor(spread), min_size=1,
-                              max_size=1 if family == "fisher" else 3))
-        model = md.product(*[m for m, _ in parts])
-        point = [x for _, p in parts for x in p]
-        build = md.fisher_quadrature if family == "quadrature" \
-            else md.analytic_fisher
-        return build(model), np.array(point)
-    if family == "macro":
-        rs = draw(st.lists(macro_corr, min_size=1, max_size=3))
-        point = [x for _ in rs for x in (draw(means), draw(spread))]
-        return md.macro_correlated_metric(rs), np.array(point)
-    dim = draw(st.integers(1, 4))
-    point = np.array([draw(means) for _ in range(dim)])
-    if family == "iho":
-        omegas = [draw(st.floats(0.3, 2.0)) for _ in range(dim)]
-        return iho_metric(omegas), point
-    return md.flat_metric(dim), point
-
-
-@st.composite
-def jet_metric(draw, spread=spreads):
-    """(metric, in-chart point): a base metric or its chart rescaling."""
-    metric, point = draw(base_metric(spread))
-    if draw(st.booleans()):
-        scale = np.array([draw(scales) for _ in range(metric.dim)])
-        return geo.rescaled_chart(metric, scale), scale * point
-    return metric, point
-
 
 @PROPERTY
 @given(jet_metric())
@@ -180,9 +119,41 @@ def test_shooting_jacobian_matches_endpoint_differences(case):
     assert np.max(np.abs(jac - oracle)) <= 1e-6 * np.max(np.abs(oracle))
 
 
+FLOW_CASES = {
+    "analytic_fisher": (md.analytic_fisher(md.gaussian_bivariate_corr(
+        0.0, 0.0, 1.0, r=0.5)), [0.1, -0.2, 1.0], [0.3, -0.2, 0.1]),
+    "fisher_quadrature": (md.fisher_quadrature(md.product(
+        md.exponential(1.0), md.gaussian_diag([0.0], [1.0]))),
+        [1.0, 0.2, 0.8], [0.2, 0.3, -0.1]),
+    "iho_metric": (iho_metric([0.5, 1.2]), [0.3, -0.2], [0.4, 0.1]),
+    "rescaled_chart": (geo.rescaled_chart(md.analytic_fisher(
+        md.gaussian_diag([0.0], [1.0])), [2.0, 0.5]), [0.2, 0.6],
+        [0.3, 0.1]),
+}
+
+
+@pytest.mark.parametrize("name", FLOW_CASES)
+def test_integrators_call_no_metric_jet(name, monkeypatch):
+    # every right-hand side reads the closed-form connection of the metric
+    metric, theta0, v0 = FLOW_CASES[name]
+    calls = []
+    jet = md.MetricField.jet
+    monkeypatch.setattr(md.MetricField, "jet",
+                        lambda self, *args: calls.append(1) or
+                        jet(self, *args))
+    path = dyn.integrate_geodesic(metric, theta0, v0, 1.0, n_out=9)
+    trace = dyn.integrate_jacobi(metric, theta0, v0, path.tau_grid,
+                                 np.zeros(metric.dim), np.eye(metric.dim)[0])
+    bvp = dyn.solve_geodesic_bvp(metric, theta0, path.theta[-1], 1.0,
+                                 n_out=9)
+    assert calls == []
+    assert np.max(np.abs(trace.theta - path.theta)) < 1e-7
+    assert np.max(np.abs(bvp.theta_dot[0] - v0)) < 1e-6
+
+
 def test_jacobi_on_metric_without_second_jet_meets_sinh():
-    # the chart pullback has no jet of its own: the deviation flow runs on
-    # jets carried over from the base metric by the chain rule
+    # the chart pullback has no connection of its own: the deviation flow
+    # runs on the base metric's closed form carried over by the chain rule
     params = dyn.WavePacketParams(1.0, 0.25, 1.0, 0.5)
     metric = md.analytic_fisher(md.gaussian_bivariate_corr(
         0.0, 0.0, params.sigma_peak, r=params.r))

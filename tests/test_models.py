@@ -145,11 +145,15 @@ def test_metric_without_jet_raises_from_jet():
     for order in (1, 2):
         with pytest.raises(ValueError):
             bare.jet([0.0, 1.0], order)
-    # block sub-metrics carry no jet; they serve sqrt_det
+        with pytest.raises(ValueError):
+            bare.connection([0.0, 1.0], order)
+    # block sub-metrics carry no jet and no connection; they serve sqrt_det
     sub = metric.block_metric((0, 1))
     assert sub.sqrt_det([0.0, 2.0]) == pytest.approx(np.sqrt(2.0) / 4.0)
     with pytest.raises(ValueError):
         sub.jet([0.0, 2.0])
+    with pytest.raises(ValueError):
+        sub.connection([0.0, 2.0])
 
 
 def test_with_theta_rebinds_and_validates():
