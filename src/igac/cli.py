@@ -34,12 +34,18 @@ _FORMATS = ("csv", "json")
 _NUMERIC_DEFAULTS = {"ode_tol": 1e-10, "quad_tol": 1e-9,
                      "fit_window_fraction": 0.25}
 
+# libyaml's parser when PyYAML was built with it; both loaders share the
+# safe resolver and constructor, so they accept the same documents
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
-def parse_config(text: str, command: str = "scenario") -> dict:
+
+def parse_config(text: str, command: str = "scenario",
+                 ode_tol: float = None) -> dict:
     """Validated config with defaults filled, or ConfigError listing every
-    failure with its field path."""
+    failure with its field path.  ``ode_tol``, when given, replaces
+    ``numerics.ode_tol`` before validation."""
     try:
-        raw = yaml.safe_load(text) or {}
+        raw = yaml.load(text, Loader=_LOADER) or {}
     except yaml.YAMLError as exc:
         raise ConfigError([("<document>", f"not valid YAML: {exc}")])
     if not isinstance(raw, dict):
@@ -48,11 +54,10 @@ def parse_config(text: str, command: str = "scenario") -> dict:
     cfg = dict(raw)
 
     numerics = _section(cfg, "numerics", _NUMERIC_DEFAULTS, failures)
+    if ode_tol is not None:
+        numerics["ode_tol"] = ode_tol
     for key in _NUMERIC_DEFAULTS:
-        val = numerics.get(key)
-        if not _is_number(val) or val <= 0:
-            failures.append((f"numerics.{key}", f"must be positive, got "
-                             f"{val!r}"))
+        _check_positive(numerics.get(key), f"numerics.{key}", failures)
     cfg["numerics"] = numerics
 
     output = _section(cfg, "output",
@@ -70,9 +75,7 @@ def parse_config(text: str, command: str = "scenario") -> dict:
         _validate_manifold_command(cfg, command, failures)
     elif command == "mre":
         _validate_mre(cfg.get("mre"), "mre", failures)
-        tol = cfg.get("tol", 1e-12)
-        if not _is_number(tol) or tol <= 0:
-            failures.append(("tol", f"must be positive, got {tol!r}"))
+        _check_positive(cfg.get("tol", 1e-12), "tol", failures)
 
     if failures:
         raise ConfigError(failures)
@@ -92,6 +95,14 @@ def _section(cfg, key, defaults, failures):
 
 def _is_number(val) -> bool:
     return isinstance(val, (int, float)) and not isinstance(val, bool)
+
+
+def _check_positive(val, path, failures):
+    """Record a failure unless ``val`` is a finite positive number; a nan,
+    infinite or zero tolerance would leave a solver running unbounded."""
+    if not _is_number(val) or not 0.0 < val < np.inf:
+        failures.append((path, f"must be a finite positive number, got "
+                         f"{val!r}"))
 
 
 def _check_vector(val, path, dim, failures):
@@ -236,8 +247,10 @@ def _validate_manifold_command(cfg, command, failures):
     else:
         required, vectors = ("theta0", "v0", "tau_end"), \
             ("theta0", "v0", "j0", "dj0")
-        if not _is_number(cfg.get("tau_end", 0.0)):
-            failures.append(("tau_end", "must be a number"))
+        tau_end = cfg.get("tau_end", 0.0)
+        if not _is_number(tau_end) or not np.isfinite(tau_end):
+            failures.append(("tau_end", f"must be a finite number, got "
+                             f"{tau_end!r}"))
     for key in required:
         if key not in cfg:
             failures.append((key, "missing required key"))
@@ -378,10 +391,6 @@ def _build_mre_problem(spec):
 # emission
 # ---------------------------------------------------------------------------
 
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
-
-
 def emit_csv(path: Path, trace: dict) -> None:
     """One trace file; fixed column order, 17 significant digits, LF."""
     taus = np.asarray(trace["tau"], float)
@@ -394,9 +403,11 @@ def emit_csv(path: Path, trace: dict) -> None:
     for key in ("speed", "delta_v", "igc", "ige", "jacobi_intensity"):
         if key in trace and trace[key] is not None:
             columns.append((key, np.asarray(trace[key], float)))
+    # '%.17g' % x is format(x, '.17g') for every float, nan and inf too
+    row = ",".join(["%.17g"] * len(columns))
     lines = [",".join(name for name, _ in columns)]
-    for k in range(taus.size):
-        lines.append(",".join(_fmt(col[k]) for _, col in columns))
+    lines += [row % tuple(vals) for vals in
+              np.column_stack([col for _, col in columns]).tolist()]
     path.write_text("\n".join(lines) + "\n", newline="\n")
 
 
@@ -603,19 +614,21 @@ def run(cfg: dict, command: str) -> int:
     return 0
 
 
+_PARSER = argparse.ArgumentParser(
+    prog="igac",
+    description="Fisher-Rao geometry, geodesic complexity and maximum "
+                "relative entropy updates")
+_PARSER.add_argument("command", choices=sorted(_COMMANDS))
+_PARSER.add_argument("--config", required=True, help="YAML config path")
+_PARSER.add_argument("--out", default=None, help="output directory")
+_PARSER.add_argument("--format", default=None, choices=_FORMATS,
+                     help="restrict output to one format")
+_PARSER.add_argument("--tol", type=float, default=None,
+                     help="override numerics.ode_tol")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="igac",
-        description="Fisher-Rao geometry, geodesic complexity and maximum "
-                    "relative entropy updates")
-    parser.add_argument("command", choices=sorted(_COMMANDS))
-    parser.add_argument("--config", required=True, help="YAML config path")
-    parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument("--format", default=None, choices=_FORMATS,
-                        help="restrict output to one format")
-    parser.add_argument("--tol", type=float, default=None,
-                        help="override numerics.ode_tol")
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
 
     try:
         text = Path(args.config).read_text()
@@ -623,13 +636,11 @@ def main(argv=None) -> int:
         sys.stderr.write(f"cannot read config: {exc}\n")
         return 1
     try:
-        cfg = parse_config(text, args.command)
+        cfg = parse_config(text, args.command, ode_tol=args.tol)
         if args.out is not None:
             cfg["output"]["directory"] = args.out
         if args.format is not None:
             cfg["output"]["formats"] = [args.format]
-        if args.tol is not None:
-            cfg["numerics"]["ode_tol"] = args.tol
         return run(cfg, args.command)
     except ConfigError as exc:
         for path, msg in exc.failures:

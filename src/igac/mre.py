@@ -164,6 +164,12 @@ class MrEResult:
     objective: float                    # S[P_new, P_old] = log Z - beta . F
 
 
+def _features(constraints, x):
+    """The constraint functions on the nodes ``x``, one row per constraint
+    (k, n), so the dual's contractions run over contiguous rows."""
+    return np.array([np.asarray(fn(x), float) for fn, _ in constraints])
+
+
 class _Workspace:
     def __init__(self, problem: MrEProblem):
         lo, hi, self.open_lo, self.open_hi = _prior_interval(
@@ -172,8 +178,7 @@ class _Workspace:
         self.bounds = (lo, hi)
         self.x, self.w = _composite_grid(lo, hi)
         self.lnp_old = _log_prior_values(problem.prior, self.x)
-        self.f = np.column_stack([np.asarray(fn(self.x), float)
-                                  for fn, _ in problem.constraints])
+        self.f = _features(problem.constraints, self.x)
         self.targets = np.array([F for _, F in problem.constraints])
         self.lnpw = self.lnp_old + np.log(self.w)
         log_mass = self.dual(np.zeros(self.targets.size))[0]
@@ -187,14 +192,14 @@ class _Workspace:
         """(ln Z(beta) - beta . F, tilted mean of f, tilted covariance of
         f): the dual, its gradient plus F and its Hessian, from one
         max-shifted exponential."""
-        g = self.lnpw + self.f @ beta
+        g = self.lnpw + beta @ self.f
         top = np.max(g)
         prob = np.exp(g - top)
         total = np.sum(prob)
         prob /= total
-        mean = prob @ self.f
-        centered = self.f - mean
-        cov = centered.T @ (centered * prob[:, None])
+        mean = self.f @ prob
+        centered = self.f - mean[:, None]
+        cov = (centered * prob) @ centered.T
         return top + np.log(total) - beta @ self.targets, mean, cov
 
 
@@ -208,9 +213,8 @@ def _check_integrable(ws: _Workspace, beta):
                              (ws.open_hi, hi + reach, "+inf")):
         if not is_open:
             continue
-        f = np.column_stack([np.asarray(fn(x), float)
-                             for fn, _ in ws.problem.constraints])
-        g = _log_prior_values(ws.problem.prior, x) + f @ beta
+        g = _log_prior_values(ws.problem.prior, x) + \
+            beta @ _features(ws.problem.constraints, x)
         if not np.all(np.diff(g) < 0.0):
             raise InfeasibleConstraintError(
                 f"tilted integrand does not decay toward {side}; Z diverges")
@@ -220,7 +224,7 @@ def _solve(ws: _Workspace, tol: float):
     """Damped Newton on the convex dual of the truncated problem, with
     Armijo backtracking; integrability is decided at the solution."""
     # no tilt can push a moment outside the range of its f on the grid
-    for f, F in zip(ws.f.T, ws.targets):
+    for f, F in zip(ws.f, ws.targets):
         if not np.min(f) < F < np.max(f):
             raise BracketingError(
                 f"target {F} outside the reachable moment range "
@@ -270,7 +274,7 @@ def solve_multiplier(problem: MrEProblem, tol: float = 1e-12) -> MrEResult:
     beta = _solve(ws, tol)
     val, achieved, _ = ws.dual(beta)
     log_z = float(val + beta @ ws.targets)
-    lnp_new = ws.lnp_old + ws.f @ beta - log_z
+    lnp_new = ws.lnp_old + beta @ ws.f - log_z
     posterior = TabulatedDensity(ws.x, ws.w, np.exp(lnp_new),
                                  bounds=ws.bounds)
     objective = log_z - float(beta @ achieved)

@@ -4,9 +4,68 @@ import json
 from pathlib import Path
 
 import pytest
+import yaml
 
 from igac import cli
 from igac.errors import ConfigError
+
+
+_PARSE = cli.parse_config
+
+
+def _outcome(text, *args, **kwargs):
+    """parse_config's dict, or the field paths of its ConfigError."""
+    try:
+        return _PARSE(text, *args, **kwargs)
+    except ConfigError as exc:
+        return [path for path, _ in exc.failures]
+
+
+def _parse_pure(text, *args, **kwargs):
+    """The same parse through PyYAML's pure-Python safe loader."""
+    loader, cli._LOADER = cli._LOADER, yaml.SafeLoader
+    try:
+        return _outcome(text, *args, **kwargs)
+    finally:
+        cli._LOADER = loader
+
+
+@pytest.fixture(autouse=True)
+def loaders_agree(monkeypatch):
+    """Every config this module parses gives the same result through the
+    pure-Python loader as through the one cli uses."""
+    def checked(text, *args, **kwargs):
+        assert _outcome(text, *args, **kwargs) == \
+            _parse_pure(text, *args, **kwargs)
+        return _PARSE(text, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "parse_config", checked)
+
+
+DEMO_CONFIGS = sorted((Path(__file__).parents[1] / "demos/configs")
+                      .glob("*.yaml"))
+
+
+@pytest.mark.parametrize("config", DEMO_CONFIGS, ids=lambda p: p.stem)
+def test_demo_config_loads_alike_through_either_loader(config):
+    command = config.stem if config.stem in cli._COMMANDS else "scenario"
+    cfg = _outcome(config.read_text(), command)
+    assert isinstance(cfg, dict)
+    assert cfg == _parse_pure(config.read_text(), command)
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__,
+                    reason="PyYAML built without libyaml")
+def test_configs_load_through_libyaml():
+    assert cli._LOADER is yaml.CSafeLoader
+
+
+def test_invalid_yaml_exits_1_at_document(tmp_path, capsys):
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text("manifold: [1.0, 2.0\ntheta: [0.0]\n")
+    assert cli.main(["curvature", "--config", str(cfg)]) == 1
+    assert "config error at <document>: not valid YAML" in \
+        capsys.readouterr().err
 
 
 GEO_CFG = """
@@ -92,6 +151,20 @@ def test_csv_schema_and_determinism(tmp_path):
     assert b"\r" not in a
     # 17 significant digits on a non-terminating value
     assert "1.9999999999999" in a.decode()
+
+
+def test_csv_cells_are_17_significant_digits(tmp_path):
+    vals = [float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, 0.1,
+            1.0 / 3.0, 1e22, 2 ** 53 + 1]
+    path = tmp_path / "t.csv"
+    cli.emit_csv(path, {"tau": vals, "theta": [[v, -v] for v in vals],
+                        "speed": vals[::-1]})
+    data = path.read_bytes()
+    assert b"\r" not in data
+    cells = [[format(float(x), ".17g") for x in row]
+             for row in zip(vals, vals, [-v for v in vals], vals[::-1])]
+    assert data.decode() == "tau,theta_1,theta_2,speed\n" + \
+        "".join(",".join(row) + "\n" for row in cells)
 
 
 def test_ige_command_emits_full_columns(tmp_path):
@@ -357,6 +430,66 @@ def test_malformed_config_exits_1_naming_field(tmp_path, capsys, command,
     assert cli.main([command, "--config", str(cfg)]) == 1
     assert f"config error at {field}:" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+BAD_TOLERANCES = [".nan", ".inf", "0", "-1"]
+
+
+def _stub_run(monkeypatch):
+    """A tolerance check that fails late would hand the solvers a nan or
+    zero tolerance, on which they run for minutes."""
+    monkeypatch.setattr(cli, "run", lambda cfg, command: pytest.fail(
+        f"a solve started with {cfg['numerics']}"))
+
+
+@pytest.mark.parametrize("key", sorted(cli._NUMERIC_DEFAULTS))
+@pytest.mark.parametrize("value", BAD_TOLERANCES)
+def test_bad_numerics_value_exits_1(tmp_path, capsys, monkeypatch, key,
+                                    value):
+    _stub_run(monkeypatch)
+    cfg = tmp_path / "geo.yaml"
+    cfg.write_text(GEO_CFG + f"numerics: {{{key}: {value}}}\n")
+    assert cli.main(["geodesic", "--config", str(cfg)]) == 1
+    assert f"config error at numerics.{key}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", BAD_TOLERANCES)
+def test_bad_tol_flag_exits_1(tmp_path, capsys, monkeypatch, value):
+    _stub_run(monkeypatch)
+    cfg = tmp_path / "geo.yaml"
+    cfg.write_text(GEO_CFG)
+    tol = value.lstrip(".")
+    assert cli.main(["geodesic", "--config", str(cfg), f"--tol={tol}"]) == 1
+    assert "config error at numerics.ode_tol:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", BAD_TOLERANCES)
+def test_bad_mre_tol_exits_1(tmp_path, capsys, monkeypatch, value):
+    _stub_run(monkeypatch)
+    cfg = tmp_path / "mre.yaml"
+    cfg.write_text(f"{MRE_UNIFORM}tol: {value}\n")
+    assert cli.main(["mre", "--config", str(cfg)]) == 1
+    assert "config error at tol:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [".nan", ".inf", "-.inf"])
+def test_nonfinite_tau_end_exits_1(tmp_path, capsys, monkeypatch, value):
+    _stub_run(monkeypatch)
+    cfg = tmp_path / "geo.yaml"
+    cfg.write_text(f"manifold: {DIAG_2D}\ntheta0: [0.0, 1.0]\n"
+                   f"v0: [1.0, 0.0]\ntau_end: {value}\n")
+    assert cli.main(["geodesic", "--config", str(cfg)]) == 1
+    assert "config error at tau_end:" in capsys.readouterr().err
+
+
+def test_tol_flag_overrides_ode_tol(tmp_path, monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "run",
+                        lambda cfg, command: seen.append(cfg) or 0)
+    cfg = tmp_path / "geo.yaml"
+    cfg.write_text(GEO_CFG)
+    assert cli.main(["geodesic", "--config", str(cfg), "--tol", "1e-8"]) == 0
+    assert seen[0]["numerics"]["ode_tol"] == 1e-8
 
 
 def test_curvature_on_one_dimensional_manifold(tmp_path):

@@ -4,6 +4,7 @@ perturbation oracle, and the error taxonomy."""
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import logsumexp
 
 from igac import models as md
 from igac import mre
@@ -158,6 +159,36 @@ def test_moment_cone_exterior_raises(family, u, v):
         # E x^2 < 1 on (-1, 1): a second moment of 1 or more is unreachable
         with pytest.raises(BracketingError):
             mre.update(_prior(family), -0.9 + 1.8 * u, 1.0 + v)
+
+
+# features that vary wherever a tilt puts the mass: one that is constant
+# there (tanh beyond x = 19) has a covariance of pure rounding
+FEATURES = (lambda x: x, lambda x: x * x, np.sin)
+
+
+@settings(max_examples=60)
+@given(st.sampled_from(["gaussian", "exponential", "uniform"]),
+       st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=3))
+def test_dual_kernel_matches_weighted_statistics(family, beta):
+    beta = np.array(beta)
+    fns = FEATURES[:beta.size]
+    ws = mre._Workspace(mre.MrEProblem(_prior(family),
+                                       tuple((fn, 0.5) for fn in fns)))
+    val, mean, cov = ws.dual(beta)
+    # the same tilt on the (n, k) features, by numpy's weighted statistics
+    feats = np.column_stack([fn(ws.x) for fn in fns])
+    lnq = ws.lnp_old + feats @ beta
+    weights = ws.w * np.exp(lnq - np.max(lnq))
+    ref_mean = np.average(feats, axis=0, weights=weights)
+    ref_cov = np.atleast_2d(np.cov(feats, rowvar=False, aweights=weights,
+                                   bias=True))
+    # relative to the scale each entry's rounding carries
+    scale = np.average(np.abs(feats), axis=0, weights=weights)
+    assert np.all(np.abs(mean - ref_mean) <= 1e-12 * scale)
+    sd = np.sqrt(np.diag(ref_cov))
+    assert np.all(np.abs(cov - ref_cov) <= 1e-12 * np.outer(sd, sd))
+    ref_val = logsumexp(lnq, b=ws.w) - beta @ ws.targets
+    assert val == pytest.approx(ref_val, rel=1e-12, abs=1e-12)
 
 
 def test_jointly_infeasible_targets_raise():
