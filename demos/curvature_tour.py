@@ -73,7 +73,10 @@ print("vanishes: the correlation is a chart change, not new geometry.")
 
 banner("6. Symmetry directions")
 grid = [np.array([m_, s]) for m_ in (-0.5, 0.5) for s in (0.8, 1.6)]
-res_mu = geo.killing_residual(metric, lambda th: np.array([1.0, 0.0]), grid)
-res_sg = geo.killing_residual(metric, lambda th: np.array([0.0, 1.0]), grid)
+# each field is constant, so its derivative is zero
+res_mu = geo.killing_residual(
+    metric, lambda th: (np.array([1.0, 0.0]), np.zeros((2, 2))), grid)
+res_sg = geo.killing_residual(
+    metric, lambda th: (np.array([0.0, 1.0]), np.zeros((2, 2))), grid)
 print(f"mean translation residual   : {res_mu:.2e}  (isometry)")
 print(f"spread translation residual : {res_sg:.2e}  (not an isometry)")

@@ -2,8 +2,9 @@
 
 Subcommands: curvature, geodesic, jacobi, ige, mre, scenario.  Configs are
 YAML documents; all validation failures are reported together with the path
-of the offending field.  Outputs are a JSON report plus CSV traces with the
-fixed header ``tau,theta_1..theta_N,speed,delta_v,igc,ige,jacobi_intensity``
+of the offending field.  Every number must be finite, except the ends of an
+MrE ``domain``.  Outputs are a JSON report plus CSV traces with the fixed
+header ``tau,theta_1..theta_N,speed,delta_v,igc,ige,jacobi_intensity``
 (columns absent when not computed), floats printed with 17 significant
 digits, LF line endings.  Exit status: 0 all oracle checks pass, 1 usage or
 config error, 2 numeric check failure.
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -43,7 +45,9 @@ def parse_config(text: str, command: str = "scenario",
                  ode_tol: float = None) -> dict:
     """Validated config with defaults filled, or ConfigError listing every
     failure with its field path.  ``ode_tol``, when given, replaces
-    ``numerics.ode_tol`` before validation."""
+    ``numerics.ode_tol`` before validation.  One walk rejects every nan or
+    infinite number; the field checks below then test type, sign and
+    range only."""
     try:
         raw = yaml.load(text, Loader=_LOADER) or {}
     except yaml.YAMLError as exc:
@@ -77,9 +81,37 @@ def parse_config(text: str, command: str = "scenario",
         _validate_mre(cfg.get("mre"), "mre", failures)
         _check_positive(cfg.get("tol", 1e-12), "tol", failures)
 
-    if failures:
-        raise ConfigError(failures)
+    nonfinite = []
+    _walk_nonfinite(cfg, "", _open_ends(cfg, command), nonfinite)
+    if nonfinite or failures:
+        # a field check adds nothing at a path the walk already rejected
+        bad = {path for path, _ in nonfinite}
+        raise ConfigError(nonfinite + [f for f in failures
+                                       if f[0] not in bad])
     return cfg
+
+
+def _open_ends(cfg, command):
+    """Paths of the MrE domain ends, the only numbers that may be
+    infinite: an infinite end leaves that side of the prior untruncated."""
+    if command == "scenario" and cfg.get("scenario") == "mre_update":
+        return ("parameters.domain[0]", "parameters.domain[1]")
+    return ("mre.domain[0]", "mre.domain[1]") if command == "mre" else ()
+
+
+def _walk_nonfinite(node, path, open_ends, failures):
+    """Record every float leaf under ``node`` that is nan or infinite, at
+    its field path (``a.b[0].c``); infinities pass at ``open_ends``."""
+    if isinstance(node, float):
+        if math.isnan(node) or math.isinf(node) and path not in open_ends:
+            failures.append((path, f"must be finite, got {node!r}"))
+    elif isinstance(node, dict):
+        for key, val in node.items():
+            _walk_nonfinite(val, f"{path}.{key}" if path else str(key),
+                            open_ends, failures)
+    elif isinstance(node, list):
+        for i, val in enumerate(node):
+            _walk_nonfinite(val, f"{path}[{i}]", open_ends, failures)
 
 
 def _section(cfg, key, defaults, failures):
@@ -98,11 +130,10 @@ def _is_number(val) -> bool:
 
 
 def _check_positive(val, path, failures):
-    """Record a failure unless ``val`` is a finite positive number; a nan,
-    infinite or zero tolerance would leave a solver running unbounded."""
-    if not _is_number(val) or not 0.0 < val < np.inf:
-        failures.append((path, f"must be a finite positive number, got "
-                         f"{val!r}"))
+    """Record a failure unless ``val`` is a positive number; a zero
+    tolerance would leave a solver running unbounded."""
+    if not _is_number(val) or not val > 0.0:
+        failures.append((path, f"must be a positive number, got {val!r}"))
 
 
 def _check_vector(val, path, dim, failures):
@@ -248,8 +279,8 @@ def _validate_manifold_command(cfg, command, failures):
         required, vectors = ("theta0", "v0", "tau_end"), \
             ("theta0", "v0", "j0", "dj0")
         tau_end = cfg.get("tau_end", 0.0)
-        if not _is_number(tau_end) or not np.isfinite(tau_end):
-            failures.append(("tau_end", f"must be a finite number, got "
+        if not _is_number(tau_end):
+            failures.append(("tau_end", f"must be a number, got "
                              f"{tau_end!r}"))
     for key in required:
         if key not in cfg:
@@ -276,16 +307,15 @@ _PRIOR_KEYS = {"exponential": {"mu": 1.0},
 
 
 def _check_prior(prior, path, failures):
-    """Finite parameters, positive scales (exponential ``mu``, gaussian
+    """Numeric parameters, positive scales (exponential ``mu``, gaussian
     ``sigma``) and ``lo < hi`` for the uniform prior."""
     n_failures = len(failures)
     vals = {key: prior.get(key, default)
             for key, default in _PRIOR_KEYS[prior["family"]].items()}
     for key, val in vals.items():
         positive = key == "sigma" or prior["family"] == "exponential"
-        if not _is_number(val) or not np.isfinite(val) or \
-                (positive and val <= 0):
-            kind = "a positive" if positive else "a finite"
+        if not _is_number(val) or (positive and val <= 0):
+            kind = "a positive" if positive else "a"
             failures.append((f"{path}.{key}",
                              f"must be {kind} number, got {val!r}"))
     if len(failures) == n_failures and "lo" in vals \

@@ -31,7 +31,7 @@ from .errors import (
     StiffnessError,
     UndefinedRateError,
 )
-from .geometry import _CHART_FLOOR, _christoffel_core, connection_jet
+from .geometry import _CHART_FLOOR, connection_jet
 from .models import MetricField
 
 __all__ = [
@@ -80,7 +80,7 @@ def _geodesic_rhs(metric):
 
     def rhs(_tau, y):
         th, v = y[:dim], y[dim:]
-        gam = _christoffel_core(metric, th)
+        gam = metric.connection(th)
         return np.concatenate([v, -(gam @ v) @ v])
 
     return rhs
@@ -231,8 +231,7 @@ def solve_geodesic_bvp(metric: MetricField, theta_init, theta_final,
     best = float(np.linalg.norm(res))
     for _ in range(max_iter):
         if best < tol:
-            return integrate_geodesic(metric, theta_init, v, tau_span,
-                                      tol=ode_tol, n_out=n_out)
+            break
         try:
             step = np.linalg.solve(jac, -res)
         except np.linalg.LinAlgError as exc:
@@ -281,7 +280,7 @@ class WavePacketParams:
 
     def __post_init__(self):
         for name in ("p0", "sigma0", "tau0"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
         if not 0.0 <= self.r < 1.0:
             raise ValueError(f"correlation r must lie in [0, 1), got {self.r}")
@@ -412,7 +411,7 @@ def integrate_jacobi(metric: MetricField, theta0, v0, tau_grid, J0, DJ0,
     dim = metric.dim
     th0, v0, J0, DJ0, tau_grid = (np.asarray(a, float) for a in
                                   (theta0, v0, J0, DJ0, tau_grid))
-    gam0 = _christoffel_core(metric, th0)
+    gam0 = metric.connection(th0)
     jdot0 = DJ0 - np.einsum("abc,b,c->a", gam0, J0, v0)
 
     t0, t1 = float(tau_grid[0]), float(tau_grid[-1])
@@ -428,7 +427,7 @@ def integrate_jacobi(metric: MetricField, theta0, v0, tau_grid, J0, DJ0,
         sol.y.reshape(4, dim, -1), (0, 2, 1))
 
     g = metric.eval(theta)
-    gam_grid = np.stack([_christoffel_core(metric, th) for th in theta])
+    gam_grid = np.stack([metric.connection(th) for th in theta])
     dj_cov = jdot + np.einsum("nabc,nb,nc->na", gam_grid, j, theta_dot)
     inten2 = np.einsum("nab,na,nb->n", g, j, j)
     inten = np.sqrt(np.maximum(inten2, 0.0))

@@ -7,8 +7,8 @@ curvature quantity of a point from one connection jet: lowered Riemann,
 Ricci tensor and scalar, sectional curvatures and their orthonormal-frame
 sum, projective anisotropy and the metric-compatibility residual, which
 checks the connection against the metric's own first jet.  ``ricci_scalar``
-and ``sectional`` are one-value shortcuts; Killing residuals, which
-difference the caller's Killing field, complete the set.
+and ``sectional`` are one-value shortcuts; Killing residuals, from the
+caller's field and its exact derivative (K, dK), complete the set.
 
 Sign conventions: Gamma^a_bc = (1/2) g^ad (d_b g_dc + d_c g_db - d_d g_bc),
 R^a_bcd = d_c Gamma^a_bd - d_d Gamma^a_bc + Gamma^a_fc Gamma^f_bd
@@ -62,16 +62,9 @@ def _inverse(g, theta) -> np.ndarray:
         raise DegenerateMetricError(f"singular metric at {theta}") from exc
 
 
-def _christoffel_core(metric: MetricField, theta) -> np.ndarray:
-    """Connection coefficients without the chart-floor rejection (used by
-    integrators whose trial steps may probe just past the boundary)."""
-    return metric.connection(theta)
-
-
 def christoffel(metric: MetricField, theta) -> np.ndarray:
     """Levi-Civita connection coefficients Gamma^a_bc, symmetric in (b, c)."""
-    theta = _check_chart(metric, theta)
-    return _christoffel_core(metric, theta)
+    return metric.connection(_check_chart(metric, theta))
 
 
 def connection_jet(metric: MetricField, theta):
@@ -165,51 +158,23 @@ def _compat_residual(g, dg, gam) -> float:
     return worst / scale if scale > 0 else worst
 
 
-def _fd_step(metric: MetricField, theta, c: int, base: float) -> float:
-    """FD step in direction c: base * max(1, |theta_c|), except on half-line
-    coordinates where it is proportional to theta_c so perturbed points stay
-    inside the chart."""
-    if c in metric.scale_coords:
-        return base * abs(theta[c])
-    return base * max(1.0, abs(theta[c]))
-
-
-def _richardson_diff(fn, h):
-    """Central difference of fn at 0 with one Richardson level (error h^4)."""
-    d1 = (fn(h) - fn(-h)) / (2 * h)
-    d2 = (fn(h / 2) - fn(-h / 2)) / h
-    return (4.0 * d2 - d1) / 3.0
-
-
 def killing_residual(metric: MetricField, k_field: Callable,
                      grid: Sequence) -> float:
     """sup over the grid of max-abs of D_a K_b + D_b K_a.
 
-    ``k_field`` maps theta to the contravariant components K^a; the index is
-    lowered with g before differentiating.  Zero iff K generates an isometry
-    on the grid.  The derivative of the caller's field is a Richardson
-    difference, the one finite difference in the package.
+    ``k_field`` maps theta to ``(K, dK)``: the contravariant components K^a
+    and their derivative dK[a, b] = d_a K^b.  The index is lowered exactly,
+    d_a K_b = d_a g_bc K^c + d_a K^c g_cb, with the metric's own jet.  Zero
+    iff K generates an isometry on the grid.
     """
-    def lowered(th):
-        th = np.asarray(th, float)
-        return metric.eval(th) @ np.asarray(k_field(th), float)
-
     worst = 0.0
     for theta in grid:
         theta = _check_chart(metric, theta)
-        n = metric.dim
-        dk = np.empty((n, n))    # dk[a, b] = d_a K_b
-        for a in range(n):
-            def shifted(t, a=a):
-                th = np.array(theta)
-                th[a] += t
-                return lowered(th)
-
-            dk[a] = _richardson_diff(shifted,
-                                     _fd_step(metric, theta, a, 1e-6))
-        gam = christoffel(metric, theta)
-        kb = lowered(theta)
-        cov = dk - np.einsum("cba,c->ab", gam, kb)
+        g, dg = metric.jet(theta)
+        k, dk = (np.asarray(part, float) for part in k_field(theta))
+        gam = metric.connection(theta)
+        # D_a K_b = d_a K_b - Gamma^c_ab K_c
+        cov = dg @ k + dk @ g - np.tensordot(g @ k, gam, 1)
         worst = max(worst, float(np.max(np.abs(cov + cov.T))))
     return worst
 

@@ -106,6 +106,10 @@ def _prior_interval(prior, domain):
     """
     if domain is not None:
         lo, hi = float(domain[0]), float(domain[1])
+        if isinstance(prior, TabulatedDensity) and \
+                not (prior.domain[0] <= lo and hi <= prior.domain[1]):
+            raise DomainError(f"domain ({lo}, {hi}) leaves the support "
+                              f"{prior.domain} of the tabulated prior")
     elif isinstance(prior, TabulatedDensity):
         lo, hi = prior.domain
     elif isinstance(prior, StatModel):
@@ -182,8 +186,9 @@ class _Workspace:
         self.targets = np.array([F for _, F in problem.constraints])
         self.lnpw = self.lnp_old + np.log(self.w)
         log_mass = self.dual(np.zeros(self.targets.size))[0]
-        if abs(np.expm1(log_mass)) > 1e-6:
-            raise ValueError(f"prior is not normalized on the domain "
+        # an explicit domain conditions the prior on it
+        if problem.domain is None and abs(np.expm1(log_mass)) > 1e-6:
+            raise ValueError(f"prior is not normalized on its support "
                              f"(mass {np.exp(log_mass)})")
         self.lnp_old -= log_mass
         self.lnpw -= log_mass

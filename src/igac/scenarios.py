@@ -386,12 +386,12 @@ class IHOConfig:
             om = tuple(float(w) for w in self.omega)
             if len(om) != self.l:
                 raise ValueError("need one frequency per oscillator")
-            if any(w <= 0 for w in om):
+            if not all(w > 0 for w in om):
                 raise ValueError("frequencies must be positive")
             object.__setattr__(self, "omega", om)
-        elif self.omega_total is None:
-            raise ValueError("provide omega or omega_total")
-        if self.xi <= 0 or self.tau_end <= 0:
+        elif self.omega_total is None or not self.omega_total > 0:
+            raise ValueError("provide omega or a positive omega_total")
+        if not (self.xi > 0 and self.tau_end > 0):
             raise ValueError("xi and tau_end must be positive")
 
     @property
@@ -700,7 +700,7 @@ class ScatterConfig:
     def __post_init__(self):
         for name in ("p0", "sigma0", "tau0", "r0_separation",
                      "potential_range", "mu_mass"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
         if not 0.0 <= self.r < 1.0:
             raise ValueError("r must lie in [0, 1)")

@@ -60,7 +60,7 @@ def gamma_derivative_fd(metric, theta):
         def shifted(t, c=c):
             th = np.array(theta)
             th[c] += t
-            return geo._christoffel_core(metric, th)
+            return metric.connection(th)
 
         d1 = (shifted(h) - shifted(-h)) / (2 * h)
         d2 = (shifted(h / 2) - shifted(-h / 2)) / h

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 import yaml
+from scipy.stats import norm
 
 from igac import cli
 from igac.errors import ConfigError
@@ -490,6 +491,153 @@ def test_tol_flag_overrides_ode_tol(tmp_path, monkeypatch):
     cfg.write_text(GEO_CFG)
     assert cli.main(["geodesic", "--config", str(cfg), "--tol", "1e-8"]) == 0
     assert seen[0]["numerics"]["ode_tol"] == 1e-8
+
+
+def _numeric_leaves(node, path=(), name=""):
+    """(field path, key path) of every number under a parsed config."""
+    if isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield name, path
+    elif isinstance(node, dict):
+        for key, val in node.items():
+            yield from _numeric_leaves(val, path + (key,),
+                                       f"{name}.{key}" if name else key)
+    elif isinstance(node, list):
+        for i, val in enumerate(node):
+            yield from _numeric_leaves(val, path + (i,), f"{name}[{i}]")
+
+
+DEMO_LEAVES = [(config, name, path) for config in DEMO_CONFIGS
+               for name, path in _numeric_leaves(
+                   yaml.safe_load(config.read_text()))]
+
+
+def _main_with_config(tmp_path, command, cfg):
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    return cli.main([command, "--config", str(path)])
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("value", [NAN, INF, -INF],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("config,name,path", DEMO_LEAVES,
+                         ids=[f"{c.stem}-{n}" for c, n, _ in DEMO_LEAVES])
+def test_nonfinite_demo_leaf_exits_1_at_its_path(tmp_path, capsys,
+                                                 monkeypatch, config, name,
+                                                 path, value):
+    _stub_run(monkeypatch)
+    cfg = yaml.safe_load(config.read_text())
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    command = config.stem if config.stem in cli._COMMANDS else "scenario"
+    assert _main_with_config(tmp_path, command, cfg) == 1
+    assert f"config error at {name}: must be finite" in \
+        capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,body,field", [
+    ("geodesic", IGE_2D.replace("sigmas: [1.0]", "sigmas: [.nan]"),
+     "manifold.sigmas[0]"),
+    ("geodesic", IGE_2D.replace("theta0: [0.0", "theta0: [.nan"),
+     "theta0[0]"),
+    ("geodesic", IGE_2D.replace("v0: [1.0", "v0: [.inf"), "v0[0]"),
+    ("curvature", "manifold: {kind: exponential, mu: .nan}\ntheta: [1.0]\n",
+     "manifold.mu"),
+    ("curvature", "manifold: {kind: gaussian_bivariate_corr, mu_x: 0.0, "
+     "mu_y: 0.0, sigma: .nan}\ntheta: [0.0, 0.0, 1.0]\n", "manifold.sigma"),
+    ("curvature", "manifold: {kind: gaussian_diag, means: [.inf], "
+     "sigmas: [1.0]}\ntheta: [0.0, 1.0]\n", "manifold.means[0]"),
+    ("mre", "mre:\n  prior: {family: uniform}\n"
+     "  constraints: [{f: identity, target: .inf}]\n",
+     "mre.constraints[0].target"),
+    ("mre", "mre:\n  prior: {family: uniform}\n  constraints: [{f: poly, "
+     "coefficients: [0.0, .nan], target: 0.1}]\n",
+     "mre.constraints[0].coefficients[1]"),
+    ("scenario", "scenario: iho\nparameters: {l: 2, omega: [.nan, 1.0]}\n",
+     "parameters.omega[0]"),
+    ("scenario", "scenario: iho\nparameters: {l: 2, omega: [0.5, 1.5], "
+     "xi: .inf}\n", "parameters.xi"),
+    ("scenario", "scenario: wavepacket\nparameters: {p0: .nan}\n",
+     "parameters.p0"),
+    ("scenario", "scenario: wavepacket\nparameters: {r_sweep: [.nan, 0.3]}\n",
+     "parameters.r_sweep[0]"),
+    ("scenario", "scenario: uncorrelated_gaussian\n"
+     "parameters: {l: 1, theta0: [.nan, 1.0]}\n", "parameters.theta0[0]"),
+    ("scenario", "scenario: macro_correlated\n"
+     "parameters: {l: 1, r: [0.5], tau_end: .inf}\n", "parameters.tau_end"),
+    ("scenario", "scenario: custom_manifold\nparameters:\n"
+     "  manifold: {kind: exponential, mu: 1.0}\n  theta: [.nan]\n",
+     "parameters.theta[0]"),
+], ids=["sigmas", "theta0", "v0", "exponential-mu", "bivariate-sigma",
+        "means", "mre-target", "poly-coefficient", "iho-omega", "iho-xi",
+        "wavepacket-p0", "wavepacket-r-sweep", "uncorrelated-theta0",
+        "macro-tau-end", "custom-theta"])
+def test_nonfinite_field_exits_1_naming_it(tmp_path, capsys, monkeypatch,
+                                           command, body, field):
+    _stub_run(monkeypatch)
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(body)
+    assert cli.main([command, "--config", str(cfg)]) == 1
+    assert f"config error at {field}: must be finite" in \
+        capsys.readouterr().err
+
+
+GAUSSIAN_MRE = {"prior": {"family": "gaussian"},
+                "constraints": [{"f": "identity", "target": 0.3}]}
+
+
+@pytest.mark.parametrize("end", [0, 1])
+def test_nan_mre_domain_end_exits_1(tmp_path, capsys, monkeypatch, end):
+    _stub_run(monkeypatch)
+    domain = [-INF, INF]
+    domain[end] = NAN
+    cfg = {"mre": {**GAUSSIAN_MRE, "domain": domain}}
+    assert _main_with_config(tmp_path, "mre", cfg) == 1
+    assert f"config error at mre.domain[{end}]: must be finite" in \
+        capsys.readouterr().err
+
+
+def test_infinite_domain_ends_only_in_mre_update(tmp_path, capsys,
+                                                 monkeypatch):
+    _stub_run(monkeypatch)
+    cfg = {"scenario": "wavepacket", "parameters": {"domain": [0.0, INF]}}
+    assert _main_with_config(tmp_path, "scenario", cfg) == 1
+    assert "config error at parameters.domain[1]: must be finite" in \
+        capsys.readouterr().err
+    cfg = {"scenario": "mre_update", "parameters": {**GAUSSIAN_MRE,
+                                                    "domain": [0.0, INF]}}
+    assert cli.parse_config(yaml.safe_dump(cfg))["parameters"]["domain"] == \
+        [0.0, INF]
+
+
+def test_open_mre_domain_matches_the_prior_support(tmp_path):
+    # the report echoes its inputs, so the two differ by the domain alone
+    reports = []
+    for name, extra in (("open", {"domain": [-INF, INF]}),
+                        ("omitted", {})):
+        cfg = {"mre": {**GAUSSIAN_MRE, **extra},
+               "output": {"directory": str(tmp_path / name)}}
+        assert _main_with_config(tmp_path, "mre", cfg) == 0
+        reports.append(json.loads(
+            (tmp_path / name / "report.json").read_text()))
+    assert reports[0]["inputs"]["mre"].pop("domain") == [-INF, INF]
+    assert reports[0] == reports[1]
+
+
+def test_mre_domain_conditions_the_prior(tmp_path):
+    # N(0,1) on x > 0 tilted by e^(beta x) has mean
+    # beta + phi(beta) / Phi(beta); here beta = 1
+    mean = float(1.0 + norm.pdf(1.0) / norm.cdf(1.0))
+    cfg = {"mre": {"prior": {"family": "gaussian"}, "domain": [0.0, INF],
+                   "constraints": [{"f": "identity", "target": mean}]},
+           "output": {"directory": str(tmp_path / "out")}}
+    assert _main_with_config(tmp_path, "mre", cfg) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["observables"]["beta"][0] == pytest.approx(1.0, abs=1e-10)
 
 
 def test_curvature_on_one_dimensional_manifold(tmp_path):

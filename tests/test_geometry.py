@@ -156,17 +156,35 @@ def test_weyl_nonzero_for_four_dim_gaussian():
     assert wmax > 1e-3
 
 
+def _constant_field(k):
+    """A constant Killing-field candidate with its zero derivative."""
+    k = np.asarray(k, float)
+    return lambda th: (k, np.zeros((k.size, k.size)))
+
+
 def test_killing_residuals():
     flat = md.flat_metric(2)
     grid = [np.array([x, y]) for x in (0.0, 1.0) for y in (0.0, 1.0)]
-    assert geo.killing_residual(flat, lambda th: np.array([1.0, 0.0]),
+    assert geo.killing_residual(flat, _constant_field([1.0, 0.0]),
                                 grid) < 1e-10
     metric = gaussian_metric(1)
     grid = [np.array([m, s]) for m in (-0.5, 0.5) for s in (0.8, 1.6)]
-    assert geo.killing_residual(metric, lambda th: np.array([1.0, 0.0]),
+    assert geo.killing_residual(metric, _constant_field([1.0, 0.0]),
                                 grid) < 1e-8
-    assert geo.killing_residual(metric, lambda th: np.array([0.0, 1.0]),
+    assert geo.killing_residual(metric, _constant_field([0.0, 1.0]),
                                 [np.array([0.0, 1.0])]) > 0.1
+
+
+def test_killing_residual_is_exact():
+    # on g = diag(1, 2) / s^2 the dilation K = theta is a Killing field,
+    # and K = (0, 1) has D_a K_b + D_b K_a = d_s g = -diag(2, 4) / s^3
+    metric = gaussian_metric(1)
+    grid = [np.array([m, s]) for m in (-0.5, 0.5) for s in (0.8, 1.6)]
+    assert geo.killing_residual(metric, lambda th: (th, np.eye(2)),
+                                grid) <= 1e-14
+    assert geo.killing_residual(metric, _constant_field([0.0, 1.0]),
+                                grid) == pytest.approx(4.0 / 0.8 ** 3,
+                                                       rel=1e-12)
 
 
 def test_quadrature_curvature_matches_analytic():

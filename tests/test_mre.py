@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import logsumexp
+from scipy.stats import norm
 
 from igac import models as md
 from igac import mre
@@ -35,6 +36,26 @@ def test_tilted_gaussian_beta():
     post = res.posterior
     oracle = np.exp(-(post.x - 1.0) ** 2 / 2) / np.sqrt(2 * np.pi)
     assert np.max(np.abs(post.p - oracle)) < 1e-10
+
+
+@pytest.mark.parametrize("beta", [-1.5, 0.0, 0.7, 2.0])
+def test_domain_conditions_the_prior(beta):
+    # N(0,1) conditioned on x > 0 and tilted by e^(beta x) is N(beta, 1)
+    # truncated at 0, whose mean is beta + phi(beta) / Phi(beta)
+    mean = beta + norm.pdf(beta) / norm.cdf(beta)
+    res = mre.solve_multiplier(
+        mre.MrEProblem(md.gaussian_diag([0.0], [1.0]), ((lambda x: x, mean),),
+                       domain=(0.0, np.inf)), tol=1e-13)
+    assert res.beta[0] == pytest.approx(beta, abs=1e-12)
+    assert res.posterior.mass() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_domain_beyond_tabulated_support_raises():
+    # a tabulated prior has no mass outside its bounds to condition on
+    with pytest.raises(DomainError):
+        mre.solve_multiplier(mre.MrEProblem(
+            mre.uniform_prior(-1.0, 1.0), ((lambda x: x, 2.5),),
+            domain=(0.0, 3.0)))
 
 
 def test_zero_update_fixed_point():

@@ -99,6 +99,33 @@ def test_iho_config_validation():
         sc.IHOConfig(2)
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: sc.IHOConfig(2, omega=(NAN, 1.0)),
+    lambda: sc.IHOConfig(2, omega_total=NAN),
+    lambda: sc.IHOConfig(2, omega=(0.5, 1.5), xi=NAN),
+    lambda: sc.IHOConfig(2, omega=(0.5, 1.5), tau_end=NAN),
+    lambda: sc.ScatterConfig(p0=NAN),
+    lambda: sc.ScatterConfig(sigma0=NAN),
+    lambda: sc.ScatterConfig(tau0=NAN),
+    lambda: sc.ScatterConfig(r0_separation=NAN),
+    lambda: sc.ScatterConfig(potential_range=NAN),
+    lambda: sc.ScatterConfig(mu_mass=NAN),
+    lambda: dyn.WavePacketParams(NAN, 0.1, 1.0),
+    lambda: dyn.WavePacketParams(1.0, NAN, 1.0),
+    lambda: dyn.WavePacketParams(1.0, 0.1, NAN),
+], ids=["iho-omega", "iho-omega_total", "iho-xi", "iho-tau_end",
+        "scatter-p0", "scatter-sigma0", "scatter-tau0", "scatter-R0",
+        "scatter-L", "scatter-mu_mass", "wavepacket-p0", "wavepacket-sigma0",
+        "wavepacket-tau0"])
+def test_nan_parameter_rejected(build):
+    # nan <= 0 is False, so a positivity test must read "not x > 0"
+    with pytest.raises(ValueError):
+        build()
+
+
 @pytest.mark.parametrize("regime,oracle", [("regular", 0.0),
                                            ("chaotic", -1.0)])
 def test_spin_chain_classification(regime, oracle):
