@@ -42,3 +42,5 @@ show(sc.run_spin_chain("chaotic"))
 
 print("== inverted oscillators: slope proportional to Omega ==============")
 show(sc.run_iho(sc.IHOConfig(2, omega=(0.5, 1.5), xi=1.0)))
+# odd l: the volume density (1 + sum w^2 x^2 / 2)^(3/2) is not a polynomial
+show(sc.run_iho(sc.IHOConfig(3, omega_total=2.0)))

@@ -50,7 +50,8 @@ def parse_config(text: str, command: str = "scenario",
     range only."""
     try:
         raw = yaml.load(text, Loader=_LOADER) or {}
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:
+        # ValueError: an integer past Python's digit limit for int(str)
         raise ConfigError([("<document>", f"not valid YAML: {exc}")])
     if not isinstance(raw, dict):
         raise ConfigError([("<document>", "top level must be a mapping")])
@@ -100,11 +101,18 @@ def _open_ends(cfg, command):
 
 
 def _walk_nonfinite(node, path, open_ends, failures):
-    """Record every float leaf under ``node`` that is nan or infinite, at
-    its field path (``a.b[0].c``); infinities pass at ``open_ends``."""
+    """Record every float leaf under ``node`` that is nan or infinite, and
+    every integer leaf beyond the float range, at its field path
+    (``a.b[0].c``); infinite floats pass at ``open_ends``."""
     if isinstance(node, float):
         if math.isnan(node) or math.isinf(node) and path not in open_ends:
             failures.append((path, f"must be finite, got {node!r}"))
+    elif isinstance(node, int) and not isinstance(node, bool):
+        try:
+            float(node)
+        except OverflowError:
+            failures.append((path, "must be finite, got an integer beyond "
+                                   "the float range"))
     elif isinstance(node, dict):
         for key, val in node.items():
             _walk_nonfinite(val, f"{path}.{key}" if path else str(key),
@@ -134,6 +142,13 @@ def _check_positive(val, path, failures):
     tolerance would leave a solver running unbounded."""
     if not _is_number(val) or not val > 0.0:
         failures.append((path, f"must be a positive number, got {val!r}"))
+
+
+def _check_positive_keys(params, keys, failures):
+    """``_check_positive`` on each of ``keys`` that ``params`` sets."""
+    for key in keys:
+        if key in params:
+            _check_positive(params[key], f"parameters.{key}", failures)
 
 
 def _check_vector(val, path, dim, failures):
@@ -189,10 +204,20 @@ def _validate_scenario(cfg, failures):
         r = _req(params, "r", "parameters", failures)
         if r is not None:
             _check_correlations(r, "parameters.r", failures)
-    if name == "iho" and isinstance(params, dict):
+    if name == "iho":
         if "omega" not in params and "omega_total" not in params:
             failures.append(("parameters.omega",
                              "provide omega or omega_total"))
+        if "omega" in params:
+            omega = params["omega"]
+            _check_vector(omega, "parameters.omega",
+                          l if isinstance(l, int) else None, failures)
+            for i, w in enumerate(omega if isinstance(omega, list) else []):
+                if _is_number(w) and not w > 0:
+                    failures.append((f"parameters.omega[{i}]",
+                                     f"must be positive, got {w!r}"))
+        _check_positive_keys(params, ("omega_total", "xi", "tau_end"),
+                             failures)
     if name == "spin_chain":
         regime = _req(params, "regime", "parameters", failures, str)
         if regime is not None and regime not in ("regular", "chaotic"):
@@ -202,6 +227,8 @@ def _validate_scenario(cfg, failures):
         r = params.get("r", 0.01)
         if not isinstance(r, (int, float)) or not 0.0 <= r < 1.0:
             failures.append(("parameters.r", f"must lie in [0, 1), got {r}"))
+        _check_positive_keys(params, ("p0", "sigma0", "tau0", "R0", "L",
+                                      "mu_mass"), failures)
     if name == "custom_manifold":
         dim = _validate_manifold(params.get("manifold"),
                                  "parameters.manifold", failures)

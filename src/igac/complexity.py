@@ -8,11 +8,11 @@ behavior is summarized by least-squares fits to linear, logarithmic, power,
 exponential and saturating forms.
 
 Closed-form metrics (``analytic_fisher``, ``fisher_quadrature``,
-``macro_correlated_metric``, ``flat_metric`` and ``iho_metric`` at even l)
-supply the exact box volume; every other metric (``rescaled_chart``, odd-l
-``iho_metric``, user metrics) goes through adaptive Gauss-Legendre
-quadrature (``integrate_box``), separable per block where the metric
-factorizes.
+``macro_correlated_metric``, ``flat_metric`` and ``iho_metric``) supply the
+exact box volume; every other metric (``rescaled_chart``, user metrics) goes
+through adaptive Gauss-Legendre quadrature (``integrate_box``) per block,
+axis by axis.  A block whose volume density does not factor across its axes
+has no volume there: ``integrate_box`` raises UnsupportedFamilyError.
 
 The box reading of the region integral is a convention choice (the endpoint
 notation leaves the region open for more than one coordinate); it is recorded
@@ -91,9 +91,10 @@ def volume_between(metric: MetricField, path: GeodesicPath, tau: float,
     off the path grid.
 
     Metrics with a closed-form box volume (``has_exact_volume``) evaluate it
-    on the whole box.  Otherwise the volume separates into per-block
-    iterated integrals by ``integrate_box`` when the metric factorizes.  A
-    box with zero extent in any coordinate has zero volume.
+    on the whole box.  Otherwise the volume is the product of per-block
+    iterated integrals by ``integrate_box``, which needs each block's density
+    to factor across its axes.  A box with zero extent in any coordinate has
+    zero volume.
     """
     return _box_volume_fn(metric, rel_tol)(path_box(path, tau))
 

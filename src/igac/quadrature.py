@@ -1,8 +1,9 @@
 """Gauss quadrature helpers.
 
 Natural-weight rules (Hermite for full-line Gaussian factors, Laguerre for
-half-line factors) plus composite Gauss-Legendre panels for box integrals.
-Panel subdivision is geometric when an axis spans several decades, which keeps
+half-line factors) plus composite Gauss-Legendre panels for box integrals of
+separable integrands, axis by axis; there is no tensor-product grid.  Panel
+subdivision is geometric when an axis spans several decades, which keeps
 integrands like 1/sigma^k resolvable without thousands of nodes.
 """
 
@@ -10,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import QuadratureAccuracyError
+from .errors import QuadratureAccuracyError, UnsupportedFamilyError
 
 _SQRT2PI = np.sqrt(2.0 * np.pi)
 
@@ -71,13 +72,14 @@ def _separable_factors(fn, bounds, n):
 
     Evaluates fn along each axis (others at the box midpoint), forms the
     product model f(m)^(1-d) prod_a f_a(x_a) and tests it at 24 random
-    interior points (fixed stream).  Returns per-axis (x, w, values) triples
-    when the model reproduces fn to 1e-9 relative, else None.
+    interior points (fixed stream).  Returns the per-axis (x, w, values)
+    triples and f(m) when the model reproduces fn to 1e-9 relative, else
+    None.
     """
     mid = np.array([0.5 * (lo + hi) for lo, hi in bounds])
     fm = float(fn(mid[None, :])[0])
     if fm == 0.0 or not np.isfinite(fm):
-        return None, None
+        return None
     axes = []
     for a, (lo, hi) in enumerate(bounds):
         x, w = legendre_panels(lo, hi, n)
@@ -96,63 +98,52 @@ def _separable_factors(fn, bounds, n):
     actual = np.asarray(fn(probe), float)
     scale = np.maximum(np.abs(actual), 1e-300)
     if np.max(np.abs(actual - model) / scale) > 1e-9:
-        return None, fm
+        return None
     return axes, fm
 
 
 def integrate_box(fn, bounds, rel_tol: float = 1e-6, start_nodes: int = 32,
                   max_nodes: int = 4096):
-    """Iterated integral of ``fn`` over a coordinate box.
+    """Iterated integral of a separable ``fn`` over a coordinate box.
 
-    ``fn`` maps a (npts, ndim) array of points to (npts,) values.  Composite
-    Gauss-Legendre rules are used per axis with the node count doubled until
-    the value changes by less than ``rel_tol`` relatively.  Integrands that
-    factor across axes (detected by a rank-1 probe) are integrated axis by
-    axis; everything else goes through the full tensor-product grid.
-    Raises QuadratureAccuracyError, with the last estimate attached, when
-    the node cap is reached first.
+    ``fn`` maps a (npts, ndim) array of points to (npts,) values.  A rank-1
+    probe checks that ``fn`` factors across the axes; each axis is then
+    integrated by composite Gauss-Legendre rules, the node count doubled
+    until the value changes by less than ``rel_tol`` relatively.  Raises
+    UnsupportedFamilyError for an integrand that does not factor, and
+    QuadratureAccuracyError, with the last estimate attached, when the node
+    cap is reached first.
     """
     bounds = [(float(lo), float(hi)) for lo, hi in bounds]
     if any(hi == lo for lo, hi in bounds):
         return 0.0
+    factors = _separable_factors(fn, bounds, start_nodes)
+    if factors is None:
+        raise UnsupportedFamilyError(
+            "box integrand does not factor across its axes; only separable "
+            "integrands have a quadrature volume")
+    axes, fm = factors
+    mid = [0.5 * (lo + hi) for lo, hi in bounds]
 
-    def refine(value, start):
+    def axis_value(a, n):
+        x, w = legendre_panels(*bounds[a], n)
+        pts = np.tile(mid, (x.size, 1))
+        pts[:, a] = x
+        return float(w @ np.asarray(fn(pts), float))
+
+    total, converged = fm ** (1 - len(bounds)), True
+    for a, (_, w, vals) in enumerate(axes):
         # double n from start_nodes until two estimates agree
-        n, prev = start_nodes, start
+        n, prev, ok = start_nodes, float(w @ vals), False
         while n < max_nodes:
             n *= 2
-            cur = value(n)
+            cur = axis_value(a, n)
             if abs(cur - prev) <= rel_tol * max(abs(cur), abs(prev), 1e-300):
-                return cur, True
+                prev, ok = cur, True
+                break
             prev = cur
-        return prev, False
-
-    axes, fm = _separable_factors(fn, bounds, start_nodes)
-    if axes is not None:
-        mid = [0.5 * (lo + hi) for lo, hi in bounds]
-
-        def axis_value(a, n):
-            x, w = legendre_panels(*bounds[a], n)
-            pts = np.tile(mid, (x.size, 1))
-            pts[:, a] = x
-            return float(w @ np.asarray(fn(pts), float))
-
-        total, converged = fm ** (1 - len(bounds)), True
-        for a, (_, w, vals) in enumerate(axes):
-            cur, ok = refine(lambda n, a=a: axis_value(a, n), float(w @ vals))
-            total *= cur
-            converged &= ok
-    else:
-        def tensor_value(n):
-            rules = [legendre_panels(lo, hi, n) for lo, hi in bounds]
-            grids = np.meshgrid(*[x for x, _ in rules], indexing="ij")
-            pts = np.stack([g.ravel() for g in grids], axis=-1)
-            vals = np.asarray(fn(pts)).reshape(grids[0].shape)
-            for _, w in reversed(rules):
-                vals = vals @ w
-            return float(vals)
-
-        total, converged = refine(tensor_value, tensor_value(start_nodes))
+        total *= prev
+        converged &= ok
     if not converged:
         raise QuadratureAccuracyError(
             f"box integral did not converge below {rel_tol} within "

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
-from scipy.special import comb
+from scipy.special import comb, gamma, gammainc
 
 from . import complexity as cx
 from . import dynamics as dyn
@@ -416,7 +416,8 @@ def iho_metric(omegas) -> md.MetricField:
 
     Its connection is Gamma^a_bc = (delta_ab d_c phi + delta_ac d_b phi
     - delta_bc d_a phi) / (2 phi), and d_e Gamma follows by the quotient
-    rule from the constant d_e d_c phi = w_c^2 delta_ec.
+    rule from the constant d_e d_c phi = w_c^2 delta_ec.  The box volume,
+    the integral of phi^(l/2), is exact at every l (``_iho_box_volume``).
     """
     omegas = np.asarray(omegas, float)
     dim = omegas.size
@@ -459,32 +460,99 @@ def iho_metric(omegas) -> md.MetricField:
                           source="analytic")
 
 
-def _iho_box_volume(omegas):
-    """Exact box volume of the density (1 + sum_j u_j)^m, u_j = w_j^2 x_j^2
-    / 2, for even l = 2m; None for odd l, whose density is not polynomial.
+# Odd-l volumes: trapezoid step in y = ln t and the t-range
+# [_T_LO / phi_max, _T_HI / phi_min] of the Laplace integral.  The rule's
+# error is about exp(-pi^2 / h) (the integrand is analytic for |Im y| <
+# pi/2), 7e-18 at h = 1/4.  Below the range e^(-t phi) is taken as 1, which
+# is off by (t phi_max)^(3/2) relative; above it the integrand holds
+# erfc(6) = 2e-17 of the volume.
+_LAPLACE_STEP = 0.25
+_T_LO, _T_HI = 1e-11, 36.0
 
-    The per-axis moments U_j[k] = int u_j^k dx_j (degree 2k <= l) are exact
-    on an (m+1)-node Gauss-Legendre rule, and the moments of 1 + sum u_j
-    follow axis by axis from the binomial convolution
-    M'[n] = sum_i C(n, i) M[i] U_j[n-i].  Every term is positive, and the
-    cost is O(l m^2) rather than the (m+1)^l points of a tensor rule.
+
+def _iho_box_volume(omegas):
+    """Exact box volume of the density phi^(l/2), phi = 1 + sum_j u_j,
+    u_j = w_j^2 x_j^2 / 2.
+
+    The moments M[n] = int phi^n e^(-t sum_j u_j) follow axis by axis from
+    the binomial convolution M'[n] = sum_i C(n, i) M[i] U_j[n-i] of the
+    per-axis moments U_j[k](t) = int u_j^k e^(-t u_j) dx_j.  Every term is
+    positive, and the cost is O(l n^2) per t rather than a tensor rule.
+
+    Even l = 2m takes one node t = 0, where the U_j[k] are polynomial
+    moments, exact on an (m+1)-node Gauss-Legendre rule, and the volume is
+    M[m].  Odd l = 2m+1 writes phi^(l/2) = phi^(m+1) phi^(-1/2) and
+    phi^(-1/2) = pi^(-1/2) int_0^inf t^(-1/2) e^(-t phi) dt (DLMF 5.2.1),
+    so the volume is a trapezoid rule in y = ln t over e^(-t) M[m+1](t),
+    with the nodes below the range summed at t = 0.  U_j[k](t) is an
+    incomplete-gamma difference, taken through the odd extension in x_j so
+    that a box may straddle 0 or lie at negative x_j.  Where e^(-t u_j)
+    varies by at most a factor e over the box, a Gauss-Legendre rule takes
+    U_j[k](t) instead: it keeps the digits that the difference would lose
+    on a thin box.
     """
-    if omegas.size % 2:
-        return None
-    m = omegas.size // 2
-    t, w = gauss_legendre(m + 1)
-    k = np.arange(m + 1)
+    cs = 0.5 * omegas ** 2
+    odd = omegas.size % 2
+    n = (omegas.size + 1) // 2
+    gl_t, gl_w = gauss_legendre(n + 1 + 9 * odd)
+    k = np.arange(n + 1)
+    a = k + 0.5
+    gamma_a = gamma(a)
     binom = comb(k[:, None], k[None, :])
     shift = np.maximum(k[:, None] - k[None, :], 0)   # n - i where C(n, i) > 0
 
+    def laplace_nodes(bounds):
+        lo, hi = np.array(bounds).T
+        closest = np.where(lo * hi > 0, np.minimum(lo * lo, hi * hi), 0.0)
+        phi_min = 1.0 + cs @ closest
+        phi_max = 1.0 + cs @ np.maximum(lo * lo, hi * hi)
+        y0 = np.log(_T_LO / phi_max)
+        steps = np.ceil((np.log(_T_HI / phi_min) - y0) / _LAPLACE_STEP)
+        y = y0 + _LAPLACE_STEP * np.arange(steps + 1)
+        t = np.exp(y)
+        # the t = 0 node stands for the nodes y0 - h, y0 - 2h, ..., where
+        # e^(-t phi) = 1: its weight is sum_{j >= 1} e^((y0 - j h) / 2)
+        tail = np.exp(0.5 * y0) / np.expm1(0.5 * _LAPLACE_STEP)
+        wt = np.concatenate([[tail], np.exp(0.5 * y - t)])
+        return np.concatenate([[0.0], t]), \
+            _LAPLACE_STEP / np.sqrt(np.pi) * wt
+
+    def axis_moments(c, lo, hi, t):
+        """U[..., k] = int_lo^hi u^k e^(-t u) dx, u = c x^2, at each node t;
+        at even l the one node is t = 0, where the moments are polynomial."""
+        half = 0.5 * (hi - lo)
+        x = 0.5 * (lo + hi) + half * gl_t
+        q = c * x * x
+        if not odd:
+            return (half * gl_w) @ q[:, None] ** k
+        u = np.empty((t.size, n + 1))
+        low = c * min(lo * lo, hi * hi) if lo * hi > 0 else 0.0
+        flat = t * (c * max(lo * lo, hi * hi) - low) <= 1.0
+        decay = np.exp(-np.outer(t[flat], q))
+        u[flat] = (half * gl_w * decay) @ q[:, None] ** k
+        tf = t[~flat, None]
+        if tf.size:
+            def odd_ext(x):     # int_0^x u^k e^(-t u) dx up to the prefactor
+                return np.copysign(gammainc(a, tf * c * x * x), x)
+            u[~flat] = gamma_a * (odd_ext(hi) - odd_ext(lo)) \
+                / (2.0 * np.sqrt(c) * tf ** a)
+        return u
+
+    ones = np.ones((n + 1, 1))     # moments of the constant 1, as a column
+
+    def moments(bounds, t):
+        """M[..., i, 0] = int phi^i e^(-t sum_j u_j) over the box, per node t."""
+        mom = ones
+        for c, (lo, hi) in zip(cs, bounds):
+            u = axis_moments(c, lo, hi, t)
+            mom = (binom * u.take(shift, axis=-1)) @ mom
+        return mom
+
     def volume(bounds):
-        mom = np.ones(m + 1)     # moments of the constant 1
-        for c, (lo, hi) in zip(0.5 * omegas ** 2, bounds):
-            half = 0.5 * (hi - lo)
-            x = 0.5 * (lo + hi) + half * t
-            u = (half * w) @ (c * x * x)[:, None] ** k
-            mom = (binom * u[shift]) @ mom
-        return mom[m]
+        if not odd:
+            return moments(bounds, 0.0)[n, 0]
+        t, wt = laplace_nodes(bounds)
+        return wt @ moments(bounds, t)[:, n, 0]
 
     return volume
 

@@ -69,6 +69,17 @@ def test_invalid_yaml_exits_1_at_document(tmp_path, capsys):
         capsys.readouterr().err
 
 
+def test_integer_past_the_digit_limit_exits_1_at_document(tmp_path,
+                                                         capsys):
+    # int() refuses a decimal string of more than 4300 digits by default;
+    # without that limit the integer overflows float at its field instead
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text("mre:\n  prior: {family: uniform}\n"
+                   f"  constraints: [{{f: identity, target: {'1' * 5000}}}]\n")
+    assert cli.main(["mre", "--config", str(cfg)]) == 1
+    assert "config error at " in capsys.readouterr().err
+
+
 GEO_CFG = """
 manifold:
   kind: gaussian_diag
@@ -294,6 +305,21 @@ def test_iho_scenario_at_l4(tmp_path):
     assert all(chk["pass"] for chk in report["checks"])
 
 
+def test_iho_scenario_at_l3(tmp_path, monkeypatch):
+    from igac import complexity as cx
+
+    monkeypatch.setattr(cx, "integrate_box", lambda *a, **k: pytest.fail(
+        "an odd-l oscillator volume went through quadrature"))
+    cfg = tmp_path / "sc.yaml"
+    cfg.write_text("scenario: iho\n"
+                   "parameters: {l: 3, omega: [0.5, 1.0, 1.5]}\n"
+                   f"output: {{directory: '{tmp_path}/out'}}\n")
+    assert cli.main(["scenario", "--config", str(cfg)]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["pass"] is True
+    assert all(chk["pass"] for chk in report["checks"])
+
+
 def test_custom_manifold_scenario(tmp_path):
     cfg = tmp_path / "cm.yaml"
     cfg.write_text(
@@ -417,13 +443,40 @@ IGE_2D = f"manifold: {DIAG_2D}\ntheta0: [0.0, 1.0]\nv0: [1.0, 0.0]\n" \
      "  prior: {family: gaussian, sigma: -1.0}\n"
      "  constraints: [{f: identity, target: 0.1}]\n",
      "parameters.prior.sigma"),
+    ("scenario", "scenario: iho\nparameters: {l: 2, omega_total: -1.0}\n",
+     "parameters.omega_total"),
+    ("scenario", "scenario: iho\nparameters: {l: 2, omega: [0.5, 0.0]}\n",
+     "parameters.omega[1]"),
+    ("scenario", "scenario: iho\nparameters: {l: 2, omega: [0.5]}\n",
+     "parameters.omega"),
+    ("scenario", "scenario: iho\nparameters: {l: 2, omega_total: 2.0, "
+     "xi: 0.0}\n", "parameters.xi"),
+    ("scenario", "scenario: iho\nparameters: {l: 2, omega_total: 2.0, "
+     "tau_end: -5.0}\n", "parameters.tau_end"),
+    ("scenario", "scenario: wavepacket\nparameters: {p0: -1.0}\n",
+     "parameters.p0"),
+    ("scenario", "scenario: wavepacket\nparameters: {sigma0: 0.0}\n",
+     "parameters.sigma0"),
+    ("scenario", "scenario: wavepacket\nparameters: {tau0: -1.0}\n",
+     "parameters.tau0"),
+    ("scenario", "scenario: wavepacket\nparameters: {R0: 0}\n",
+     "parameters.R0"),
+    ("scenario", "scenario: wavepacket\nparameters: {L: -0.1}\n",
+     "parameters.L"),
+    ("scenario", "scenario: wavepacket\nparameters: {mu_mass: 0.0}\n",
+     "parameters.mu_mass"),
 ], ids=["r-text", "sigma-text", "numerics-scalar", "theta-long",
         "theta-short", "theta0-long", "v0-long", "dj0-long",
         "custom-theta-long", "tau-end-text", "no-coordinates", "target-text",
         "macro-r-text", "metric-source-typo", "mre-tol-text",
         "mre-tol-negative", "ige-fit-form-unknown", "ige-n-out-text",
         "mre-sigma-negative", "mre-mu-text", "mre-domain-short",
-        "mre-uniform-reversed", "mre-update-sigma-negative"])
+        "mre-uniform-reversed", "mre-update-sigma-negative",
+        "iho-omega-total-negative", "iho-omega-zero", "iho-omega-short",
+        "iho-xi-zero", "iho-tau-end-negative", "wavepacket-p0-negative",
+        "wavepacket-sigma0-zero", "wavepacket-tau0-negative",
+        "wavepacket-R0-zero", "wavepacket-L-negative",
+        "wavepacket-mu-mass-zero"])
 def test_malformed_config_exits_1_naming_field(tmp_path, capsys, command,
                                                body, field):
     cfg = tmp_path / "bad.yaml"
@@ -518,6 +571,7 @@ def _main_with_config(tmp_path, command, cfg):
 
 
 NAN, INF = float("nan"), float("inf")
+BIG_INT = "1" + "0" * 400       # a 401-digit integer; float() overflows
 
 
 @pytest.mark.parametrize("value", [NAN, INF, -INF],
@@ -572,10 +626,18 @@ def test_nonfinite_demo_leaf_exits_1_at_its_path(tmp_path, capsys,
     ("scenario", "scenario: custom_manifold\nparameters:\n"
      "  manifold: {kind: exponential, mu: 1.0}\n  theta: [.nan]\n",
      "parameters.theta[0]"),
+    ("mre", "mre:\n  prior: {family: uniform}\n"
+     f"  constraints: [{{f: identity, target: {BIG_INT}}}]\n",
+     "mre.constraints[0].target"),
+    ("geodesic", IGE_2D.replace("tau_end: 2.0", f"tau_end: {BIG_INT}"),
+     "tau_end"),
+    ("geodesic", IGE_2D.replace("theta0: [0.0", f"theta0: [-{BIG_INT}"),
+     "theta0[0]"),
 ], ids=["sigmas", "theta0", "v0", "exponential-mu", "bivariate-sigma",
         "means", "mre-target", "poly-coefficient", "iho-omega", "iho-xi",
         "wavepacket-p0", "wavepacket-r-sweep", "uncorrelated-theta0",
-        "macro-tau-end", "custom-theta"])
+        "macro-tau-end", "custom-theta", "mre-target-big-int",
+        "tau-end-big-int", "theta0-big-int"])
 def test_nonfinite_field_exits_1_naming_it(tmp_path, capsys, monkeypatch,
                                            command, body, field):
     _stub_run(monkeypatch)

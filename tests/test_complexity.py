@@ -262,12 +262,15 @@ def test_iho_volume_against_nested_adaptive_quadrature():
 
 
 def test_iho_tensor_grid_against_nested_adaptive_quadrature():
-    """The same l = 2 oscillator density does not factor across axes, so
-    ``integrate_box`` runs its tensor-grid path; the nested adaptive
-    integral is again the oracle."""
+    """The same l = 2 oscillator density does not factor across axes.
+    ``integrate_box`` has no tensor grid to fall back on, so it raises the
+    named error, and the exact box volume of ``iho_metric`` answers instead;
+    the nested adaptive integral is again the oracle."""
     from scipy.integrate import dblquad
 
+    from igac.errors import UnsupportedFamilyError
     from igac.quadrature import _separable_factors, integrate_box
+    from igac.scenarios import iho_metric
 
     omegas = np.array([0.5, 1.5])
     lo = np.array([1.0, 1.0])
@@ -281,8 +284,10 @@ def test_iho_tensor_grid_against_nested_adaptive_quadrature():
         return dens(pts[:, 1], pts[:, 0])
 
     bounds = list(zip(lo, hi))
-    assert _separable_factors(dens_pts, bounds, 32)[0] is None
-    got = integrate_box(dens_pts, bounds, rel_tol=1e-9)
+    assert _separable_factors(dens_pts, bounds, 32) is None
+    with pytest.raises(UnsupportedFamilyError):
+        integrate_box(dens_pts, bounds, rel_tol=1e-9)
+    got = iho_metric(omegas).box_volume(bounds)
     oracle, err = dblquad(dens, lo[0], hi[0], lo[1], hi[1],
                           epsabs=1e-12, epsrel=1e-12)
     assert got == pytest.approx(oracle, rel=1e-8)

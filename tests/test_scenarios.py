@@ -69,8 +69,8 @@ def test_iho_report():
     assert abs(ratio - 2.0) < 0.02 * 2.0
 
 
-@pytest.mark.parametrize("l", [4, 6])
-def test_iho_even_l_ohmic_passes(l):
+@pytest.mark.parametrize("l", [3, 4, 5, 6])
+def test_iho_ohmic_passes(l):
     # (l/2) xi Omega tau_end passes 709 at l = 6, where the closed-form
     # average volume itself would overflow; its logarithm does not
     rep = sc.run_iho(sc.IHOConfig(l, omega_total=2.0))

@@ -1,15 +1,18 @@
 """Box volumes: the exact closed-form path of every closed-form metric
-against per-block adaptive quadrature (``integrate_box``), the even-l
-oscillator volume against a hand-expanded polynomial integral, and the
-quadrature node cap.
-
-No test here builds a tensor grid in more than two dimensions: at 4-D the
-grid of ``integrate_box`` needs gigabytes.
+against per-block adaptive quadrature (``integrate_box``), the oscillator
+volume at l = 1, 2, 3 against independent oracles (an antiderivative and
+nested adaptive quadrature), the even-l oscillator volume against a
+hand-expanded polynomial integral, and the node cap with one or with every
+axis short of convergence.
 """
 
+from functools import partial
+
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from scipy.integrate import nquad
 
 from igac import complexity as cx
 from igac import dynamics as dyn
@@ -60,7 +63,8 @@ def exact_volume_case(draw):
     elif family == "flat":
         metric = md.flat_metric(draw(st.integers(1, 4)))
     else:
-        metric = iho_metric([draw(omega), draw(omega)])
+        omegas = draw(st.lists(omega, min_size=1, max_size=3))
+        metric = iho_metric(omegas)
     bounds = []
     for i in range(metric.dim):
         if i in metric.scale_coords:
@@ -69,7 +73,9 @@ def exact_volume_case(draw):
         else:
             lo = draw(corners)
             bounds.append((lo, lo + draw(extents)))
-    return metric, bounds
+    oracle = partial(iho_volume_oracle, omegas) if family == "iho" \
+        else partial(per_block_quadrature, metric)
+    return metric, bounds, oracle
 
 
 def per_block_quadrature(metric, bounds):
@@ -82,14 +88,55 @@ def per_block_quadrature(metric, bounds):
     return total
 
 
+def iho_volume_oracle(omegas, bounds):
+    """Integral of phi^(l/2), phi = 1 + sum_j w_j^2 x_j^2 / 2, over the box.
+
+    At l = 1 it is the asinh antiderivative, evaluated in 30 digits so that
+    a thin box loses nothing to the difference; at l = 2, 3 it is nested
+    adaptive quadrature.  The oscillator density does not factor across its
+    axes, so ``integrate_box`` cannot serve.
+    """
+    c = [0.5 * w * w for w in omegas]
+    if len(omegas) == 1:
+        (lo, hi), = bounds
+        with mpmath.workdps(30):
+            a = mpmath.sqrt(mpmath.mpf(c[0]))
+
+            def antiderivative(x):
+                ax = a * mpmath.mpf(x)
+                return 0.5 * x * mpmath.sqrt(1 + ax ** 2) \
+                    + mpmath.asinh(ax) / (2 * a)
+
+            return float(antiderivative(hi) - antiderivative(lo))
+
+    def density(*x):
+        return (1.0 + sum(cj * xj * xj for cj, xj in zip(c, x))) \
+            ** (0.5 * len(c))
+
+    value, _ = nquad(density, bounds, opts={"epsabs": 0.0, "epsrel": 1e-12})
+    return value
+
+
 @PROPERTY
 @given(exact_volume_case())
 def test_exact_box_volume_matches_block_quadrature(case):
-    metric, bounds = case
+    metric, bounds, oracle = case
     assert metric.has_exact_volume
-    oracle = per_block_quadrature(metric, bounds)
-    assert metric.box_volume(bounds) == pytest.approx(oracle, rel=1e-9,
-                                                      abs=0.0)
+    assert metric.box_volume(bounds) == pytest.approx(oracle(bounds),
+                                                      rel=1e-9, abs=0.0)
+
+
+@settings(max_examples=40)
+@given(st.lists(st.tuples(omega, corners, extents), min_size=1,
+                max_size=3))
+@example([(1.3, -0.5, 2.0)])                      # straddles 0
+@example([(0.7, -2.5, 1e-6), (1.9, 1.0, 3.0)])    # thin, at negative x
+@example([(2.0, 2.0, 1e-6), (0.3, -3.0, 10.0), (1.1, -2.9, 1e-6)])
+def test_iho_volume_matches_independent_oracle(axes):
+    omegas = [w for w, _, _ in axes]
+    bounds = [(lo, lo + ext) for _, lo, ext in axes]
+    assert iho_metric(omegas).box_volume(bounds) == pytest.approx(
+        iho_volume_oracle(omegas, bounds), rel=1e-9, abs=0.0)
 
 
 @pytest.mark.parametrize("eps", [1e-9, 1e-12])
@@ -144,30 +191,30 @@ def test_iho_l4_volume_matches_expanded_polynomial(omegas, boxes):
         _iho4_polynomial_volume(omegas, bounds), rel=1e-12, abs=0.0)
 
 
-def test_only_even_iho_has_exact_volume():
-    assert iho_metric([0.5, 1.0, 1.5, 2.0]).has_exact_volume
-    assert not iho_metric([0.5, 1.0, 1.5]).has_exact_volume
-    assert not iho_metric([0.5]).has_exact_volume
-    with pytest.raises(ValueError):
-        iho_metric([0.5]).box_volume([(0.0, 1.0)])
+@pytest.mark.parametrize("lo,extent", [(2.0, 1e-6), (-3.0, 1e-9),
+                                       (1e3, 1e-3)])
+def test_thin_iho_boxes_keep_full_precision(lo, extent):
+    # a difference of incomplete gammas would lose about lo / extent ulps
+    bounds = [(lo, lo + extent)]
+    assert iho_metric([1.3]).box_volume(bounds) == pytest.approx(
+        iho_volume_oracle([1.3], bounds), rel=1e-13, abs=0.0)
 
 
-def test_odd_iho_volume_takes_quadrature():
-    # l = 1: the integral of sqrt(1 + w^2 x^2 / 2) has a closed form
+def test_every_iho_has_exact_volume():
+    for l in range(1, 6):
+        metric = iho_metric(np.linspace(0.5, 2.0, l))
+        assert metric.has_exact_volume
+        assert metric.box_volume([(-1.0, 2.0)] * l) > 3.0 ** l
+
+
+def test_odd_iho_volume_between_matches_antiderivative():
     w = 1.3
     metric = iho_metric([w])
     path = dyn.path_from_functions(np.linspace(0.0, 1.0, 5),
                                    lambda t: np.array([1.0 + 2.0 * t]),
                                    lambda t: np.array([2.0]), metric=metric)
-    a = w / np.sqrt(2.0)
-
-    def antiderivative(x):
-        return 0.5 * x * np.sqrt(1 + (a * x) ** 2) \
-            + np.arcsinh(a * x) / (2 * a)
-
-    assert cx.volume_between(metric, path, 1.0, rel_tol=1e-10) == \
-        pytest.approx(antiderivative(3.0) - antiderivative(1.0), rel=1e-9,
-                      abs=0.0)
+    assert cx.volume_between(metric, path, 1.0) == pytest.approx(
+        iho_volume_oracle([w], [(1.0, 3.0)]), rel=1e-13, abs=0.0)
 
 
 def test_exact_volume_skips_quadrature(monkeypatch):
@@ -193,10 +240,12 @@ def test_integrate_box_cap_raises_with_estimate_separable():
 
 
 def test_integrate_box_cap_raises_with_estimate_tensor():
-    # the x y term defeats the rank-1 probe, so the tensor grid runs
+    # a step on both axes: neither converges, and the estimate attached is
+    # the product of the last value on each axis
     def step(pts):
-        return (pts[:, 0] > 1.0 / 3.0) * (1.0 + pts[:, 0] * pts[:, 1])
+        return (pts[:, 0] > 1.0 / 3.0) * (pts[:, 1] > 1.0 / 3.0) \
+            * (1.0 + pts[:, 1])
 
     with pytest.raises(QuadratureAccuracyError) as err:
         integrate_box(step, [(0.0, 1.0), (0.0, 1.0)], max_nodes=256)
-    assert err.value.estimate == pytest.approx(2 / 3 + 2 / 9, rel=1e-2)
+    assert err.value.estimate == pytest.approx(2 / 3 * 10 / 9, rel=1e-2)
