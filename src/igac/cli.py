@@ -555,8 +555,7 @@ def _cmd_ige(cfg):
     path = dyn.integrate_geodesic(metric, cfg["theta0"], cfg["v0"],
                                   float(cfg["tau_end"]), tol=num["ode_tol"],
                                   n_out=cfg.get("n_out", 257))
-    trace = cx.complexity_trace(metric, path,
-                                rel_tol=max(num["quad_tol"], 1e-10))
+    trace = cx.complexity_trace(metric, path)
     report = sc.ScenarioReport("ige", {k: cfg[k] for k in
                                        ("manifold", "theta0", "v0",
                                         "tau_end")})
@@ -596,8 +595,7 @@ def _run_named_scenario(cfg):
     name = cfg["scenario"]
     params = cfg["parameters"]
     num = cfg["numerics"]
-    quad_tol = max(num["quad_tol"], 1e-10)
-    common = dict(ode_tol=num["ode_tol"], quad_tol=quad_tol)
+    common = dict(ode_tol=num["ode_tol"])
     if name == "uncorrelated_gaussian":
         return sc.run_uncorrelated_gaussian(
             params["l"], theta0=params.get("theta0"), v0=params.get("v0"),
@@ -613,7 +611,7 @@ def _run_named_scenario(cfg):
                            if "omega" in params else None,
                            omega_total=params.get("omega_total"),
                            xi=params.get("xi", 1.0), **kw)
-        return sc.run_iho(iho, quad_tol=quad_tol)
+        return sc.run_iho(iho)
     if name == "spin_chain":
         return sc.run_spin_chain(
             params["regime"], theta0=params.get("theta0"),

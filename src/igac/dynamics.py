@@ -31,8 +31,8 @@ from .errors import (
     StiffnessError,
     UndefinedRateError,
 )
-from .geometry import _CHART_FLOOR, connection_jet
-from .models import MetricField
+from .geometry import connection_jet
+from .models import _CHART_FLOOR, MetricField
 
 __all__ = [
     "GeodesicPath",
@@ -110,27 +110,55 @@ def _variational_rhs(metric):
     return rhs
 
 
-def _boundary_events(metric):
+def _flow(metric: MetricField, theta0, v0, span, rtol: float, atol: float,
+          block=None, what: str = "geodesic", **sampling):
+    """The one DOP853 solve behind every flow of this module.
+
+    Integrates the geodesic from (theta0, v0) over ``span``, and with a
+    deviation ``block`` (J, DJ/dtau), each of shape (dim, k), also its
+    linearization, as one system.  The covariant derivative DJ/dtau
+    becomes J-dot = DJ/dtau - Gamma(J, v0) once the start is known to lie
+    in the chart.  ``sampling`` (``dense_output`` or ``t_eval``) goes to
+    ``solve_ivp``.  A start outside the chart, or a spread coordinate
+    falling through the chart floor on the way, raises ChartBoundaryError,
+    the latter with the last carrier state (tau, theta, theta_dot); step
+    underflow raises StiffnessError.
+    """
+    theta0 = np.asarray(theta0, float)
+    if not metric.in_chart(theta0):
+        raise ChartBoundaryError(f"{what} start {theta0} outside the chart")
+    dim = metric.dim
+    v0 = np.asarray(v0, float)
+    parts = [theta0, v0]
+    if block is None:
+        rhs = _geodesic_rhs(metric)
+    else:
+        rhs = _variational_rhs(metric)
+        j0, dj0 = (np.asarray(b, float).reshape(dim, -1) for b in block)
+        jdot0 = dj0 - np.einsum("abc,bk,c->ak", metric.connection(theta0),
+                                j0, v0)
+        parts += [j0.ravel(), jdot0.ravel()]
+
+    # terminal when a spread coordinate falls through the floor
     events = []
     for i in metric.scale_coords:
         def ev(_tau, y, i=i):
             return y[i] - _CHART_FLOOR
-        ev.terminal = True
+        ev.terminal, ev.direction = True, -1
         events.append(ev)
-    return events
 
-
-def _check_boundary_exit(sol, dim, what):
-    """Raise ChartBoundaryError, with the last carrier state (tau, theta,
-    theta_dot), when a chart-boundary event ended the solve."""
-    if sol.status != 1:
-        return
-    t_ev, y_ev = max(((t[-1], y[-1]) for t, y in
-                      zip(sol.t_events, sol.y_events) if t.size),
-                     key=lambda ty: abs(ty[0]))
-    raise ChartBoundaryError(
-        f"{what} reached the chart boundary at tau = {t_ev}",
-        last_state=(t_ev, y_ev[:dim], y_ev[dim:2 * dim]))
+    sol = solve_ivp(rhs, span, np.concatenate(parts), method="DOP853",
+                    rtol=rtol, atol=atol, events=events, **sampling)
+    if sol.status == 1:
+        t_ev, y_ev = max(((t[-1], y[-1]) for t, y in
+                          zip(sol.t_events, sol.y_events) if t.size),
+                         key=lambda ty: abs(ty[0]))
+        raise ChartBoundaryError(
+            f"{what} reached the chart boundary at tau = {t_ev}",
+            last_state=(t_ev, y_ev[:dim], y_ev[dim:2 * dim]))
+    if not sol.success:
+        raise StiffnessError(f"{what} integrator failed: {sol.message}")
+    return sol
 
 
 def integrate_geodesic(metric: MetricField, theta0, v0, tau_end: float,
@@ -138,22 +166,13 @@ def integrate_geodesic(metric: MetricField, theta0, v0, tau_end: float,
     """Geodesic initial value problem with adaptive error control.
 
     Affine parametrization keeps the speed g(v, v) constant; the relative
-    drift stays within an order of magnitude of ``tol``.  Leaving the open
-    chart (a spread coordinate reaching the floor) raises ChartBoundaryError
-    carrying the last valid state; step underflow raises StiffnessError.
+    drift stays within an order of magnitude of ``tol``.  A start outside
+    the chart, or a spread coordinate reaching the floor, raises
+    ChartBoundaryError carrying the last valid state; step underflow raises
+    StiffnessError.
     """
-    theta0 = np.asarray(theta0, float)
-    v0 = np.asarray(v0, float)
-    if not metric.in_chart(theta0):
-        raise ChartBoundaryError(f"initial point {theta0} outside chart")
-    y0 = np.concatenate([theta0, v0])
-    sol = solve_ivp(_geodesic_rhs(metric), (0.0, tau_end), y0,
-                    method="DOP853", rtol=tol, atol=tol * 1e-2,
-                    dense_output=True, events=_boundary_events(metric))
-    _check_boundary_exit(sol, metric.dim, "geodesic")
-    if not sol.success:
-        raise StiffnessError(f"integrator failed: {sol.message}")
-
+    sol = _flow(metric, theta0, v0, (0.0, tau_end), tol, tol * 1e-2,
+                dense_output=True)
     taus = np.linspace(0.0, tau_end, n_out)
     states = sol.sol(taus)
     dim = metric.dim
@@ -181,15 +200,8 @@ def _shoot(metric: MetricField, theta_init, v0, tau_span: float,
     raises ChartBoundaryError.
     """
     dim = metric.dim
-    y0 = np.concatenate([theta_init, v0, np.zeros(dim * dim),
-                         np.eye(dim).ravel()])
-    sol = solve_ivp(_variational_rhs(metric), (0.0, tau_span), y0,
-                    method="DOP853", rtol=tol, atol=tol * 1e-2,
-                    events=_boundary_events(metric))
-    _check_boundary_exit(sol, dim, "geodesic")
-    if not sol.success:
-        raise StiffnessError(f"integrator failed: {sol.message}")
-    y = sol.y[:, -1]
+    y = _flow(metric, theta_init, v0, (0.0, tau_span), tol, tol * 1e-2,
+              block=(np.zeros((dim, dim)), np.eye(dim))).y[:, -1]
     return y[:dim], y[2 * dim:dim * (2 + dim)].reshape(dim, dim)
 
 
@@ -376,10 +388,13 @@ def normal_direction(metric: MetricField, theta, v, axis: int = 1):
     The component along v is removed from the unit vector of ``axis``; when
     v is (nearly) parallel to that axis, the following axes are tried in
     turn.  Raises DegeneratePlaneError when no axis is usable, as for
-    dimension 1 or v = 0.
+    dimension 1 or v = 0, and ChartBoundaryError outside the chart.
     """
+    theta = np.asarray(theta, float)
+    if not metric.in_chart(theta):
+        raise ChartBoundaryError(f"point {theta} outside the chart")
     v = np.asarray(v, float)
-    g = metric.eval(np.asarray(theta, float))
+    g = metric.eval(theta)
     vv = v @ g @ v
     n = v.size
     if vv > 0:
@@ -405,24 +420,14 @@ def integrate_jacobi(metric: MetricField, theta0, v0, tau_grid, J0, DJ0,
     part in step control and needs no separate geodesic solve; field and
     carrier are sampled on ``tau_grid``, which may run backward.  ``DJ0`` is
     the covariant derivative of J at the start; the field is linear in
-    (J0, DJ0).  A carrier that reaches the chart boundary raises
-    ChartBoundaryError with its last state, as in ``integrate_geodesic``.
+    (J0, DJ0).  A carrier that starts outside the chart or reaches its
+    boundary raises ChartBoundaryError, as in ``integrate_geodesic``.
     """
     dim = metric.dim
-    th0, v0, J0, DJ0, tau_grid = (np.asarray(a, float) for a in
-                                  (theta0, v0, J0, DJ0, tau_grid))
-    gam0 = metric.connection(th0)
-    jdot0 = DJ0 - np.einsum("abc,b,c->a", gam0, J0, v0)
-
-    t0, t1 = float(tau_grid[0]), float(tau_grid[-1])
-    sol = solve_ivp(_variational_rhs(metric), (t0, t1),
-                    np.concatenate([th0, v0, J0, jdot0]),
-                    method="DOP853", rtol=rtol, atol=rtol * 1e-3,
-                    t_eval=tau_grid, dense_output=False,
-                    events=_boundary_events(metric))
-    _check_boundary_exit(sol, dim, "Jacobi carrier")
-    if not sol.success:
-        raise StiffnessError(f"deviation integrator failed: {sol.message}")
+    tau_grid = np.asarray(tau_grid, float)
+    sol = _flow(metric, theta0, v0, (tau_grid[0], tau_grid[-1]), rtol,
+                rtol * 1e-3, block=(J0, DJ0), what="Jacobi carrier",
+                t_eval=tau_grid)
     theta, theta_dot, j, jdot = np.transpose(
         sol.y.reshape(4, dim, -1), (0, 2, 1))
 

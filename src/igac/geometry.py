@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DegenerateMetricError, DegeneratePlaneError
-from .models import MetricField
+from .models import _CHART_FLOOR, MetricField
 
 __all__ = [
     "CurvatureReport",
@@ -42,16 +42,13 @@ __all__ = [
     "rescaled_chart",
 ]
 
-_CHART_FLOOR = 1e-8   # open half-line guard for spread coordinates
-
 
 def _check_chart(metric: MetricField, theta):
     theta = np.asarray(theta, float)
-    for i in metric.scale_coords:
-        if theta[i] < _CHART_FLOOR:
-            raise DegenerateMetricError(
-                f"scale coordinate {i} = {theta[i]} below chart floor "
-                f"{_CHART_FLOOR}")
+    if not metric.in_chart(theta):
+        raise DegenerateMetricError(
+            f"point {theta} has a scale coordinate below the chart floor "
+            f"{_CHART_FLOOR}")
     return theta
 
 

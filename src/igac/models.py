@@ -52,10 +52,6 @@ __all__ = [
     "score_expectation_residual",
 ]
 
-_FAMILIES = ("gaussian_diag", "gaussian_bivariate_corr", "exponential",
-             "wigner_dyson", "product")
-
-
 @dataclass(frozen=True, eq=False)
 class _Factor:
     """A primitive independent factor of a model."""
@@ -257,6 +253,11 @@ def score(model: StatModel, x) -> np.ndarray:
 # metric fields
 # ---------------------------------------------------------------------------
 
+# Spread coordinates live on the open half line; a chart point needs each
+# of them at or above this floor, the same bound the flows stop at.
+_CHART_FLOOR = 1e-8
+
+
 class MetricField:
     """A Riemannian metric g_ab(theta) with exact first- and second-derivative
     jets and its exact Levi-Civita connection.
@@ -275,7 +276,8 @@ class MetricField:
     ``blocks`` lists coordinate groups on which the metric factorizes (the
     block submatrix depends only on the block's own coordinates), enabling
     separable volume integrals.  ``scale_coords`` are indices restricted to
-    the open half line.
+    the open half line; ``in_chart`` holds them at or above the chart floor.
+    ``source`` tags how the metric was obtained, analytic or quadrature.
     """
 
     def __init__(self, dim: int, matrix_fn: Callable, jet_fn: Callable = None,
@@ -296,9 +298,11 @@ class MetricField:
         return self._volume_fn is not None
 
     def in_chart(self, theta) -> bool:
+        """Whether every scale coordinate of theta (one point or a batch)
+        is at or above the chart floor; the one test of the open chart."""
         theta = np.asarray(theta, float)
-        return bool(np.all(theta[..., list(self.scale_coords)] > 0)) \
-            if self.scale_coords else True
+        return bool(np.all(theta[..., list(self.scale_coords)]
+                           >= _CHART_FLOOR))
 
     def eval(self, theta) -> np.ndarray:
         """Metric matrix at theta; accepts batched points (..., dim)."""

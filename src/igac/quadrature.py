@@ -55,7 +55,9 @@ def legendre_panels(a: float, b: float, nodes_per_panel: int,
         return np.array([a]), np.array([0.0])
     t, w = gauss_legendre(nodes_per_panel)
     if a > 0.0 and b / a > max_panel_ratio:
-        n_panels = int(np.ceil(np.log(b / a) / np.log(max_panel_ratio)))
+        # log(b) - log(a): b / a overflows for a subnormal a
+        n_panels = int(np.ceil((np.log(b) - np.log(a))
+                               / np.log(max_panel_ratio)))
         edges = np.geomspace(a, b, n_panels + 1)
     else:
         edges = np.array([a, b])

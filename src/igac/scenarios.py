@@ -169,16 +169,19 @@ def _gaussian_model_at(theta):
     return md.gaussian_diag(theta[0::2], theta[1::2])
 
 
-def _ige_trace(metric, theta0, v0, tau_end, ode_tol, quad_tol, n_out):
+# grid points of each scenario's geodesic and entropy traces
+_TRACE_POINTS = 257
+
+
+def _ige_trace(metric, theta0, v0, tau_end, ode_tol):
     path = dyn.integrate_geodesic(metric, theta0, v0, tau_end, tol=ode_tol,
-                                  n_out=n_out)
-    return path, cx.complexity_trace(metric, path, rel_tol=quad_tol)
+                                  n_out=_TRACE_POINTS)
+    return path, cx.complexity_trace(metric, path)
 
 
 def run_uncorrelated_gaussian(l: int, theta0=None, v0=None,
-                              tau_end: float = None, ode_tol: float = 1e-10,
-                              quad_tol: float = 1e-6,
-                              n_out: int = 257) -> ScenarioReport:
+                              tau_end: float = None,
+                              ode_tol: float = 1e-10) -> ScenarioReport:
     """Gaussian model with l independent (mean, spread) pairs.
 
     Verifies the constant negative scalar curvature -l (analytic and
@@ -205,8 +208,7 @@ def run_uncorrelated_gaussian(l: int, theta0=None, v0=None,
     report.add("ricci_scalar_quadrature", geo.ricci_scalar(qmetric, theta0),
                -float(l), 1e-4, "closed form: constant curvature -l")
 
-    path, trace = _ige_trace(metric, theta0, v0, tau_end, ode_tol, quad_tol,
-                             n_out)
+    path, trace = _ige_trace(metric, theta0, v0, tau_end, ode_tol)
     # late window keeps the -ln(tau) finite-time correction small
     fit_window = (0.55 * tau_end, tau_end)
     fit = cx.fit_asymptotics(trace, "linear", window=fit_window,
@@ -230,7 +232,7 @@ def run_uncorrelated_gaussian(l: int, theta0=None, v0=None,
 
     th2, vv2 = np.tile(theta0, 2), np.tile(v0, 2)
     m2 = md.analytic_fisher(_gaussian_model_at(th2))
-    _, tr2 = _ige_trace(m2, th2, vv2, tau_end, ode_tol, quad_tol, n_out)
+    _, tr2 = _ige_trace(m2, th2, vv2, tau_end, ode_tol)
     slope2 = cx.fit_asymptotics(tr2, "linear", window=fit_window,
                                 min_points=16).params[0]
     report.observables["ige_slope_doubled"] = slope2
@@ -271,9 +273,8 @@ def macro_pair_ricci(r: float) -> float:
 
 
 def run_macro_correlated(l: int, r_list, theta0=None, v0=None,
-                         tau_end: float = None, ode_tol: float = 1e-10,
-                         quad_tol: float = 1e-6,
-                         n_out: int = 257) -> ScenarioReport:
+                         tau_end: float = None,
+                         ode_tol: float = 1e-10) -> ScenarioReport:
     """Gaussian pairs with constant macro-correlations r_j.
 
     Reports the kernel scalar curvature next to the reference closed form
@@ -313,17 +314,12 @@ def run_macro_correlated(l: int, r_list, theta0=None, v0=None,
     report.add("ricci_limit_vanishing_r", geo.ricci_scalar(tiny, theta0),
                -float(l), 1e-6, "uncorrelated limit")
 
-    path, trace = _ige_trace(metric, theta0, v0, tau_end, ode_tol, quad_tol,
-                             n_out)
+    path, trace = _ige_trace(metric, theta0, v0, tau_end, ode_tol)
     if max(r_list) < 1e-8:
         base_metric = md.analytic_fisher(_gaussian_model_at(theta0))
-        _, trace0 = _ige_trace(base_metric, theta0, v0, tau_end, ode_tol,
-                               min(quad_tol, 1e-9), n_out)
-        _, trace_tight = _ige_trace(metric, theta0, v0, tau_end, ode_tol,
-                                    min(quad_tol, 1e-9), n_out)
-        finite = np.isfinite(trace0.ige) & np.isfinite(trace_tight.ige)
-        gap = float(np.max(np.abs(trace_tight.ige[finite]
-                                  - trace0.ige[finite])))
+        _, trace0 = _ige_trace(base_metric, theta0, v0, tau_end, ode_tol)
+        finite = np.isfinite(trace0.ige) & np.isfinite(trace.ige)
+        gap = float(np.max(np.abs(trace.ige[finite] - trace0.ige[finite])))
         report.add("ige_degeneration_at_r0", gap, 0.0, 1e-8,
                    "continuous limit of the pair metric")
 
@@ -581,8 +577,7 @@ def iho_log_igc_closed_form(cfg: IHOConfig, tau):
     return log_pref + 0.5 * l * xi * om * tau - np.log(tau)
 
 
-def run_iho(cfg: IHOConfig, quad_tol: float = 1e-6,
-            n_out: int = 201) -> ScenarioReport:
+def run_iho(cfg: IHOConfig) -> ScenarioReport:
     """Inverted-oscillator ensemble entropy growth.
 
     Evolves x-ddot_j = w_j^2 x_j, integrates the explored volume directly and
@@ -606,7 +601,7 @@ def run_iho(cfg: IHOConfig, quad_tol: float = 1e-6,
                     (0.0, min(cfg.tau_end, 12.0 / np.max(w))),
                     np.concatenate([x0, w * x0]), method="DOP853",
                     rtol=1e-10, atol=1e-12, dense_output=True)
-    taus = np.linspace(sol.t[0], sol.t[-1], n_out)[1:]
+    taus = np.linspace(sol.t[0], sol.t[-1], 201)[1:]
     states = sol.sol(taus)
     coords = states[:cfg.l].T
     report.add("newtonian_growth",
@@ -620,7 +615,7 @@ def run_iho(cfg: IHOConfig, quad_tol: float = 1e-6,
         lambda t: x0 * np.exp(w * t),
         lambda t: w * x0 * np.exp(w * t),
         metric=metric)
-    dv_num = cx.complexity_trace(metric, path, rel_tol=quad_tol).delta_v[1:]
+    dv_num = cx.complexity_trace(metric, path).delta_v[1:]
     dv_asy = iho_delta_v_asymptotic(cfg, taus)
     rate_num = _exp_rate(taus, dv_num, lo_frac=0.5)
     rate_asy = _exp_rate(taus, dv_asy, lo_frac=0.5)
@@ -667,8 +662,7 @@ def spin_chain_model(regime: str, theta):
 
 
 def run_spin_chain(regime: str, theta0=None, v0=None, tau_end: float = None,
-                   ode_tol: float = 1e-10, quad_tol: float = 1e-6,
-                   n_out: int = 257) -> ScenarioReport:
+                   ode_tol: float = 1e-10) -> ScenarioReport:
     """Level-spacing statistics manifolds and their entropy growth class.
 
     The regular (Poisson x exponential-bath) manifold is flat and shows
@@ -706,8 +700,7 @@ def run_spin_chain(regime: str, theta0=None, v0=None, tau_end: float = None,
                tol_r, "flat product" if regime == "regular"
                else "flat spacing factor plus curvature -1 Gaussian factor")
 
-    path, trace = _ige_trace(metric, theta0, v0, tau_end, ode_tol, quad_tol,
-                             n_out)
+    path, trace = _ige_trace(metric, theta0, v0, tau_end, ode_tol)
     window = (max(1.0, 0.04 * tau_end), tau_end)
     winner, margin, fits = cx.select_growth_form(trace, window=window,
                                                  min_points=16)
@@ -939,8 +932,7 @@ def _wavepacket_lyapunov(args):
 
 
 def run_wavepacket(cfg: ScatterConfig, r_sweep=(0.1, 0.3, 0.5),
-                   ode_tol: float = 1e-10, quad_tol: float = 1e-6,
-                   n_out: int = 257) -> ScenarioReport:
+                   ode_tol: float = 1e-10) -> ScenarioReport:
     """Full wave-packet chain: curvature, geodesics, deviation growth,
     complexity compression and the scattering observables."""
     params = cfg.params
@@ -975,7 +967,7 @@ def run_wavepacket(cfg: ScatterConfig, r_sweep=(0.1, 0.3, 0.5),
         th0, v0 = wavepacket_initial_state(p, branch)
         sign = -1.0 if branch == "before" else 1.0
         path = dyn.integrate_geodesic(metric, th0, v0, sign * 5.0 / a0,
-                                      tol=ode_tol, n_out=n_out)
+                                      tol=ode_tol, n_out=_TRACE_POINTS)
         mu1, mu2, sig = dyn.wavepacket_geodesics(p, path.tau_grid, branch)
         closed = np.column_stack([mu1, mu2, sig])
         err = float(np.max(np.abs(path.theta - closed)))
@@ -991,7 +983,7 @@ def run_wavepacket(cfg: ScatterConfig, r_sweep=(0.1, 0.3, 0.5),
     th0, v0 = wavepacket_initial_state(p_after, "after")
     dj0 = dyn.normal_direction(metric, th0, v0)
     jac = dyn.integrate_jacobi(metric, th0, v0,
-                               np.linspace(0.0, 10.0 / a0, n_out),
+                               np.linspace(0.0, 10.0 / a0, _TRACE_POINTS),
                                np.zeros(3), dj0, rtol=1e-10)
     oracle = (1.0 / a0) * np.sinh(a0 * jac.tau_grid)   # |DJ0| = 1
     late = jac.tau_grid >= 0.1 / a0
@@ -1018,7 +1010,7 @@ def run_wavepacket(cfg: ScatterConfig, r_sweep=(0.1, 0.3, 0.5),
         t0, vv0 = wavepacket_initial_state(p, "after")
         wp_path = dyn.integrate_geodesic(m, t0, vv0, 10.0 / lam, tol=ode_tol,
                                          n_out=129)
-        return cx.complexity_trace(m, wp_path, rel_tol=quad_tol)
+        return cx.complexity_trace(m, wp_path)
 
     sweep_rs = [0.0] + [r for r in r_sweep]
     traces = dict(zip(sweep_rs, parallel_map(wp_trace, sweep_rs)))

@@ -1,7 +1,7 @@
 """Shared fixtures: the hypothesis profile, counter-based RNG streams,
 finite-difference, einsum and per-point quadrature oracles, the carrier
-start of a geodesic path and the metric strategy over every in-package
-family."""
+start of a geodesic path, the nfev log of the dynamics solves and the
+metric strategy over every in-package family."""
 
 import numpy as np
 import pytest
@@ -176,6 +176,22 @@ FAMILIES = ("gaussian_diag", "exponential", "wigner_dyson",
 @pytest.fixture
 def rng():
     return philox(20240817)
+
+
+@pytest.fixture
+def nfev(monkeypatch):
+    """The nfev of every ``solve_ivp`` call made by ``igac.dynamics``, in
+    call order, while the test runs."""
+    counts = []
+    solve_ivp = dyn.solve_ivp
+
+    def counting(*args, **kwargs):
+        sol = solve_ivp(*args, **kwargs)
+        counts.append(sol.nfev)
+        return sol
+
+    monkeypatch.setattr(dyn, "solve_ivp", counting)
+    return counts
 
 
 means = st.floats(-3.0, 3.0)

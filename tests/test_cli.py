@@ -242,6 +242,21 @@ def test_jacobi_carrier_leaving_chart_exits_2(tmp_path, capsys):
     assert "ChartBoundaryError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["geodesic", "jacobi"])
+@pytest.mark.parametrize("theta0", ["[0.0, -1.0]", "[0.0, 0.0]",
+                                    "[0.0, 5.0e-9]"],
+                         ids=["mirrored", "zero", "below-floor"])
+def test_start_outside_chart_exits_2(tmp_path, capsys, command, theta0):
+    # one chart rule for both flows: a spread below the floor, or in the
+    # mirrored chart, is rejected before any step is taken
+    cfg = tmp_path / "flow.yaml"
+    cfg.write_text(f"manifold: {DIAG_2D}\ntheta0: {theta0}\n"
+                   "v0: [1.0, 0.0]\ntau_end: 2.0\n"
+                   f"output: {{directory: '{tmp_path}/out'}}\n")
+    assert cli.main([command, "--config", str(cfg)]) == 2
+    assert "ChartBoundaryError" in capsys.readouterr().err
+
+
 def test_mre_command(tmp_path):
     cfg = tmp_path / "mre.yaml"
     cfg.write_text(

@@ -139,24 +139,34 @@ BVP_WORK_CASES = [
 ]
 
 
-def test_bvp_integrator_work(monkeypatch):
+def test_bvp_integrator_work(nfev):
     """Right-hand-side evaluations summed over four two-point problems, a
     machine-independent cost of shooting: 7,969 with a forward-difference
     Jacobian (dim + 1 geodesic solves per Newton step), 2,023 with the
     variational flow."""
-    nfev = []
-    solve_ivp = dyn.solve_ivp
-
-    def counting(*args, **kwargs):
-        sol = solve_ivp(*args, **kwargs)
-        nfev.append(sol.nfev)
-        return sol
-
-    monkeypatch.setattr(dyn, "solve_ivp", counting)
     for metric, start, end in BVP_WORK_CASES:
         path = dyn.solve_geodesic_bvp(metric, start, end, 1.0, tol=1e-8)
         assert np.linalg.norm(path.theta[-1] - end) < 1e-8
     assert sum(nfev) <= 3_000
+
+
+def test_one_flow_driver_keeps_each_solve(nfev):
+    """Right-hand-side evaluations of one fixed geodesic, Jacobi field and
+    two-point problem, capped at the counts of the three separate solves
+    that ``_flow`` replaced: 479, 518, and 433 over four shots and the
+    final geodesic."""
+    p, th0, v0 = wavepacket_start(0.3)
+    metric = wavepacket_metric(0.3)
+    dyn.integrate_geodesic(metric, th0, v0, 5.0 / p.a0, tol=1e-10)
+    dyn.integrate_jacobi(metric, th0, v0, np.linspace(0.0, 5.0 / p.a0, 65),
+                         np.zeros(3), dyn.normal_direction(metric, th0, v0),
+                         rtol=1e-10)
+    metric, start, end = BVP_WORK_CASES[1]
+    dyn.solve_geodesic_bvp(metric, start, end, 1.0, tol=1e-8)
+    assert len(nfev) == 7
+    assert nfev[0] <= 479
+    assert nfev[1] <= 518
+    assert sum(nfev[2:]) <= 433
 
 
 def test_wavepacket_closed_form_values():

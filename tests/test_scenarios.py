@@ -303,18 +303,9 @@ def test_purity_equals_one_minus_r_qm_squared():
     assert obs["purity"] == pytest.approx(1.0 - obs["r_qm"] ** 2, abs=1e-15)
 
 
-def test_wavepacket_demo_integrator_work(monkeypatch, tmp_path):
+def test_wavepacket_demo_integrator_work(nfev, tmp_path):
     """Right-hand-side evaluations summed over the demo wave-packet run, a
     machine-independent cost of its geodesic and Jacobi flows."""
-    nfev = []
-    solve_ivp = dyn.solve_ivp
-
-    def counting(*args, **kwargs):
-        sol = solve_ivp(*args, **kwargs)
-        nfev.append(sol.nfev)
-        return sol
-
-    monkeypatch.setattr(dyn, "solve_ivp", counting)
     config = Path(__file__).parents[1] / "demos/configs/wavepacket.yaml"
     assert cli.main(["scenario", "--config", str(config),
                      "--out", str(tmp_path)]) == 0

@@ -2,8 +2,8 @@
 against per-block adaptive quadrature (``integrate_box``), the oscillator
 volume at l = 1, 2, 3 against independent oracles (an antiderivative and
 nested adaptive quadrature), the even-l oscillator volume against a
-hand-expanded polynomial integral, and the node cap with one or with every
-axis short of convergence.
+hand-expanded polynomial integral, the node cap with one or with every
+axis short of convergence, and a subnormal lower end.
 """
 
 from functools import partial
@@ -227,6 +227,14 @@ def test_exact_volume_skips_quadrature(monkeypatch):
                                   2.0, tol=1e-10)
     trace = cx.complexity_trace(metric, path)
     assert np.all(trace.delta_v[1:] > 0)
+
+
+def test_integrate_box_subnormal_lower_end():
+    # geometric panels on [5e-324, 1]: b / a overflows, log(b) - log(a)
+    # does not
+    value = integrate_box(lambda pts: pts[:, 0] * pts[:, 1],
+                          [(5e-324, 1.0), (1.0, 2.0)])
+    assert value == pytest.approx(0.75, rel=1e-12)
 
 
 def test_integrate_box_cap_raises_with_estimate_separable():
