@@ -1,14 +1,17 @@
 """Geodesic flows and Jacobi fields on metric fields.
 
-Geodesics solve theta-ddot^a + Gamma^a_bc theta-dot^b theta-dot^c = 0 with
-the adaptive Dormand-Prince 8(5,3) pair (DOP853).  The linearized geodesic
-flow carries a block of deviations (J, J-dot) together with the carrier
-state (theta, theta-dot) as one DOP853 system.  Both flows read the
-connection and its derivative from the metric's closed-form connection, so
-a right-hand-side call needs no metric jet and no matrix inverse.  Jacobi
-fields are one
-column of it; two-point problems are solved by damped-Newton shooting on the
-initial velocity, each shot integrating the n x n block that starts at
+A metric with a closed-form flow (``MetricField.flow``, supplied by every
+inverse-square statistical metric, whose blocks are hyperbolic spaces) is
+flowed exactly: geodesics are evaluated in closed form on the requested
+grid, and a block of deviations (J, J-dot) is the complex-step derivative
+of that flow, one complex evaluation for all columns.  Any other metric
+integrates theta-ddot^a + Gamma^a_bc theta-dot^b theta-dot^c = 0 with the
+adaptive Dormand-Prince 8(5,3) pair (DOP853), carrying the deviation block
+with the carrier state (theta, theta-dot) as one linearized system that
+reads the metric's closed-form connection, so a right-hand-side call needs
+no metric jet and no matrix inverse.  Jacobi fields are one column of the
+deviation block; two-point problems are solved by damped-Newton shooting
+on the initial velocity, each shot flowing the n x n block that starts at
 (J, J-dot) = (0, I), which is the exact Jacobian of the endpoint map.
 
 The tanh/cosh closed-form geodesics of the colliding wave-packet manifolds
@@ -19,6 +22,7 @@ estimator built from the Jacobi intensity.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
@@ -112,32 +116,40 @@ def _variational_rhs(metric):
 
 def _flow(metric: MetricField, theta0, v0, span, rtol: float, atol: float,
           block=None, what: str = "geodesic", **sampling):
-    """The one DOP853 solve behind every flow of this module.
+    """The one driver behind every flow of this module.
 
-    Integrates the geodesic from (theta0, v0) over ``span``, and with a
+    Flows the geodesic from (theta0, v0) over ``span``, and with a
     deviation ``block`` (J, DJ/dtau), each of shape (dim, k), also its
-    linearization, as one system.  The covariant derivative DJ/dtau
-    becomes J-dot = DJ/dtau - Gamma(J, v0) once the start is known to lie
-    in the chart.  ``sampling`` (``dense_output`` or ``t_eval``) goes to
-    ``solve_ivp``.  A start outside the chart, or a spread coordinate
-    falling through the chart floor on the way, raises ChartBoundaryError,
-    the latter with the last carrier state (tau, theta, theta_dot); step
-    underflow raises StiffnessError.
+    linearization.  The covariant derivative DJ/dtau becomes
+    J-dot = DJ/dtau - Gamma(J, v0) once the start is known to lie in the
+    chart.  ``sampling`` (``dense_output`` or ``t_eval``) selects what the
+    result holds, as for ``solve_ivp``: ``.y`` with rows (theta, theta-dot,
+    J, J-dot) at ``t_eval`` or at the end of the span, and ``.sol(tau)``.
+    A metric with a closed-form flow is evaluated exactly (``_exact_flow``,
+    tolerances unused); any other is integrated by DOP853 at ``rtol`` and
+    ``atol``.  A start outside the chart, or a spread coordinate falling
+    through the chart floor on the way, raises ChartBoundaryError, the
+    latter with the carrier state (tau, theta, theta_dot) at the crossing;
+    step underflow raises StiffnessError.
     """
     theta0 = np.asarray(theta0, float)
     if not metric.in_chart(theta0):
         raise ChartBoundaryError(f"{what} start {theta0} outside the chart")
     dim = metric.dim
     v0 = np.asarray(v0, float)
+    if block is not None:
+        j0, dj0 = (np.asarray(b, float).reshape(dim, -1) for b in block)
+        block = (j0, dj0 - np.einsum("abc,bk,c->ak",
+                                     metric.connection(theta0), j0, v0))
+    if metric.has_exact_flow:
+        return _exact_flow(metric, theta0, v0, span, block, what, **sampling)
+
     parts = [theta0, v0]
     if block is None:
         rhs = _geodesic_rhs(metric)
     else:
         rhs = _variational_rhs(metric)
-        j0, dj0 = (np.asarray(b, float).reshape(dim, -1) for b in block)
-        jdot0 = dj0 - np.einsum("abc,bk,c->ak", metric.connection(theta0),
-                                j0, v0)
-        parts += [j0.ravel(), jdot0.ravel()]
+        parts += [b.ravel() for b in block]
 
     # terminal when a spread coordinate falls through the floor
     events = []
@@ -161,15 +173,65 @@ def _flow(metric: MetricField, theta0, v0, span, rtol: float, atol: float,
     return sol
 
 
+# complex-step size: second-order terms (~1e-80) vanish against every
+# first-order one, and the imaginary parts stay far above underflow
+_STEP = 1e-40
+
+
+def _exact_flow(metric: MetricField, theta0, v0, span, block, what,
+                dense_output=False, t_eval=None):
+    """``_flow`` through the metric's closed-form flow.
+
+    The carrier is evaluated at ``t_eval``, or at the end of the span,
+    which also checks the whole span against the chart floor.  Each column
+    of the deviation block (J, J-dot) is the derivative of the flow in the
+    direction (J, J-dot) of its start, taken by one complex step, so the
+    block costs one complex evaluation of the flow for all its columns.
+    """
+    t0, t1 = span
+    dim = metric.dim
+    grid = np.asarray([t1] if t_eval is None else t_eval, float)
+    try:
+        theta, theta_dot = metric.flow(theta0, v0, grid - t0)
+    except ChartBoundaryError as exc:
+        tau, theta, theta_dot = exc.last_state
+        raise ChartBoundaryError(
+            f"{what} reached the chart boundary at tau = {t0 + tau}",
+            last_state=(t0 + tau, theta, theta_dot)) from None
+    rows = [theta.T, theta_dot.T]
+    if block is not None:
+        j0, jdot0 = block
+        # each column stepped at unit size, so that no square of a small
+        # column underflows
+        size = np.max(np.abs(np.concatenate([j0, jdot0])), axis=0)
+        size = np.where(size > 0, size, 1.0)
+        theta_c, theta_dot_c = metric.flow(
+            theta0 + 1j * _STEP * (j0 / size).T,
+            v0 + 1j * _STEP * (jdot0 / size).T, grid - t0)
+        # (k, n_tau, dim) -> rows a * k + column, as in the ODE state
+        rows += [np.transpose(part.imag * (size / _STEP)[:, None, None],
+                              (2, 0, 1)).reshape(dim * j0.shape[1], grid.size)
+                 for part in (theta_c, theta_dot_c)]
+    sol = None
+    if dense_output:
+        def sol(tau):
+            tau = np.asarray(tau, float)
+            th, th_dot = metric.flow(theta0, v0, np.atleast_1d(tau) - t0)
+            y = np.concatenate([th.T, th_dot.T])
+            return y[:, 0] if tau.ndim == 0 else y
+    return SimpleNamespace(y=np.concatenate(rows), sol=sol)
+
+
 def integrate_geodesic(metric: MetricField, theta0, v0, tau_end: float,
                        tol: float = 1e-10, n_out: int = 513) -> GeodesicPath:
-    """Geodesic initial value problem with adaptive error control.
+    """Geodesic initial value problem, in closed form on metrics with an
+    exact flow and with adaptive error control at ``tol`` otherwise.
 
     Affine parametrization keeps the speed g(v, v) constant; the relative
-    drift stays within an order of magnitude of ``tol``.  A start outside
-    the chart, or a spread coordinate reaching the floor, raises
-    ChartBoundaryError carrying the last valid state; step underflow raises
-    StiffnessError.
+    drift is at round-off on the closed form and stays within an order of
+    magnitude of ``tol`` on DOP853.  A start outside the chart, or a spread
+    coordinate reaching the floor, raises ChartBoundaryError carrying the
+    state at the crossing; step underflow raises StiffnessError.
     """
     sol = _flow(metric, theta0, v0, (0.0, tau_end), tol, tol * 1e-2,
                 dense_output=True)
@@ -194,10 +256,11 @@ def _shoot(metric: MetricField, theta_init, v0, tau_span: float,
     """Endpoint theta(tau_span) of the geodesic from (theta_init, v0) and
     its exact Jacobian d theta(tau_span) / d v0.
 
-    One DOP853 solve of the variational flow from (J, J-dot) = (0, I),
-    where covariant and ordinary derivatives of J agree, at the tolerances
-    of ``integrate_geodesic`` and without dense output.  Leaving the chart
-    raises ChartBoundaryError.
+    The variational flow from (J, J-dot) = (0, I), where covariant and
+    ordinary derivatives of J agree: the complex-step derivative of a
+    closed-form flow, or one DOP853 solve at the tolerances of
+    ``integrate_geodesic`` without dense output.  Leaving the chart raises
+    ChartBoundaryError.
     """
     dim = metric.dim
     y = _flow(metric, theta_init, v0, (0.0, tau_span), tol, tol * 1e-2,
@@ -210,9 +273,9 @@ def solve_geodesic_bvp(metric: MetricField, theta_init, theta_final,
                        max_iter: int = 50, n_out: int = 513) -> GeodesicPath:
     """Two-point geodesic by damped-Newton shooting on the initial velocity.
 
-    Each shot integrates the variational flow along with the geodesic, so
-    it returns the endpoint together with the exact Jacobian of the
-    endpoint map (simple shooting, Stoer & Bulirsch, Introduction to
+    Each shot flows the variational block along with the geodesic, so it
+    returns the endpoint together with the exact Jacobian of the endpoint
+    map (simple shooting, Stoer & Bulirsch, Introduction to
     Numerical Analysis, section 7.3).  The Newton step is halved whenever
     the endpoint mismatch grows.  A start or end point outside the open
     chart raises ChartBoundaryError; failure to converge raises
@@ -415,9 +478,10 @@ def integrate_jacobi(metric: MetricField, theta0, v0, tau_grid, J0, DJ0,
     """Jacobi field along the geodesic from (theta0, v0) at ``tau_grid[0]``,
     as the linearized geodesic flow.
 
-    (theta, v, J, J-dot) is integrated as one adaptive DOP853 system of the
-    variational flow with a single deviation column, so the carrier takes
-    part in step control and needs no separate geodesic solve; field and
+    (theta, v, J, J-dot) is one variational flow with a single deviation
+    column: the complex-step derivative of a closed-form flow, or one
+    adaptive DOP853 system in which the carrier takes part in step control;
+    either way the carrier needs no separate geodesic solve.  Field and
     carrier are sampled on ``tau_grid``, which may run backward.  ``DJ0`` is
     the covariant derivative of J at the start; the field is linear in
     (J0, DJ0).  A carrier that starts outside the chart or reaches its
@@ -432,8 +496,8 @@ def integrate_jacobi(metric: MetricField, theta0, v0, tau_grid, J0, DJ0,
         sol.y.reshape(4, dim, -1), (0, 2, 1))
 
     g = metric.eval(theta)
-    gam_grid = np.stack([metric.connection(th) for th in theta])
-    dj_cov = jdot + np.einsum("nabc,nb,nc->na", gam_grid, j, theta_dot)
+    dj_cov = jdot + np.einsum("nabc,nb,nc->na", metric.connection(theta), j,
+                              theta_dot)
     inten2 = np.einsum("nab,na,nb->n", g, j, j)
     inten = np.sqrt(np.maximum(inten2, 0.0))
     cov_norm = np.sqrt(np.maximum(

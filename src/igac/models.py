@@ -26,6 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import (
+    ChartBoundaryError,
     DegenerateMetricError,
     DomainError,
     QuadratureAccuracyError,
@@ -273,6 +274,13 @@ class MetricField:
     only.  ``volume_fn`` maps a list of per-coordinate (lo, hi) bounds to
     the exact integral of sqrt(det g) over that box; closed-form metrics
     supply it, and box volumes fall back to quadrature without it.
+    ``flow_fn(theta0, v0, tau)`` is the exact geodesic flow: from starts of
+    shape (..., dim), real or complex, it returns (theta, theta_dot) of
+    shape (..., n_tau, dim) at the offsets ``tau`` from the start, and it
+    raises ChartBoundaryError, with the state at the crossing, when a
+    spread falls through the chart floor between the start and a grid
+    point.  The inverse-square metrics supply it; the flows of
+    ``igac.dynamics`` integrate the geodesic equation without it.
     ``blocks`` lists coordinate groups on which the metric factorizes (the
     block submatrix depends only on the block's own coordinates), enabling
     separable volume integrals.  ``scale_coords`` are indices restricted to
@@ -282,12 +290,14 @@ class MetricField:
 
     def __init__(self, dim: int, matrix_fn: Callable, jet_fn: Callable = None,
                  source: str = "analytic", blocks=None, scale_coords=(),
-                 volume_fn: Callable = None, connection_fn: Callable = None):
+                 volume_fn: Callable = None, connection_fn: Callable = None,
+                 flow_fn: Callable = None):
         self.dim = dim
         self._matrix_fn = matrix_fn
         self._jet_fn = jet_fn
         self._connection_fn = connection_fn
         self._volume_fn = volume_fn
+        self._flow_fn = flow_fn
         self.source = source
         self.blocks = tuple(tuple(b) for b in blocks) if blocks \
             else (tuple(range(dim)),)
@@ -296,6 +306,10 @@ class MetricField:
     @property
     def has_exact_volume(self) -> bool:
         return self._volume_fn is not None
+
+    @property
+    def has_exact_flow(self) -> bool:
+        return self._flow_fn is not None
 
     def in_chart(self, theta) -> bool:
         """Whether every scale coordinate of theta (one point or a batch)
@@ -321,12 +335,22 @@ class MetricField:
         return self._jet_fn(np.asarray(theta, float), order)
 
     def connection(self, theta, order: int = 1):
-        """Gamma^a_bc at one point, or (Gamma, dGamma) with dGamma[c, a, b, d]
-        = d_c Gamma^a_bd for ``order=2``.  A metric without
-        ``connection_fn`` raises ValueError."""
+        """Gamma^a_bc, or (Gamma, dGamma) with dGamma[..., c, a, b, d]
+        = d_c Gamma^a_bd for ``order=2``; accepts batched points (..., dim).
+        A metric without ``connection_fn`` raises ValueError."""
         if self._connection_fn is None:
             raise ValueError("metric has no connection")
         return self._connection_fn(np.asarray(theta, float), order)
+
+    def flow(self, theta0, v0, tau):
+        """(theta, theta_dot) of the geodesic from (theta0, v0) at the
+        offsets ``tau``, in closed form; only metrics with
+        ``has_exact_flow`` support it."""
+        if self._flow_fn is None:
+            raise ValueError("metric has no closed-form flow")
+        # float starts stay real and complex-step starts complex
+        return self._flow_fn(np.asarray(theta0) * 1.0, np.asarray(v0) * 1.0,
+                             np.asarray(tau, float))
 
     def box_volume(self, bounds) -> float:
         """Exact integral of sqrt(det g) over the box of (lo, hi) bounds;
@@ -376,8 +400,9 @@ def flat_metric(dim: int) -> MetricField:
                                      for k in range(3, 3 + order))
 
     def connection(th, order=1):
-        gam = np.zeros((dim,) * 3)
-        return gam if order == 1 else (gam, np.zeros((dim,) * 4))
+        gam = np.zeros(th.shape[:-1] + (dim,) * 3)
+        return gam if order == 1 else \
+            (gam, np.zeros(th.shape[:-1] + (dim,) * 4))
 
     return MetricField(dim, mat, jet_fn=jet, connection_fn=connection,
                        volume_fn=lambda bounds: np.prod(
@@ -403,6 +428,15 @@ def _inverse_square_metric(dim, blocks, source="analytic") -> MetricField:
     box volume is prod_k sqrt(det C_k) * (mean-axis extents) *
     integral of s^-d_k over the spread interval.  ``source`` records how
     the C_k were obtained (closed form or quadrature).
+
+    The geodesic flow is exact.  Write C = [[A, b], [b^T, c]] with the
+    spread last and kappa = c - b^T A^-1 b, the Schur complement of A.  In
+    the chart x = L (mu + A^-1 b s), L^T L = A / kappa, the block's line
+    element is kappa (|dx|^2 + ds^2) / s^2: hyperbolic space of curvature
+    -1 / kappa, whose geodesics are X(tau) = cosh(a tau) P + sinh(a tau) V / a
+    on the hyperboloid, mapped back through the half-space chart
+    (``_half_space_flow``).  A spread falls through the chart floor where
+    a quadratic in e^(a tau) has its root (``_floor_exit``).
     """
     c_full = np.zeros((dim, dim))
     owner = np.empty(dim, dtype=int)     # spread coordinate of each index
@@ -440,13 +474,60 @@ def _inverse_square_metric(dim, blocks, source="analytic") -> MetricField:
     rows = np.arange(dim)
 
     def connection(th, order=1):
-        s = th[owner][:, None, None]
+        s = th[..., owner, None, None]
         gam = t / s
         if order == 1:
             return gam
-        dgam = np.zeros((dim,) * 4)
-        dgam[owner, rows] = -gam / s
+        dgam = np.zeros(th.shape[:-1] + (dim,) * 4)
+        dgam[..., owner, rows, :, :] = -gam / s
         return gam, dgam
+
+    # the half-space chart of each block, y = mu + e s and x = L y:
+    # ``e_full`` holds e = A^-1 b and ``root`` L^T on the mean coordinates,
+    # zero on the spreads
+    e_full = np.zeros(dim)
+    root = np.zeros((dim, dim))
+    for idx, c in blocks:
+        mean = list(idx[:-1])
+        if mean:
+            e = np.linalg.solve(c[:-1, :-1], c[:-1, -1])
+            e_full[mean] = e
+            root[np.ix_(mean, mean)] = np.linalg.cholesky(
+                c[:-1, :-1] / (c[-1, -1] - c[:-1, -1] @ e))
+    same_block = (owner[:, None] == owner[None, :]).astype(float)
+    is_spread = owner == rows
+
+    def flow(th0, v0, tau):
+        # each coordinate carries its block's start values: the spread s0,
+        # u = s-dot / s, w^2 = |x-dot|^2 / s^2 and a^2 = u^2 + w^2, the
+        # <V, V> of the hyperboloid tangent
+        s0 = th0[..., owner]
+        y_dot = v0 + e_full * v0[..., owner]
+        x_dot = y_dot @ root
+        u = v0[..., owner] / s0
+        w2 = (x_dot * x_dot) @ same_block / (s0 * s0)
+        a = np.sqrt(w2 + u * u)
+
+        def states(tau):
+            q, dq, f = _half_space_flow(u, w2, a, tau)
+            s = s0[..., None, :] / q
+            s_dot = -s * dq / q
+            y_dot0 = y_dot[..., None, :]
+            mean = th0[..., None, :] + y_dot0 * f \
+                + e_full * (s0[..., None, :] - s)
+            mean_dot = y_dot0 / (q * q) - e_full * s_dot
+            return (np.where(is_spread, s, mean),
+                    np.where(is_spread, s_dot, mean_dot))
+
+        tau_exit = _floor_exit(s0.real / _CHART_FLOOR, u.real, w2.real,
+                               a.real, tau)
+        if tau_exit is not None:
+            theta, theta_dot = states(np.array([tau_exit]))
+            raise ChartBoundaryError(
+                f"geodesic reached the chart floor at tau = {tau_exit}",
+                last_state=(tau_exit, theta[..., 0, :],
+                            theta_dot[..., 0, :]))
+        return states(tau)
 
     root_dets = [np.sqrt(np.linalg.det(c)) for _, c in blocks]
 
@@ -460,9 +541,66 @@ def _inverse_square_metric(dim, blocks, source="analytic") -> MetricField:
         return total
 
     return MetricField(dim, mat, jet_fn=jet, connection_fn=connection,
-                       source=source, volume_fn=volume,
+                       flow_fn=flow, source=source, volume_fn=volume,
                        blocks=[idx for idx, _ in blocks],
                        scale_coords=tuple(idx[-1] for idx, _ in blocks))
+
+
+def _half_space_flow(u, w2, a, tau):
+    """The geodesic of the upper half-space (|dx|^2 + ds^2) / s^2 from start
+    rates u = s-dot / s and w^2 = |x-dot|^2 / s^2, with a^2 = u^2 + w^2,
+    at the offsets ``tau``: arrays (..., n) of rates in, one entry per
+    coordinate, and arrays (..., n_tau, n) out.
+
+    Mapped from the hyperboloid, s0 / s = q = cosh(a tau) - u S with
+    S = sinh(a tau) / a, x = x0 + x-dot0 f with f = S / q, and
+    x-dot = x-dot0 / q^2.  With t = |tau| and u' = u sign(tau),
+    q = e^(-a t) + (a - u') S(t), and a - u' = w^2 / (a + u') where u' > 0,
+    so no term cancels near the floor, and at a = 0 (a block at rest)
+    q = 1.  Returns (q, dq / dtau, f); complex inputs give the complex-step
+    derivative.
+    """
+    tau = tau[:, None]
+    t = np.abs(tau)
+    sign = np.where(tau < 0, -1.0, 1.0)
+    u, w2, a = (x[..., None, :] for x in (u, w2, a))
+    at = a * t
+    decay = np.exp(-at)
+    moving = a != 0
+    sinhc = np.where(moving, np.sinh(at) / np.where(moving, a, 1.0), t)
+    u_t = sign * u
+    # a > 0 is at least 1e-162, so a + u' stays far from underflow
+    rising = (u_t.real > 0) & (a.real > 0)
+    gap = np.where(rising, w2 / np.where(rising, a + u_t, 1.0), a - u_t)
+    q = decay + gap * sinhc
+    dq = sign * (gap * np.cosh(at) - a * decay)
+    return q, dq, sign * sinhc / q
+
+
+def _floor_exit(ratio, u, w2, a, tau):
+    """The offset at which a spread first falls through the chart floor on
+    the way from 0 to the farthest of ``tau``, or None.
+
+    ``ratio`` = s0 / floor, per coordinate like the rates.
+    s0 / s(tau) = ratio is the quadratic
+    (a - u) z^2 - 2 a ratio z + (a + u) = 0 in z = e^(a tau); its larger
+    root is the crossing ahead, its smaller root the one behind.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        reach = a * (ratio + np.sqrt(np.maximum(ratio * ratio - w2 / (a * a),
+                                                0.0)))
+        ahead = np.where(u > 0, w2 / (a + u), a - u)
+        behind = np.where(u < 0, w2 / (a - u), a + u)
+        t_ahead = np.where(a > 0, (np.log(reach) - np.log(ahead)) / a, np.inf)
+        t_behind = np.where(a > 0, (np.log(behind) - np.log(reach)) / a,
+                            -np.inf)
+    t_ahead, t_behind = t_ahead.min(), t_behind.max()
+    hi, lo = tau.max(), tau.min()
+    if hi > 0 and hi >= t_ahead:
+        return max(float(t_ahead), 0.0)
+    if lo < 0 and lo <= t_behind:
+        return min(float(t_behind), 0.0)
+    return None
 
 
 def _inverse_power_integral(lo, hi, d):

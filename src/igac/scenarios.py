@@ -444,12 +444,14 @@ def iho_metric(omegas) -> md.MetricField:
     half_d2 = 0.5 * lc_terms(np.diag(omegas ** 2))   # [e, a, b, c]
 
     def connection(th, order=1):
-        phi = 1.0 + 0.5 * float(np.sum(omegas ** 2 * th ** 2))
+        phi = (1.0 + 0.5 * np.sum(omegas ** 2 * th ** 2, axis=-1))[
+            ..., None, None, None]
         dphi = omegas ** 2 * th
         gam = lc_terms(dphi) / (2.0 * phi)
         if order == 1:
             return gam
-        return gam, (half_d2 - dphi[:, None, None, None] * gam) / phi
+        return gam, (half_d2 - dphi[..., :, None, None, None]
+                     * gam[..., None, :, :, :]) / phi[..., None]
 
     return md.MetricField(dim, mat, jet_fn=jet, connection_fn=connection,
                           volume_fn=_iho_box_volume(omegas),

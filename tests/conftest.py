@@ -1,7 +1,10 @@
 """Shared fixtures: the hypothesis profile, counter-based RNG streams,
 finite-difference, einsum and per-point quadrature oracles, the carrier
-start of a geodesic path, the nfev log of the dynamics solves and the
-metric strategy over every in-package family."""
+start of a geodesic path, a metric's copy without its closed-form flow, the
+nfev log of the dynamics solves and the metric strategy over every
+in-package family."""
+
+import copy
 
 import numpy as np
 import pytest
@@ -132,6 +135,14 @@ def fisher_quadrature_at(model, theta, nodes=64, rel_tol=1e-9,
             cur, n = nxt, 2 * n
         g[idx[:, None], idx[None, :]] = nxt
     return g
+
+
+def ode_flow(metric):
+    """A copy of ``metric`` without its closed-form flow, so that the flows
+    of ``igac.dynamics`` integrate its geodesic equation by DOP853."""
+    plain = copy.copy(metric)
+    plain._flow_fn = None
+    return plain
 
 
 def carrier(path):

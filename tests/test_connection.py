@@ -2,9 +2,10 @@
 Christoffel symbols on every closed-form family, on quadrature metrics and on
 their chart rescalings against the Richardson difference of the connection,
 the closed-form connections against the einsum form of the jet-derived one,
-the shooting Jacobian of the variational flow against differences of
-geodesic endpoints, the flows' independence of the metric jet, and the
-Jacobi flow on a chain-rule connection."""
+batched connections against pointwise ones, the shooting Jacobian of the
+variational flow against differences of geodesic endpoints, the flows'
+independence of the metric jet, and the Jacobi flow on a chain-rule
+connection."""
 
 import numpy as np
 import pytest
@@ -81,6 +82,24 @@ def test_connection_kernels_match_einsum_form_by_dimension(dim):
                           (iho_metric(rng.uniform(0.3, 2.0, dim)),
                            rng.normal(size=dim))):
         assert_matches_einsum(metric, theta)
+
+
+@PROPERTY
+@given(jet_metric(), st.lists(st.floats(0.5, 2.0), min_size=6, max_size=6))
+def test_batched_connection_equals_pointwise(case, factors):
+    # a (2, 3, dim) batch of in-chart points, each a positive multiple of
+    # the drawn one, in one call against one call per point
+    metric, theta = case
+    batch = np.reshape(factors, (2, 3, 1)) * theta
+    for order in (1, 2):
+        got = metric.connection(batch, order)
+        for idx in np.ndindex(2, 3):
+            one = metric.connection(batch[idx], order)
+            if order == 1:
+                assert np.array_equal(got[idx], one)
+            else:
+                assert all(np.array_equal(part[idx], ref)
+                           for part, ref in zip(got, one))
 
 
 @st.composite

@@ -10,7 +10,7 @@ from igac import scenarios as sc
 from igac.errors import BvpFailureError, ChartBoundaryError, \
     UndefinedRateError
 
-from conftest import carrier
+from conftest import carrier, ode_flow
 
 PARAMS = dyn.WavePacketParams(1.0, 0.25, 1.0, 0.5)
 
@@ -114,7 +114,7 @@ def test_bvp_rejects_boundary_start():
 
 def test_bvp_failure_reports_residual():
     p, th0, _ = wavepacket_start(0.5)
-    metric = wavepacket_metric(0.5)
+    metric = ode_flow(wavepacket_metric(0.5))
     tau_span = 3.0 / p.a0
     mu1, mu2, sig = dyn.wavepacket_geodesics(p, tau_span, "after")
     with pytest.raises(BvpFailureError) as err:
@@ -145,7 +145,8 @@ def test_bvp_integrator_work(nfev):
     Jacobian (dim + 1 geodesic solves per Newton step), 2,023 with the
     variational flow."""
     for metric, start, end in BVP_WORK_CASES:
-        path = dyn.solve_geodesic_bvp(metric, start, end, 1.0, tol=1e-8)
+        path = dyn.solve_geodesic_bvp(ode_flow(metric), start, end, 1.0,
+                                      tol=1e-8)
         assert np.linalg.norm(path.theta[-1] - end) < 1e-8
     assert sum(nfev) <= 3_000
 
@@ -156,13 +157,13 @@ def test_one_flow_driver_keeps_each_solve(nfev):
     that ``_flow`` replaced: 479, 518, and 433 over four shots and the
     final geodesic."""
     p, th0, v0 = wavepacket_start(0.3)
-    metric = wavepacket_metric(0.3)
+    metric = ode_flow(wavepacket_metric(0.3))
     dyn.integrate_geodesic(metric, th0, v0, 5.0 / p.a0, tol=1e-10)
     dyn.integrate_jacobi(metric, th0, v0, np.linspace(0.0, 5.0 / p.a0, 65),
                          np.zeros(3), dyn.normal_direction(metric, th0, v0),
                          rtol=1e-10)
     metric, start, end = BVP_WORK_CASES[1]
-    dyn.solve_geodesic_bvp(metric, start, end, 1.0, tol=1e-8)
+    dyn.solve_geodesic_bvp(ode_flow(metric), start, end, 1.0, tol=1e-8)
     assert len(nfev) == 7
     assert nfev[0] <= 479
     assert nfev[1] <= 518
@@ -390,8 +391,8 @@ def test_geodesic_closed_forms_across_tolerances(r, tol):
     report's bounds at every tolerance: error 1e-6, speed drift 10 tol."""
     for branch, rr in (("before", 0.0), ("after", r)):
         p = dyn.WavePacketParams(DEMO.p0, DEMO.sigma0, DEMO.tau0, rr)
-        metric = md.analytic_fisher(sc.wavepacket_model(p,
-                                                        correlated=rr > 0))
+        metric = ode_flow(md.analytic_fisher(
+            sc.wavepacket_model(p, correlated=rr > 0)))
         th0, v0 = sc.wavepacket_initial_state(p, branch)
         sign = -1.0 if branch == "before" else 1.0
         path = dyn.integrate_geodesic(metric, th0, v0, sign * 5.0 / p.a0,
@@ -406,7 +407,7 @@ def test_geodesic_closed_forms_across_tolerances(r, tol):
 def test_jacobi_carrier_matches_geodesic(branch, sign):
     """The carrier a Jacobi field integrates is the geodesic itself, on
     forward and backward grids."""
-    metric = wavepacket_metric(0.3)
+    metric = ode_flow(wavepacket_metric(0.3))
     p, th0, v0 = wavepacket_start(0.3, branch)
     path = dyn.integrate_geodesic(metric, th0, v0, sign * 10.0 / p.a0,
                                   tol=1e-11, n_out=257)

@@ -305,11 +305,13 @@ def test_purity_equals_one_minus_r_qm_squared():
 
 def test_wavepacket_demo_integrator_work(nfev, tmp_path):
     """Right-hand-side evaluations summed over the demo wave-packet run, a
-    machine-independent cost of its geodesic and Jacobi flows."""
+    machine-independent cost of its geodesic and Jacobi flows: 6,446 in
+    ten DOP853 solves, none since every flow of the run is on a metric
+    with a closed-form flow."""
     config = Path(__file__).parents[1] / "demos/configs/wavepacket.yaml"
     assert cli.main(["scenario", "--config", str(config),
                      "--out", str(tmp_path)]) == 0
-    assert sum(nfev) <= 10_000
+    assert nfev == []
 
 
 def test_wavepacket_lyapunov_solves_no_geodesic(monkeypatch):
