@@ -13,7 +13,6 @@ import numpy as np
 
 from igac import complexity as cx
 from igac import dynamics as dyn
-from igac import models as md
 from igac import scenarios as sc
 
 np.set_printoptions(precision=6, suppress=True)
@@ -28,8 +27,7 @@ print(f"derived rate a0 = {a0:.6f}; growth-rate scale lambda = 2 a0 = "
       f"{2 * a0:.6f}\n")
 
 print("-- geodesics against the closed forms ------------------------")
-metric = md.analytic_fisher(sc.wavepacket_model(params, correlated=True))
-th0, v0 = sc.wavepacket_initial_state(params, "after")
+metric, th0, v0 = sc.wavepacket_manifold(params, params.r)
 path = dyn.integrate_geodesic(metric, th0, v0, 5.0 / a0, tol=1e-10)
 mu1, mu2, sig = dyn.wavepacket_geodesics(params, path.tau_grid, "after")
 err = np.max(np.abs(path.theta - np.column_stack([mu1, mu2, sig])))
@@ -55,12 +53,10 @@ print("\n-- complexity compression ------------------------------------")
 lam = 2 * a0
 traces = {}
 for r in (0.0, 0.3, 0.5):
-    p = dyn.WavePacketParams(cfg.p0, cfg.sigma0, cfg.tau0, r)
-    m = md.analytic_fisher(sc.wavepacket_model(p, correlated=r > 0))
-    t0, vv0 = sc.wavepacket_initial_state(p, "after")
+    m, t0, vv0 = sc.wavepacket_manifold(params, r)
     pth = dyn.integrate_geodesic(m, t0, vv0, 10.0 / lam, tol=1e-10,
                                  n_out=129)
-    traces[r] = cx.complexity_trace(m, pth, rel_tol=1e-7)
+    traces[r] = cx.complexity_trace(m, pth)
 k = 96
 tau_k = traces[0.0].tau_grid[k]
 c_u = traces[0.0].igc[k]

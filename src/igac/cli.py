@@ -33,8 +33,7 @@ _SCENARIOS = ("uncorrelated_gaussian", "macro_correlated", "iho",
               "spin_chain", "wavepacket", "custom_manifold", "mre_update")
 _FORMATS = ("csv", "json")
 
-_NUMERIC_DEFAULTS = {"ode_tol": 1e-10, "quad_tol": 1e-9,
-                     "fit_window_fraction": 0.25}
+_NUMERIC_DEFAULTS = {"ode_tol": 1e-10, "fit_window_fraction": 0.25}
 
 # libyaml's parser when PyYAML was built with it; both loaders share the
 # safe resolver and constructor, so they accept the same documents

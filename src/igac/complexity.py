@@ -7,12 +7,14 @@ is the complexity C(tau); S(tau) = ln C(tau) is the entropy trace.  Late-time
 behavior is summarized by least-squares fits to linear, logarithmic, power,
 exponential and saturating forms.
 
-Closed-form metrics (``analytic_fisher``, ``fisher_quadrature``,
-``macro_correlated_metric``, ``flat_metric`` and ``iho_metric``) supply the
-exact box volume; every other metric (``rescaled_chart``, user metrics) goes
-through adaptive Gauss-Legendre quadrature (``integrate_box``) per block,
-axis by axis.  A block whose volume density does not factor across its axes
-has no volume there: ``integrate_box`` raises UnsupportedFamilyError.
+A box is a pair of corner arrays lo, hi.  Closed-form metrics
+(``analytic_fisher``, ``fisher_quadrature``, ``macro_correlated_metric``,
+``flat_metric`` and ``iho_metric``) take all boxes of a trace in one exact
+``MetricField.box_volume`` call; every other metric (``rescaled_chart``,
+user metrics) goes through adaptive Gauss-Legendre quadrature
+(``integrate_box``) per block and box, axis by axis.  A block whose volume
+density does not factor across its axes has no volume there:
+``integrate_box`` raises UnsupportedFamilyError.
 
 The box reading of the region integral is a convention choice (the endpoint
 notation leaves the region open for more than one coordinate); it is recorded
@@ -54,69 +56,78 @@ def volume_element(metric: MetricField, theta):
 
 
 def path_box(path: GeodesicPath, tau: float):
-    """Per-coordinate [min, max] swept by the path over [tau_start, tau]."""
+    """Corners (lo, hi) of the per-coordinate range swept by the path over
+    [tau_start, tau]."""
     t0 = path.tau_grid[0]
     lo, hi = (t0, tau) if tau >= t0 else (tau, t0)
     mask = (path.tau_grid >= lo) & (path.tau_grid <= hi)
-    pts = path.theta[mask]
     end, _ = path.state(tau)
-    pts = np.vstack([pts, end]) if pts.size else np.atleast_2d(end)
-    return list(zip(pts.min(axis=0), pts.max(axis=0)))
+    pts = np.vstack([path.theta[mask], end])
+    return pts.min(axis=0), pts.max(axis=0)
 
 
-def _box_volume_fn(metric: MetricField, rel_tol: float):
-    """bounds -> volume of that coordinate box, with the block sub-metrics
-    built once."""
-    exact = metric.has_exact_volume
-    subs = [] if exact else [(block, metric.block_metric(block))
-                             for block in metric.blocks]
-
-    def volume(bounds):
-        if any(hi <= lo for lo, hi in bounds):
-            return 0.0
-        if exact:
-            return metric.box_volume(bounds)
-        total = 1.0
-        for block, sub in subs:
-            total *= integrate_box(sub.sqrt_det, [bounds[i] for i in block],
-                                   rel_tol=rel_tol)
-        return total
-
-    return volume
+# relative tolerance of the quadrature volume of metrics without a closed
+# form; the chart-invariance checks of ``rescaled_chart`` compare at 1e-6
+_QUAD_TOL = 1e-8
 
 
-def volume_between(metric: MetricField, path: GeodesicPath, tau: float,
-                   rel_tol: float = 1e-6) -> float:
-    """Volume of the coordinate box traced by the geodesic up to tau, on or
-    off the path grid.
+def _box_volumes(metric: MetricField, lo, hi) -> np.ndarray:
+    """Volumes of the boxes with corners lo, hi of shape (n, dim).
 
-    Metrics with a closed-form box volume (``has_exact_volume``) evaluate it
-    on the whole box.  Otherwise the volume is the product of per-block
-    iterated integrals by ``integrate_box``, which needs each block's density
-    to factor across its axes.  A box with zero extent in any coordinate has
-    zero volume.
+    A box with zero extent on any axis has volume 0.  A metric with a
+    closed-form box volume takes every box in one ``box_volume`` call; any
+    other gets the product of per-block ``integrate_box`` integrals, box by
+    box.
     """
-    return _box_volume_fn(metric, rel_tol)(path_box(path, tau))
+    vol = np.zeros(len(lo))
+    live = np.all(hi > lo, axis=1)
+    if metric.has_exact_volume:
+        vol[live] = metric.box_volume(np.stack([lo[live], hi[live]], -1))
+        return vol
+    subs = [(list(b), metric.block_metric(b)) for b in metric.blocks]
+    for k in np.flatnonzero(live):
+        vol[k] = np.prod([integrate_box(sub.sqrt_det, zip(lo[k, b], hi[k, b]),
+                                        rel_tol=_QUAD_TOL)
+                          for b, sub in subs])
+    return vol
 
 
-def igc(metric: MetricField, path: GeodesicPath, tau: float,
-        rel_tol: float = 1e-6) -> float:
+def _running_volumes(metric: MetricField, taus, pts):
+    """delta-V of the running per-coordinate min/max boxes of the points
+    ``pts`` (n, dim), and its running trapezoid average over ``taus``."""
+    dv = _box_volumes(metric, np.minimum.accumulate(pts, axis=0),
+                      np.maximum.accumulate(pts, axis=0))
+    seg = 0.5 * (dv[1:] + dv[:-1]) * np.diff(taus)
+    cum = np.concatenate([[0.0], np.cumsum(seg)])
+    spans = taus - taus[0]
+    return dv, np.divide(cum, spans, out=np.zeros_like(cum),
+                         where=spans > 0)
+
+
+def volume_between(metric: MetricField, path: GeodesicPath,
+                   tau: float) -> float:
+    """Volume of the coordinate box traced by the geodesic up to tau, on or
+    off the path grid."""
+    lo, hi = path_box(path, tau)
+    return float(_box_volumes(metric, lo[None], hi[None])[0])
+
+
+def igc(metric: MetricField, path: GeodesicPath, tau: float) -> float:
     """Time-averaged explored volume C(tau) by composite quadrature over the
-    path grid."""
+    path grid, on the boxes of ``complexity_trace``: the grid points before
+    tau, then ``path.state(tau)``."""
     if tau <= path.tau_grid[0]:
         raise ValueError("tau must exceed the start of the path")
-    taus = path.tau_grid[(path.tau_grid > path.tau_grid[0])
-                         & (path.tau_grid < tau)]
-    taus = np.concatenate([[path.tau_grid[0]], taus, [tau]])
-    volume = _box_volume_fn(metric, rel_tol)
-    vals = np.array([0.0] + [volume(path_box(path, t)) for t in taus[1:]])
-    return float(np.trapezoid(vals, taus) / (tau - path.tau_grid[0]))
+    before = path.tau_grid < tau
+    _, cvals = _running_volumes(
+        metric, np.append(path.tau_grid[before], tau),
+        np.vstack([path.theta[before], path.state(tau)[0]]))
+    return float(cvals[-1])
 
 
-def ige(metric: MetricField, path: GeodesicPath, tau: float,
-        rel_tol: float = 1e-6) -> float:
+def ige(metric: MetricField, path: GeodesicPath, tau: float) -> float:
     """Entropy trace S(tau) = ln C(tau)."""
-    c = igc(metric, path, tau, rel_tol)
+    c = igc(metric, path, tau)
     if c <= 0:
         raise UndefinedEntropyError(f"complexity {c} has no logarithm")
     return float(np.log(c))
@@ -133,29 +144,18 @@ class ComplexityTrace:
     region: str = REGION_CONVENTION
 
 
-def complexity_trace(metric: MetricField, path: GeodesicPath,
-                     rel_tol: float = 1e-6) -> ComplexityTrace:
+def complexity_trace(metric: MetricField,
+                     path: GeodesicPath) -> ComplexityTrace:
     """Evaluate delta-V, C and S on the path's own tau grid.
 
     The box at each grid point is the running per-coordinate min/max of the
-    path up to that point, the same box ``volume_between`` takes there.
+    path up to that point, the same box ``volume_between`` takes there; all
+    of them go to one ``_box_volumes`` call.
     """
-    taus = path.tau_grid
-    lo = np.minimum.accumulate(path.theta, axis=0)
-    hi = np.maximum.accumulate(path.theta, axis=0)
-    volume = _box_volume_fn(metric, rel_tol)
-    dv = np.zeros_like(taus)
-    for k in range(1, taus.size):
-        dv[k] = volume(list(zip(lo[k], hi[k])))
-    # running trapezoid average of delta-V
-    seg = 0.5 * (dv[1:] + dv[:-1]) * np.diff(taus)
-    cum = np.concatenate([[0.0], np.cumsum(seg)])
-    spans = taus - taus[0]
-    cvals = np.divide(cum, spans, out=np.zeros_like(cum), where=spans > 0)
+    dv, cvals = _running_volumes(metric, path.tau_grid, path.theta)
     with np.errstate(divide="ignore"):
-        svals = np.where(cvals > 0, np.log(np.maximum(cvals, 1e-300)),
-                         -np.inf)
-    return ComplexityTrace(taus, dv, cvals, svals)
+        svals = np.log(cvals)
+    return ComplexityTrace(path.tau_grid, dv, cvals, svals)
 
 
 # ---------------------------------------------------------------------------

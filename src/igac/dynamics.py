@@ -122,15 +122,16 @@ def _flow(metric: MetricField, theta0, v0, span, rtol: float, atol: float,
     deviation ``block`` (J, DJ/dtau), each of shape (dim, k), also its
     linearization.  The covariant derivative DJ/dtau becomes
     J-dot = DJ/dtau - Gamma(J, v0) once the start is known to lie in the
-    chart.  ``sampling`` (``dense_output`` or ``t_eval``) selects what the
-    result holds, as for ``solve_ivp``: ``.y`` with rows (theta, theta-dot,
-    J, J-dot) at ``t_eval`` or at the end of the span, and ``.sol(tau)``.
-    A metric with a closed-form flow is evaluated exactly (``_exact_flow``,
-    tolerances unused); any other is integrated by DOP853 at ``rtol`` and
-    ``atol``.  A start outside the chart, or a spread coordinate falling
-    through the chart floor on the way, raises ChartBoundaryError, the
-    latter with the carrier state (tau, theta, theta_dot) at the crossing;
-    step underflow raises StiffnessError.
+    chart; each column flows at unit max-abs, so that none underflows when
+    squared, and is scaled back on ``.y``.  ``sampling`` (``dense_output``
+    or ``t_eval``) selects what the result holds, as for ``solve_ivp``:
+    ``.y`` with rows (theta, theta-dot, J, J-dot) at ``t_eval`` or at the
+    end of the span, and ``.sol(tau)``.  A metric with a closed-form flow
+    is evaluated exactly (``_exact_flow``, tolerances unused); any other is
+    integrated by DOP853 at ``rtol`` and ``atol``.  A start outside the
+    chart, or a spread coordinate falling through the chart floor on the
+    way, raises ChartBoundaryError, the latter with the carrier state (tau,
+    theta, theta_dot) at the crossing; step underflow raises StiffnessError.
     """
     theta0 = np.asarray(theta0, float)
     if not metric.in_chart(theta0):
@@ -139,37 +140,43 @@ def _flow(metric: MetricField, theta0, v0, span, rtol: float, atol: float,
     v0 = np.asarray(v0, float)
     if block is not None:
         j0, dj0 = (np.asarray(b, float).reshape(dim, -1) for b in block)
-        block = (j0, dj0 - np.einsum("abc,bk,c->ak",
-                                     metric.connection(theta0), j0, v0))
+        jdot0 = dj0 - np.einsum("abc,bk,c->ak", metric.connection(theta0),
+                                j0, v0)
+        size = np.max(np.abs(np.concatenate([j0, jdot0])), axis=0)
+        size = np.where(size > 0, size, 1.0)
+        block = (j0 / size, jdot0 / size)
     if metric.has_exact_flow:
-        return _exact_flow(metric, theta0, v0, span, block, what, **sampling)
-
-    parts = [theta0, v0]
-    if block is None:
-        rhs = _geodesic_rhs(metric)
+        sol = _exact_flow(metric, theta0, v0, span, block, what, **sampling)
     else:
-        rhs = _variational_rhs(metric)
-        parts += [b.ravel() for b in block]
+        parts = [theta0, v0]
+        if block is None:
+            rhs = _geodesic_rhs(metric)
+        else:
+            rhs = _variational_rhs(metric)
+            parts += [b.ravel() for b in block]
 
-    # terminal when a spread coordinate falls through the floor
-    events = []
-    for i in metric.scale_coords:
-        def ev(_tau, y, i=i):
-            return y[i] - _CHART_FLOOR
-        ev.terminal, ev.direction = True, -1
-        events.append(ev)
+        # terminal when a spread coordinate falls through the floor
+        events = []
+        for i in metric.scale_coords:
+            def ev(_tau, y, i=i):
+                return y[i] - _CHART_FLOOR
+            ev.terminal, ev.direction = True, -1
+            events.append(ev)
 
-    sol = solve_ivp(rhs, span, np.concatenate(parts), method="DOP853",
-                    rtol=rtol, atol=atol, events=events, **sampling)
-    if sol.status == 1:
-        t_ev, y_ev = max(((t[-1], y[-1]) for t, y in
-                          zip(sol.t_events, sol.y_events) if t.size),
-                         key=lambda ty: abs(ty[0]))
-        raise ChartBoundaryError(
-            f"{what} reached the chart boundary at tau = {t_ev}",
-            last_state=(t_ev, y_ev[:dim], y_ev[dim:2 * dim]))
-    if not sol.success:
-        raise StiffnessError(f"{what} integrator failed: {sol.message}")
+        sol = solve_ivp(rhs, span, np.concatenate(parts), method="DOP853",
+                        rtol=rtol, atol=atol, events=events, **sampling)
+        if sol.status == 1:
+            t_ev, y_ev = max(((t[-1], y[-1]) for t, y in
+                              zip(sol.t_events, sol.y_events) if t.size),
+                             key=lambda ty: abs(ty[0]))
+            raise ChartBoundaryError(
+                f"{what} reached the chart boundary at tau = {t_ev}",
+                last_state=(t_ev, y_ev[:dim], y_ev[dim:2 * dim]))
+        if not sol.success:
+            raise StiffnessError(f"{what} integrator failed: {sol.message}")
+    if block is not None:
+        # rows a * k + column of J and of J-dot
+        sol.y[2 * dim:] *= np.tile(size, 2 * dim)[:, None]
     return sol
 
 
@@ -201,15 +208,11 @@ def _exact_flow(metric: MetricField, theta0, v0, span, block, what,
     rows = [theta.T, theta_dot.T]
     if block is not None:
         j0, jdot0 = block
-        # each column stepped at unit size, so that no square of a small
-        # column underflows
-        size = np.max(np.abs(np.concatenate([j0, jdot0])), axis=0)
-        size = np.where(size > 0, size, 1.0)
-        theta_c, theta_dot_c = metric.flow(
-            theta0 + 1j * _STEP * (j0 / size).T,
-            v0 + 1j * _STEP * (jdot0 / size).T, grid - t0)
+        theta_c, theta_dot_c = metric.flow(theta0 + 1j * _STEP * j0.T,
+                                           v0 + 1j * _STEP * jdot0.T,
+                                           grid - t0)
         # (k, n_tau, dim) -> rows a * k + column, as in the ODE state
-        rows += [np.transpose(part.imag * (size / _STEP)[:, None, None],
+        rows += [np.transpose(part.imag * (1.0 / _STEP),
                               (2, 0, 1)).reshape(dim * j0.shape[1], grid.size)
                  for part in (theta_c, theta_dot_c)]
     sol = None

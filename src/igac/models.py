@@ -271,9 +271,9 @@ class MetricField:
     d_c Gamma^a_bd for ``order=2``, each family in its own closed form.
     Every in-package metric supplies both, and a metric without them (the
     block sub-metrics of ``block_metric``) serves ``eval`` and ``sqrt_det``
-    only.  ``volume_fn`` maps a list of per-coordinate (lo, hi) bounds to
-    the exact integral of sqrt(det g) over that box; closed-form metrics
-    supply it, and box volumes fall back to quadrature without it.
+    only.  ``volume_fn(lo, hi)`` maps box corners of shape (n, dim) to the
+    exact integrals of sqrt(det g) over the boxes, shape (n,); without it,
+    box volumes fall back to quadrature.
     ``flow_fn(theta0, v0, tau)`` is the exact geodesic flow: from starts of
     shape (..., dim), real or complex, it returns (theta, theta_dot) of
     shape (..., n_tau, dim) at the offsets ``tau`` from the start, and it
@@ -352,13 +352,19 @@ class MetricField:
         return self._flow_fn(np.asarray(theta0) * 1.0, np.asarray(v0) * 1.0,
                              np.asarray(tau, float))
 
-    def box_volume(self, bounds) -> float:
-        """Exact integral of sqrt(det g) over the box of (lo, hi) bounds;
-        only metrics with ``has_exact_volume`` support it."""
+    def box_volume(self, bounds) -> float | np.ndarray:
+        """Exact integral of sqrt(det g) over each box of ``bounds``, shape
+        (..., dim, 2) with a (lo, hi) pair per coordinate: a float for one
+        box, shape (...) for a stack.  Only metrics with
+        ``has_exact_volume`` support it."""
         if self._volume_fn is None:
             raise ValueError("metric has no closed-form box volume")
-        return float(self._volume_fn([(float(lo), float(hi))
-                                      for lo, hi in bounds]))
+        bounds = np.asarray(bounds, float)
+        # one box takes the stacked path too, bit for bit as in a stack
+        flat = bounds.reshape(-1, self.dim, 2)
+        vol = self._volume_fn(flat[..., 0], flat[..., 1])
+        return float(vol[0]) if bounds.ndim == 2 \
+            else vol.reshape(bounds.shape[:-2])
 
     def sqrt_det(self, theta) -> float | np.ndarray:
         g = self.eval(theta)
@@ -405,8 +411,7 @@ def flat_metric(dim: int) -> MetricField:
             (gam, np.zeros(th.shape[:-1] + (dim,) * 4))
 
     return MetricField(dim, mat, jet_fn=jet, connection_fn=connection,
-                       volume_fn=lambda bounds: np.prod(
-                           [hi - lo for lo, hi in bounds]),
+                       volume_fn=lambda lo, hi: np.prod(hi - lo, axis=-1),
                        blocks=[(i,) for i in range(dim)])
 
 
@@ -531,13 +536,13 @@ def _inverse_square_metric(dim, blocks, source="analytic") -> MetricField:
 
     root_dets = [np.sqrt(np.linalg.det(c)) for _, c in blocks]
 
-    def volume(bounds):
+    def volume(lo, hi):
         total = 1.0
         for (idx, _), root_det in zip(blocks, root_dets):
-            total *= root_det * _inverse_power_integral(*bounds[idx[-1]],
-                                                        len(idx))
-            for i in idx[:-1]:
-                total *= bounds[i][1] - bounds[i][0]
+            means, s = idx[:-1], idx[-1]
+            total = total * root_det * _inverse_power_integral(
+                lo[:, s], hi[:, s], len(idx)) \
+                * np.prod(hi[:, means] - lo[:, means], axis=1)
         return total
 
     return MetricField(dim, mat, jet_fn=jet, connection_fn=connection,
@@ -604,8 +609,8 @@ def _floor_exit(ratio, u, w2, a, tau):
 
 
 def _inverse_power_integral(lo, hi, d):
-    """integral of s^-d over [lo, hi] with 0 < lo < hi, written through
-    log1p/expm1 so that thin intervals keep full relative precision."""
+    """integral of s^-d over [lo, hi], 0 < lo <= hi elementwise, written
+    through log1p/expm1 so that thin intervals keep full relative precision."""
     log_ratio = np.log1p((hi - lo) / lo)
     if d == 1:
         return log_ratio

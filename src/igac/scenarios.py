@@ -12,7 +12,7 @@ checks do.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -44,7 +44,7 @@ __all__ = [
     "r_from_igc",
     "purity_from_igc",
     "wavepacket_model",
-    "wavepacket_initial_state",
+    "wavepacket_manifold",
     "igc_closed_form",
     "macro_lambda1",
     "macro_alphas",
@@ -487,7 +487,8 @@ def _iho_box_volume(omegas):
     that a box may straddle 0 or lie at negative x_j.  Where e^(-t u_j)
     varies by at most a factor e over the box, a Gauss-Legendre rule takes
     U_j[k](t) instead: it keeps the digits that the difference would lose
-    on a thin box.
+    on a thin box.  ``volume(lo, hi)`` takes a stack of boxes, corners of
+    shape (n, l), one by one: each odd-l box has its own t-range.
     """
     cs = 0.5 * omegas ** 2
     odd = omegas.size % 2
@@ -499,8 +500,7 @@ def _iho_box_volume(omegas):
     binom = comb(k[:, None], k[None, :])
     shift = np.maximum(k[:, None] - k[None, :], 0)   # n - i where C(n, i) > 0
 
-    def laplace_nodes(bounds):
-        lo, hi = np.array(bounds).T
+    def laplace_nodes(lo, hi):
         closest = np.where(lo * hi > 0, np.minimum(lo * lo, hi * hi), 0.0)
         phi_min = 1.0 + cs @ closest
         phi_max = 1.0 + cs @ np.maximum(lo * lo, hi * hi)
@@ -538,21 +538,21 @@ def _iho_box_volume(omegas):
 
     ones = np.ones((n + 1, 1))     # moments of the constant 1, as a column
 
-    def moments(bounds, t):
+    def moments(lo, hi, t):
         """M[..., i, 0] = int phi^i e^(-t sum_j u_j) over the box, per node t."""
         mom = ones
-        for c, (lo, hi) in zip(cs, bounds):
-            u = axis_moments(c, lo, hi, t)
+        for c, lo_j, hi_j in zip(cs, lo, hi):
+            u = axis_moments(c, lo_j, hi_j, t)
             mom = (binom * u.take(shift, axis=-1)) @ mom
         return mom
 
-    def volume(bounds):
+    def box_volume(lo, hi):
         if not odd:
-            return moments(bounds, 0.0)[n, 0]
-        t, wt = laplace_nodes(bounds)
-        return wt @ moments(bounds, t)[:, n, 0]
+            return moments(lo, hi, 0.0)[n, 0]
+        t, wt = laplace_nodes(lo, hi)
+        return wt @ moments(lo, hi, t)[:, n, 0]
 
-    return volume
+    return lambda lo, hi: np.array([box_volume(*box) for box in zip(lo, hi)])
 
 
 def iho_delta_v_asymptotic(cfg: IHOConfig, tau):
@@ -788,21 +788,21 @@ class ScatterConfig:
         return 2.0 / prolongation_eta(self.params)
 
 
-def wavepacket_model(params: dyn.WavePacketParams,
-                     correlated: bool) -> md.StatModel:
-    """Bivariate Gaussian at the collision instant; correlated or not."""
-    return md.gaussian_bivariate_corr(0.0, 0.0, params.sigma_peak,
-                                      r=params.r if correlated else 0.0)
+def wavepacket_model(params: dyn.WavePacketParams) -> md.StatModel:
+    """Bivariate Gaussian at the collision instant, correlation params.r."""
+    return md.gaussian_bivariate_corr(0.0, 0.0, params.sigma_peak, r=params.r)
 
 
-def wavepacket_initial_state(params: dyn.WavePacketParams, branch: str):
-    """(theta0, v0) read off the closed-form geodesics at tau = 0."""
+def wavepacket_manifold(params: dyn.WavePacketParams, r: float,
+                        branch: str = "after"):
+    """(metric, theta0, v0) of the wave-packet manifold with correlation r,
+    the start read off the closed-form geodesics of ``branch`` at tau = 0."""
     amp = params.mean_amplitude
     if branch == "after":
-        amp *= np.sqrt(1.0 - params.r)
-    theta0 = np.array([0.0, 0.0, params.sigma_peak])
-    v0 = np.array([-amp * params.a0, amp * params.a0, 0.0])
-    return theta0, v0
+        amp *= np.sqrt(1.0 - r)
+    return (md.analytic_fisher(wavepacket_model(replace(params, r=r))),
+            np.array([0.0, 0.0, params.sigma_peak]),
+            np.array([-amp * params.a0, amp * params.a0, 0.0]))
 
 
 def igc_closed_form(params: dyn.WavePacketParams, r: float, tau) -> np.ndarray:
@@ -921,11 +921,9 @@ def prolongation(cfg: ScatterConfig) -> dict:
 
 def _wavepacket_lyapunov(args):
     params, r, a0 = args
-    p = dyn.WavePacketParams(params.p0, params.sigma0, params.tau0, r)
-    metric = md.analytic_fisher(wavepacket_model(p, correlated=True))
-    th0, v0 = wavepacket_initial_state(p, "after")
+    metric, th0, v0 = wavepacket_manifold(params, r)
     # stay an order of magnitude above the sigma chart floor
-    tau_cap = np.arccosh(p.sigma_peak / 1e-7) / a0
+    tau_cap = np.arccosh(params.sigma_peak / 1e-7) / a0
     tau_grid = np.linspace(0.0, min(20.0 / a0, tau_cap), 257)
     jac = dyn.integrate_jacobi(metric, th0, v0, tau_grid, np.zeros(3),
                                dyn.normal_direction(metric, th0, v0),
@@ -950,8 +948,7 @@ def run_wavepacket(cfg: ScatterConfig, r_sweep=(0.1, 0.3, 0.5),
 
     # curvature of the correlated manifold at a generic point
     r_geo = max(cfg.r, 0.5)
-    metric_c = md.analytic_fisher(md.gaussian_bivariate_corr(
-        0.0, 0.0, params.sigma_peak, r=r_geo))
+    metric_c, _, _ = wavepacket_manifold(params, r_geo)
     th_probe = np.array([0.3, -0.2, 0.8 * params.sigma_peak])
     rep = geo.curvature_report(metric_c, th_probe)
     for (plane, k) in rep.sectional:
@@ -964,13 +961,12 @@ def run_wavepacket(cfg: ScatterConfig, r_sweep=(0.1, 0.3, 0.5),
 
     # geodesics against the closed forms, both branches
     for branch, rr in (("before", 0.0), ("after", cfg.r)):
-        p = dyn.WavePacketParams(cfg.p0, cfg.sigma0, cfg.tau0, rr)
-        metric = md.analytic_fisher(wavepacket_model(p, correlated=rr > 0))
-        th0, v0 = wavepacket_initial_state(p, branch)
+        metric, th0, v0 = wavepacket_manifold(params, rr, branch)
         sign = -1.0 if branch == "before" else 1.0
         path = dyn.integrate_geodesic(metric, th0, v0, sign * 5.0 / a0,
                                       tol=ode_tol, n_out=_TRACE_POINTS)
-        mu1, mu2, sig = dyn.wavepacket_geodesics(p, path.tau_grid, branch)
+        mu1, mu2, sig = dyn.wavepacket_geodesics(replace(params, r=rr),
+                                                 path.tau_grid, branch)
         closed = np.column_stack([mu1, mu2, sig])
         err = float(np.max(np.abs(path.theta - closed)))
         report.add(f"geodesic_closed_form_{branch}", err, 0.0, 1e-6,
@@ -980,9 +976,7 @@ def run_wavepacket(cfg: ScatterConfig, r_sweep=(0.1, 0.3, 0.5),
                    "affine parametrization")
 
     # deviation growth and rate, swept over correlations
-    p_after = dyn.WavePacketParams(cfg.p0, cfg.sigma0, cfg.tau0, cfg.r)
-    metric = md.analytic_fisher(wavepacket_model(p_after, correlated=True))
-    th0, v0 = wavepacket_initial_state(p_after, "after")
+    metric, th0, v0 = wavepacket_manifold(params, cfg.r)
     dj0 = dyn.normal_direction(metric, th0, v0)
     jac = dyn.integrate_jacobi(metric, th0, v0,
                                np.linspace(0.0, 10.0 / a0, _TRACE_POINTS),
@@ -1007,9 +1001,7 @@ def run_wavepacket(cfg: ScatterConfig, r_sweep=(0.1, 0.3, 0.5),
 
     # complexity compression across the r sweep; one trace per manifold
     def wp_trace(r):
-        p = dyn.WavePacketParams(cfg.p0, cfg.sigma0, cfg.tau0, r)
-        m = md.analytic_fisher(wavepacket_model(p, correlated=r > 0))
-        t0, vv0 = wavepacket_initial_state(p, "after")
+        m, t0, vv0 = wavepacket_manifold(params, r)
         wp_path = dyn.integrate_geodesic(m, t0, vv0, 10.0 / lam, tol=ode_tol,
                                          n_out=129)
         return cx.complexity_trace(m, wp_path)
@@ -1085,14 +1077,11 @@ def run_wavepacket(cfg: ScatterConfig, r_sweep=(0.1, 0.3, 0.5),
 
     pro = prolongation(cfg)
     report.observables["prolongation"] = pro
-    cfg0 = ScatterConfig(cfg.p0, cfg.sigma0, cfg.tau0, cfg.r0_separation,
-                         cfg.potential_range, cfg.mu_mass, 0.0)
+    cfg0 = replace(cfg, r=0.0)
     report.add("prolongation_at_r0", prolongation(cfg0)["delta"], 0.0, 1e-14,
                "no correlation, no delay")
     sweep = np.linspace(0.0, 0.9 * pro["r_upper_bound"], 24)
-    deltas = [prolongation(ScatterConfig(
-        cfg.p0, cfg.sigma0, cfg.tau0, cfg.r0_separation,
-        cfg.potential_range, cfg.mu_mass, r))["delta"] for r in sweep]
+    deltas = [prolongation(replace(cfg, r=r))["delta"] for r in sweep]
     report.add("prolongation_monotone",
                float(np.min(np.diff(deltas))), 0.0, 1e-15,
                "delay grows with the correlation", mode="min")

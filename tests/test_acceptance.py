@@ -147,15 +147,14 @@ def test_criterion_5_complexity_compression():
     r recovered within 2% (numeric) and 1e-6 (closed form)."""
     lam = 2 * WP.a0
     _, metric_u, _, _, path_u = _wp_setup(0.0, 5.0, n_out=129)
-    trace_u = cx.complexity_trace(metric_u, path_u, rel_tol=1e-7)
+    trace_u = cx.complexity_trace(metric_u, path_u)
     k = int(np.argmin(np.abs(trace_u.tau_grid - 5.0 / lam)))
     tau_probe = float(trace_u.tau_grid[k])
     c_u = float(trace_u.igc[k])
     worst_ratio = worst_gap = worst_rn = worst_rc = 0.0
     for r in (0.1, 0.3, 0.5):
         _, metric_c, _, _, path_c = _wp_setup(r, 5.0, n_out=129)
-        c_c = float(cx.complexity_trace(metric_c, path_c,
-                                        rel_tol=1e-7).igc[k])
+        c_c = float(cx.complexity_trace(metric_c, path_c).igc[k])
         target = np.sqrt((1 - r) / (1 + r))
         worst_ratio = max(worst_ratio, abs(c_c / c_u - target) / target)
         worst_gap = max(worst_gap, abs(np.log(c_c / c_u)
@@ -366,8 +365,8 @@ def test_criterion_11_property_suites():
             lambda t, s=scale: path_v.state(t)[0] * s,
             lambda t, s=scale: path_v.state(t)[1] * s, metric=scaled)
         tau = float(path_v.tau_grid[40])
-        v1 = cx.volume_between(metric_v, path_v, tau, rel_tol=1e-8)
-        v2 = cx.volume_between(scaled, spath, tau, rel_tol=1e-8)
+        v1 = cx.volume_between(metric_v, path_v, tau)
+        v2 = cx.volume_between(scaled, spath, tau)
         if abs(v2 - v1) / v1 > 1e-6:
             fails.append("volume-invariance")
 

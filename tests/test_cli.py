@@ -95,7 +95,6 @@ def test_defaults_filled():
     cfg = cli.parse_config("scenario: uncorrelated_gaussian\n"
                            "parameters: {l: 1}\n")
     assert cfg["numerics"]["ode_tol"] == 1e-10
-    assert cfg["numerics"]["quad_tol"] == 1e-9
     assert cfg["numerics"]["fit_window_fraction"] == 0.25
     assert cfg["output"]["formats"] == ["json", "csv"]
 
@@ -520,6 +519,28 @@ def test_bad_numerics_value_exits_1(tmp_path, capsys, monkeypatch, key,
     cfg.write_text(GEO_CFG + f"numerics: {{{key}: {value}}}\n")
     assert cli.main(["geodesic", "--config", str(cfg)]) == 1
     assert f"config error at numerics.{key}:" in capsys.readouterr().err
+
+
+def test_config_carrying_quad_tol_runs(tmp_path):
+    # quad_tol is no setting any more; configs written with it still run
+    cfg = tmp_path / "ige.yaml"
+    cfg.write_text(IGE_2D + "n_out: 33\nnumerics: {quad_tol: 1.0e-7}\n"
+                   f"output: {{directory: '{tmp_path}/out'}}\n")
+    assert cli.main(["ige", "--config", str(cfg)]) == 0
+
+
+@pytest.mark.parametrize("value,code", [("-1", 0), (".nan", 1), (".inf", 1),
+                                        ("-.inf", 1)],
+                         ids=["-1", "nan", "inf", "-inf"])
+def test_unread_quad_tol_meets_only_the_finiteness_walk(
+        tmp_path, capsys, monkeypatch, value, code):
+    monkeypatch.setattr(cli, "run", lambda cfg, command: 0)
+    cfg = tmp_path / "geo.yaml"
+    cfg.write_text(GEO_CFG + f"numerics: {{quad_tol: {value}}}\n")
+    assert cli.main(["geodesic", "--config", str(cfg)]) == code
+    if code:
+        assert "config error at numerics.quad_tol: must be finite" in \
+            capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", BAD_TOLERANCES)

@@ -51,7 +51,7 @@ def test_flat_box_volume():
 
 def test_delta_v_monotone_and_trace_invariants():
     _, metric, path = wavepacket_setup(0.3, tau_end_over_a0=6.0)
-    trace = cx.complexity_trace(metric, path, rel_tol=1e-7)
+    trace = cx.complexity_trace(metric, path)
     assert np.all(trace.delta_v >= 0)
     assert np.all(np.diff(trace.delta_v) >= -1e-9 * trace.delta_v[1:])
     pos = trace.igc > 0
@@ -63,7 +63,7 @@ def test_delta_v_monotone_and_trace_invariants():
 def test_igc_matches_closed_form_up_to_region_factor():
     p, metric, path = wavepacket_setup(0.5)
     lam = 2 * p.a0
-    trace = cx.complexity_trace(metric, path, rel_tol=1e-7)
+    trace = cx.complexity_trace(metric, path)
     win = (trace.tau_grid >= 2.0 / lam) & (trace.tau_grid <= 10.0 / lam)
     ratio = sc.igc_closed_form(p, 0.5, trace.tau_grid[win]) / trace.igc[win]
     assert np.max(np.abs(ratio / sc.CLOSED_FORM_REGION_FACTOR - 1.0)) < 0.02
@@ -72,8 +72,8 @@ def test_igc_matches_closed_form_up_to_region_factor():
 def test_compression_and_entropy_gap():
     p, metric_c, path_c = wavepacket_setup(0.5)
     _, metric_u, path_u = wavepacket_setup(0.0)
-    trace_c = cx.complexity_trace(metric_c, path_c, rel_tol=1e-7)
-    trace_u = cx.complexity_trace(metric_u, path_u, rel_tol=1e-7)
+    trace_c = cx.complexity_trace(metric_c, path_c)
+    trace_u = cx.complexity_trace(metric_u, path_u)
     pos = trace_u.igc > 0
     # compression holds pointwise for positive correlation
     assert np.all(trace_c.igc[pos] < trace_u.igc[pos])
@@ -87,8 +87,8 @@ def test_compression_and_entropy_gap():
 def test_r_zero_degeneracy():
     _, metric_u, path_u = wavepacket_setup(0.0, tau_end_over_a0=6.0)
     p0, metric_0, path_0 = wavepacket_setup(1e-13, tau_end_over_a0=6.0)
-    t1 = cx.complexity_trace(metric_u, path_u, rel_tol=1e-9)
-    t0 = cx.complexity_trace(metric_0, path_0, rel_tol=1e-9)
+    t1 = cx.complexity_trace(metric_u, path_u)
+    t0 = cx.complexity_trace(metric_0, path_0)
     assert np.max(np.abs(t1.delta_v - t0.delta_v)
                   / np.maximum(t1.delta_v, 1e-30)) < 1e-10
 
@@ -113,8 +113,8 @@ def test_volume_chart_invariance():
         lambda t: path.state(t)[1] * scale,
         metric=scaled)
     tau = float(path.tau_grid[70])
-    v1 = cx.volume_between(metric, path, tau, rel_tol=1e-8)
-    v2 = cx.volume_between(scaled, spath, tau, rel_tol=1e-8)
+    v1 = cx.volume_between(metric, path, tau)
+    v2 = cx.volume_between(scaled, spath, tau)
     assert v2 == pytest.approx(v1, rel=1e-6)
 
 
@@ -199,7 +199,7 @@ def test_fit_window_and_min_points():
 
 def test_wavepacket_ige_slope_matches_lambda():
     p, metric, path = wavepacket_setup(0.5, tau_end_over_a0=16.0)
-    trace = cx.complexity_trace(metric, path, rel_tol=1e-7)
+    trace = cx.complexity_trace(metric, path)
     lam = 2 * p.a0
     fit = cx.fit_asymptotics(trace, "linear",
                              window=(0.55 * trace.tau_grid[-1],
@@ -249,7 +249,7 @@ def test_iho_volume_against_nested_adaptive_quadrature():
         taus, lambda t: x0 * np.exp(omegas * t),
         lambda t: omegas * x0 * np.exp(omegas * t), metric=metric)
     tau = 2.0
-    got = cx.volume_between(metric, path, tau, rel_tol=1e-9)
+    got = cx.volume_between(metric, path, tau)
 
     def dens(y, x):
         return 1.0 + 0.5 * (omegas[0] ** 2 * x ** 2
@@ -324,8 +324,22 @@ def test_trace_volumes_equal_volume_between(case):
         metric, path = _gauss_path("quadrature", 2.0, 9)
     else:
         metric, path = _iho_path(int(case[-1]))
-    trace = cx.complexity_trace(metric, path, rel_tol=1e-7)
-    expect = [cx.volume_between(metric, path, t, rel_tol=1e-7)
+    trace = cx.complexity_trace(metric, path)
+    expect = [cx.volume_between(metric, path, t)
               for t in path.tau_grid]
     assert np.array_equal(trace.delta_v, expect)
     assert np.all(trace.delta_v[1:] > 0)
+
+
+@pytest.mark.parametrize("case", ["analytic", "quadrature", "iho_l1",
+                                  "iho_l2"])
+def test_igc_at_grid_points_equals_trace(case):
+    """``igc`` builds the running boxes of ``complexity_trace``, so at a
+    grid point it gives the trace's own value."""
+    if case in ("analytic", "quadrature"):
+        metric, path = _gauss_path(case, 4.0, 33)
+    else:
+        metric, path = _iho_path(int(case[-1]))
+    trace = cx.complexity_trace(metric, path)
+    got = [cx.igc(metric, path, t) for t in path.tau_grid[1:]]
+    assert np.array_equal(got, trace.igc[1:])

@@ -391,9 +391,8 @@ def test_geodesic_closed_forms_across_tolerances(r, tol):
     report's bounds at every tolerance: error 1e-6, speed drift 10 tol."""
     for branch, rr in (("before", 0.0), ("after", r)):
         p = dyn.WavePacketParams(DEMO.p0, DEMO.sigma0, DEMO.tau0, rr)
-        metric = ode_flow(md.analytic_fisher(
-            sc.wavepacket_model(p, correlated=rr > 0)))
-        th0, v0 = sc.wavepacket_initial_state(p, branch)
+        metric, th0, v0 = sc.wavepacket_manifold(p, rr, branch)
+        metric = ode_flow(metric)
         sign = -1.0 if branch == "before" else 1.0
         path = dyn.integrate_geodesic(metric, th0, v0, sign * 5.0 / p.a0,
                                       tol=tol, n_out=257)

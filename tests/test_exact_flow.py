@@ -2,8 +2,8 @@
 integration of the geodesic and deviation equations, which stays the
 generic path and serves here as the oracle: geodesics, Jacobi fields and
 chart-floor crossings over every inverse-square family of dimension 1-8,
-spreads down to twenty times the floor, forward and backward grids and
-blocks at rest."""
+spreads down to twenty times the floor, forward and backward grids,
+blocks at rest and a deviation column far below unit size."""
 
 import numpy as np
 import pytest
@@ -47,12 +47,15 @@ def spread_of(metric, theta):
     return np.asarray(theta)[..., owner]
 
 
-# components on a grid of step 1/1000: DOP853's error norm squares each
-# component, and one near 1e-158 turns it into 0/0 and fails the oracle
-components = st.integers(-1000, 1000).map(lambda k: k / 1000)
+# velocity components on a grid of step 1/1000: DOP853's error norm squares
+# each component, and a carrier whose rates all lie near 1e-158 turns it
+# into 0/0.  Deviation columns are flowed at unit max-abs, so they are drawn
+# from continuous floats.
+grid_components = st.integers(-1000, 1000).map(lambda k: k / 1000)
+components = st.floats(-1.0, 1.0)
 
 
-def block_vector(draw, metric, theta, rest=True):
+def block_vector(draw, metric, theta, rest=True, components=grid_components):
     """A vector scaled by each block's spread, so that every block moves at
     a rate of order one; with ``rest``, some blocks are drawn at rest."""
     raw = np.array([draw(components) for _ in range(metric.dim)])
@@ -135,8 +138,10 @@ def test_closed_form_geodesic_matches_dop853(case):
 @given(flow_case(), st.data())
 def test_complex_step_jacobi_matches_dop853(case, data):
     metric, theta, v, span = case
-    j0 = block_vector(data.draw, metric, theta, rest=False)
-    dj0 = block_vector(data.draw, metric, theta, rest=False)
+    j0 = block_vector(data.draw, metric, theta, rest=False,
+                      components=components)
+    dj0 = block_vector(data.draw, metric, theta, rest=False,
+                       components=components)
     grid = np.linspace(0.0, span, 17)
     exact, generic = both(lambda m: dyn.integrate_jacobi(
         m, theta, v, grid, j0, dj0, rtol=1e-12), metric)
@@ -182,6 +187,18 @@ def test_floor_crossing_is_exact(case):
     )
     for flow in flows:
         assert_same_exit(*both(flow, metric), metric)
+
+
+def test_tiny_deviation_is_flowed_at_unit_size():
+    # J0 = DJ0 = 1e-158 on a carrier at rest: J = 1e-158 (1 + tau).  DOP853
+    # on the raw column squares its error estimate to 0 and divides 0/0
+    metric = md.analytic_fisher(md.exponential(1.0))
+    grid = np.linspace(0.0, 1.0, 5)
+    for m in (metric, ode_flow(metric)):
+        trace = dyn.integrate_jacobi(m, [1.0], [0.0], grid, [1e-158],
+                                     [1e-158])
+        assert trace.j[:, 0] == pytest.approx(1e-158 * (1.0 + grid),
+                                              rel=1e-12, abs=0.0)
 
 
 def test_block_at_rest_stays_put():

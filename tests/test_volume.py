@@ -2,8 +2,9 @@
 against per-block adaptive quadrature (``integrate_box``), the oscillator
 volume at l = 1, 2, 3 against independent oracles (an antiderivative and
 nested adaptive quadrature), the even-l oscillator volume against a
-hand-expanded polynomial integral, the node cap with one or with every
-axis short of convergence, and a subnormal lower end.
+hand-expanded polynomial integral, a stack of boxes against the same boxes
+one at a time, the one ``box_volume`` call of a trace, the node cap with one
+or with every axis short of convergence, and a subnormal lower end.
 """
 
 from functools import partial
@@ -65,6 +66,15 @@ def exact_volume_case(draw):
     else:
         omegas = draw(st.lists(omega, min_size=1, max_size=3))
         metric = iho_metric(omegas)
+    bounds = box(draw, metric)
+    oracle = partial(iho_volume_oracle, omegas) if family == "iho" \
+        else partial(per_block_quadrature, metric)
+    return metric, bounds, oracle
+
+
+def box(draw, metric):
+    """(lo, hi) per coordinate: thin to wide spread intervals, and mean or
+    oscillator extents from 1e-6 to 10."""
     bounds = []
     for i in range(metric.dim):
         if i in metric.scale_coords:
@@ -73,9 +83,38 @@ def exact_volume_case(draw):
         else:
             lo = draw(corners)
             bounds.append((lo, lo + draw(extents)))
-    oracle = partial(iho_volume_oracle, omegas) if family == "iho" \
-        else partial(per_block_quadrature, metric)
-    return metric, bounds, oracle
+    return bounds
+
+
+@st.composite
+def box_stack_case(draw):
+    """(closed-form metric, stack of 1-6 boxes), some of zero extent on one
+    axis, over every family with an exact volume: inverse-square metrics in
+    closed form and by quadrature, flat metrics, and the oscillator at even
+    and odd l."""
+    family = draw(st.sampled_from(["fisher", "quadrature", "macro", "flat",
+                                   "iho_even", "iho_odd"]))
+    if family in ("fisher", "quadrature"):
+        build = md.analytic_fisher if family == "fisher" \
+            else md.fisher_quadrature
+        metric = build(md.product(*draw(st.lists(factor(), min_size=1,
+                                                 max_size=3))))
+    elif family == "macro":
+        metric = md.macro_correlated_metric(
+            draw(st.lists(macro_corr, min_size=1, max_size=3)))
+    elif family == "flat":
+        metric = md.flat_metric(draw(st.integers(1, 4)))
+    else:
+        l = draw(st.sampled_from([2, 4] if family == "iho_even" else [1, 3]))
+        metric = iho_metric(draw(st.lists(omega, min_size=l, max_size=l)))
+    boxes = []
+    for _ in range(draw(st.integers(1, 6))):
+        bounds = box(draw, metric)
+        if draw(st.booleans()):
+            i = draw(st.integers(0, metric.dim - 1))
+            bounds[i] = (bounds[i][0], bounds[i][0])
+        boxes.append(bounds)
+    return metric, boxes
 
 
 def per_block_quadrature(metric, bounds):
@@ -124,6 +163,17 @@ def test_exact_box_volume_matches_block_quadrature(case):
     assert metric.has_exact_volume
     assert metric.box_volume(bounds) == pytest.approx(oracle(bounds),
                                                       rel=1e-9, abs=0.0)
+
+
+@PROPERTY
+@given(box_stack_case())
+def test_stacked_box_volume_equals_per_box_bit_for_bit(case):
+    metric, boxes = case
+    stacked = metric.box_volume(boxes)
+    assert stacked.shape == (len(boxes),)
+    assert np.array_equal(stacked, [metric.box_volume(b) for b in boxes])
+    assert np.array_equal(metric.box_volume(np.array(boxes)[:, None]),
+                          stacked[:, None])
 
 
 @settings(max_examples=40)
@@ -226,6 +276,20 @@ def test_exact_volume_skips_quadrature(monkeypatch):
     path = dyn.integrate_geodesic(metric, [0.0, 1.0], [np.sqrt(2.0), 0.0],
                                   2.0, tol=1e-10)
     trace = cx.complexity_trace(metric, path)
+    assert np.all(trace.delta_v[1:] > 0)
+
+
+def test_trace_takes_one_box_volume_call(monkeypatch):
+    metric = md.analytic_fisher(md.gaussian_diag([0.0], [1.0]))
+    path = dyn.integrate_geodesic(metric, [0.0, 1.0], [1.0, 0.5], 4.0,
+                                  tol=1e-10, n_out=129)
+    calls = []
+    box_volume = metric.box_volume
+    monkeypatch.setattr(metric, "box_volume",
+                        lambda bounds: calls.append(bounds) or
+                        box_volume(bounds))
+    trace = cx.complexity_trace(metric, path)
+    assert len(calls) == 1
     assert np.all(trace.delta_v[1:] > 0)
 
 
