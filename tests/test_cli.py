@@ -510,8 +510,12 @@ def _stub_run(monkeypatch):
         f"a solve started with {cfg['numerics']}"))
 
 
-@pytest.mark.parametrize("key", sorted(cli._NUMERIC_DEFAULTS))
-@pytest.mark.parametrize("value", BAD_TOLERANCES)
+# quad_tol is no setting, but configs written with it (perfbench/inputs.py
+# still writes one) meet the finiteness walk, which rejects its non-finite
+# values at the same path
+@pytest.mark.parametrize("value,key", [
+    (value, key) for key in sorted(cli._NUMERIC_DEFAULTS)
+    for value in BAD_TOLERANCES] + [(".nan", "quad_tol"), (".inf", "quad_tol")])
 def test_bad_numerics_value_exits_1(tmp_path, capsys, monkeypatch, key,
                                     value):
     _stub_run(monkeypatch)
@@ -529,18 +533,14 @@ def test_config_carrying_quad_tol_runs(tmp_path):
     assert cli.main(["ige", "--config", str(cfg)]) == 0
 
 
-@pytest.mark.parametrize("value,code", [("-1", 0), (".nan", 1), (".inf", 1),
-                                        ("-.inf", 1)],
-                         ids=["-1", "nan", "inf", "-inf"])
-def test_unread_quad_tol_meets_only_the_finiteness_walk(
-        tmp_path, capsys, monkeypatch, value, code):
+@pytest.mark.parametrize("value", ["-1", "0"])
+def test_unread_quad_tol_meets_only_the_finiteness_walk(tmp_path,
+                                                        monkeypatch, value):
+    # a finite quad_tol is no config error, whatever its sign
     monkeypatch.setattr(cli, "run", lambda cfg, command: 0)
     cfg = tmp_path / "geo.yaml"
     cfg.write_text(GEO_CFG + f"numerics: {{quad_tol: {value}}}\n")
-    assert cli.main(["geodesic", "--config", str(cfg)]) == code
-    if code:
-        assert "config error at numerics.quad_tol: must be finite" in \
-            capsys.readouterr().err
+    assert cli.main(["geodesic", "--config", str(cfg)]) == 0
 
 
 @pytest.mark.parametrize("value", BAD_TOLERANCES)
@@ -598,6 +598,9 @@ def _numeric_leaves(node, path=(), name=""):
 DEMO_LEAVES = [(config, name, path) for config in DEMO_CONFIGS
                for name, path in _numeric_leaves(
                    yaml.safe_load(config.read_text()))]
+# wave-packet configs written with the former quad_tol setting still carry it
+DEMO_LEAVES += [(config, "numerics.quad_tol", ("numerics", "quad_tol"))
+                for config in DEMO_CONFIGS if config.stem == "wavepacket"]
 
 
 def _main_with_config(tmp_path, command, cfg):
