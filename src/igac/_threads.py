@@ -1,26 +1,8 @@
-"""Thread fan-out capped by the IGAC_THREADS environment variable."""
-
-import os
-from concurrent.futures import ThreadPoolExecutor
-
-
-def max_workers() -> int:
-    """Worker cap from IGAC_THREADS; 0 or unset means auto (cpu count)."""
-    raw = os.environ.get("IGAC_THREADS", "0").strip()
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n < 0:
-        n = 0
-    return n if n > 0 else (os.cpu_count() or 1)
+"""Order-preserving map for the wave-packet sweeps, run on the caller's
+thread.  It stays a named function because the benchmark tracer binds
+``parallel_map`` here and in ``scenarios``."""
 
 
 def parallel_map(fn, items):
-    """Order-preserving map, threaded unless capped to one worker."""
-    items = list(items)
-    workers = min(max_workers(), max(len(items), 1))
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    """``[fn(x) for x in items]``."""
+    return [fn(x) for x in items]

@@ -33,6 +33,9 @@ _SCENARIOS = ("uncorrelated_gaussian", "macro_correlated", "iho",
               "spin_chain", "wavepacket", "custom_manifold", "mre_update")
 _FORMATS = ("csv", "json")
 
+# correlations of the wave-packet compression sweep when none are given
+_R_SWEEP = (0.1, 0.3, 0.5)
+
 _NUMERIC_DEFAULTS = {"ode_tol": 1e-10, "fit_window_fraction": 0.25}
 
 # libyaml's parser when PyYAML was built with it; both loaders share the
@@ -171,11 +174,14 @@ def _check_correlations(r, path, failures):
 
 
 def _req(mapping, key, path, failures, types=None):
+    """``mapping[key]``, or None with a failure recorded when it is missing
+    or not of ``types``.  A bool is of no requested type, although Python
+    counts it an int: ``l: true`` is no pair count."""
     if not isinstance(mapping, dict) or key not in mapping:
         failures.append((f"{path}.{key}", "missing required key"))
         return None
     val = mapping[key]
-    if types and not isinstance(val, types):
+    if types and (not isinstance(val, types) or isinstance(val, bool)):
         failures.append((f"{path}.{key}", f"unexpected type {type(val).__name__}"))
         return None
     return val
@@ -195,22 +201,30 @@ def _validate_scenario(cfg, failures):
     if not isinstance(params, dict):
         failures.append(("parameters", "must be a mapping"))
         return
+    l = None
     if name in ("uncorrelated_gaussian", "macro_correlated", "iho"):
         l = _req(params, "l", "parameters", failures, int)
-        if isinstance(l, int) and l < 1:
+        if l is not None and l < 1:
             failures.append(("parameters.l", "must be at least 1"))
+            l = None
+    if name in ("uncorrelated_gaussian", "macro_correlated"):
+        # (mean, spread) pairs: every odd coordinate is a spread
+        dim = 2 * l if l else None
+        _check_start(params, dim, range(1, dim or 0, 2), failures)
     if name == "macro_correlated":
         r = _req(params, "r", "parameters", failures)
         if r is not None:
-            _check_correlations(r, "parameters.r", failures)
+            n_r = _check_correlations(r, "parameters.r", failures)
+            if l and n_r not in (1, l):
+                failures.append(("parameters.r", f"needs 1 or l = {l} "
+                                 f"correlations, got {n_r}"))
     if name == "iho":
         if "omega" not in params and "omega_total" not in params:
             failures.append(("parameters.omega",
                              "provide omega or omega_total"))
         if "omega" in params:
             omega = params["omega"]
-            _check_vector(omega, "parameters.omega",
-                          l if isinstance(l, int) else None, failures)
+            _check_vector(omega, "parameters.omega", l, failures)
             for i, w in enumerate(omega if isinstance(omega, list) else []):
                 if _is_number(w) and not w > 0:
                     failures.append((f"parameters.omega[{i}]",
@@ -219,13 +233,21 @@ def _validate_scenario(cfg, failures):
                              failures)
     if name == "spin_chain":
         regime = _req(params, "regime", "parameters", failures, str)
-        if regime is not None and regime not in ("regular", "chaotic"):
+        if regime is not None and regime not in _SPIN_CHAIN_STARTS:
             failures.append(("parameters.regime",
                              f"must be regular or chaotic, got {regime!r}"))
+        _check_start(params, *_SPIN_CHAIN_STARTS.get(regime, (None, ())),
+                     failures)
     if name == "wavepacket":
         r = params.get("r", 0.01)
-        if not isinstance(r, (int, float)) or not 0.0 <= r < 1.0:
+        if not _is_number(r) or not 0.0 <= r < 1.0:
             failures.append(("parameters.r", f"must lie in [0, 1), got {r}"))
+        sweep = params.get("r_sweep", _R_SWEEP)
+        if isinstance(sweep, (list, tuple)) and sweep:
+            _check_correlations(sweep, "parameters.r_sweep", failures)
+        else:
+            failures.append(("parameters.r_sweep", "must be a nonempty list "
+                             f"of correlations, got {sweep!r}"))
         _check_positive_keys(params, ("p0", "sigma0", "tau0", "R0", "L",
                                       "mu_mass"), failures)
     if name == "custom_manifold":
@@ -237,6 +259,27 @@ def _validate_scenario(cfg, failures):
             _check_vector(params["theta"], "parameters.theta", dim, failures)
     if name == "mre_update":
         _validate_mre(params, "parameters", failures)
+
+
+# spin-chain regime: (dimension, indices of the scale coordinates)
+_SPIN_CHAIN_STARTS = {"regular": (2, (0, 1)), "chaotic": (3, (0, 2))}
+
+
+def _check_start(params, dim, scales, failures):
+    """The geodesic start of a scenario: ``theta0`` and ``v0`` with ``dim``
+    numbers each (any count when ``dim`` is None), the ``scales`` of
+    ``theta0`` positive, and a positive ``tau_end``."""
+    for key in ("theta0", "v0"):
+        if key in params:
+            _check_vector(params[key], f"parameters.{key}", dim, failures)
+    theta0 = params.get("theta0")
+    if dim is not None and isinstance(theta0, (list, tuple)) and \
+            len(theta0) == dim and all(_is_number(x) for x in theta0):
+        for i in scales:
+            if not theta0[i] > 0:
+                failures.append((f"parameters.theta0[{i}]",
+                                 f"must be positive, got {theta0[i]!r}"))
+    _check_positive_keys(params, ("tau_end",), failures)
 
 
 def _validate_manifold(spec, path, failures):
@@ -277,7 +320,7 @@ def _validate_manifold(spec, path, failures):
         for key in ("mu_x", "mu_y", "sigma"):
             _req(spec, key, path, failures, (int, float))
         sig = spec.get("sigma")
-        if isinstance(sig, (int, float)) and sig <= 0:
+        if _is_number(sig) and sig <= 0:
             failures.append((f"{path}.sigma", "must be positive"))
         r = spec.get("r", 0.0)
         if not _is_number(r) or not -1.0 < r < 1.0:
@@ -387,9 +430,13 @@ def _validate_mre(spec, path, failures):
         elif not _is_number(c["target"]):
             failures.append((f"{path}.constraints[{i}].target",
                              f"must be a number, got {c['target']!r}"))
-        if fname == "poly" and not c.get("coefficients"):
+        coeffs = c.get("coefficients")
+        if fname == "poly" and not (
+                isinstance(coeffs, (list, tuple)) and coeffs
+                and all(_is_number(x) for x in coeffs)):
             failures.append((f"{path}.constraints[{i}].coefficients",
-                             "poly constraint needs coefficients"))
+                             "poly constraint needs a nonempty list of "
+                             f"numbers, got {coeffs!r}"))
 
 
 # ---------------------------------------------------------------------------
@@ -625,7 +672,7 @@ def _run_named_scenario(cfg):
             mu_mass=params.get("mu_mass", 0.5), r=params.get("r", 0.01))
         return sc.run_wavepacket(scfg,
                                  r_sweep=tuple(params.get("r_sweep",
-                                                          (0.1, 0.3, 0.5))),
+                                                          _R_SWEEP)),
                                  **common)
     if name == "custom_manifold":
         sub = {"manifold": params["manifold"], "theta": params["theta"],

@@ -192,10 +192,9 @@ def run_uncorrelated_gaussian(l: int, theta0=None, v0=None,
         raise ValueError("l must be at least 1")
     if tau_end is None:
         tau_end = 17.5
-    if theta0 is None or v0 is None:
-        theta0, v0 = _gauss_semicircle_data(l)
-    theta0 = np.asarray(theta0, float)
-    v0 = np.asarray(v0, float)
+    theta_top, v_top = _gauss_semicircle_data(l)
+    theta0 = np.asarray(theta_top if theta0 is None else theta0, float)
+    v0 = np.asarray(v_top if v0 is None else v0, float)
     model = _gaussian_model_at(theta0)
     metric = md.analytic_fisher(model)
     report = ScenarioReport("uncorrelated_gaussian",
@@ -289,10 +288,9 @@ def run_macro_correlated(l: int, r_list, theta0=None, v0=None,
         r_list = r_list * l
     if len(r_list) != l:
         raise ValueError("need one correlation per pair")
-    if theta0 is None or v0 is None:
-        theta0, v0 = _gauss_semicircle_data(l)
-    theta0 = np.asarray(theta0, float)
-    v0 = np.asarray(v0, float)
+    theta_top, v_top = _gauss_semicircle_data(l)
+    theta0 = np.asarray(theta_top if theta0 is None else theta0, float)
+    v0 = np.asarray(v_top if v0 is None else v0, float)
     metric = md.macro_correlated_metric(r_list)
     report = ScenarioReport("macro_correlated",
                             {"l": l, "r": r_list, "theta0": theta0, "v0": v0,
@@ -359,6 +357,10 @@ def ohmic_density(omega, cutoff):
     return 2.0 * omega / cutoff ** 2
 
 
+# common initial displacement x_j(0) of every oscillator
+_IHO_AMPLITUDE = 1.0
+
+
 @dataclass(frozen=True)
 class IHOConfig:
     """Inverted-oscillator ensemble: explicit frequencies or an Ohmic draw.
@@ -373,7 +375,6 @@ class IHOConfig:
     omega_total: Optional[float] = None
     xi: float = 1.0
     tau_end: float = 60.0
-    amplitude: float = 1.0      # common initial displacement
 
     def __post_init__(self):
         if self.l < 1:
@@ -558,11 +559,10 @@ def _iho_box_volume(omegas):
 def iho_delta_v_asymptotic(cfg: IHOConfig, tau):
     """Dominant-corner closed form of the explored volume at large tau."""
     w = cfg.frequencies
-    xi_amp = cfg.amplitude
     tau = np.asarray(tau, float)
     grow = np.exp(np.add.outer(tau, np.zeros(cfg.l)) * w)     # (n, l)
-    prod = xi_amp ** cfg.l * np.prod(grow, axis=-1)
-    quad = np.sum((xi_amp * grow * w) ** 2, axis=-1)
+    prod = _IHO_AMPLITUDE ** cfg.l * np.prod(grow, axis=-1)
+    quad = np.sum((_IHO_AMPLITUDE * grow * w) ** 2, axis=-1)
     return prod * quad ** (cfg.l / 2) / (cfg.l * 2 ** (cfg.l / 2))
 
 
@@ -575,7 +575,7 @@ def iho_log_igc_closed_form(cfg: IHOConfig, tau):
     tau = np.asarray(tau, float)
     l, xi = cfg.l, cfg.xi
     om = cfg.omega_sum
-    log_pref = l * np.log(cfg.amplitude ** 2 * xi * om / 2) - np.log(l)
+    log_pref = l * np.log(_IHO_AMPLITUDE ** 2 * xi * om / 2) - np.log(l)
     return log_pref + 0.5 * l * xi * om * tau - np.log(tau)
 
 
@@ -597,7 +597,7 @@ def run_iho(cfg: IHOConfig) -> ScenarioReport:
                "analytic integral of the linear density")
 
     # Newtonian evolution with pure-growth initial data
-    x0 = np.full(cfg.l, cfg.amplitude)
+    x0 = np.full(cfg.l, _IHO_AMPLITUDE)
     sol = solve_ivp(lambda _t, y: np.concatenate([y[cfg.l:],
                                                   w ** 2 * y[:cfg.l]]),
                     (0.0, min(cfg.tau_end, 12.0 / np.max(w))),
@@ -636,7 +636,7 @@ def run_iho(cfg: IHOConfig) -> ScenarioReport:
                "closed-form average volume", mode="rel")
 
     doubled = IHOConfig(cfg.l, omega=tuple(2 * w), xi=cfg.xi,
-                        tau_end=cfg.tau_end, amplitude=cfg.amplitude)
+                        tau_end=cfg.tau_end)
     s2 = _linear_slope(fit_taus, iho_log_igc_closed_form(doubled, fit_taus),
                        lo_frac=0.0)
     report.observables["ige_slope"] = s1

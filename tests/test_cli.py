@@ -1,6 +1,7 @@
 """Config validation, deterministic emission and exit-code contract."""
 
 import json
+import threading
 from pathlib import Path
 
 import pytest
@@ -350,16 +351,15 @@ def test_custom_manifold_scenario(tmp_path):
                                                                   abs=1e-6)
 
 
-def test_threads_env_cap(monkeypatch):
-    from igac import _threads
+def test_wavepacket_demo_starts_no_thread(tmp_path, monkeypatch):
+    # the r sweeps run on the calling thread
+    def refuse(thread):
+        pytest.fail(f"{thread.name} started")
 
-    monkeypatch.setenv("IGAC_THREADS", "1")
-    assert _threads.max_workers() == 1
-    assert _threads.parallel_map(lambda x: x * x, [1, 2, 3]) == [1, 4, 9]
-    monkeypatch.setenv("IGAC_THREADS", "0")
-    assert _threads.max_workers() >= 1
-    monkeypatch.setenv("IGAC_THREADS", "4")
-    assert _threads.parallel_map(lambda x: -x, [3, 1, 2]) == [-3, -1, -2]
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    config = next(c for c in DEMO_CONFIGS if c.stem == "wavepacket")
+    assert cli.main(["scenario", "--config", str(config),
+                     "--out", str(tmp_path)]) == 0
 
 
 def test_scenario_defaults_forwarded_to_runners(tmp_path):
@@ -479,6 +479,46 @@ IGE_2D = f"manifold: {DIAG_2D}\ntheta0: [0.0, 1.0]\nv0: [1.0, 0.0]\n" \
      "parameters.L"),
     ("scenario", "scenario: wavepacket\nparameters: {mu_mass: 0.0}\n",
      "parameters.mu_mass"),
+    ("scenario", "scenario: uncorrelated_gaussian\nparameters: {l: true}\n",
+     "parameters.l"),
+    ("scenario", "scenario: iho\nparameters: {l: true, omega_total: 2.0}\n",
+     "parameters.l"),
+    ("curvature", "manifold: {kind: exponential, mu: true}\ntheta: [1.0]\n",
+     "manifold.mu"),
+    ("scenario", "scenario: uncorrelated_gaussian\n"
+     "parameters: {l: 1, theta0: [0.0, 1.0, 2.0]}\n", "parameters.theta0"),
+    ("scenario", "scenario: macro_correlated\n"
+     "parameters: {l: 1, r: 0.5, v0: [1.0]}\n", "parameters.v0"),
+    ("scenario", "scenario: uncorrelated_gaussian\n"
+     "parameters: {l: 1, v0: abc}\n", "parameters.v0"),
+    ("scenario", "scenario: spin_chain\n"
+     "parameters: {regime: chaotic, theta0: [1.0, 0.0]}\n",
+     "parameters.theta0"),
+    ("scenario", "scenario: uncorrelated_gaussian\n"
+     "parameters: {l: 1, theta0: [0.0, -1.0]}\n", "parameters.theta0[1]"),
+    ("scenario", "scenario: spin_chain\n"
+     "parameters: {regime: regular, theta0: [-1.0, 1.0]}\n",
+     "parameters.theta0[0]"),
+    ("scenario", "scenario: uncorrelated_gaussian\n"
+     "parameters: {l: 1, tau_end: abc}\n", "parameters.tau_end"),
+    ("scenario", "scenario: uncorrelated_gaussian\n"
+     "parameters: {l: 1, tau_end: -3.0}\n", "parameters.tau_end"),
+    ("scenario", "scenario: macro_correlated\n"
+     "parameters: {l: 2, r: [0.1, 0.2, 0.3]}\n", "parameters.r"),
+    ("scenario", "scenario: wavepacket\nparameters: {r_sweep: []}\n",
+     "parameters.r_sweep"),
+    ("scenario", "scenario: wavepacket\nparameters: {r_sweep: 0.1}\n",
+     "parameters.r_sweep"),
+    ("scenario", "scenario: wavepacket\nparameters: {r_sweep: [abc]}\n",
+     "parameters.r_sweep[0]"),
+    ("scenario", "scenario: wavepacket\nparameters: {r_sweep: [-0.5]}\n",
+     "parameters.r_sweep[0]"),
+    ("mre", "mre:\n  prior: {family: gaussian}\n"
+     "  constraints: [{f: poly, coefficients: 3, target: 0.1}]\n",
+     "mre.constraints[0].coefficients"),
+    ("mre", "mre:\n  prior: {family: gaussian}\n"
+     "  constraints: [{f: poly, coefficients: [a], target: 0.1}]\n",
+     "mre.constraints[0].coefficients"),
 ], ids=["r-text", "sigma-text", "numerics-scalar", "theta-long",
         "theta-short", "theta0-long", "v0-long", "dj0-long",
         "custom-theta-long", "tau-end-text", "no-coordinates", "target-text",
@@ -490,7 +530,15 @@ IGE_2D = f"manifold: {DIAG_2D}\ntheta0: [0.0, 1.0]\nv0: [1.0, 0.0]\n" \
         "iho-xi-zero", "iho-tau-end-negative", "wavepacket-p0-negative",
         "wavepacket-sigma0-zero", "wavepacket-tau0-negative",
         "wavepacket-R0-zero", "wavepacket-L-negative",
-        "wavepacket-mu-mass-zero"])
+        "wavepacket-mu-mass-zero", "gaussian-l-bool", "iho-l-bool",
+        "exponential-mu-bool", "gaussian-theta0-long", "macro-v0-short",
+        "gaussian-v0-text", "chaotic-theta0-short",
+        "gaussian-theta0-spread-negative", "regular-theta0-rate-negative",
+        "gaussian-tau-end-text", "gaussian-tau-end-negative",
+        "macro-r-count", "wavepacket-r-sweep-empty",
+        "wavepacket-r-sweep-scalar", "wavepacket-r-sweep-text",
+        "wavepacket-r-sweep-negative", "mre-poly-coefficients-scalar",
+        "mre-poly-coefficients-text"])
 def test_malformed_config_exits_1_naming_field(tmp_path, capsys, command,
                                                body, field):
     cfg = tmp_path / "bad.yaml"

@@ -36,6 +36,22 @@ def test_uncorrelated_gaussian_report():
                <= set(c) for c in d["checks"])
 
 
+@pytest.mark.parametrize("run", [
+    sc.run_uncorrelated_gaussian,
+    lambda l, **kw: sc.run_macro_correlated(l, [0.5], **kw)],
+    ids=["uncorrelated", "macro_correlated"])
+@pytest.mark.parametrize("given", [{"theta0": [0.0, 2.0]},
+                                   {"v0": [1.0, 0.0]}],
+                         ids=["theta0", "v0"])
+def test_start_defaults_independently(run, given):
+    # a given theta0 or v0 is kept; only the other one takes its default
+    theta_top, v_top = sc._gauss_semicircle_data(1)
+    inputs = run(1, **given).inputs
+    expected = {"theta0": theta_top, "v0": v_top, **given}
+    for key in ("theta0", "v0"):
+        np.testing.assert_array_equal(inputs[key], expected[key])
+
+
 def test_macro_correlated_report():
     rep = sc.run_macro_correlated(1, [0.5], tau_end=12.0)
     assert rep.passed
