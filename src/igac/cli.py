@@ -33,23 +33,27 @@ _SCENARIOS = ("uncorrelated_gaussian", "macro_correlated", "iho",
               "spin_chain", "wavepacket", "custom_manifold", "mre_update")
 _FORMATS = ("csv", "json")
 
-# correlations of the wave-packet compression sweep when none are given
-_R_SWEEP = (0.1, 0.3, 0.5)
+_NUMERIC_DEFAULTS = {"fit_window_fraction": 0.25}
 
-_NUMERIC_DEFAULTS = {"ode_tol": 1e-10, "fit_window_fraction": 0.25}
+# the wave-packet config keys and the ScatterConfig fields they set
+_SCATTER_FIELDS = {"p0": "p0", "sigma0": "sigma0", "tau0": "tau0",
+                   "R0": "r0_separation", "L": "potential_range",
+                   "mu_mass": "mu_mass", "r": "r"}
+
+# the geodesic start of a scenario, each key optional
+_START_KEYS = ("theta0", "v0", "tau_end")
 
 # libyaml's parser when PyYAML was built with it; both loaders share the
 # safe resolver and constructor, so they accept the same documents
 _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
-def parse_config(text: str, command: str = "scenario",
-                 ode_tol: float = None) -> dict:
+def parse_config(text: str, command: str = "scenario") -> dict:
     """Validated config with defaults filled, or ConfigError listing every
-    failure with its field path.  ``ode_tol``, when given, replaces
-    ``numerics.ode_tol`` before validation.  One walk rejects every nan or
-    infinite number; the field checks below then test type, sign and
-    range only."""
+    failure with its field path.  One walk rejects every nan or infinite
+    number; the field checks below then test type, sign and range only.
+    A scenario key the config leaves out is left out here too: its default
+    lives in the driver."""
     try:
         raw = yaml.load(text, Loader=_LOADER) or {}
     except (yaml.YAMLError, ValueError) as exc:
@@ -61,8 +65,6 @@ def parse_config(text: str, command: str = "scenario",
     cfg = dict(raw)
 
     numerics = _section(cfg, "numerics", _NUMERIC_DEFAULTS, failures)
-    if ode_tol is not None:
-        numerics["ode_tol"] = ode_tol
     for key in _NUMERIC_DEFAULTS:
         _check_positive(numerics.get(key), f"numerics.{key}", failures)
     cfg["numerics"] = numerics
@@ -229,8 +231,14 @@ def _validate_scenario(cfg, failures):
                 if _is_number(w) and not w > 0:
                     failures.append((f"parameters.omega[{i}]",
                                      f"must be positive, got {w!r}"))
-        _check_positive_keys(params, ("omega_total", "xi", "tau_end"),
-                             failures)
+        _check_positive_keys(params, ("omega_total", "xi"), failures)
+        tau_end = params.get("tau_end")
+        if "tau_end" in params and not (_is_number(tau_end)
+                                        and tau_end > sc._IHO_FIT_START):
+            failures.append(("parameters.tau_end",
+                             f"must be a number above the start "
+                             f"{sc._IHO_FIT_START} of the slope fit, got "
+                             f"{tau_end!r}"))
     if name == "spin_chain":
         regime = _req(params, "regime", "parameters", failures, str)
         if regime is not None and regime not in _SPIN_CHAIN_STARTS:
@@ -239,17 +247,17 @@ def _validate_scenario(cfg, failures):
         _check_start(params, *_SPIN_CHAIN_STARTS.get(regime, (None, ())),
                      failures)
     if name == "wavepacket":
-        r = params.get("r", 0.01)
-        if not _is_number(r) or not 0.0 <= r < 1.0:
+        r = params.get("r")
+        if "r" in params and not (_is_number(r) and 0.0 <= r < 1.0):
             failures.append(("parameters.r", f"must lie in [0, 1), got {r}"))
-        sweep = params.get("r_sweep", _R_SWEEP)
+        sweep = params.get("r_sweep")
         if isinstance(sweep, (list, tuple)) and sweep:
             _check_correlations(sweep, "parameters.r_sweep", failures)
-        else:
+        elif "r_sweep" in params:
             failures.append(("parameters.r_sweep", "must be a nonempty list "
                              f"of correlations, got {sweep!r}"))
-        _check_positive_keys(params, ("p0", "sigma0", "tau0", "R0", "L",
-                                      "mu_mass"), failures)
+        _check_positive_keys(params, [key for key in _SCATTER_FIELDS
+                                      if key != "r"], failures)
     if name == "custom_manifold":
         dim = _validate_manifold(params.get("manifold"),
                                  "parameters.manifold", failures)
@@ -347,10 +355,12 @@ def _validate_manifold_command(cfg, command, failures):
     else:
         required, vectors = ("theta0", "v0", "tau_end"), \
             ("theta0", "v0", "j0", "dj0")
-        tau_end = cfg.get("tau_end", 0.0)
-        if not _is_number(tau_end):
-            failures.append(("tau_end", f"must be a number, got "
-                             f"{tau_end!r}"))
+        tau_end = cfg.get("tau_end", 1.0)
+        # a missing tau_end is reported below; ige fits its entropy forms
+        # over tau > 0
+        if not _is_number(tau_end) or command == "ige" and not tau_end > 0:
+            kind = "a positive number" if command == "ige" else "a number"
+            failures.append(("tau_end", f"must be {kind}, got {tau_end!r}"))
     for key in required:
         if key not in cfg:
             failures.append((key, "missing required key"))
@@ -557,14 +567,13 @@ def _cmd_curvature(cfg):
 def _cmd_geodesic(cfg):
     metric = build_metric(cfg["manifold"], cfg.get("metric_source",
                                                    "analytic"))
-    tol = cfg["numerics"]["ode_tol"]
     path = dyn.integrate_geodesic(metric, cfg["theta0"], cfg["v0"],
-                                  float(cfg["tau_end"]), tol=tol)
+                                  float(cfg["tau_end"]))
     report = sc.ScenarioReport("geodesic", {k: cfg[k] for k in
                                             ("manifold", "theta0", "v0",
                                              "tau_end")})
     drift = float(np.max(np.abs(path.speed / path.speed[0] - 1.0)))
-    report.add("speed_drift", drift, 0.0, 10 * tol, "affine parametrization")
+    report.add("speed_drift", drift, 0.0, 1e-9, "affine parametrization")
     report.observables["endpoint"] = path.theta[-1]
     trace = {"tau": path.tau_grid, "theta": path.theta, "speed": path.speed}
     return report, {"geodesic": trace}
@@ -580,7 +589,7 @@ def _cmd_jacobi(cfg):
         dj0 = dyn.normal_direction(metric, cfg["theta0"], cfg["v0"])
     jac = dyn.integrate_jacobi(metric, cfg["theta0"], cfg["v0"],
                                np.linspace(0.0, float(cfg["tau_end"]), 513),
-                               j0, dj0, rtol=cfg["numerics"]["ode_tol"])
+                               j0, dj0)
     report = sc.ScenarioReport("jacobi", {k: cfg[k] for k in
                                           ("manifold", "theta0", "v0",
                                            "tau_end")})
@@ -597,9 +606,8 @@ def _cmd_jacobi(cfg):
 def _cmd_ige(cfg):
     metric = build_metric(cfg["manifold"], cfg.get("metric_source",
                                                    "analytic"))
-    num = cfg["numerics"]
     path = dyn.integrate_geodesic(metric, cfg["theta0"], cfg["v0"],
-                                  float(cfg["tau_end"]), tol=num["ode_tol"],
+                                  float(cfg["tau_end"]),
                                   n_out=cfg.get("n_out", 257))
     trace = cx.complexity_trace(metric, path)
     report = sc.ScenarioReport("ige", {k: cfg[k] for k in
@@ -607,7 +615,8 @@ def _cmd_ige(cfg):
                                         "tau_end")})
     form = cfg.get("fit_form", "linear")
     fit = cx.fit_asymptotics(trace, form, min_points=16,
-                             fit_window_fraction=num["fit_window_fraction"])
+                             fit_window_fraction=cfg["numerics"][
+                                 "fit_window_fraction"])
     report.observables["fit"] = {"form": fit.form, "params": list(fit.params),
                                  "r2": fit.r2, "window": list(fit.window)}
     report.add("fit_r2", fit.r2, 1.0, 0.5, "goodness of the requested form",
@@ -637,43 +646,35 @@ def _cmd_mre(cfg):
     return report, {}
 
 
+def _given(params, keys):
+    """The entries of ``params`` at those of ``keys`` it sets."""
+    return {key: params[key] for key in keys if key in params}
+
+
 def _run_named_scenario(cfg):
     name = cfg["scenario"]
     params = cfg["parameters"]
     num = cfg["numerics"]
-    common = dict(ode_tol=num["ode_tol"])
     if name == "uncorrelated_gaussian":
-        return sc.run_uncorrelated_gaussian(
-            params["l"], theta0=params.get("theta0"), v0=params.get("v0"),
-            tau_end=params.get("tau_end"), **common)
+        return sc.run_uncorrelated_gaussian(params["l"],
+                                            **_given(params, _START_KEYS))
     if name == "macro_correlated":
-        return sc.run_macro_correlated(
-            params["l"], params["r"], theta0=params.get("theta0"),
-            v0=params.get("v0"), tau_end=params.get("tau_end"), **common)
+        return sc.run_macro_correlated(params["l"], params["r"],
+                                       **_given(params, _START_KEYS))
     if name == "iho":
-        kw = {"tau_end": params["tau_end"]} if "tau_end" in params else {}
-        iho = sc.IHOConfig(params["l"],
-                           omega=tuple(params["omega"])
-                           if "omega" in params else None,
-                           omega_total=params.get("omega_total"),
-                           xi=params.get("xi", 1.0), **kw)
-        return sc.run_iho(iho)
+        kw = _given(params, ("omega_total", "xi", "tau_end"))
+        if "omega" in params:
+            kw["omega"] = tuple(params["omega"])
+        return sc.run_iho(sc.IHOConfig(params["l"], **kw))
     if name == "spin_chain":
-        return sc.run_spin_chain(
-            params["regime"], theta0=params.get("theta0"),
-            v0=params.get("v0"), tau_end=params.get("tau_end"),
-            **common)
+        return sc.run_spin_chain(params["regime"],
+                                 **_given(params, _START_KEYS))
     if name == "wavepacket":
-        scfg = sc.ScatterConfig(
-            p0=params.get("p0", 1.0), sigma0=params.get("sigma0", 0.1),
-            tau0=params.get("tau0", 1.0),
-            r0_separation=params.get("R0", 10.0),
-            potential_range=params.get("L", 0.1),
-            mu_mass=params.get("mu_mass", 0.5), r=params.get("r", 0.01))
-        return sc.run_wavepacket(scfg,
-                                 r_sweep=tuple(params.get("r_sweep",
-                                                          _R_SWEEP)),
-                                 **common)
+        scfg = sc.ScatterConfig(**{field: params[key] for key, field in
+                                   _SCATTER_FIELDS.items() if key in params})
+        kw = {"r_sweep": tuple(params["r_sweep"])} \
+            if "r_sweep" in params else {}
+        return sc.run_wavepacket(scfg, **kw)
     if name == "custom_manifold":
         sub = {"manifold": params["manifold"], "theta": params["theta"],
                "numerics": num}
@@ -724,12 +725,15 @@ _PARSER.add_argument("--config", required=True, help="YAML config path")
 _PARSER.add_argument("--out", default=None, help="output directory")
 _PARSER.add_argument("--format", default=None, choices=_FORMATS,
                      help="restrict output to one format")
-_PARSER.add_argument("--tol", type=float, default=None,
-                     help="override numerics.ode_tol")
 
 
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
+    try:
+        args = _PARSER.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 0 after --help and 2 on a usage error, which is
+        # the status of a failed check here
+        return 1 if exc.code else 0
 
     try:
         text = Path(args.config).read_text()
@@ -737,7 +741,7 @@ def main(argv=None) -> int:
         sys.stderr.write(f"cannot read config: {exc}\n")
         return 1
     try:
-        cfg = parse_config(text, args.command, ode_tol=args.tol)
+        cfg = parse_config(text, args.command)
         if args.out is not None:
             cfg["output"]["directory"] = args.out
         if args.format is not None:

@@ -94,12 +94,14 @@ def _box_volumes(metric: MetricField, lo, hi) -> np.ndarray:
 
 def _running_volumes(metric: MetricField, taus, pts):
     """delta-V of the running per-coordinate min/max boxes of the points
-    ``pts`` (n, dim), and its running trapezoid average over ``taus``."""
+    ``pts`` (n, dim), and its running trapezoid average over ``taus``.
+    The average is over the elapsed |tau - tau_0|, so a path run backward
+    in tau has the complexity of its time reverse."""
     dv = _box_volumes(metric, np.minimum.accumulate(pts, axis=0),
                       np.maximum.accumulate(pts, axis=0))
-    seg = 0.5 * (dv[1:] + dv[:-1]) * np.diff(taus)
+    seg = 0.5 * (dv[1:] + dv[:-1]) * np.abs(np.diff(taus))
     cum = np.concatenate([[0.0], np.cumsum(seg)])
-    spans = taus - taus[0]
+    spans = np.abs(taus - taus[0])
     return dv, np.divide(cum, spans, out=np.zeros_like(cum),
                          where=spans > 0)
 
@@ -115,12 +117,15 @@ def volume_between(metric: MetricField, path: GeodesicPath,
 def igc(metric: MetricField, path: GeodesicPath, tau: float) -> float:
     """Time-averaged explored volume C(tau) by composite quadrature over the
     path grid, on the boxes of ``complexity_trace``: the grid points before
-    tau, then ``path.state(tau)``."""
-    if tau <= path.tau_grid[0]:
-        raise ValueError("tau must exceed the start of the path")
-    before = path.tau_grid < tau
+    tau in the path's direction, then ``path.state(tau)``."""
+    grid = path.tau_grid
+    ahead = np.sign(grid[-1] - grid[0]) * (tau - grid)
+    if not ahead[0] > 0:
+        raise ValueError("tau must lie past the start of the path, in its "
+                         "direction")
+    before = ahead > 0
     _, cvals = _running_volumes(
-        metric, np.append(path.tau_grid[before], tau),
+        metric, np.append(grid[before], tau),
         np.vstack([path.theta[before], path.state(tau)[0]]))
     return float(cvals[-1])
 

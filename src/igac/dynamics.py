@@ -290,10 +290,10 @@ def solve_geodesic_bvp(metric: MetricField, theta_init, theta_final,
         if not metric.in_chart(point):
             raise ChartBoundaryError(
                 f"{name} point {point} outside the open chart")
-    ode_tol = max(min(tol * 1e-3, 1e-10), 1e-13)
+    flow_tol = max(min(tol * 1e-3, 1e-10), 1e-13)
 
     def shoot(v):
-        end, jac = _shoot(metric, theta_init, v, tau_span, ode_tol)
+        end, jac = _shoot(metric, theta_init, v, tau_span, flow_tol)
         return end - theta_final, jac
 
     v = (theta_final - theta_init) / tau_span
@@ -332,7 +332,7 @@ def solve_geodesic_bvp(metric: MetricField, theta_init, theta_final,
             break
     if best < tol:
         return integrate_geodesic(metric, theta_init, v, tau_span,
-                                  tol=ode_tol, n_out=n_out)
+                                  tol=flow_tol, n_out=n_out)
     raise BvpFailureError(
         f"shooting did not reach tolerance {tol} in {max_iter} iterations",
         best_residual=best)

@@ -16,7 +16,9 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
+# No driver solves an ODE.  The binding stays because perfbench/tracing.py
+# and its tests wrap igac.scenarios.solve_ivp.
+from scipy.integrate import solve_ivp  # noqa: F401
 from scipy.optimize import brentq
 from scipy.special import comb, gamma, gammainc
 
@@ -173,15 +175,14 @@ def _gaussian_model_at(theta):
 _TRACE_POINTS = 257
 
 
-def _ige_trace(metric, theta0, v0, tau_end, ode_tol):
-    path = dyn.integrate_geodesic(metric, theta0, v0, tau_end, tol=ode_tol,
+def _ige_trace(metric, theta0, v0, tau_end):
+    path = dyn.integrate_geodesic(metric, theta0, v0, tau_end,
                                   n_out=_TRACE_POINTS)
     return path, cx.complexity_trace(metric, path)
 
 
 def run_uncorrelated_gaussian(l: int, theta0=None, v0=None,
-                              tau_end: float = None,
-                              ode_tol: float = 1e-10) -> ScenarioReport:
+                              tau_end: float = None) -> ScenarioReport:
     """Gaussian model with l independent (mean, spread) pairs.
 
     Verifies the constant negative scalar curvature -l (analytic and
@@ -207,7 +208,7 @@ def run_uncorrelated_gaussian(l: int, theta0=None, v0=None,
     report.add("ricci_scalar_quadrature", geo.ricci_scalar(qmetric, theta0),
                -float(l), 1e-4, "closed form: constant curvature -l")
 
-    path, trace = _ige_trace(metric, theta0, v0, tau_end, ode_tol)
+    path, trace = _ige_trace(metric, theta0, v0, tau_end)
     # late window keeps the -ln(tau) finite-time correction small
     fit_window = (0.55 * tau_end, tau_end)
     fit = cx.fit_asymptotics(trace, "linear", window=fit_window,
@@ -217,13 +218,12 @@ def run_uncorrelated_gaussian(l: int, theta0=None, v0=None,
     report.observables["ige_fit_r2"] = fit.r2
     report.add("speed_drift",
                float(np.max(np.abs(path.speed / path.speed[0] - 1.0))),
-               0.0, 10 * ode_tol, "affine parametrization", mode="abs")
+               0.0, 1e-9, "affine parametrization", mode="abs")
 
     # deviation-field growth rate against the per-pair entropy slope
     j0 = np.zeros(metric.dim)
     dj0 = dyn.normal_direction(metric, theta0, v0)
-    jac = dyn.integrate_jacobi(metric, theta0, v0, path.tau_grid, j0, dj0,
-                               rtol=1e-9)
+    jac = dyn.integrate_jacobi(metric, theta0, v0, path.tau_grid, j0, dj0)
     jrate = _exp_rate(jac.tau_grid, jac.intensity)
     report.observables["jacobi_exp_rate"] = jrate
     report.add("jacobi_rate_vs_slope_per_pair", jrate, slope / l, 0.10,
@@ -231,7 +231,7 @@ def run_uncorrelated_gaussian(l: int, theta0=None, v0=None,
 
     th2, vv2 = np.tile(theta0, 2), np.tile(v0, 2)
     m2 = md.analytic_fisher(_gaussian_model_at(th2))
-    _, tr2 = _ige_trace(m2, th2, vv2, tau_end, ode_tol)
+    _, tr2 = _ige_trace(m2, th2, vv2, tau_end)
     slope2 = cx.fit_asymptotics(tr2, "linear", window=fit_window,
                                 min_points=16).params[0]
     report.observables["ige_slope_doubled"] = slope2
@@ -272,8 +272,7 @@ def macro_pair_ricci(r: float) -> float:
 
 
 def run_macro_correlated(l: int, r_list, theta0=None, v0=None,
-                         tau_end: float = None,
-                         ode_tol: float = 1e-10) -> ScenarioReport:
+                         tau_end: float = None) -> ScenarioReport:
     """Gaussian pairs with constant macro-correlations r_j.
 
     Reports the kernel scalar curvature next to the reference closed form
@@ -312,10 +311,10 @@ def run_macro_correlated(l: int, r_list, theta0=None, v0=None,
     report.add("ricci_limit_vanishing_r", geo.ricci_scalar(tiny, theta0),
                -float(l), 1e-6, "uncorrelated limit")
 
-    path, trace = _ige_trace(metric, theta0, v0, tau_end, ode_tol)
+    path, trace = _ige_trace(metric, theta0, v0, tau_end)
     if max(r_list) < 1e-8:
         base_metric = md.analytic_fisher(_gaussian_model_at(theta0))
-        _, trace0 = _ige_trace(base_metric, theta0, v0, tau_end, ode_tol)
+        _, trace0 = _ige_trace(base_metric, theta0, v0, tau_end)
         finite = np.isfinite(trace0.ige) & np.isfinite(trace.ige)
         gap = float(np.max(np.abs(trace.ige[finite] - trace0.ige[finite])))
         report.add("ige_degeneration_at_r0", gap, 0.0, 1e-8,
@@ -360,6 +359,10 @@ def ohmic_density(omega, cutoff):
 # common initial displacement x_j(0) of every oscillator
 _IHO_AMPLITUDE = 1.0
 
+# start of the window over which the closed-form entropy slope is fitted;
+# a horizon tau_end must lie beyond it
+_IHO_FIT_START = 10.0
+
 
 @dataclass(frozen=True)
 class IHOConfig:
@@ -388,8 +391,9 @@ class IHOConfig:
             object.__setattr__(self, "omega", om)
         elif self.omega_total is None or not self.omega_total > 0:
             raise ValueError("provide omega or a positive omega_total")
-        if not (self.xi > 0 and self.tau_end > 0):
-            raise ValueError("xi and tau_end must be positive")
+        if not (self.xi > 0 and self.tau_end > _IHO_FIT_START):
+            raise ValueError("xi must be positive and tau_end above "
+                             f"{_IHO_FIT_START}")
 
     @property
     def frequencies(self):
@@ -582,10 +586,10 @@ def iho_log_igc_closed_form(cfg: IHOConfig, tau):
 def run_iho(cfg: IHOConfig) -> ScenarioReport:
     """Inverted-oscillator ensemble entropy growth.
 
-    Evolves x-ddot_j = w_j^2 x_j, integrates the explored volume directly and
-    through the dominant-corner form, and checks the closed-form average
-    volume growth rate (l/2) xi Omega together with its proportionality to
-    Omega under frequency doubling.
+    Evaluates the Newtonian propagator of x-ddot_j = w_j^2 x_j, integrates
+    the explored volume directly and through the dominant-corner form, and
+    checks the closed-form average volume growth rate (l/2) xi Omega
+    together with its proportionality to Omega under frequency doubling.
     """
     w = cfg.frequencies
     report = ScenarioReport("iho", {"l": cfg.l, "omega": w,
@@ -596,19 +600,15 @@ def run_iho(cfg: IHOConfig) -> ScenarioReport:
     report.add("ohmic_normalization", cut ** 2 / cut ** 2, 1.0, 0.0,
                "analytic integral of the linear density")
 
-    # Newtonian evolution with pure-growth initial data
+    # Newtonian propagator x0 cosh(w tau) + (v0 / w) sinh(w tau) of the
+    # pure-growth initial data v0 = w x0
     x0 = np.full(cfg.l, _IHO_AMPLITUDE)
-    sol = solve_ivp(lambda _t, y: np.concatenate([y[cfg.l:],
-                                                  w ** 2 * y[:cfg.l]]),
-                    (0.0, min(cfg.tau_end, 12.0 / np.max(w))),
-                    np.concatenate([x0, w * x0]), method="DOP853",
-                    rtol=1e-10, atol=1e-12, dense_output=True)
-    taus = np.linspace(sol.t[0], sol.t[-1], 201)[1:]
-    states = sol.sol(taus)
-    coords = states[:cfg.l].T
+    v0 = w * x0
+    taus = np.linspace(0.0, min(cfg.tau_end, 12.0 / np.max(w)), 201)[1:]
+    wt = np.outer(taus, w)
+    coords = x0 * np.cosh(wt) + v0 / w * np.sinh(wt)
     report.add("newtonian_growth",
-               float(np.max(np.abs(coords / (x0 * np.exp(np.outer(taus, w)))
-                                   - 1.0))),
+               float(np.max(np.abs(coords / (x0 * np.exp(wt)) - 1.0))),
                0.0, 1e-7, "closed-form exponential solution")
 
     metric = iho_metric(w)
@@ -627,7 +627,7 @@ def run_iho(cfg: IHOConfig) -> ScenarioReport:
                "dominant-corner form shares the growth rate", mode="rel")
 
     # closed-form average volume: rate and Omega proportionality
-    fit_taus = np.linspace(10.0, cfg.tau_end, 64)
+    fit_taus = np.linspace(_IHO_FIT_START, cfg.tau_end, 64)
     s1 = _linear_slope(fit_taus, iho_log_igc_closed_form(cfg, fit_taus),
                        lo_frac=0.0)
     target = 0.5 * cfg.l * cfg.xi * cfg.omega_sum
@@ -663,8 +663,8 @@ def spin_chain_model(regime: str, theta):
     raise ValueError("regime must be 'regular' or 'chaotic'")
 
 
-def run_spin_chain(regime: str, theta0=None, v0=None, tau_end: float = None,
-                   ode_tol: float = 1e-10) -> ScenarioReport:
+def run_spin_chain(regime: str, theta0=None, v0=None,
+                   tau_end: float = None) -> ScenarioReport:
     """Level-spacing statistics manifolds and their entropy growth class.
 
     The regular (Poisson x exponential-bath) manifold is flat and shows
@@ -702,7 +702,7 @@ def run_spin_chain(regime: str, theta0=None, v0=None, tau_end: float = None,
                tol_r, "flat product" if regime == "regular"
                else "flat spacing factor plus curvature -1 Gaussian factor")
 
-    path, trace = _ige_trace(metric, theta0, v0, tau_end, ode_tol)
+    path, trace = _ige_trace(metric, theta0, v0, tau_end)
     window = (max(1.0, 0.04 * tau_end), tau_end)
     winner, margin, fits = cx.select_growth_form(trace, window=window,
                                                  min_points=16)
@@ -724,7 +724,7 @@ def run_spin_chain(regime: str, theta0=None, v0=None, tau_end: float = None,
     if regime == "chaotic":
         w = dyn.normal_direction(metric, theta0, v0, axis=2)
         jac = dyn.integrate_jacobi(metric, theta0, v0, path.tau_grid,
-                                   np.zeros(metric.dim), w, rtol=1e-9)
+                                   np.zeros(metric.dim), w)
         lam = dyn.lyapunov_estimate(jac)
         report.observables["lyapunov_estimate"] = lam.value
         k_ig = report.observables["k_ig"]
@@ -926,13 +926,12 @@ def _wavepacket_lyapunov(args):
     tau_cap = np.arccosh(params.sigma_peak / 1e-7) / a0
     tau_grid = np.linspace(0.0, min(20.0 / a0, tau_cap), 257)
     jac = dyn.integrate_jacobi(metric, th0, v0, tau_grid, np.zeros(3),
-                               dyn.normal_direction(metric, th0, v0),
-                               rtol=1e-10)
+                               dyn.normal_direction(metric, th0, v0))
     return dyn.lyapunov_estimate(jac).value
 
 
-def run_wavepacket(cfg: ScatterConfig, r_sweep=(0.1, 0.3, 0.5),
-                   ode_tol: float = 1e-10) -> ScenarioReport:
+def run_wavepacket(cfg: ScatterConfig,
+                   r_sweep=(0.1, 0.3, 0.5)) -> ScenarioReport:
     """Full wave-packet chain: curvature, geodesics, deviation growth,
     complexity compression and the scattering observables."""
     params = cfg.params
@@ -964,7 +963,7 @@ def run_wavepacket(cfg: ScatterConfig, r_sweep=(0.1, 0.3, 0.5),
         metric, th0, v0 = wavepacket_manifold(params, rr, branch)
         sign = -1.0 if branch == "before" else 1.0
         path = dyn.integrate_geodesic(metric, th0, v0, sign * 5.0 / a0,
-                                      tol=ode_tol, n_out=_TRACE_POINTS)
+                                      n_out=_TRACE_POINTS)
         mu1, mu2, sig = dyn.wavepacket_geodesics(replace(params, r=rr),
                                                  path.tau_grid, branch)
         closed = np.column_stack([mu1, mu2, sig])
@@ -980,7 +979,7 @@ def run_wavepacket(cfg: ScatterConfig, r_sweep=(0.1, 0.3, 0.5),
     dj0 = dyn.normal_direction(metric, th0, v0)
     jac = dyn.integrate_jacobi(metric, th0, v0,
                                np.linspace(0.0, 10.0 / a0, _TRACE_POINTS),
-                               np.zeros(3), dj0, rtol=1e-10)
+                               np.zeros(3), dj0)
     oracle = (1.0 / a0) * np.sinh(a0 * jac.tau_grid)   # |DJ0| = 1
     late = jac.tau_grid >= 0.1 / a0
     rel = np.max(np.abs(jac.intensity[late] - oracle[late])
@@ -1002,8 +1001,7 @@ def run_wavepacket(cfg: ScatterConfig, r_sweep=(0.1, 0.3, 0.5),
     # complexity compression across the r sweep; one trace per manifold
     def wp_trace(r):
         m, t0, vv0 = wavepacket_manifold(params, r)
-        wp_path = dyn.integrate_geodesic(m, t0, vv0, 10.0 / lam, tol=ode_tol,
-                                         n_out=129)
+        wp_path = dyn.integrate_geodesic(m, t0, vv0, 10.0 / lam, n_out=129)
         return cx.complexity_trace(m, wp_path)
 
     sweep_rs = [0.0] + [r for r in r_sweep]

@@ -1,5 +1,6 @@
 """Config validation, deterministic emission and exit-code contract."""
 
+import inspect
 import json
 import threading
 from pathlib import Path
@@ -95,7 +96,7 @@ tau_end: 3.0
 def test_defaults_filled():
     cfg = cli.parse_config("scenario: uncorrelated_gaussian\n"
                            "parameters: {l: 1}\n")
-    assert cfg["numerics"]["ode_tol"] == 1e-10
+    assert "ode_tol" not in cfg["numerics"]
     assert cfg["numerics"]["fit_window_fraction"] == 0.25
     assert cfg["output"]["formats"] == ["json", "csv"]
 
@@ -115,9 +116,9 @@ def test_missing_regime_path():
 def test_unknown_scenario_and_multiple_failures():
     with pytest.raises(ConfigError) as err:
         cli.parse_config("scenario: warp\n"
-                         "numerics: {ode_tol: -1}\n")
+                         "numerics: {fit_window_fraction: -1}\n")
     paths = {path for path, _ in err.value.failures}
-    assert "scenario" in paths and "numerics.ode_tol" in paths
+    assert "scenario" in paths and "numerics.fit_window_fraction" in paths
 
 
 def test_manifold_validation_paths():
@@ -362,6 +363,48 @@ def test_wavepacket_demo_starts_no_thread(tmp_path, monkeypatch):
                      "--out", str(tmp_path)]) == 0
 
 
+@pytest.mark.parametrize("config", DEMO_CONFIGS, ids=lambda p: p.stem)
+def test_demo_config_runs_no_ode_solver(tmp_path, monkeypatch, config):
+    # every flow of the demos is closed form, and run_iho evaluates its
+    # Newtonian propagator: no ODE tolerance has anything to control
+    from igac import dynamics, scenarios
+
+    for module in (dynamics, scenarios):
+        monkeypatch.setattr(module, "solve_ivp",
+                            lambda *a, _name=module.__name__, **k:
+                            pytest.fail(f"{_name}.solve_ivp called"))
+    command = config.stem if config.stem in cli._COMMANDS else "scenario"
+    assert cli.main([command, "--config", str(config),
+                     "--out", str(tmp_path)]) == 0
+
+
+def _patch_default(monkeypatch, fn, name, value):
+    """Give the parameter ``name`` of ``fn`` the default ``value``."""
+    defaults = [value if p.name == name else p.default
+                for p in inspect.signature(fn).parameters.values()
+                if p.default is not p.empty]
+    monkeypatch.setattr(fn, "__defaults__", tuple(defaults))
+
+
+@pytest.mark.parametrize("body,driver,key,value", [
+    ("scenario: wavepacket\n", "run_wavepacket", "r_sweep", (0.2, 0.4)),
+    ("scenario: wavepacket\n", "ScatterConfig", "r", 0.015),
+    ("scenario: iho\nparameters: {l: 2, omega: [0.5, 1.5]}\n", "IHOConfig",
+     "xi", 1.25),
+], ids=["wavepacket-r-sweep", "wavepacket-r", "iho-xi"])
+def test_scenario_default_lives_in_the_driver(monkeypatch, body, driver, key,
+                                              value):
+    # a key the config leaves out takes the driver's default, whatever it is
+    from igac import scenarios as sc
+
+    fn = getattr(sc, driver)
+    _patch_default(monkeypatch, fn.__init__ if isinstance(fn, type) else fn,
+                   key, value)
+    report = cli._run_named_scenario(cli.parse_config(body))
+    assert report.inputs[key] == (list(value) if key == "r_sweep"
+                                  else value)
+
+
 def test_scenario_defaults_forwarded_to_runners(tmp_path):
     # the dispatcher must defer tau_end to the runners' own defaults; the
     # gaussian scenario's slope checks need the long default horizon
@@ -519,6 +562,10 @@ IGE_2D = f"manifold: {DIAG_2D}\ntheta0: [0.0, 1.0]\nv0: [1.0, 0.0]\n" \
     ("mre", "mre:\n  prior: {family: gaussian}\n"
      "  constraints: [{f: poly, coefficients: [a], target: 0.1}]\n",
      "mre.constraints[0].coefficients"),
+    ("scenario", "scenario: iho\nparameters: {l: 2, omega_total: 2.0, "
+     "tau_end: 5.0}\n", "parameters.tau_end"),
+    ("ige", IGE_2D.replace("tau_end: 2.0", "tau_end: -4.0"), "tau_end"),
+    ("ige", IGE_2D.replace("tau_end: 2.0", "tau_end: 0.0"), "tau_end"),
 ], ids=["r-text", "sigma-text", "numerics-scalar", "theta-long",
         "theta-short", "theta0-long", "v0-long", "dj0-long",
         "custom-theta-long", "tau-end-text", "no-coordinates", "target-text",
@@ -538,7 +585,8 @@ IGE_2D = f"manifold: {DIAG_2D}\ntheta0: [0.0, 1.0]\nv0: [1.0, 0.0]\n" \
         "macro-r-count", "wavepacket-r-sweep-empty",
         "wavepacket-r-sweep-scalar", "wavepacket-r-sweep-text",
         "wavepacket-r-sweep-negative", "mre-poly-coefficients-scalar",
-        "mre-poly-coefficients-text"])
+        "mre-poly-coefficients-text", "iho-tau-end-short",
+        "ige-tau-end-negative", "ige-tau-end-zero"])
 def test_malformed_config_exits_1_naming_field(tmp_path, capsys, command,
                                                body, field):
     cfg = tmp_path / "bad.yaml"
@@ -558,12 +606,13 @@ def _stub_run(monkeypatch):
         f"a solve started with {cfg['numerics']}"))
 
 
-# quad_tol is no setting, but configs written with it (perfbench/inputs.py
-# still writes one) meet the finiteness walk, which rejects its non-finite
-# values at the same path
+# quad_tol and ode_tol are no settings, but configs written with them
+# (perfbench/inputs.py still writes both) meet the finiteness walk, which
+# rejects their non-finite values at the same path
 @pytest.mark.parametrize("value,key", [
     (value, key) for key in sorted(cli._NUMERIC_DEFAULTS)
-    for value in BAD_TOLERANCES] + [(".nan", "quad_tol"), (".inf", "quad_tol")])
+    for value in BAD_TOLERANCES] + [(".nan", "quad_tol"), (".inf", "quad_tol"),
+                                    (".nan", "ode_tol"), (".inf", "ode_tol")])
 def test_bad_numerics_value_exits_1(tmp_path, capsys, monkeypatch, key,
                                     value):
     _stub_run(monkeypatch)
@@ -574,9 +623,11 @@ def test_bad_numerics_value_exits_1(tmp_path, capsys, monkeypatch, key,
 
 
 def test_config_carrying_quad_tol_runs(tmp_path):
-    # quad_tol is no setting any more; configs written with it still run
+    # quad_tol and ode_tol are no settings any more; configs written with
+    # them still run
     cfg = tmp_path / "ige.yaml"
-    cfg.write_text(IGE_2D + "n_out: 33\nnumerics: {quad_tol: 1.0e-7}\n"
+    cfg.write_text(IGE_2D + "n_out: 33\n"
+                   "numerics: {quad_tol: 1.0e-7, ode_tol: 1.0e-10}\n"
                    f"output: {{directory: '{tmp_path}/out'}}\n")
     assert cli.main(["ige", "--config", str(cfg)]) == 0
 
@@ -584,21 +635,48 @@ def test_config_carrying_quad_tol_runs(tmp_path):
 @pytest.mark.parametrize("value", ["-1", "0"])
 def test_unread_quad_tol_meets_only_the_finiteness_walk(tmp_path,
                                                         monkeypatch, value):
-    # a finite quad_tol is no config error, whatever its sign
+    # a finite quad_tol or ode_tol is no config error, whatever its sign
     monkeypatch.setattr(cli, "run", lambda cfg, command: 0)
     cfg = tmp_path / "geo.yaml"
-    cfg.write_text(GEO_CFG + f"numerics: {{quad_tol: {value}}}\n")
+    cfg.write_text(GEO_CFG + f"numerics: {{quad_tol: {value}, "
+                   f"ode_tol: {value}}}\n")
     assert cli.main(["geodesic", "--config", str(cfg)]) == 0
 
 
 @pytest.mark.parametrize("value", BAD_TOLERANCES)
 def test_bad_tol_flag_exits_1(tmp_path, capsys, monkeypatch, value):
+    # --tol is no option any more: any value of it is a usage error
     _stub_run(monkeypatch)
     cfg = tmp_path / "geo.yaml"
     cfg.write_text(GEO_CFG)
     tol = value.lstrip(".")
     assert cli.main(["geodesic", "--config", str(cfg), f"--tol={tol}"]) == 1
-    assert "config error at numerics.ode_tol:" in capsys.readouterr().err
+    assert "igac: error: unrecognized arguments: --tol" in \
+        capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["geodesic"], "the following arguments are required: --config"),
+    (["bogus", "--config", "x.yaml"],
+     "argument command: invalid choice: 'bogus'"),
+    (["geodesic", "--config", "x.yaml", "--seed", "3"],
+     "unrecognized arguments: --seed 3"),
+    (["geodesic", "--config", "x.yaml", "--format", "xml"],
+     "argument --format: invalid choice: 'xml'"),
+    ([], "the following arguments are required: command, --config"),
+], ids=["no-config", "unknown-command", "unknown-flag", "unknown-format",
+        "empty"])
+def test_usage_error_exits_1(capsys, argv, message):
+    # exit status 2 means a failed numeric check; a usage error is 1
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: igac ")
+    assert f"igac: error: {message}" in err
+
+
+def test_help_exits_0(capsys):
+    assert cli.main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: igac ")
 
 
 @pytest.mark.parametrize("value", BAD_TOLERANCES)
@@ -620,16 +698,6 @@ def test_nonfinite_tau_end_exits_1(tmp_path, capsys, monkeypatch, value):
     assert "config error at tau_end:" in capsys.readouterr().err
 
 
-def test_tol_flag_overrides_ode_tol(tmp_path, monkeypatch):
-    seen = []
-    monkeypatch.setattr(cli, "run",
-                        lambda cfg, command: seen.append(cfg) or 0)
-    cfg = tmp_path / "geo.yaml"
-    cfg.write_text(GEO_CFG)
-    assert cli.main(["geodesic", "--config", str(cfg), "--tol", "1e-8"]) == 0
-    assert seen[0]["numerics"]["ode_tol"] == 1e-8
-
-
 def _numeric_leaves(node, path=(), name=""):
     """(field path, key path) of every number under a parsed config."""
     if isinstance(node, (int, float)) and not isinstance(node, bool):
@@ -646,8 +714,10 @@ def _numeric_leaves(node, path=(), name=""):
 DEMO_LEAVES = [(config, name, path) for config in DEMO_CONFIGS
                for name, path in _numeric_leaves(
                    yaml.safe_load(config.read_text()))]
-# wave-packet configs written with the former quad_tol setting still carry it
-DEMO_LEAVES += [(config, "numerics.quad_tol", ("numerics", "quad_tol"))
+# wave-packet configs written with the former quad_tol and ode_tol settings
+# still carry them
+DEMO_LEAVES += [(config, f"numerics.{key}", ("numerics", key))
+                for key in ("ode_tol", "quad_tol")
                 for config in DEMO_CONFIGS if config.stem == "wavepacket"]
 
 
@@ -670,6 +740,7 @@ def test_nonfinite_demo_leaf_exits_1_at_its_path(tmp_path, capsys,
                                                  path, value):
     _stub_run(monkeypatch)
     cfg = yaml.safe_load(config.read_text())
+    cfg.setdefault("numerics", {})      # for the former settings above
     node = cfg
     for key in path[:-1]:
         node = node[key]

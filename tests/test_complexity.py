@@ -8,12 +8,15 @@ and synthetic traces with known fit parameters.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from igac import complexity as cx
 from igac import dynamics as dyn
 from igac import models as md
 from igac import scenarios as sc
 from igac.errors import FitFailureError, UndefinedEntropyError
+
+from conftest import base_metric
 
 PARAMS = dyn.WavePacketParams(1.0, 0.25, 1.0, 0.5)
 
@@ -332,14 +335,42 @@ def test_trace_volumes_equal_volume_between(case):
 
 
 @pytest.mark.parametrize("case", ["analytic", "quadrature", "iho_l1",
-                                  "iho_l2"])
+                                  "iho_l2", "analytic_backward"])
 def test_igc_at_grid_points_equals_trace(case):
     """``igc`` builds the running boxes of ``complexity_trace``, so at a
     grid point it gives the trace's own value."""
     if case in ("analytic", "quadrature"):
         metric, path = _gauss_path(case, 4.0, 33)
+    elif case == "analytic_backward":
+        metric, path = _gauss_path("analytic", -4.0, 33)
     else:
         metric, path = _iho_path(int(case[-1]))
     trace = cx.complexity_trace(metric, path)
     got = [cx.igc(metric, path, t) for t in path.tau_grid[1:]]
     assert np.array_equal(got, trace.igc[1:])
+
+
+@settings(max_examples=30)
+@given(base_metric(spread=st.floats(0.5, 2.0)), st.data())
+def test_backward_trace_is_the_trace_of_the_reversed_geodesic(case, data):
+    """The geodesic from v0 run back to -tau sweeps the boxes of the one
+    from -v0 run on to +tau, over the same elapsed |tau|: delta-V, C and S
+    agree point by point, and ``igc`` takes a tau past the start in the
+    path's own direction only."""
+    metric, theta = case
+    v = np.array([data.draw(st.floats(-1.0, 1.0))
+                  for _ in range(metric.dim)])
+    tau = data.draw(st.floats(0.5, 2.0))
+    back = dyn.integrate_geodesic(metric, theta, v, -tau, n_out=17)
+    ahead = dyn.integrate_geodesic(metric, theta, -v, tau, n_out=17)
+    tr_back = cx.complexity_trace(metric, back)
+    tr_ahead = cx.complexity_trace(metric, ahead)
+    assert np.array_equal(tr_back.tau_grid, -tr_ahead.tau_grid)
+    for name in ("delta_v", "igc", "ige"):
+        np.testing.assert_allclose(getattr(tr_back, name),
+                                   getattr(tr_ahead, name), rtol=1e-12)
+    t = 0.7 * tau
+    assert cx.igc(metric, back, -t) == pytest.approx(
+        cx.igc(metric, ahead, t), rel=1e-12)
+    with pytest.raises(ValueError):
+        cx.igc(metric, back, t)

@@ -113,6 +113,10 @@ def test_iho_config_validation():
         sc.IHOConfig(2, omega=(1.0, -1.0))
     with pytest.raises(ValueError):
         sc.IHOConfig(2)
+    # the closed-form slope is fitted over [10, tau_end]
+    for tau_end in (5.0, 10.0):
+        with pytest.raises(ValueError, match="tau_end"):
+            sc.IHOConfig(2, omega=(0.5, 1.5), tau_end=tau_end)
 
 
 NAN = float("nan")
