@@ -65,8 +65,11 @@ def parse_config(text: str, command: str = "scenario") -> dict:
     cfg = dict(raw)
 
     numerics = _section(cfg, "numerics", _NUMERIC_DEFAULTS, failures)
-    for key in _NUMERIC_DEFAULTS:
-        _check_positive(numerics.get(key), f"numerics.{key}", failures)
+    # the fit window (tau0 + f (tau_end - tau0), tau_end) is empty at f >= 1
+    frac = numerics.get("fit_window_fraction")
+    if not _is_number(frac) or not 0.0 < frac < 1.0:
+        failures.append(("numerics.fit_window_fraction",
+                         f"must lie in (0, 1), got {frac!r}"))
     cfg["numerics"] = numerics
 
     output = _section(cfg, "output",

@@ -36,7 +36,7 @@ from .errors import (
     UndefinedRateError,
 )
 from .geometry import connection_jet
-from .models import _CHART_FLOOR, MetricField
+from .models import MetricField
 
 __all__ = [
     "GeodesicPath",
@@ -157,9 +157,9 @@ def _flow(metric: MetricField, theta0, v0, span, rtol: float, atol: float,
 
         # terminal when a spread coordinate falls through the floor
         events = []
-        for i in metric.scale_coords:
-            def ev(_tau, y, i=i):
-                return y[i] - _CHART_FLOOR
+        for k in range(len(metric.scale_coords)):
+            def ev(_tau, y, k=k):
+                return metric.floor_margin(y[:dim])[k]
             ev.terminal, ev.direction = True, -1
             events.append(ev)
 
@@ -399,10 +399,15 @@ def wavepacket_geodesics(params: WavePacketParams, tau, branch: str):
 
 def path_from_functions(tau_grid, theta_fn: Callable, theta_dot_fn: Callable,
                         metric: MetricField = None) -> GeodesicPath:
-    """Wrap closed-form trajectory functions as a GeodesicPath."""
+    """Wrap closed-form trajectory functions as a GeodesicPath.
+
+    Each function maps a 1-D array of tau to an array of shape (n, dim)
+    and a scalar tau to shape (dim,).  The grid takes one call of each, and
+    ``state(tau)`` calls them at its tau.
+    """
     taus = np.asarray(tau_grid, float)
-    theta = np.stack([np.asarray(theta_fn(t), float) for t in taus])
-    theta_dot = np.stack([np.asarray(theta_dot_fn(t), float) for t in taus])
+    theta = np.asarray(theta_fn(taus), float)
+    theta_dot = np.asarray(theta_dot_fn(taus), float)
     if metric is not None:
         g = metric.eval(theta)
         speed = np.einsum("nab,na,nb->n", g, theta_dot, theta_dot)

@@ -227,7 +227,10 @@ def rescaled_chart(metric: MetricField, scale) -> MetricField:
     connection: Gamma'^a_bc(theta') = Gamma^a_bc(theta' / scale) scale_a /
     (scale_b scale_c), and each derivative adds one factor 1/scale.  It
     carries no exact box volume, so that the chart-invariance checks of
-    statistical volumes compare two independent computations.
+    statistical volumes compare two independent computations.  The chart
+    floor stays where the base chart sets it: a point is in the rescaled
+    chart exactly when its base point theta' / scale, formed as the metric
+    forms it, is in the base chart.
     """
     scale = np.asarray(scale, float)
     inv = 1.0 / scale
@@ -254,4 +257,6 @@ def rescaled_chart(metric: MetricField, scale) -> MetricField:
 
     return MetricField(metric.dim, mat, jet_fn=jet, connection_fn=connection,
                        source=metric.source, blocks=metric.blocks,
-                       scale_coords=metric.scale_coords)
+                       scale_coords=metric.scale_coords,
+                       floor_margin_fn=lambda thp: metric.floor_margin(
+                           thp * inv))

@@ -285,19 +285,23 @@ class MetricField:
     block submatrix depends only on the block's own coordinates), enabling
     separable volume integrals.  ``scale_coords`` are indices restricted to
     the open half line; ``in_chart`` holds them at or above the chart floor.
+    ``floor_margin_fn(theta)`` gives their heights above the floor when the
+    floor is set in another chart (``rescaled_chart``); by default it is
+    ``theta[..., scale_coords] - _CHART_FLOOR``.
     ``source`` tags how the metric was obtained, analytic or quadrature.
     """
 
     def __init__(self, dim: int, matrix_fn: Callable, jet_fn: Callable = None,
                  source: str = "analytic", blocks=None, scale_coords=(),
                  volume_fn: Callable = None, connection_fn: Callable = None,
-                 flow_fn: Callable = None):
+                 flow_fn: Callable = None, floor_margin_fn: Callable = None):
         self.dim = dim
         self._matrix_fn = matrix_fn
         self._jet_fn = jet_fn
         self._connection_fn = connection_fn
         self._volume_fn = volume_fn
         self._flow_fn = flow_fn
+        self._floor_margin_fn = floor_margin_fn
         self.source = source
         self.blocks = tuple(tuple(b) for b in blocks) if blocks \
             else (tuple(range(dim)),)
@@ -311,12 +315,20 @@ class MetricField:
     def has_exact_flow(self) -> bool:
         return self._flow_fn is not None
 
+    def floor_margin(self, theta) -> np.ndarray:
+        """Height of each scale coordinate of theta (one point or a batch)
+        above the chart floor, in ``scale_coords`` order: the one reading
+        of the floor, for ``in_chart`` and for the floor events of the
+        flows."""
+        theta = np.asarray(theta, float)
+        if self._floor_margin_fn is not None:
+            return self._floor_margin_fn(theta)
+        return theta[..., list(self.scale_coords)] - _CHART_FLOOR
+
     def in_chart(self, theta) -> bool:
         """Whether every scale coordinate of theta (one point or a batch)
         is at or above the chart floor; the one test of the open chart."""
-        theta = np.asarray(theta, float)
-        return bool(np.all(theta[..., list(self.scale_coords)]
-                           >= _CHART_FLOOR))
+        return bool(np.all(self.floor_margin(theta) >= 0.0))
 
     def eval(self, theta) -> np.ndarray:
         """Metric matrix at theta; accepts batched points (..., dim)."""

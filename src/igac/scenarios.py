@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import reduce
 from typing import Optional
 
 import numpy as np
@@ -474,26 +475,36 @@ _T_LO, _T_HI = 1e-11, 36.0
 
 
 def _iho_box_volume(omegas):
-    """Exact box volume of the density phi^(l/2), phi = 1 + sum_j u_j,
-    u_j = w_j^2 x_j^2 / 2.
+    """Exact box volumes of the density phi^(l/2), phi = 1 + sum_j u_j,
+    u_j = w_j^2 x_j^2 / 2, for a stack of boxes with corners lo, hi of
+    shape (B, l).
 
     The moments M[n] = int phi^n e^(-t sum_j u_j) follow axis by axis from
-    the binomial convolution M'[n] = sum_i C(n, i) M[i] U_j[n-i] of the
+    the binomial convolution M'[n] = sum_i C(n, i) U_j[n-i] M[i] of the
     per-axis moments U_j[k](t) = int u_j^k e^(-t u_j) dx_j.  Every term is
     positive, and the cost is O(l n^2) per t rather than a tensor rule.
 
-    Even l = 2m takes one node t = 0, where the U_j[k] are polynomial
-    moments, exact on an (m+1)-node Gauss-Legendre rule, and the volume is
-    M[m].  Odd l = 2m+1 writes phi^(l/2) = phi^(m+1) phi^(-1/2) and
-    phi^(-1/2) = pi^(-1/2) int_0^inf t^(-1/2) e^(-t phi) dt (DLMF 5.2.1),
-    so the volume is a trapezoid rule in y = ln t over e^(-t) M[m+1](t),
-    with the nodes below the range summed at t = 0.  U_j[k](t) is an
-    incomplete-gamma difference, taken through the odd extension in x_j so
-    that a box may straddle 0 or lie at negative x_j.  Where e^(-t u_j)
-    varies by at most a factor e over the box, a Gauss-Legendre rule takes
-    U_j[k](t) instead: it keeps the digits that the difference would lose
-    on a thin box.  ``volume(lo, hi)`` takes a stack of boxes, corners of
-    shape (n, l), one by one: each odd-l box has its own t-range.
+    Even l = 2m takes the one node t = 0 for every box, where the U_j[k]
+    are polynomial moments, exact on an (m+1)-node Gauss-Legendre rule, and
+    the volume is M[m]: the whole stack goes through the rule and the
+    convolution at once, as arrays of shape (B, l, m+1).  Odd l = 2m+1
+    writes phi^(l/2) = phi^(m+1) phi^(-1/2) and phi^(-1/2) = pi^(-1/2)
+    int_0^inf t^(-1/2) e^(-t phi) dt (DLMF 5.2.1), so the volume is a
+    trapezoid rule in y = ln t over e^(-t) M[m+1](t), with the nodes below
+    the range summed at t = 0.  Each odd-l box has its own t-range, so the
+    stack goes box by box, the nodes t of one box stacked instead.
+    U_j[k](t) is an incomplete-gamma difference, taken through the odd
+    extension in x_j so that a box may straddle 0 or lie at negative x_j.
+    Where e^(-t u_j) varies by at most a factor e over the box, the
+    Gauss-Legendre rule takes U_j[k](t) instead: it keeps the digits that
+    the difference would lose on a thin box.
+
+    Both sums, over the Gauss-Legendre nodes and over the convolution
+    index, add elementwise products term by term in a fixed order.  A
+    matrix product, or ``np.sum`` on an array whose memory layout follows
+    the stack, may order the additions differently with the size of the
+    stack, and a box must get the same bits alone as in any stack
+    (``MetricField.box_volume`` passes one box as a stack of one).
     """
     cs = 0.5 * omegas ** 2
     odd = omegas.size % 2
@@ -520,19 +531,39 @@ def _iho_box_volume(omegas):
         return np.concatenate([[0.0], t]), \
             _LAPLACE_STEP / np.sqrt(np.pi) * wt
 
-    def axis_moments(c, lo, hi, t):
-        """U[..., k] = int_lo^hi u^k e^(-t u) dx, u = c x^2, at each node t;
-        at even l the one node is t = 0, where the moments are polynomial."""
+    def gl_nodes(c, lo, hi):
+        """Weights (hi - lo) / 2 w_p and u = c x_p^2 at the Gauss-Legendre
+        nodes x_p of [lo, hi], on a last axis of nodes."""
         half = 0.5 * (hi - lo)
-        x = 0.5 * (lo + hi) + half * gl_t
-        q = c * x * x
-        if not odd:
-            return (half * gl_w) @ q[:, None] ** k
+        x = (0.5 * (lo + hi))[..., None] + half[..., None] * gl_t
+        return half[..., None] * gl_w, c * x * x
+
+    def ordered_sum(terms):
+        """Sum along the last axis, from the first term to the last."""
+        return reduce(np.add, np.moveaxis(terms, -1, 0))
+
+    def power_sums(wts, q):
+        """U[..., k] = sum_p wts_p q_p^k for k = 0..n."""
+        return ordered_sum(wts[..., None, :] * q[..., None, :] ** k[:, None])
+
+    def top_moment(u):
+        """M[..., n] from the per-axis moments u[..., j, k], by the
+        convolution M'[..., n] = sum_i C(n, i) U[..., n-i] M[..., i]."""
+        mom = np.ones(u.shape[:-2] + (n + 1,))
+        for j in range(omegas.size):
+            mom = ordered_sum(binom * u[..., j, shift] * mom[..., None, :])
+        return mom[..., n]
+
+    def even_volumes(lo, hi):
+        return top_moment(power_sums(*gl_nodes(cs[:, None], lo, hi)))
+
+    def axis_moments(c, lo, hi, t):
+        """U[..., k] = int_lo^hi u^k e^(-t u) dx, u = c x^2, at each node t."""
         u = np.empty((t.size, n + 1))
         low = c * min(lo * lo, hi * hi) if lo * hi > 0 else 0.0
         flat = t * (c * max(lo * lo, hi * hi) - low) <= 1.0
-        decay = np.exp(-np.outer(t[flat], q))
-        u[flat] = (half * gl_w * decay) @ q[:, None] ** k
+        wts, q = gl_nodes(c, lo, hi)
+        u[flat] = power_sums(wts * np.exp(-np.multiply.outer(t[flat], q)), q)
         tf = t[~flat, None]
         if tf.size:
             def odd_ext(x):     # int_0^x u^k e^(-t u) dx up to the prefactor
@@ -541,23 +572,15 @@ def _iho_box_volume(omegas):
                 / (2.0 * np.sqrt(c) * tf ** a)
         return u
 
-    ones = np.ones((n + 1, 1))     # moments of the constant 1, as a column
-
-    def moments(lo, hi, t):
-        """M[..., i, 0] = int phi^i e^(-t sum_j u_j) over the box, per node t."""
-        mom = ones
-        for c, lo_j, hi_j in zip(cs, lo, hi):
-            u = axis_moments(c, lo_j, hi_j, t)
-            mom = (binom * u.take(shift, axis=-1)) @ mom
-        return mom
-
-    def box_volume(lo, hi):
-        if not odd:
-            return moments(lo, hi, 0.0)[n, 0]
+    def odd_volume(lo, hi):
         t, wt = laplace_nodes(lo, hi)
-        return wt @ moments(lo, hi, t)[:, n, 0]
+        return wt @ top_moment(np.stack([axis_moments(c, lo_j, hi_j, t)
+                                         for c, lo_j, hi_j in
+                                         zip(cs, lo, hi)], axis=-2))
 
-    return lambda lo, hi: np.array([box_volume(*box) for box in zip(lo, hi)])
+    if not odd:
+        return even_volumes
+    return lambda lo, hi: np.array([odd_volume(*box) for box in zip(lo, hi)])
 
 
 def iho_delta_v_asymptotic(cfg: IHOConfig, tau):
@@ -614,8 +637,8 @@ def run_iho(cfg: IHOConfig) -> ScenarioReport:
     metric = iho_metric(w)
     path = dyn.path_from_functions(
         np.concatenate([[0.0], taus]),
-        lambda t: x0 * np.exp(w * t),
-        lambda t: w * x0 * np.exp(w * t),
+        lambda t: x0 * np.exp(np.multiply.outer(t, w)),
+        lambda t: w * x0 * np.exp(np.multiply.outer(t, w)),
         metric=metric)
     dv_num = cx.complexity_trace(metric, path).delta_v[1:]
     dv_asy = iho_delta_v_asymptotic(cfg, taus)

@@ -1,7 +1,9 @@
 """The chart rule: a point is in the chart when every scale coordinate is at
 or above the floor ``models._CHART_FLOOR``.  The curvature kernel raises
 DegenerateMetricError and the flows raise ChartBoundaryError exactly for
-points below it, over every family with scale coordinates."""
+points below it, over every family with scale coordinates.  A rescaled
+chart keeps the floor of its base chart: its chart test and its flows read
+the floor at the base point."""
 
 import numpy as np
 import pytest
@@ -110,3 +112,38 @@ def test_flows_reject_exactly_below_floor(case):
                 flow()
         else:
             flow()
+
+
+scale_factor = st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e)
+
+
+@st.composite
+def rescaled_case(draw):
+    """(base metric, scale factors, rescaled point), the spreads of the
+    base point drawn around the floor and mapped forward."""
+    metric, point = draw(scale_metric())
+    scale = np.array([draw(scale_factor) for _ in range(metric.dim)])
+    return metric, scale, point * scale
+
+
+@settings(max_examples=80)
+@example((PAIR, np.array([1.0, 0.1]), np.array([0.0, 5e-9])))
+@example((PAIR, np.array([1.0, 3.0]), AT_FLOOR * 3.0))
+@example((PAIR, np.array([1.0, 0.7]), JUST_BELOW * 0.7))
+@given(rescaled_case())
+def test_rescaled_in_chart_commutes_with_chart_map(case):
+    metric, scale, thp = case
+    rescaled = geo.rescaled_chart(metric, scale)
+    assert rescaled.in_chart(thp) is metric.in_chart(thp * (1.0 / scale))
+
+
+@pytest.mark.parametrize("s", [1e-3, 0.1, 10.0, 1e3])
+def test_rescaled_flow_stops_at_image_of_floor(s):
+    # the vertical geodesic sigma0 e^(-tau) of the half plane reaches the
+    # base floor before tau = 5; the rescaled spread is FLOOR * s there
+    scaled = geo.rescaled_chart(PAIR, [1.0, s])
+    with pytest.raises(ChartBoundaryError) as err:
+        dyn.integrate_geodesic(scaled, [0.0, 1e-7 * s], [0.0, -1e-7 * s],
+                               5.0)
+    _, theta, _ = err.value.last_state
+    assert theta[1] == pytest.approx(FLOOR * s, rel=1e-6)

@@ -566,6 +566,10 @@ IGE_2D = f"manifold: {DIAG_2D}\ntheta0: [0.0, 1.0]\nv0: [1.0, 0.0]\n" \
      "tau_end: 5.0}\n", "parameters.tau_end"),
     ("ige", IGE_2D.replace("tau_end: 2.0", "tau_end: -4.0"), "tau_end"),
     ("ige", IGE_2D.replace("tau_end: 2.0", "tau_end: 0.0"), "tau_end"),
+    ("ige", f"{IGE_2D}numerics: {{fit_window_fraction: 1.5}}\n",
+     "numerics.fit_window_fraction"),
+    ("ige", f"{IGE_2D}numerics: {{fit_window_fraction: 1}}\n",
+     "numerics.fit_window_fraction"),
 ], ids=["r-text", "sigma-text", "numerics-scalar", "theta-long",
         "theta-short", "theta0-long", "v0-long", "dj0-long",
         "custom-theta-long", "tau-end-text", "no-coordinates", "target-text",
@@ -586,7 +590,8 @@ IGE_2D = f"manifold: {DIAG_2D}\ntheta0: [0.0, 1.0]\nv0: [1.0, 0.0]\n" \
         "wavepacket-r-sweep-scalar", "wavepacket-r-sweep-text",
         "wavepacket-r-sweep-negative", "mre-poly-coefficients-scalar",
         "mre-poly-coefficients-text", "iho-tau-end-short",
-        "ige-tau-end-negative", "ige-tau-end-zero"])
+        "ige-tau-end-negative", "ige-tau-end-zero",
+        "ige-fit-window-fraction-above-1", "ige-fit-window-fraction-1"])
 def test_malformed_config_exits_1_naming_field(tmp_path, capsys, command,
                                                body, field):
     cfg = tmp_path / "bad.yaml"

@@ -112,8 +112,8 @@ def test_volume_chart_invariance():
     scaled = geo.rescaled_chart(metric, scale)
     spath = dyn.path_from_functions(
         path.tau_grid,
-        lambda t: path.state(t)[0] * scale,
-        lambda t: path.state(t)[1] * scale,
+        lambda t: path.state(t)[0].T * scale,
+        lambda t: path.state(t)[1].T * scale,
         metric=scaled)
     tau = float(path.tau_grid[70])
     v1 = cx.volume_between(metric, path, tau)
@@ -249,8 +249,9 @@ def test_iho_volume_against_nested_adaptive_quadrature():
     x0 = np.array([1.0, 1.0])
     taus = np.linspace(0.0, 2.0, 9)
     path = dyn.path_from_functions(
-        taus, lambda t: x0 * np.exp(omegas * t),
-        lambda t: omegas * x0 * np.exp(omegas * t), metric=metric)
+        taus, lambda t: x0 * np.exp(np.multiply.outer(t, omegas)),
+        lambda t: omegas * x0 * np.exp(np.multiply.outer(t, omegas)),
+        metric=metric)
     tau = 2.0
     got = cx.volume_between(metric, path, tau)
 
@@ -301,8 +302,9 @@ def _iho_path(l):
     x0 = np.full(l, 0.2)
     metric = sc.iho_metric(w)
     return metric, dyn.path_from_functions(
-        np.linspace(0.0, 4.0, 41), lambda t: x0 * np.exp(w * t),
-        lambda t: w * x0 * np.exp(w * t), metric=metric)
+        np.linspace(0.0, 4.0, 41),
+        lambda t: x0 * np.exp(np.multiply.outer(t, w)),
+        lambda t: w * x0 * np.exp(np.multiply.outer(t, w)), metric=metric)
 
 
 def _gauss_path(source, tau_end, n_out):

@@ -94,6 +94,25 @@ def test_iho_ohmic_passes(l):
     assert np.isfinite(rep.observables["igc_growth_rate"])
 
 
+@pytest.mark.parametrize("cfg", [sc.IHOConfig(2, omega=(0.5, 1.5)),
+                                 sc.IHOConfig(3, omega_total=2.0),
+                                 sc.IHOConfig(4, omega=(0.3, 0.9, 1.4, 2.0))],
+                         ids=["l2-demo", "l3-ohmic", "l4"])
+def test_iho_path_state_equals_grid_bit_for_bit(monkeypatch, cfg):
+    # the grid takes one vector call of the trajectory, state(tau) a
+    # scalar call: both give the same bits at every grid point
+    paths = []
+    trace = sc.cx.complexity_trace
+    monkeypatch.setattr(sc.cx, "complexity_trace", lambda metric, path:
+                        paths.append(path) or trace(metric, path))
+    sc.run_iho(cfg)
+    path, = paths
+    for k, tau in enumerate(path.tau_grid):
+        theta, theta_dot = path.state(tau)
+        assert np.array_equal(theta, path.theta[k])
+        assert np.array_equal(theta_dot, path.theta_dot[k])
+
+
 def test_iho_ohmic_quantiles():
     cfg = sc.IHOConfig(4, omega_total=2.0, xi=1.5)
     w = cfg.frequencies

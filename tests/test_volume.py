@@ -241,6 +241,25 @@ def test_iho_l4_volume_matches_expanded_polynomial(omegas, boxes):
         _iho4_polynomial_volume(omegas, bounds), rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize("l", [2, 4, 6])
+def test_even_iho_stack_of_256_boxes_equals_per_box(l):
+    # the even-l stack runs as whole arrays; its sums keep their order
+    # whatever the stack size, so each box gets the bits it gets alone.
+    # Extents stay in [0.1, 3], where the expanded polynomial, a
+    # difference of powers, keeps 12 digits.
+    rng = np.random.default_rng(l)
+    omegas = rng.uniform(0.3, 2.0, l)
+    lo = rng.uniform(-3.0, 3.0, (256, l))
+    bounds = np.stack([lo, lo + rng.uniform(0.1, 3.0, (256, l))], axis=-1)
+    metric = iho_metric(omegas)
+    stacked = metric.box_volume(bounds)
+    assert np.array_equal(stacked, [metric.box_volume(b) for b in bounds])
+    if l == 4:
+        assert stacked == pytest.approx(
+            [_iho4_polynomial_volume(omegas, b) for b in bounds],
+            rel=1e-12, abs=0.0)
+
+
 @pytest.mark.parametrize("lo,extent", [(2.0, 1e-6), (-3.0, 1e-9),
                                        (1e3, 1e-3)])
 def test_thin_iho_boxes_keep_full_precision(lo, extent):
@@ -260,9 +279,10 @@ def test_every_iho_has_exact_volume():
 def test_odd_iho_volume_between_matches_antiderivative():
     w = 1.3
     metric = iho_metric([w])
-    path = dyn.path_from_functions(np.linspace(0.0, 1.0, 5),
-                                   lambda t: np.array([1.0 + 2.0 * t]),
-                                   lambda t: np.array([2.0]), metric=metric)
+    path = dyn.path_from_functions(
+        np.linspace(0.0, 1.0, 5),
+        lambda t: (1.0 + 2.0 * np.asarray(t))[..., None],
+        lambda t: np.full(np.shape(t) + (1,), 2.0), metric=metric)
     assert cx.volume_between(metric, path, 1.0) == pytest.approx(
         iho_volume_oracle([w], [(1.0, 3.0)]), rel=1e-13, abs=0.0)
 
