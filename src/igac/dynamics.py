@@ -49,6 +49,7 @@ __all__ = [
     "path_from_functions",
     "normal_direction",
     "integrate_jacobi",
+    "lyapunov_sequence",
     "lyapunov_estimate",
     "jacobi_q_coefficient",
 ]
@@ -75,7 +76,9 @@ class GeodesicPath:
         return self.theta.shape[1]
 
     def state(self, tau):
-        """(theta, theta_dot) at arbitrary tau inside the grid range."""
+        """(theta, theta_dot) at arbitrary tau inside the grid range: each
+        of shape (dim,) for a scalar tau and (n, dim) for n of them, as
+        ``theta`` and ``theta_dot``."""
         return self._interp(tau)
 
 
@@ -128,10 +131,12 @@ def _flow(metric: MetricField, theta0, v0, span, rtol: float, atol: float,
     ``.y`` with rows (theta, theta-dot, J, J-dot) at ``t_eval`` or at the
     end of the span, and ``.sol(tau)``.  A metric with a closed-form flow
     is evaluated exactly (``_exact_flow``, tolerances unused); any other is
-    integrated by DOP853 at ``rtol`` and ``atol``.  A start outside the
-    chart, or a spread coordinate falling through the chart floor on the
-    way, raises ChartBoundaryError, the latter with the carrier state (tau,
-    theta, theta_dot) at the crossing; step underflow raises StiffnessError.
+    integrated by DOP853 at ``rtol`` and ``atol``, the carrier's ``atol``
+    scaled by the max-abs entry of (theta0, v0) where that lies below 1.
+    A start outside the chart, or a spread coordinate falling through the
+    chart floor on the way, raises ChartBoundaryError, the latter with the
+    carrier state (tau, theta, theta_dot) at the crossing; step underflow
+    raises StiffnessError.
     """
     theta0 = np.asarray(theta0, float)
     if not metric.in_chart(theta0):
@@ -154,6 +159,13 @@ def _flow(metric: MetricField, theta0, v0, span, rtol: float, atol: float,
         else:
             rhs = _variational_rhs(metric)
             parts += [b.ravel() for b in block]
+        y0 = np.concatenate(parts)
+        # a carrier starting below unit size keeps its relative accuracy;
+        # the deviation columns already start at unit size
+        atol = np.full(y0.size, atol)
+        reach = np.max(np.abs(y0[:2 * dim]))
+        if 0 < reach < 1:
+            atol[:2 * dim] *= reach
 
         # terminal when a spread coordinate falls through the floor
         events = []
@@ -163,8 +175,8 @@ def _flow(metric: MetricField, theta0, v0, span, rtol: float, atol: float,
             ev.terminal, ev.direction = True, -1
             events.append(ev)
 
-        sol = solve_ivp(rhs, span, np.concatenate(parts), method="DOP853",
-                        rtol=rtol, atol=atol, events=events, **sampling)
+        sol = solve_ivp(rhs, span, y0, method="DOP853", rtol=rtol,
+                        atol=atol, events=events, **sampling)
         if sol.status == 1:
             t_ev, y_ev = max(((t[-1], y[-1]) for t, y in
                               zip(sol.t_events, sol.y_events) if t.size),
@@ -236,20 +248,19 @@ def integrate_geodesic(metric: MetricField, theta0, v0, tau_end: float,
     coordinate reaching the floor, raises ChartBoundaryError carrying the
     state at the crossing; step underflow raises StiffnessError.
     """
-    sol = _flow(metric, theta0, v0, (0.0, tau_end), tol, tol * 1e-2,
-                dense_output=True)
     taus = np.linspace(0.0, tau_end, n_out)
-    states = sol.sol(taus)
+    sol = _flow(metric, theta0, v0, (0.0, tau_end), tol, tol * 1e-2,
+                dense_output=True, t_eval=taus)
     dim = metric.dim
-    theta = states[:dim].T
-    theta_dot = states[dim:].T
+    theta = sol.y[:dim].T
+    theta_dot = sol.y[dim:].T
     g = metric.eval(theta)
     speed = np.einsum("nab,na,nb->n", g, theta_dot, theta_dot)
     dense = sol.sol
 
     def interp(tau):
         y = dense(tau)
-        return y[:dim], y[dim:]
+        return y[:dim].T, y[dim:].T
 
     return GeodesicPath(taus, theta, theta_dot, speed, _interp=interp)
 
@@ -528,15 +539,13 @@ class LyapunovEstimate:
     sequence: np.ndarray
 
 
-def lyapunov_estimate(trace: JacobiTrace) -> LyapunovEstimate:
-    """Finite-time evaluation of the intensity growth-rate functional.
+def lyapunov_sequence(trace: JacobiTrace):
+    """(elapsed tau, lambda) at every grid point after the start, with
+    lambda(tau) = ln[(|J|^2 + |dJ/dtau|^2) / (value at the start)] / tau.
 
-    lambda(tau) = ln[(|J|^2 + |dJ/dtau|^2) / (value at tau = 0)] / tau, which
-    doubles the exponential rate of |J| itself; the full sequence over the
-    grid is returned for convergence inspection.
+    Each entry reads only the start and its own grid point, so a trace
+    sampled at its two ends alone gives the last entry of a finer one.
     """
-    if trace.tau_grid.size < 16:
-        raise UndefinedRateError("trace too short for a rate estimate")
     base = trace.intensity[0] ** 2 + trace.intensity_rate[0] ** 2
     if base <= 0 or not np.any(trace.intensity > 0):
         raise UndefinedRateError("identically degenerate deviation trace")
@@ -545,7 +554,19 @@ def lyapunov_estimate(trace: JacobiTrace) -> LyapunovEstimate:
     mask = elapsed > 0
     taus = elapsed[mask]
     num = trace.intensity[mask] ** 2 + trace.intensity_rate[mask] ** 2
-    seq = np.log(num / base) / taus
+    return taus, np.log(num / base) / taus
+
+
+def lyapunov_estimate(trace: JacobiTrace) -> LyapunovEstimate:
+    """Finite-time evaluation of the intensity growth-rate functional.
+
+    lambda(tau) of ``lyapunov_sequence``, which doubles the exponential
+    rate of |J| itself, at the end of the trace; the full sequence over the
+    grid is returned for convergence inspection.
+    """
+    if trace.tau_grid.size < 16:
+        raise UndefinedRateError("trace too short for a rate estimate")
+    taus, seq = lyapunov_sequence(trace)
     return LyapunovEstimate(float(seq[-1]), taus, seq)
 
 

@@ -109,10 +109,16 @@ def _sectional_from(g, rl, u, v) -> float:
     u = np.asarray(u, float)
     v = np.asarray(v, float)
     uu, vv, uv = u @ g @ u, v @ g @ v, u @ g @ v
-    den = uu * vv - uv * uv
-    if abs(den) < 1e-14:
+    return float(_plane_ratio(np.einsum("abcd,a,b,c,d->", rl, u, v, u, v),
+                              uu * vv - uv * uv))
+
+
+def _plane_ratio(num, den):
+    """Sectional curvatures num / den of planes with Gram determinants
+    ``den``; DegeneratePlaneError where one vanishes."""
+    if np.any(np.abs(den) < 1e-14):
         raise DegeneratePlaneError("u, v span a degenerate plane")
-    return float(np.einsum("abcd,a,b,c,d->", rl, u, v, u, v) / den)
+    return num / den
 
 
 def orthonormal_frame(g: np.ndarray) -> list:
@@ -205,13 +211,22 @@ def curvature_report(metric: MetricField, theta) -> CurvatureReport:
     ric = np.einsum("cacb->ab", rm)
     scal = float(np.einsum("ab,ab->", ginv, ric))
     n = metric.dim
-    eye = np.eye(n)
-    sec = [((i, j), _sectional_from(g, rl, eye[i], eye[j]))
-           for i in range(n) for j in range(i + 1, n)]
-    # equals the scalar: a second route, through the Gram-Schmidt frame
-    frame = orthonormal_frame(g)
-    sec_sum = sum((_sectional_from(g, rl, frame[i], frame[j])
-                   for i in range(n) for j in range(n) if i != j), 0.0)
+    # coordinate planes: R_ijij / (g_ii g_jj - g_ij^2), which the general
+    # formula reduces to exactly on unit vectors
+    i, j = np.triu_indices(n, 1)
+    ks = _plane_ratio(rl[i, j, i, j], g[i, i] * g[j, j] - g[i, j] ** 2)
+    sec = [((a, b), k)
+           for a, b, k in zip(i.tolist(), j.tolist(), ks.tolist())]
+    # equals the scalar: a second route, through the Gram-Schmidt frame,
+    # with R(f_i, f_j, f_i, f_j) = (F_ia F_ic) R_acbd (F_jb F_jd)
+    frame = np.array(orthonormal_frame(g))
+    gram = frame @ g @ frame.T
+    pairs = (frame[:, :, None] * frame[:, None, :]).reshape(n, n * n)
+    num = pairs @ rl.transpose(0, 2, 1, 3).reshape(n * n, n * n) @ pairs.T
+    diag = np.diag(gram)
+    off = ~np.eye(n, dtype=bool)
+    sec_sum = float(np.sum(_plane_ratio(
+        num[off], (np.outer(diag, diag) - gram * gram)[off])))
     return CurvatureReport(
         theta=theta, christoffel=gam, riemann=rm, riemann_lowered=rl,
         ricci=ric, scalar=scal, sectional=sec, sectional_sum=sec_sum,

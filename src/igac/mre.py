@@ -227,7 +227,8 @@ def _check_integrable(ws: _Workspace, beta):
 
 def _solve(ws: _Workspace, tol: float):
     """Damped Newton on the convex dual of the truncated problem, with
-    Armijo backtracking; integrability is decided at the solution."""
+    Armijo backtracking; integrability is decided at the solution.
+    Returns beta with the dual and the tilted mean of f there."""
     # no tilt can push a moment outside the range of its f on the grid
     for f, F in zip(ws.f, ws.targets):
         if not np.min(f) < F < np.max(f):
@@ -241,7 +242,7 @@ def _solve(ws: _Workspace, tol: float):
         res = float(np.max(np.abs(grad)))
         if res < tol:
             _check_integrable(ws, beta)
-            return beta
+            return beta, val, mean
         try:
             step = np.linalg.solve(cov, -grad)
         except np.linalg.LinAlgError as exc:
@@ -276,8 +277,7 @@ def solve_multiplier(problem: MrEProblem, tol: float = 1e-12) -> MrEResult:
     does not bring the moment residual below ``tol``.
     """
     ws = _Workspace(problem)
-    beta = _solve(ws, tol)
-    val, achieved, _ = ws.dual(beta)
+    beta, val, achieved = _solve(ws, tol)
     log_z = float(val + beta @ ws.targets)
     lnp_new = ws.lnp_old + beta @ ws.f - log_z
     posterior = TabulatedDensity(ws.x, ws.w, np.exp(lnp_new),

@@ -820,11 +820,20 @@ def wavepacket_manifold(params: dyn.WavePacketParams, r: float,
                         branch: str = "after"):
     """(metric, theta0, v0) of the wave-packet manifold with correlation r,
     the start read off the closed-form geodesics of ``branch`` at tau = 0."""
+    return (_wavepacket_metric(params, r),
+            *_wavepacket_start(params, r, branch))
+
+
+def _wavepacket_metric(params: dyn.WavePacketParams, r: float):
+    return md.analytic_fisher(wavepacket_model(replace(params, r=r)))
+
+
+def _wavepacket_start(params: dyn.WavePacketParams, r: float,
+                      branch: str = "after"):
     amp = params.mean_amplitude
     if branch == "after":
         amp *= np.sqrt(1.0 - r)
-    return (md.analytic_fisher(wavepacket_model(replace(params, r=r))),
-            np.array([0.0, 0.0, params.sigma_peak]),
+    return (np.array([0.0, 0.0, params.sigma_peak]),
             np.array([-amp * params.a0, amp * params.a0, 0.0]))
 
 
@@ -931,10 +940,7 @@ def prolongation(cfg: ScatterConfig) -> dict:
         warnings.warn("sigma0/p0 above 0.3; the prolongation expansion "
                       "degrades", stacklevel=2)
     eta = prolongation_eta(params)
-    arg = 1.0 - ((1.0 - cfg.r) ** -0.5 - 1.0) * eta
-    if arg <= 0:
-        raise RegimeError(f"r = {cfg.r} beyond the bound 2/eta = {2 / eta}")
-    delta = -np.log(arg) / (2.0 * params.a0)
+    delta = _prolongation_delta(params, cfg.r)
     t_arg = (1.0 - cfg.r) ** -0.5 * np.tanh(params.a0 * cfg.tau0)
     tau_star = float(np.arctanh(t_arg) / params.a0) if t_arg < 1.0 else None
     return {"delta": float(delta), "eta_delta": float(eta),
@@ -942,15 +948,34 @@ def prolongation(cfg: ScatterConfig) -> dict:
             "tau0": cfg.tau0}
 
 
+def _prolongation_delta(params: dyn.WavePacketParams, r):
+    """Delta of ``prolongation`` at a correlation r, or elementwise over an
+    array of them, which agrees with the one-r values to round-off; the
+    first correlation whose logarithm has no positive argument raises
+    RegimeError."""
+    eta = prolongation_eta(params)
+    with np.errstate(divide="ignore", invalid="ignore"):   # r >= 1
+        arg = 1.0 - ((1.0 - r) ** -0.5 - 1.0) * eta
+    beyond = np.atleast_1d(r)[~(np.atleast_1d(arg) > 0)]
+    if beyond.size:
+        raise RegimeError(f"r = {beyond[0]} beyond the bound 2/eta = "
+                          f"{2 / eta}")
+    return -np.log(arg) / (2.0 * params.a0)
+
+
 def _wavepacket_lyapunov(args):
-    params, r, a0 = args
-    metric, th0, v0 = wavepacket_manifold(params, r)
+    """Finite-time rate of the normal deviation on the manifold of
+    correlation r, from the two ends of its window: the value
+    ``lyapunov_estimate`` reads off a trace of the whole window."""
+    params, r, metric = args
+    a0 = params.a0
+    th0, v0 = _wavepacket_start(params, r)
     # stay an order of magnitude above the sigma chart floor
     tau_cap = np.arccosh(params.sigma_peak / 1e-7) / a0
-    tau_grid = np.linspace(0.0, min(20.0 / a0, tau_cap), 257)
-    jac = dyn.integrate_jacobi(metric, th0, v0, tau_grid, np.zeros(3),
+    ends = np.array([0.0, min(20.0 / a0, tau_cap)])
+    jac = dyn.integrate_jacobi(metric, th0, v0, ends, np.zeros(3),
                                dyn.normal_direction(metric, th0, v0))
-    return dyn.lyapunov_estimate(jac).value
+    return float(dyn.lyapunov_sequence(jac)[1][-1])
 
 
 def run_wavepacket(cfg: ScatterConfig,
@@ -968,9 +993,15 @@ def run_wavepacket(cfg: ScatterConfig,
     report.observables["a0"] = a0
     report.observables["lambda"] = lam
 
-    # curvature of the correlated manifold at a generic point
     r_geo = max(cfg.r, 0.5)
-    metric_c, _, _ = wavepacket_manifold(params, r_geo)
+    lyapunov_rs = (0.0, 0.2, 0.5)
+    sweep_rs = [0.0, *r_sweep]
+    # one metric per distinct correlation of the run
+    metrics = {r: _wavepacket_metric(params, r)
+               for r in {r_geo, cfg.r, *lyapunov_rs, *sweep_rs}}
+
+    # curvature of the correlated manifold at a generic point
+    metric_c = metrics[r_geo]
     th_probe = np.array([0.3, -0.2, 0.8 * params.sigma_peak])
     rep = geo.curvature_report(metric_c, th_probe)
     for (plane, k) in rep.sectional:
@@ -983,9 +1014,9 @@ def run_wavepacket(cfg: ScatterConfig,
 
     # geodesics against the closed forms, both branches
     for branch, rr in (("before", 0.0), ("after", cfg.r)):
-        metric, th0, v0 = wavepacket_manifold(params, rr, branch)
+        th0, v0 = _wavepacket_start(params, rr, branch)
         sign = -1.0 if branch == "before" else 1.0
-        path = dyn.integrate_geodesic(metric, th0, v0, sign * 5.0 / a0,
+        path = dyn.integrate_geodesic(metrics[rr], th0, v0, sign * 5.0 / a0,
                                       n_out=_TRACE_POINTS)
         mu1, mu2, sig = dyn.wavepacket_geodesics(replace(params, r=rr),
                                                  path.tau_grid, branch)
@@ -998,7 +1029,8 @@ def run_wavepacket(cfg: ScatterConfig,
                    "affine parametrization")
 
     # deviation growth and rate, swept over correlations
-    metric, th0, v0 = wavepacket_manifold(params, cfg.r)
+    metric = metrics[cfg.r]
+    th0, v0 = _wavepacket_start(params, cfg.r)
     dj0 = dyn.normal_direction(metric, th0, v0)
     jac = dyn.integrate_jacobi(metric, th0, v0,
                                np.linspace(0.0, 10.0 / a0, _TRACE_POINTS),
@@ -1014,20 +1046,19 @@ def run_wavepacket(cfg: ScatterConfig,
                "Q = R |v|^2 / (N(N-1))")
 
     lam_values = parallel_map(_wavepacket_lyapunov,
-                              [(params, r, a0) for r in (0.0, 0.2, 0.5)])
-    for r, val in zip((0.0, 0.2, 0.5), lam_values):
+                              [(params, r, metrics[r]) for r in lyapunov_rs])
+    for r, val in zip(lyapunov_rs, lam_values):
         report.add(f"lyapunov_r{r}", val, lam, 0.05,
                    "rate 2 a0, independent of the correlation", mode="rel")
     report.observables["lyapunov_by_r"] = dict(
-        zip(map(str, (0.0, 0.2, 0.5)), lam_values))
+        zip(map(str, lyapunov_rs), lam_values))
 
     # complexity compression across the r sweep; one trace per manifold
     def wp_trace(r):
-        m, t0, vv0 = wavepacket_manifold(params, r)
-        wp_path = dyn.integrate_geodesic(m, t0, vv0, 10.0 / lam, n_out=129)
-        return cx.complexity_trace(m, wp_path)
+        wp_path = dyn.integrate_geodesic(
+            metrics[r], *_wavepacket_start(params, r), 10.0 / lam, n_out=129)
+        return cx.complexity_trace(metrics[r], wp_path)
 
-    sweep_rs = [0.0] + [r for r in r_sweep]
     traces = dict(zip(sweep_rs, parallel_map(wp_trace, sweep_rs)))
     trace_u = traces[0.0]
     probe_idx = int(np.argmin(np.abs(trace_u.tau_grid - 5.0 / lam)))
@@ -1102,7 +1133,7 @@ def run_wavepacket(cfg: ScatterConfig,
     report.add("prolongation_at_r0", prolongation(cfg0)["delta"], 0.0, 1e-14,
                "no correlation, no delay")
     sweep = np.linspace(0.0, 0.9 * pro["r_upper_bound"], 24)
-    deltas = [prolongation(replace(cfg, r=r))["delta"] for r in sweep]
+    deltas = _prolongation_delta(params, sweep)
     report.add("prolongation_monotone",
                float(np.min(np.diff(deltas))), 0.0, 1e-15,
                "delay grows with the correlation", mode="min")

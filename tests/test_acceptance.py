@@ -362,8 +362,8 @@ def test_criterion_11_property_suites():
         scaled = geo.rescaled_chart(metric_v, scale)
         spath = dyn.path_from_functions(
             path_v.tau_grid,
-            lambda t, s=scale: path_v.state(t)[0].T * s,
-            lambda t, s=scale: path_v.state(t)[1].T * s, metric=scaled)
+            lambda t, s=scale: path_v.state(t)[0] * s,
+            lambda t, s=scale: path_v.state(t)[1] * s, metric=scaled)
         tau = float(path_v.tau_grid[40])
         v1 = cx.volume_between(metric_v, path_v, tau)
         v2 = cx.volume_between(scaled, spath, tau)

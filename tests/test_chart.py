@@ -140,10 +140,13 @@ def test_rescaled_in_chart_commutes_with_chart_map(case):
 @pytest.mark.parametrize("s", [1e-3, 0.1, 10.0, 1e3])
 def test_rescaled_flow_stops_at_image_of_floor(s):
     # the vertical geodesic sigma0 e^(-tau) of the half plane reaches the
-    # base floor before tau = 5; the rescaled spread is FLOOR * s there
+    # base floor at tau = ln 10; the rescaled spread is FLOOR * s there.
+    # The crossing time holds at every s only if the absolute tolerance
+    # follows the size of the state.
     scaled = geo.rescaled_chart(PAIR, [1.0, s])
     with pytest.raises(ChartBoundaryError) as err:
         dyn.integrate_geodesic(scaled, [0.0, 1e-7 * s], [0.0, -1e-7 * s],
                                5.0)
-    _, theta, _ = err.value.last_state
+    tau, theta, _ = err.value.last_state
     assert theta[1] == pytest.approx(FLOOR * s, rel=1e-6)
+    assert tau == pytest.approx(np.log(10.0), rel=1e-6)

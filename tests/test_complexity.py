@@ -112,8 +112,8 @@ def test_volume_chart_invariance():
     scaled = geo.rescaled_chart(metric, scale)
     spath = dyn.path_from_functions(
         path.tau_grid,
-        lambda t: path.state(t)[0].T * scale,
-        lambda t: path.state(t)[1].T * scale,
+        lambda t: path.state(t)[0] * scale,
+        lambda t: path.state(t)[1] * scale,
         metric=scaled)
     tau = float(path.tau_grid[70])
     v1 = cx.volume_between(metric, path, tau)

@@ -170,6 +170,49 @@ def test_one_flow_driver_keeps_each_solve(nfev):
     assert sum(nfev[2:]) <= 433
 
 
+@pytest.mark.parametrize("tau_end", [4.0, -4.0])
+def test_closed_form_geodesic_evaluates_its_flow_once(monkeypatch, tau_end):
+    """The grid and the floor check of a closed-form geodesic take one
+    ``MetricField.flow`` call, on the grid itself."""
+    calls = []
+    flow = md.MetricField.flow
+    monkeypatch.setattr(md.MetricField, "flow", lambda m, *args:
+                        calls.append(args[2]) or flow(m, *args))
+    p, th0, v0 = wavepacket_start(0.3)
+    path = dyn.integrate_geodesic(wavepacket_metric(0.3), th0, v0,
+                                  tau_end / p.a0, n_out=65)
+    assert len(calls) == 1
+    assert np.array_equal(calls[0], path.tau_grid)
+
+
+def straight_line_path(taus):
+    return dyn.path_from_functions(
+        taus, lambda t: np.multiply.outer(t, [1.0, 2.0]) + [0.5, 1.0],
+        lambda t: np.multiply.outer(np.ones_like(t), [1.0, 2.0]))
+
+
+@pytest.mark.parametrize("make_path", [
+    lambda: dyn.integrate_geodesic(wavepacket_metric(0.3),
+                                   *wavepacket_start(0.3)[1:], 3.0, n_out=33),
+    lambda: dyn.integrate_geodesic(ode_flow(wavepacket_metric(0.3)),
+                                   *wavepacket_start(0.3)[1:], -3.0,
+                                   n_out=33),
+    lambda: straight_line_path(np.linspace(0.0, 2.0, 33)),
+], ids=["closed-form", "dop853-backward", "functions"])
+def test_path_state_layout(make_path):
+    """``state`` gives (dim,) at a scalar tau and (n, dim) at n of them,
+    the layout of ``theta``, for every way a path is made; on the grid it
+    repeats the grid's bits."""
+    path = make_path()
+    theta, theta_dot = path.state(path.tau_grid)
+    assert theta.shape == theta_dot.shape == path.theta.shape
+    assert np.array_equal(theta, path.theta)
+    assert np.array_equal(theta_dot, path.theta_dot)
+    one, one_dot = path.state(path.tau_grid[5])
+    assert one.shape == one_dot.shape == (path.dim,)
+    assert np.array_equal(one, path.theta[5])
+
+
 def test_wavepacket_closed_form_values():
     p = PARAMS
     mu1, mu2, sig = dyn.wavepacket_geodesics(p, 0.0, "before")

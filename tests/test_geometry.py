@@ -225,6 +225,38 @@ def test_curvature_report_fields():
     assert np.max(np.abs(gam - np.transpose(gam, (0, 2, 1)))) == 0.0
 
 
+REPORT_METRICS = [
+    (wavepacket_metric(0.5), [0.2, -0.3, 1.1]),
+    (md.macro_correlated_metric([0.3, 0.6]), [0.1, 0.9, -0.4, 1.4]),
+    (geo.rescaled_chart(wavepacket_metric(-0.4), [2.0, 0.5, 3.0]),
+     [0.3, -0.1, 2.4]),
+    (md.analytic_fisher(md.product(
+        md.gaussian_bivariate_corr(0.0, 0.0, 1.0, r=-0.5),
+        md.exponential(1.0), md.gaussian_diag([0.0, 0.0], [1.0, 1.0]))),
+     [0.2, 0.7, 1.2, 0.9, -0.3, 1.6, 0.5, 0.7]),
+]
+
+
+@pytest.mark.parametrize("metric,theta", REPORT_METRICS,
+                         ids=["bivariate", "macro", "rescaled", "mixed8"])
+def test_report_sectionals_are_the_plane_formula(metric, theta):
+    """The coordinate planes of ``curvature_report``, read off R_ijij,
+    equal the general formula on the unit vectors bit for bit; the frame
+    sum agrees with the same formula on the frame's planes and with the
+    scalar."""
+    rep = geo.curvature_report(metric, theta)
+    eye = np.eye(metric.dim)
+    assert rep.sectional == [
+        ((i, j), geo.sectional(metric, theta, eye[i], eye[j]))
+        for i in range(metric.dim) for j in range(i + 1, metric.dim)]
+    frame = geo.orthonormal_frame(metric.eval(theta))
+    pairs = sum(geo.sectional(metric, theta, frame[i], frame[j])
+                for i in range(metric.dim) for j in range(metric.dim)
+                if i != j)
+    assert rep.sectional_sum == pytest.approx(pairs, rel=1e-13)
+    assert rep.sectional_sum == pytest.approx(rep.scalar, rel=1e-13)
+
+
 def test_public_names_resolve():
     import importlib
     import pkgutil

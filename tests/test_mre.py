@@ -27,6 +27,28 @@ def test_tilted_exponential_beta():
     assert res.objective == pytest.approx(np.log(2.0) - 1.0, abs=1e-10)
 
 
+def test_solve_multiplier_reuses_the_final_dual(monkeypatch):
+    """The dual at the returned beta comes from the Newton loop: a solve
+    evaluates it no more often than building the workspace and running
+    Newton do, and the result holds the same bits as a fresh evaluation."""
+    problem = mre.MrEProblem(md.gaussian_diag([0.0], [1.0]),
+                             ((lambda x: x, 0.3), (lambda x: x * x, 1.5)))
+    calls = []
+    dual = mre._Workspace.dual
+    monkeypatch.setattr(mre._Workspace, "dual", lambda ws, beta:
+                        calls.append(1) or dual(ws, beta))
+    ws = mre._Workspace(problem)
+    beta, _, _ = mre._solve(ws, 1e-12)
+    steps = len(calls)
+    calls.clear()
+    res = mre.solve_multiplier(problem)
+    assert len(calls) == steps
+    val, achieved, _ = dual(ws, beta)
+    assert np.array_equal(res.beta, beta)
+    assert np.array_equal(res.achieved, achieved)
+    assert res.log_z == float(val + beta @ ws.targets)
+
+
 def test_tilted_gaussian_beta():
     # complete the square: N(0,1) e^(beta x) is N(beta, 1); mean 1 -> beta = 1
     res = mre.solve_multiplier(

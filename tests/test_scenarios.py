@@ -361,5 +361,50 @@ def test_wavepacket_lyapunov_solves_no_geodesic(monkeypatch):
     monkeypatch.setattr(dyn, "integrate_geodesic", forbidden)
     params = in_regime_cfg().params
     for r in (0.0, 0.2, 0.5):
-        value = sc._wavepacket_lyapunov((params, r, params.a0))
+        metric = sc.wavepacket_manifold(params, r)[0]
+        value = sc._wavepacket_lyapunov((params, r, metric))
         assert value == pytest.approx(2.0 * params.a0, rel=0.05)
+
+
+def test_wavepacket_builds_one_metric_per_correlation(monkeypatch):
+    """Curvature, branch geodesics, deviation, Lyapunov rates and the
+    r sweep share one metric per distinct correlation."""
+    built = []
+    fisher = sc.md.analytic_fisher
+    monkeypatch.setattr(sc.md, "analytic_fisher", lambda model:
+                        built.append(model.factors[0].r) or fisher(model))
+    assert sc.run_wavepacket(in_regime_cfg(r=0.01), (0.01, 0.3, 0.5)).passed
+    # the curvature at 0.5, cfg.r, the Lyapunov set {0, 0.2, 0.5} and the
+    # sweep, which starts at 0
+    assert sorted(built) == [0.0, 0.01, 0.2, 0.3, 0.5]
+
+
+@pytest.mark.parametrize("r", [0.0, 0.2, 0.5])
+def test_wavepacket_two_point_lyapunov_rate_is_the_estimate(r):
+    """The rate from the two ends of the window equals
+    ``lyapunov_estimate`` of the field on the 257-point grid, bit for
+    bit."""
+    params = in_regime_cfg().params
+    metric, th0, v0 = sc.wavepacket_manifold(params, r)
+    a0 = params.a0
+    tau_cap = np.arccosh(params.sigma_peak / 1e-7) / a0
+    grid = np.linspace(0.0, min(20.0 / a0, tau_cap), 257)
+    jac = dyn.integrate_jacobi(metric, th0, v0, grid, np.zeros(3),
+                               dyn.normal_direction(metric, th0, v0))
+    assert sc._wavepacket_lyapunov((params, r, metric)) \
+        == dyn.lyapunov_estimate(jac).value
+
+
+def test_prolongation_sweep_is_the_scalar_formula():
+    """The 24-point prolongation sweep of ``run_wavepacket``, one array
+    expression, repeats ``prolongation`` at each correlation to round-off,
+    and beyond the regime it names the first correlation out of range."""
+    cfg = in_regime_cfg()
+    sweep = np.linspace(0.0, 0.9 * sc.prolongation(cfg)["r_upper_bound"], 24)
+    deltas = sc._prolongation_delta(cfg.params, sweep)
+    assert deltas == pytest.approx(
+        [sc.prolongation(in_regime_cfg(r=r))["delta"] for r in sweep],
+        rel=1e-12, abs=0.0)
+    wide = np.linspace(0.0, 0.99, 12)     # the bound 2 / eta is near 0.02
+    with pytest.raises(RegimeError, match=f"r = {wide[1]} "):
+        sc._prolongation_delta(cfg.params, wide)
