@@ -4,15 +4,17 @@ A metric with a closed-form flow (``MetricField.flow``, supplied by every
 inverse-square statistical metric, whose blocks are hyperbolic spaces) is
 flowed exactly: geodesics are evaluated in closed form on the requested
 grid, and a block of deviations (J, J-dot) is the complex-step derivative
-of that flow, one complex evaluation for all columns.  Any other metric
-integrates theta-ddot^a + Gamma^a_bc theta-dot^b theta-dot^c = 0 with the
-adaptive Dormand-Prince 8(5,3) pair (DOP853), carrying the deviation block
-with the carrier state (theta, theta-dot) as one linearized system that
-reads the metric's closed-form connection, so a right-hand-side call needs
-no metric jet and no matrix inverse.  Jacobi fields are one column of the
-deviation block; two-point problems are solved by damped-Newton shooting
-on the initial velocity, each shot flowing the n x n block that starts at
-(J, J-dot) = (0, I), which is the exact Jacobian of the endpoint map.
+of that flow, one complex evaluation for all columns and their carrier.
+Any other metric integrates
+theta-ddot^a + Gamma^a_bc theta-dot^b theta-dot^c = 0 with the adaptive
+Dormand-Prince 8(5,3) pair (DOP853), carrying the deviation block, if
+any, with the carrier state (theta, theta-dot) as one linearized system
+that reads the metric's closed-form connection, so a right-hand-side call
+needs no metric jet and no matrix inverse.  Jacobi fields are one column
+of the deviation block; two-point problems are solved by damped-Newton
+shooting on the initial velocity, each shot flowing the n x n block that
+starts at (J, J-dot) = (0, I), which is the exact Jacobian of the
+endpoint map.
 
 The tanh/cosh closed-form geodesics of the colliding wave-packet manifolds
 are provided for oracle checks, together with the finite-time growth-rate
@@ -82,23 +84,12 @@ class GeodesicPath:
         return self._interp(tau)
 
 
-def _geodesic_rhs(metric):
-    dim = metric.dim
-
-    def rhs(_tau, y):
-        th, v = y[:dim], y[dim:]
-        gam = metric.connection(th)
-        return np.concatenate([v, -(gam @ v) @ v])
-
-    return rhs
-
-
-def _variational_rhs(metric):
+def _variational_rhs(metric, k: int):
     """Right-hand side of the geodesic flow and its linearization.
 
     The state is (theta, v, J, J-dot) with a deviation block J of shape
-    (dim, k), flattened; k follows from the state size.  Linearizing
-    theta-ddot^a = -Gamma^a_bc v^b v^c gives
+    (dim, k), flattened; a bare geodesic is the system with k = 0.
+    Linearizing theta-ddot^a = -Gamma^a_bc v^b v^c gives
     J-ddot^a = -d_d Gamma^a_bc v^b v^c J^d - 2 Gamma^a_bc v^b J-dot^c,
     column by column.  Gamma and its derivative come from one
     ``connection_jet`` call per step stage, which evaluates the metric
@@ -108,7 +99,7 @@ def _variational_rhs(metric):
 
     def rhs(_tau, y):
         th, v = y[:dim], y[dim:2 * dim]
-        j, jdot = y[2 * dim:].reshape(2, dim, -1)
+        j, jdot = y[2 * dim:].reshape(2, dim, k)
         gam, dgam = connection_jet(metric, th)
         gv = gam @ v                      # gv[a, b] = Gamma^a_bc v^c
         jdd = -(dgam @ v @ v).T @ j - 2.0 * gv @ jdot
@@ -118,48 +109,46 @@ def _variational_rhs(metric):
 
 
 def _flow(metric: MetricField, theta0, v0, span, rtol: float, atol: float,
-          block=None, what: str = "geodesic", **sampling):
+          block=None, what: str = "geodesic", t_eval=None,
+          dense_output=False):
     """The one driver behind every flow of this module.
 
     Flows the geodesic from (theta0, v0) over ``span``, and with a
     deviation ``block`` (J, DJ/dtau), each of shape (dim, k), also its
-    linearization.  The covariant derivative DJ/dtau becomes
-    J-dot = DJ/dtau - Gamma(J, v0) once the start is known to lie in the
-    chart; each column flows at unit max-abs, so that none underflows when
-    squared, and is scaled back on ``.y``.  ``sampling`` (``dense_output``
-    or ``t_eval``) selects what the result holds, as for ``solve_ivp``:
-    ``.y`` with rows (theta, theta-dot, J, J-dot) at ``t_eval`` or at the
-    end of the span, and ``.sol(tau)``.  A metric with a closed-form flow
-    is evaluated exactly (``_exact_flow``, tolerances unused); any other is
-    integrated by DOP853 at ``rtol`` and ``atol``, the carrier's ``atol``
-    scaled by the max-abs entry of (theta0, v0) where that lies below 1.
-    A start outside the chart, or a spread coordinate falling through the
-    chart floor on the way, raises ChartBoundaryError, the latter with the
-    carrier state (tau, theta, theta_dot) at the crossing; step underflow
-    raises StiffnessError.
+    linearization; J-dot = DJ/dtau - Gamma(J, v0) once the start is known
+    to lie in the chart, and each column flows at unit max-abs, so that
+    none underflows when squared.  Returns ``theta`` and ``theta_dot``
+    (n, dim) and ``j`` and ``j_dot`` (n, dim, k), k = 0 without a block,
+    at ``t_eval`` or ending at the end of the span, with ``state(tau)`` as
+    for ``GeodesicPath.state`` (None on DOP853 without ``dense_output``).
+    A closed-form flow is evaluated exactly (``_exact_flow``, tolerances
+    unused); any other is integrated by DOP853 at ``rtol`` and ``atol``,
+    the carrier's ``atol`` scaled by the max-abs entry of (theta0, v0)
+    where that lies below 1.  A start outside the chart, or a spread
+    falling through the chart floor on the way, raises ChartBoundaryError,
+    the latter with the carrier state (tau, theta, theta_dot) at the
+    crossing; step underflow raises StiffnessError.
     """
     theta0 = np.asarray(theta0, float)
     if not metric.in_chart(theta0):
         raise ChartBoundaryError(f"{what} start {theta0} outside the chart")
     dim = metric.dim
     v0 = np.asarray(v0, float)
-    if block is not None:
+    if block is None:
+        j0 = jdot0 = np.zeros((dim, 0))
+    else:
         j0, dj0 = (np.asarray(b, float).reshape(dim, -1) for b in block)
         jdot0 = dj0 - np.einsum("abc,bk,c->ak", metric.connection(theta0),
                                 j0, v0)
-        size = np.max(np.abs(np.concatenate([j0, jdot0])), axis=0)
-        size = np.where(size > 0, size, 1.0)
-        block = (j0 / size, jdot0 / size)
+    size = np.max(np.abs(np.concatenate([j0, jdot0])), axis=0)
+    size = np.where(size > 0, size, 1.0)
+    j0, jdot0 = j0 / size, jdot0 / size
     if metric.has_exact_flow:
-        sol = _exact_flow(metric, theta0, v0, span, block, what, **sampling)
+        theta, theta_dot, j, jdot, state = _exact_flow(
+            metric, theta0, v0, span, j0, jdot0, what, t_eval)
     else:
-        parts = [theta0, v0]
-        if block is None:
-            rhs = _geodesic_rhs(metric)
-        else:
-            rhs = _variational_rhs(metric)
-            parts += [b.ravel() for b in block]
-        y0 = np.concatenate(parts)
+        k = j0.shape[1]
+        y0 = np.concatenate([theta0, v0, j0.ravel(), jdot0.ravel()])
         # a carrier starting below unit size keeps its relative accuracy;
         # the deviation columns already start at unit size
         atol = np.full(y0.size, atol)
@@ -169,14 +158,15 @@ def _flow(metric: MetricField, theta0, v0, span, rtol: float, atol: float,
 
         # terminal when a spread coordinate falls through the floor
         events = []
-        for k in range(len(metric.scale_coords)):
-            def ev(_tau, y, k=k):
-                return metric.floor_margin(y[:dim])[k]
+        for c in range(len(metric.scale_coords)):
+            def ev(_tau, y, c=c):
+                return metric.floor_margin(y[:dim])[c]
             ev.terminal, ev.direction = True, -1
             events.append(ev)
 
-        sol = solve_ivp(rhs, span, y0, method="DOP853", rtol=rtol,
-                        atol=atol, events=events, **sampling)
+        sol = solve_ivp(_variational_rhs(metric, k), span, y0,
+                        method="DOP853", rtol=rtol, atol=atol, events=events,
+                        t_eval=t_eval, dense_output=dense_output)
         if sol.status == 1:
             t_ev, y_ev = max(((t[-1], y[-1]) for t, y in
                               zip(sol.t_events, sol.y_events) if t.size),
@@ -186,10 +176,17 @@ def _flow(metric: MetricField, theta0, v0, span, rtol: float, atol: float,
                 last_state=(t_ev, y_ev[:dim], y_ev[dim:2 * dim]))
         if not sol.success:
             raise StiffnessError(f"{what} integrator failed: {sol.message}")
-    if block is not None:
-        # rows a * k + column of J and of J-dot
-        sol.y[2 * dim:] *= np.tile(size, 2 * dim)[:, None]
-    return sol
+        theta, theta_dot = sol.y[:dim].T, sol.y[dim:2 * dim].T
+        # rows a * k + column of J and of J-dot -> (n, dim, k) each
+        j, jdot = np.moveaxis(
+            sol.y[2 * dim:].reshape(2, dim, k, sol.t.size), -1, 1)
+        state = None
+        if dense_output:
+            def state(tau):
+                y = sol.sol(tau)
+                return y[:dim].T, y[dim:2 * dim].T
+    return SimpleNamespace(theta=theta, theta_dot=theta_dot, j=j * size,
+                           j_dot=jdot * size, state=state)
 
 
 # complex-step size: second-order terms (~1e-80) vanish against every
@@ -197,44 +194,48 @@ def _flow(metric: MetricField, theta0, v0, span, rtol: float, atol: float,
 _STEP = 1e-40
 
 
-def _exact_flow(metric: MetricField, theta0, v0, span, block, what,
-                dense_output=False, t_eval=None):
-    """``_flow`` through the metric's closed-form flow.
+def _exact_flow(metric: MetricField, theta0, v0, span, j0, jdot0, what,
+                t_eval):
+    """(theta, theta_dot, j, j_dot, state) of ``_flow`` through the
+    metric's closed-form flow, in one evaluation.
 
-    The carrier is evaluated at ``t_eval``, or at the end of the span,
-    which also checks the whole span against the chart floor.  Each column
-    of the deviation block (J, J-dot) is the derivative of the flow in the
-    direction (J, J-dot) of its start, taken by one complex step, so the
-    block costs one complex evaluation of the flow for all its columns.
+    The flow is evaluated at ``t_eval``, or at the end of the span, which
+    also checks the whole span against the chart floor.  A deviation block
+    of k columns flows from the k complex-step starts
+    (theta0 + i h J, v0 + i h J-dot): the imaginary parts over h are the
+    derivative of the flow in the direction of each column, and the real
+    part of the first is the carrier, to O(h^2).
     """
     t0, t1 = span
-    dim = metric.dim
     grid = np.asarray([t1] if t_eval is None else t_eval, float)
+    k = j0.shape[1]
+
+    def carrier(x):
+        return x[0].real if k else x
+
+    starts = (theta0 + 1j * _STEP * j0.T, v0 + 1j * _STEP * jdot0.T) if k \
+        else (theta0, v0)
     try:
-        theta, theta_dot = metric.flow(theta0, v0, grid - t0)
+        theta, theta_dot = metric.flow(*starts, grid - t0)
     except ChartBoundaryError as exc:
         tau, theta, theta_dot = exc.last_state
         raise ChartBoundaryError(
             f"{what} reached the chart boundary at tau = {t0 + tau}",
-            last_state=(t0 + tau, theta, theta_dot)) from None
-    rows = [theta.T, theta_dot.T]
-    if block is not None:
-        j0, jdot0 = block
-        theta_c, theta_dot_c = metric.flow(theta0 + 1j * _STEP * j0.T,
-                                           v0 + 1j * _STEP * jdot0.T,
-                                           grid - t0)
-        # (k, n_tau, dim) -> rows a * k + column, as in the ODE state
-        rows += [np.transpose(part.imag * (1.0 / _STEP),
-                              (2, 0, 1)).reshape(dim * j0.shape[1], grid.size)
-                 for part in (theta_c, theta_dot_c)]
-    sol = None
-    if dense_output:
-        def sol(tau):
-            tau = np.asarray(tau, float)
-            th, th_dot = metric.flow(theta0, v0, np.atleast_1d(tau) - t0)
-            y = np.concatenate([th.T, th_dot.T])
-            return y[:, 0] if tau.ndim == 0 else y
-    return SimpleNamespace(y=np.concatenate(rows), sol=sol)
+            last_state=(t0 + tau, carrier(theta), carrier(theta_dot))) \
+            from None
+    if k:
+        # (k, n_tau, dim) -> (n_tau, dim, k)
+        j, jdot = (np.moveaxis(part.imag, 0, -1) * (1.0 / _STEP)
+                   for part in (theta, theta_dot))
+    else:
+        j = jdot = np.zeros(theta.shape + (0,))
+
+    def state(tau):
+        tau = np.asarray(tau, float)
+        th, th_dot = metric.flow(theta0, v0, np.atleast_1d(tau) - t0)
+        return (th[0], th_dot[0]) if tau.ndim == 0 else (th, th_dot)
+
+    return carrier(theta), carrier(theta_dot), j, jdot, state
 
 
 def integrate_geodesic(metric: MetricField, theta0, v0, tau_end: float,
@@ -249,20 +250,12 @@ def integrate_geodesic(metric: MetricField, theta0, v0, tau_end: float,
     state at the crossing; step underflow raises StiffnessError.
     """
     taus = np.linspace(0.0, tau_end, n_out)
-    sol = _flow(metric, theta0, v0, (0.0, tau_end), tol, tol * 1e-2,
-                dense_output=True, t_eval=taus)
-    dim = metric.dim
-    theta = sol.y[:dim].T
-    theta_dot = sol.y[dim:].T
-    g = metric.eval(theta)
-    speed = np.einsum("nab,na,nb->n", g, theta_dot, theta_dot)
-    dense = sol.sol
-
-    def interp(tau):
-        y = dense(tau)
-        return y[:dim].T, y[dim:].T
-
-    return GeodesicPath(taus, theta, theta_dot, speed, _interp=interp)
+    flow = _flow(metric, theta0, v0, (0.0, tau_end), tol, tol * 1e-2,
+                 dense_output=True, t_eval=taus)
+    g = metric.eval(flow.theta)
+    speed = np.einsum("nab,na,nb->n", g, flow.theta_dot, flow.theta_dot)
+    return GeodesicPath(taus, flow.theta, flow.theta_dot, speed,
+                        _interp=flow.state)
 
 
 def _shoot(metric: MetricField, theta_init, v0, tau_span: float,
@@ -277,9 +270,9 @@ def _shoot(metric: MetricField, theta_init, v0, tau_span: float,
     ChartBoundaryError.
     """
     dim = metric.dim
-    y = _flow(metric, theta_init, v0, (0.0, tau_span), tol, tol * 1e-2,
-              block=(np.zeros((dim, dim)), np.eye(dim))).y[:, -1]
-    return y[:dim], y[2 * dim:dim * (2 + dim)].reshape(dim, dim)
+    flow = _flow(metric, theta_init, v0, (0.0, tau_span), tol, tol * 1e-2,
+                 block=(np.zeros((dim, dim)), np.eye(dim)))
+    return flow.theta[-1], flow.j[-1]
 
 
 def solve_geodesic_bvp(metric: MetricField, theta_init, theta_final,
@@ -506,13 +499,12 @@ def integrate_jacobi(metric: MetricField, theta0, v0, tau_grid, J0, DJ0,
     (J0, DJ0).  A carrier that starts outside the chart or reaches its
     boundary raises ChartBoundaryError, as in ``integrate_geodesic``.
     """
-    dim = metric.dim
     tau_grid = np.asarray(tau_grid, float)
-    sol = _flow(metric, theta0, v0, (tau_grid[0], tau_grid[-1]), rtol,
-                rtol * 1e-3, block=(J0, DJ0), what="Jacobi carrier",
-                t_eval=tau_grid)
-    theta, theta_dot, j, jdot = np.transpose(
-        sol.y.reshape(4, dim, -1), (0, 2, 1))
+    flow = _flow(metric, theta0, v0, (tau_grid[0], tau_grid[-1]), rtol,
+                 rtol * 1e-3, block=(J0, DJ0), what="Jacobi carrier",
+                 t_eval=tau_grid)
+    theta, theta_dot = flow.theta, flow.theta_dot
+    j, jdot = flow.j[..., 0], flow.j_dot[..., 0]
 
     g = metric.eval(theta)
     dj_cov = jdot + np.einsum("nabc,nb,nc->na", metric.connection(theta), j,

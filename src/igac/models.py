@@ -67,11 +67,9 @@ class _Factor:
 class StatModel:
     """Immutable parametric model; safe to share across threads."""
 
-    family: str
     theta: np.ndarray
     micro_dim: int
     param_dim: int
-    r: float = 0.0
     factors: tuple = ()    # primitive _Factor decomposition
 
     def __post_init__(self):
@@ -111,18 +109,17 @@ def gaussian_diag(means: Sequence[float], sigmas: Sequence[float]) -> StatModel:
     theta[0::2], theta[1::2] = means, sigmas
     factors = tuple(
         _Factor("gauss_pair", (2 * k, 2 * k + 1), (k,)) for k in range(l))
-    return StatModel("gaussian_diag", theta, l, 2 * l, factors=factors)
+    return StatModel(theta, l, 2 * l, factors=factors)
 
 
 def exponential(mu: float) -> StatModel:
     _check_positive("mu", mu)
-    return StatModel("exponential", [mu], 1, 1,
-                     factors=(_Factor("exponential", (0,), (0,)),))
+    return StatModel([mu], 1, 1, factors=(_Factor("exponential", (0,), (0,)),))
 
 
 def wigner_dyson(mu: float) -> StatModel:
     _check_positive("mu", mu)
-    return StatModel("wigner_dyson", [mu], 1, 1,
+    return StatModel([mu], 1, 1,
                      factors=(_Factor("wigner_dyson", (0,), (0,)),))
 
 
@@ -132,7 +129,7 @@ def gaussian_bivariate_corr(mu_x: float, mu_y: float, sigma: float,
     _check_positive("sigma", sigma)
     if not -1.0 < r < 1.0:
         raise ValueError(f"correlation r must lie in (-1, 1), got {r}")
-    return StatModel("gaussian_bivariate_corr", [mu_x, mu_y, sigma], 2, 3, r=r,
+    return StatModel([mu_x, mu_y, sigma], 2, 3,
                      factors=(_Factor("gauss_biv", (0, 1, 2), (0, 1), r=r),))
 
 
@@ -148,7 +145,7 @@ def product(*models: StatModel) -> StatModel:
                                    tuple(i + m_off for i in f.micro_at), f.r))
         p_off += m.param_dim
         m_off += m.micro_dim
-    return StatModel("product", theta, m_off, p_off, factors=tuple(factors))
+    return StatModel(theta, m_off, p_off, factors=tuple(factors))
 
 
 def with_theta(model: StatModel, theta) -> StatModel:
@@ -161,8 +158,8 @@ def with_theta(model: StatModel, theta) -> StatModel:
         if scale <= 0:
             raise ValueError(f"scale parameter at index {f.theta_at[-1]} "
                              f"must stay positive, got {scale}")
-    return StatModel(model.family, theta, model.micro_dim, model.param_dim,
-                     r=model.r, factors=model.factors)
+    return StatModel(theta, model.micro_dim, model.param_dim,
+                     factors=model.factors)
 
 
 # ---------------------------------------------------------------------------
@@ -763,8 +760,9 @@ def _factor_box(f: _Factor, th):
     return [(mux - w, mux + w), (muy - w, muy + w)]
 
 
-def _factor_grid(f, th, n_axis=256):
-    axes = [legendre_panels(lo, hi, n_axis, max_panel_ratio=1e18)
+def _factor_grid(f, th):
+    # 256 nodes per axis of the factor's box
+    axes = [legendre_panels(lo, hi, 256, max_panel_ratio=1e18)
             for lo, hi in _factor_box(f, th)]
     if len(axes) == 1:
         return axes[0][0][:, None], axes[0][1]

@@ -44,9 +44,10 @@ _NEWTON_STEPS = 100
 _HALVINGS = 60
 
 
-def _composite_grid(lo: float, hi: float, total: int = _GRID_POINTS):
-    """Uniform composite Gauss-Legendre rule; nodes cluster at panel edges."""
-    n_panels = max(total // _PANEL_NODES, 1)
+def _composite_grid(lo: float, hi: float):
+    """Uniform composite Gauss-Legendre rule of ``_GRID_POINTS`` nodes;
+    nodes cluster at panel edges."""
+    n_panels = _GRID_POINTS // _PANEL_NODES
     t, w = gauss_legendre(_PANEL_NODES)
     edges = np.linspace(lo, hi, n_panels + 1)
     half = 0.5 * np.diff(edges)

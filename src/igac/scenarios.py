@@ -159,12 +159,12 @@ def _linear_slope(taus, values, lo_frac=0.25):
 # uncorrelated Gaussian macrostates
 # ---------------------------------------------------------------------------
 
-def _gauss_semicircle_data(l, rate=1.0):
+def _gauss_semicircle_data(l):
     """Per-pair start at the top of a (mean, spread) semicircle geodesic:
-    theta = (0, 1), v = (sqrt(2) rate, 0); the explored volume of each pair
-    then grows like exp(rate * tau)."""
+    theta = (0, 1), v = (sqrt(2), 0); the explored volume of each pair
+    then grows like exp(tau)."""
     theta0 = np.tile([0.0, 1.0], l)
-    v0 = np.tile([np.sqrt(2.0) * rate, 0.0], l)
+    v0 = np.tile([np.sqrt(2.0), 0.0], l)
     return theta0, v0
 
 
@@ -1132,7 +1132,11 @@ def run_wavepacket(cfg: ScatterConfig,
     cfg0 = replace(cfg, r=0.0)
     report.add("prolongation_at_r0", prolongation(cfg0)["delta"], 0.0, 1e-14,
                "no correlation, no delay")
+    # Delta is defined below r* = 1 - (1 + 1/eta)^-2, which can lie
+    # below the sweep's end
+    r_star = 1.0 - (1.0 + 1.0 / pro["eta_delta"]) ** -2
     sweep = np.linspace(0.0, 0.9 * pro["r_upper_bound"], 24)
+    sweep = sweep[sweep < r_star]
     deltas = _prolongation_delta(params, sweep)
     report.add("prolongation_monotone",
                float(np.min(np.diff(deltas))), 0.0, 1e-15,

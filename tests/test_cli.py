@@ -911,3 +911,69 @@ def test_curvature_op_expands_riemann_once(tmp_path, monkeypatch):
                    f"output: {{directory: '{tmp_path}/out'}}\n")
     assert cli.main(["curvature", "--config", str(cfg)]) == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("config", DEMO_CONFIGS, ids=lambda p: p.stem)
+def test_demo_config_outputs_are_byte_identical(tmp_path, config):
+    # every file a demo writes repeats byte for byte on a second run
+    command = config.stem if config.stem in cli._COMMANDS else "scenario"
+    for run in ("a", "b"):
+        assert cli.main([command, "--config", str(config),
+                         "--out", str(tmp_path / run)]) == 0
+    names = sorted(p.name for p in (tmp_path / "a").iterdir())
+    assert names and names == sorted(p.name for p in
+                                     (tmp_path / "b").iterdir())
+    for name in names:
+        assert (tmp_path / "a" / name).read_bytes() == \
+            (tmp_path / "b" / name).read_bytes(), name
+
+
+def test_mre_update_scenario_matches_mre_command(tmp_path):
+    # the scenario route runs the same solve as `igac mre` on one problem
+    problem = {"prior": {"family": "uniform", "lo": -20.0, "hi": 20.0},
+               "constraints": [{"f": "identity", "target": 0.0},
+                               {"f": "square", "target": 1.0}]}
+    reports = {}
+    for command, cfg in (("mre", {"mre": problem}),
+                         ("scenario", {"scenario": "mre_update",
+                                       "parameters": problem})):
+        cfg["output"] = {"directory": str(tmp_path / command)}
+        assert _main_with_config(tmp_path, command, cfg) == 0
+        reports[command] = json.loads(
+            (tmp_path / command / "report.json").read_text())
+    mre_report, scenario_report = reports["mre"], reports["scenario"]
+    assert scenario_report["pass"] is True
+    assert scenario_report["checks"] == mre_report["checks"]
+    assert scenario_report["observables"] == mre_report["observables"]
+
+
+def test_jacobi_config_dj0_is_used(tmp_path):
+    # the field is linear in (J0, DJ0): doubling dj0 doubles the intensity
+    finals = []
+    for scale in (0.5, 1.0):
+        cfg = {"manifold": yaml.safe_load(DIAG_2D), "theta0": [0.0, 1.0],
+               "v0": [1.0, 0.0], "tau_end": 2.0, "dj0": [0.0, scale],
+               "output": {"directory": str(tmp_path / str(scale))}}
+        assert _main_with_config(tmp_path, "jacobi", cfg) == 0
+        report = json.loads(
+            (tmp_path / str(scale) / "report.json").read_text())
+        assert report["inputs"]["dj0"] == [0.0, scale]
+        finals.append(report["observables"]["final_intensity"])
+    assert finals[1] == pytest.approx(2.0 * finals[0], rel=1e-12)
+
+
+def test_wavepacket_sweep_stays_in_the_prolongation_domain(tmp_path):
+    # p0 = 0.5, sigma0 = 1 give eta = 1: the sweep runs to 0.9 * 2/eta =
+    # 1.8, past r* = 1 - (1 + 1/eta)^-2 = 0.75 where Delta's logarithm
+    # loses its argument; the points from r* on are left out
+    cfg = tmp_path / "wp.yaml"
+    cfg.write_text("scenario: wavepacket\n"
+                   "parameters: {p0: 0.5, sigma0: 1.0, r: 0.01}\n"
+                   f"output: {{directory: '{tmp_path}/out'}}\n")
+    with pytest.warns(UserWarning, match="sigma0/p0 above 0.3"):
+        assert cli.main(["scenario", "--config", str(cfg)]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["pass"] is True
+    assert all(chk["pass"] for chk in report["checks"])
+    assert report["observables"]["prolongation"]["eta_delta"] == \
+        pytest.approx(1.0)

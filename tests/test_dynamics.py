@@ -77,7 +77,9 @@ def test_jacobi_carrier_at_chart_boundary_carries_state():
     tau, theta, theta_dot = err.value.last_state
     assert 0 < tau < 50.0
     assert theta[2] == pytest.approx(1e-8, rel=1e-3)
-    assert theta_dot.shape == (3,)
+    # the real carrier, not the complex-step column that carries it
+    assert theta.shape == theta_dot.shape == (3,)
+    assert not np.iscomplexobj(theta) and not np.iscomplexobj(theta_dot)
 
 
 def test_bvp_flat():
@@ -121,6 +123,109 @@ def test_bvp_failure_reports_residual():
         dyn.solve_geodesic_bvp(metric, th0, [mu1, mu2, sig], tau_span,
                                tol=1e-12, max_iter=1)
     assert err.value.best_residual > 0
+
+
+PAIR = md.analytic_fisher(md.gaussian_diag([0.0], [1.0]))
+
+
+@pytest.fixture
+def shots(monkeypatch):
+    """(v, outcome) of every shot the BVP takes while the test runs, the
+    outcome "ok" or "exit" for one that left the chart."""
+    log = []
+    shoot = dyn._shoot
+
+    def recording(metric, theta, v, tau_span, tol):
+        try:
+            out = shoot(metric, theta, v, tau_span, tol)
+        except ChartBoundaryError:
+            log.append((np.copy(v), "exit"))
+            raise
+        log.append((np.copy(v), "ok"))
+        return out
+
+    monkeypatch.setattr(dyn, "_shoot", recording)
+    return log
+
+
+@pytest.mark.parametrize("flow", ["closed", "ode"])
+def test_bvp_halves_shots_that_leave_the_chart(shots, flow):
+    # the straight-line guess v = (28, 0) dives through the floor of the
+    # (mean, spread) half-plane and is halved back in; the first Newton
+    # candidate after it dives too, and is halved toward the accepted v
+    metric = PAIR if flow == "closed" else ode_flow(PAIR)
+    path = dyn.solve_geodesic_bvp(metric, [-14.0, 1.0], [14.0, 1.0], 1.0)
+    assert np.max(np.abs(path.theta[-1] - [14.0, 1.0])) < 1e-8
+    assert [outcome for _, outcome in shots[:4]] == ["exit", "ok", "exit",
+                                                     "exit"]
+    (guess, _), (v, _), (cand, _), (next_cand, _) = shots[:4]
+    assert np.array_equal(v, 0.5 * guess)
+    assert np.allclose(next_cand - v, 0.5 * (cand - v), rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("flow", ["closed", "ode"])
+def test_bvp_without_an_in_chart_shot_reports_no_residual(shots, flow):
+    # from a start on the floor every horizontal shot dives below it, down
+    # to v = 1e10 / 2^59 (a = 0.6 in the half-plane's rate)
+    metric = PAIR if flow == "closed" else ode_flow(PAIR)
+    floor = md._CHART_FLOOR
+    with pytest.raises(BvpFailureError, match="no in-chart initial shot") \
+            as err:
+        dyn.solve_geodesic_bvp(metric, [0.0, floor], [1e10, floor], 1.0)
+    assert err.value.best_residual == np.inf
+    assert [outcome for _, outcome in shots] == ["exit"] * 60
+
+
+@pytest.mark.parametrize("flow", ["closed", "ode"])
+def test_bvp_exhausted_line_search_reports_best_residual(shots, flow):
+    # at tol = 0 Newton runs until no halved step lowers the residual
+    metric = PAIR if flow == "closed" else ode_flow(PAIR)
+    with pytest.raises(BvpFailureError, match="did not reach") as err:
+        dyn.solve_geodesic_bvp(metric, [0.2, 1.1], [-0.1, 1.5], 1.0,
+                               tol=0.0, max_iter=1000)
+    assert 0.0 <= err.value.best_residual < 1e-8
+    assert len(shots) < 1000
+    assert all(outcome == "ok" for _, outcome in shots)
+
+
+def test_closed_form_flows_evaluate_once(monkeypatch, shots):
+    """A closed-form Jacobi field and each BVP shot take one
+    ``MetricField.flow`` call: the complex-step evaluation, whose first
+    column carries the geodesic in its real part."""
+    calls = []
+    flow = md.MetricField.flow
+    monkeypatch.setattr(md.MetricField, "flow", lambda m, *args:
+                        calls.append(args) or flow(m, *args))
+    metric = wavepacket_metric(0.3)
+    p, th0, v0 = wavepacket_start(0.3)
+    dyn.integrate_jacobi(metric, th0, v0, np.linspace(0.0, 5.0 / p.a0, 9),
+                         np.zeros(3), dyn.normal_direction(metric, th0, v0))
+    assert len(calls) == 1
+    calls.clear()
+    metric, start, end = BVP_WORK_CASES[1]
+    dyn.solve_geodesic_bvp(metric, start, end, 1.0, tol=1e-8)
+    # the shots, then the final path
+    assert len(calls) == len(shots) + 1
+
+
+def test_flow_returns_the_arrays_its_callers_read():
+    p, th0, v0 = wavepacket_start(0.3)
+    grid = np.linspace(0.0, 2.0, 7)
+    block = (np.zeros((3, 2)), np.eye(3)[:, :2])
+    for metric in (wavepacket_metric(0.3), ode_flow(wavepacket_metric(0.3))):
+        out = dyn._flow(metric, th0, v0, (0.0, 2.0), 1e-10, 1e-12,
+                        block=block, t_eval=grid)
+        assert not hasattr(out, "y")
+        assert out.theta.shape == out.theta_dot.shape == (7, 3)
+        assert out.j.shape == out.j_dot.shape == (7, 3, 2)
+        bare = dyn._flow(metric, th0, v0, (0.0, 2.0), 1e-10, 1e-12,
+                         t_eval=grid, dense_output=True)
+        assert bare.j.shape == (7, 3, 0)
+        assert np.allclose(bare.theta, out.theta, rtol=1e-9, atol=1e-12)
+        theta, theta_dot = bare.state(grid[3])
+        assert np.allclose(theta, bare.theta[3], rtol=1e-9, atol=1e-12)
+        assert np.allclose(theta_dot, bare.theta_dot[3], rtol=1e-9,
+                           atol=1e-12)
 
 
 BVP_WORK_CASES = [

@@ -190,15 +190,16 @@ def test_floor_crossing_is_exact(case):
 
 
 def test_tiny_deviation_is_flowed_at_unit_size():
-    # J0 = DJ0 = 1e-158 on a carrier at rest: J = 1e-158 (1 + tau).  DOP853
-    # on the raw column squares its error estimate to 0 and divides 0/0
+    # on a carrier at rest J = J0 + DJ0 tau: J0 = DJ0 = 1e-158, and a unit
+    # J0 beside DJ0 = 1.97e-158.  DOP853 on the raw column squares its
+    # error estimate to 0 and divides 0/0
     metric = md.analytic_fisher(md.exponential(1.0))
     grid = np.linspace(0.0, 1.0, 5)
-    for m in (metric, ode_flow(metric)):
-        trace = dyn.integrate_jacobi(m, [1.0], [0.0], grid, [1e-158],
-                                     [1e-158])
-        assert trace.j[:, 0] == pytest.approx(1e-158 * (1.0 + grid),
-                                              rel=1e-12, abs=0.0)
+    for j0, dj0 in ((1e-158, 1e-158), (1.0, 1.97e-158)):
+        for m in (metric, ode_flow(metric)):
+            trace = dyn.integrate_jacobi(m, [1.0], [0.0], grid, [j0], [dj0])
+            assert trace.j[:, 0] == pytest.approx(j0 + dj0 * grid,
+                                                  rel=1e-12, abs=0.0)
 
 
 def test_block_at_rest_stays_put():
