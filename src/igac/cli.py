@@ -3,7 +3,12 @@
 Subcommands: curvature, geodesic, jacobi, ige, mre, scenario.  Configs are
 YAML documents; all validation failures are reported together with the path
 of the offending field.  Every number must be finite, except the ends of an
-MrE ``domain``.  Outputs are a JSON report plus CSV traces with the fixed
+MrE ``domain``.  Of a scenario driver's parameters this module checks the
+structure only (each required key present and of its type, each vector a
+list of numbers) and finiteness: the ranges live in the driver's config
+(``scenarios.IHOConfig``, ``scenarios.ScatterConfig``) or in
+``scenarios.check_parameters``, and each of their failures is reported at
+its config path.  Outputs are a JSON report plus CSV traces with the fixed
 header ``tau,theta_1..theta_N,speed,delta_v,igc,ige,jacobi_intensity``
 (columns absent when not computed), floats printed with 17 significant
 digits, LF line endings.  Exit status: 0 all oracle checks pass, 1 usage or
@@ -27,7 +32,7 @@ from . import geometry as geo
 from . import models as md
 from . import mre
 from . import scenarios as sc
-from .errors import ConfigError, IgacError
+from .errors import ConfigError, IgacError, ParameterError
 
 _SCENARIOS = ("uncorrelated_gaussian", "macro_correlated", "iho",
               "spin_chain", "wavepacket", "custom_manifold", "mre_update")
@@ -41,7 +46,20 @@ _SCATTER_FIELDS = {"p0": "p0", "sigma0": "sigma0", "tau0": "tau0",
                    "mu_mass": "mu_mass", "r": "r"}
 
 # the geodesic start of a scenario, each key optional
-_START_KEYS = ("theta0", "v0", "tau_end")
+_START = ("theta0", "v0", "tau_end")
+# the keys each driver scenario reads, whose ranges its driver checks
+_SCENARIO_KEYS = {"uncorrelated_gaussian": ("l", *_START),
+                  "macro_correlated": ("l", "r", *_START),
+                  "iho": ("l", "omega", "omega_total", "xi", "tau_end"),
+                  "spin_chain": ("regime", *_START),
+                  "wavepacket": (*_SCATTER_FIELDS, "r_sweep")}
+# the keys a scenario requires, with their types (None: any)
+_REQUIRED = {"uncorrelated_gaussian": {"l": int}, "iho": {"l": int},
+             "macro_correlated": {"l": int, "r": None},
+             "spin_chain": {"regime": str}}
+
+# the config key of each ScatterConfig field
+_CONFIG_KEYS = {field: key for key, field in _SCATTER_FIELDS.items()}
 
 # libyaml's parser when PyYAML was built with it; both loaders share the
 # safe resolver and constructor, so they accept the same documents
@@ -51,9 +69,10 @@ _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 def parse_config(text: str, command: str = "scenario") -> dict:
     """Validated config with defaults filled, or ConfigError listing every
     failure with its field path.  One walk rejects every nan or infinite
-    number; the field checks below then test type, sign and range only.
-    A scenario key the config leaves out is left out here too: its default
-    lives in the driver."""
+    number; the field checks below then test type, sign and range only,
+    those of a scenario driver through the driver's own checks.  A scenario
+    key the config leaves out is left out here too: its default lives in
+    the driver."""
     try:
         raw = yaml.load(text, Loader=_LOADER) or {}
     except (yaml.YAMLError, ValueError) as exc:
@@ -81,19 +100,20 @@ def parse_config(text: str, command: str = "scenario") -> dict:
                          f"must be a nonempty subset of {_FORMATS}"))
     cfg["output"] = output
 
+    nonfinite = []
+    _walk_nonfinite(cfg, "", _open_ends(cfg, command), nonfinite)
+    # a field check adds nothing at a path the walk already rejected
+    bad = {path for path, _ in nonfinite}
     if command == "scenario":
-        _validate_scenario(cfg, failures)
+        _validate_scenario(cfg, failures, bad)
     elif command in ("curvature", "geodesic", "jacobi", "ige"):
         _validate_manifold_command(cfg, command, failures)
     elif command == "mre":
         _validate_mre(cfg.get("mre"), "mre", failures)
-        _check_positive(cfg.get("tol", 1e-12), "tol", failures)
+        # a zero tolerance would leave the solver running unbounded
+        failures += md.positive_failures({"tol": cfg.get("tol", 1e-12)})
 
-    nonfinite = []
-    _walk_nonfinite(cfg, "", _open_ends(cfg, command), nonfinite)
     if nonfinite or failures:
-        # a field check adds nothing at a path the walk already rejected
-        bad = {path for path, _ in nonfinite}
         raise ConfigError(nonfinite + [f for f in failures
                                        if f[0] not in bad])
     return cfg
@@ -144,20 +164,6 @@ def _is_number(val) -> bool:
     return isinstance(val, (int, float)) and not isinstance(val, bool)
 
 
-def _check_positive(val, path, failures):
-    """Record a failure unless ``val`` is a positive number; a zero
-    tolerance would leave a solver running unbounded."""
-    if not _is_number(val) or not val > 0.0:
-        failures.append((path, f"must be a positive number, got {val!r}"))
-
-
-def _check_positive_keys(params, keys, failures):
-    """``_check_positive`` on each of ``keys`` that ``params`` sets."""
-    for key in keys:
-        if key in params:
-            _check_positive(params[key], f"parameters.{key}", failures)
-
-
 def _check_vector(val, path, dim, failures):
     """``val`` must be a list of numbers, with ``dim`` entries unless
     ``dim`` is None."""
@@ -167,15 +173,6 @@ def _check_vector(val, path, dim, failures):
     elif dim is not None and len(val) != dim:
         failures.append((path, f"needs {dim} components for this manifold, "
                          f"got {len(val)}"))
-
-
-def _check_correlations(r, path, failures):
-    """Each macro-correlation a number in [0, 1); returns their count."""
-    rs = list(r) if isinstance(r, (list, tuple)) else [r]
-    for i, ri in enumerate(rs):
-        if not _is_number(ri) or not 0.0 <= ri < 1.0:
-            failures.append((f"{path}[{i}]", f"must lie in [0, 1), got {ri}"))
-    return len(rs)
 
 
 def _req(mapping, key, path, failures, types=None):
@@ -192,7 +189,7 @@ def _req(mapping, key, path, failures, types=None):
     return val
 
 
-def _validate_scenario(cfg, failures):
+def _validate_scenario(cfg, failures, nonfinite):
     name = cfg.get("scenario")
     if name not in _SCENARIOS:
         failures.append(("scenario",
@@ -205,92 +202,58 @@ def _validate_scenario(cfg, failures):
         cfg["parameters"] = params
     if not isinstance(params, dict):
         failures.append(("parameters", "must be a mapping"))
-        return
-    l = None
-    if name in ("uncorrelated_gaussian", "macro_correlated", "iho"):
-        l = _req(params, "l", "parameters", failures, int)
-        if l is not None and l < 1:
-            failures.append(("parameters.l", "must be at least 1"))
-            l = None
-    if name in ("uncorrelated_gaussian", "macro_correlated"):
-        # (mean, spread) pairs: every odd coordinate is a spread
-        dim = 2 * l if l else None
-        _check_start(params, dim, range(1, dim or 0, 2), failures)
-    if name == "macro_correlated":
-        r = _req(params, "r", "parameters", failures)
-        if r is not None:
-            n_r = _check_correlations(r, "parameters.r", failures)
-            if l and n_r not in (1, l):
-                failures.append(("parameters.r", f"needs 1 or l = {l} "
-                                 f"correlations, got {n_r}"))
-    if name == "iho":
-        if "omega" not in params and "omega_total" not in params:
-            failures.append(("parameters.omega",
-                             "provide omega or omega_total"))
-        if "omega" in params:
-            omega = params["omega"]
-            _check_vector(omega, "parameters.omega", l, failures)
-            for i, w in enumerate(omega if isinstance(omega, list) else []):
-                if _is_number(w) and not w > 0:
-                    failures.append((f"parameters.omega[{i}]",
-                                     f"must be positive, got {w!r}"))
-        _check_positive_keys(params, ("omega_total", "xi"), failures)
-        tau_end = params.get("tau_end")
-        if "tau_end" in params and not (_is_number(tau_end)
-                                        and tau_end > sc._IHO_FIT_START):
-            failures.append(("parameters.tau_end",
-                             f"must be a number above the start "
-                             f"{sc._IHO_FIT_START} of the slope fit, got "
-                             f"{tau_end!r}"))
-    if name == "spin_chain":
-        regime = _req(params, "regime", "parameters", failures, str)
-        if regime is not None and regime not in _SPIN_CHAIN_STARTS:
-            failures.append(("parameters.regime",
-                             f"must be regular or chaotic, got {regime!r}"))
-        _check_start(params, *_SPIN_CHAIN_STARTS.get(regime, (None, ())),
-                     failures)
-    if name == "wavepacket":
-        r = params.get("r")
-        if "r" in params and not (_is_number(r) and 0.0 <= r < 1.0):
-            failures.append(("parameters.r", f"must lie in [0, 1), got {r}"))
-        sweep = params.get("r_sweep")
-        if isinstance(sweep, (list, tuple)) and sweep:
-            _check_correlations(sweep, "parameters.r_sweep", failures)
-        elif "r_sweep" in params:
-            failures.append(("parameters.r_sweep", "must be a nonempty list "
-                             f"of correlations, got {sweep!r}"))
-        _check_positive_keys(params, [key for key in _SCATTER_FIELDS
-                                      if key != "r"], failures)
-    if name == "custom_manifold":
+    elif name == "custom_manifold":
         dim = _validate_manifold(params.get("manifold"),
                                  "parameters.manifold", failures)
         if "theta" not in params:
             failures.append(("parameters.theta", "missing required key"))
         else:
             _check_vector(params["theta"], "parameters.theta", dim, failures)
-    if name == "mre_update":
+    elif name == "mre_update":
         _validate_mre(params, "parameters", failures)
+    else:
+        _check_parameters(name, params, failures, nonfinite)
 
 
-# spin-chain regime: (dimension, indices of the scale coordinates)
-_SPIN_CHAIN_STARTS = {"regular": (2, (0, 1)), "chaotic": (3, (0, 2))}
-
-
-def _check_start(params, dim, scales, failures):
-    """The geodesic start of a scenario: ``theta0`` and ``v0`` with ``dim``
-    numbers each (any count when ``dim`` is None), the ``scales`` of
-    ``theta0`` positive, and a positive ``tau_end``."""
-    for key in ("theta0", "v0"):
-        if key in params:
-            _check_vector(params[key], f"parameters.{key}", dim, failures)
-    theta0 = params.get("theta0")
-    if dim is not None and isinstance(theta0, (list, tuple)) and \
-            len(theta0) == dim and all(_is_number(x) for x in theta0):
-        for i in scales:
-            if not theta0[i] > 0:
-                failures.append((f"parameters.theta0[{i}]",
-                                 f"must be positive, got {theta0[i]!r}"))
-    _check_positive_keys(params, ("tau_end",), failures)
+def _check_parameters(name, params, failures, nonfinite):
+    """Record each required key that is missing or not of its type, each
+    vector that is no list of numbers and each key set to null.  Then run
+    the driver's own range checks on the keys with neither such a failure
+    nor a path in ``nonfinite``, and record each of their failures at its
+    config path."""
+    for key, types in _REQUIRED.get(name, {}).items():
+        _req(params, key, "parameters", failures, types)
+    for key in ("theta0", "v0", "omega"):
+        if key in params and key in _SCENARIO_KEYS[name]:
+            _check_vector(params[key], f"parameters.{key}", None, failures)
+    recorded = {path for path, _ in failures}
+    for key in _SCENARIO_KEYS[name]:
+        # a driver reads None as unset, which a config says by leaving the
+        # key out
+        if key in params and params[key] is None and \
+                f"parameters.{key}" not in recorded:
+            failures.append((f"parameters.{key}", "must not be null"))
+    failed = {path.partition("[")[0]
+              for path in nonfinite | {path for path, _ in failures}}
+    typed = {key: params[key] for key in _SCENARIO_KEYS[name]
+             if key in params and f"parameters.{key}" not in failed}
+    if name == "iho":
+        # IHOConfig reads omega and omega_total together: it checks a
+        # config only when each of its IHO keys is sound
+        whole = "l" in typed and \
+            typed.keys() == params.keys() & set(_SCENARIO_KEYS[name])
+        checks = [lambda: sc.IHOConfig(**typed)] if whole else []
+    elif name == "wavepacket":
+        checks = [lambda: _scatter_config(typed),
+                  lambda: sc.check_parameters(r_sweep=typed.get("r_sweep"))]
+    else:
+        checks = [lambda: sc.check_parameters(**typed)]
+    for check in checks:
+        try:
+            check()
+        except ParameterError as exc:
+            failures += [(f"parameters.{_CONFIG_KEYS.get(field, field)}", msg)
+                         for field, msg in exc.failures]
 
 
 def _validate_manifold(spec, path, failures):
@@ -340,7 +303,10 @@ def _validate_manifold(spec, path, failures):
     elif kind == "macro_correlated":
         r = _req(spec, "r", path, failures, (list, tuple, int, float))
         if r is not None:
-            dim = 2 * _check_correlations(r, f"{path}.r", failures)
+            rs = r if isinstance(r, list) else [r]
+            failures += md.correlation_failures(
+                {f"{path}.r[{i}]": ri for i, ri in enumerate(rs)})
+            dim = 2 * len(rs)
     elif kind == "product":
         factors = _req(spec, "factors", path, failures, list)
         dims = [_validate_manifold(sub, f"{path}.factors[{i}]", failures)
@@ -654,30 +620,31 @@ def _given(params, keys):
     return {key: params[key] for key in keys if key in params}
 
 
+def _scatter_config(params):
+    """The ScatterConfig of the wave-packet keys that ``params`` sets."""
+    return sc.ScatterConfig(**{field: params[key] for key, field in
+                               _SCATTER_FIELDS.items() if key in params})
+
+
+# the scenarios whose config keys are their driver's keyword arguments
+_DRIVERS = {"uncorrelated_gaussian": sc.run_uncorrelated_gaussian,
+            "macro_correlated": sc.run_macro_correlated,
+            "spin_chain": sc.run_spin_chain}
+
+
 def _run_named_scenario(cfg):
     name = cfg["scenario"]
     params = cfg["parameters"]
     num = cfg["numerics"]
-    if name == "uncorrelated_gaussian":
-        return sc.run_uncorrelated_gaussian(params["l"],
-                                            **_given(params, _START_KEYS))
-    if name == "macro_correlated":
-        return sc.run_macro_correlated(params["l"], params["r"],
-                                       **_given(params, _START_KEYS))
+    if name in _DRIVERS:
+        return _DRIVERS[name](**_given(params, _SCENARIO_KEYS[name]))
     if name == "iho":
-        kw = _given(params, ("omega_total", "xi", "tau_end"))
-        if "omega" in params:
-            kw["omega"] = tuple(params["omega"])
-        return sc.run_iho(sc.IHOConfig(params["l"], **kw))
-    if name == "spin_chain":
-        return sc.run_spin_chain(params["regime"],
-                                 **_given(params, _START_KEYS))
+        return sc.run_iho(sc.IHOConfig(**_given(params,
+                                                _SCENARIO_KEYS["iho"])))
     if name == "wavepacket":
-        scfg = sc.ScatterConfig(**{field: params[key] for key, field in
-                                   _SCATTER_FIELDS.items() if key in params})
         kw = {"r_sweep": tuple(params["r_sweep"])} \
             if "r_sweep" in params else {}
-        return sc.run_wavepacket(scfg, **kw)
+        return sc.run_wavepacket(_scatter_config(params), **kw)
     if name == "custom_manifold":
         sub = {"manifold": params["manifold"], "theta": params["theta"],
                "numerics": num}

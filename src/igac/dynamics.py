@@ -34,11 +34,12 @@ from .errors import (
     BvpFailureError,
     ChartBoundaryError,
     DegeneratePlaneError,
+    ParameterError,
     StiffnessError,
     UndefinedRateError,
 )
 from .geometry import connection_jet
-from .models import MetricField
+from .models import MetricField, correlation_failures, positive_failures
 
 __all__ = [
     "GeodesicPath",
@@ -93,12 +94,16 @@ def _variational_rhs(metric, k: int):
     J-ddot^a = -d_d Gamma^a_bc v^b v^c J^d - 2 Gamma^a_bc v^b J-dot^c,
     column by column.  Gamma and its derivative come from one
     ``connection_jet`` call per step stage, which evaluates the metric
-    family's closed-form connection.
+    family's closed-form connection; with k = 0 that call reads Gamma
+    alone.
     """
     dim = metric.dim
 
     def rhs(_tau, y):
         th, v = y[:dim], y[dim:2 * dim]
+        if not k:
+            gv = metric.connection(th) @ v
+            return np.concatenate([v, -gv @ v])
         j, jdot = y[2 * dim:].reshape(2, dim, k)
         gam, dgam = connection_jet(metric, th)
         gv = gam @ v                      # gv[a, b] = Gamma^a_bc v^c
@@ -286,7 +291,8 @@ def solve_geodesic_bvp(metric: MetricField, theta_init, theta_final,
     Numerical Analysis, section 7.3).  The Newton step is halved whenever
     the endpoint mismatch grows.  A start or end point outside the open
     chart raises ChartBoundaryError; failure to converge raises
-    BvpFailureError with the best residual reached.
+    BvpFailureError with the best residual reached, its message naming
+    why shooting stopped and how many shots it took.
     """
     theta_init = np.asarray(theta_init, float)
     theta_final = np.asarray(theta_final, float)
@@ -295,8 +301,11 @@ def solve_geodesic_bvp(metric: MetricField, theta_init, theta_final,
             raise ChartBoundaryError(
                 f"{name} point {point} outside the open chart")
     flow_tol = max(min(tol * 1e-3, 1e-10), 1e-13)
+    shots = 0
 
     def shoot(v):
+        nonlocal shots
+        shots += 1
         end, jac = _shoot(metric, theta_init, v, tau_span, flow_tol)
         return end - theta_final, jac
 
@@ -311,6 +320,7 @@ def solve_geodesic_bvp(metric: MetricField, theta_init, theta_final,
         raise BvpFailureError("no in-chart initial shot found",
                               best_residual=np.inf)
     best = float(np.linalg.norm(res))
+    stop = f"Newton reached its cap of {max_iter} iterations"
     for _ in range(max_iter):
         if best < tol:
             break
@@ -333,13 +343,14 @@ def solve_geodesic_bvp(metric: MetricField, theta_init, theta_final,
                 break
             lam *= 0.5
         else:
+            stop = f"no halved Newton step lowered the residual {best}"
             break
     if best < tol:
         return integrate_geodesic(metric, theta_init, v, tau_span,
                                   tol=flow_tol, n_out=n_out)
     raise BvpFailureError(
-        f"shooting did not reach tolerance {tol} in {max_iter} iterations",
-        best_residual=best)
+        f"shooting did not reach tolerance {tol} after {shots} shots: "
+        f"{stop}", best_residual=best)
 
 
 # ---------------------------------------------------------------------------
@@ -361,11 +372,11 @@ class WavePacketParams:
     r: float = 0.0
 
     def __post_init__(self):
-        for name in ("p0", "sigma0", "tau0"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
-        if not 0.0 <= self.r < 1.0:
-            raise ValueError(f"correlation r must lie in [0, 1), got {self.r}")
+        failures = positive_failures({"p0": self.p0, "sigma0": self.sigma0,
+                                      "tau0": self.tau0}) \
+            + correlation_failures({"r": self.r})
+        if failures:
+            raise ParameterError(failures)
 
     @property
     def a0(self) -> float:

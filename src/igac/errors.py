@@ -84,14 +84,19 @@ class RegimeError(IgacError):
     """Input parameters violate a validity bound of the modeled regime."""
 
 
-class ConfigError(IgacError):
-    """One or more configuration fields failed validation.
+class ParameterError(IgacError, ValueError):
+    """One or more parameters lie outside their domain.
 
-    ``failures`` is a list of (path, message) pairs covering every problem
-    found, not just the first.
+    ``failures`` is a list of (field, message) pairs covering every problem
+    found, not just the first; an entry of a vector field is ``field[i]``.
     """
 
     def __init__(self, failures):
         self.failures = list(failures)
-        lines = "; ".join(f"{path}: {msg}" for path, msg in self.failures)
-        super().__init__(f"invalid configuration: {lines}")
+        super().__init__("; ".join(f"{field}: {msg}"
+                                   for field, msg in self.failures))
+
+
+class ConfigError(ParameterError):
+    """One or more configuration fields failed validation; the field of
+    each failure is its path in the config."""

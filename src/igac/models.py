@@ -21,6 +21,7 @@ All spread coordinates live on the open half line (0, inf).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 from typing import Callable, Sequence
 
 import numpy as np
@@ -29,6 +30,7 @@ from .errors import (
     ChartBoundaryError,
     DegenerateMetricError,
     DomainError,
+    ParameterError,
     QuadratureAccuracyError,
     UnsupportedFamilyError,
 )
@@ -51,6 +53,8 @@ __all__ = [
     "flat_metric",
     "normalization_residual",
     "score_expectation_residual",
+    "positive_failures",
+    "correlation_failures",
 ]
 
 @dataclass(frozen=True, eq=False)
@@ -90,6 +94,23 @@ def _frozen(arr):
     a = np.array(arr, dtype=float)
     a.flags.writeable = False
     return a
+
+
+def positive_failures(values: dict) -> list:
+    """(field, message) of each entry of ``values`` that is no positive
+    number; a bool is none."""
+    return [(name, f"must be a positive number, got {x}")
+            for name, x in values.items()
+            if not (isinstance(x, Real) and not isinstance(x, bool) and x > 0)]
+
+
+def correlation_failures(values: dict) -> list:
+    """(field, message) of each entry of ``values`` that is no number in
+    [0, 1)."""
+    return [(name, f"must lie in [0, 1), got {x}")
+            for name, x in values.items()
+            if not (isinstance(x, Real) and not isinstance(x, bool)
+                    and 0.0 <= x < 1.0)]
 
 
 def _check_positive(name, value):
@@ -657,10 +678,12 @@ def macro_correlated_metric(r_values: Sequence[float]) -> MetricField:
     Per-pair line element (d mu^2 + 2 r d mu d sigma + 2 d sigma^2) / sigma^2;
     the r_j are model constants, not coordinates.
     """
-    r_values = [float(r) for r in np.atleast_1d(r_values)]
-    for r in r_values:
-        if not 0.0 <= r < 1.0:
-            raise ValueError(f"macro-correlation must lie in [0, 1), got {r}")
+    r_values = list(np.atleast_1d(r_values))
+    fails = correlation_failures(
+        {f"r[{i}]": r for i, r in enumerate(r_values)})
+    if fails:
+        raise ParameterError(fails)
+    r_values = [float(r) for r in r_values]
     return _inverse_square_metric(
         2 * len(r_values),
         [((2 * k, 2 * k + 1), np.array([[1.0, r], [r, 2.0]]))

@@ -14,6 +14,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field, replace
 from functools import reduce
+from numbers import Real
 from typing import Optional
 
 import numpy as np
@@ -28,7 +29,7 @@ from . import dynamics as dyn
 from . import geometry as geo
 from . import models as md
 from ._threads import parallel_map
-from .errors import FitFailureError, RegimeError
+from .errors import FitFailureError, ParameterError, RegimeError
 from .quadrature import gauss_legendre
 
 __all__ = [
@@ -36,6 +37,7 @@ __all__ = [
     "ScenarioReport",
     "IHOConfig",
     "ScatterConfig",
+    "check_parameters",
     "run_uncorrelated_gaussian",
     "run_macro_correlated",
     "run_iho",
@@ -156,6 +158,56 @@ def _linear_slope(taus, values, lo_frac=0.25):
 
 
 # ---------------------------------------------------------------------------
+# scenario parameter domains
+# ---------------------------------------------------------------------------
+
+# spin-chain regime: (dimension, indices of its rate and spread coordinates)
+_SPIN_CHAIN_STARTS = {"regular": (2, (0, 1)), "chaotic": (3, (0, 2))}
+
+
+def check_parameters(l=None, r=None, regime=None, theta0=None, v0=None,
+                     tau_end=None, r_sweep=None) -> None:
+    """Raise ParameterError naming each driver parameter outside its
+    domain, an entry as ``theta0[1]``; None is not checked.  l >= 1; r (one,
+    or one per pair) and r_sweep (a nonempty list) in [0, 1); a regular or
+    chaotic regime; theta0 and v0 of dimension 2 l or the regime's, with
+    positive spread and rate entries of theta0; tau_end > 0.  The IHO and
+    wave-packet drivers read IHOConfig and ScatterConfig, which check
+    their own fields."""
+    fails = []
+    dim, scales = _SPIN_CHAIN_STARTS.get(regime, (None, ()))
+    if regime is not None and dim is None:
+        fails.append(("regime", f"must be regular or chaotic, got "
+                      f"{regime!r}"))
+    pairs = l is not None and l >= 1
+    if pairs:
+        dim, scales = 2 * l, range(1, 2 * l, 2)
+    elif l is not None:
+        fails.append(("l", f"must be at least 1, got {l}"))
+    seq = (list, tuple, np.ndarray)
+    rs = list(r) if isinstance(r, seq) else [] if r is None else [r]
+    sweep = list(r_sweep) if isinstance(r_sweep, seq) else []
+    fails += md.correlation_failures(
+        {f"{name}[{i}]": x for name, xs in (("r", rs), ("r_sweep", sweep))
+         for i, x in enumerate(xs)})
+    if r is not None and pairs and len(rs) not in (1, l):
+        fails.append(("r", f"needs 1 or l = {l} correlations, got {len(rs)}"))
+    if r_sweep is not None and not sweep:
+        fails.append(("r_sweep", f"must be a nonempty list of correlations, "
+                      f"got {r_sweep!r}"))
+    fails += [(name, f"needs {dim} components, got {len(vec)}")
+              for name, vec in (("theta0", theta0), ("v0", v0))
+              if vec is not None and dim and len(vec) != dim]
+    if theta0 is not None and len(theta0) == dim:
+        fails += md.positive_failures({f"theta0[{i}]": theta0[i]
+                                       for i in scales})
+    if tau_end is not None:
+        fails += md.positive_failures({"tau_end": tau_end})
+    if fails:
+        raise ParameterError(fails)
+
+
+# ---------------------------------------------------------------------------
 # uncorrelated Gaussian macrostates
 # ---------------------------------------------------------------------------
 
@@ -190,8 +242,7 @@ def run_uncorrelated_gaussian(l: int, theta0=None, v0=None,
     quadrature metrics), linear entropy growth with slope proportional to l,
     and the exponential deviation-field rate matching the per-pair slope.
     """
-    if l < 1:
-        raise ValueError("l must be at least 1")
+    check_parameters(l=l, theta0=theta0, v0=v0, tau_end=tau_end)
     if tau_end is None:
         tau_end = 17.5
     theta_top, v_top = _gauss_semicircle_data(l)
@@ -272,22 +323,22 @@ def macro_pair_ricci(r: float) -> float:
     return -2.0 / (2.0 - r * r)
 
 
-def run_macro_correlated(l: int, r_list, theta0=None, v0=None,
+def run_macro_correlated(l: int, r, theta0=None, v0=None,
                          tau_end: float = None) -> ScenarioReport:
-    """Gaussian pairs with constant macro-correlations r_j.
+    """Gaussian pairs with constant macro-correlations r_j, one r or one
+    per pair.
 
     Reports the kernel scalar curvature next to the reference closed form
     (under the l-term reading of its sum), checks the r -> 0 degeneration
     against the uncorrelated model, and fits the entropy trace to both the
     saturating and linear forms.
     """
+    check_parameters(l=l, r=r, theta0=theta0, v0=v0, tau_end=tau_end)
     if tau_end is None:
         tau_end = 17.5
-    r_list = [float(r) for r in np.atleast_1d(r_list)]
+    r_list = [float(rj) for rj in np.atleast_1d(r)]
     if len(r_list) == 1:
         r_list = r_list * l
-    if len(r_list) != l:
-        raise ValueError("need one correlation per pair")
     theta_top, v_top = _gauss_semicircle_data(l)
     theta0 = np.asarray(theta_top if theta0 is None else theta0, float)
     v0 = np.asarray(v_top if v0 is None else v0, float)
@@ -381,20 +432,30 @@ class IHOConfig:
     tau_end: float = 60.0
 
     def __post_init__(self):
-        if self.l < 1:
-            raise ValueError("l must be at least 1")
+        failures = [] if self.l >= 1 else [
+            ("l", f"must be at least 1, got {self.l}")]
         if self.omega is not None:
-            om = tuple(float(w) for w in self.omega)
-            if len(om) != self.l:
-                raise ValueError("need one frequency per oscillator")
-            if not all(w > 0 for w in om):
-                raise ValueError("frequencies must be positive")
-            object.__setattr__(self, "omega", om)
-        elif self.omega_total is None or not self.omega_total > 0:
-            raise ValueError("provide omega or a positive omega_total")
-        if not (self.xi > 0 and self.tau_end > _IHO_FIT_START):
-            raise ValueError("xi must be positive and tau_end above "
-                             f"{_IHO_FIT_START}")
+            if self.l >= 1 and len(self.omega) != self.l:
+                failures.append(("omega", f"needs one frequency per "
+                                 f"oscillator, l = {self.l}, got "
+                                 f"{len(self.omega)}"))
+            failures += md.positive_failures(
+                {f"omega[{i}]": w for i, w in enumerate(self.omega)})
+        elif self.omega_total is None:
+            failures.append(("omega", "provide omega or omega_total"))
+        scales = {"xi": self.xi} if self.omega_total is None else \
+            {"omega_total": self.omega_total, "xi": self.xi}
+        failures += md.positive_failures(scales)
+        tau_end = self.tau_end
+        if not (isinstance(tau_end, Real) and tau_end > _IHO_FIT_START):
+            failures.append(("tau_end", f"must be a number above the start "
+                             f"{_IHO_FIT_START} of the slope fit, got "
+                             f"{tau_end}"))
+        if failures:
+            raise ParameterError(failures)
+        if self.omega is not None:
+            object.__setattr__(self, "omega",
+                               tuple(float(w) for w in self.omega))
 
     @property
     def frequencies(self):
@@ -680,10 +741,8 @@ def spin_chain_model(regime: str, theta):
     theta = np.asarray(theta, float)
     if regime == "regular":
         return md.product(md.exponential(theta[0]), md.exponential(theta[1]))
-    if regime == "chaotic":
-        return md.product(md.wigner_dyson(theta[0]),
-                          md.gaussian_diag([theta[1]], [theta[2]]))
-    raise ValueError("regime must be 'regular' or 'chaotic'")
+    return md.product(md.wigner_dyson(theta[0]),
+                      md.gaussian_diag([theta[1]], [theta[2]]))
 
 
 def run_spin_chain(regime: str, theta0=None, v0=None,
@@ -695,6 +754,7 @@ def run_spin_chain(regime: str, theta0=None, v0=None,
     manifold has scalar curvature -1 and linear growth.  Classification is
     by r2 model selection between the two forms.
     """
+    check_parameters(regime=regime, theta0=theta0, v0=v0, tau_end=tau_end)
     if regime == "regular":
         theta0 = np.asarray([1.0, 1.0] if theta0 is None else theta0, float)
         v0 = np.asarray([0.35 * theta0[0], 0.22 * theta0[1]]
@@ -703,7 +763,7 @@ def run_spin_chain(regime: str, theta0=None, v0=None,
         expected_form = "logarithmic"
         if tau_end is None:
             tau_end = 60.0
-    elif regime == "chaotic":
+    else:
         theta0 = np.asarray([1.0, 0.0, 1.0] if theta0 is None else theta0,
                             float)
         # spread decay rate 0.35 keeps sigma above the chart floor to tau 54
@@ -713,8 +773,6 @@ def run_spin_chain(regime: str, theta0=None, v0=None,
         expected_form = "linear"
         if tau_end is None:
             tau_end = 50.0
-    else:
-        raise ValueError("regime must be 'regular' or 'chaotic'")
 
     model = spin_chain_model(regime, theta0)
     metric = md.analytic_fisher(model)
@@ -784,12 +842,15 @@ class ScatterConfig:
     r: float = 0.01
 
     def __post_init__(self):
-        for name in ("p0", "sigma0", "tau0", "r0_separation",
-                     "potential_range", "mu_mass"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
-        if not 0.0 <= self.r < 1.0:
-            raise ValueError("r must lie in [0, 1)")
+        failures = md.positive_failures(
+            {name: getattr(self, name) for name in
+             ("r0_separation", "potential_range", "mu_mass")})
+        try:
+            self.params     # checks p0, sigma0, tau0 and r
+        except ParameterError as exc:
+            failures = exc.failures + failures
+        if failures:
+            raise ParameterError(failures)
         if self.k0 * self.potential_range > 0.3:
             warnings.warn("k0 L exceeds 0.3; the low-energy expansion "
                           "degrades", stacklevel=2)
@@ -907,7 +968,9 @@ def scattering_observables(cfg: ScatterConfig) -> dict:
 
 
 def exact_phase_shift(cfg: ScatterConfig) -> float:
-    """Root of k_r cot(k_r L) = k0 cot(k0 L + theta) on (-pi/2, pi/2)."""
+    """Root of k_r cot(k_r L) = k0 cot(k0 L + theta) on (-pi/2, pi/2),
+    bracketed where k0 L + theta lies in (0, pi); RegimeError when that
+    bracket is empty or holds no sign change."""
     k0, L = cfg.k0, cfg.potential_range
     k_r = np.sqrt(1 - cfg.r) * k0
     if abs(np.sin(k_r * L)) < 1e-12:
@@ -920,6 +983,11 @@ def exact_phase_shift(cfg: ScatterConfig) -> float:
     lo = -k0 * L + 1e-12
     hi = np.pi - k0 * L - 1e-9
     lo, hi = max(lo, -np.pi / 2 + 1e-12), min(hi, np.pi / 2 - 1e-12)
+    # past k0 L = 3 pi / 2 the bracket is empty, and a sign change on it
+    # can be the cotangent's pole rather than a root
+    if not (lo < hi and f(lo) * f(hi) <= 0):
+        raise RegimeError(f"no phase shift in (-pi/2, pi/2) at k0 L = "
+                          f"{k0 * L}")
     return float(brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16))
 
 
@@ -982,6 +1050,7 @@ def run_wavepacket(cfg: ScatterConfig,
                    r_sweep=(0.1, 0.3, 0.5)) -> ScenarioReport:
     """Full wave-packet chain: curvature, geodesics, deviation growth,
     complexity compression and the scattering observables."""
+    check_parameters(r_sweep=r_sweep)
     params = cfg.params
     a0 = params.a0
     lam = 2.0 * a0

@@ -7,10 +7,12 @@ from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings, strategies as st
 from scipy.stats import norm
 
 from igac import cli
-from igac.errors import ConfigError
+from igac import scenarios as sc
+from igac.errors import ConfigError, ParameterError
 
 
 _PARSE = cli.parse_config
@@ -977,3 +979,93 @@ def test_wavepacket_sweep_stays_in_the_prolongation_domain(tmp_path):
     assert all(chk["pass"] for chk in report["checks"])
     assert report["observables"]["prolongation"]["eta_delta"] == \
         pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("body,key", [
+    ("scenario: macro_correlated\nparameters: {l: 1, r: null}\n", "r"),
+    ("scenario: wavepacket\nparameters: {r_sweep: null}\n", "r_sweep"),
+    ("scenario: wavepacket\nparameters: {p0: null}\n", "p0"),
+    ("scenario: iho\nparameters: {l: 2, omega_total: 2.0, xi: null}\n", "xi"),
+    ("scenario: spin_chain\nparameters: {regime: regular, tau_end: null}\n",
+     "tau_end"),
+], ids=["macro-r", "wavepacket-r-sweep", "wavepacket-p0", "iho-xi",
+        "spin-tau-end"])
+def test_null_scenario_key_exits_1_at_its_path(tmp_path, capsys, body, key):
+    # the drivers read None as unset; a null in a config is no value
+    cfg = tmp_path / "null.yaml"
+    cfg.write_text(body + f"output: {{directory: '{tmp_path}/out'}}\n")
+    assert cli.main(["scenario", "--config", str(cfg)]) == 1
+    assert f"config error at parameters.{key}:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+# Every scenario range lives in the library: parse_config rejects a config
+# exactly when the driver's own check rejects its parameters, and reports
+# each of the library's failures at the field's config path.
+
+def _library_failures(check, keys=None):
+    """(config path, message) of each failure of a library check, a field
+    renamed through ``keys``."""
+    keys = keys or {}
+    try:
+        check()
+    except ParameterError as exc:
+        return [(f"parameters.{keys.get(field, field)}", msg)
+                for field, msg in exc.failures]
+    return []
+
+
+def _parse_failures(scenario, params):
+    try:
+        cli.parse_config(yaml.safe_dump({"scenario": scenario,
+                                         "parameters": params}))
+    except ConfigError as exc:
+        return exc.failures
+    return []
+
+
+def _optional(values):
+    return st.none() | values
+
+
+# zero, negatives, the slope-fit start and the upper end of a correlation
+SIGNED = st.sampled_from([0, 0.0, -1, -0.5, 1, sc._IHO_FIT_START]) \
+    | st.floats(-2.0, 80.0)
+CORRELATION = st.sampled_from([0.0, 0.5, 1.0, 1, -0.1]) \
+    | st.floats(-0.5, 1.5)
+# the autouse loader fixture holds no state between examples
+ONE_HOME = settings(
+    max_examples=150, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@ONE_HOME
+@given(l=st.integers(-1, 4), omega=_optional(st.lists(SIGNED, max_size=5)),
+       omega_total=_optional(SIGNED), xi=_optional(SIGNED),
+       tau_end=_optional(SIGNED))
+def test_iho_ranges_live_in_the_library(l, omega, omega_total, xi, tau_end):
+    params = {key: val for key, val in
+              (("l", l), ("omega", omega), ("omega_total", omega_total),
+               ("xi", xi), ("tau_end", tau_end)) if val is not None}
+    expected = _library_failures(lambda: sc.IHOConfig(**params))
+    assert sorted(_parse_failures("iho", params)) == sorted(expected)
+
+
+@pytest.mark.filterwarnings("ignore:k0 L exceeds 0.3")
+@ONE_HOME
+@given(p0=_optional(SIGNED), sigma0=_optional(SIGNED),
+       tau0=_optional(SIGNED), R0=_optional(SIGNED), L=_optional(SIGNED),
+       mu_mass=_optional(SIGNED), r=_optional(CORRELATION),
+       r_sweep=_optional(st.lists(CORRELATION, max_size=3)))
+def test_wavepacket_ranges_live_in_the_library(p0, sigma0, tau0, R0, L,
+                                               mu_mass, r, r_sweep):
+    fields = {"p0": p0, "sigma0": sigma0, "tau0": tau0, "r0_separation": R0,
+              "potential_range": L, "mu_mass": mu_mass, "r": r}
+    fields = {key: val for key, val in fields.items() if val is not None}
+    keys = {"r0_separation": "R0", "potential_range": "L"}
+    params = {keys.get(key, key): val for key, val in fields.items()}
+    if r_sweep is not None:
+        params["r_sweep"] = r_sweep
+    expected = _library_failures(lambda: sc.ScatterConfig(**fields), keys) \
+        + _library_failures(lambda: sc.check_parameters(r_sweep=r_sweep))
+    assert sorted(_parse_failures("wavepacket", params)) == sorted(expected)

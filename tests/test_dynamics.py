@@ -186,6 +186,20 @@ def test_bvp_exhausted_line_search_reports_best_residual(shots, flow):
     assert 0.0 <= err.value.best_residual < 1e-8
     assert len(shots) < 1000
     assert all(outcome == "ok" for _, outcome in shots)
+    # the message names why shooting stopped and the shots it took
+    assert f"after {len(shots)} shots: no halved Newton step lowered " \
+        f"the residual {err.value.best_residual}" in str(err.value)
+
+
+@pytest.mark.parametrize("flow", ["closed", "ode"])
+def test_bvp_at_the_newton_cap_reports_it(shots, flow):
+    metric = PAIR if flow == "closed" else ode_flow(PAIR)
+    with pytest.raises(BvpFailureError, match="did not reach") as err:
+        dyn.solve_geodesic_bvp(metric, [0.2, 1.1], [-0.1, 1.5], 1.0,
+                               tol=0.0, max_iter=3)
+    assert str(err.value).endswith(
+        f"after {len(shots)} shots: Newton reached its cap of 3 iterations")
+    assert len(shots) == 4
 
 
 def test_closed_form_flows_evaluate_once(monkeypatch, shots):
@@ -548,6 +562,18 @@ def test_geodesic_closed_forms_across_tolerances(r, tol):
             dyn.wavepacket_geodesics(p, path.tau_grid, branch))
         assert np.max(np.abs(path.theta - closed)) <= 1e-6
         assert np.max(np.abs(path.speed / path.speed[0] - 1.0)) <= 10 * tol
+
+
+def test_bare_dop853_geodesic_reads_gamma_alone(monkeypatch):
+    # with no deviation columns the right-hand side needs no dGamma
+    metric = ode_flow(wavepacket_metric(0.4))
+    orders = []
+    connection = metric._connection_fn
+    monkeypatch.setattr(metric, "_connection_fn", lambda th, order:
+                        orders.append(order) or connection(th, order))
+    dyn.integrate_geodesic(metric, [0.1, -0.2, 1.2], [0.3, 0.4, -0.2], 2.0,
+                           n_out=9)
+    assert orders and set(orders) == {1}
 
 
 @pytest.mark.parametrize("branch,sign", [("after", 1.0), ("before", -1.0)])

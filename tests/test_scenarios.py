@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from igac import cli
 from igac import dynamics as dyn
@@ -238,6 +239,40 @@ def test_exact_phase_shift_vs_cubic():
     cubic2 = -cfg2.r * (cfg2.k0 * cfg2.potential_range) ** 3 / 3
     assert exact2 < 0 and cubic2 < 0
     assert abs(cubic2 - exact2) / abs(exact2) > 0.01
+
+
+@pytest.mark.filterwarnings("ignore:k0 L exceeds 0.3")
+@settings(max_examples=200, deadline=None)
+@given(k0_l=st.floats(1e-6, 7.5, exclude_max=True),
+       p0=st.floats(0.05, 5.0), r_frac=st.floats(0.0, 1.0, exclude_max=True))
+def test_exact_phase_shift_is_a_root_or_a_regime_error(k0_l, p0, r_frac):
+    """Up to k0 L = 7.5, past the 3 pi / 2 where the bracket empties, the
+    phase shift is a root of k_r cot(k_r L) - k0 cot(k0 L + theta), never
+    the cotangent's pole.  Its residual is round-off relative to k0, times
+    the conditioning 1 + 1/sin^2(k0 L + theta) of the cotangent there."""
+    bound = in_regime_cfg(p0=p0).r_upper_bound
+    cfg = in_regime_cfg(p0=p0, potential_range=k0_l / p0,
+                        r=r_frac * min(bound, 1.0))
+    try:
+        theta = sc.exact_phase_shift(cfg)
+    except RegimeError:
+        return
+    k0, big_l = cfg.k0, cfg.potential_range
+    k_r = np.sqrt(1.0 - cfg.r) * k0
+    arg = k0 * big_l + theta
+    residual = k0 / np.tan(arg) - k_r / np.tan(k_r * big_l)
+    assert -np.pi / 2 < theta < np.pi / 2
+    assert abs(residual) <= 16 * np.finfo(float).eps * k0 \
+        * (1.0 + 1.0 / np.sin(arg) ** 2)
+
+
+def test_exact_phase_shift_past_three_half_pi_raises():
+    # the bracket inverts past k0 L = 3 pi / 2; at p0 = 5, L = 1 the root
+    # finder used to land on the pole theta = pi - 5
+    with pytest.warns(UserWarning, match="k0 L exceeds 0.3"):
+        cfg = in_regime_cfg(p0=5.0, potential_range=1.0)
+    with pytest.raises(RegimeError, match="no phase shift"):
+        sc.exact_phase_shift(cfg)
 
 
 def test_prolongation_properties():
