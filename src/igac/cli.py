@@ -3,16 +3,19 @@
 Subcommands: curvature, geodesic, jacobi, ige, mre, scenario.  Configs are
 YAML documents; all validation failures are reported together with the path
 of the offending field.  Every number must be finite, except the ends of an
-MrE ``domain``.  Of a scenario driver's parameters this module checks the
-structure only (each required key present and of its type, each vector a
-list of numbers) and finiteness: the ranges live in the driver's config
+MrE ``domain``.  This module checks the structure of a config only (each
+required key present and of its type, each kind or family known, each
+vector a list of numbers) and finiteness.  The ranges live in the library,
+where the objects are built: a scenario driver's in its config
 (``scenarios.IHOConfig``, ``scenarios.ScatterConfig``) or in
-``scenarios.check_parameters``, and each of their failures is reported at
-its config path.  Outputs are a JSON report plus CSV traces with the fixed
-header ``tau,theta_1..theta_N,speed,delta_v,igc,ige,jacobi_intensity``
-(columns absent when not computed), floats printed with 17 significant
-digits, LF line endings.  Exit status: 0 all oracle checks pass, 1 usage or
-config error, 2 numeric check failure.
+``scenarios.check_parameters``, a manifold's in the model constructors of
+``igac.models``, and an MrE prior's, constraint's and domain's in
+``igac.mre``.  Each of their failures is reported at its config path.
+Outputs are a JSON report plus CSV traces with the fixed header
+``tau,theta_1..theta_N,speed,delta_v,igc,ige,jacobi_intensity`` (columns
+absent when not computed), floats printed with 17 significant digits, LF
+line endings.  Exit status: 0 all oracle checks pass, 1 usage or config
+error, 2 numeric check failure.
 """
 
 from __future__ import annotations
@@ -69,10 +72,10 @@ _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 def parse_config(text: str, command: str = "scenario") -> dict:
     """Validated config with defaults filled, or ConfigError listing every
     failure with its field path.  One walk rejects every nan or infinite
-    number; the field checks below then test type, sign and range only,
-    those of a scenario driver through the driver's own checks.  A scenario
-    key the config leaves out is left out here too: its default lives in
-    the driver."""
+    number; the field checks below then test structure only, and leave
+    each range to the library check that owns it.  A scenario key the
+    config leaves out is left out here too: its default lives in the
+    driver."""
     try:
         raw = yaml.load(text, Loader=_LOADER) or {}
     except (yaml.YAMLError, ValueError) as exc:
@@ -86,7 +89,7 @@ def parse_config(text: str, command: str = "scenario") -> dict:
     numerics = _section(cfg, "numerics", _NUMERIC_DEFAULTS, failures)
     # the fit window (tau0 + f (tau_end - tau0), tau_end) is empty at f >= 1
     frac = numerics.get("fit_window_fraction")
-    if not _is_number(frac) or not 0.0 < frac < 1.0:
+    if not md._is_number(frac) or not 0.0 < frac < 1.0:
         failures.append(("numerics.fit_window_fraction",
                          f"must lie in (0, 1), got {frac!r}"))
     cfg["numerics"] = numerics
@@ -94,8 +97,9 @@ def parse_config(text: str, command: str = "scenario") -> dict:
     output = _section(cfg, "output",
                       {"directory": ".", "formats": ["json", "csv"]}, failures)
     fmts = output.get("formats")
-    if not isinstance(fmts, (list, tuple)) or \
-            not set(fmts) <= set(_FORMATS) or not fmts:
+    # a tuple compares its members by equality: an entry need not hash
+    if not isinstance(fmts, (list, tuple)) or not fmts or \
+            not all(fmt in _FORMATS for fmt in fmts):
         failures.append(("output.formats",
                          f"must be a nonempty subset of {_FORMATS}"))
     cfg["output"] = output
@@ -107,9 +111,9 @@ def parse_config(text: str, command: str = "scenario") -> dict:
     if command == "scenario":
         _validate_scenario(cfg, failures, bad)
     elif command in ("curvature", "geodesic", "jacobi", "ige"):
-        _validate_manifold_command(cfg, command, failures)
+        _validate_manifold_command(cfg, command, failures, bad)
     elif command == "mre":
-        _validate_mre(cfg.get("mre"), "mre", failures)
+        _validate_mre(cfg.get("mre"), "mre", failures, bad)
         # a zero tolerance would leave the solver running unbounded
         failures += md.positive_failures({"tol": cfg.get("tol", 1e-12)})
 
@@ -160,15 +164,11 @@ def _section(cfg, key, defaults, failures):
     return merged
 
 
-def _is_number(val) -> bool:
-    return isinstance(val, (int, float)) and not isinstance(val, bool)
-
-
 def _check_vector(val, path, dim, failures):
     """``val`` must be a list of numbers, with ``dim`` entries unless
     ``dim`` is None."""
     if not isinstance(val, (list, tuple)) or \
-            not all(_is_number(x) for x in val):
+            not all(md._is_number(x) for x in val):
         failures.append((path, f"must be a list of numbers, got {val!r}"))
     elif dim is not None and len(val) != dim:
         failures.append((path, f"needs {dim} components for this manifold, "
@@ -204,13 +204,11 @@ def _validate_scenario(cfg, failures, nonfinite):
         failures.append(("parameters", "must be a mapping"))
     elif name == "custom_manifold":
         dim = _validate_manifold(params.get("manifold"),
-                                 "parameters.manifold", failures)
-        if "theta" not in params:
-            failures.append(("parameters.theta", "missing required key"))
-        else:
+                                 "parameters.manifold", failures, nonfinite)
+        if _req(params, "theta", "parameters", failures) is not None:
             _check_vector(params["theta"], "parameters.theta", dim, failures)
     elif name == "mre_update":
-        _validate_mre(params, "parameters", failures)
+        _validate_mre(params, "parameters", failures, nonfinite)
     else:
         _check_parameters(name, params, failures, nonfinite)
 
@@ -249,18 +247,42 @@ def _check_parameters(name, params, failures, nonfinite):
     else:
         checks = [lambda: sc.check_parameters(**typed)]
     for check in checks:
-        try:
-            check()
-        except ParameterError as exc:
-            failures += [(f"parameters.{_CONFIG_KEYS.get(field, field)}", msg)
-                         for field, msg in exc.failures]
+        _record(check, "parameters", failures, _CONFIG_KEYS)
 
 
-def _validate_manifold(spec, path, failures):
+def _record(check, path, failures, fields=None):
+    """``check()``, or None with each failure of its ParameterError recorded
+    at ``path.field``, a field renamed through ``fields``."""
+    try:
+        return check()
+    except ParameterError as exc:
+        failures += [(f"{path}.{(fields or {}).get(field, field)}", msg)
+                     for field, msg in exc.failures]
+
+
+_NUMBER = (int, float)
+# the model kinds: the constructor of each and its arguments, which are the
+# spec's keys, with the type each must have; a spec may leave out those in
+# _OPTIONAL, which take the constructor's default
+_MODELS = {"gaussian_diag": (md.gaussian_diag,
+                             {"means": list, "sigmas": list}),
+           "exponential": (md.exponential, {"mu": _NUMBER}),
+           "wigner_dyson": (md.wigner_dyson, {"mu": _NUMBER}),
+           "gaussian_bivariate_corr": (
+               md.gaussian_bivariate_corr,
+               dict.fromkeys(("mu_x", "mu_y", "sigma", "r"), _NUMBER))}
+_OPTIONAL = ("r",)
+# a product's factors are models; a macro-correlated manifold has none
+_FACTOR_KINDS = (*_MODELS, "product")
+_MANIFOLD_KINDS = (*_MODELS, "macro_correlated", "product")
+
+
+def _validate_manifold(spec, path, failures, nonfinite,
+                       kinds=_MANIFOLD_KINDS):
     """Record the spec's failures; returns the manifold's dimension, or
-    None when the spec is invalid."""
-    kinds = ("gaussian_diag", "exponential", "wigner_dyson",
-             "gaussian_bivariate_corr", "macro_correlated", "product")
+    None when the spec is invalid.  A model leaf whose keys are present,
+    typed and finite is built by its constructor, which checks the ranges;
+    macro correlations meet the rule of ``macro_correlated_metric``."""
     if not isinstance(spec, dict):
         failures.append((path, "missing manifold mapping"))
         return None
@@ -272,34 +294,12 @@ def _validate_manifold(spec, path, failures):
         return None
     n_failures = len(failures)
     dim = None
-    if kind == "gaussian_diag":
-        means = _req(spec, "means", path, failures, (list, tuple))
-        sigmas = _req(spec, "sigmas", path, failures, (list, tuple))
-        for key, vals in (("means", means), ("sigmas", sigmas)):
-            if vals is not None:
-                _check_vector(vals, f"{path}.{key}", None, failures)
-        if len(failures) == n_failures:
-            if any(s <= 0 for s in sigmas):
-                failures.append((f"{path}.sigmas", "must be positive"))
-            if len(means) != len(sigmas):
-                failures.append((f"{path}.sigmas",
-                                 "length mismatch with means"))
-            dim = 2 * len(means)
-    elif kind in ("exponential", "wigner_dyson"):
-        mu = _req(spec, "mu", path, failures, (int, float))
-        if mu is not None and mu <= 0:
-            failures.append((f"{path}.mu", "must be positive"))
-        dim = 1
-    elif kind == "gaussian_bivariate_corr":
-        for key in ("mu_x", "mu_y", "sigma"):
-            _req(spec, key, path, failures, (int, float))
-        sig = spec.get("sigma")
-        if _is_number(sig) and sig <= 0:
-            failures.append((f"{path}.sigma", "must be positive"))
-        r = spec.get("r", 0.0)
-        if not _is_number(r) or not -1.0 < r < 1.0:
-            failures.append((f"{path}.r", f"must lie in (-1, 1), got {r}"))
-        dim = 3
+    if kind == "product":
+        factors = _req(spec, "factors", path, failures, list)
+        dims = [_validate_manifold(sub, f"{path}.factors[{i}]", failures,
+                                   nonfinite, _FACTOR_KINDS)
+                for i, sub in enumerate(factors or [])]
+        dim = sum(dims) if None not in dims else None
     elif kind == "macro_correlated":
         r = _req(spec, "r", path, failures, (list, tuple, int, float))
         if r is not None:
@@ -307,18 +307,24 @@ def _validate_manifold(spec, path, failures):
             failures += md.correlation_failures(
                 {f"{path}.r[{i}]": ri for i, ri in enumerate(rs)})
             dim = 2 * len(rs)
-    elif kind == "product":
-        factors = _req(spec, "factors", path, failures, list)
-        dims = [_validate_manifold(sub, f"{path}.factors[{i}]", failures)
-                for i, sub in enumerate(factors or [])]
-        dim = sum(dims) if None not in dims else None
+    else:
+        for key, types in _MODELS[kind][1].items():
+            if key in spec or key not in _OPTIONAL:
+                val = _req(spec, key, path, failures, types)
+                if types is list and val is not None:
+                    _check_vector(val, f"{path}.{key}", None, failures)
+        if len(failures) == n_failures and \
+                not any(p.startswith(f"{path}.") for p in nonfinite):
+            model = _record(lambda: build_model(spec), path, failures)
+            dim = model.param_dim if model else None
     if dim == 0:
         failures.append((path, "manifold has no coordinates"))
     return dim if len(failures) == n_failures else None
 
 
-def _validate_manifold_command(cfg, command, failures):
-    dim = _validate_manifold(cfg.get("manifold"), "manifold", failures)
+def _validate_manifold_command(cfg, command, failures, nonfinite):
+    spec = cfg.get("manifold")
+    dim = _validate_manifold(spec, "manifold", failures, nonfinite)
     if command == "curvature":
         required, vectors = ("theta",), ("theta",)
     else:
@@ -327,14 +333,18 @@ def _validate_manifold_command(cfg, command, failures):
         tau_end = cfg.get("tau_end", 1.0)
         # a missing tau_end is reported below; ige fits its entropy forms
         # over tau > 0
-        if not _is_number(tau_end) or command == "ige" and not tau_end > 0:
+        if not md._is_number(tau_end) or \
+                command == "ige" and not tau_end > 0:
             kind = "a positive number" if command == "ige" else "a number"
             failures.append(("tau_end", f"must be {kind}, got {tau_end!r}"))
     for key in required:
         if key not in cfg:
             failures.append((key, "missing required key"))
-    if cfg.get("metric_source", "analytic") not in ("analytic", "quadrature"):
-        failures.append(("metric_source", "must be analytic or quadrature"))
+    # a macro-correlated metric has no model density to integrate
+    sources = ("analytic",) if isinstance(spec, dict) and \
+        spec.get("kind") == "macro_correlated" else ("analytic", "quadrature")
+    if cfg.get("metric_source", "analytic") not in sources:
+        failures.append(("metric_source", f"must be one of {sources}"))
     if command == "ige":
         if cfg.get("fit_form", "linear") not in cx._FORMS:
             failures.append(("fit_form", f"must be one of {cx._FORMS}"))
@@ -348,74 +358,60 @@ def _validate_manifold_command(cfg, command, failures):
             _check_vector(cfg[key], key, dim, failures)
 
 
-# the checked keys of each prior family, with their defaults
-_PRIOR_KEYS = {"exponential": {"mu": 1.0},
-               "gaussian": {"mu": 0.0, "sigma": 1.0},
-               "uniform": {"lo": -1.0, "hi": 1.0}}
+# each prior family: its builder, which takes the family's keys, and their
+# defaults
+_PRIORS = {"exponential": (md.exponential, {"mu": 1.0}),
+           "gaussian": (lambda mu, sigma: md.gaussian_diag([mu], [sigma]),
+                        {"mu": 0.0, "sigma": 1.0}),
+           "uniform": (mre.uniform_prior, {"lo": -1.0, "hi": 1.0})}
+# the config key of a field the gaussian prior's constructor names
+_PRIOR_FIELDS = {"sigmas[0]": "sigma"}
 
 
-def _check_prior(prior, path, failures):
-    """Numeric parameters, positive scales (exponential ``mu``, gaussian
-    ``sigma``) and ``lo < hi`` for the uniform prior."""
-    n_failures = len(failures)
-    vals = {key: prior.get(key, default)
-            for key, default in _PRIOR_KEYS[prior["family"]].items()}
-    for key, val in vals.items():
-        positive = key == "sigma" or prior["family"] == "exponential"
-        if not _is_number(val) or (positive and val <= 0):
-            kind = "a positive" if positive else "a"
-            failures.append((f"{path}.{key}",
-                             f"must be {kind} number, got {val!r}"))
-    if len(failures) == n_failures and "lo" in vals \
-            and not vals["lo"] < vals["hi"]:
-        failures.append((f"{path}.hi",
-                         f"must exceed lo = {vals['lo']}, got {vals['hi']}"))
-
-
-def _validate_mre(spec, path, failures):
+def _validate_mre(spec, path, failures, nonfinite):
+    """Record the problem's failures.  The prior, its keys numbers and
+    finite, and each constraint function are built by their constructors;
+    the domain meets the rule of ``mre.MrEProblem``."""
     if not isinstance(spec, dict):
         failures.append((path, "missing mre problem mapping"))
         return
     prior = spec.get("prior")
     if not isinstance(prior, dict) or "family" not in prior:
         failures.append((f"{path}.prior.family", "missing required key"))
-    elif prior["family"] not in _PRIOR_KEYS:
+    elif not isinstance(prior["family"], str) or \
+            prior["family"] not in _PRIORS:
         failures.append((f"{path}.prior.family",
                          f"unknown prior family {prior['family']!r}"))
     else:
-        _check_prior(prior, f"{path}.prior", failures)
-    dom = spec.get("domain")
-    if dom is not None and not (
-            isinstance(dom, (list, tuple)) and len(dom) == 2
-            and all(_is_number(x) for x in dom) and dom[0] < dom[1]):
-        failures.append((f"{path}.domain",
-                         f"must be two numbers lo < hi, got {dom!r}"))
+        ppath, n_failures = f"{path}.prior", len(failures)
+        for key, default in _PRIORS[prior["family"]][1].items():
+            if not md._is_number(prior.get(key, default)):
+                failures.append((f"{ppath}.{key}",
+                                 f"must be a number, got {prior[key]!r}"))
+        if len(failures) == n_failures and \
+                not any(p.startswith(f"{ppath}.") for p in nonfinite):
+            _record(lambda: _build_prior(prior), ppath, failures,
+                    _PRIOR_FIELDS)
+    failures += [(f"{path}.{field}", msg)
+                 for field, msg in mre.domain_failures(spec.get("domain"))]
     cons = spec.get("constraints")
     if not isinstance(cons, list) or not cons:
         failures.append((f"{path}.constraints",
                          "need a nonempty list of constraints"))
         return
     for i, c in enumerate(cons):
+        cpath = f"{path}.constraints[{i}]"
         if not isinstance(c, dict):
-            failures.append((f"{path}.constraints[{i}]", "must be a mapping"))
+            failures.append((cpath, "must be a mapping"))
             continue
-        fname = c.get("f")
-        if fname not in ("identity", "square", "abs", "poly"):
-            failures.append((f"{path}.constraints[{i}].f",
-                             f"unknown constraint function {fname!r}"))
+        _record(lambda: mre.constraint_function(c.get("f"),
+                                                c.get("coefficients")),
+                cpath, failures)
         if "target" not in c:
-            failures.append((f"{path}.constraints[{i}].target",
-                             "missing required key"))
-        elif not _is_number(c["target"]):
-            failures.append((f"{path}.constraints[{i}].target",
+            failures.append((f"{cpath}.target", "missing required key"))
+        elif not md._is_number(c["target"]):
+            failures.append((f"{cpath}.target",
                              f"must be a number, got {c['target']!r}"))
-        coeffs = c.get("coefficients")
-        if fname == "poly" and not (
-                isinstance(coeffs, (list, tuple)) and coeffs
-                and all(_is_number(x) for x in coeffs)):
-            failures.append((f"{path}.constraints[{i}].coefficients",
-                             "poly constraint needs a nonempty list of "
-                             f"numbers, got {coeffs!r}"))
 
 
 # ---------------------------------------------------------------------------
@@ -423,8 +419,7 @@ def _validate_mre(spec, path, failures):
 # ---------------------------------------------------------------------------
 
 def build_metric(spec: dict, source: str = "analytic") -> md.MetricField:
-    kind = spec["kind"]
-    if kind == "macro_correlated":
+    if spec["kind"] == "macro_correlated":
         return md.macro_correlated_metric(np.atleast_1d(spec["r"]))
     model = build_model(spec)
     if source == "quadrature":
@@ -433,29 +428,18 @@ def build_metric(spec: dict, source: str = "analytic") -> md.MetricField:
 
 
 def build_model(spec: dict) -> md.StatModel:
-    kind = spec["kind"]
-    if kind == "gaussian_diag":
-        return md.gaussian_diag(spec["means"], spec["sigmas"])
-    if kind == "exponential":
-        return md.exponential(spec["mu"])
-    if kind == "wigner_dyson":
-        return md.wigner_dyson(spec["mu"])
-    if kind == "gaussian_bivariate_corr":
-        return md.gaussian_bivariate_corr(spec["mu_x"], spec["mu_y"],
-                                          spec["sigma"], spec.get("r", 0.0))
-    if kind == "product":
-        return md.product(*[build_model(s) for s in spec["factors"]])
-    raise ConfigError([("manifold.kind", f"unknown kind {kind!r}")])
+    """The model of a spec of a model kind or a product of them."""
+    if spec["kind"] == "product":
+        return md.product(*map(build_model, spec["factors"]))
+    build, keys = _MODELS[spec["kind"]]
+    return build(**{key: spec[key] for key in keys if key in spec})
 
 
 def _build_prior(spec):
-    fam = spec["family"]
-    par = {**_PRIOR_KEYS[fam], **spec}
-    if fam == "exponential":
-        return md.exponential(par["mu"]), None
-    if fam == "gaussian":
-        return md.gaussian_diag([par["mu"]], [par["sigma"]]), None
-    return mre.uniform_prior(par["lo"], par["hi"]), (par["lo"], par["hi"])
+    """The prior of a spec, and the domain of a uniform one."""
+    build, defaults = _PRIORS[spec["family"]]
+    par = {key: spec.get(key, default) for key, default in defaults.items()}
+    return build(**par), (par["lo"], par["hi"]) if "lo" in par else None
 
 
 def _build_mre_problem(spec):
@@ -633,33 +617,24 @@ _DRIVERS = {"uncorrelated_gaussian": sc.run_uncorrelated_gaussian,
 
 
 def _run_named_scenario(cfg):
-    name = cfg["scenario"]
-    params = cfg["parameters"]
-    num = cfg["numerics"]
+    name, params = cfg["scenario"], cfg["parameters"]
+    if name == "custom_manifold":
+        return _cmd_curvature({"manifold": params["manifold"],
+                               "theta": params["theta"]})[0]
+    if name == "mre_update":
+        return _cmd_mre({"mre": params})[0]
     if name in _DRIVERS:
         return _DRIVERS[name](**_given(params, _SCENARIO_KEYS[name]))
     if name == "iho":
         return sc.run_iho(sc.IHOConfig(**_given(params,
                                                 _SCENARIO_KEYS["iho"])))
-    if name == "wavepacket":
-        kw = {"r_sweep": tuple(params["r_sweep"])} \
-            if "r_sweep" in params else {}
-        return sc.run_wavepacket(_scatter_config(params), **kw)
-    if name == "custom_manifold":
-        sub = {"manifold": params["manifold"], "theta": params["theta"],
-               "numerics": num}
-        report, _ = _cmd_curvature(sub)
-        return report
-    if name == "mre_update":
-        report, _ = _cmd_mre({"mre": params, "numerics": num})
-        return report
-    raise ConfigError([("scenario", f"unknown scenario {name!r}")])
+    kw = {"r_sweep": tuple(params["r_sweep"])} if "r_sweep" in params else {}
+    return sc.run_wavepacket(_scatter_config(params), **kw)
 
 
 def _cmd_scenario(cfg):
     report = _run_named_scenario(cfg)
-    traces = getattr(report, "traces", {})
-    return report, traces
+    return report, report.traces
 
 
 _COMMANDS = {

@@ -372,11 +372,10 @@ class WavePacketParams:
     r: float = 0.0
 
     def __post_init__(self):
-        failures = positive_failures({"p0": self.p0, "sigma0": self.sigma0,
-                                      "tau0": self.tau0}) \
-            + correlation_failures({"r": self.r})
-        if failures:
-            raise ParameterError(failures)
+        ParameterError.raise_any(
+            positive_failures({"p0": self.p0, "sigma0": self.sigma0,
+                               "tau0": self.tau0})
+            + correlation_failures({"r": self.r}))
 
     @property
     def a0(self) -> float:

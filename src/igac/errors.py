@@ -96,6 +96,12 @@ class ParameterError(IgacError, ValueError):
         super().__init__("; ".join(f"{field}: {msg}"
                                    for field, msg in self.failures))
 
+    @classmethod
+    def raise_any(cls, failures):
+        """Raise one error carrying ``failures`` unless there are none."""
+        if failures:
+            raise cls(failures)
+
 
 class ConfigError(ParameterError):
     """One or more configuration fields failed validation; the field of

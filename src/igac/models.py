@@ -96,12 +96,16 @@ def _frozen(arr):
     return a
 
 
+def _is_number(x) -> bool:
+    """Whether x is a real number, no bool; int and float skip the ABC."""
+    return isinstance(x, (int, float, Real)) and not isinstance(x, bool)
+
+
 def positive_failures(values: dict) -> list:
     """(field, message) of each entry of ``values`` that is no positive
-    number; a bool is none."""
+    number."""
     return [(name, f"must be a positive number, got {x}")
-            for name, x in values.items()
-            if not (isinstance(x, Real) and not isinstance(x, bool) and x > 0)]
+            for name, x in values.items() if not (_is_number(x) and x > 0)]
 
 
 def correlation_failures(values: dict) -> list:
@@ -109,23 +113,20 @@ def correlation_failures(values: dict) -> list:
     [0, 1)."""
     return [(name, f"must lie in [0, 1), got {x}")
             for name, x in values.items()
-            if not (isinstance(x, Real) and not isinstance(x, bool)
-                    and 0.0 <= x < 1.0)]
-
-
-def _check_positive(name, value):
-    if not np.all(np.asarray(value) > 0):
-        raise ValueError(f"{name} must be positive, got {value}")
+            if not (_is_number(x) and 0.0 <= x < 1.0)]
 
 
 def gaussian_diag(means: Sequence[float], sigmas: Sequence[float]) -> StatModel:
-    """l independent Gaussian micro-variables, chart (mu_k, sigma_k) per pair."""
-    means = np.atleast_1d(np.asarray(means, float))
-    sigmas = np.atleast_1d(np.asarray(sigmas, float))
-    if means.shape != sigmas.shape:
-        raise ValueError("means and sigmas must have equal length")
-    _check_positive("sigma", sigmas)
-    l = means.size
+    """l independent Gaussian micro-variables, chart (mu_k, sigma_k) per
+    pair; each spread must be a positive number, ``sigmas[k]``."""
+    # the entries as given, so that a bool is no spread
+    means, sigmas = ([*v] if np.iterable(v) else [v] for v in (means, sigmas))
+    fails = positive_failures({f"sigmas[{k}]": s
+                               for k, s in enumerate(sigmas)})
+    if len(means) != len(sigmas):
+        fails.append(("sigmas", "length mismatch with means"))
+    ParameterError.raise_any(fails)
+    l = len(means)
     theta = np.empty(2 * l)
     theta[0::2], theta[1::2] = means, sigmas
     factors = tuple(
@@ -134,22 +135,24 @@ def gaussian_diag(means: Sequence[float], sigmas: Sequence[float]) -> StatModel:
 
 
 def exponential(mu: float) -> StatModel:
-    _check_positive("mu", mu)
+    ParameterError.raise_any(positive_failures({"mu": mu}))
     return StatModel([mu], 1, 1, factors=(_Factor("exponential", (0,), (0,)),))
 
 
 def wigner_dyson(mu: float) -> StatModel:
-    _check_positive("mu", mu)
+    ParameterError.raise_any(positive_failures({"mu": mu}))
     return StatModel([mu], 1, 1,
                      factors=(_Factor("wigner_dyson", (0,), (0,)),))
 
 
 def gaussian_bivariate_corr(mu_x: float, mu_y: float, sigma: float,
                             r: float = 0.0) -> StatModel:
-    """Bivariate Gaussian with common spread and constant micro-correlation."""
-    _check_positive("sigma", sigma)
-    if not -1.0 < r < 1.0:
-        raise ValueError(f"correlation r must lie in (-1, 1), got {r}")
+    """Bivariate Gaussian with common spread and constant micro-correlation
+    r, a number in (-1, 1)."""
+    fails = positive_failures({"sigma": sigma})
+    if not (_is_number(r) and -1.0 < r < 1.0):
+        fails.append(("r", f"must lie in (-1, 1), got {r}"))
+    ParameterError.raise_any(fails)
     return StatModel([mu_x, mu_y, sigma], 2, 3,
                      factors=(_Factor("gauss_biv", (0, 1, 2), (0, 1), r=r),))
 
@@ -173,12 +176,12 @@ def with_theta(model: StatModel, theta) -> StatModel:
     """Same family at a different chart point."""
     theta = np.asarray(theta, float)
     if theta.shape != (model.param_dim,):
-        raise ValueError(f"theta must have shape ({model.param_dim},)")
-    for f in model.factors:
-        scale = theta[f.theta_at[-1]]   # last parameter of every factor scales
-        if scale <= 0:
-            raise ValueError(f"scale parameter at index {f.theta_at[-1]} "
-                             f"must stay positive, got {scale}")
+        raise ParameterError([("theta", f"must have shape "
+                                        f"({model.param_dim},)")])
+    # the last parameter of every factor is its scale
+    ParameterError.raise_any(positive_failures(
+        {f"theta[{f.theta_at[-1]}]": theta[f.theta_at[-1]]
+         for f in model.factors}))
     return StatModel(theta, model.micro_dim, model.param_dim,
                      factors=model.factors)
 
@@ -678,11 +681,10 @@ def macro_correlated_metric(r_values: Sequence[float]) -> MetricField:
     Per-pair line element (d mu^2 + 2 r d mu d sigma + 2 d sigma^2) / sigma^2;
     the r_j are model constants, not coordinates.
     """
-    r_values = list(np.atleast_1d(r_values))
-    fails = correlation_failures(
-        {f"r[{i}]": r for i, r in enumerate(r_values)})
-    if fails:
-        raise ParameterError(fails)
+    # the entries as given, so that a bool is no correlation
+    r_values = [*r_values] if np.iterable(r_values) else [r_values]
+    ParameterError.raise_any(correlation_failures(
+        {f"r[{i}]": r for i, r in enumerate(r_values)}))
     r_values = [float(r) for r in r_values]
     return _inverse_square_metric(
         2 * len(r_values),

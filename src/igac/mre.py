@@ -23,8 +23,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import BracketingError, DomainError, \
-    InfeasibleConstraintError
-from .models import StatModel, log_density, _factor_box
+    InfeasibleConstraintError, ParameterError
+from .models import StatModel, log_density, _factor_box, _is_number
 from .quadrature import gauss_legendre
 
 __all__ = [
@@ -36,6 +36,7 @@ __all__ = [
     "update",
     "relative_entropy",
     "constraint_function",
+    "domain_failures",
 ]
 
 _GRID_POINTS = 2048
@@ -94,6 +95,9 @@ class TabulatedDensity:
 
 
 def uniform_prior(lo: float, hi: float) -> TabulatedDensity:
+    """The uniform density on (lo, hi), lo < hi."""
+    if not lo < hi:
+        raise ParameterError([("hi", f"must exceed lo = {lo}, got {hi}")])
     x, w = _composite_grid(lo, hi)
     return TabulatedDensity(x, w, np.full_like(x, 1.0 / (hi - lo)),
                             bounds=(float(lo), float(hi)))
@@ -105,6 +109,8 @@ def _prior_interval(prior, domain):
     A hard support boundary (the origin of a half-line density) is not a
     truncation; only genuinely infinite ends get the integrability check.
     """
+    if isinstance(prior, StatModel) and prior.micro_dim != 1:
+        raise ValueError("only one-dimensional priors are supported")
     if domain is not None:
         lo, hi = float(domain[0]), float(domain[1])
         if isinstance(prior, TabulatedDensity) and \
@@ -114,16 +120,12 @@ def _prior_interval(prior, domain):
     elif isinstance(prior, TabulatedDensity):
         lo, hi = prior.domain
     elif isinstance(prior, StatModel):
-        if prior.micro_dim != 1:
-            raise ValueError("only one-dimensional priors are supported")
         lo, hi = prior.micro_bounds()[0]
     else:
         raise ValueError("a domain is required for callable priors")
     open_lo = not np.isfinite(lo)
     open_hi = not np.isfinite(hi)
     if (open_lo or open_hi) and isinstance(prior, StatModel):
-        if prior.micro_dim != 1:
-            raise ValueError("only one-dimensional priors are supported")
         box = _factor_box(prior.factors[0], prior.theta)[0]
         lo = box[0] if open_lo else lo
         hi = box[1] if open_hi else hi
@@ -144,6 +146,16 @@ def _log_prior_values(prior, x):
     return np.log(np.maximum(vals, 1e-300))
 
 
+def domain_failures(domain) -> list:
+    """("domain", message) unless ``domain`` is None or two numbers
+    lo < hi; either end may be infinite."""
+    if domain is None or isinstance(domain, (list, tuple, np.ndarray)) \
+            and len(domain) == 2 and all(map(_is_number, domain)) \
+            and domain[0] < domain[1]:
+        return []
+    return [("domain", f"must be two numbers lo < hi, got {domain!r}")]
+
+
 @dataclass(frozen=True, eq=False)
 class MrEProblem:
     """Prior, expectation constraints and the integration domain."""
@@ -154,9 +166,9 @@ class MrEProblem:
 
     def __post_init__(self):
         cons = tuple((fn, float(F)) for fn, F in self.constraints)
-        for _, F in cons:
-            if not np.isfinite(F):
-                raise ValueError("constraint targets must be finite")
+        ParameterError.raise_any(domain_failures(self.domain) + [
+            (f"constraints[{i}]", f"target must be finite, got {F}")
+            for i, (_, F) in enumerate(cons) if not np.isfinite(F)])
         object.__setattr__(self, "constraints", cons)
 
 
@@ -324,16 +336,20 @@ def relative_entropy(p, q, domain=None) -> float:
 
 
 def constraint_function(name: str, coefficients: Sequence[float] = None):
-    """Named moment functions for configuration files."""
+    """Named moment functions for configuration files: identity, square,
+    abs, and poly, sum c_k x^k over a nonempty list of numbers c_k."""
     if name == "identity":
         return lambda x: x
     if name == "square":
         return lambda x: x ** 2
     if name == "abs":
         return np.abs
-    if name == "poly":
-        if not coefficients:
-            raise ValueError("poly constraint needs coefficients")
-        coeffs = list(map(float, coefficients))
-        return lambda x: sum(c * x ** k for k, c in enumerate(coeffs))
-    raise ValueError(f"unknown constraint function {name!r}")
+    if name != "poly":
+        raise ParameterError([("f", f"unknown constraint function {name!r}")])
+    if not (isinstance(coefficients, (list, tuple, np.ndarray))
+            and len(coefficients) and all(map(_is_number, coefficients))):
+        raise ParameterError([("coefficients",
+                               "poly constraint needs a nonempty list of "
+                               f"numbers, got {coefficients!r}")])
+    coeffs = list(map(float, coefficients))
+    return lambda x: sum(c * x ** k for k, c in enumerate(coeffs))

@@ -171,9 +171,9 @@ def check_parameters(l=None, r=None, regime=None, theta0=None, v0=None,
     domain, an entry as ``theta0[1]``; None is not checked.  l >= 1; r (one,
     or one per pair) and r_sweep (a nonempty list) in [0, 1); a regular or
     chaotic regime; theta0 and v0 of dimension 2 l or the regime's, with
-    positive spread and rate entries of theta0; tau_end > 0.  The IHO and
-    wave-packet drivers read IHOConfig and ScatterConfig, which check
-    their own fields."""
+    spread and rate entries of theta0 at or above the chart floor;
+    tau_end > 0.  The IHO and wave-packet drivers read IHOConfig and
+    ScatterConfig, which check their own fields."""
     fails = []
     dim, scales = _SPIN_CHAIN_STARTS.get(regime, (None, ()))
     if regime is not None and dim is None:
@@ -199,12 +199,14 @@ def check_parameters(l=None, r=None, regime=None, theta0=None, v0=None,
               for name, vec in (("theta0", theta0), ("v0", v0))
               if vec is not None and dim and len(vec) != dim]
     if theta0 is not None and len(theta0) == dim:
-        fails += md.positive_failures({f"theta0[{i}]": theta0[i]
-                                       for i in scales})
+        # each scale at or above the floor that MetricField.in_chart reads
+        fails += [(f"theta0[{i}]", f"must be at least the chart floor "
+                   f"{md._CHART_FLOOR}, got {theta0[i]}") for i in scales
+                  if not (md._is_number(theta0[i])
+                          and theta0[i] >= md._CHART_FLOOR)]
     if tau_end is not None:
         fails += md.positive_failures({"tau_end": tau_end})
-    if fails:
-        raise ParameterError(fails)
+    ParameterError.raise_any(fails)
 
 
 # ---------------------------------------------------------------------------
@@ -451,8 +453,7 @@ class IHOConfig:
             failures.append(("tau_end", f"must be a number above the start "
                              f"{_IHO_FIT_START} of the slope fit, got "
                              f"{tau_end}"))
-        if failures:
-            raise ParameterError(failures)
+        ParameterError.raise_any(failures)
         if self.omega is not None:
             object.__setattr__(self, "omega",
                                tuple(float(w) for w in self.omega))
@@ -849,8 +850,7 @@ class ScatterConfig:
             self.params     # checks p0, sigma0, tau0 and r
         except ParameterError as exc:
             failures = exc.failures + failures
-        if failures:
-            raise ParameterError(failures)
+        ParameterError.raise_any(failures)
         if self.k0 * self.potential_range > 0.3:
             warnings.warn("k0 L exceeds 0.3; the low-energy expansion "
                           "degrades", stacklevel=2)

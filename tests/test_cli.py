@@ -5,12 +5,15 @@ import json
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import HealthCheck, given, settings, strategies as st
 from scipy.stats import norm
 
 from igac import cli
+from igac import models as md
+from igac import mre
 from igac import scenarios as sc
 from igac.errors import ConfigError, ParameterError
 
@@ -572,6 +575,27 @@ IGE_2D = f"manifold: {DIAG_2D}\ntheta0: [0.0, 1.0]\nv0: [1.0, 0.0]\n" \
      "numerics.fit_window_fraction"),
     ("ige", f"{IGE_2D}numerics: {{fit_window_fraction: 1}}\n",
      "numerics.fit_window_fraction"),
+    ("mre", mre_body("prior: {family: [uniform]}"), "mre.prior.family"),
+    ("mre", mre_body("prior: {family: {uniform: 1}}"), "mre.prior.family"),
+    ("scenario", "scenario: uncorrelated_gaussian\n"
+     "parameters: {l: 1, theta0: [0.0, 1.0e-300]}\n", "parameters.theta0[1]"),
+    ("curvature", "manifold: {kind: macro_correlated, r: [0.5]}\n"
+     "theta: [0.0, 1.0]\nmetric_source: quadrature\n", "metric_source"),
+    ("curvature", "manifold: {kind: product, factors: "
+     "[{kind: macro_correlated, r: [0.5]}]}\ntheta: [0.0, 1.0]\n",
+     "manifold.factors[0].kind"),
+    ("curvature", "manifold: {kind: [exponential], mu: 1.0}\ntheta: [1.0]\n",
+     "manifold.kind"),
+    ("curvature", "manifold: {kind: gaussian_diag, means: [0.0, 1.0], "
+     "sigmas: [1.0, -1.0]}\ntheta: [0.0, 1.0, 1.0, 1.0]\n",
+     "manifold.sigmas[1]"),
+    ("curvature", "manifold: {kind: product, factors: [{kind: exponential, "
+     "mu: 1.0}, {kind: wigner_dyson, mu: 0}]}\ntheta: [1.0, 1.0]\n",
+     "manifold.factors[1].mu"),
+    ("mre", mre_body("prior: {family: uniform, lo: 1.0, hi: 1.0}"),
+     "mre.prior.hi"),
+    ("mre", mre_body("prior: {family: gaussian}\n  domain: [1.0, 0.0]"),
+     "mre.domain"),
 ], ids=["r-text", "sigma-text", "numerics-scalar", "theta-long",
         "theta-short", "theta0-long", "v0-long", "dj0-long",
         "custom-theta-long", "tau-end-text", "no-coordinates", "target-text",
@@ -593,13 +617,32 @@ IGE_2D = f"manifold: {DIAG_2D}\ntheta0: [0.0, 1.0]\nv0: [1.0, 0.0]\n" \
         "wavepacket-r-sweep-negative", "mre-poly-coefficients-scalar",
         "mre-poly-coefficients-text", "iho-tau-end-short",
         "ige-tau-end-negative", "ige-tau-end-zero",
-        "ige-fit-window-fraction-above-1", "ige-fit-window-fraction-1"])
+        "ige-fit-window-fraction-above-1", "ige-fit-window-fraction-1",
+        "mre-prior-family-list", "mre-prior-family-mapping",
+        "gaussian-theta0-spread-below-chart-floor",
+        "macro-metric-source-quadrature", "product-macro-factor",
+        "manifold-kind-list", "gaussian-sigma-entry-negative",
+        "product-wigner-dyson-mu-zero", "mre-uniform-empty",
+        "mre-domain-reversed"])
 def test_malformed_config_exits_1_naming_field(tmp_path, capsys, command,
                                                body, field):
     cfg = tmp_path / "bad.yaml"
     cfg.write_text(body + f"output: {{directory: '{tmp_path}/out'}}\n")
     assert cli.main([command, "--config", str(cfg)]) == 1
     assert f"config error at {field}:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("formats", ["[[json]]", "[json, {csv: 1}]"],
+                         ids=["list", "mapping"])
+def test_unhashable_output_format_exits_1_naming_field(tmp_path, capsys,
+                                                       formats):
+    # the body sets output itself, which the test above appends to its cases
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(f"{GEO_CFG}output: {{directory: '{tmp_path}/out', "
+                   f"formats: {formats}}}\n")
+    assert cli.main(["geodesic", "--config", str(cfg)]) == 1
+    assert "config error at output.formats:" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -1069,3 +1112,131 @@ def test_wavepacket_ranges_live_in_the_library(p0, sigma0, tau0, R0, L,
     expected = _library_failures(lambda: sc.ScatterConfig(**fields), keys) \
         + _library_failures(lambda: sc.check_parameters(r_sweep=r_sweep))
     assert sorted(_parse_failures("wavepacket", params)) == sorted(expected)
+
+
+
+# Every manifold, prior and constraint range lives in its constructor:
+# parse_config rejects a spec exactly when the constructors do, at the
+# config path of each of their failures.  A bool meets the structure check
+# first, which rejects it at its key (at the list, for a list entry) and
+# leaves its model or prior unbuilt.
+
+def _raised(check, path, fields=None):
+    """The config path ``path.field`` of each failure of a library check,
+    a field renamed through ``fields``."""
+    try:
+        check()
+    except ParameterError as exc:
+        return [f"{path}.{(fields or {}).get(field, field)}"
+                for field, _ in exc.failures]
+    return []
+
+
+def _leaf_failures(build, args, path, fields=None):
+    """Where parse_config rejects a model or prior: at each key holding a
+    bool, or else where its constructor fails."""
+    return [f"{path}.{key}" for key, val in args.items()
+            if isinstance(val, bool) or isinstance(val, list)
+            and any(isinstance(x, bool) for x in val)] or \
+        _raised(lambda: build(**args), path, fields)
+
+
+MODEL_CONSTRUCTORS = {"gaussian_diag": md.gaussian_diag,
+                      "exponential": md.exponential,
+                      "wigner_dyson": md.wigner_dyson,
+                      "gaussian_bivariate_corr": md.gaussian_bivariate_corr}
+
+
+def _manifold_failures(spec, path):
+    """(config paths of the library's failures, dimension) of a spec."""
+    kind = spec["kind"]
+    if kind == "product":
+        parts = [_manifold_failures(sub, f"{path}.factors[{i}]")
+                 for i, sub in enumerate(spec["factors"])]
+        return [p for fails, _ in parts for p in fails], \
+            sum(dim for _, dim in parts)
+    if kind == "macro_correlated":
+        r = spec["r"]
+        fails = [f"{path}.r"] if isinstance(r, bool) else \
+            _raised(lambda: md.macro_correlated_metric(r), path)
+        return fails, 2 * len(np.atleast_1d(r))
+    build = MODEL_CONSTRUCTORS[kind]
+    args = {key: val for key, val in spec.items() if key != "kind"}
+    fails = _leaf_failures(build, args, path)
+    return fails, 0 if fails else build(**args).param_dim
+
+
+def _config_failures(cfg, command):
+    try:
+        cli.parse_config(yaml.safe_dump(cfg), command)
+    except ConfigError as exc:
+        return sorted(path for path, _ in exc.failures)
+    return []
+
+
+# zero, negatives, bools, the ends of a correlation and valid values
+EDGE = st.sampled_from([0, 0.0, -1, -0.5, 0.5, 1, 1.0, -1.0, 2.0, True,
+                        False]) | st.floats(-2.0, 2.0)
+EDGES = st.lists(EDGE, min_size=1, max_size=3)
+MODEL_LEAVES = st.one_of(
+    st.fixed_dictionaries({"kind": st.just("gaussian_diag"), "means": EDGES,
+                           "sigmas": EDGES}),
+    st.fixed_dictionaries({"kind": st.sampled_from(["exponential",
+                                                    "wigner_dyson"]),
+                           "mu": EDGE}),
+    st.fixed_dictionaries({"kind": st.just("gaussian_bivariate_corr"),
+                           "mu_x": EDGE, "mu_y": EDGE, "sigma": EDGE},
+                          optional={"r": EDGE}))
+MODEL_SPECS = st.recursive(MODEL_LEAVES, lambda factors: st.fixed_dictionaries(
+    {"kind": st.just("product"),
+     "factors": st.lists(factors, min_size=1, max_size=3)}), max_leaves=5)
+MANIFOLD_SPECS = MODEL_SPECS | st.fixed_dictionaries(
+    {"kind": st.just("macro_correlated"), "r": EDGE | EDGES})
+
+
+@ONE_HOME
+@given(spec=MANIFOLD_SPECS)
+def test_manifold_ranges_live_in_the_library(spec):
+    expected, dim = _manifold_failures(spec, "manifold")
+    # the length of theta is checked against a valid manifold only
+    theta = [1.0] * (dim or 1)
+    assert _config_failures({"manifold": spec, "theta": theta},
+                            "curvature") == sorted(expected)
+
+
+PRIOR_BUILDERS = {"exponential": md.exponential,
+                  "gaussian": lambda mu, sigma: md.gaussian_diag([mu],
+                                                                 [sigma]),
+                  "uniform": mre.uniform_prior}
+PRIORS = st.one_of(
+    st.fixed_dictionaries({"family": st.just("exponential"), "mu": EDGE}),
+    st.fixed_dictionaries({"family": st.just("gaussian"), "mu": EDGE,
+                           "sigma": EDGE}),
+    st.fixed_dictionaries({"family": st.just("uniform"), "lo": EDGE,
+                           "hi": EDGE}))
+CONSTRAINTS = st.fixed_dictionaries(
+    {"f": st.sampled_from(["identity", "square", "abs", "poly", "cube",
+                           True]),
+     "target": st.floats(-1.0, 1.0)},
+    optional={"coefficients": st.none() | EDGE
+              | st.lists(EDGE, max_size=3)})
+
+
+@ONE_HOME
+@given(prior=PRIORS, domain=st.none() | st.lists(EDGE, min_size=2,
+                                                  max_size=2),
+       constraints=st.lists(CONSTRAINTS, min_size=1, max_size=3))
+def test_prior_and_constraint_ranges_live_in_the_library(prior, domain,
+                                                         constraints):
+    problem = {"prior": prior, "constraints": constraints}
+    args = {key: val for key, val in prior.items() if key != "family"}
+    expected = _leaf_failures(PRIOR_BUILDERS[prior["family"]], args,
+                              "mre.prior", {"sigmas[0]": "sigma"})
+    if domain is not None:
+        problem["domain"] = domain
+        expected += _raised(lambda: mre.MrEProblem(
+            md.exponential(1.0), (), domain=domain), "mre")
+    for i, c in enumerate(constraints):
+        expected += _raised(lambda: mre.constraint_function(
+            c["f"], c.get("coefficients")), f"mre.constraints[{i}]")
+    assert _config_failures({"mre": problem}, "mre") == sorted(expected)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from igac import models as md
-from igac.errors import DomainError
+from igac.errors import DomainError, ParameterError
 
 from conftest import FAMILIES, fd_score, fisher_quadrature_at, philox, \
     random_micro_point, random_model
@@ -51,6 +51,12 @@ def test_exponential_domain_rejection():
         md.score(md.wigner_dyson(1.0), [0.0])
 
 
+def _failures(build, *args, **kwargs):
+    with pytest.raises(ParameterError) as err:
+        build(*args, **kwargs)
+    return err.value.failures
+
+
 def test_constructor_invariants():
     with pytest.raises(ValueError):
         md.gaussian_diag([0.0], [0.0])
@@ -60,6 +66,28 @@ def test_constructor_invariants():
         md.exponential(-1.0)
     with pytest.raises(ValueError):
         md.macro_correlated_metric([0.5, 1.0])
+    # each failure names its argument; a bool is no number, although
+    # Python counts it an int
+    assert _failures(md.exponential, True) == [
+        ("mu", "must be a positive number, got True")]
+    assert _failures(md.wigner_dyson, -1.0) == [
+        ("mu", "must be a positive number, got -1.0")]
+    assert _failures(md.gaussian_diag, [0.0], [True]) == [
+        ("sigmas[0]", "must be a positive number, got True")]
+    # every failure at once, the length mismatch too
+    assert [field for field, _ in _failures(
+        md.gaussian_diag, [0.0, 1.0], [0.0, 1.0, -2.0])] == \
+        ["sigmas[0]", "sigmas[2]", "sigmas"]
+    assert _failures(md.gaussian_bivariate_corr, 0.0, 0.0, 0.0, r=-1.0) == [
+        ("sigma", "must be a positive number, got 0.0"),
+        ("r", "must lie in (-1, 1), got -1.0")]
+    assert [field for field, _ in _failures(
+        md.gaussian_bivariate_corr, 0.0, 0.0, 1.0, r=True)] == ["r"]
+    assert [field for field, _ in _failures(
+        md.macro_correlated_metric, [False, 0.5, 1.0])] == ["r[0]", "r[2]"]
+    assert [field for field, _ in _failures(
+        md.with_theta, md.gaussian_diag([0.0, 0.0], [1.0, 1.0]),
+        [0.0, -1.0, 0.0, 0.0])] == ["theta[1]", "theta[3]"]
 
 
 def test_analytic_fisher_gaussian_pair():

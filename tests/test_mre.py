@@ -10,7 +10,7 @@ from scipy.stats import norm
 from igac import models as md
 from igac import mre
 from igac.errors import BracketingError, DomainError, \
-    InfeasibleConstraintError
+    InfeasibleConstraintError, ParameterError
 
 from conftest import philox
 
@@ -332,6 +332,37 @@ def test_constraint_function_names():
         mre.constraint_function("cube")
     with pytest.raises(ValueError):
         mre.constraint_function("poly")
+
+
+@pytest.mark.parametrize("name,coefficients,field", [
+    ("cube", None, "f"), (["identity"], None, "f"),
+    ("poly", 3, "coefficients"), ("poly", [], "coefficients"),
+    ("poly", [1.0, "a"], "coefficients"), ("poly", [True], "coefficients"),
+])
+def test_constraint_function_failure_names_its_argument(name, coefficients,
+                                                        field):
+    with pytest.raises(ParameterError) as err:
+        mre.constraint_function(name, coefficients)
+    assert [f for f, _ in err.value.failures] == [field]
+
+
+@pytest.mark.parametrize("lo,hi", [(1, -1), (1.0, 1.0)])
+def test_uniform_prior_needs_lo_below_hi(lo, hi):
+    with pytest.raises(ParameterError) as err:
+        mre.uniform_prior(lo, hi)
+    assert err.value.failures == [("hi", f"must exceed lo = {lo}, got {hi}")]
+
+
+@pytest.mark.parametrize("domain", [(1.0, 0.0), (0.0, 0.0), (0.0,),
+                                    (0.0, "a"), (False, 1.0)])
+def test_problem_domain_is_two_numbers_in_order(domain):
+    with pytest.raises(ParameterError) as err:
+        mre.MrEProblem(md.gaussian_diag([0.0], [1.0]), ((lambda x: x, 0.1),),
+                       domain=domain)
+    assert [f for f, _ in err.value.failures] == ["domain"]
+    # either end may be infinite
+    mre.MrEProblem(md.gaussian_diag([0.0], [1.0]), ((lambda x: x, 0.1),),
+                   domain=(-np.inf, np.inf))
 
 
 def test_problem_validation():
