@@ -87,11 +87,8 @@ def parse_config(text: str, command: str = "scenario") -> dict:
     cfg = dict(raw)
 
     numerics = _section(cfg, "numerics", _NUMERIC_DEFAULTS, failures)
-    # the fit window (tau0 + f (tau_end - tau0), tau_end) is empty at f >= 1
-    frac = numerics.get("fit_window_fraction")
-    if not md._is_number(frac) or not 0.0 < frac < 1.0:
-        failures.append(("numerics.fit_window_fraction",
-                         f"must lie in (0, 1), got {frac!r}"))
+    failures += [(f"numerics.{field}", msg) for field, msg in cx.fit_failures(
+        fit_window_fraction=numerics.get("fit_window_fraction"))]
     cfg["numerics"] = numerics
 
     output = _section(cfg, "output",
@@ -114,7 +111,7 @@ def parse_config(text: str, command: str = "scenario") -> dict:
         _validate_manifold_command(cfg, command, failures, bad)
     elif command == "mre":
         _validate_mre(cfg.get("mre"), "mre", failures, bad)
-        # a zero tolerance would leave the solver running unbounded
+        # the rule of mre.solve_multiplier
         failures += md.positive_failures({"tol": cfg.get("tol", 1e-12)})
 
     if nonfinite or failures:
@@ -346,13 +343,9 @@ def _validate_manifold_command(cfg, command, failures, nonfinite):
     if cfg.get("metric_source", "analytic") not in sources:
         failures.append(("metric_source", f"must be one of {sources}"))
     if command == "ige":
-        if cfg.get("fit_form", "linear") not in cx._FORMS:
-            failures.append(("fit_form", f"must be one of {cx._FORMS}"))
-        n_out = cfg.get("n_out", 257)
-        if not isinstance(n_out, int) or isinstance(n_out, bool) or \
-                n_out < 2:
-            failures.append(("n_out", f"must be an integer >= 2, got "
-                             f"{n_out!r}"))
+        failures += [("fit_form", msg) for _, msg in
+                     cx.fit_failures(cfg.get("fit_form", "linear"))]
+        failures += dyn.n_out_failures(cfg.get("n_out", 257))
     for key in vectors:
         if key in cfg:
             _check_vector(cfg[key], key, dim, failures)

@@ -4,8 +4,9 @@ The volume of the region explored by a geodesic up to time tau is the
 iterated integral of sqrt(det g) over the coordinate box spanned by the
 trajectory (per-coordinate min/max over [0, tau]).  Its running time average
 is the complexity C(tau); S(tau) = ln C(tau) is the entropy trace.  Late-time
-behavior is summarized by least-squares fits to linear, logarithmic, power,
-exponential and saturating forms.
+behavior is summarized by fits to linear, logarithmic, power, exponential
+and saturating forms, each a least-squares line in transformed variables
+(``AsymptoticFit``), whose r^2 is read in that space.
 
 A box is a pair of corner arrays lo, hi.  Closed-form metrics
 (``analytic_fisher``, ``fisher_quadrature``, ``macro_correlated_metric``,
@@ -23,14 +24,12 @@ in every report so alternates can be compared later.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import curve_fit
 
-from .errors import FitFailureError, UndefinedEntropyError
-from .models import MetricField
+from .errors import FitFailureError, ParameterError, UndefinedEntropyError
+from .models import MetricField, _is_number
 from .dynamics import GeodesicPath
 from .quadrature import integrate_box
 
@@ -43,6 +42,7 @@ __all__ = [
     "igc",
     "ige",
     "complexity_trace",
+    "fit_failures",
     "fit_asymptotics",
     "select_growth_form",
 ]
@@ -167,17 +167,31 @@ def complexity_trace(metric: MetricField,
 # asymptotic fits
 # ---------------------------------------------------------------------------
 
-_FORMS = ("linear", "logarithmic", "power", "exponential", "ige_saturating")
+# each form as the line v(y, m) = a + b x(tau) through the trace y (S or C)
+# it reads, with its params from the intercept a and slope b
+_FORMS = {
+    "linear": ("ige", lambda t: t, lambda y, m: y, lambda a, b: (b, a)),
+    "logarithmic": ("ige", np.log, lambda y, m: y, lambda a, b: (b, a)),
+    "power": ("igc", np.log, lambda y, m: np.log(y),
+              lambda a, b: (np.exp(a), b)),
+    "exponential": ("igc", lambda t: t, lambda y, m: np.log(y),
+                    lambda a, b: (np.exp(a), b)),
+    # S = m ln(L1 + L2 / tau) is the line e^(S/m) = L1 + L2 / tau
+    "ige_saturating": ("ige", lambda t: 1.0 / t, lambda y, m: np.exp(y / m),
+                       lambda a, b: (a, b)),
+}
 
 
 @dataclass(frozen=True)
 class AsymptoticFit:
-    """Late-time fit of a complexity/entropy trace.
+    """Late-time fit of a complexity/entropy trace: a least-squares line
+    in the transformed variables of its form, with ``r2`` read there.
 
-    params by form: linear S = a tau + b -> (a, b); logarithmic
-    S = a ln tau + b -> (a, b); power C = a tau^b -> (a, b); exponential
-    C = a e^(b tau) -> (a, b); ige_saturating S = m ln(L1 + L2 / tau)
-    -> (L1, L2) with the multiplicity m fixed by the caller.
+    linear S = a tau + b on (tau, S) -> (a, b); logarithmic S = a ln tau + b
+    on (ln tau, S) -> (a, b); power C = a tau^b on (ln tau, ln C) -> (a, b);
+    exponential C = a e^(b tau) on (tau, ln C) -> (a, b); ige_saturating
+    S = m ln(L1 + L2 / tau) on (1/tau, e^(S/m)) -> (L1, L2), with the
+    multiplicity m fixed by the caller.
     """
 
     form: str
@@ -195,12 +209,16 @@ def _window_mask(taus, window, fit_window_fraction):
     return (taus >= lo) & (taus <= hi), (float(lo), float(hi))
 
 
-def _lstsq_line(x, y):
-    design = np.column_stack([x, np.ones_like(x)])
-    if np.linalg.matrix_rank(design) < 2:
-        raise FitFailureError("rank-deficient design matrix")
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    return coef, design @ coef
+def _fit_line(x, y):
+    """Intercept a and slope b of the least-squares line y = a + b x;
+    FitFailureError when a value is not finite or x has no spread."""
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise FitFailureError("line fit needs finite values")
+    if x.size < 2 or not np.ptp(x) > 0:
+        raise FitFailureError("line fit needs an abscissa with spread")
+    dx = x - np.mean(x)
+    b = float(dx @ (y - np.mean(y)) / (dx @ dx))
+    return float(np.mean(y)) - b * float(np.mean(x)), b
 
 
 def _r2(y, yhat):
@@ -211,62 +229,44 @@ def _r2(y, yhat):
     return min(max(1.0 - ss_res / ss_tot, 0.0), 1.0)
 
 
+def fit_failures(form: str = "linear",
+                 fit_window_fraction: float = 0.25) -> list:
+    """(field, message) of each argument of ``fit_asymptotics`` out of its
+    range; the default window is empty at a fraction of 1 or more."""
+    fails = [] if isinstance(form, str) and form in _FORMS else [
+        ("form", f"must be one of {tuple(_FORMS)}, got {form!r}")]
+    if not (_is_number(fit_window_fraction)
+            and 0.0 < fit_window_fraction < 1.0):
+        fails.append(("fit_window_fraction",
+                      f"must lie in (0, 1), got {fit_window_fraction!r}"))
+    return fails
+
+
 def fit_asymptotics(trace: ComplexityTrace, form: str, multiplicity: int = 1,
                     window: tuple = None, fit_window_fraction: float = 0.25,
                     min_points: int = 32) -> AsymptoticFit:
     """Least-squares fit of the trace to one asymptotic form.
 
     The window defaults to the trace range with the first quarter (the
-    transient) dropped; at least ``min_points`` finite samples are required.
+    transient) dropped; at least ``min_points`` finite samples are required,
+    and a transformed value that is not finite raises FitFailureError.
     """
-    if form not in _FORMS:
-        raise ValueError(f"unknown form {form!r}; choose from {_FORMS}")
+    ParameterError.raise_any(fit_failures(form, fit_window_fraction))
     mask, win = _window_mask(trace.tau_grid, window, fit_window_fraction)
+    which, x_of, v_of, params = _FORMS[form]
     taus = trace.tau_grid[mask]
-    entropy_form = form in ("linear", "logarithmic", "ige_saturating")
-    y = trace.ige[mask] if entropy_form else trace.igc[mask]
+    y = getattr(trace, which)[mask]
     good = np.isfinite(y) & (taus > 0)
     taus, y = taus[good], y[good]
     if taus.size < min_points:
         raise FitFailureError(
             f"only {taus.size} usable points in window {win}; "
             f"need {min_points}")
-
-    if form == "linear":
-        coef, yhat = _lstsq_line(taus, y)
-    elif form == "logarithmic":
-        coef, yhat = _lstsq_line(np.log(taus), y)
-    elif form == "power":
-        if np.any(y <= 0):
-            raise FitFailureError("power fit needs positive complexity")
-        coef, lhat = _lstsq_line(np.log(taus), np.log(y))
-        coef = np.array([np.exp(coef[1]), coef[0]])
-        yhat, y = lhat, np.log(y)
-    elif form == "exponential":
-        if np.any(y <= 0):
-            raise FitFailureError("exponential fit needs positive complexity")
-        coef, lhat = _lstsq_line(taus, np.log(y))
-        coef = np.array([np.exp(coef[1]), coef[0]])
-        yhat, y = lhat, np.log(y)
-    else:   # ige_saturating: y = m ln(L1 + L2 / tau)
-        m = float(multiplicity)
-        tail = np.exp(y[-1] / m)
-        head = np.exp(y[0] / m)
-        guess = (tail, max(taus[0] * (head - tail), 1e-6))
-
-        def model(t, l1, l2):
-            return m * np.log(np.maximum(l1 + l2 / t, 1e-300))
-
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                coef, _ = curve_fit(model, taus, y, p0=guess, maxfev=20000)
-        except RuntimeError as exc:
-            raise FitFailureError(f"saturating fit diverged: {exc}") from exc
-        yhat = model(taus, *coef)
-
-    return AsymptoticFit(form, tuple(float(c) for c in coef),
-                         _r2(y, yhat), win)
+    with np.errstate(all="ignore"):
+        x, v = x_of(taus), v_of(y, float(multiplicity))
+    a, b = _fit_line(x, v)
+    return AsymptoticFit(form, tuple(float(c) for c in params(a, b)),
+                         _r2(v, a + b * x), win)
 
 
 def select_growth_form(trace: ComplexityTrace, forms=("logarithmic", "linear"),

@@ -24,6 +24,7 @@ estimator built from the Jacobi intensity.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 from types import SimpleNamespace
 from typing import Callable
 
@@ -46,6 +47,7 @@ __all__ = [
     "JacobiTrace",
     "WavePacketParams",
     "LyapunovEstimate",
+    "n_out_failures",
     "integrate_geodesic",
     "solve_geodesic_bvp",
     "wavepacket_geodesics",
@@ -243,6 +245,14 @@ def _exact_flow(metric: MetricField, theta0, v0, span, j0, jdot0, what,
     return carrier(theta), carrier(theta_dot), j, jdot, state
 
 
+def n_out_failures(n_out) -> list:
+    """("n_out", message) unless ``n_out`` is an integer >= 2."""
+    if isinstance(n_out, Integral) and not isinstance(n_out, bool) \
+            and n_out >= 2:
+        return []
+    return [("n_out", f"must be an integer >= 2, got {n_out!r}")]
+
+
 def integrate_geodesic(metric: MetricField, theta0, v0, tau_end: float,
                        tol: float = 1e-10, n_out: int = 513) -> GeodesicPath:
     """Geodesic initial value problem, in closed form on metrics with an
@@ -254,6 +264,7 @@ def integrate_geodesic(metric: MetricField, theta0, v0, tau_end: float,
     coordinate reaching the floor, raises ChartBoundaryError carrying the
     state at the crossing; step underflow raises StiffnessError.
     """
+    ParameterError.raise_any(n_out_failures(n_out))
     taus = np.linspace(0.0, tau_end, n_out)
     flow = _flow(metric, theta0, v0, (0.0, tau_end), tol, tol * 1e-2,
                  dense_output=True, t_eval=taus)
@@ -294,6 +305,7 @@ def solve_geodesic_bvp(metric: MetricField, theta_init, theta_final,
     BvpFailureError with the best residual reached, its message naming
     why shooting stopped and how many shots it took.
     """
+    ParameterError.raise_any(n_out_failures(n_out))   # before any shot
     theta_init = np.asarray(theta_init, float)
     theta_final = np.asarray(theta_final, float)
     for name, point in (("initial", theta_init), ("final", theta_final)):

@@ -24,7 +24,8 @@ import numpy as np
 
 from .errors import BracketingError, DomainError, \
     InfeasibleConstraintError, ParameterError
-from .models import StatModel, log_density, _factor_box, _is_number
+from .models import StatModel, log_density, _factor_box, _is_number, \
+    positive_failures
 from .quadrature import gauss_legendre
 
 __all__ = [
@@ -284,11 +285,13 @@ def solve_multiplier(problem: MrEProblem, tol: float = 1e-12) -> MrEResult:
     """Minimize ln Z(beta) - beta . F, so that grad ln Z = F, and build the
     canonical posterior.
 
-    Raises BracketingError when a target lies outside the range of its
-    constraint function on the working grid, and InfeasibleConstraintError
-    when the tilt makes Z diverge on an infinite prior support or Newton
-    does not bring the moment residual below ``tol``.
+    Raises ParameterError at ``tol`` unless it is positive,
+    BracketingError when a target lies outside the range of its constraint
+    function on the working grid, and InfeasibleConstraintError when the
+    tilt makes Z diverge on an infinite prior support or Newton does not
+    bring the moment residual below ``tol``.
     """
+    ParameterError.raise_any(positive_failures({"tol": tol}))
     ws = _Workspace(problem)
     beta, val, achieved = _solve(ws, tol)
     log_z = float(val + beta @ ws.targets)

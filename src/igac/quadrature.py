@@ -9,36 +9,31 @@ integrands like 1/sigma^k resolvable without thousands of nodes.
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 
 from .errors import QuadratureAccuracyError, UnsupportedFamilyError
 
 _SQRT2PI = np.sqrt(2.0 * np.pi)
 
-_herm_cache: dict = {}
-_lag_cache: dict = {}
-_leg_cache: dict = {}
 
-
+@cache
 def gauss_hermite_prob(n: int):
     """Nodes/weights for the standard normal measure: sum w f(t) = E[f(Z)]."""
-    if n not in _herm_cache:
-        t, w = np.polynomial.hermite_e.hermegauss(n)
-        _herm_cache[n] = (t, w / _SQRT2PI)
-    return _herm_cache[n]
+    t, w = np.polynomial.hermite_e.hermegauss(n)
+    return t, w / _SQRT2PI
 
 
+@cache
 def gauss_laguerre(n: int):
     """Nodes/weights for integral_0^inf f(t) e^-t dt = sum w f(t)."""
-    if n not in _lag_cache:
-        _lag_cache[n] = np.polynomial.laguerre.laggauss(n)
-    return _lag_cache[n]
+    return np.polynomial.laguerre.laggauss(n)
 
 
+@cache
 def gauss_legendre(n: int):
-    if n not in _leg_cache:
-        _leg_cache[n] = np.polynomial.legendre.leggauss(n)
-    return _leg_cache[n]
+    return np.polynomial.legendre.leggauss(n)
 
 
 def legendre_panels(a: float, b: float, nodes_per_panel: int,

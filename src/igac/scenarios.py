@@ -142,19 +142,15 @@ def _plain(obj):
 
 def _exp_rate(taus, values, lo_frac=0.25):
     """Slope of ln(values) over the late window; values must be positive."""
-    lo = taus[0] + lo_frac * (taus[-1] - taus[0])
-    m = (taus >= lo) & (values > 0)
+    m = cx._window_mask(taus, None, lo_frac)[0] & (values > 0)
     if np.count_nonzero(m) < 8:
         raise FitFailureError("too few positive samples for a rate fit")
-    coef = np.polyfit(taus[m], np.log(values[m]), 1)
-    return float(coef[0])
+    return cx._fit_line(taus[m], np.log(values[m]))[1]
 
 
 def _linear_slope(taus, values, lo_frac=0.25):
-    lo = taus[0] + lo_frac * (taus[-1] - taus[0])
-    m = (taus >= lo) & np.isfinite(values)
-    coef = np.polyfit(taus[m], values[m], 1)
-    return float(coef[0])
+    m = cx._window_mask(taus, None, lo_frac)[0] & np.isfinite(values)
+    return cx._fit_line(taus[m], values[m])[1]
 
 
 # ---------------------------------------------------------------------------

@@ -596,6 +596,9 @@ IGE_2D = f"manifold: {DIAG_2D}\ntheta0: [0.0, 1.0]\nv0: [1.0, 0.0]\n" \
      "mre.prior.hi"),
     ("mre", mre_body("prior: {family: gaussian}\n  domain: [1.0, 0.0]"),
      "mre.domain"),
+    ("ige", f"{IGE_2D}fit_form: [linear]\n", "fit_form"),
+    ("ige", f"{IGE_2D}n_out: 1\n", "n_out"),
+    ("ige", f"{IGE_2D}n_out: 2.5\n", "n_out"),
 ], ids=["r-text", "sigma-text", "numerics-scalar", "theta-long",
         "theta-short", "theta0-long", "v0-long", "dj0-long",
         "custom-theta-long", "tau-end-text", "no-coordinates", "target-text",
@@ -623,7 +626,8 @@ IGE_2D = f"manifold: {DIAG_2D}\ntheta0: [0.0, 1.0]\nv0: [1.0, 0.0]\n" \
         "macro-metric-source-quadrature", "product-macro-factor",
         "manifold-kind-list", "gaussian-sigma-entry-negative",
         "product-wigner-dyson-mu-zero", "mre-uniform-empty",
-        "mre-domain-reversed"])
+        "mre-domain-reversed", "ige-fit-form-list", "ige-n-out-one",
+        "ige-n-out-float"])
 def test_malformed_config_exits_1_naming_field(tmp_path, capsys, command,
                                                body, field):
     cfg = tmp_path / "bad.yaml"

@@ -6,6 +6,10 @@ constant region-normalization factor of 2 over the coordinate-box reading),
 and synthetic traces with known fit parameters.
 """
 
+import ast
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +18,8 @@ from igac import complexity as cx
 from igac import dynamics as dyn
 from igac import models as md
 from igac import scenarios as sc
-from igac.errors import FitFailureError, UndefinedEntropyError
+from igac.errors import FitFailureError, ParameterError, \
+    UndefinedEntropyError
 
 from conftest import base_metric
 
@@ -160,9 +165,67 @@ def test_fit_saturating_recovers_parameters():
         taus = np.linspace(2.0, 80.0, 160)
         trace = synthetic_trace(taus, l * np.log(lam1 + lam2 / taus))
         fit = cx.fit_asymptotics(trace, "ige_saturating", multiplicity=l)
-        assert fit.params[0] == pytest.approx(lam1, rel=1e-6)
-        assert fit.params[1] == pytest.approx(lam2, rel=1e-4)
+        # e^(S/m) = L1 + L2 / tau is a line in 1/tau: recovered exactly
+        assert fit.params[0] == pytest.approx(lam1, rel=1e-10)
+        assert fit.params[1] == pytest.approx(lam2, rel=1e-10)
         assert fit.r2 > 0.999999
+
+
+def test_fit_saturating_overflow_is_a_fit_failure():
+    # e^(S/m) overflows past S/m = 709.8; no RuntimeWarning on the way
+    taus = np.linspace(1.0, 40.0, 64)
+    ige = 2.0 * (800.0 + np.log(1.0 + 1.0 / taus))
+    trace = cx.ComplexityTrace(taus, np.zeros_like(taus),
+                               np.zeros_like(taus), ige)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FitFailureError, match="finite"):
+            cx.fit_asymptotics(trace, "ige_saturating", multiplicity=2)
+
+
+WELL_SPREAD = st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=40,
+                       unique=True).filter(lambda xs: np.ptp(xs) > 1e-2)
+
+
+@settings(max_examples=80)
+@given(x=WELL_SPREAD, slope=st.floats(-50.0, 50.0),
+       intercept=st.floats(-50.0, 50.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_fit_line_matches_polyfit(x, slope, intercept, seed):
+    x = np.array(x)
+    noise = np.random.default_rng(seed).standard_normal(x.size)
+    y = intercept + slope * x + noise
+    a, b = cx._fit_line(x, y)
+    ref_b, ref_a = np.polyfit(x, y, 1)
+    # relative to the size of the data, since a or b may lie near zero
+    assert b == pytest.approx(ref_b, rel=1e-10,
+                              abs=1e-10 * np.ptp(y) / np.ptp(x))
+    assert a == pytest.approx(ref_a, rel=1e-10,
+                              abs=1e-10 * np.max(np.abs(y)))
+
+
+@given(x0=st.floats(-1e3, 1e3), n=st.integers(0, 12))
+def test_fit_line_needs_abscissa_spread(x0, n):
+    with pytest.raises(FitFailureError, match="spread"):
+        cx._fit_line(np.full(n, x0), np.arange(n, dtype=float))
+
+
+@pytest.mark.parametrize("frac", [-0.5, 0.0, 1.0, 1.5, True])
+def test_fit_window_fraction_lies_in_open_unit_interval(frac):
+    # the window would run past either end of the trace
+    taus = np.linspace(0.0, 10.0, 200)
+    with pytest.raises(ParameterError) as err:
+        cx.fit_asymptotics(synthetic_trace(taus, taus.copy()), "linear",
+                           fit_window_fraction=frac)
+    assert [f for f, _ in err.value.failures] == ["fit_window_fraction"]
+
+
+def test_complexity_imports_nothing_from_scipy():
+    tree = ast.parse(Path(cx.__file__).read_text())
+    names = [alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.Import) for alias in node.names]
+    names += [node.module or "" for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom)]
+    assert not [n for n in names if n.split(".")[0] == "scipy"]
 
 
 def test_lambda1_formula_values():
@@ -196,8 +259,9 @@ def test_fit_window_and_min_points():
     assert fit.window[0] == pytest.approx(2.5)
     with pytest.raises(FitFailureError):
         cx.fit_asymptotics(trace, "linear", window=(9.8, 10.0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as err:
         cx.fit_asymptotics(trace, "cubic")
+    assert [f for f, _ in err.value.failures] == ["form"]
 
 
 def test_wavepacket_ige_slope_matches_lambda():

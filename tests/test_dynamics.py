@@ -8,7 +8,7 @@ from igac import dynamics as dyn
 from igac import models as md
 from igac import scenarios as sc
 from igac.errors import BvpFailureError, ChartBoundaryError, \
-    UndefinedRateError
+    ParameterError, UndefinedRateError
 
 from conftest import carrier, ode_flow
 
@@ -80,6 +80,21 @@ def test_jacobi_carrier_at_chart_boundary_carries_state():
     # the real carrier, not the complex-step column that carries it
     assert theta.shape == theta_dot.shape == (3,)
     assert not np.iscomplexobj(theta) and not np.iscomplexobj(theta_dot)
+
+
+@pytest.mark.parametrize("n_out", [1, 0, -3, 2.5, True, "9"])
+def test_path_needs_two_points_or_more(n_out):
+    metric = md.analytic_fisher(md.gaussian_diag([0.0], [1.0]))
+    with pytest.raises(ParameterError) as err:
+        dyn.integrate_geodesic(metric, [0.0, 1.0], [1.0, 0.5], 2.0,
+                               n_out=n_out)
+    assert [f for f, _ in err.value.failures] == ["n_out"]
+    with pytest.raises(ParameterError):
+        dyn.solve_geodesic_bvp(metric, [0.2, 1.1], [-0.1, 1.5], 1.0,
+                               n_out=n_out)
+    path = dyn.integrate_geodesic(metric, [0.0, 1.0], [1.0, 0.5], 2.0,
+                                  n_out=np.int64(2))
+    assert path.tau_grid.tolist() == [0.0, 2.0]
 
 
 def test_bvp_flat():

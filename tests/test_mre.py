@@ -365,6 +365,16 @@ def test_problem_domain_is_two_numbers_in_order(domain):
                    domain=(-np.inf, np.inf))
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-12, True, "1e-12"])
+def test_solve_tolerance_must_be_positive(tol):
+    # a zero tolerance is a bad argument, not an infeasible constraint
+    problem = mre.MrEProblem(md.gaussian_diag([0.0], [1.0]),
+                             ((lambda x: x, 0.3), (lambda x: x ** 2, 1.2)))
+    with pytest.raises(ParameterError) as err:
+        mre.solve_multiplier(problem, tol=tol)
+    assert [f for f, _ in err.value.failures] == ["tol"]
+
+
 def test_problem_validation():
     with pytest.raises(ValueError):
         mre.MrEProblem(md.exponential(1.0), ((lambda x: x, np.inf),))
