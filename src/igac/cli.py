@@ -451,7 +451,8 @@ def _build_mre_problem(spec):
 # ---------------------------------------------------------------------------
 
 def emit_csv(path: Path, trace: dict) -> None:
-    """One trace file; fixed column order, 17 significant digits, LF."""
+    """One trace file; fixed column order, 17 significant digits, LF.  The
+    whole table is one ``%`` format over its cells, row by row."""
     taus = np.asarray(trace["tau"], float)
     columns = [("tau", taus)]
     theta = trace.get("theta")
@@ -462,22 +463,79 @@ def emit_csv(path: Path, trace: dict) -> None:
     for key in ("speed", "delta_v", "igc", "ige", "jacobi_intensity"):
         if key in trace and trace[key] is not None:
             columns.append((key, np.asarray(trace[key], float)))
-    # '%.17g' % x is format(x, '.17g') for every float, nan and inf too
+    table = np.column_stack([col for _, col in columns])
+    # '%.17g' % x is format(x, '.17g') for every float, nan and inf too;
+    # no column name holds a '%'
     row = ",".join(["%.17g"] * len(columns))
-    lines = [",".join(name for name, _ in columns)]
-    lines += [row % tuple(vals) for vals in
-              np.column_stack([col for _, col in columns]).tolist()]
-    path.write_text("\n".join(lines) + "\n", newline="\n")
+    text = "\n".join([",".join(name for name, _ in columns)]
+                     + [row] * len(table)) % tuple(table.ravel().tolist())
+    path.write_text(text + "\n", newline="\n")
+
+
+_escape = json.encoder.encode_basestring_ascii
+# float.__repr__ of the values JSON has no literal for, and json's names
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_FLOAT_ONLY = {float}
+# looked up only after an identity test: 1 == True, so 1 would find "true"
+_LITERALS = {None: "null", True: "true", False: "false"}
+
+
+def _key_text(key) -> str:
+    """A dict key as ``json`` coerces it to a string."""
+    if isinstance(key, str):
+        return key
+    if isinstance(key, (int, float)) or key is None:
+        return _dumps(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {type(key).__name__}")
+
+
+def _dumps(obj, pad: str = "") -> str:
+    """``json.dumps(obj, indent=2, allow_nan=True)``, byte for byte: ASCII
+    escapes, ``NaN`` and ``Infinity``, and ``TypeError`` on a type json
+    does not write.  Containers are walked here; leaves go to the C-level
+    ``float.__repr__``, ``int.__repr__`` and string escape, where the
+    stdlib walks indented output in pure-Python generators."""
+    if isinstance(obj, str):
+        return _escape(obj)
+    if obj is None or obj is True or obj is False:
+        return _LITERALS[obj]
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        text = float.__repr__(obj)
+        return _NONFINITE.get(text, text)
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        if set(map(type, obj)) == _FLOAT_ONLY:
+            body = sep.join(map(float.__repr__, obj))
+            # 'n' is in nan and inf and in no finite float's repr
+            if "n" in body:
+                body = body.replace("nan", "NaN").replace("inf", "Infinity")
+        else:
+            body = sep.join([_dumps(val, inner) for val in obj])
+        return f"[\n{inner}{body}\n{pad}]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        body = sep.join([f"{_escape(_key_text(key))}: {_dumps(val, inner)}"
+                         for key, val in obj.items()])
+        return f"{{\n{inner}{body}\n{pad}}}"
+    raise TypeError(f"Object of type {type(obj).__name__} "
+                    f"is not JSON serializable")
 
 
 def emit(report: dict, traces: dict, outdir: Path, formats) -> list:
-    """Write report.json and per-trace CSVs; returns the paths written."""
+    """Write report.json (``_dumps`` of ``report``) and the per-trace
+    CSVs; returns the paths written."""
     outdir.mkdir(parents=True, exist_ok=True)
     written = []
     if "json" in formats:
         p = outdir / "report.json"
-        p.write_text(json.dumps(report, indent=2, allow_nan=True) + "\n",
-                     newline="\n")
+        p.write_text(_dumps(report) + "\n", newline="\n")
         written.append(p)
     if "csv" in formats:
         for name, trace in traces.items():
@@ -648,8 +706,7 @@ def run(cfg: dict, command: str) -> int:
     payload["command"] = command
     emit(payload, traces, outdir, cfg["output"]["formats"])
     if not report.passed:
-        sys.stderr.write(json.dumps({"failures": report.failures()},
-                                    indent=2) + "\n")
+        sys.stderr.write(_dumps({"failures": report.failures()}) + "\n")
         return 2
     return 0
 

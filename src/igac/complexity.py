@@ -25,6 +25,7 @@ in every report so alternates can be compared later.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -229,16 +230,21 @@ def _r2(y, yhat):
     return min(max(1.0 - ss_res / ss_tot, 0.0), 1.0)
 
 
-def fit_failures(form: str = "linear",
-                 fit_window_fraction: float = 0.25) -> list:
+def fit_failures(form: str = "linear", fit_window_fraction: float = 0.25,
+                 multiplicity: int = 1) -> list:
     """(field, message) of each argument of ``fit_asymptotics`` out of its
-    range; the default window is empty at a fraction of 1 or more."""
+    range; the default window is empty at a fraction of 1 or more, and the
+    multiplicity is a count, no bool."""
     fails = [] if isinstance(form, str) and form in _FORMS else [
         ("form", f"must be one of {tuple(_FORMS)}, got {form!r}")]
     if not (_is_number(fit_window_fraction)
             and 0.0 < fit_window_fraction < 1.0):
         fails.append(("fit_window_fraction",
                       f"must lie in (0, 1), got {fit_window_fraction!r}"))
+    if not (isinstance(multiplicity, Integral)
+            and not isinstance(multiplicity, bool) and multiplicity > 0):
+        fails.append(("multiplicity",
+                      f"must be a positive integer, got {multiplicity!r}"))
     return fails
 
 
@@ -251,7 +257,8 @@ def fit_asymptotics(trace: ComplexityTrace, form: str, multiplicity: int = 1,
     transient) dropped; at least ``min_points`` finite samples are required,
     and a transformed value that is not finite raises FitFailureError.
     """
-    ParameterError.raise_any(fit_failures(form, fit_window_fraction))
+    ParameterError.raise_any(fit_failures(form, fit_window_fraction,
+                                          multiplicity))
     mask, win = _window_mask(trace.tau_grid, window, fit_window_fraction)
     which, x_of, v_of, params = _FORMS[form]
     taus = trace.tau_grid[mask]

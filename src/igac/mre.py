@@ -9,7 +9,9 @@ covariance of f; one damped Newton iteration with Armijo backtracking solves
 it for any number of constraints.
 
 Integrals use composite Gauss-Legendre grids (2048 points, endpoint
-clustered).  Infinite prior supports are truncated at the prior's effective
+clustered); a tabulated prior on its own support is integrated on the
+rule it is tabulated on, which for ``uniform_prior`` and every posterior is
+that grid.  Infinite prior supports are truncated at the prior's effective
 range, where ln Z is finite for every beta; whether Z stays finite on the
 untruncated support is decided once, at the solution, from the tilted
 integrand far beyond each truncated end.
@@ -17,6 +19,7 @@ integrand far beyond each truncated end.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -139,9 +142,11 @@ def _log_prior_values(prior, x):
     if isinstance(prior, StatModel):
         return log_density(prior, x[:, None])
     if isinstance(prior, TabulatedDensity):
-        vals = prior.density(x)
-    else:
-        vals = np.asarray(prior(x), float)
+        return _log_values(prior.density(x))
+    return _log_values(np.asarray(prior(x), float))
+
+
+def _log_values(vals):
     if np.any(vals < 0):
         raise ValueError("prior density must be nonnegative")
     return np.log(np.maximum(vals, 1e-300))
@@ -189,37 +194,50 @@ def _features(constraints, x):
 
 
 class _Workspace:
+    """The working grid of a problem, its normalized log prior and features,
+    and ``start``, the dual at beta = 0."""
+
     def __init__(self, problem: MrEProblem):
+        prior = problem.prior
         lo, hi, self.open_lo, self.open_hi = _prior_interval(
-            problem.prior, problem.domain)
+            prior, problem.domain)
         self.problem = problem
         self.bounds = (lo, hi)
-        self.x, self.w = _composite_grid(lo, hi)
-        self.lnp_old = _log_prior_values(problem.prior, self.x)
+        if isinstance(prior, TabulatedDensity) and self.bounds == prior.bounds:
+            # on its own support a tabulated prior is read on its own rule
+            self.x, self.w = prior.x, prior.w
+            self.lnp_old = _log_values(prior.p)
+        else:
+            self.x, self.w = _composite_grid(lo, hi)
+            self.lnp_old = _log_prior_values(prior, self.x)
         self.f = _features(problem.constraints, self.x)
         self.targets = np.array([F for _, F in problem.constraints])
         self.lnpw = self.lnp_old + np.log(self.w)
-        log_mass = self.dual(np.zeros(self.targets.size))[0]
+        log_mass, mean, cov = self.dual(np.zeros(self.targets.size))
         # an explicit domain conditions the prior on it
         if problem.domain is None and abs(np.expm1(log_mass)) > 1e-6:
             raise ValueError(f"prior is not normalized on its support "
                              f"(mass {np.exp(log_mass)})")
         self.lnp_old -= log_mass
         self.lnpw -= log_mass
+        # normalizing shifts ln Z(0) to 0 and leaves the tilted moments
+        self.start = (0.0, mean, cov)
 
     def dual(self, beta):
         """(ln Z(beta) - beta . F, tilted mean of f, tilted covariance of
         f): the dual, its gradient plus F and its Hessian, from one
-        max-shifted exponential."""
-        g = self.lnpw + beta @ self.f
-        top = np.max(g)
-        prob = np.exp(g - top)
-        total = np.sum(prob)
-        prob /= total
-        mean = self.f @ prob
+        max-shifted exponential, taken in place; the k-vector sums are
+        divided by Z, not the n weights."""
+        g = beta @ self.f
+        g += self.lnpw
+        top = g.max()
+        g -= top
+        prob = np.exp(g, out=g)
+        total = prob.sum()
+        mean = (self.f @ prob) / total
         centered = self.f - mean[:, None]
-        cov = (centered * prob) @ centered.T
-        return top + np.log(total) - beta @ self.targets, mean, cov
+        cov = ((centered * prob) @ centered.T) / total
+        return top + math.log(total) - beta @ self.targets, mean, cov
 
 
 def _check_integrable(ws: _Workspace, beta):
@@ -241,19 +259,20 @@ def _check_integrable(ws: _Workspace, beta):
 
 def _solve(ws: _Workspace, tol: float):
     """Damped Newton on the convex dual of the truncated problem, with
-    Armijo backtracking; integrability is decided at the solution.
-    Returns beta with the dual and the tilted mean of f there."""
+    Armijo backtracking, from beta = 0 and the workspace's dual there;
+    integrability is decided at the solution.  Returns beta with the dual
+    and the tilted mean of f there."""
     # no tilt can push a moment outside the range of its f on the grid
     for f, F in zip(ws.f, ws.targets):
-        if not np.min(f) < F < np.max(f):
+        if not f.min() < F < f.max():
             raise BracketingError(
                 f"target {F} outside the reachable moment range "
-                f"[{np.min(f)}, {np.max(f)}]")
+                f"[{f.min()}, {f.max()}]")
     beta = np.zeros(ws.targets.size)
-    val, mean, cov = ws.dual(beta)
+    val, mean, cov = ws.start
     for _ in range(_NEWTON_STEPS):
         grad = mean - ws.targets
-        res = float(np.max(np.abs(grad)))
+        res = float(abs(grad).max())
         if res < tol:
             _check_integrable(ws, beta)
             return beta, val, mean

@@ -185,6 +185,59 @@ def test_csv_cells_are_17_significant_digits(tmp_path):
         "".join(",".join(row) + "\n" for row in cells)
 
 
+JSON_FLOATS = st.floats() | st.sampled_from(
+    [float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, 1e22])
+JSON_LEAVES = (st.none() | st.booleans() | st.integers(-2 ** 200, 2 ** 200)
+               | JSON_FLOATS | JSON_FLOATS.map(np.float64) | st.text())
+# every key type json coerces to a string
+JSON_KEYS = (st.text() | st.integers(-2 ** 70, 2 ** 70) | JSON_FLOATS
+             | st.booleans() | st.none())
+
+
+@settings(max_examples=300)
+@given(obj=st.recursive(
+    JSON_LEAVES,
+    lambda inner: (st.lists(inner, max_size=5)
+                   | st.lists(inner, max_size=5).map(tuple)
+                   | st.dictionaries(JSON_KEYS, inner, max_size=5)
+                   | st.lists(JSON_FLOATS, max_size=8)),
+    max_leaves=40))
+def test_json_writer_matches_indented_json_dumps(obj):
+    assert cli._dumps(obj) == json.dumps(obj, indent=2, allow_nan=True)
+
+
+@pytest.mark.parametrize("obj", [np.int64(1), [np.bool_(True)],
+                                 {"a": np.zeros(2)}, {(1, 2): 0}, {"a": {1}}])
+def test_json_writer_rejects_what_json_rejects(obj):
+    with pytest.raises(TypeError):
+        json.dumps(obj, indent=2)
+    with pytest.raises(TypeError):
+        cli._dumps(obj)
+
+
+def test_failure_list_on_stderr_is_indented_json(tmp_path, capsys):
+    # omega_1 + omega_2 = 0.7 misses the entropy slope's doubling: exit 2
+    cfg = tmp_path / "iho.yaml"
+    cfg.write_text("scenario: iho\nparameters: {l: 2, omega: [0.3, 0.4]}\n"
+                   f"output: {{directory: '{tmp_path}/out'}}\n")
+    assert cli.main(["scenario", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    failures = [c for c in report["checks"] if not c["pass"]]
+    assert failures
+    assert err == json.dumps({"failures": failures}, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("config", DEMO_CONFIGS, ids=lambda p: p.stem)
+def test_demo_report_has_the_indented_json_dumps_layout(tmp_path, config):
+    command = config.stem if config.stem in cli._COMMANDS else "scenario"
+    assert cli.main([command, "--config", str(config),
+                     "--out", str(tmp_path)]) == 0
+    text = (tmp_path / "report.json").read_text()
+    assert json.dumps(json.loads(text), indent=2, allow_nan=True) + "\n" \
+        == text
+
+
 def test_ige_command_emits_full_columns(tmp_path):
     cfg = tmp_path / "ige.yaml"
     cfg.write_text(

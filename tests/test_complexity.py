@@ -219,6 +219,18 @@ def test_fit_window_fraction_lies_in_open_unit_interval(frac):
     assert [f for f, _ in err.value.failures] == ["fit_window_fraction"]
 
 
+@pytest.mark.parametrize("multiplicity", [0, -1, 1.5, True])
+def test_fit_multiplicity_is_a_positive_integer(multiplicity):
+    # each of these fitted a form, or failed on S/0, instead of naming the
+    # argument
+    taus = np.linspace(1.0, 10.0, 64)
+    trace = synthetic_trace(taus, np.log(1.0 + 1.0 / taus))
+    with pytest.raises(ParameterError) as err:
+        cx.fit_asymptotics(trace, "ige_saturating", multiplicity=multiplicity,
+                           min_points=16)
+    assert [f for f, _ in err.value.failures] == ["multiplicity"]
+
+
 def test_complexity_imports_nothing_from_scipy():
     tree = ast.parse(Path(cx.__file__).read_text())
     names = [alias.name for node in ast.walk(tree)

@@ -49,6 +49,41 @@ def test_solve_multiplier_reuses_the_final_dual(monkeypatch):
     assert res.log_z == float(val + beta @ ws.targets)
 
 
+@pytest.mark.parametrize("prior,mean,second", [
+    (md.gaussian_diag([0.0], [1.0]), 0.3, 0.4),
+    (md.exponential(1.0), 1.0, 1.5),
+    (mre.uniform_prior(-1.0, 1.0), 0.3, 0.4),
+], ids=["gaussian", "exponential", "uniform"])
+def test_solve_evaluates_the_dual_at_zero_once(monkeypatch, prior, mean,
+                                               second):
+    # Newton starts from the normalization pass, where ln Z(0) = 0
+    problem = mre.MrEProblem(prior, ((lambda x: x, mean),
+                                     (lambda x: x * x, second)))
+    betas = []
+    dual = mre._Workspace.dual
+    monkeypatch.setattr(mre._Workspace, "dual", lambda ws, beta:
+                        betas.append(np.copy(beta)) or dual(ws, beta))
+    res = mre.solve_multiplier(problem)
+    assert sum(not np.any(beta) for beta in betas) == 1
+    assert len(betas) > 1 and np.any(res.beta)
+
+
+@pytest.mark.parametrize("prior", [
+    mre.uniform_prior(-1.0, 1.0),
+    mre.update(md.gaussian_diag([0.0], [1.0]), 0.3, 1.2).posterior,
+], ids=["uniform", "posterior"])
+def test_tabulated_prior_on_its_support_keeps_its_rule(prior):
+    # its own nodes, weights and values: the same bits as interpolating it
+    # onto a rebuilt composite rule
+    cons = ((lambda x: x, 0.1), (lambda x: x * x, 0.5))
+    ws = mre._Workspace(mre.MrEProblem(prior, cons))
+    regridded = mre._Workspace(mre.MrEProblem(prior.density, cons,
+                                              domain=prior.bounds))
+    assert ws.x is prior.x and ws.w is prior.w
+    for name in ("x", "w", "lnp_old", "lnpw", "f"):
+        assert np.array_equal(getattr(ws, name), getattr(regridded, name))
+
+
 def test_tilted_gaussian_beta():
     # complete the square: N(0,1) e^(beta x) is N(beta, 1); mean 1 -> beta = 1
     res = mre.solve_multiplier(
