@@ -4,11 +4,18 @@ A ``StatModel`` is a point in a parametric family P(X|theta): Gaussian pairs
 parametrized by (mean, spread), exponential and Wigner-Dyson level-spacing
 densities parametrized by their mean spacing, a correlated bivariate Gaussian
 with a constant micro-correlation r, and products of these.  Every model
-decomposes internally into primitive factors, so log-densities, scores and
-Fisher metrics compose block-diagonally.  Each factor is a location-scale
-family in its chart, so its Fisher block is a constant matrix over the square
-of its spread; the closed-form and the quadrature metric both build on those
-constants and carry exact first and second derivatives and box volumes.
+decomposes into independent factors, so log-densities, scores and Fisher
+metrics compose block-diagonally.
+
+Each factor is a location-scale family: its micro point is x = loc + s t,
+with loc the factor's mean coordinates (or 0) and s its last coordinate, and
+one record per family (``_Family``) holds everything in the standard
+variable t: the log-density, the score h(t), the constant C = E[h h^T], the
+natural Gauss rule, the truncation box and the support edge.  So
+ln p = ln p0(t) - m ln s, the score is h(t) / s and the Fisher block is
+C / s^2; C is known once per family, in t, and the closed-form and the
+quadrature metric both build on it with exact first and second derivatives
+and box volumes.
 
 Chart conventions
 -----------------
@@ -32,7 +39,6 @@ from .errors import (
     DomainError,
     ParameterError,
     QuadratureAccuracyError,
-    UnsupportedFamilyError,
 )
 from .quadrature import gauss_hermite_prob, gauss_laguerre, legendre_panels
 
@@ -57,14 +63,141 @@ __all__ = [
     "correlation_failures",
 ]
 
+
+def _frozen(arr):
+    a = np.array(arr, dtype=float)
+    a.flags.writeable = False
+    return a
+
+
+@dataclass(frozen=True, eq=False)
+class _Family:
+    """A location-scale family in its standard variable t, shape (..., m).
+
+    ln p0(t) = ``log_norm`` + ``kernel(t)``; ``score(t)`` is h(t), shape
+    (..., k), the score in the factor's chart coordinates times s; ``c`` is
+    E[h h^T] in closed form.  ``rule(n)`` is the natural Gauss rule of p0:
+    nodes (N, m) and probability weights (N,).  ``support`` and ``box``
+    hold (lo, hi) edges of t per axis, shape (m, 2): the support, whose
+    lower edge belongs to it when ``closed``, and the truncation box,
+    outside which p0 has no mass at double precision.
+    """
+
+    log_norm: float
+    kernel: Callable
+    score: Callable
+    c: np.ndarray
+    rule: Callable
+    box: np.ndarray
+    support: np.ndarray = ((-np.inf, np.inf),)
+    closed: bool = True
+
+    def __post_init__(self):
+        for name in ("c", "box", "support"):
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
+
+
+_LOG_2PI = np.log(2.0 * np.pi)
+
+
+def _column(rule, to_t=lambda u: u):
+    """A one-axis rule n -> (nodes, weights), its nodes mapped by ``to_t``
+    into a column (N, 1)."""
+    def column(n):
+        u, w = rule(n)
+        return to_t(u)[:, None], w
+    return column
+
+
+# N(0, 1): the (mean, spread) pair
+_GAUSS = _Family(-0.5 * _LOG_2PI, lambda t: -0.5 * t[..., 0] ** 2,
+                 lambda t: np.concatenate([t, t * t - 1.0], axis=-1),
+                 np.diag([1.0, 2.0]), _column(gauss_hermite_prob),
+                 [(-13.0, 13.0)])
+# e^-t on t >= 0, scaled by its mean
+_EXPONENTIAL = _Family(0.0, lambda t: -t[..., 0], lambda t: t - 1.0,
+                       [[1.0]], _column(gauss_laguerre), [(0.0, 90.0)],
+                       [(0.0, np.inf)])
+# the Wigner-Dyson surmise (pi t / 2) e^(-pi t^2 / 4) on t > 0, unit mean
+_WIGNER_DYSON = _Family(
+    np.log(np.pi / 2),
+    lambda t: np.log(t[..., 0]) - 0.25 * np.pi * t[..., 0] ** 2,
+    lambda t: 0.5 * np.pi * t * t - 2.0, [[4.0]],
+    # u = pi t^2 / 4 turns p0(t) dt into e^-u du
+    _column(gauss_laguerre, lambda u: np.sqrt(4.0 * u / np.pi)),
+    [(0.0, 13.0)], [(0.0, np.inf)], closed=False)
+
+
+def _bivariate(r: float) -> _Family:
+    """The pair t of unit Gaussians with correlation r, located at (mu_x,
+    mu_y) with one common spread: with P the inverse of the correlation
+    matrix, ln p0 = -t^T P t / 2 + const and h = (P t, t^T P t - 2)."""
+    a = 1.0 / (1 - r ** 2)
+
+    def form(t):
+        t1, t2 = t[..., 0], t[..., 1]
+        p1, p2 = (t1 - r * t2) * a, (t2 - r * t1) * a
+        return p1, p2, t1 * p1 + t2 * p2
+
+    # both stack on a leading axis, so that each column is contiguous
+    def score(t):
+        p1, p2, q = form(t)
+        return np.moveaxis(np.stack([p1, p2, q - 2.0]), 0, -1)
+
+    def rule(n):
+        z, w = gauss_hermite_prob(n)
+        z1, z2 = np.meshgrid(z, z, indexing="ij")
+        t2 = r * z1 + np.sqrt(1 - r * r) * z2
+        return np.stack([z1.ravel(), t2.ravel()]).T, np.outer(w, w).ravel()
+
+    # the marginals have unit spread for every r
+    return _Family(-_LOG_2PI - 0.5 * np.log(1 - r * r),
+                   lambda t: -0.5 * form(t)[2], score,
+                   [[a, -r * a, 0.0], [-r * a, a, 0.0], [0.0, 0.0, 4.0]],
+                   rule, [(-13.0, 13.0)] * 2, [(-np.inf, np.inf)] * 2)
+
+
+def _cols(at: range) -> slice:
+    return slice(at.start, at.stop)
+
+
 @dataclass(frozen=True, eq=False)
 class _Factor:
-    """A primitive independent factor of a model."""
+    """An independent factor of a model: its family and the contiguous
+    ranges of its chart coordinates (the location coordinates, if any, then
+    the scale s) and of its micro variables."""
 
-    kind: str              # gauss_pair | exponential | wigner_dyson | gauss_biv
-    theta_at: tuple        # parameter indices in the flat chart
-    micro_at: tuple        # micro-variable indices
-    r: float = 0.0         # micro-correlation (gauss_biv only)
+    family: _Family
+    theta_at: range
+    micro_at: range
+
+    def loc_scale(self, th):
+        start, scale = self.theta_at.start, self.theta_at.stop - 1
+        return (th[start:scale] if scale > start else 0.0), th[scale]
+
+    def standard(self, th, x):
+        """(t, s) of the factor's micro points x, shape (..., m); raises
+        DomainError for a point outside the support."""
+        loc, s = self.loc_scale(th)
+        t = (x - loc) / s
+        edge = self.family.support[:, 0]
+        if np.any(t < edge if self.family.closed else t <= edge):
+            raise DomainError("micro point outside the support")
+        return t, s
+
+    def log_density(self, th, x):
+        t, s = self.standard(th, x)
+        return self.family.log_norm - len(self.micro_at) * np.log(s) \
+            + self.family.kernel(t)
+
+    def score(self, th, x):
+        t, s = self.standard(th, x)
+        return self.family.score(t) / s
+
+    def to_x(self, th, edges):
+        """(lo, hi) edges of t per micro axis, shape (m, 2), mapped to x."""
+        loc, s = self.loc_scale(th)
+        return (loc + s * edges.T).T
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,28 +205,34 @@ class StatModel:
     """Immutable parametric model; safe to share across threads."""
 
     theta: np.ndarray
-    micro_dim: int
-    param_dim: int
-    factors: tuple = ()    # primitive _Factor decomposition
+    factors: tuple = ()
 
     def __post_init__(self):
         object.__setattr__(self, "theta", _frozen(self.theta))
 
+    @property
+    def param_dim(self) -> int:
+        return self.theta.size
+
+    @property
+    def micro_dim(self) -> int:
+        return sum(len(f.micro_at) for f in self.factors)
+
     def micro_bounds(self):
         """Support of each micro coordinate as (lo, hi) pairs."""
-        bounds = [None] * self.micro_dim
-        for f in self.factors:
-            lohi = (0.0, np.inf) if f.kind in ("exponential", "wigner_dyson") \
-                else (-np.inf, np.inf)
-            for i in f.micro_at:
-                bounds[i] = lohi
-        return bounds
+        return [(float(lo), float(hi)) for f in self.factors
+                for lo, hi in f.to_x(self.theta, f.family.support)]
 
 
-def _frozen(arr):
-    a = np.array(arr, dtype=float)
-    a.flags.writeable = False
-    return a
+def _model(theta, *families: _Family) -> StatModel:
+    """The model at ``theta`` with one factor per family, each on the next
+    chart and micro coordinates in turn."""
+    factors, p, q = [], 0, 0
+    for fam in families:
+        k, m = len(fam.c), len(fam.box)
+        factors.append(_Factor(fam, range(p, p + k), range(q, q + m)))
+        p, q = p + k, q + m
+    return StatModel(theta, tuple(factors))
 
 
 def _is_number(x) -> bool:
@@ -129,20 +268,17 @@ def gaussian_diag(means: Sequence[float], sigmas: Sequence[float]) -> StatModel:
     l = len(means)
     theta = np.empty(2 * l)
     theta[0::2], theta[1::2] = means, sigmas
-    factors = tuple(
-        _Factor("gauss_pair", (2 * k, 2 * k + 1), (k,)) for k in range(l))
-    return StatModel(theta, l, 2 * l, factors=factors)
+    return _model(theta, *[_GAUSS] * l)
 
 
 def exponential(mu: float) -> StatModel:
     ParameterError.raise_any(positive_failures({"mu": mu}))
-    return StatModel([mu], 1, 1, factors=(_Factor("exponential", (0,), (0,)),))
+    return _model([mu], _EXPONENTIAL)
 
 
 def wigner_dyson(mu: float) -> StatModel:
     ParameterError.raise_any(positive_failures({"mu": mu}))
-    return StatModel([mu], 1, 1,
-                     factors=(_Factor("wigner_dyson", (0,), (0,)),))
+    return _model([mu], _WIGNER_DYSON)
 
 
 def gaussian_bivariate_corr(mu_x: float, mu_y: float, sigma: float,
@@ -153,23 +289,13 @@ def gaussian_bivariate_corr(mu_x: float, mu_y: float, sigma: float,
     if not (_is_number(r) and -1.0 < r < 1.0):
         fails.append(("r", f"must lie in (-1, 1), got {r}"))
     ParameterError.raise_any(fails)
-    return StatModel([mu_x, mu_y, sigma], 2, 3,
-                     factors=(_Factor("gauss_biv", (0, 1, 2), (0, 1), r=r),))
+    return _model([mu_x, mu_y, sigma], _bivariate(r))
 
 
 def product(*models: StatModel) -> StatModel:
     """Independent product; parameters and micro-variables concatenate."""
-    theta, factors = [], []
-    p_off = m_off = 0
-    for m in models:
-        theta.extend(np.asarray(m.theta))
-        for f in m.factors:
-            factors.append(_Factor(f.kind,
-                                   tuple(i + p_off for i in f.theta_at),
-                                   tuple(i + m_off for i in f.micro_at), f.r))
-        p_off += m.param_dim
-        m_off += m.micro_dim
-    return StatModel(theta, m_off, p_off, factors=tuple(factors))
+    return _model([x for m in models for x in m.theta],
+                  *(f.family for m in models for f in m.factors))
 
 
 def with_theta(model: StatModel, theta) -> StatModel:
@@ -182,93 +308,34 @@ def with_theta(model: StatModel, theta) -> StatModel:
     ParameterError.raise_any(positive_failures(
         {f"theta[{f.theta_at[-1]}]": theta[f.theta_at[-1]]
          for f in model.factors}))
-    return StatModel(theta, model.micro_dim, model.param_dim,
-                     factors=model.factors)
+    return StatModel(theta, model.factors)
 
 
 # ---------------------------------------------------------------------------
 # log-density and score, vectorized over micro points of shape (..., micro_dim)
 # ---------------------------------------------------------------------------
 
-_LOG_2PI = np.log(2.0 * np.pi)
-
-
-def _factor_logp(f: _Factor, th, x):
-    if f.kind == "gauss_pair":
-        mu, s = th[f.theta_at[0]], th[f.theta_at[1]]
-        z = (x[..., f.micro_at[0]] - mu) / s
-        return -0.5 * _LOG_2PI - np.log(s) - 0.5 * z * z
-    if f.kind == "exponential":
-        mu = th[f.theta_at[0]]
-        xv = x[..., f.micro_at[0]]
-        if np.any(xv < 0):
-            raise DomainError("exponential spacing must be nonnegative")
-        return -np.log(mu) - xv / mu
-    if f.kind == "wigner_dyson":
-        mu = th[f.theta_at[0]]
-        xv = x[..., f.micro_at[0]]
-        if np.any(xv <= 0):
-            raise DomainError("level spacing must be positive")
-        return np.log(np.pi / 2) + np.log(xv) - 2 * np.log(mu) \
-            - np.pi * xv ** 2 / (4 * mu ** 2)
-    if f.kind == "gauss_biv":
-        mux, muy, s = (th[i] for i in f.theta_at)
-        r = f.r
-        xt = (x[..., f.micro_at[0]] - mux) / s
-        yt = (x[..., f.micro_at[1]] - muy) / s
-        q = xt * xt - 2 * r * xt * yt + yt * yt
-        return -_LOG_2PI - 2 * np.log(s) - 0.5 * np.log(1 - r * r) \
-            - q / (2 * (1 - r * r))
-    raise UnsupportedFamilyError(f.kind)
-
-
-def _factor_score(f: _Factor, th, x, out):
-    if f.kind == "gauss_pair":
-        mu, s = th[f.theta_at[0]], th[f.theta_at[1]]
-        d = x[..., f.micro_at[0]] - mu
-        out[..., f.theta_at[0]] = d / s ** 2
-        out[..., f.theta_at[1]] = d * d / s ** 3 - 1.0 / s
-    elif f.kind == "exponential":
-        mu = th[f.theta_at[0]]
-        out[..., f.theta_at[0]] = (x[..., f.micro_at[0]] - mu) / mu ** 2
-    elif f.kind == "wigner_dyson":
-        mu = th[f.theta_at[0]]
-        xv = x[..., f.micro_at[0]]
-        out[..., f.theta_at[0]] = np.pi * xv ** 2 / (2 * mu ** 3) - 2.0 / mu
-    elif f.kind == "gauss_biv":
-        mux, muy, s = (th[i] for i in f.theta_at)
-        r = f.r
-        xt = (x[..., f.micro_at[0]] - mux) / s
-        yt = (x[..., f.micro_at[1]] - muy) / s
-        c = 1.0 / ((1 - r * r) * s)
-        out[..., f.theta_at[0]] = (xt - r * yt) * c
-        out[..., f.theta_at[1]] = (yt - r * xt) * c
-        q = xt * xt - 2 * r * xt * yt + yt * yt
-        out[..., f.theta_at[2]] = (q / (1 - r * r) - 2.0) / s
-    else:
-        raise UnsupportedFamilyError(f.kind)
+def _micro_points(model: StatModel, x) -> np.ndarray:
+    x = np.asarray(x, float)
+    if x.shape[-1] != model.micro_dim:
+        raise ValueError(f"micro point must have {model.micro_dim} components")
+    return x
 
 
 def log_density(model: StatModel, x) -> float | np.ndarray:
     """ln P(X|theta); exponentiates to a normalized density on the support."""
-    x = np.asarray(x, float)
-    if x.shape[-1] != model.micro_dim:
-        raise ValueError(f"micro point must have {model.micro_dim} components")
-    th = model.theta
-    total = sum(_factor_logp(f, th, x) for f in model.factors)
+    x = _micro_points(model, x)
+    total = sum(f.log_density(model.theta, x[..., _cols(f.micro_at)])
+                for f in model.factors)
     return float(total) if x.ndim == 1 else total
 
 
 def score(model: StatModel, x) -> np.ndarray:
-    """Gradient of log_density with respect to the chart coordinates."""
-    x = np.asarray(x, float)
-    if x.shape[-1] != model.micro_dim:
-        raise ValueError(f"micro point must have {model.micro_dim} components")
-    log_density(model, x)    # domain validation
-    out = np.zeros(x.shape[:-1] + (model.param_dim,))
-    for f in model.factors:
-        _factor_score(f, model.theta, x, out)
-    return out
+    """Gradient of log_density with respect to the chart coordinates;
+    raises DomainError for a point outside the support."""
+    x = _micro_points(model, x)
+    return np.concatenate([f.score(model.theta, x[..., _cols(f.micro_at)])
+                           for f in model.factors], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -651,28 +718,10 @@ def _inverse_power_integral(lo, hi, d):
 
 
 def analytic_fisher(model: StatModel) -> MetricField:
-    """Closed-form Fisher-Rao metric for the supported families.
-
-    gauss pair -> diag(1/s^2, 2/s^2); exponential -> 1/mu^2; Wigner-Dyson
-    level spacing -> 4/mu^2; correlated bivariate Gaussian -> the (mu_x,
-    mu_y, sigma) block with 1/(1-r^2) mean entries and 4/s^2 spread entry.
-    """
-    blocks = []
-    for f in model.factors:
-        if f.kind == "gauss_pair":
-            c = np.diag([1.0, 2.0])
-        elif f.kind == "exponential":
-            c = np.array([[1.0]])
-        elif f.kind == "wigner_dyson":
-            c = np.array([[4.0]])
-        elif f.kind == "gauss_biv":
-            a = 1.0 / (1 - f.r ** 2)
-            c = np.array([[a, -f.r * a, 0.0], [-f.r * a, a, 0.0],
-                          [0.0, 0.0, 4.0]])
-        else:
-            raise UnsupportedFamilyError(f.kind)
-        blocks.append((f.theta_at, c))
-    return _inverse_square_metric(model.param_dim, blocks)
+    """Closed-form Fisher-Rao metric: C / s^2 on each factor's block, with
+    C the closed form of the factor's family."""
+    return _inverse_square_metric(
+        model.param_dim, [(f.theta_at, f.family.c) for f in model.factors])
 
 
 def macro_correlated_metric(r_values: Sequence[float]) -> MetricField:
@@ -696,41 +745,23 @@ def macro_correlated_metric(r_values: Sequence[float]) -> MetricField:
 # Fisher metric by quadrature
 # ---------------------------------------------------------------------------
 
-def _factor_rule(f: _Factor, th, n):
-    """Nodes (m, micro) and probability weights for one factor's density."""
-    if f.kind == "gauss_pair":
-        mu, s = th[f.theta_at[0]], th[f.theta_at[1]]
-        t, w = gauss_hermite_prob(n)
-        return (mu + s * t)[:, None], w
-    if f.kind == "exponential":
-        mu = th[f.theta_at[0]]
-        t, w = gauss_laguerre(n)
-        return (mu * t)[:, None], w
-    if f.kind == "wigner_dyson":
-        # substitute t = pi x^2 / (4 mu^2): the density becomes e^-t dt
-        mu = th[f.theta_at[0]]
-        t, w = gauss_laguerre(n)
-        return (mu * np.sqrt(4.0 * t / np.pi))[:, None], w
-    if f.kind == "gauss_biv":
-        mux, muy, s = (th[i] for i in f.theta_at)
-        r = f.r
-        t, w = gauss_hermite_prob(n)
-        z1, z2 = np.meshgrid(t, t, indexing="ij")
-        x = mux + s * z1
-        y = muy + s * (r * z1 + np.sqrt(1 - r * r) * z2)
-        return np.stack([x.ravel(), y.ravel()], axis=-1), \
-            np.outer(w, w).ravel()
-    raise UnsupportedFamilyError(f.kind)
+def _quadrature_c(family: _Family, nodes, rel_tol, max_nodes):
+    """E[h h^T] of ``family`` by its natural rule, in t."""
+    def estimate(n):
+        t, w = family.rule(n)
+        h = family.score(t)
+        return np.einsum("m,ma,mb->ab", w, h, h)
 
-
-def _factor_fisher_block(model, f, th, n):
-    nodes, w = _factor_rule(f, th, n)
-    x = np.zeros((nodes.shape[0], model.micro_dim))
-    x[:, list(f.micro_at)] = nodes
-    s = np.zeros((nodes.shape[0], model.param_dim))
-    _factor_score(f, th, x, s)
-    sblk = s[:, list(f.theta_at)]
-    return np.einsum("m,ma,mb->ab", w, sblk, sblk)
+    n, cur = nodes, estimate(nodes)
+    while 2 * n <= max_nodes:
+        nxt = estimate(2 * n)
+        if np.max(np.abs(nxt - cur)) <= \
+                rel_tol * max(np.max(np.abs(nxt)), 1e-300):
+            return nxt
+        cur, n = nxt, 2 * n
+    raise QuadratureAccuracyError(
+        f"fisher quadrature did not converge below {rel_tol} within "
+        f"{max_nodes} nodes", estimate=cur)
 
 
 def fisher_quadrature(model: StatModel, nodes: int = 64,
@@ -738,86 +769,49 @@ def fisher_quadrature(model: StatModel, nodes: int = 64,
                       max_nodes: int = 4096) -> MetricField:
     """Fisher-Rao metric integrated numerically against the model density.
 
-    Every factor is a location-scale family in its chart (x = mu + s t), so
-    its score is h(t) / s and its Fisher block is exactly C / s^2 with
-    C = E[h h^T] independent of theta.  C is integrated once, at the model's
-    own theta, with Hermite rules for full-line factors and Laguerre rules
-    for half-line factors, doubling the node count until the entrywise
-    relative change falls below ``rel_tol``; the metric then has the exact
-    jets and box volume of the closed forms.  Raises
-    QuadratureAccuracyError (with the last block estimate attached) when the
-    node cap is reached first.
+    Each factor's block is C / s^2 with C = E[h h^T] independent of theta,
+    so C is integrated once per family, in t, with its natural rule
+    (Hermite for full-line factors, Laguerre for half-line ones), doubling
+    the node count until the entrywise relative change falls below
+    ``rel_tol``; the metric has the exact jets and box volume of the closed
+    forms.  Raises QuadratureAccuracyError (with the last estimate of C
+    attached) when the node cap is reached first.
     """
-    th = model.theta
-    blocks = []
-    for f in model.factors:
-        n = nodes
-        cur = _factor_fisher_block(model, f, th, n)
-        while True:
-            if 2 * n > max_nodes:
-                raise QuadratureAccuracyError(
-                    f"fisher quadrature did not converge below {rel_tol} "
-                    f"within {max_nodes} nodes", estimate=cur)
-            nxt = _factor_fisher_block(model, f, th, 2 * n)
-            scale = max(np.max(np.abs(nxt)), 1e-300)
-            if np.max(np.abs(nxt - cur)) <= rel_tol * scale:
-                break
-            cur, n = nxt, 2 * n
-        blocks.append((f.theta_at, nxt * th[f.theta_at[-1]] ** 2))
-    return _inverse_square_metric(model.param_dim, blocks,
-                                  source="quadrature")
+    consts = {fam: _quadrature_c(fam, nodes, rel_tol, max_nodes)
+              for fam in dict.fromkeys(f.family for f in model.factors)}
+    return _inverse_square_metric(
+        model.param_dim, [(f.theta_at, consts[f.family])
+                          for f in model.factors], source="quadrature")
 
 
 # ---------------------------------------------------------------------------
 # independent normalization / score-identity checks
 # ---------------------------------------------------------------------------
 
-def _factor_box(f: _Factor, th):
-    if f.kind == "gauss_pair":
-        mu, s = th[f.theta_at[0]], th[f.theta_at[1]]
-        return [(mu - 13 * s, mu + 13 * s)]
-    if f.kind == "exponential":
-        return [(0.0, 90.0 * th[f.theta_at[0]])]
-    if f.kind == "wigner_dyson":
-        return [(1e-12, 13.0 * th[f.theta_at[0]])]
-    mux, muy, s = (th[i] for i in f.theta_at)
-    w = 13 * s   # marginals have spread exactly s for every r
-    return [(mux - w, mux + w), (muy - w, muy + w)]
-
-
-def _factor_grid(f, th):
-    # 256 nodes per axis of the factor's box
-    axes = [legendre_panels(lo, hi, 256, max_panel_ratio=1e18)
-            for lo, hi in _factor_box(f, th)]
-    if len(axes) == 1:
-        return axes[0][0][:, None], axes[0][1]
-    (x1, w1), (x2, w2) = axes
-    g1, g2 = np.meshgrid(x1, x2, indexing="ij")
-    return np.stack([g1.ravel(), g2.ravel()], axis=-1), np.outer(w1, w2).ravel()
+def _box_integrals(model: StatModel):
+    """(integral of p, integral of p times the score) of each factor over
+    its truncation box, by composite Gauss-Legendre rules of 256 nodes per
+    axis, not the natural-weight rules."""
+    th = model.theta
+    for f in model.factors:
+        axes = [legendre_panels(lo, hi, 256, max_panel_ratio=1e18)
+                for lo, hi in f.to_x(th, f.family.box)]
+        x = np.stack(np.meshgrid(*(x for x, _ in axes), indexing="ij"),
+                     axis=-1).reshape(-1, len(axes))
+        w = np.prod(np.meshgrid(*(w for _, w in axes), indexing="ij"),
+                    axis=0).ravel()
+        p = np.exp(f.log_density(th, x))
+        yield float(w @ p), (w * p) @ f.score(th, x)
 
 
 def normalization_residual(model: StatModel) -> float:
-    """max over factors of |integral of the density - 1|, by an independent
-    truncated Gauss-Legendre rule (not the natural-weight rules)."""
-    worst = 0.0
-    for f in model.factors:
-        nodes, w = _factor_grid(f, model.theta)
-        x = np.zeros((nodes.shape[0], model.micro_dim))
-        x[:, list(f.micro_at)] = nodes
-        p = np.exp(_factor_logp(f, model.theta, x))
-        worst = max(worst, abs(float(w @ p) - 1.0))
-    return worst
+    """max over factors of |integral of the density - 1| on the truncation
+    box."""
+    return max((abs(mass - 1.0) for mass, _ in _box_integrals(model)),
+               default=0.0)
 
 
 def score_expectation_residual(model: StatModel) -> float:
     """max-abs of E[score] over the chart directions (vanishes exactly)."""
-    worst = 0.0
-    for f in model.factors:
-        nodes, w = _factor_grid(f, model.theta)
-        x = np.zeros((nodes.shape[0], model.micro_dim))
-        x[:, list(f.micro_at)] = nodes
-        p = np.exp(_factor_logp(f, model.theta, x))
-        s = np.zeros((nodes.shape[0], model.param_dim))
-        _factor_score(f, model.theta, x, s)
-        worst = max(worst, float(np.max(np.abs((w * p) @ s))))
-    return worst
+    return max((float(np.max(np.abs(mean)))
+                for _, mean in _box_integrals(model)), default=0.0)

@@ -27,8 +27,7 @@ import numpy as np
 
 from .errors import BracketingError, DomainError, \
     InfeasibleConstraintError, ParameterError
-from .models import StatModel, log_density, _factor_box, _is_number, \
-    positive_failures
+from .models import StatModel, log_density, _is_number, positive_failures
 from .quadrature import gauss_legendre
 
 __all__ = [
@@ -84,10 +83,6 @@ class TabulatedDensity:
             object.__setattr__(self, "bounds",
                                (float(self.x[0]), float(self.x[-1])))
 
-    @property
-    def domain(self):
-        return self.bounds
-
     def mass(self) -> float:
         return float(self.w @ self.p)
 
@@ -118,11 +113,11 @@ def _prior_interval(prior, domain):
     if domain is not None:
         lo, hi = float(domain[0]), float(domain[1])
         if isinstance(prior, TabulatedDensity) and \
-                not (prior.domain[0] <= lo and hi <= prior.domain[1]):
+                not (prior.bounds[0] <= lo and hi <= prior.bounds[1]):
             raise DomainError(f"domain ({lo}, {hi}) leaves the support "
-                              f"{prior.domain} of the tabulated prior")
+                              f"{prior.bounds} of the tabulated prior")
     elif isinstance(prior, TabulatedDensity):
-        lo, hi = prior.domain
+        lo, hi = prior.bounds
     elif isinstance(prior, StatModel):
         lo, hi = prior.micro_bounds()[0]
     else:
@@ -130,7 +125,8 @@ def _prior_interval(prior, domain):
     open_lo = not np.isfinite(lo)
     open_hi = not np.isfinite(hi)
     if (open_lo or open_hi) and isinstance(prior, StatModel):
-        box = _factor_box(prior.factors[0], prior.theta)[0]
+        f = prior.factors[0]
+        box = f.to_x(prior.theta, f.family.box)[0]
         lo = box[0] if open_lo else lo
         hi = box[1] if open_hi else hi
     elif open_lo or open_hi:
@@ -338,7 +334,7 @@ def relative_entropy(p, q, domain=None) -> float:
     interval = None
     for cand in (p, q):
         if isinstance(cand, TabulatedDensity):
-            interval = cand.domain
+            interval = cand.bounds
             break
     if domain is not None:
         interval = (float(domain[0]), float(domain[1]))

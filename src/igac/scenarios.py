@@ -864,6 +864,18 @@ class ScatterConfig:
         return dyn.WavePacketParams(self.p0, self.sigma0, self.tau0, self.r)
 
     @property
+    def m2(self) -> float:
+        """2 k0^2 + sigma_k0^2, the momentum second moment of the pair."""
+        return 2 * self.k0 ** 2 + self.sigma_k0 ** 2
+
+    @property
+    def eta_c(self) -> float:
+        """eta_C = (8/3) k0^2 m2 R0 L^3, the purity lost per unit of
+        micro-correlation, P = 1 - eta_C r."""
+        return (8.0 / 3.0) * self.k0 ** 2 * self.m2 * self.r0_separation \
+            * self.potential_range ** 3
+
+    @property
     def r_upper_bound(self) -> float:
         return 2.0 / prolongation_eta(self.params)
 
@@ -921,10 +933,8 @@ def r_from_igc(c_uncorr: float, c_corr: float) -> float:
 
 def purity_from_igc(cfg: ScatterConfig, c_uncorr: float,
                     c_corr: float) -> float:
-    """P = 1 - eta_C * r with eta_C = (8/3) k0^2 (2 k0^2 + s^2) R0 L^3."""
-    eta = (8.0 / 3.0) * cfg.k0 ** 2 * (2 * cfg.k0 ** 2 + cfg.sigma_k0 ** 2) \
-        * cfg.r0_separation * cfg.potential_range ** 3
-    return 1.0 - eta * r_from_igc(c_uncorr, c_corr)
+    """P = 1 - eta_C * r, with ``cfg.eta_c``."""
+    return 1.0 - cfg.eta_c * r_from_igc(c_uncorr, c_corr)
 
 
 def scattering_observables(cfg: ScatterConfig) -> dict:
@@ -943,7 +953,7 @@ def scattering_observables(cfg: ScatterConfig) -> dict:
     theta0 = -cfg.r * (k0 * L) ** 3 / 3.0
     a_s = -theta0 / k0
     cross = 4 * np.pi * a_s ** 2
-    m2 = 2 * k0 ** 2 + cfg.sigma_k0 ** 2
+    m2 = cfg.m2
     purity = 1.0 - 8.0 * m2 * cfg.r0_separation * a_s
     if purity < 0:
         raise RegimeError("purity fell below zero; scattering length too "
@@ -958,8 +968,7 @@ def scattering_observables(cfg: ScatterConfig) -> dict:
         "cross_section": cross, "r_qm": r_qm, "purity": purity,
         "potential_density": v_pot / L ** 3,
         "potential_density_initial_data_form": v_density,
-        "self_consistent_r": (8.0 / 3.0) * m2 * cfg.r0_separation
-        * k0 ** 2 * L ** 3,
+        "self_consistent_r": cfg.eta_c,
     }
 
 
@@ -1184,11 +1193,7 @@ def run_wavepacket(cfg: ScatterConfig,
         report.add("phase_shift_cubic_vs_exact", obs["theta0_shift"],
                    theta_exact, 0.01, "low-energy cubic expansion",
                    mode="rel")
-    purity_rt = 1.0 - 8.0 * (2 * cfg.k0 ** 2 + cfg.sigma_k0 ** 2) \
-        * cfg.r0_separation * obs["a_s"]
-    r_back = 3.0 * (1.0 - purity_rt) / (
-        8.0 * cfg.k0 ** 2 * (2 * cfg.k0 ** 2 + cfg.sigma_k0 ** 2)
-        * cfg.r0_separation * cfg.potential_range ** 3)
+    r_back = (1.0 - obs["purity"]) / cfg.eta_c
     report.add("purity_roundtrip", r_back, cfg.r, 1e-6,
                "r -> a_s -> P -> r closed-form chain", mode="rel")
 

@@ -114,26 +114,37 @@ def shooting_jacobian_fd(metric, theta0, v0, tau, tol=1e-13, step=1e-3):
 
 def fisher_quadrature_at(model, theta, nodes=64, rel_tol=1e-9,
                          max_nodes=4096):
-    """Reference Fisher metric at theta by per-point quadrature: every
-    factor block integrated against the density at theta itself, doubling
-    the node count until the entrywise relative change falls below
-    ``rel_tol``."""
+    """Reference Fisher metric at theta by per-point quadrature: each
+    factor's natural rule placed in x at theta itself (x = loc + s t), where
+    ``md.score`` of the whole model is integrated, the other micro axes held
+    at 1.0 inside their supports; the node count doubles until the entrywise
+    relative change falls below ``rel_tol``."""
     m = md.with_theta(model, theta)
     g = np.zeros((m.param_dim, m.param_dim))
     for f in m.factors:
-        idx = np.asarray(f.theta_at)
+        idx = list(f.theta_at)
+        loc = m.theta[idx[:-1]] if len(idx) > 1 else 0.0
+        s = m.theta[idx[-1]]
+
+        def block(n):
+            t, w = f.family.rule(n)
+            x = np.ones((w.size, m.micro_dim))
+            x[:, list(f.micro_at)] = loc + s * t
+            sc = md.score(m, x)[:, idx]
+            return np.einsum("m,ma,mb->ab", w, sc, sc)
+
         n = nodes
-        cur = md._factor_fisher_block(m, f, m.theta, n)
+        cur = block(n)
         while True:
             if 2 * n > max_nodes:
                 raise QuadratureAccuracyError("node cap reached",
                                               estimate=cur)
-            nxt = md._factor_fisher_block(m, f, m.theta, 2 * n)
+            nxt = block(2 * n)
             if np.max(np.abs(nxt - cur)) <= \
                     rel_tol * max(np.max(np.abs(nxt)), 1e-300):
                 break
             cur, n = nxt, 2 * n
-        g[idx[:, None], idx[None, :]] = nxt
+        g[np.ix_(idx, idx)] = nxt
     return g
 
 

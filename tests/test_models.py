@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from igac import models as md
 from igac.errors import DomainError, ParameterError
+from igac.quadrature import legendre_panels
 
 from conftest import FAMILIES, fd_score, fisher_quadrature_at, philox, \
     random_micro_point, random_model
@@ -254,3 +255,43 @@ def test_quadrature_metric_matches_per_point_quadrature(case):
     ref = fisher_quadrature_at(model, theta)
     scale = np.sqrt(np.outer(np.diag(ref), np.diag(ref)))
     assert np.all(np.abs(g - ref) <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("mu", [10.0 ** k for k in range(-8, 4)])
+@pytest.mark.parametrize("family", [md.exponential, md.wigner_dyson])
+def test_half_line_residuals_hold_from_the_chart_floor_up(family, mu):
+    """The truncation box scales with the mean spacing, down to the chart
+    floor 1e-8: no mass and no score is lost at its lower edge."""
+    m = family(mu)
+    assert md.normalization_residual(m) < 1e-12
+    assert mu * md.score_expectation_residual(m) < 1e-12
+
+
+FAMILY_RECORDS = [("gauss", md._GAUSS), ("exponential", md._EXPONENTIAL),
+                  ("wigner_dyson", md._WIGNER_DYSON)] + [
+    (f"bivariate[{r}]", md._bivariate(r))
+    for r in (-0.9, -0.3, 0.0, 0.5, 0.95)]
+
+
+@pytest.mark.parametrize("family", [f for _, f in FAMILY_RECORDS],
+                         ids=[name for name, _ in FAMILY_RECORDS])
+def test_family_record_pieces_agree(family):
+    """Every record's closed-form C, natural rule, score, log-density,
+    support and truncation box describe one density in t."""
+    t, w = family.rule(64)
+    lo, hi = family.support.T
+    assert np.all((t >= lo if family.closed else t > lo) & (t <= hi))
+    assert np.all((lo <= family.box[:, 0]) & (family.box[:, 1] <= hi))
+    h = family.score(t)
+    assert w.sum() == pytest.approx(1.0, abs=1e-14)
+    assert np.max(np.abs(w @ h)) < 1e-12
+    quad = np.einsum("m,ma,mb->ab", w, h, h)
+    assert np.max(np.abs(quad - family.c)) <= 1e-12 * np.max(np.abs(family.c))
+    # exp(ln p0) has unit mass on the box, by 256-node Legendre axes
+    axes = [legendre_panels(lo, hi, 256) for lo, hi in family.box]
+    nodes = np.stack(np.meshgrid(*(x for x, _ in axes), indexing="ij"),
+                     axis=-1)
+    weights = np.prod(np.meshgrid(*(w for _, w in axes), indexing="ij"),
+                      axis=0)
+    p0 = np.exp(family.log_norm + family.kernel(nodes))
+    assert abs(np.sum(weights * p0) - 1.0) < 1e-13

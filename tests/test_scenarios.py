@@ -329,6 +329,24 @@ def test_purity_from_igc():
     assert sc.purity_from_igc(cfg, cu, cu) == 1.0
 
 
+def test_scattering_constant_has_one_home():
+    """purity_from_igc, the self-consistent r and the purity round trip
+    read the one eta_C of the config, at a point where k0 != 1 would show
+    a second spelling of it at round-off."""
+    cfg = in_regime_cfg(p0=0.7, sigma0=0.23, r0_separation=7.3,
+                        potential_range=0.13)
+    eta = (8.0 / 3.0) * cfg.k0 ** 2 * (2 * cfg.k0 ** 2 + cfg.sigma_k0 ** 2) \
+        * cfg.r0_separation * cfg.potential_range ** 3
+    assert cfg.eta_c == pytest.approx(eta, rel=1e-15)
+    assert cfg.m2 == 2 * cfg.k0 ** 2 + cfg.sigma_k0 ** 2
+    obs = sc.scattering_observables(cfg)
+    assert obs["self_consistent_r"] == cfg.eta_c
+    assert sc.purity_from_igc(cfg, 2.0, 1.5) == \
+        1.0 - cfg.eta_c * sc.r_from_igc(2.0, 1.5)
+    assert 1.0 - obs["purity"] == pytest.approx(cfg.eta_c * cfg.r,
+                                                rel=1e-12)
+
+
 def test_wavepacket_report_full_chain():
     rep = sc.run_wavepacket(in_regime_cfg(), r_sweep=(0.3,))
     assert rep.passed
@@ -404,14 +422,17 @@ def test_wavepacket_lyapunov_solves_no_geodesic(monkeypatch):
 def test_wavepacket_builds_one_metric_per_correlation(monkeypatch):
     """Curvature, branch geodesics, deviation, Lyapunov rates and the
     r sweep share one metric per distinct correlation."""
-    built = []
-    fisher = sc.md.analytic_fisher
+    built, fishers = [], []
+    metric, fisher = sc._wavepacket_metric, sc.md.analytic_fisher
+    monkeypatch.setattr(sc, "_wavepacket_metric", lambda params, r:
+                        built.append(r) or metric(params, r))
     monkeypatch.setattr(sc.md, "analytic_fisher", lambda model:
-                        built.append(model.factors[0].r) or fisher(model))
+                        fishers.append(model) or fisher(model))
     assert sc.run_wavepacket(in_regime_cfg(r=0.01), (0.01, 0.3, 0.5)).passed
     # the curvature at 0.5, cfg.r, the Lyapunov set {0, 0.2, 0.5} and the
-    # sweep, which starts at 0
+    # sweep, which starts at 0; no Fisher metric is built beside them
     assert sorted(built) == [0.0, 0.01, 0.2, 0.3, 0.5]
+    assert len(fishers) == len(built)
 
 
 @pytest.mark.parametrize("r", [0.0, 0.2, 0.5])
