@@ -1,5 +1,12 @@
 """Families, scores and Fisher metrics against hand-derived oracles."""
 
+import dataclasses
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -50,6 +57,20 @@ def test_exponential_domain_rejection():
         md.log_density(md.exponential(1.0), [-0.5])
     with pytest.raises(DomainError):
         md.score(md.wigner_dyson(1.0), [0.0])
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_nan_micro_point_is_outside_every_support(family):
+    """NaN fails the support test of every family, on any micro axis."""
+    rng = philox(5)
+    m = random_model(rng, family)
+    for i in range(m.micro_dim):
+        x = random_micro_point(rng, m)
+        x[i] = np.nan
+        with pytest.raises(DomainError):
+            md.log_density(m, x)
+        with pytest.raises(DomainError):
+            md.score(m, x)
 
 
 def _failures(build, *args, **kwargs):
@@ -207,9 +228,87 @@ def test_quadrature_cap_reports_estimate():
 
     m = md.gaussian_diag([0.0], [1.0])
     with pytest.raises(QuadratureAccuracyError) as err:
-        md.fisher_quadrature(m, nodes=4, max_nodes=4)
+        md.fisher_quadrature(m, max_nodes=4)
     assert err.value.estimate is not None
     assert err.value.estimate.shape == (2, 2)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_quadrature_asks_for_no_rule_over_eight_nodes(family):
+    """h h^T is a polynomial of degree <= 4 in each family's rule variable,
+    so the 4-node rule is exact and the 8-node one only confirms it."""
+    asked = []
+
+    def spied(fam):
+        def rule(n):
+            asked.append(n)
+            return fam.rule(n)
+        return dataclasses.replace(fam, rule=rule)
+
+    m = random_model(philox(3), family)
+    spies = {fam: spied(fam)
+             for fam in dict.fromkeys(f.family for f in m.factors)}
+    spy = md.StatModel(m.theta, tuple(
+        dataclasses.replace(f, family=spies[f.family]) for f in m.factors))
+    gq = md.fisher_quadrature(spy).eval(m.theta)
+    assert asked and max(asked) <= 8
+    ga = md.analytic_fisher(m).eval(m.theta)
+    assert np.all(np.abs(gq - ga) <= 1e-14 * np.abs(ga).max())
+
+
+_WORKER_RUN_TIME = """
+import json, os, time
+from igac import geometry as geo, models as md
+
+main = str(os.getpid())
+
+def run_times():
+    out = {}
+    for tid in os.listdir("/proc/self/task"):
+        if tid != main:
+            with open(f"/proc/self/task/{tid}/schedstat") as f:
+                out[tid] = int(f.read().split()[0])
+    return out
+
+def settled():
+    # BLAS workers started at import spin for a while before they sleep;
+    # wait until no other thread has run for a whole 0.5 s interval.
+    last = run_times()
+    for _ in range(60):
+        time.sleep(0.5)
+        now = run_times()
+        if now == last:
+            return now
+        last = now
+    raise SystemExit("other threads never went idle")
+
+models = [md.gaussian_diag([0.0, 1.0], [1.0, 2.0]), md.exponential(1.5),
+          md.wigner_dyson(0.7), md.gaussian_bivariate_corr(0.0, 1.0, 1.2, 0.4),
+          md.product(md.exponential(1.0), md.wigner_dyson(2.0))]
+before = settled()
+for m in models:
+    geo.curvature_report(md.fisher_quadrature(m), m.theta)
+time.sleep(0.2)
+after = run_times()
+print(json.dumps({tid: ns - before.get(tid, 0) for tid, ns in after.items()}))
+"""
+
+
+@pytest.mark.skipif(
+    not Path(f"/proc/self/task/{os.getpid()}/schedstat").exists(),
+    reason="no per-thread schedstat")
+def test_quadrature_metric_runs_on_the_main_thread_alone():
+    """Building the quadrature metric of every family and its curvature
+    gives no other thread run time: no eigensolve is large enough to start
+    a BLAS worker, which would then spin for a while after it returns."""
+    src = Path(__file__).parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _WORKER_RUN_TIME], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    gains = json.loads(proc.stdout)
+    assert all(ns == 0 for ns in gains.values()), gains
 
 
 means = st.floats(-3.0, 3.0)
