@@ -11,10 +11,12 @@ Dormand-Prince 8(5,3) pair (DOP853), carrying the deviation block, if
 any, with the carrier state (theta, theta-dot) as one linearized system
 that reads the metric's closed-form connection, so a right-hand-side call
 needs no metric jet and no matrix inverse.  Jacobi fields are one column
-of the deviation block; two-point problems are solved by damped-Newton
-shooting on the initial velocity, each shot flowing the n x n block that
-starts at (J, J-dot) = (0, I), which is the exact Jacobian of the
-endpoint map.
+of the deviation block.  A two-point problem on a metric with a
+closed-form flow starts from the metric's closed-form log map, whose
+geodesic already joins the two points; elsewhere, or on a miss at
+round-off, it is solved by damped-Newton shooting on the initial
+velocity, each shot flowing the n x n block that starts at
+(J, J-dot) = (0, I), which is the exact Jacobian of the endpoint map.
 
 The tanh/cosh closed-form geodesics of the colliding wave-packet manifolds
 are provided for oracle checks, together with the finite-time growth-rate
@@ -23,6 +25,7 @@ estimator built from the Jacobi intensity.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
 from numbers import Integral
 from types import SimpleNamespace
@@ -294,16 +297,21 @@ def _shoot(metric: MetricField, theta_init, v0, tau_span: float,
 def solve_geodesic_bvp(metric: MetricField, theta_init, theta_final,
                        tau_span: float, tol: float = 1e-8,
                        max_iter: int = 50, n_out: int = 513) -> GeodesicPath:
-    """Two-point geodesic by damped-Newton shooting on the initial velocity.
+    """Two-point geodesic: in closed form where the metric has an exact
+    flow, by damped-Newton shooting on the initial velocity otherwise.
 
-    Each shot flows the variational block along with the geodesic, so it
-    returns the endpoint together with the exact Jacobian of the endpoint
-    map (simple shooting, Stoer & Bulirsch, Introduction to
-    Numerical Analysis, section 7.3).  The Newton step is halved whenever
-    the endpoint mismatch grows.  A start or end point outside the open
-    chart raises ChartBoundaryError; failure to converge raises
-    BvpFailureError with the best residual reached, its message naming
-    why shooting stopped and how many shots it took.
+    On a closed-form metric the start velocity is the log map
+    (``MetricField.log``) over ``tau_span``, and its geodesic is returned
+    without a shot when its endpoint lies within ``tol`` of
+    ``theta_final``; on a miss, shooting starts from it.  Shooting starts
+    from the straight line elsewhere.  Each shot flows the variational
+    block along with the geodesic, so it returns the endpoint together
+    with the exact Jacobian of the endpoint map (simple shooting, Stoer &
+    Bulirsch, Introduction to Numerical Analysis, section 7.3).  The Newton
+    step is halved whenever the endpoint mismatch grows.  A start or end
+    point outside the open chart raises ChartBoundaryError; failure to
+    converge raises BvpFailureError with the best residual reached, its
+    message naming why shooting stopped and how many shots it took.
     """
     ParameterError.raise_any(n_out_failures(n_out))   # before any shot
     theta_init = np.asarray(theta_init, float)
@@ -313,6 +321,17 @@ def solve_geodesic_bvp(metric: MetricField, theta_init, theta_final,
             raise ChartBoundaryError(
                 f"{name} point {point} outside the open chart")
     flow_tol = max(min(tol * 1e-3, 1e-10), 1e-13)
+    if metric.has_exact_flow:
+        # the log map gives the geodesic itself: its path is the answer
+        # when it lands, and Newton starts from it only on a miss
+        v = metric.log(theta_init, theta_final) / tau_span
+        with contextlib.suppress(ChartBoundaryError):
+            path = integrate_geodesic(metric, theta_init, v, tau_span,
+                                      tol=flow_tol, n_out=n_out)
+            if np.linalg.norm(path.theta[-1] - theta_final) < tol:
+                return path
+    else:
+        v = (theta_final - theta_init) / tau_span
     shots = 0
 
     def shoot(v):
@@ -321,7 +340,6 @@ def solve_geodesic_bvp(metric: MetricField, theta_init, theta_final,
         end, jac = _shoot(metric, theta_init, v, tau_span, flow_tol)
         return end - theta_final, jac
 
-    v = (theta_final - theta_init) / tau_span
     for _ in range(60):    # damp an initial shot that exits the chart
         try:
             res, jac = shoot(v)

@@ -28,6 +28,7 @@ All spread coordinates live on the open half line (0, inf).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from numbers import Real
 from typing import Callable, Sequence
 
@@ -40,7 +41,7 @@ from .errors import (
     ParameterError,
     QuadratureAccuracyError,
 )
-from .quadrature import gauss_hermite_prob, gauss_laguerre, legendre_panels
+from .quadrature import gauss_hermite_prob, gauss_laguerre, panel_rule
 
 __all__ = [
     "StatModel",
@@ -71,6 +72,40 @@ def _frozen(arr):
 
 
 @dataclass(frozen=True, eq=False)
+class _Block:
+    """The constants of an inverse-square block C / s^2, the spread s last:
+    ``c`` = C = [[A, b], [b^T, c]]; ``t``, the connection constant T^a_bc
+    of ``_inverse_square_metric``; the half-space chart x = L^T (mu + e s)
+    of the block, from ``e`` = A^-1 b and ``root`` = L, the Cholesky factor
+    of A / kappa with kappa = c - b^T A^-1 b (both empty without mean
+    coordinates); and ``root_det`` = sqrt(det C)."""
+
+    c: np.ndarray
+    t: np.ndarray
+    e: np.ndarray
+    root: np.ndarray
+    root_det: float
+
+
+def _block(c) -> _Block:
+    """The constants of the block C / s^2, computed where C is known: once
+    per family, or once per build for a C new to it."""
+    c = np.asarray(c, float)
+    eye = np.eye(len(c))
+    t = -(eye[:, None, :] * eye[-1][None, :, None]
+          + eye[:, :, None] * eye[-1][None, None, :]
+          - np.linalg.inv(c)[:, -1][:, None, None] * c[None])
+    # symmetrized in (b, c): a quadrature C is symmetric only to roundoff,
+    # and Gamma must be symmetric exactly
+    t = 0.5 * (t + np.swapaxes(t, 1, 2))
+    e, root = np.zeros(0), np.zeros((0, 0))
+    if len(c) > 1:
+        e = np.linalg.solve(c[:-1, :-1], c[:-1, -1])
+        root = np.linalg.cholesky(c[:-1, :-1] / (c[-1, -1] - c[:-1, -1] @ e))
+    return _Block(c, t, e, root, np.sqrt(np.linalg.det(c)))
+
+
+@dataclass(frozen=True, eq=False)
 class _Family:
     """A location-scale family in its standard variable t, shape (..., m).
 
@@ -80,7 +115,9 @@ class _Family:
     nodes (N, m) and probability weights (N,).  ``support`` and ``box``
     hold (lo, hi) edges of t per axis, shape (m, 2): the support, whose
     lower edge belongs to it when ``closed``, and the truncation box,
-    outside which p0 has no mass at double precision.
+    outside which p0 has no mass at double precision.  ``block`` holds the
+    constants of the Fisher block C / s^2, computed once per record, when
+    a metric first needs them.
     """
 
     log_norm: float
@@ -95,6 +132,10 @@ class _Family:
     def __post_init__(self):
         for name in ("c", "box", "support"):
             object.__setattr__(self, name, _frozen(getattr(self, name)))
+
+    @cached_property
+    def block(self) -> _Block:
+        return _block(self.c)
 
 
 _LOG_2PI = np.log(2.0 * np.pi)
@@ -368,8 +409,11 @@ class MetricField:
     shape (..., n_tau, dim) at the offsets ``tau`` from the start, and it
     raises ChartBoundaryError, with the state at the crossing, when a
     spread falls through the chart floor between the start and a grid
-    point.  The inverse-square metrics supply it; the flows of
-    ``igac.dynamics`` integrate the geodesic equation without it.
+    point.  ``log_fn(theta0, theta1)``, its inverse, is the start velocity
+    of the geodesic that reaches theta1 at unit offset.  The inverse-square
+    metrics supply both, each in closed form once per hyperbolic block;
+    the flows of ``igac.dynamics`` integrate the geodesic equation without
+    them.
     ``blocks`` lists coordinate groups on which the metric factorizes (the
     block submatrix depends only on the block's own coordinates), enabling
     separable volume integrals.  ``scale_coords`` are indices restricted to
@@ -383,13 +427,15 @@ class MetricField:
     def __init__(self, dim: int, matrix_fn: Callable, jet_fn: Callable = None,
                  source: str = "analytic", blocks=None, scale_coords=(),
                  volume_fn: Callable = None, connection_fn: Callable = None,
-                 flow_fn: Callable = None, floor_margin_fn: Callable = None):
+                 flow_fn: Callable = None, log_fn: Callable = None,
+                 floor_margin_fn: Callable = None):
         self.dim = dim
         self._matrix_fn = matrix_fn
         self._jet_fn = jet_fn
         self._connection_fn = connection_fn
         self._volume_fn = volume_fn
         self._flow_fn = flow_fn
+        self._log_fn = log_fn
         self._floor_margin_fn = floor_margin_fn
         self.source = source
         self.blocks = tuple(tuple(b) for b in blocks) if blocks \
@@ -452,6 +498,15 @@ class MetricField:
         # float starts stay real and complex-step starts complex
         return self._flow_fn(np.asarray(theta0) * 1.0, np.asarray(v0) * 1.0,
                              np.asarray(tau, float))
+
+    def log(self, theta0, theta1) -> np.ndarray:
+        """The velocity at theta0 of the geodesic that reaches theta1 at
+        unit offset, in closed form; only metrics with ``has_exact_flow``
+        support it."""
+        if self._log_fn is None:
+            raise ValueError("metric has no closed-form log map")
+        return self._log_fn(np.asarray(theta0, float),
+                            np.asarray(theta1, float))
 
     def box_volume(self, bounds) -> float | np.ndarray:
         """Exact integral of sqrt(det g) over each box of ``bounds``, shape
@@ -523,32 +578,50 @@ def flat_metric(dim: int) -> MetricField:
 def _inverse_square_metric(dim, blocks, source="analytic") -> MetricField:
     """Metric C_k / s_k^2 on each coordinate block k, zero across blocks.
 
-    ``blocks`` holds (indices, C) pairs: the block's chart indices, whose
-    last entry is its spread coordinate s, and the constant SPD matrix C.
-    Every block entry scales as s^-2, so d_s g = -2 g / s and
-    d_s^2 g = 6 g / s^2 are exact and all other derivatives vanish.  The
-    connection within a block with spread index sigma is Gamma^a_bc =
-    T^a_bc / s with the constant T^a_bc = -(delta_ac delta_b sigma +
-    delta_ab delta_c sigma - (C^-1)_a sigma C_bc), built once per metric, so
-    d_s Gamma = -Gamma / s and its other derivatives vanish.  The
-    box volume is prod_k sqrt(det C_k) * (mean-axis extents) *
-    integral of s^-d_k over the spread interval.  ``source`` records how
-    the C_k were obtained (closed form or quadrature).
+    ``blocks`` holds (start, constants) pairs: the first chart index of a
+    block of contiguous coordinates, whose last one is its spread s, and
+    the ``_Block`` of its constant SPD matrix C, computed where C is known,
+    so that a build only assembles arrays.  Every block entry scales as
+    s^-2, so d_s g = -2 g / s and d_s^2 g = 6 g / s^2 are exact and all
+    other derivatives vanish.  The connection within a block with spread
+    index sigma is Gamma^a_bc = T^a_bc / s with the constant T^a_bc =
+    -(delta_ac delta_b sigma + delta_ab delta_c sigma - (C^-1)_a sigma C_bc),
+    so d_s Gamma = -Gamma / s and its other derivatives vanish.  The box
+    volume is prod_k sqrt(det C_k) * (mean-axis extents) * integral of
+    s^-d_k over the spread interval.  ``source`` records how the C_k were
+    obtained (closed form or quadrature).
 
     The geodesic flow is exact.  Write C = [[A, b], [b^T, c]] with the
     spread last and kappa = c - b^T A^-1 b, the Schur complement of A.  In
-    the chart x = L (mu + A^-1 b s), L^T L = A / kappa, the block's line
+    the chart x = L^T (mu + A^-1 b s), L L^T = A / kappa, the block's line
     element is kappa (|dx|^2 + ds^2) / s^2: hyperbolic space of curvature
     -1 / kappa, whose geodesics are X(tau) = cosh(a tau) P + sinh(a tau) V / a
-    on the hyperboloid, mapped back through the half-space chart
-    (``_half_space_flow``).  A spread falls through the chart floor where
-    a quadratic in e^(a tau) has its root (``_floor_exit``).
+    on the hyperboloid, mapped back through the half-space chart once per
+    block (``_half_space_flow``).  A spread falls through the chart floor
+    where a quadratic in e^(a tau) has its root (``_floor_exit``).  The
+    geodesic between two points is an arc of the circle through both that
+    is centred on the boundary, and the log map gives its start velocity
+    (``_half_space_log``).
     """
     c_full = np.zeros((dim, dim))
-    owner = np.empty(dim, dtype=int)     # spread coordinate of each index
-    for idx, c in blocks:
-        c_full[np.ix_(idx, idx)] = c
-        owner[list(idx)] = idx[-1]
+    t = np.zeros((dim, dim, dim))
+    # the half-space chart of each block, y = mu + e s and x = L^T y:
+    # ``e_full`` holds e and ``root`` L on the mean coordinates, zero on
+    # the spreads
+    e_full = np.zeros(dim)
+    root = np.zeros((dim, dim))
+    spread = []                          # spread coordinate of each block
+    block_of = np.empty(dim, dtype=int)  # block of each coordinate
+    for k, (p, b) in enumerate(blocks):
+        q = p + len(b.c)
+        c_full[p:q, p:q] = b.c
+        t[p:q, p:q, p:q] = b.t
+        e_full[p:q - 1] = b.e
+        root[p:q - 1, p:q - 1] = b.root
+        block_of[p:q] = k
+        spread.append(q - 1)
+    spread = np.array(spread)
+    owner = spread[block_of]             # spread coordinate of each index
     ia, ib = np.nonzero(owner[:, None] == owner[None, :])
     ic = owner[ia]
 
@@ -567,16 +640,6 @@ def _inverse_square_metric(dim, blocks, source="analytic") -> MetricField:
         d2g[ic, ic, ia, ib] = (6.0 * g / (s * s)[:, None])[ia, ib]
         return g, dg, d2g
 
-    # T is symmetrized in (b, c) here: a quadrature C is symmetric only to
-    # roundoff, and Gamma must be symmetric exactly
-    t = np.zeros((dim, dim, dim))
-    for idx, c in blocks:
-        eye = np.eye(len(idx))
-        t[np.ix_(idx, idx, idx)] = -(
-            eye[:, None, :] * eye[-1][None, :, None]
-            + eye[:, :, None] * eye[-1][None, None, :]
-            - np.linalg.inv(c)[:, -1][:, None, None] * c[None])
-    t = 0.5 * (t + np.swapaxes(t, 1, 2))
     rows = np.arange(dim)
 
     def connection(th, order=1):
@@ -588,42 +651,32 @@ def _inverse_square_metric(dim, blocks, source="analytic") -> MetricField:
         dgam[..., owner, rows, :, :] = -gam / s
         return gam, dgam
 
-    # the half-space chart of each block, y = mu + e s and x = L y:
-    # ``e_full`` holds e = A^-1 b and ``root`` L^T on the mean coordinates,
-    # zero on the spreads
-    e_full = np.zeros(dim)
-    root = np.zeros((dim, dim))
-    for idx, c in blocks:
-        mean = list(idx[:-1])
-        if mean:
-            e = np.linalg.solve(c[:-1, :-1], c[:-1, -1])
-            e_full[mean] = e
-            root[np.ix_(mean, mean)] = np.linalg.cholesky(
-                c[:-1, :-1] / (c[-1, -1] - c[:-1, -1] @ e))
-    same_block = (owner[:, None] == owner[None, :]).astype(float)
-    is_spread = owner == rows
+    # sums |x|^2 over the coordinates of each block
+    member = (block_of[:, None] == np.arange(len(blocks))).astype(float)
 
     def flow(th0, v0, tau):
-        # each coordinate carries its block's start values: the spread s0,
-        # u = s-dot / s, w^2 = |x-dot|^2 / s^2 and a^2 = u^2 + w^2, the
-        # <V, V> of the hyperboloid tangent
-        s0 = th0[..., owner]
+        # per block: the spread s0, u = s-dot / s, w^2 = |x-dot|^2 / s^2
+        # and a^2 = u^2 + w^2, the <V, V> of the hyperboloid tangent
+        s0 = th0[..., spread]
         y_dot = v0 + e_full * v0[..., owner]
         x_dot = y_dot @ root
-        u = v0[..., owner] / s0
-        w2 = (x_dot * x_dot) @ same_block / (s0 * s0)
+        u = v0[..., spread] / s0
+        w2 = (x_dot * x_dot) @ member / (s0 * s0)
         a = np.sqrt(w2 + u * u)
 
         def states(tau):
             q, dq, f = _half_space_flow(u, w2, a, tau)
             s = s0[..., None, :] / q
             s_dot = -s * dq / q
+            # each coordinate takes its block's values
+            q_c, f_c, s_c, s_dot_c = (x[..., block_of]
+                                      for x in (q, f, s, s_dot))
             y_dot0 = y_dot[..., None, :]
-            mean = th0[..., None, :] + y_dot0 * f \
-                + e_full * (s0[..., None, :] - s)
-            mean_dot = y_dot0 / (q * q) - e_full * s_dot
-            return (np.where(is_spread, s, mean),
-                    np.where(is_spread, s_dot, mean_dot))
+            theta = th0[..., None, :] + y_dot0 * f_c \
+                + e_full * (th0[..., owner][..., None, :] - s_c)
+            theta_dot = y_dot0 / (q_c * q_c) - e_full * s_dot_c
+            theta[..., spread], theta_dot[..., spread] = s, s_dot
+            return theta, theta_dot
 
         tau_exit = _floor_exit(s0.real / _CHART_FLOOR, u.real, w2.real,
                                a.real, tau)
@@ -635,28 +688,37 @@ def _inverse_square_metric(dim, blocks, source="analytic") -> MetricField:
                             theta_dot[..., 0, :]))
         return states(tau)
 
-    root_dets = [np.sqrt(np.linalg.det(c)) for _, c in blocks]
+    def log(th0, th1):
+        s0, s1 = th0[..., spread], th1[..., spread]
+        dy = th1 - th0 + e_full * (s1 - s0)[..., block_of]
+        dx = dy @ root
+        k, s_dot = _half_space_log(s0, s1, (dx * dx) @ member)
+        v = 2.0 * (s0 * k)[..., block_of] * dy \
+            - e_full * s_dot[..., block_of]
+        v[..., spread] = s_dot
+        return v
 
     def volume(lo, hi):
         total = 1.0
-        for (idx, _), root_det in zip(blocks, root_dets):
-            means, s = idx[:-1], idx[-1]
-            total = total * root_det * _inverse_power_integral(
-                lo[:, s], hi[:, s], len(idx)) \
-                * np.prod(hi[:, means] - lo[:, means], axis=1)
+        for (p, b), s in zip(blocks, spread):
+            total = total * b.root_det * _inverse_power_integral(
+                lo[:, s], hi[:, s], len(b.c)) \
+                * np.prod(hi[:, p:s] - lo[:, p:s], axis=1)
         return total
 
     return MetricField(dim, mat, jet_fn=jet, connection_fn=connection,
-                       flow_fn=flow, source=source, volume_fn=volume,
-                       blocks=[idx for idx, _ in blocks],
-                       scale_coords=tuple(idx[-1] for idx, _ in blocks))
+                       flow_fn=flow, log_fn=log, source=source,
+                       volume_fn=volume,
+                       blocks=[range(p, s + 1)
+                               for (p, _), s in zip(blocks, spread)],
+                       scale_coords=spread.tolist())
 
 
 def _half_space_flow(u, w2, a, tau):
     """The geodesic of the upper half-space (|dx|^2 + ds^2) / s^2 from start
     rates u = s-dot / s and w^2 = |x-dot|^2 / s^2, with a^2 = u^2 + w^2,
     at the offsets ``tau``: arrays (..., n) of rates in, one entry per
-    coordinate, and arrays (..., n_tau, n) out.
+    block, and arrays (..., n_tau, n) out.
 
     Mapped from the hyperboloid, s0 / s = q = cosh(a tau) - u S with
     S = sinh(a tau) / a, x = x0 + x-dot0 f with f = S / q, and
@@ -687,7 +749,7 @@ def _floor_exit(ratio, u, w2, a, tau):
     """The offset at which a spread first falls through the chart floor on
     the way from 0 to the farthest of ``tau``, or None.
 
-    ``ratio`` = s0 / floor, per coordinate like the rates.
+    ``ratio`` = s0 / floor, per block like the rates.
     s0 / s(tau) = ratio is the quadratic
     (a - u) z^2 - 2 a ratio z + (a + u) = 0 in z = e^(a tau); its larger
     root is the crossing ahead, its smaller root the one behind.
@@ -709,6 +771,28 @@ def _floor_exit(ratio, u, w2, a, tau):
     return None
 
 
+def _half_space_log(s0, s1, dx2):
+    """(k, s-dot0) of the unit-time geodesic of the upper half-space
+    (|dx|^2 + ds^2) / s^2 from (x0, s0) to (x1, s1), |x1 - x0|^2 = dx2,
+    whose start velocity is x-dot0 = 2 s0 k (x1 - x0) and s-dot0; arrays
+    of one entry per block.
+
+    The geodesic is the arc of the circle through both points centred on
+    the boundary, of length d = 2 asinh(sqrt(dx2 + ds^2) / (2 sqrt(s0 s1)))
+    with ds = s1 - s0; the centre lies p / (2 |dx|) beyond x0 with
+    p = dx2 + ds (s0 + s1).  So the start velocity, of speed s0 d, is
+    s0 d (2 s0 (x1 - x0), p) / h with h = |(p, 2 s0 |dx|)|: k = s0 d / h.
+    Where dx = 0 the arc is the vertical line and s-dot0 = s0 d sign(ds) =
+    s0 ln(s1 / s0); between equal points d = 0, and so is k.
+    """
+    ds = s1 - s0
+    p = dx2 + ds * (s0 + s1)
+    h = np.hypot(p, 2.0 * s0 * np.sqrt(dx2))
+    d = 2.0 * np.arcsinh(np.sqrt(dx2 + ds * ds) / (2.0 * np.sqrt(s0 * s1)))
+    k = s0 * d / np.where(h > 0, h, 1.0)
+    return k, k * p
+
+
 def _inverse_power_integral(lo, hi, d):
     """integral of s^-d over [lo, hi], 0 < lo <= hi elementwise, written
     through log1p/expm1 so that thin intervals keep full relative precision."""
@@ -722,7 +806,8 @@ def analytic_fisher(model: StatModel) -> MetricField:
     """Closed-form Fisher-Rao metric: C / s^2 on each factor's block, with
     C the closed form of the factor's family."""
     return _inverse_square_metric(
-        model.param_dim, [(f.theta_at, f.family.c) for f in model.factors])
+        model.param_dim,
+        [(f.theta_at.start, f.family.block) for f in model.factors])
 
 
 def macro_correlated_metric(r_values: Sequence[float]) -> MetricField:
@@ -737,9 +822,8 @@ def macro_correlated_metric(r_values: Sequence[float]) -> MetricField:
         {f"r[{i}]": r for i, r in enumerate(r_values)}))
     r_values = [float(r) for r in r_values]
     return _inverse_square_metric(
-        2 * len(r_values),
-        [((2 * k, 2 * k + 1), np.array([[1.0, r], [r, 2.0]]))
-         for k, r in enumerate(r_values)])
+        2 * len(r_values), [(2 * k, _block([[1.0, r], [r, 2.0]]))
+                            for k, r in enumerate(r_values)])
 
 
 # ---------------------------------------------------------------------------
@@ -785,10 +869,10 @@ def fisher_quadrature(model: StatModel, rel_tol: float = 1e-9,
     2n - 1.  So the 4-node estimate is already exact, the 8-node one
     confirms it to round-off, and no larger rule is built.
     """
-    consts = {fam: _quadrature_c(fam, rel_tol, max_nodes)
+    consts = {fam: _block(_quadrature_c(fam, rel_tol, max_nodes))
               for fam in dict.fromkeys(f.family for f in model.factors)}
     return _inverse_square_metric(
-        model.param_dim, [(f.theta_at, consts[f.family])
+        model.param_dim, [(f.theta_at.start, consts[f.family])
                           for f in model.factors], source="quadrature")
 
 
@@ -798,18 +882,20 @@ def fisher_quadrature(model: StatModel, rel_tol: float = 1e-9,
 
 def _box_integrals(model: StatModel):
     """(integral of p, integral of p times the score) of each factor over
-    its truncation box, by composite Gauss-Legendre rules of 256 nodes per
-    axis, not the natural-weight rules."""
+    its truncation box, by composite Gauss-Legendre rules of four equal
+    64-node panels per axis, not the natural-weight rules; no eigensolve
+    of a 64-node rule is large enough to start a BLAS worker thread."""
     th = model.theta
     for f in model.factors:
-        axes = [legendre_panels(lo, hi, 256, max_panel_ratio=1e18)
+        axes = [panel_rule(np.linspace(lo, hi, 5), 64)
                 for lo, hi in f.to_x(th, f.family.box)]
         x = np.stack(np.meshgrid(*(x for x, _ in axes), indexing="ij"),
                      axis=-1).reshape(-1, len(axes))
         w = np.prod(np.meshgrid(*(w for _, w in axes), indexing="ij"),
                     axis=0).ravel()
-        p = np.exp(f.log_density(th, x))
-        yield float(w @ p), (w * p) @ f.score(th, x)
+        wp = w * np.exp(f.log_density(th, x))
+        # numpy's own sums: BLAS starts a worker thread for a dot this long
+        yield float(wp.sum()), np.einsum("m,ma->a", wp, f.score(th, x))
 
 
 def normalization_residual(model: StatModel) -> float:

@@ -36,6 +36,15 @@ def gauss_legendre(n: int):
     return np.polynomial.legendre.leggauss(n)
 
 
+def panel_rule(edges, nodes_per_panel: int):
+    """Composite Gauss-Legendre nodes/weights, ``nodes_per_panel`` on each
+    panel between consecutive ``edges``, in order."""
+    t, w = gauss_legendre(nodes_per_panel)
+    lo, hi = edges[:-1, None], edges[1:, None]
+    half = 0.5 * (hi - lo)
+    return (0.5 * (lo + hi) + half * t).ravel(), (half * w).ravel()
+
+
 def legendre_panels(a: float, b: float, nodes_per_panel: int,
                     max_panel_ratio: float = 10.0):
     """Composite Gauss-Legendre nodes/weights on [a, b].
@@ -48,7 +57,6 @@ def legendre_panels(a: float, b: float, nodes_per_panel: int,
         a, b = b, a
     if b == a:
         return np.array([a]), np.array([0.0])
-    t, w = gauss_legendre(nodes_per_panel)
     if a > 0.0 and b / a > max_panel_ratio:
         # log(b) - log(a): b / a overflows for a subnormal a
         n_panels = int(np.ceil((np.log(b) - np.log(a))
@@ -56,12 +64,7 @@ def legendre_panels(a: float, b: float, nodes_per_panel: int,
         edges = np.geomspace(a, b, n_panels + 1)
     else:
         edges = np.array([a, b])
-    xs, ws = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (hi - lo)
-        xs.append(0.5 * (lo + hi) + half * t)
-        ws.append(half * w)
-    return np.concatenate(xs), np.concatenate(ws)
+    return panel_rule(edges, nodes_per_panel)
 
 
 def _separable_factors(fn, bounds, n):

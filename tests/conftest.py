@@ -1,8 +1,8 @@
 """Shared fixtures: the hypothesis profile, counter-based RNG streams,
-finite-difference, einsum and per-point quadrature oracles, the carrier
-start of a geodesic path, a metric's copy without its closed-form flow, the
-nfev log of the dynamics solves and the metric strategy over every
-in-package family."""
+finite-difference, einsum, per-coordinate flow and per-point quadrature
+oracles, the carrier start of a geodesic path, a metric's copy without its
+closed-form flow, the nfev log of the dynamics solves and the metric
+strategy over every in-package family."""
 
 import copy
 
@@ -13,7 +13,7 @@ from hypothesis import settings, strategies as st
 from igac import dynamics as dyn
 from igac import geometry as geo
 from igac import models as md
-from igac.errors import QuadratureAccuracyError
+from igac.errors import ChartBoundaryError, QuadratureAccuracyError
 from igac.scenarios import iho_metric
 
 
@@ -87,6 +87,56 @@ def connection_einsum(metric, theta):
     dgam = 0.5 * np.einsum("ad,ebdc->eabc", ginv, d2t) \
         - np.einsum("eaq,qbc->eabc", ginv @ dg, gam)
     return gam, dgam
+
+
+def flow_per_coordinate(metric, th0, v0, tau):
+    """Reference closed-form flow of an inverse-square metric, in the form
+    the package used before it evaluated the flow once per block: every
+    coordinate carries its block's start values, rates and spreads.  The
+    block constants come from the metric at unit spreads, which is C."""
+    dim = metric.dim
+    c_full = metric.eval(np.ones(dim))
+    owner = np.empty(dim, dtype=int)
+    e_full, root = np.zeros(dim), np.zeros((dim, dim))
+    for idx in map(list, metric.blocks):
+        owner[idx] = idx[-1]
+        c, mean = c_full[np.ix_(idx, idx)], idx[:-1]
+        if mean:
+            e = np.linalg.solve(c[:-1, :-1], c[:-1, -1])
+            e_full[mean] = e
+            root[np.ix_(mean, mean)] = np.linalg.cholesky(
+                c[:-1, :-1] / (c[-1, -1] - c[:-1, -1] @ e))
+    same_block = (owner[:, None] == owner[None, :]).astype(float)
+    is_spread = owner == np.arange(dim)
+    th0, v0 = np.asarray(th0) * 1.0, np.asarray(v0) * 1.0
+
+    s0 = th0[..., owner]
+    y_dot = v0 + e_full * v0[..., owner]
+    x_dot = y_dot @ root
+    u = v0[..., owner] / s0
+    w2 = (x_dot * x_dot) @ same_block / (s0 * s0)
+    a = np.sqrt(w2 + u * u)
+
+    def states(tau):
+        q, dq, f = md._half_space_flow(u, w2, a, tau)
+        s = s0[..., None, :] / q
+        s_dot = -s * dq / q
+        y_dot0 = y_dot[..., None, :]
+        mean = th0[..., None, :] + y_dot0 * f \
+            + e_full * (s0[..., None, :] - s)
+        mean_dot = y_dot0 / (q * q) - e_full * s_dot
+        return (np.where(is_spread, s, mean),
+                np.where(is_spread, s_dot, mean_dot))
+
+    tau = np.asarray(tau, float)
+    tau_exit = md._floor_exit(s0.real / md._CHART_FLOOR, u.real, w2.real,
+                              a.real, tau)
+    if tau_exit is not None:
+        theta, theta_dot = states(np.array([tau_exit]))
+        raise ChartBoundaryError(
+            f"geodesic reached the chart floor at tau = {tau_exit}",
+            last_state=(tau_exit, theta[..., 0, :], theta_dot[..., 0, :]))
+    return states(tau)
 
 
 def shooting_jacobian_fd(metric, theta0, v0, tau, tol=1e-13, step=1e-3):

@@ -165,12 +165,20 @@ def shots(monkeypatch):
 
 @pytest.mark.parametrize("flow", ["closed", "ode"])
 def test_bvp_halves_shots_that_leave_the_chart(shots, flow):
+    path = dyn.solve_geodesic_bvp(
+        PAIR if flow == "closed" else ode_flow(PAIR), [-14.0, 1.0],
+        [14.0, 1.0], 1.0)
+    assert np.max(np.abs(path.theta[-1] - [14.0, 1.0])) < 1e-8
+    if flow == "closed":
+        # the log map starts on the arc itself, which rises to the radius
+        # sqrt(98 + 1) of its circle in the chart x = mu / sqrt(2): no shot
+        assert shots == []
+        assert path.theta[256] == pytest.approx([0.0, np.sqrt(99.0)],
+                                                rel=1e-14, abs=1e-14)
+        return
     # the straight-line guess v = (28, 0) dives through the floor of the
     # (mean, spread) half-plane and is halved back in; the first Newton
     # candidate after it dives too, and is halved toward the accepted v
-    metric = PAIR if flow == "closed" else ode_flow(PAIR)
-    path = dyn.solve_geodesic_bvp(metric, [-14.0, 1.0], [14.0, 1.0], 1.0)
-    assert np.max(np.abs(path.theta[-1] - [14.0, 1.0])) < 1e-8
     assert [outcome for _, outcome in shots[:4]] == ["exit", "ok", "exit",
                                                      "exit"]
     (guess, _), (v, _), (cand, _), (next_cand, _) = shots[:4]
@@ -180,13 +188,23 @@ def test_bvp_halves_shots_that_leave_the_chart(shots, flow):
 
 @pytest.mark.parametrize("flow", ["closed", "ode"])
 def test_bvp_without_an_in_chart_shot_reports_no_residual(shots, flow):
+    floor = md._CHART_FLOOR
+    if flow == "closed":
+        # the log map leaves the floor on the arc over both points, which
+        # rises to s = 1e10 / sqrt(8) above mu = 5e9 and lands exactly
+        path = dyn.solve_geodesic_bvp(PAIR, [0.0, floor], [1e10, floor],
+                                      1.0)
+        assert np.max(np.abs(path.theta[-1] - [1e10, floor])) < 1e-8
+        assert path.theta[256] == pytest.approx([5e9, 1e10 / np.sqrt(8.0)],
+                                                rel=1e-14)
+        assert shots == []
+        return
     # from a start on the floor every horizontal shot dives below it, down
     # to v = 1e10 / 2^59 (a = 0.6 in the half-plane's rate)
-    metric = PAIR if flow == "closed" else ode_flow(PAIR)
-    floor = md._CHART_FLOOR
     with pytest.raises(BvpFailureError, match="no in-chart initial shot") \
             as err:
-        dyn.solve_geodesic_bvp(metric, [0.0, floor], [1e10, floor], 1.0)
+        dyn.solve_geodesic_bvp(ode_flow(PAIR), [0.0, floor], [1e10, floor],
+                               1.0)
     assert err.value.best_residual == np.inf
     assert [outcome for _, outcome in shots] == ["exit"] * 60
 
@@ -208,9 +226,21 @@ def test_bvp_exhausted_line_search_reports_best_residual(shots, flow):
 
 @pytest.mark.parametrize("flow", ["closed", "ode"])
 def test_bvp_at_the_newton_cap_reports_it(shots, flow):
-    metric = PAIR if flow == "closed" else ode_flow(PAIR)
+    if flow == "closed":
+        # the log map's path lands without a Newton iteration; at tol = 0
+        # it misses at round-off, and one shot from it meets a cap of 0
+        dyn.solve_geodesic_bvp(PAIR, [0.2, 1.1], [-0.1, 1.5], 1.0,
+                               max_iter=0)
+        assert shots == []
+        with pytest.raises(BvpFailureError, match="did not reach") as err:
+            dyn.solve_geodesic_bvp(PAIR, [0.2, 1.1], [-0.1, 1.5], 1.0,
+                                   tol=0.0, max_iter=0)
+        assert str(err.value).endswith(
+            "after 1 shots: Newton reached its cap of 0 iterations")
+        assert len(shots) == 1
+        return
     with pytest.raises(BvpFailureError, match="did not reach") as err:
-        dyn.solve_geodesic_bvp(metric, [0.2, 1.1], [-0.1, 1.5], 1.0,
+        dyn.solve_geodesic_bvp(ode_flow(PAIR), [0.2, 1.1], [-0.1, 1.5], 1.0,
                                tol=0.0, max_iter=3)
     assert str(err.value).endswith(
         f"after {len(shots)} shots: Newton reached its cap of 3 iterations")

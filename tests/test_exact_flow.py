@@ -3,7 +3,11 @@ integration of the geodesic and deviation equations, which stays the
 generic path and serves here as the oracle: geodesics, Jacobi fields and
 chart-floor crossings over every inverse-square family of dimension 1-8,
 spreads down to twenty times the floor, forward and backward grids,
-blocks at rest and a deviation column far below unit size."""
+blocks at rest and a deviation column far below unit size.  The flow
+evaluated once per block matches the per-coordinate form bit for bit, and
+the log map is its inverse at unit offset."""
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,7 +17,8 @@ from igac import dynamics as dyn
 from igac import models as md
 from igac.errors import ChartBoundaryError
 
-from conftest import factor, macro_corr, means, ode_flow
+from conftest import (corr, factor, flow_per_coordinate, macro_corr, means,
+                      ode_flow)
 
 FLOOR = md._CHART_FLOOR
 
@@ -233,3 +238,84 @@ def test_semicircle_from_near_floor_keeps_full_precision(sign):
     assert_close(path.theta, theta, np.abs(theta) + s, 5e-14)
     assert_close(path.theta_dot, theta_dot, np.abs(theta_dot) + rate * s,
                  1e-13)
+
+
+def outcome(flow, *args):
+    """The (theta, theta_dot) of a flow, or the last state it raised."""
+    try:
+        return flow(*args)
+    except ChartBoundaryError as exc:
+        return exc.last_state
+
+
+def same_bits(got, ref):
+    assert len(got) == len(ref)
+    for g, r in zip(got, ref):
+        g, r = np.asarray(g), np.asarray(r)
+        assert g.dtype == r.dtype and g.shape == r.shape
+        assert g.tobytes() == r.tobytes()
+
+
+@settings(max_examples=60)
+@given(st.one_of(flow_case(), falling_case()), st.data())
+def test_block_flow_matches_the_per_coordinate_flow_bit_for_bit(case, data):
+    """Real starts, and the complex-step starts of a shot (J, J-dot) =
+    (0, I) and of one Jacobi column, on a grid and at a floor crossing."""
+    metric, theta, v, span = case
+    grid = np.linspace(0.0, span, 9)
+    step = 1j * dyn._STEP
+    j0 = block_vector(data.draw, metric, theta, rest=False,
+                      components=components)
+    starts = [(theta, v),
+              (theta + 0.0 * step * np.eye(metric.dim),
+               v + step * np.eye(metric.dim)),
+              (theta + step * j0, v + step * j0[::-1])]
+    for th0, v0 in starts:
+        same_bits(outcome(metric.flow, th0, v0, grid),
+                  outcome(lambda *args: flow_per_coordinate(metric, *args),
+                          th0, v0, grid))
+
+
+log_spreads = st.floats(-3.0, 2.0).map(lambda e: 10.0 ** e)
+
+
+@st.composite
+def two_points(draw):
+    """(metric, theta0, theta1) over every inverse-square family and
+    products of them, spreads from 1e-3 to 1e2; in some blocks theta1 keeps
+    the mean coordinates of theta0 (dx = 0 exactly where e = 0) or its
+    spread (ds = 0 exactly)."""
+    if draw(st.booleans()):
+        metric = md.macro_correlated_metric(draw(st.lists(
+            st.floats(0.0, 0.99, exclude_max=True), min_size=1,
+            max_size=3)))
+    else:
+        metric = md.analytic_fisher(md.product(*draw(st.lists(st.one_of(
+            st.just(md.gaussian_diag([0.0], [1.0])),
+            st.just(md.exponential(1.0)), st.just(md.wigner_dyson(1.0)),
+            corr.map(lambda r: md.gaussian_bivariate_corr(0.0, 0.0, 1.0,
+                                                          r=r))),
+            min_size=1, max_size=3))))
+    points = np.empty((2, metric.dim))
+    for block in map(list, metric.blocks):
+        points[:, block[:-1]] = [[draw(means) for _ in block[:-1]]
+                                 for _ in range(2)]
+        points[:, block[-1]] = [draw(log_spreads), draw(log_spreads)]
+        tie = draw(st.sampled_from(["none", "mean", "spread"]))
+        if tie != "none":
+            keep = block[:-1] if tie == "mean" else block[-1]
+            points[1, keep] = points[0, keep]
+    return metric, points[0], points[1]
+
+
+@settings(max_examples=80)
+@given(two_points())
+def test_log_map_inverts_the_flow_and_leaves_the_bvp_no_shot(case):
+    metric, theta0, theta1 = case
+    theta, _ = metric.flow(theta0, metric.log(theta0, theta1), [1.0])
+    scale = np.abs(theta1) + spread_of(metric, theta1)
+    assert_close(theta[0], theta1, scale, 1e-12)
+    with mock.patch.object(dyn, "_shoot", wraps=dyn._shoot) as shoot:
+        path = dyn.solve_geodesic_bvp(metric, theta0, theta1, 1.0)
+    assert shoot.call_count == 0
+    assert np.linalg.norm(path.theta[-1] - theta1) < 1e-8

@@ -233,6 +233,33 @@ def test_quadrature_cap_reports_estimate():
     assert err.value.estimate.shape == (2, 2)
 
 
+def test_block_constants_are_computed_once_per_c(monkeypatch):
+    """The block constants (T, e, L, sqrt det C) of a family record are
+    computed once, when a metric first needs them: a closed-form metric of
+    the Gaussian, exponential and Wigner-Dyson records computes none, a
+    bivariate model one for its r, however many metrics it gives, and a
+    macro-correlation or a quadrature estimate, a new C per build, one
+    each."""
+    calls = []
+    block = md._block
+    monkeypatch.setattr(md, "_block", lambda c: calls.append(c) or block(c))
+    fixed = md.product(md.gaussian_diag([0.0, 1.0], [1.0, 2.0]),
+                       md.exponential(1.5), md.wigner_dyson(0.7))
+    md.analytic_fisher(fixed)     # the records' first use in the process
+    calls.clear()
+    md.analytic_fisher(fixed)
+    assert calls == []
+    bivariate = md.gaussian_bivariate_corr(0.0, 1.0, 1.2, r=0.4)
+    assert calls == []
+    md.analytic_fisher(bivariate)
+    md.analytic_fisher(bivariate)
+    assert len(calls) == 1
+    md.macro_correlated_metric([0.2, 0.5])
+    assert len(calls) == 3
+    md.fisher_quadrature(fixed)
+    assert len(calls) == 6
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 def test_quadrature_asks_for_no_rule_over_eight_nodes(family):
     """h h^T is a polynomial of degree <= 4 in each family's rule variable,
@@ -288,6 +315,8 @@ models = [md.gaussian_diag([0.0, 1.0], [1.0, 2.0]), md.exponential(1.5),
 before = settled()
 for m in models:
     geo.curvature_report(md.fisher_quadrature(m), m.theta)
+    md.normalization_residual(m)
+    md.score_expectation_residual(m)
 time.sleep(0.2)
 after = run_times()
 print(json.dumps({tid: ns - before.get(tid, 0) for tid, ns in after.items()}))
@@ -298,9 +327,10 @@ print(json.dumps({tid: ns - before.get(tid, 0) for tid, ns in after.items()}))
     not Path(f"/proc/self/task/{os.getpid()}/schedstat").exists(),
     reason="no per-thread schedstat")
 def test_quadrature_metric_runs_on_the_main_thread_alone():
-    """Building the quadrature metric of every family and its curvature
-    gives no other thread run time: no eigensolve is large enough to start
-    a BLAS worker, which would then spin for a while after it returns."""
+    """Building the quadrature metric of every family and its curvature,
+    and both residual checks of every family, give no other thread run
+    time: no eigensolve or dot product is large enough to start a BLAS
+    worker, which would then spin for a while after it returns."""
     src = Path(__file__).parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
