@@ -1,17 +1,17 @@
 """Command-line front end: config parsing, dispatch, deterministic emission.
 
-Subcommands: curvature, geodesic, jacobi, ige, mre, scenario.  Configs are
-YAML documents; all validation failures are reported together with the path
-of the offending field.  Every number must be finite, except the ends of an
-MrE ``domain``.  This module checks the structure of a config only (each
+Subcommands: curvature, geodesic, jacobi, ige, mre, scenario.  A config is
+a YAML document, with the exponent floats of YAML 1.2 (``1e-3``) read as
+numbers.  ``parse_config`` validates it into a ``Plan``: the config with
+its defaults filled, and the object its command runs, built by the library
+constructor that checks its ranges (a manifold's in ``igac.models``, an
+MrE problem's in ``igac.mre``, a scenario's in ``scenarios.IHOConfig``,
+``scenarios.ScatterConfig`` or ``scenarios.check_parameters``); ``run``
+executes the plan.  This module checks the structure of a config (each
 required key present and of its type, each kind or family known, each
-vector a list of numbers) and finiteness.  The ranges live in the library,
-where the objects are built: a scenario driver's in its config
-(``scenarios.IHOConfig``, ``scenarios.ScatterConfig``) or in
-``scenarios.check_parameters``, a manifold's in the model constructors of
-``igac.models``, and an MrE prior's, constraint's and domain's in
-``igac.mre``.  Each of their failures is reported at its config path.
-Outputs are a JSON report plus CSV traces with the fixed header
+vector a list of numbers) and that every number is finite, except the ends
+of an MrE ``domain``, and reports all failures together, each at its field
+path.  Outputs are a JSON report plus CSV traces with the fixed header
 ``tau,theta_1..theta_N,speed,delta_v,igc,ige,jacobi_intensity`` (columns
 absent when not computed), floats printed with 17 significant digits, LF
 line endings.  Exit status: 0 all oracle checks pass, 1 usage or config
@@ -23,8 +23,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import yaml
@@ -37,8 +39,6 @@ from . import mre
 from . import scenarios as sc
 from .errors import ConfigError, IgacError, ParameterError
 
-_SCENARIOS = ("uncorrelated_gaussian", "macro_correlated", "iho",
-              "spin_chain", "wavepacket", "custom_manifold", "mre_update")
 _FORMATS = ("csv", "json")
 
 _NUMERIC_DEFAULTS = {"fit_window_fraction": 0.25}
@@ -60,22 +60,43 @@ _SCENARIO_KEYS = {"uncorrelated_gaussian": ("l", *_START),
 _REQUIRED = {"uncorrelated_gaussian": {"l": int}, "iho": {"l": int},
              "macro_correlated": {"l": int, "r": None},
              "spin_chain": {"regime": str}}
+_SCENARIOS = (*_SCENARIO_KEYS, "custom_manifold", "mre_update")
 
-# the config key of each ScatterConfig field
-_CONFIG_KEYS = {field: key for key, field in _SCATTER_FIELDS.items()}
 
+def _loader(base):
+    """``base`` reading the YAML 1.2 floats with an exponent (1e-3, 1e3,
+    1.0e3), which PyYAML's YAML 1.1 rules leave as strings.  The subclass
+    adds to its own copy of the resolver table; ``base`` keeps its rules."""
+    loader = type(f"Igac{base.__name__}", (base,), {})
+    loader.add_implicit_resolver("tag:yaml.org,2002:float", re.compile(
+        r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9][0-9_]*)"
+        r"[eE][-+]?[0-9]+$"), list("-+.0123456789"))
+    return loader
+
+
+_PURE_LOADER = _loader(yaml.SafeLoader)
 # libyaml's parser when PyYAML was built with it; both loaders share the
-# safe resolver and constructor, so they accept the same documents
-_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+# resolver and the safe constructor, so they accept the same documents
+_LOADER = _loader(yaml.CSafeLoader) if yaml.__with_libyaml__ else _PURE_LOADER
 
 
-def parse_config(text: str, command: str = "scenario") -> dict:
-    """Validated config with defaults filled, or ConfigError listing every
+class Plan(NamedTuple):
+    """A validated config, which reports echo, and the object its command
+    runs: a manifold (a StatModel, or macro correlations), an MrEProblem,
+    an IHOConfig, a ScatterConfig with its sweep keywords, or a geodesic
+    driver's checked keywords."""
+
+    config: dict
+    built: object
+
+
+def parse_config(text: str, command: str = "scenario") -> Plan:
+    """The plan of a validated config, or ConfigError listing every
     failure with its field path.  One walk rejects every nan or infinite
-    number; the field checks below then test structure only, and leave
-    each range to the library check that owns it.  A scenario key the
-    config leaves out is left out here too: its default lives in the
-    driver."""
+    number; the field checks below test structure only, and leave each
+    range to the library constructor that owns it, whose object the plan
+    keeps.  A scenario key the config leaves out has its driver's
+    default."""
     try:
         raw = yaml.load(text, Loader=_LOADER) or {}
     except (yaml.YAMLError, ValueError) as exc:
@@ -89,35 +110,33 @@ def parse_config(text: str, command: str = "scenario") -> dict:
     numerics = _section(cfg, "numerics", _NUMERIC_DEFAULTS, failures)
     failures += [(f"numerics.{field}", msg) for field, msg in cx.fit_failures(
         fit_window_fraction=numerics.get("fit_window_fraction"))]
-    cfg["numerics"] = numerics
-
-    output = _section(cfg, "output",
-                      {"directory": ".", "formats": ["json", "csv"]}, failures)
-    fmts = output.get("formats")
+    fmts = _section(cfg, "output", {"directory": ".",
+                                    "formats": ["json", "csv"]},
+                    failures).get("formats")
     # a tuple compares its members by equality: an entry need not hash
     if not isinstance(fmts, (list, tuple)) or not fmts or \
             not all(fmt in _FORMATS for fmt in fmts):
         failures.append(("output.formats",
                          f"must be a nonempty subset of {_FORMATS}"))
-    cfg["output"] = output
 
     nonfinite = []
     _walk_nonfinite(cfg, "", _open_ends(cfg, command), nonfinite)
     # a field check adds nothing at a path the walk already rejected
     bad = {path for path, _ in nonfinite}
+    built = None
     if command == "scenario":
-        _validate_scenario(cfg, failures, bad)
+        built = _validate_scenario(cfg, failures, bad)
     elif command in ("curvature", "geodesic", "jacobi", "ige"):
-        _validate_manifold_command(cfg, command, failures, bad)
+        built = _validate_manifold_command(cfg, command, failures, bad)
     elif command == "mre":
-        _validate_mre(cfg.get("mre"), "mre", failures, bad)
+        built = _validate_mre(cfg.get("mre"), "mre", failures, bad)
         # the rule of mre.solve_multiplier
         failures += md.positive_failures({"tol": cfg.get("tol", 1e-12)})
 
     if nonfinite or failures:
         raise ConfigError(nonfinite + [f for f in failures
                                        if f[0] not in bad])
-    return cfg
+    return Plan(cfg, built)
 
 
 def _open_ends(cfg, command):
@@ -151,13 +170,15 @@ def _walk_nonfinite(node, path, open_ends, failures):
 
 
 def _section(cfg, key, defaults, failures):
-    """The mapping at ``key`` laid over a copy of ``defaults``."""
+    """The mapping at ``key`` laid over a copy of ``defaults``, which
+    replaces it in ``cfg``."""
     merged = dict(defaults)
     val = cfg.get(key) or {}
     if isinstance(val, dict):
         merged.update(val)
     else:
         failures.append((key, "must be a mapping"))
+    cfg[key] = merged
     return merged
 
 
@@ -187,27 +208,31 @@ def _req(mapping, key, path, failures, types=None):
 
 
 def _validate_scenario(cfg, failures, nonfinite):
+    """Record the scenario's failures; returns what its driver runs."""
     name = cfg.get("scenario")
     if name not in _SCENARIOS:
         failures.append(("scenario",
                          f"unknown scenario {name!r}; choose from "
                          f"{_SCENARIOS}"))
-        return
-    params = cfg.get("parameters")
-    if params is None:
-        params = {}
-        cfg["parameters"] = params
+        return None
+    if cfg.get("parameters") is None:
+        cfg["parameters"] = {}
+    params = cfg["parameters"]
     if not isinstance(params, dict):
         failures.append(("parameters", "must be a mapping"))
-    elif name == "custom_manifold":
-        dim = _validate_manifold(params.get("manifold"),
-                                 "parameters.manifold", failures, nonfinite)
-        if _req(params, "theta", "parameters", failures) is not None:
-            _check_vector(params["theta"], "parameters.theta", dim, failures)
-    elif name == "mre_update":
-        _validate_mre(params, "parameters", failures, nonfinite)
-    else:
-        _check_parameters(name, params, failures, nonfinite)
+        return None
+    if name == "custom_manifold":
+        manifold = _validate_manifold(params.get("manifold"),
+                                      "parameters.manifold", failures,
+                                      nonfinite)
+        _req(params, "theta", "parameters", failures)
+        if "theta" in params:
+            _check_vector(params["theta"], "parameters.theta",
+                          _dim(manifold), failures)
+        return manifold
+    if name == "mre_update":
+        return _validate_mre(params, "parameters", failures, nonfinite)
+    return _check_parameters(name, params, failures, nonfinite)
 
 
 def _check_parameters(name, params, failures, nonfinite):
@@ -215,7 +240,7 @@ def _check_parameters(name, params, failures, nonfinite):
     vector that is no list of numbers and each key set to null.  Then run
     the driver's own range checks on the keys with neither such a failure
     nor a path in ``nonfinite``, and record each of their failures at its
-    config path."""
+    config path.  Returns what the driver runs."""
     for key, types in _REQUIRED.get(name, {}).items():
         _req(params, key, "parameters", failures, types)
     for key in ("theta0", "v0", "omega"):
@@ -237,14 +262,19 @@ def _check_parameters(name, params, failures, nonfinite):
         # config only when each of its IHO keys is sound
         whole = "l" in typed and \
             typed.keys() == params.keys() & set(_SCENARIO_KEYS[name])
-        checks = [lambda: sc.IHOConfig(**typed)] if whole else []
-    elif name == "wavepacket":
-        checks = [lambda: _scatter_config(typed),
-                  lambda: sc.check_parameters(r_sweep=typed.get("r_sweep"))]
-    else:
-        checks = [lambda: sc.check_parameters(**typed)]
-    for check in checks:
-        _record(check, "parameters", failures, _CONFIG_KEYS)
+        return _record(lambda: sc.IHOConfig(**typed), "parameters",
+                       failures) if whole else None
+    if name == "wavepacket":
+        scatter = _record(lambda: sc.ScatterConfig(**{
+            field: typed[key] for key, field in _SCATTER_FIELDS.items()
+            if key in typed}), "parameters", failures,
+            {field: key for key, field in _SCATTER_FIELDS.items()})
+        _record(lambda: sc.check_parameters(r_sweep=typed.get("r_sweep")),
+                "parameters", failures)
+        return scatter, {"r_sweep": typed["r_sweep"]} \
+            if "r_sweep" in typed else {}
+    _record(lambda: sc.check_parameters(**typed), "parameters", failures)
+    return typed
 
 
 def _record(check, path, failures, fields=None):
@@ -276,10 +306,11 @@ _MANIFOLD_KINDS = (*_MODELS, "macro_correlated", "product")
 
 def _validate_manifold(spec, path, failures, nonfinite,
                        kinds=_MANIFOLD_KINDS):
-    """Record the spec's failures; returns the manifold's dimension, or
-    None when the spec is invalid.  A model leaf whose keys are present,
-    typed and finite is built by its constructor, which checks the ranges;
-    macro correlations meet the rule of ``macro_correlated_metric``."""
+    """Record the spec's failures; returns the manifold, a StatModel or
+    macro correlations, or None when the spec is invalid.  A model leaf
+    whose keys are present, typed and finite is built by its constructor,
+    which checks the ranges; macro correlations meet the rule of
+    ``macro_correlated_metric``."""
     if not isinstance(spec, dict):
         failures.append((path, "missing manifold mapping"))
         return None
@@ -290,20 +321,22 @@ def _validate_manifold(spec, path, failures, nonfinite,
                          f"{kinds}"))
         return None
     n_failures = len(failures)
-    dim = None
+    manifold = None
     if kind == "product":
         factors = _req(spec, "factors", path, failures, list)
-        dims = [_validate_manifold(sub, f"{path}.factors[{i}]", failures,
-                                   nonfinite, _FACTOR_KINDS)
-                for i, sub in enumerate(factors or [])]
-        dim = sum(dims) if None not in dims else None
+        models = [_validate_manifold(sub, f"{path}.factors[{i}]", failures,
+                                     nonfinite, _FACTOR_KINDS)
+                  for i, sub in enumerate(factors or [])]
+        if all(m is not None for m in models):
+            manifold = md.product(*models)
     elif kind == "macro_correlated":
         r = _req(spec, "r", path, failures, (list, tuple, int, float))
         if r is not None:
             rs = r if isinstance(r, list) else [r]
             failures += md.correlation_failures(
                 {f"{path}.r[{i}]": ri for i, ri in enumerate(rs)})
-            dim = 2 * len(rs)
+            if len(failures) == n_failures:
+                manifold = np.atleast_1d(r)
     else:
         for key, types in _MODELS[kind][1].items():
             if key in spec or key not in _OPTIONAL:
@@ -312,16 +345,22 @@ def _validate_manifold(spec, path, failures, nonfinite,
                     _check_vector(val, f"{path}.{key}", None, failures)
         if len(failures) == n_failures and \
                 not any(p.startswith(f"{path}.") for p in nonfinite):
-            model = _record(lambda: build_model(spec), path, failures)
-            dim = model.param_dim if model else None
-    if dim == 0:
+            manifold = _record(lambda: build_model(spec), path, failures)
+    if _dim(manifold) == 0:
         failures.append((path, "manifold has no coordinates"))
-    return dim if len(failures) == n_failures else None
+    return manifold if len(failures) == n_failures else None
+
+
+def _dim(manifold):
+    """The coordinate count of a built manifold; None for none."""
+    return None if manifold is None else manifold.param_dim \
+        if isinstance(manifold, md.StatModel) else 2 * len(manifold)
 
 
 def _validate_manifold_command(cfg, command, failures, nonfinite):
+    """Record the command's failures; returns its manifold."""
     spec = cfg.get("manifold")
-    dim = _validate_manifold(spec, "manifold", failures, nonfinite)
+    manifold = _validate_manifold(spec, "manifold", failures, nonfinite)
     if command == "curvature":
         required, vectors = ("theta",), ("theta",)
     else:
@@ -348,7 +387,8 @@ def _validate_manifold_command(cfg, command, failures, nonfinite):
         failures += dyn.n_out_failures(cfg.get("n_out", 257))
     for key in vectors:
         if key in cfg:
-            _check_vector(cfg[key], key, dim, failures)
+            _check_vector(cfg[key], key, _dim(manifold), failures)
+    return manifold
 
 
 # each prior family: its builder, which takes the family's keys, and their
@@ -362,13 +402,14 @@ _PRIOR_FIELDS = {"sigmas[0]": "sigma"}
 
 
 def _validate_mre(spec, path, failures, nonfinite):
-    """Record the problem's failures.  The prior, its keys numbers and
-    finite, and each constraint function are built by their constructors;
-    the domain meets the rule of ``mre.MrEProblem``."""
+    """Record the problem's failures; returns its MrEProblem, or None.  The
+    prior, its keys numbers and finite, and each constraint function are
+    built by their constructors; the domain meets ``mre.MrEProblem``."""
     if not isinstance(spec, dict):
         failures.append((path, "missing mre problem mapping"))
-        return
-    prior = spec.get("prior")
+        return None
+    n_failures = len(failures)
+    prior, built = spec.get("prior"), None
     if not isinstance(prior, dict) or "family" not in prior:
         failures.append((f"{path}.prior.family", "missing required key"))
     elif not isinstance(prior["family"], str) or \
@@ -376,54 +417,65 @@ def _validate_mre(spec, path, failures, nonfinite):
         failures.append((f"{path}.prior.family",
                          f"unknown prior family {prior['family']!r}"))
     else:
-        ppath, n_failures = f"{path}.prior", len(failures)
+        ppath = f"{path}.prior"
         for key, default in _PRIORS[prior["family"]][1].items():
             if not md._is_number(prior.get(key, default)):
                 failures.append((f"{ppath}.{key}",
                                  f"must be a number, got {prior[key]!r}"))
         if len(failures) == n_failures and \
                 not any(p.startswith(f"{ppath}.") for p in nonfinite):
-            _record(lambda: _build_prior(prior), ppath, failures,
-                    _PRIOR_FIELDS)
+            built = _record(lambda: _build_prior(prior), ppath, failures,
+                            _PRIOR_FIELDS)
     failures += [(f"{path}.{field}", msg)
                  for field, msg in mre.domain_failures(spec.get("domain"))]
     cons = spec.get("constraints")
     if not isinstance(cons, list) or not cons:
         failures.append((f"{path}.constraints",
                          "need a nonempty list of constraints"))
-        return
+        return None
+    functions = []
     for i, c in enumerate(cons):
         cpath = f"{path}.constraints[{i}]"
         if not isinstance(c, dict):
             failures.append((cpath, "must be a mapping"))
             continue
-        _record(lambda: mre.constraint_function(c.get("f"),
-                                                c.get("coefficients")),
-                cpath, failures)
+        functions.append(_record(
+            lambda: mre.constraint_function(c.get("f"),
+                                            c.get("coefficients")),
+            cpath, failures))
         if "target" not in c:
             failures.append((f"{cpath}.target", "missing required key"))
         elif not md._is_number(c["target"]):
             failures.append((f"{cpath}.target",
                              f"must be a number, got {c['target']!r}"))
+    if len(failures) > n_failures or \
+            any(p.startswith(f"{path}.") for p in nonfinite):
+        return None
+    prior, domain = built
+    return mre.MrEProblem(prior, tuple(zip(functions, (c["target"]
+                                                       for c in cons))),
+                          domain=domain if spec.get("domain") is None
+                          else tuple(spec["domain"]))
 
-
-# ---------------------------------------------------------------------------
-# builders
-# ---------------------------------------------------------------------------
 
 def build_metric(spec: dict, source: str = "analytic") -> md.MetricField:
-    if spec["kind"] == "macro_correlated":
-        return md.macro_correlated_metric(np.atleast_1d(spec["r"]))
-    model = build_model(spec)
-    if source == "quadrature":
-        return md.fisher_quadrature(model)
-    return md.analytic_fisher(model)
+    """The metric of a manifold spec; ConfigError when it is invalid."""
+    failures = []
+    manifold = _validate_manifold(spec, "manifold", failures, set())
+    ConfigError.raise_any(failures)
+    return _metric(manifold, source)
+
+
+def _metric(manifold, source) -> md.MetricField:
+    """The metric of a built manifold from ``source``."""
+    if not isinstance(manifold, md.StatModel):
+        return md.macro_correlated_metric(manifold)
+    return (md.fisher_quadrature if source == "quadrature"
+            else md.analytic_fisher)(manifold)
 
 
 def build_model(spec: dict) -> md.StatModel:
-    """The model of a spec of a model kind or a product of them."""
-    if spec["kind"] == "product":
-        return md.product(*map(build_model, spec["factors"]))
+    """The model of a spec of a model kind."""
     build, keys = _MODELS[spec["kind"]]
     return build(**{key: spec[key] for key in keys if key in spec})
 
@@ -435,35 +487,18 @@ def _build_prior(spec):
     return build(**par), (par["lo"], par["hi"]) if "lo" in par else None
 
 
-def _build_mre_problem(spec):
-    prior, domain = _build_prior(spec["prior"])
-    if spec.get("domain") is not None:
-        domain = tuple(spec["domain"])
-    constraints = [
-        (mre.constraint_function(c["f"], c.get("coefficients")),
-         float(c["target"]))
-        for c in spec["constraints"]]
-    return mre.MrEProblem(prior, tuple(constraints), domain=domain)
-
-
-# ---------------------------------------------------------------------------
-# emission
-# ---------------------------------------------------------------------------
-
 def emit_csv(path: Path, trace: dict) -> None:
     """One trace file; fixed column order, 17 significant digits, LF.  The
     whole table is one ``%`` format over its cells, row by row."""
-    taus = np.asarray(trace["tau"], float)
-    columns = [("tau", taus)]
-    theta = trace.get("theta")
-    if theta is not None:
-        theta = np.asarray(theta, float)
-        for i in range(theta.shape[1]):
-            columns.append((f"theta_{i + 1}", theta[:, i]))
-    for key in ("speed", "delta_v", "igc", "ige", "jacobi_intensity"):
-        if key in trace and trace[key] is not None:
-            columns.append((key, np.asarray(trace[key], float)))
-    table = np.column_stack([col for _, col in columns])
+    columns = [("tau", trace["tau"])]
+    if trace.get("theta") is not None:
+        theta = np.asarray(trace["theta"], float)
+        columns += [(f"theta_{i + 1}", theta[:, i])
+                    for i in range(theta.shape[1])]
+    columns += [(key, trace[key]) for key in ("speed", "delta_v", "igc",
+                                              "ige", "jacobi_intensity")
+                if trace.get(key) is not None]
+    table = np.column_stack([np.asarray(col, float) for _, col in columns])
     # '%.17g' % x is format(x, '.17g') for every float, nan and inf too;
     # no column name holds a '%'
     row = ",".join(["%.17g"] * len(columns))
@@ -476,8 +511,6 @@ _escape = json.encoder.encode_basestring_ascii
 # float.__repr__ of the values JSON has no literal for, and json's names
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 _FLOAT_ONLY = {float}
-# looked up only after an identity test: 1 == True, so 1 would find "true"
-_LITERALS = {None: "null", True: "true", False: "false"}
 
 
 def _key_text(key) -> str:
@@ -499,7 +532,7 @@ def _dumps(obj, pad: str = "") -> str:
     if isinstance(obj, str):
         return _escape(obj)
     if obj is None or obj is True or obj is False:
-        return _LITERALS[obj]
+        return "null" if obj is None else "true" if obj else "false"
     if isinstance(obj, int):
         return int.__repr__(obj)
     if isinstance(obj, float):
@@ -534,131 +567,107 @@ def emit(report: dict, traces: dict, outdir: Path, formats) -> list:
     outdir.mkdir(parents=True, exist_ok=True)
     written = []
     if "json" in formats:
-        p = outdir / "report.json"
-        p.write_text(_dumps(report) + "\n", newline="\n")
-        written.append(p)
+        written.append(outdir / "report.json")
+        written[-1].write_text(_dumps(report) + "\n", newline="\n")
     if "csv" in formats:
         for name, trace in traces.items():
-            p = outdir / f"{name}.csv"
-            emit_csv(p, trace)
-            written.append(p)
+            written.append(outdir / f"{name}.csv")
+            emit_csv(written[-1], trace)
     return written
 
 
-# ---------------------------------------------------------------------------
-# command implementations
-# ---------------------------------------------------------------------------
+def _setup(plan, name, inputs):
+    """The config of a manifold command, the metric of its manifold from
+    the source it names, and a report echoing its ``inputs``."""
+    cfg = plan.config
+    return (cfg, _metric(plan.built, cfg.get("metric_source", "analytic")),
+            sc.ScenarioReport(name, {k: cfg[k] for k in inputs}))
 
-def _cmd_curvature(cfg):
-    metric = build_metric(cfg["manifold"], cfg.get("metric_source",
-                                                   "analytic"))
+
+def _cmd_curvature(plan):
+    cfg, metric, report = _setup(plan, "curvature", ("manifold",))
     theta = np.asarray(cfg["theta"], float)
+    report.inputs["theta"] = theta
     rep = geo.curvature_report(metric, theta)
-    report = sc.ScenarioReport("curvature", {"manifold": cfg["manifold"],
-                                             "theta": theta})
-    report.observables["ricci_scalar"] = rep.scalar
-    report.observables["sectional"] = [
-        {"plane": list(pl), "k": k} for pl, k in rep.sectional]
-    report.observables["weyl_max_abs"] = rep.weyl_max_abs
-    report.observables["ricci_tensor"] = rep.ricci
+    report.observables.update(
+        ricci_scalar=rep.scalar,
+        sectional=[{"plane": list(pl), "k": k} for pl, k in rep.sectional],
+        weyl_max_abs=rep.weyl_max_abs, ricci_tensor=rep.ricci)
     report.add("metric_compatibility", rep.metric_compat_residual, 0.0, 1e-8,
                "Levi-Civita connection")
     report.add("scalar_vs_sectional_sum", rep.sectional_sum, rep.scalar,
                1e-8, "scalar equals the sectional sum")
-    return report, {}
+    return report
 
 
-def _cmd_geodesic(cfg):
-    metric = build_metric(cfg["manifold"], cfg.get("metric_source",
-                                                   "analytic"))
+def _cmd_geodesic(plan):
+    cfg, metric, report = _setup(plan, "geodesic", ("manifold", *_START))
     path = dyn.integrate_geodesic(metric, cfg["theta0"], cfg["v0"],
                                   float(cfg["tau_end"]))
-    report = sc.ScenarioReport("geodesic", {k: cfg[k] for k in
-                                            ("manifold", "theta0", "v0",
-                                             "tau_end")})
-    drift = float(np.max(np.abs(path.speed / path.speed[0] - 1.0)))
+    # relative to a positive start speed; a constant geodesic has speed 0
+    speed0 = path.speed[0]
+    drift = float(np.max(np.abs(path.speed / speed0 - 1.0 if speed0 > 0
+                                else path.speed - speed0)))
     report.add("speed_drift", drift, 0.0, 1e-9, "affine parametrization")
     report.observables["endpoint"] = path.theta[-1]
-    trace = {"tau": path.tau_grid, "theta": path.theta, "speed": path.speed}
-    return report, {"geodesic": trace}
+    report.traces["geodesic"] = {"tau": path.tau_grid, "theta": path.theta,
+                                 "speed": path.speed}
+    return report
 
 
-def _cmd_jacobi(cfg):
-    metric = build_metric(cfg["manifold"], cfg.get("metric_source",
-                                                   "analytic"))
+def _cmd_jacobi(plan):
+    cfg, metric, report = _setup(plan, "jacobi", ("manifold", *_START))
     j0 = np.asarray(cfg.get("j0", np.zeros(metric.dim)), float)
-    if "dj0" in cfg:
-        dj0 = np.asarray(cfg["dj0"], float)
-    else:
-        dj0 = dyn.normal_direction(metric, cfg["theta0"], cfg["v0"])
+    dj0 = np.asarray(cfg["dj0"], float) if "dj0" in cfg else \
+        dyn.normal_direction(metric, cfg["theta0"], cfg["v0"])
     jac = dyn.integrate_jacobi(metric, cfg["theta0"], cfg["v0"],
                                np.linspace(0.0, float(cfg["tau_end"]), 513),
                                j0, dj0)
-    report = sc.ScenarioReport("jacobi", {k: cfg[k] for k in
-                                          ("manifold", "theta0", "v0",
-                                           "tau_end")})
-    report.inputs["j0"] = j0
-    report.inputs["dj0"] = dj0
-    est = dyn.lyapunov_estimate(jac)
-    report.observables["lyapunov_estimate"] = est.value
-    report.observables["final_intensity"] = jac.intensity[-1]
-    trace = {"tau": jac.tau_grid, "theta": jac.theta, "speed": jac.speed,
-             "jacobi_intensity": jac.intensity}
-    return report, {"jacobi": trace}
+    report.inputs.update(j0=j0, dj0=dj0)
+    report.observables.update(
+        lyapunov_estimate=dyn.lyapunov_estimate(jac).value,
+        final_intensity=jac.intensity[-1])
+    report.traces["jacobi"] = {"tau": jac.tau_grid, "theta": jac.theta,
+                               "speed": jac.speed,
+                               "jacobi_intensity": jac.intensity}
+    return report
 
 
-def _cmd_ige(cfg):
-    metric = build_metric(cfg["manifold"], cfg.get("metric_source",
-                                                   "analytic"))
+def _cmd_ige(plan):
+    cfg, metric, report = _setup(plan, "ige", ("manifold", *_START))
     path = dyn.integrate_geodesic(metric, cfg["theta0"], cfg["v0"],
                                   float(cfg["tau_end"]),
                                   n_out=cfg.get("n_out", 257))
     trace = cx.complexity_trace(metric, path)
-    report = sc.ScenarioReport("ige", {k: cfg[k] for k in
-                                       ("manifold", "theta0", "v0",
-                                        "tau_end")})
-    form = cfg.get("fit_form", "linear")
-    fit = cx.fit_asymptotics(trace, form, min_points=16,
-                             fit_window_fraction=cfg["numerics"][
-                                 "fit_window_fraction"])
+    fit = cx.fit_asymptotics(trace, cfg.get("fit_form", "linear"),
+                             min_points=16, fit_window_fraction=cfg[
+                                 "numerics"]["fit_window_fraction"])
     report.observables["fit"] = {"form": fit.form, "params": list(fit.params),
                                  "r2": fit.r2, "window": list(fit.window)}
     report.add("fit_r2", fit.r2, 1.0, 0.5, "goodness of the requested form",
                note="informational quality gate")
-    out = {"tau": trace.tau_grid, "theta": path.theta, "speed": path.speed,
-           "delta_v": trace.delta_v, "igc": trace.igc, "ige": trace.ige}
-    return report, {"ige": out}
+    report.traces["ige"] = {
+        "tau": trace.tau_grid, "theta": path.theta, "speed": path.speed,
+        "delta_v": trace.delta_v, "igc": trace.igc, "ige": trace.ige}
+    return report
 
 
-def _cmd_mre(cfg):
-    problem = _build_mre_problem(cfg["mre"])
+def _cmd_mre(plan):
+    cfg, problem = plan
     tol = float(cfg.get("tol", 1e-12))
     result = mre.solve_multiplier(problem, tol=tol)
     report = sc.ScenarioReport("mre", {"mre": cfg["mre"]})
-    report.observables["beta"] = result.beta
-    report.observables["log_z"] = result.log_z
-    report.observables["achieved"] = result.achieved
-    report.observables["objective"] = result.objective
-    targets = np.array([F for _, F in problem.constraints])
-    report.add("achieved_moments", float(np.max(np.abs(result.achieved
-                                                       - targets))),
-               0.0, max(tol * 10, 1e-10), "constraint satisfaction")
+    report.observables.update(beta=result.beta, log_z=result.log_z,
+                              achieved=result.achieved,
+                              objective=result.objective)
+    residual = result.achieved - [F for _, F in problem.constraints]
+    report.add("achieved_moments", float(np.max(np.abs(residual))), 0.0,
+               max(tol * 10, 1e-10), "constraint satisfaction")
     report.add("posterior_mass", result.posterior.mass(), 1.0, 1e-8,
                "normalization")
     report.observables["posterior_grid"] = {
         "x": result.posterior.x[::16], "p": result.posterior.p[::16]}
-    return report, {}
-
-
-def _given(params, keys):
-    """The entries of ``params`` at those of ``keys`` it sets."""
-    return {key: params[key] for key in keys if key in params}
-
-
-def _scatter_config(params):
-    """The ScatterConfig of the wave-packet keys that ``params`` sets."""
-    return sc.ScatterConfig(**{field: params[key] for key, field in
-                               _SCATTER_FIELDS.items() if key in params})
+    return report
 
 
 # the scenarios whose config keys are their driver's keyword arguments
@@ -667,44 +676,34 @@ _DRIVERS = {"uncorrelated_gaussian": sc.run_uncorrelated_gaussian,
             "spin_chain": sc.run_spin_chain}
 
 
-def _run_named_scenario(cfg):
+def _run_named_scenario(plan):
+    cfg, built = plan
     name, params = cfg["scenario"], cfg["parameters"]
     if name == "custom_manifold":
-        return _cmd_curvature({"manifold": params["manifold"],
-                               "theta": params["theta"]})[0]
+        return _cmd_curvature(Plan({"manifold": params["manifold"],
+                                    "theta": params["theta"]}, built))
     if name == "mre_update":
-        return _cmd_mre({"mre": params})[0]
+        return _cmd_mre(Plan({"mre": params}, built))
     if name in _DRIVERS:
-        return _DRIVERS[name](**_given(params, _SCENARIO_KEYS[name]))
+        return _DRIVERS[name](**built)
     if name == "iho":
-        return sc.run_iho(sc.IHOConfig(**_given(params,
-                                                _SCENARIO_KEYS["iho"])))
-    kw = {"r_sweep": tuple(params["r_sweep"])} if "r_sweep" in params else {}
-    return sc.run_wavepacket(_scatter_config(params), **kw)
+        return sc.run_iho(built)
+    scatter, sweep = built
+    return sc.run_wavepacket(scatter, **sweep)
 
 
-def _cmd_scenario(cfg):
-    report = _run_named_scenario(cfg)
-    return report, report.traces
+# each command's plan -> ScenarioReport, its traces in ``report.traces``
+_COMMANDS = {"curvature": _cmd_curvature, "geodesic": _cmd_geodesic,
+             "jacobi": _cmd_jacobi, "ige": _cmd_ige, "mre": _cmd_mre,
+             "scenario": _run_named_scenario}
 
 
-_COMMANDS = {
-    "curvature": _cmd_curvature,
-    "geodesic": _cmd_geodesic,
-    "jacobi": _cmd_jacobi,
-    "ige": _cmd_ige,
-    "mre": _cmd_mre,
-    "scenario": _cmd_scenario,
-}
-
-
-def run(cfg: dict, command: str) -> int:
-    """Execute a validated config; returns the process exit status."""
-    report, traces = _COMMANDS[command](cfg)
-    outdir = Path(cfg["output"]["directory"])
-    payload = report.to_dict()
-    payload["command"] = command
-    emit(payload, traces, outdir, cfg["output"]["formats"])
+def run(plan: Plan, command: str) -> int:
+    """Execute a validated plan; returns the process exit status."""
+    report = _COMMANDS[command](plan)
+    output = plan.config["output"]
+    emit({**report.to_dict(), "command": command}, report.traces,
+         Path(output["directory"]), output["formats"])
     if not report.passed:
         sys.stderr.write(_dumps({"failures": report.failures()}) + "\n")
         return 2
@@ -736,12 +735,12 @@ def main(argv=None) -> int:
         sys.stderr.write(f"cannot read config: {exc}\n")
         return 1
     try:
-        cfg = parse_config(text, args.command)
+        plan = parse_config(text, args.command)
         if args.out is not None:
-            cfg["output"]["directory"] = args.out
+            plan.config["output"]["directory"] = args.out
         if args.format is not None:
-            cfg["output"]["formats"] = [args.format]
-        return run(cfg, args.command)
+            plan.config["output"]["formats"] = [args.format]
+        return run(plan, args.command)
     except ConfigError as exc:
         for path, msg in exc.failures:
             sys.stderr.write(f"config error at {path}: {msg}\n")

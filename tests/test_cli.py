@@ -3,6 +3,8 @@
 import inspect
 import json
 import threading
+import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -22,16 +24,17 @@ _PARSE = cli.parse_config
 
 
 def _outcome(text, *args, **kwargs):
-    """parse_config's dict, or the field paths of its ConfigError."""
+    """The config dict of parse_config's plan, or the field paths of its
+    ConfigError."""
     try:
-        return _PARSE(text, *args, **kwargs)
+        return _PARSE(text, *args, **kwargs).config
     except ConfigError as exc:
         return [path for path, _ in exc.failures]
 
 
 def _parse_pure(text, *args, **kwargs):
-    """The same parse through PyYAML's pure-Python safe loader."""
-    loader, cli._LOADER = cli._LOADER, yaml.SafeLoader
+    """The same parse through cli's pure-Python loader."""
+    loader, cli._LOADER = cli._LOADER, cli._PURE_LOADER
     try:
         return _outcome(text, *args, **kwargs)
     finally:
@@ -65,7 +68,39 @@ def test_demo_config_loads_alike_through_either_loader(config):
 @pytest.mark.skipif(not yaml.__with_libyaml__,
                     reason="PyYAML built without libyaml")
 def test_configs_load_through_libyaml():
-    assert cli._LOADER is yaml.CSafeLoader
+    assert issubclass(cli._LOADER, yaml.CSafeLoader)
+    assert issubclass(cli._PURE_LOADER, yaml.SafeLoader)
+    assert not issubclass(cli._PURE_LOADER, yaml.CSafeLoader)
+
+
+@pytest.mark.parametrize("loader", ["_LOADER", "_PURE_LOADER"])
+def test_yaml_numbers_resolve_as_yaml_1_2_floats(loader):
+    # the exponent floats of YAML 1.2 are numbers; every other implicit
+    # type keeps its YAML 1.1 rule, and PyYAML's own loaders are untouched
+    cases = {"1e-3": 1e-3, "1e3": 1000.0, "1.0e3": 1000.0, "-1E+2": -100.0,
+             ".5e3": 500.0, "1.0e+3": 1000.0, "1000": 1000, "0x1F": 31,
+             "1_000": 1000, "yes": True, "no": False, "'1e3'": "1e3",
+             "1e": "1e", "e3": "e3"}
+    text = "".join(f"k{i}: {spelling}\n" for i, spelling in enumerate(cases))
+    got = yaml.load(text + "inf: .inf\nnan: .nan\n",
+                    Loader=getattr(cli, loader))
+    assert [got[f"k{i}"] for i in range(len(cases))] == list(cases.values())
+    assert all(type(got[f"k{i}"]) is type(want)
+               for i, want in enumerate(cases.values()))
+    assert got["inf"] == float("inf") and got["nan"] != got["nan"]
+    assert yaml.load("a: 1e3\n", Loader=yaml.SafeLoader) == {"a": "1e3"}
+
+
+def test_exponent_float_config_runs(tmp_path):
+    cfg = tmp_path / "geo.yaml"
+    cfg.write_text(GEO_CFG.replace("tau_end: 3.0", "tau_end: 3e0")
+                   + f"output: {{directory: '{tmp_path}/out'}}\n")
+    assert cli.parse_config(cfg.read_text(), "geodesic").config[
+        "tau_end"] == 3.0
+    plan = cli.parse_config("scenario: iho\n"
+                            "parameters: {l: 1, omega: [1.0], tau_end: 1e3}\n")
+    assert plan.config["parameters"]["tau_end"] == plan.built.tau_end == 1e3
+    assert cli.main(["geodesic", "--config", str(cfg)]) == 0
 
 
 def test_invalid_yaml_exits_1_at_document(tmp_path, capsys):
@@ -100,7 +135,7 @@ tau_end: 3.0
 
 def test_defaults_filled():
     cfg = cli.parse_config("scenario: uncorrelated_gaussian\n"
-                           "parameters: {l: 1}\n")
+                           "parameters: {l: 1}\n").config
     assert "ode_tol" not in cfg["numerics"]
     assert cfg["numerics"]["fit_window_fraction"] == 0.25
     assert cfg["output"]["formats"] == ["json", "csv"]
@@ -236,6 +271,21 @@ def test_demo_report_has_the_indented_json_dumps_layout(tmp_path, config):
     text = (tmp_path / "report.json").read_text()
     assert json.dumps(json.loads(text), indent=2, allow_nan=True) + "\n" \
         == text
+
+
+def test_constant_geodesic_has_zero_speed_drift(tmp_path):
+    # a zero start velocity stays at theta0 with speed 0: no drift, and no
+    # 0/0 on the way to it
+    cfg = tmp_path / "geo.yaml"
+    cfg.write_text(GEO_CFG.replace("v0: [1.4142135623730951, 0.0]",
+                                   "v0: [0.0, 0.0]")
+                   + f"output: {{directory: '{tmp_path}/out'}}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["geodesic", "--config", str(cfg)]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    check, = (c for c in report["checks"] if c["name"] == "speed_drift")
+    assert check["value"] == 0.0 and check["pass"]
 
 
 def test_ige_command_emits_full_columns(tmp_path):
@@ -531,6 +581,8 @@ IGE_2D = f"manifold: {DIAG_2D}\ntheta0: [0.0, 1.0]\nv0: [1.0, 0.0]\n" \
     ("scenario", "scenario: custom_manifold\nparameters:\n"
      f"  manifold: {DIAG_2D}\n  theta: [0.0, 1.0, 2.0]\n",
      "parameters.theta"),
+    ("scenario", "scenario: custom_manifold\nparameters:\n"
+     f"  manifold: {DIAG_2D}\n  theta: null\n", "parameters.theta"),
     ("geodesic", f"manifold: {DIAG_2D}\ntheta0: [0.0, 1.0]\nv0: [1.0, 0.0]\n"
      "tau_end: abc\n", "tau_end"),
     ("curvature", "manifold: {kind: product, factors: []}\ntheta: []\n",
@@ -654,8 +706,9 @@ IGE_2D = f"manifold: {DIAG_2D}\ntheta0: [0.0, 1.0]\nv0: [1.0, 0.0]\n" \
     ("ige", f"{IGE_2D}n_out: 2.5\n", "n_out"),
 ], ids=["r-text", "sigma-text", "numerics-scalar", "theta-long",
         "theta-short", "theta0-long", "v0-long", "dj0-long",
-        "custom-theta-long", "tau-end-text", "no-coordinates", "target-text",
-        "macro-r-text", "metric-source-typo", "mre-tol-text",
+        "custom-theta-long", "custom-theta-null", "tau-end-text",
+        "no-coordinates", "target-text", "macro-r-text",
+        "metric-source-typo", "mre-tol-text",
         "mre-tol-negative", "ige-fit-form-unknown", "ige-n-out-text",
         "mre-sigma-negative", "mre-mu-text", "mre-domain-short",
         "mre-uniform-reversed", "mre-update-sigma-negative",
@@ -709,8 +762,8 @@ BAD_TOLERANCES = [".nan", ".inf", "0", "-1"]
 def _stub_run(monkeypatch):
     """A tolerance check that fails late would hand the solvers a nan or
     zero tolerance, on which they run for minutes."""
-    monkeypatch.setattr(cli, "run", lambda cfg, command: pytest.fail(
-        f"a solve started with {cfg['numerics']}"))
+    monkeypatch.setattr(cli, "run", lambda plan, command: pytest.fail(
+        f"a solve started with {plan.config['numerics']}"))
 
 
 # quad_tol and ode_tol are no settings, but configs written with them
@@ -937,8 +990,8 @@ def test_infinite_domain_ends_only_in_mre_update(tmp_path, capsys,
         capsys.readouterr().err
     cfg = {"scenario": "mre_update", "parameters": {**GAUSSIAN_MRE,
                                                     "domain": [0.0, INF]}}
-    assert cli.parse_config(yaml.safe_dump(cfg))["parameters"]["domain"] == \
-        [0.0, INF]
+    assert cli.parse_config(yaml.safe_dump(cfg)).config["parameters"][
+        "domain"] == [0.0, INF]
 
 
 def test_open_mre_domain_matches_the_prior_support(tmp_path):
@@ -1015,6 +1068,7 @@ def test_curvature_op_expands_riemann_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("config", DEMO_CONFIGS, ids=lambda p: p.stem)
 def test_demo_config_outputs_are_byte_identical(tmp_path, config):
     # every file a demo writes repeats byte for byte on a second run
@@ -1028,6 +1082,62 @@ def test_demo_config_outputs_are_byte_identical(tmp_path, config):
     for name in names:
         assert (tmp_path / "a" / name).read_bytes() == \
             (tmp_path / "b" / name).read_bytes(), name
+
+
+# one run of each demo config and of two scenarios that wrap a command
+BUILD_CONFIGS = {
+    **{p.stem: p for p in DEMO_CONFIGS},
+    "custom_manifold": "scenario: custom_manifold\nparameters:\n"
+                       "  manifold: {kind: exponential, mu: 1.5}\n"
+                       "  theta: [1.5]\n",
+    "mre_update": "scenario: mre_update\nparameters:\n"
+                  "  prior: {family: uniform, lo: -5.0, hi: 5.0}\n"
+                  "  constraints: [{f: identity, target: 0.5}]\n"}
+# the builds each run makes: its manifold's model, its prior with the grid
+# of a uniform one, and its scenario config, each once.  The second
+# IHOConfig is run_iho's doubled-frequency ensemble, the second
+# ScatterConfig run_wavepacket's r = 0 copy, and the two check_parameters
+# calls are parse_config's and the driver's own guard
+BUILDS = {"curvature": {"build_model": 1}, "geodesic": {"build_model": 1},
+          "ige": {"build_model": 1}, "custom_manifold": {"build_model": 1},
+          "mre": {"_build_prior": 1, "_composite_grid": 1},
+          "mre_update": {"_build_prior": 1, "_composite_grid": 1},
+          "iho": {"IHOConfig": 2},
+          "wavepacket": {"ScatterConfig": 2, "check_parameters": 2},
+          "macro_correlated": {"check_parameters": 2},
+          "spin_chain_chaotic": {"check_parameters": 2},
+          "uncorrelated_gaussian": {"check_parameters": 2}}
+
+
+@pytest.mark.parametrize("name", sorted(BUILDS))
+def test_command_builds_its_model_prior_and_config_once(tmp_path,
+                                                        monkeypatch, name):
+    # the plan of parse_config carries what validation built to the run
+    from igac import scenarios as sc
+
+    monkeypatch.setattr(cli, "parse_config", _PARSE)   # one parse per run
+    counts = Counter()
+
+    def spy(owner, attr, key):
+        fn = getattr(owner, attr)
+        monkeypatch.setattr(owner, attr, lambda *a, **k:
+                            counts.update([key]) or fn(*a, **k))
+
+    spy(cli, "build_model", "build_model")
+    spy(cli, "_build_prior", "_build_prior")
+    spy(mre, "_composite_grid", "_composite_grid")
+    spy(sc, "check_parameters", "check_parameters")
+    # dataclasses.replace bypasses the module name: count in __post_init__
+    spy(sc.IHOConfig, "__post_init__", "IHOConfig")
+    spy(sc.ScatterConfig, "__post_init__", "ScatterConfig")
+    config = BUILD_CONFIGS[name]
+    if isinstance(config, str):
+        config = tmp_path / "cfg.yaml"
+        config.write_text(BUILD_CONFIGS[name])
+    command = name if name in cli._COMMANDS else "scenario"
+    assert cli.main([command, "--config", str(config),
+                     "--out", str(tmp_path / "out")]) == 0
+    assert counts == BUILDS[name]
 
 
 def test_mre_update_scenario_matches_mre_command(tmp_path):
