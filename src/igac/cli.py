@@ -208,7 +208,8 @@ def _req(mapping, key, path, failures, types=None):
 
 
 def _validate_scenario(cfg, failures, nonfinite):
-    """Record the scenario's failures; returns what its driver runs."""
+    """Record the scenario's failures; returns the object or keywords its
+    scenario function is called with."""
     name = cfg.get("scenario")
     if name not in _SCENARIOS:
         failures.append(("scenario",
@@ -238,9 +239,10 @@ def _validate_scenario(cfg, failures, nonfinite):
 def _check_parameters(name, params, failures, nonfinite):
     """Record each required key that is missing or not of its type, each
     vector that is no list of numbers and each key set to null.  Then run
-    the driver's own range checks on the keys with neither such a failure
-    nor a path in ``nonfinite``, and record each of their failures at its
-    config path.  Returns what the driver runs."""
+    the scenario function's own range checks on the keys with neither such
+    a failure nor a path in ``nonfinite``, and record each of their failures
+    at its config path.  Returns the object or keywords the scenario
+    function is called with."""
     for key, types in _REQUIRED.get(name, {}).items():
         _req(params, key, "parameters", failures, types)
     for key in ("theta0", "v0", "omega"):
