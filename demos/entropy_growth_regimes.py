@@ -26,10 +26,10 @@ def show(report):
 
 
 print("== entropy slope counts the Gaussian degrees of freedom ==========")
-show(sc.run_uncorrelated_gaussian(1))
+show(sc.run_uncorrelated_gaussian(sc.PairsConfig(1)))
 
 print("== macro-correlations: same growth, curved differently ===========")
-rep = sc.run_macro_correlated(1, [0.5], tau_end=12.0)
+rep = sc.run_macro_correlated(sc.PairsConfig(1, [0.5], tau_end=12.0))
 show(rep)
 print("   kernel curvature  :", rep.observables["ricci_scalar_kernel"])
 print("   reference formula :",
@@ -37,8 +37,8 @@ print("   reference formula :",
 print("   (reported side by side; they agree only as r -> 0)\n")
 
 print("== level statistics: regular (log) vs chaotic (linear) ===========")
-show(sc.run_spin_chain("regular"))
-show(sc.run_spin_chain("chaotic"))
+show(sc.run_spin_chain(sc.SpinChainConfig("regular")))
+show(sc.run_spin_chain(sc.SpinChainConfig("chaotic")))
 
 print("== inverted oscillators: slope proportional to Omega ==============")
 show(sc.run_iho(sc.IHOConfig(2, omega=(0.5, 1.5), xi=1.0)))

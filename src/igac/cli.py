@@ -5,13 +5,13 @@ a YAML document, with the exponent floats of YAML 1.2 (``1e-3``) read as
 numbers.  ``parse_config`` validates it into a ``Plan``: the config with
 its defaults filled, and the object its command runs, built by the library
 constructor that checks its ranges (a manifold's in ``igac.models``, an
-MrE problem's in ``igac.mre``, a scenario's in ``scenarios.IHOConfig``,
-``scenarios.ScatterConfig`` or ``scenarios.check_parameters``); ``run``
-executes the plan.  This module checks the structure of a config (each
-required key present and of its type, each kind or family known, each
-vector a list of numbers) and that every number is finite, except the ends
-of an MrE ``domain``, and reports all failures together, each at its field
-path.  Outputs are a JSON report plus CSV traces with the fixed header
+MrE problem's in ``igac.mre``, a scenario's config class in
+``igac.scenarios``, which its driver runs); ``run`` executes the plan.
+This module checks the structure of a config (each required key present
+and of its type, each kind or family known, each vector a list of
+numbers) and that every number is finite, except the ends of an MrE
+``domain``, and reports all failures together, each at its field path.
+Outputs are a JSON report plus CSV traces with the fixed header
 ``tau,theta_1..theta_N,speed,delta_v,igc,ige,jacobi_intensity`` (columns
 absent when not computed), floats printed with 17 significant digits, LF
 line endings.  Exit status: 0 all oracle checks pass, 1 usage or config
@@ -43,19 +43,25 @@ _FORMATS = ("csv", "json")
 
 _NUMERIC_DEFAULTS = {"fit_window_fraction": 0.25}
 
-# the wave-packet config keys and the ScatterConfig fields they set
-_SCATTER_FIELDS = {"p0": "p0", "sigma0": "sigma0", "tau0": "tau0",
-                   "R0": "r0_separation", "L": "potential_range",
-                   "mu_mass": "mu_mass", "r": "r"}
-
 # the geodesic start of a scenario, each key optional
 _START = ("theta0", "v0", "tau_end")
-# the keys each driver scenario reads, whose ranges its driver checks
+# the keys each driver scenario reads, the fields of its config class
 _SCENARIO_KEYS = {"uncorrelated_gaussian": ("l", *_START),
                   "macro_correlated": ("l", "r", *_START),
                   "iho": ("l", "omega", "omega_total", "xi", "tau_end"),
                   "spin_chain": ("regime", *_START),
-                  "wavepacket": (*_SCATTER_FIELDS, "r_sweep")}
+                  "wavepacket": ("p0", "sigma0", "tau0", "R0", "L", "mu_mass",
+                                 "r", "r_sweep")}
+# each driver scenario: its driver, and the config class that checks its
+# ranges and fills its defaults
+_DRIVERS = {"uncorrelated_gaussian": (sc.run_uncorrelated_gaussian,
+                                      sc.PairsConfig),
+            "macro_correlated": (sc.run_macro_correlated, sc.PairsConfig),
+            "iho": (sc.run_iho, sc.IHOConfig),
+            "spin_chain": (sc.run_spin_chain, sc.SpinChainConfig),
+            "wavepacket": (sc.run_wavepacket, sc.ScatterConfig)}
+# the wave-packet keys whose ScatterConfig fields have other names
+_FIELDS = {"R0": "r0_separation", "L": "potential_range"}
 # the keys a scenario requires, with their types (None: any)
 _REQUIRED = {"uncorrelated_gaussian": {"l": int}, "iho": {"l": int},
              "macro_correlated": {"l": int, "r": None},
@@ -83,8 +89,8 @@ _LOADER = _loader(yaml.CSafeLoader) if yaml.__with_libyaml__ else _PURE_LOADER
 class Plan(NamedTuple):
     """A validated config, which reports echo, and the object its command
     runs: a manifold (a StatModel, or macro correlations), an MrEProblem,
-    an IHOConfig, a ScatterConfig with its sweep keywords, or a geodesic
-    driver's checked keywords."""
+    or the config of a scenario driver (PairsConfig, IHOConfig,
+    SpinChainConfig or ScatterConfig)."""
 
     config: dict
     built: object
@@ -238,11 +244,10 @@ def _validate_scenario(cfg, failures, nonfinite):
 
 def _check_parameters(name, params, failures, nonfinite):
     """Record each required key that is missing or not of its type, each
-    vector that is no list of numbers and each key set to null.  Then run
-    the scenario function's own range checks on the keys with neither such
-    a failure nor a path in ``nonfinite``, and record each of their failures
-    at its config path.  Returns the object or keywords the scenario
-    function is called with."""
+    vector that is no list of numbers and each key set to null.  Then build
+    the scenario's config from its keys, each None that has such a failure
+    or a path in ``nonfinite``, and record each of the config's failures
+    at a key not rejected before.  Returns the config, or None."""
     for key, types in _REQUIRED.get(name, {}).items():
         _req(params, key, "parameters", failures, types)
     for key in ("theta0", "v0", "omega"):
@@ -250,33 +255,21 @@ def _check_parameters(name, params, failures, nonfinite):
             _check_vector(params[key], f"parameters.{key}", None, failures)
     recorded = {path for path, _ in failures}
     for key in _SCENARIO_KEYS[name]:
-        # a driver reads None as unset, which a config says by leaving the
-        # key out
+        # a config class reads None as unset, which a config says by
+        # leaving the key out
         if key in params and params[key] is None and \
                 f"parameters.{key}" not in recorded:
             failures.append((f"parameters.{key}", "must not be null"))
     failed = {path.partition("[")[0]
               for path in nonfinite | {path for path, _ in failures}}
-    typed = {key: params[key] for key in _SCENARIO_KEYS[name]
-             if key in params and f"parameters.{key}" not in failed}
-    if name == "iho":
-        # IHOConfig reads omega and omega_total together: it checks a
-        # config only when each of its IHO keys is sound
-        whole = "l" in typed and \
-            typed.keys() == params.keys() & set(_SCENARIO_KEYS[name])
-        return _record(lambda: sc.IHOConfig(**typed), "parameters",
-                       failures) if whole else None
-    if name == "wavepacket":
-        scatter = _record(lambda: sc.ScatterConfig(**{
-            field: typed[key] for key, field in _SCATTER_FIELDS.items()
-            if key in typed}), "parameters", failures,
-            {field: key for key, field in _SCATTER_FIELDS.items()})
-        _record(lambda: sc.check_parameters(r_sweep=typed.get("r_sweep")),
-                "parameters", failures)
-        return scatter, {"r_sweep": typed["r_sweep"]} \
-            if "r_sweep" in typed else {}
-    _record(lambda: sc.check_parameters(**typed), "parameters", failures)
-    return typed
+    sound = {_FIELDS.get(key, key): None if f"parameters.{key}" in failed
+             else params[key] for key in _SCENARIO_KEYS[name]
+             if key in params or key in _REQUIRED.get(name, {})}
+    found = []
+    config = _record(lambda: _DRIVERS[name][1](**sound), "parameters", found,
+                     {field: key for key, field in _FIELDS.items()})
+    failures += [f for f in found if f[0].partition("[")[0] not in failed]
+    return config
 
 
 def _record(check, path, failures, fields=None):
@@ -672,12 +665,6 @@ def _cmd_mre(plan):
     return report
 
 
-# the scenarios whose config keys are their driver's keyword arguments
-_DRIVERS = {"uncorrelated_gaussian": sc.run_uncorrelated_gaussian,
-            "macro_correlated": sc.run_macro_correlated,
-            "spin_chain": sc.run_spin_chain}
-
-
 def _run_named_scenario(plan):
     cfg, built = plan
     name, params = cfg["scenario"], cfg["parameters"]
@@ -686,12 +673,7 @@ def _run_named_scenario(plan):
                                     "theta": params["theta"]}, built))
     if name == "mre_update":
         return _cmd_mre(Plan({"mre": params}, built))
-    if name in _DRIVERS:
-        return _DRIVERS[name](**built)
-    if name == "iho":
-        return sc.run_iho(built)
-    scatter, sweep = built
-    return sc.run_wavepacket(scatter, **sweep)
+    return _DRIVERS[name][0](built)
 
 
 # each command's plan -> ScenarioReport, its traces in ``report.traces``

@@ -414,12 +414,12 @@ class WavePacketParams:
     @property
     def mean_amplitude(self) -> float:
         """Asymptotic |mean| on the uncorrelated side."""
-        return np.sqrt(self.p0 ** 2 + 2.0 * self.sigma0 ** 2)
+        return np.sqrt(self.p0 * self.p0 + 2.0 * (self.sigma0 * self.sigma0))
 
     @property
     def sigma_peak(self) -> float:
         """Common spread at the collision instant tau = 0."""
-        return np.sqrt(0.5 * self.p0 ** 2 + self.sigma0 ** 2)
+        return np.sqrt(0.5 * (self.p0 * self.p0) + self.sigma0 * self.sigma0)
 
 
 def wavepacket_geodesics(params: WavePacketParams, tau, branch: str):
@@ -442,8 +442,9 @@ def wavepacket_geodesics(params: WavePacketParams, tau, branch: str):
 
 
 def path_from_functions(tau_grid, theta_fn: Callable, theta_dot_fn: Callable,
-                        metric: MetricField = None) -> GeodesicPath:
-    """Wrap closed-form trajectory functions as a GeodesicPath.
+                        metric: MetricField) -> GeodesicPath:
+    """Wrap closed-form trajectory functions as a GeodesicPath whose speed
+    is g(theta_dot, theta_dot) in ``metric``.
 
     Each function maps a 1-D array of tau to an array of shape (n, dim)
     and a scalar tau to shape (dim,).  The grid takes one call of each, and
@@ -452,11 +453,8 @@ def path_from_functions(tau_grid, theta_fn: Callable, theta_dot_fn: Callable,
     taus = np.asarray(tau_grid, float)
     theta = np.asarray(theta_fn(taus), float)
     theta_dot = np.asarray(theta_dot_fn(taus), float)
-    if metric is not None:
-        g = metric.eval(theta)
-        speed = np.einsum("nab,na,nb->n", g, theta_dot, theta_dot)
-    else:
-        speed = np.einsum("na,na->n", theta_dot, theta_dot)
+    speed = np.einsum("nab,na,nb->n", metric.eval(theta), theta_dot,
+                      theta_dot)
 
     def interp(tau):
         return (np.asarray(theta_fn(tau), float),

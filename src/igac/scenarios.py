@@ -14,7 +14,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field, replace
 from functools import reduce
-from numbers import Real
+from numbers import Integral, Real
 from typing import Optional
 
 import numpy as np
@@ -35,9 +35,10 @@ from .quadrature import gauss_legendre
 __all__ = [
     "Check",
     "ScenarioReport",
+    "PairsConfig",
+    "SpinChainConfig",
     "IHOConfig",
     "ScatterConfig",
-    "check_parameters",
     "run_uncorrelated_gaussian",
     "run_macro_correlated",
     "run_iho",
@@ -154,68 +155,75 @@ def _linear_slope(taus, values, lo_frac=0.25):
 
 
 # ---------------------------------------------------------------------------
-# scenario parameter domains
-# ---------------------------------------------------------------------------
-
-# spin-chain regime: (dimension, indices of its rate and spread coordinates)
-_SPIN_CHAIN_STARTS = {"regular": (2, (0, 1)), "chaotic": (3, (0, 2))}
-
-
-def check_parameters(l=None, r=None, regime=None, theta0=None, v0=None,
-                     tau_end=None, r_sweep=None) -> None:
-    """Raise ParameterError naming each driver parameter outside its
-    domain, an entry as ``theta0[1]``; None is not checked.  l >= 1; r (one,
-    or one per pair) and r_sweep (a nonempty list) in [0, 1); a regular or
-    chaotic regime; theta0 and v0 of dimension 2 l or the regime's, with
-    spread and rate entries of theta0 at or above the chart floor;
-    tau_end > 0.  The IHO and wave-packet drivers read IHOConfig and
-    ScatterConfig, which check their own fields."""
-    fails = []
-    dim, scales = _SPIN_CHAIN_STARTS.get(regime, (None, ()))
-    if regime is not None and dim is None:
-        fails.append(("regime", f"must be regular or chaotic, got "
-                      f"{regime!r}"))
-    pairs = l is not None and l >= 1
-    if pairs:
-        dim, scales = 2 * l, range(1, 2 * l, 2)
-    elif l is not None:
-        fails.append(("l", f"must be at least 1, got {l}"))
-    seq = (list, tuple, np.ndarray)
-    rs = list(r) if isinstance(r, seq) else [] if r is None else [r]
-    sweep = list(r_sweep) if isinstance(r_sweep, seq) else []
-    fails += md.correlation_failures(
-        {f"{name}[{i}]": x for name, xs in (("r", rs), ("r_sweep", sweep))
-         for i, x in enumerate(xs)})
-    if r is not None and pairs and len(rs) not in (1, l):
-        fails.append(("r", f"needs 1 or l = {l} correlations, got {len(rs)}"))
-    if r_sweep is not None and not sweep:
-        fails.append(("r_sweep", f"must be a nonempty list of correlations, "
-                      f"got {r_sweep!r}"))
-    fails += [(name, f"needs {dim} components, got {len(vec)}")
-              for name, vec in (("theta0", theta0), ("v0", v0))
-              if vec is not None and dim and len(vec) != dim]
-    if theta0 is not None and len(theta0) == dim:
-        # each scale at or above the floor that MetricField.in_chart reads
-        fails += [(f"theta0[{i}]", f"must be at least the chart floor "
-                   f"{md._CHART_FLOOR}, got {theta0[i]}") for i in scales
-                  if not (md._is_number(theta0[i])
-                          and theta0[i] >= md._CHART_FLOOR)]
-    if tau_end is not None:
-        fails += md.positive_failures({"tau_end": tau_end})
-    ParameterError.raise_any(fails)
-
-
-# ---------------------------------------------------------------------------
 # uncorrelated Gaussian macrostates
 # ---------------------------------------------------------------------------
 
-def _gauss_semicircle_data(l):
-    """Per-pair start at the top of a (mean, spread) semicircle geodesic:
-    theta = (0, 1), v = (sqrt(2), 0); the explored volume of each pair
-    then grows like exp(tau)."""
-    theta0 = np.tile([0.0, 1.0], l)
-    v0 = np.tile([np.sqrt(2.0), 0.0], l)
-    return theta0, v0
+def _count_failures(l):
+    """The failure of a pair or oscillator count l that is no integer of
+    at least 1."""
+    return [] if isinstance(l, Integral) and l >= 1 else [
+        ("l", f"must be at least 1, got {l}")]
+
+
+def _settle_start(cfg, failures, dim, scales, start, velocity, tau_end):
+    """The start rules of the geodesic configs: raise ParameterError with
+    ``failures`` and each failure of theta0 and v0 of ``dim`` components
+    (unchecked while dim is None), of the ``scales`` entries of theta0 (its
+    spreads and rates) below the chart floor of ``MetricField.in_chart``
+    and of tau_end > 0.  Else fill what ``cfg`` leaves None, as tuples of
+    floats: theta0 = ``start()``, v0 = ``velocity(theta0)``, ``tau_end``."""
+    theta0, v0 = cfg.theta0, cfg.v0
+    failures += [(name, f"needs {dim} components, got {len(vec)}")
+                 for name, vec in (("theta0", theta0), ("v0", v0))
+                 if vec is not None and dim and len(vec) != dim]
+    if theta0 is not None and len(theta0) == dim:
+        failures += [(f"theta0[{i}]", f"must be at least the chart floor "
+                      f"{md._CHART_FLOOR}, got {theta0[i]}")
+                     for i in range(dim)[scales]
+                     if not (md._is_number(theta0[i])
+                             and theta0[i] >= md._CHART_FLOOR)]
+    if cfg.tau_end is not None:
+        failures += md.positive_failures({"tau_end": cfg.tau_end})
+    ParameterError.raise_any(failures)
+    theta0 = np.asarray(start() if theta0 is None else theta0, float)
+    v0 = np.asarray(velocity(theta0) if v0 is None else v0, float)
+    object.__setattr__(cfg, "theta0", tuple(theta0.tolist()))
+    object.__setattr__(cfg, "v0", tuple(v0.tolist()))
+    if cfg.tau_end is None:
+        object.__setattr__(cfg, "tau_end", tau_end)
+
+
+@dataclass(frozen=True)
+class PairsConfig:
+    """l Gaussian (mean, spread) pairs for ``run_uncorrelated_gaussian`` and
+    ``run_macro_correlated``, which needs ``r``: one correlation in [0, 1)
+    or one per pair, kept as one per pair.  Each pair starts by default at
+    the top of a semicircle geodesic, theta = (0, 1), v = (sqrt(2), 0),
+    where its explored volume grows like exp(tau); tau_end is 17.5."""
+
+    l: int
+    r: Optional[tuple] = None
+    theta0: Optional[tuple] = None
+    v0: Optional[tuple] = None
+    tau_end: Optional[float] = None
+
+    def __post_init__(self):
+        failures = _count_failures(self.l)
+        dim = None if failures else 2 * self.l
+        if self.r is not None:
+            rs = list(self.r) if isinstance(self.r, (list, tuple,
+                                                     np.ndarray)) else [self.r]
+            failures += md.correlation_failures(
+                {f"r[{i}]": x for i, x in enumerate(rs)})
+            if dim and len(rs) not in (1, self.l):
+                failures.append(("r", f"needs 1 or l = {self.l} "
+                                 f"correlations, got {len(rs)}"))
+        _settle_start(self, failures, dim, slice(1, None, 2),
+                      lambda: np.tile([0.0, 1.0], self.l),
+                      lambda _: np.tile([np.sqrt(2.0), 0.0], self.l), 17.5)
+        if self.r is not None:
+            object.__setattr__(self, "r", tuple(map(float, rs))
+                               * (self.l // len(rs)))
 
 
 def _gaussian_model_at(theta):
@@ -232,20 +240,18 @@ def _ige_trace(metric, theta0, v0, tau_end):
     return path, cx.complexity_trace(metric, path)
 
 
-def run_uncorrelated_gaussian(l: int, theta0=None, v0=None,
-                              tau_end: float = None) -> ScenarioReport:
-    """Gaussian model with l independent (mean, spread) pairs.
+def run_uncorrelated_gaussian(cfg: PairsConfig) -> ScenarioReport:
+    """Gaussian model with l independent (mean, spread) pairs, which take
+    no macro-correlation ``r``.
 
     Verifies the constant negative scalar curvature -l (analytic and
     quadrature metrics), linear entropy growth with slope proportional to l,
     and the exponential deviation-field rate matching the per-pair slope.
     """
-    check_parameters(l=l, theta0=theta0, v0=v0, tau_end=tau_end)
-    if tau_end is None:
-        tau_end = 17.5
-    theta_top, v_top = _gauss_semicircle_data(l)
-    theta0 = np.asarray(theta_top if theta0 is None else theta0, float)
-    v0 = np.asarray(v_top if v0 is None else v0, float)
+    if cfg.r is not None:
+        raise ParameterError([("r", f"takes no correlation, got {cfg.r}")])
+    l, tau_end = cfg.l, cfg.tau_end
+    theta0, v0 = np.array(cfg.theta0), np.array(cfg.v0)
     model = _gaussian_model_at(theta0)
     metric = md.analytic_fisher(model)
     report = ScenarioReport("uncorrelated_gaussian",
@@ -321,25 +327,18 @@ def macro_pair_ricci(r: float) -> float:
     return -2.0 / (2.0 - r * r)
 
 
-def run_macro_correlated(l: int, r, theta0=None, v0=None,
-                         tau_end: float = None) -> ScenarioReport:
-    """Gaussian pairs with constant macro-correlations r_j, one r or one
-    per pair.
+def run_macro_correlated(cfg: PairsConfig) -> ScenarioReport:
+    """Gaussian pairs with constant macro-correlations r_j, ``cfg.r``.
 
     Reports the kernel scalar curvature next to the reference closed form
     (under the l-term reading of its sum), checks the r -> 0 degeneration
     against the uncorrelated model, and fits the entropy trace to both the
     saturating and linear forms.
     """
-    check_parameters(l=l, r=r, theta0=theta0, v0=v0, tau_end=tau_end)
-    if tau_end is None:
-        tau_end = 17.5
-    r_list = [float(rj) for rj in np.atleast_1d(r)]
-    if len(r_list) == 1:
-        r_list = r_list * l
-    theta_top, v_top = _gauss_semicircle_data(l)
-    theta0 = np.asarray(theta_top if theta0 is None else theta0, float)
-    v0 = np.asarray(v_top if v0 is None else v0, float)
+    if cfg.r is None:
+        raise ParameterError([("r", "needs one correlation or one per pair")])
+    l, r_list, tau_end = cfg.l, list(cfg.r), cfg.tau_end
+    theta0, v0 = np.array(cfg.theta0), np.array(cfg.v0)
     metric = md.macro_correlated_metric(r_list)
     report = ScenarioReport("macro_correlated",
                             {"l": l, "r": r_list, "theta0": theta0, "v0": v0,
@@ -430,10 +429,9 @@ class IHOConfig:
     tau_end: float = 60.0
 
     def __post_init__(self):
-        failures = [] if self.l >= 1 else [
-            ("l", f"must be at least 1, got {self.l}")]
+        failures = _count_failures(self.l)
         if self.omega is not None:
-            if self.l >= 1 and len(self.omega) != self.l:
+            if not failures and len(self.omega) != self.l:
                 failures.append(("omega", f"needs one frequency per "
                                  f"oscillator, l = {self.l}, got "
                                  f"{len(self.omega)}"))
@@ -676,9 +674,9 @@ def run_iho(cfg: IHOConfig) -> ScenarioReport:
     report = ScenarioReport("iho", {"l": cfg.l, "omega": w,
                                     "xi": cfg.xi, "tau_end": cfg.tau_end})
 
-    # Ohmic normalization is exact: int 2w/cut^2 dw = 1 on [0, cut]
+    # Ohmic normalization: int_0^w 2u/cut^2 du = (w / cut)^2 is 1 at w = cut
     cut = cfg.cutoff
-    report.add("ohmic_normalization", cut ** 2 / cut ** 2, 1.0, 0.0,
+    report.add("ohmic_normalization", (cut / cut) ** 2, 1.0, 0.0,
                "analytic integral of the linear density")
 
     # Newtonian propagator x0 cosh(w tau) + (v0 / w) sinh(w tau) of the
@@ -742,8 +740,34 @@ def spin_chain_model(regime: str, theta):
                       md.gaussian_diag([theta[1]], [theta[2]]))
 
 
-def run_spin_chain(regime: str, theta0=None, v0=None,
-                   tau_end: float = None) -> ScenarioReport:
+@dataclass(frozen=True)
+class SpinChainConfig:
+    """The level-spacing manifold of ``run_spin_chain``: regular (two
+    rates) or chaotic (a rate, a mean and a spread), each with its default
+    start and horizon."""
+
+    regime: str
+    theta0: Optional[tuple] = None
+    v0: Optional[tuple] = None
+    tau_end: Optional[float] = None
+
+    def __post_init__(self):
+        if self.regime == "regular":
+            _settle_start(self, [], 2, slice(None), lambda: (1.0, 1.0),
+                          lambda th: (0.35 * th[0], 0.22 * th[1]), 60.0)
+        elif self.regime == "chaotic":
+            # spread decay rate 0.35 keeps sigma in the chart to tau 54
+            _settle_start(self, [], 3, slice(None, None, 2),
+                          lambda: (1.0, 0.0, 1.0),
+                          lambda th: (0.3 * th[0], np.sqrt(2) * 0.35 * th[2],
+                                      0.0), 50.0)
+        else:
+            _settle_start(self, [("regime", f"must be regular or chaotic, "
+                                  f"got {self.regime!r}")],
+                          None, None, None, None, None)
+
+
+def run_spin_chain(cfg: SpinChainConfig) -> ScenarioReport:
     """Level-spacing statistics manifolds and their entropy growth class.
 
     The regular (Poisson x exponential-bath) manifold is flat and shows
@@ -751,25 +775,10 @@ def run_spin_chain(regime: str, theta0=None, v0=None,
     manifold has scalar curvature -1 and linear growth.  Classification is
     by r2 model selection between the two forms.
     """
-    check_parameters(regime=regime, theta0=theta0, v0=v0, tau_end=tau_end)
-    if regime == "regular":
-        theta0 = np.asarray([1.0, 1.0] if theta0 is None else theta0, float)
-        v0 = np.asarray([0.35 * theta0[0], 0.22 * theta0[1]]
-                        if v0 is None else v0, float)
-        oracle_r, tol_r = 0.0, 1e-8
-        expected_form = "logarithmic"
-        if tau_end is None:
-            tau_end = 60.0
-    else:
-        theta0 = np.asarray([1.0, 0.0, 1.0] if theta0 is None else theta0,
-                            float)
-        # spread decay rate 0.35 keeps sigma above the chart floor to tau 54
-        v0 = np.asarray([0.3 * theta0[0], np.sqrt(2) * 0.35 * theta0[2], 0.0]
-                        if v0 is None else v0, float)
-        oracle_r, tol_r = -1.0, 1e-6
-        expected_form = "linear"
-        if tau_end is None:
-            tau_end = 50.0
+    regime, tau_end = cfg.regime, cfg.tau_end
+    theta0, v0 = np.array(cfg.theta0), np.array(cfg.v0)
+    oracle_r, tol_r, expected_form = (0.0, 1e-8, "logarithmic") \
+        if regime == "regular" else (-1.0, 1e-6, "linear")
 
     model = spin_chain_model(regime, theta0)
     metric = md.analytic_fisher(model)
@@ -827,7 +836,9 @@ class ScatterConfig:
     """Head-on collision of two Gaussian wave packets (hbar = 1 units).
 
     k0 = p0 and sigma_k0 = sigma0 under the unit convention; ``r`` is the
-    post-collision micro-correlation, bounded by the prolongation regime.
+    post-collision micro-correlation, bounded by the prolongation regime;
+    ``r_sweep`` the nonempty list of correlations in [0, 1) over which
+    ``run_wavepacket`` checks the complexity compression.
     """
 
     p0: float = 1.0
@@ -837,6 +848,7 @@ class ScatterConfig:
     potential_range: float = 0.1
     mu_mass: float = 0.5
     r: float = 0.01
+    r_sweep: tuple = (0.1, 0.3, 0.5)
 
     def __post_init__(self):
         failures = md.positive_failures(
@@ -846,7 +858,15 @@ class ScatterConfig:
             self.params     # checks p0, sigma0, tau0 and r
         except ParameterError as exc:
             failures = exc.failures + failures
+        sweep = list(self.r_sweep) if isinstance(
+            self.r_sweep, (list, tuple, np.ndarray)) else []
+        failures += md.correlation_failures(
+            {f"r_sweep[{i}]": x for i, x in enumerate(sweep)})
+        if not sweep:
+            failures.append(("r_sweep", f"must be a nonempty list of "
+                             f"correlations, got {self.r_sweep!r}"))
         ParameterError.raise_any(failures)
+        object.__setattr__(self, "r_sweep", tuple(sweep))
         if self.k0 * self.potential_range > 0.3:
             warnings.warn("k0 L exceeds 0.3; the low-energy expansion "
                           "degrades", stacklevel=2)
@@ -1051,12 +1071,10 @@ def _wavepacket_lyapunov(args):
     return float(dyn.lyapunov_sequence(jac)[1][-1])
 
 
-def run_wavepacket(cfg: ScatterConfig,
-                   r_sweep=(0.1, 0.3, 0.5)) -> ScenarioReport:
+def run_wavepacket(cfg: ScatterConfig) -> ScenarioReport:
     """Full wave-packet chain: curvature, geodesics, deviation growth,
     complexity compression and the scattering observables."""
-    check_parameters(r_sweep=r_sweep)
-    params = cfg.params
+    params, r_sweep = cfg.params, cfg.r_sweep
     a0 = params.a0
     lam = 2.0 * a0
     report = ScenarioReport(

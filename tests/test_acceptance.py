@@ -250,8 +250,8 @@ def test_criterion_8_iho_growth():
 def test_criterion_9_spin_chain_classification():
     """Regular R = 0 (1e-8) with logarithmic growth, chaotic R = -1 (1e-6)
     with linear growth, r2 margins of at least 0.05."""
-    reg = sc.run_spin_chain("regular")
-    cha = sc.run_spin_chain("chaotic")
+    reg = sc.run_spin_chain(sc.SpinChainConfig("regular"))
+    cha = sc.run_spin_chain(sc.SpinChainConfig("chaotic"))
     r_reg = {c.name: c for c in reg.checks}["ricci_scalar"].value
     r_cha = {c.name: c for c in cha.checks}["ricci_scalar"].value
     ok = (abs(r_reg) < 1e-8 and abs(r_cha + 1.0) < 1e-6

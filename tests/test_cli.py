@@ -495,7 +495,7 @@ def _patch_default(monkeypatch, fn, name, value):
 
 
 @pytest.mark.parametrize("body,driver,key,value", [
-    ("scenario: wavepacket\n", "run_wavepacket", "r_sweep", (0.2, 0.4)),
+    ("scenario: wavepacket\n", "ScatterConfig", "r_sweep", (0.2, 0.4)),
     ("scenario: wavepacket\n", "ScatterConfig", "r", 0.015),
     ("scenario: iho\nparameters: {l: 2, omega: [0.5, 1.5]}\n", "IHOConfig",
      "xi", 1.25),
@@ -704,6 +704,9 @@ IGE_2D = f"manifold: {DIAG_2D}\ntheta0: [0.0, 1.0]\nv0: [1.0, 0.0]\n" \
     ("ige", f"{IGE_2D}fit_form: [linear]\n", "fit_form"),
     ("ige", f"{IGE_2D}n_out: 1\n", "n_out"),
     ("ige", f"{IGE_2D}n_out: 2.5\n", "n_out"),
+    # a sound key's range failure is listed beside another key's failure
+    ("scenario", "scenario: iho\nparameters: {l: 2, omega: [x, 1.0], "
+     "tau_end: 5.0}\n", "parameters.tau_end"),
 ], ids=["r-text", "sigma-text", "numerics-scalar", "theta-long",
         "theta-short", "theta0-long", "v0-long", "dj0-long",
         "custom-theta-long", "custom-theta-null", "tau-end-text",
@@ -733,7 +736,7 @@ IGE_2D = f"manifold: {DIAG_2D}\ntheta0: [0.0, 1.0]\nv0: [1.0, 0.0]\n" \
         "manifold-kind-list", "gaussian-sigma-entry-negative",
         "product-wigner-dyson-mu-zero", "mre-uniform-empty",
         "mre-domain-reversed", "ige-fit-form-list", "ige-n-out-one",
-        "ige-n-out-float"])
+        "ige-n-out-float", "iho-tau-end-short-beside-omega-text"])
 def test_malformed_config_exits_1_naming_field(tmp_path, capsys, command,
                                                body, field):
     cfg = tmp_path / "bad.yaml"
@@ -1095,18 +1098,16 @@ BUILD_CONFIGS = {
                   "  constraints: [{f: identity, target: 0.5}]\n"}
 # the builds each run makes: its manifold's model, its prior with the grid
 # of a uniform one, and its scenario config, each once.  The second
-# IHOConfig is run_iho's doubled-frequency ensemble, the second
-# ScatterConfig run_wavepacket's r = 0 copy, and the two check_parameters
-# calls are parse_config's and the driver's own guard
+# IHOConfig is run_iho's doubled-frequency ensemble and the second
+# ScatterConfig run_wavepacket's r = 0 copy
 BUILDS = {"curvature": {"build_model": 1}, "geodesic": {"build_model": 1},
           "ige": {"build_model": 1}, "custom_manifold": {"build_model": 1},
           "mre": {"_build_prior": 1, "_composite_grid": 1},
           "mre_update": {"_build_prior": 1, "_composite_grid": 1},
-          "iho": {"IHOConfig": 2},
-          "wavepacket": {"ScatterConfig": 2, "check_parameters": 2},
-          "macro_correlated": {"check_parameters": 2},
-          "spin_chain_chaotic": {"check_parameters": 2},
-          "uncorrelated_gaussian": {"check_parameters": 2}}
+          "iho": {"IHOConfig": 2}, "wavepacket": {"ScatterConfig": 2},
+          "macro_correlated": {"PairsConfig": 1},
+          "spin_chain_chaotic": {"SpinChainConfig": 1},
+          "uncorrelated_gaussian": {"PairsConfig": 1}}
 
 
 @pytest.mark.parametrize("name", sorted(BUILDS))
@@ -1126,10 +1127,10 @@ def test_command_builds_its_model_prior_and_config_once(tmp_path,
     spy(cli, "build_model", "build_model")
     spy(cli, "_build_prior", "_build_prior")
     spy(mre, "_composite_grid", "_composite_grid")
-    spy(sc, "check_parameters", "check_parameters")
     # dataclasses.replace bypasses the module name: count in __post_init__
-    spy(sc.IHOConfig, "__post_init__", "IHOConfig")
-    spy(sc.ScatterConfig, "__post_init__", "ScatterConfig")
+    for cls in (sc.PairsConfig, sc.SpinChainConfig, sc.IHOConfig,
+                sc.ScatterConfig):
+        spy(cls, "__post_init__", cls.__name__)
     config = BUILD_CONFIGS[name]
     if isinstance(config, str):
         config = tmp_path / "cfg.yaml"
@@ -1209,9 +1210,32 @@ def test_null_scenario_key_exits_1_at_its_path(tmp_path, capsys, body, key):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning",
+                            "ignore:k0 L exceeds 0.3")
+@pytest.mark.parametrize("body,error", [
+    ("scenario: iho\nparameters: {l: 2, omega: [1.0e+300, 1.5]}\n",
+     "FitFailureError"),
+    ("scenario: iho\nparameters: {l: 2, omega_total: 1.0e+300}\n",
+     "FitFailureError"),
+    ("scenario: wavepacket\nparameters: {p0: 1.0e+300}\n",
+     "DegenerateMetricError"),
+    ("scenario: wavepacket\nparameters: {sigma0: 1.0e+300}\n",
+     "DegenerateMetricError"),
+], ids=["iho-omega", "iho-omega-total", "wavepacket-p0", "wavepacket-sigma0"])
+def test_huge_finite_scale_exits_2_naming_its_error(tmp_path, capsys, body,
+                                                    error):
+    # each value is finite and in range, so the config parses; squaring it
+    # overflows to inf, and the run stops at a named error
+    cfg = tmp_path / "huge.yaml"
+    cfg.write_text(body + f"output: {{directory: '{tmp_path}/out'}}\n")
+    assert cli.main(["scenario", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith(f"{error}: ")
+    assert not (tmp_path / "out").exists()
+
+
 # Every scenario range lives in the library: parse_config rejects a config
-# exactly when the driver's own check rejects its parameters, and reports
-# each of the library's failures at the field's config path.
+# exactly when the scenario's config class rejects its parameters, and
+# reports each of the library's failures at the field's config path.
 
 def _library_failures(check, keys=None):
     """(config path, message) of each failure of a library check, a field
@@ -1270,15 +1294,40 @@ def test_iho_ranges_live_in_the_library(l, omega, omega_total, xi, tau_end):
 def test_wavepacket_ranges_live_in_the_library(p0, sigma0, tau0, R0, L,
                                                mu_mass, r, r_sweep):
     fields = {"p0": p0, "sigma0": sigma0, "tau0": tau0, "r0_separation": R0,
-              "potential_range": L, "mu_mass": mu_mass, "r": r}
+              "potential_range": L, "mu_mass": mu_mass, "r": r,
+              "r_sweep": r_sweep}
     fields = {key: val for key, val in fields.items() if val is not None}
     keys = {"r0_separation": "R0", "potential_range": "L"}
     params = {keys.get(key, key): val for key, val in fields.items()}
-    if r_sweep is not None:
-        params["r_sweep"] = r_sweep
-    expected = _library_failures(lambda: sc.ScatterConfig(**fields), keys) \
-        + _library_failures(lambda: sc.check_parameters(r_sweep=r_sweep))
+    expected = _library_failures(lambda: sc.ScatterConfig(**fields), keys)
     assert sorted(_parse_failures("wavepacket", params)) == sorted(expected)
+
+
+@ONE_HOME
+@given(scenario=st.sampled_from(["uncorrelated_gaussian", "macro_correlated",
+                                 "spin_chain"]),
+       l=st.integers(-1, 3),
+       r=CORRELATION | st.lists(CORRELATION, max_size=4),
+       regime=st.sampled_from(["regular", "chaotic", "mixed"]),
+       theta0=_optional(st.lists(SIGNED, max_size=7)),
+       v0=_optional(st.lists(SIGNED, max_size=7)), tau_end=_optional(SIGNED))
+def test_geodesic_ranges_live_in_the_library(scenario, l, r, regime, theta0,
+                                             v0, tau_end):
+    # every draw passes the structure checks: l an integer, regime a
+    # string, theta0 and v0 lists of numbers, the macro r given
+    params = {key: val for key, val in
+              (("theta0", theta0), ("v0", v0), ("tau_end", tau_end))
+              if val is not None}
+    if scenario == "spin_chain":
+        params["regime"] = regime
+        cls = sc.SpinChainConfig
+    else:
+        params["l"] = l
+        if scenario == "macro_correlated":
+            params["r"] = r
+        cls = sc.PairsConfig
+    expected = _library_failures(lambda: cls(**params))
+    assert sorted(_parse_failures(scenario, params)) == sorted(expected)
 
 
 

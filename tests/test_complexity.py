@@ -259,7 +259,7 @@ def test_lambda1_formula_values():
                           "that is not recoverable from its source",
                    strict=True)
 def test_lambda1_from_numeric_macro_trace():
-    rep = sc.run_macro_correlated(1, [0.6], tau_end=14.0)
+    rep = sc.run_macro_correlated(sc.PairsConfig(1, [0.6], tau_end=14.0))
     fitted = rep.observables.get("lambda1_fitted", np.inf)
     assert abs(fitted - sc.macro_lambda1(0.6)) / sc.macro_lambda1(0.6) < 0.10
 

@@ -15,7 +15,9 @@ ROOT = Path(__file__).parents[1]
 def test_demo_runs(script, tmp_path):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, str(script)], cwd=tmp_path,
+    # a RuntimeWarning (overflow, invalid value) fails the demo
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                           str(script)], cwd=tmp_path,
                           env=env, capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr

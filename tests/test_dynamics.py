@@ -352,7 +352,8 @@ def test_closed_form_geodesic_evaluates_its_flow_once(monkeypatch, tau_end):
 def straight_line_path(taus):
     return dyn.path_from_functions(
         taus, lambda t: np.multiply.outer(t, [1.0, 2.0]) + [0.5, 1.0],
-        lambda t: np.multiply.outer(np.ones_like(t), [1.0, 2.0]))
+        lambda t: np.multiply.outer(np.ones_like(t), [1.0, 2.0]),
+        metric=PAIR)
 
 
 @pytest.mark.parametrize("make_path", [

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from igac import cli
 from igac import dynamics as dyn
 from igac import scenarios as sc
-from igac.errors import RegimeError
+from igac.errors import ParameterError, RegimeError
 
 
 def in_regime_cfg(**kw):
@@ -21,7 +21,7 @@ def in_regime_cfg(**kw):
 
 
 def test_uncorrelated_gaussian_report():
-    rep = sc.run_uncorrelated_gaussian(1)
+    rep = sc.run_uncorrelated_gaussian(sc.PairsConfig(1))
     assert rep.passed
     names = {c.name for c in rep.checks}
     assert {"ricci_scalar_analytic", "ricci_scalar_quadrature",
@@ -38,23 +38,37 @@ def test_uncorrelated_gaussian_report():
 
 
 @pytest.mark.parametrize("run", [
-    sc.run_uncorrelated_gaussian,
-    lambda l, **kw: sc.run_macro_correlated(l, [0.5], **kw)],
+    lambda **kw: sc.run_uncorrelated_gaussian(sc.PairsConfig(1, **kw)),
+    lambda **kw: sc.run_macro_correlated(sc.PairsConfig(1, [0.5], **kw))],
     ids=["uncorrelated", "macro_correlated"])
 @pytest.mark.parametrize("given", [{"theta0": [0.0, 2.0]},
                                    {"v0": [1.0, 0.0]}],
                          ids=["theta0", "v0"])
 def test_start_defaults_independently(run, given):
-    # a given theta0 or v0 is kept; only the other one takes its default
-    theta_top, v_top = sc._gauss_semicircle_data(1)
-    inputs = run(1, **given).inputs
-    expected = {"theta0": theta_top, "v0": v_top, **given}
+    # a given theta0 or v0 is kept; only the other one takes its default,
+    # the top of the semicircle geodesic
+    inputs = run(**given).inputs
+    expected = {"theta0": [0.0, 1.0], "v0": [np.sqrt(2.0), 0.0], **given}
     for key in ("theta0", "v0"):
         np.testing.assert_array_equal(inputs[key], expected[key])
 
 
+def test_pairs_config_fills_its_start_and_the_drivers_read_r():
+    # one correlation stands for every pair; the uncorrelated driver takes
+    # none, and the macro-correlated driver needs one
+    cfg = sc.PairsConfig(2, 0.5)
+    assert cfg.r == (0.5, 0.5) and cfg.tau_end == 17.5
+    assert cfg.theta0 == (0.0, 1.0, 0.0, 1.0)
+    assert cfg.v0 == (np.sqrt(2.0), 0.0, np.sqrt(2.0), 0.0)
+    for run, pairs in ((sc.run_uncorrelated_gaussian, cfg),
+                       (sc.run_macro_correlated, sc.PairsConfig(2))):
+        with pytest.raises(ParameterError) as exc:
+            run(pairs)
+        assert [field for field, _ in exc.value.failures] == ["r"]
+
+
 def test_macro_correlated_report():
-    rep = sc.run_macro_correlated(1, [0.5], tau_end=12.0)
+    rep = sc.run_macro_correlated(sc.PairsConfig(1, [0.5], tau_end=12.0))
     assert rep.passed
     obs = rep.observables
     assert obs["ricci_scalar_kernel"] == pytest.approx(-2.0 / (2 - 0.25),
@@ -70,7 +84,7 @@ def test_macro_correlated_report():
 
 
 def test_macro_degeneration_check_runs_at_tiny_r():
-    rep = sc.run_macro_correlated(1, [1e-9], tau_end=10.0)
+    rep = sc.run_macro_correlated(sc.PairsConfig(1, [1e-9], tau_end=10.0))
     assert rep.passed
     assert any(c.name == "ige_degeneration_at_r0" for c in rep.checks)
 
@@ -169,7 +183,7 @@ def test_nan_parameter_rejected(build):
 @pytest.mark.parametrize("regime,oracle", [("regular", 0.0),
                                            ("chaotic", -1.0)])
 def test_spin_chain_classification(regime, oracle):
-    rep = sc.run_spin_chain(regime)
+    rep = sc.run_spin_chain(sc.SpinChainConfig(regime))
     assert rep.passed
     by = {c.name: c for c in rep.checks}
     assert by["ricci_scalar"].value == pytest.approx(oracle, abs=1e-6)
@@ -179,7 +193,7 @@ def test_spin_chain_classification(regime, oracle):
 
 
 def test_spin_chain_regular_c_ig_tracks_exponential_count():
-    rep = sc.run_spin_chain("regular")
+    rep = sc.run_spin_chain(sc.SpinChainConfig("regular"))
     # two exponential-type factors feed the logarithmic coefficient
     assert rep.observables["c_ig"] == pytest.approx(2.0, abs=0.05)
 
@@ -348,7 +362,7 @@ def test_scattering_constant_has_one_home():
 
 
 def test_wavepacket_report_full_chain():
-    rep = sc.run_wavepacket(in_regime_cfg(), r_sweep=(0.3,))
+    rep = sc.run_wavepacket(in_regime_cfg(r_sweep=(0.3,)))
     assert rep.passed
     names = {c.name for c in rep.checks}
     assert {"ricci_scalar", "weyl_max_abs", "jacobi_intensity_closed_form",
@@ -428,7 +442,8 @@ def test_wavepacket_builds_one_metric_per_correlation(monkeypatch):
                         built.append(r) or metric(params, r))
     monkeypatch.setattr(sc.md, "analytic_fisher", lambda model:
                         fishers.append(model) or fisher(model))
-    assert sc.run_wavepacket(in_regime_cfg(r=0.01), (0.01, 0.3, 0.5)).passed
+    assert sc.run_wavepacket(in_regime_cfg(r=0.01,
+                                           r_sweep=(0.01, 0.3, 0.5))).passed
     # the curvature at 0.5, cfg.r, the Lyapunov set {0, 0.2, 0.5} and the
     # sweep, which starts at 0; no Fisher metric is built beside them
     assert sorted(built) == [0.0, 0.01, 0.2, 0.3, 0.5]
