@@ -2,15 +2,15 @@
 
 Subcommands: curvature, geodesic, jacobi, ige, mre, scenario.  A config is
 a YAML document, with the exponent floats of YAML 1.2 (``1e-3``) read as
-numbers.  ``parse_config`` validates it into a ``Plan``: the config with
-its defaults filled, and the object its command runs, built by the library
-constructor that checks its ranges (a manifold's in ``igac.models``, an
-MrE problem's in ``igac.mre``, a scenario's config class in
-``igac.scenarios``, which its driver runs); ``run`` executes the plan.
-This module checks the structure of a config (each required key present
-and of its type, each kind or family known, each vector a list of
-numbers) and that every number is finite, except the ends of an MrE
-``domain``, and reports all failures together, each at its field path.
+numbers.  ``parse_config`` validates it into a ``Plan``: the config and
+the object its command runs, every default filled, which ``run`` executes;
+the scenarios custom_manifold and mre_update are the commands curvature
+and mre on the mapping at ``parameters``.  Each range is checked by the
+library constructor that owns it.  This module checks the structure of a
+config (each required key present and of its type, each kind or family
+known, each vector a list of numbers) and that every number is finite,
+except the ends of an MrE ``domain``, and reports all failures together,
+each at its field path.
 Outputs are a JSON report plus CSV traces with the fixed header
 ``tau,theta_1..theta_N,speed,delta_v,igc,ige,jacobi_intensity`` (columns
 absent when not computed), floats printed with 17 significant digits, LF
@@ -25,6 +25,8 @@ import json
 import math
 import re
 import sys
+from collections import namedtuple
+from functools import partial
 from pathlib import Path
 from typing import NamedTuple
 
@@ -43,30 +45,10 @@ _FORMATS = ("csv", "json")
 
 _NUMERIC_DEFAULTS = {"fit_window_fraction": 0.25}
 
-# the geodesic start of a scenario, each key optional
+# the geodesic start of a command or a scenario
 _START = ("theta0", "v0", "tau_end")
-# the keys each driver scenario reads, the fields of its config class
-_SCENARIO_KEYS = {"uncorrelated_gaussian": ("l", *_START),
-                  "macro_correlated": ("l", "r", *_START),
-                  "iho": ("l", "omega", "omega_total", "xi", "tau_end"),
-                  "spin_chain": ("regime", *_START),
-                  "wavepacket": ("p0", "sigma0", "tau0", "R0", "L", "mu_mass",
-                                 "r", "r_sweep")}
-# each driver scenario: its driver, and the config class that checks its
-# ranges and fills its defaults
-_DRIVERS = {"uncorrelated_gaussian": (sc.run_uncorrelated_gaussian,
-                                      sc.PairsConfig),
-            "macro_correlated": (sc.run_macro_correlated, sc.PairsConfig),
-            "iho": (sc.run_iho, sc.IHOConfig),
-            "spin_chain": (sc.run_spin_chain, sc.SpinChainConfig),
-            "wavepacket": (sc.run_wavepacket, sc.ScatterConfig)}
-# the wave-packet keys whose ScatterConfig fields have other names
-_FIELDS = {"R0": "r0_separation", "L": "potential_range"}
-# the keys a scenario requires, with their types (None: any)
-_REQUIRED = {"uncorrelated_gaussian": {"l": int}, "iho": {"l": int},
-             "macro_correlated": {"l": int, "r": None},
-             "spin_chain": {"regime": str}}
-_SCENARIOS = (*_SCENARIO_KEYS, "custom_manifold", "mre_update")
+# the config keys that the reports of geodesic, jacobi and ige echo
+_ECHO = ("manifold", *_START)
 
 
 def _loader(base):
@@ -88,12 +70,21 @@ _LOADER = _loader(yaml.CSafeLoader) if yaml.__with_libyaml__ else _PURE_LOADER
 
 class Plan(NamedTuple):
     """A validated config, which reports echo, and the object its command
-    runs: a manifold (a StatModel, or macro correlations), an MrEProblem,
-    or the config of a scenario driver (PairsConfig, IHOConfig,
-    SpinChainConfig or ScatterConfig)."""
+    runs: a ``Flow`` for curvature, geodesic, jacobi and ige; (MrEProblem,
+    tol) for mre; for a scenario the config of its driver (PairsConfig,
+    IHOConfig, SpinChainConfig or ScatterConfig), or for custom_manifold
+    and mre_update the object of curvature and of mre."""
 
     config: dict
     built: object
+
+
+# What a manifold command runs: the metric from its metric_source;
+# curvature's point theta, or the start theta0 = theta, v0 and tau_end,
+# vectors as float arrays; jacobi's j0 and dj0 (None: the unit normal to
+# v0); ige's n_out, fit_form and fit_window_fraction.
+Flow = namedtuple("Flow", "metric theta v0 tau_end j0 dj0 n_out fit_form "
+                  "fit_window_fraction", defaults=(None,) * 7)
 
 
 def parse_config(text: str, command: str = "scenario") -> Plan:
@@ -101,8 +92,8 @@ def parse_config(text: str, command: str = "scenario") -> Plan:
     failure with its field path.  One walk rejects every nan or infinite
     number; the field checks below test structure only, and leave each
     range to the library constructor that owns it, whose object the plan
-    keeps.  A scenario key the config leaves out has its driver's
-    default."""
+    keeps.  A key the config leaves out has its command's or its
+    scenario driver's default."""
     try:
         raw = yaml.load(text, Loader=_LOADER) or {}
     except (yaml.YAMLError, ValueError) as exc:
@@ -125,54 +116,36 @@ def parse_config(text: str, command: str = "scenario") -> Plan:
         failures.append(("output.formats",
                          f"must be a nonempty subset of {_FORMATS}"))
 
-    nonfinite = []
-    _walk_nonfinite(cfg, "", _open_ends(cfg, command), nonfinite)
-    # a field check adds nothing at a path the walk already rejected
-    bad = {path for path, _ in nonfinite}
-    built = None
-    if command == "scenario":
-        built = _validate_scenario(cfg, failures, bad)
-    elif command in ("curvature", "geodesic", "jacobi", "ige"):
-        built = _validate_manifold_command(cfg, command, failures, bad)
-    elif command == "mre":
-        built = _validate_mre(cfg.get("mre"), "mre", failures, bad)
-        # the rule of mre.solve_multiplier
-        failures += md.positive_failures({"tol": cfg.get("tol", 1e-12)})
-
+    # the walk's failures by path; a field check adds nothing at these
+    nonfinite = {}
+    _walk_nonfinite(cfg, "", nonfinite)
+    built = _COMMANDS[command][0](cfg, failures, nonfinite)
     if nonfinite or failures:
-        raise ConfigError(nonfinite + [f for f in failures
-                                       if f[0] not in bad])
+        raise ConfigError([*nonfinite.items()] + [
+            f for f in failures if f[0] not in nonfinite])
     return Plan(cfg, built)
 
 
-def _open_ends(cfg, command):
-    """Paths of the MrE domain ends, the only numbers that may be
-    infinite: an infinite end leaves that side of the prior untruncated."""
-    if command == "scenario" and cfg.get("scenario") == "mre_update":
-        return ("parameters.domain[0]", "parameters.domain[1]")
-    return ("mre.domain[0]", "mre.domain[1]") if command == "mre" else ()
-
-
-def _walk_nonfinite(node, path, open_ends, failures):
-    """Record every float leaf under ``node`` that is nan or infinite, and
-    every integer leaf beyond the float range, at its field path
-    (``a.b[0].c``); infinite floats pass at ``open_ends``."""
+def _walk_nonfinite(node, path, failures):
+    """Record in the mapping ``failures`` every float leaf under ``node``
+    that is nan or infinite, and every integer leaf beyond the float range,
+    at its field path (``a.b[0].c``)."""
     if isinstance(node, float):
-        if math.isnan(node) or math.isinf(node) and path not in open_ends:
-            failures.append((path, f"must be finite, got {node!r}"))
+        if not math.isfinite(node):
+            failures[path] = f"must be finite, got {node!r}"
     elif isinstance(node, int) and not isinstance(node, bool):
         try:
             float(node)
         except OverflowError:
-            failures.append((path, "must be finite, got an integer beyond "
-                                   "the float range"))
+            failures[path] = "must be finite, got an integer beyond the " \
+                             "float range"
     elif isinstance(node, dict):
         for key, val in node.items():
             _walk_nonfinite(val, f"{path}.{key}" if path else str(key),
-                            open_ends, failures)
+                            failures)
     elif isinstance(node, list):
         for i, val in enumerate(node):
-            _walk_nonfinite(val, f"{path}[{i}]", open_ends, failures)
+            _walk_nonfinite(val, f"{path}[{i}]", failures)
 
 
 def _section(cfg, key, defaults, failures):
@@ -213,14 +186,12 @@ def _req(mapping, key, path, failures, types=None):
     return val
 
 
-def _validate_scenario(cfg, failures, nonfinite):
-    """Record the scenario's failures; returns the object or keywords its
-    scenario function is called with."""
-    name = cfg.get("scenario")
-    if name not in _SCENARIOS:
+def _check_scenario(cfg, failures, nonfinite):
+    """Record the scenario's failures; returns the object its run takes."""
+    name, names = cfg.get("scenario"), tuple(_SCENARIOS)
+    if name not in names:       # by equality: a name need not hash
         failures.append(("scenario",
-                         f"unknown scenario {name!r}; choose from "
-                         f"{_SCENARIOS}"))
+                         f"unknown scenario {name!r}; choose from {names}"))
         return None
     if cfg.get("parameters") is None:
         cfg["parameters"] = {}
@@ -228,46 +199,37 @@ def _validate_scenario(cfg, failures, nonfinite):
     if not isinstance(params, dict):
         failures.append(("parameters", "must be a mapping"))
         return None
-    if name == "custom_manifold":
-        manifold = _validate_manifold(params.get("manifold"),
-                                      "parameters.manifold", failures,
-                                      nonfinite)
-        _req(params, "theta", "parameters", failures)
-        if "theta" in params:
-            _check_vector(params["theta"], "parameters.theta",
-                          _dim(manifold), failures)
-        return manifold
-    if name == "mre_update":
-        return _validate_mre(params, "parameters", failures, nonfinite)
-    return _check_parameters(name, params, failures, nonfinite)
+    return _SCENARIOS[name][0](params, failures, nonfinite)
 
 
-def _check_parameters(name, params, failures, nonfinite):
-    """Record each required key that is missing or not of its type, each
-    vector that is no list of numbers and each key set to null.  Then build
-    the scenario's config from its keys, each None that has such a failure
-    or a path in ``nonfinite``, and record each of the config's failures
-    at a key not rejected before.  Returns the config, or None."""
-    for key, types in _REQUIRED.get(name, {}).items():
+def _check_parameters(cls, required, keys, renamed, params, failures,
+                      nonfinite):
+    """Record each ``required`` key missing or not of its type (None: any),
+    each vector that is no list of numbers and each of ``keys`` set to
+    null.  Then build ``cls`` from those keys, each ``renamed`` to its
+    field and None that has such a failure or a path in ``nonfinite``, and
+    record each of its failures at a key not rejected before.  Returns the
+    config, or None."""
+    for key, types in required.items():
         _req(params, key, "parameters", failures, types)
     for key in ("theta0", "v0", "omega"):
-        if key in params and key in _SCENARIO_KEYS[name]:
+        if key in params and key in keys:
             _check_vector(params[key], f"parameters.{key}", None, failures)
     recorded = {path for path, _ in failures}
-    for key in _SCENARIO_KEYS[name]:
+    for key in keys:
         # a config class reads None as unset, which a config says by
         # leaving the key out
         if key in params and params[key] is None and \
                 f"parameters.{key}" not in recorded:
             failures.append((f"parameters.{key}", "must not be null"))
     failed = {path.partition("[")[0]
-              for path in nonfinite | {path for path, _ in failures}}
-    sound = {_FIELDS.get(key, key): None if f"parameters.{key}" in failed
-             else params[key] for key in _SCENARIO_KEYS[name]
-             if key in params or key in _REQUIRED.get(name, {})}
+              for path in nonfinite.keys() | {path for path, _ in failures}}
+    sound = {renamed.get(key, key): None if f"parameters.{key}" in failed
+             else params[key] for key in keys
+             if key in params or key in required}
     found = []
-    config = _record(lambda: _DRIVERS[name][1](**sound), "parameters", found,
-                     {field: key for key, field in _FIELDS.items()})
+    config = _record(lambda: cls(**sound), "parameters", found,
+                     {field: key for key, field in renamed.items()})
     failures += [f for f in found if f[0].partition("[")[0] not in failed]
     return config
 
@@ -352,38 +314,48 @@ def _dim(manifold):
         if isinstance(manifold, md.StatModel) else 2 * len(manifold)
 
 
-def _validate_manifold_command(cfg, command, failures, nonfinite):
-    """Record the command's failures; returns its manifold."""
+def _check_flow(command, cfg, failures, nonfinite, at=""):
+    """Record the failures of the keys of a manifold command in ``cfg``,
+    each at the config path ``at`` + key; returns its Flow, or None."""
     spec = cfg.get("manifold")
-    manifold = _validate_manifold(spec, "manifold", failures, nonfinite)
+    manifold = _validate_manifold(spec, f"{at}manifold", failures, nonfinite)
     if command == "curvature":
         required, vectors = ("theta",), ("theta",)
     else:
-        required, vectors = ("theta0", "v0", "tau_end"), \
-            ("theta0", "v0", "j0", "dj0")
-        tau_end = cfg.get("tau_end", 1.0)
+        required, vectors = _START, ("theta0", "v0", "j0", "dj0")
         # a missing tau_end is reported below; ige fits its entropy forms
         # over tau > 0
+        tau_end = cfg.get("tau_end", 1.0)
         if not md._is_number(tau_end) or \
                 command == "ige" and not tau_end > 0:
             kind = "a positive number" if command == "ige" else "a number"
-            failures.append(("tau_end", f"must be {kind}, got {tau_end!r}"))
-    for key in required:
-        if key not in cfg:
-            failures.append((key, "missing required key"))
+            failures.append((f"{at}tau_end",
+                             f"must be {kind}, got {tau_end!r}"))
+    failures += [(f"{at}{key}", "missing required key") for key in required
+                 if key not in cfg]
     # a macro-correlated metric has no model density to integrate
     sources = ("analytic",) if isinstance(spec, dict) and \
         spec.get("kind") == "macro_correlated" else ("analytic", "quadrature")
-    if cfg.get("metric_source", "analytic") not in sources:
-        failures.append(("metric_source", f"must be one of {sources}"))
+    source = cfg.get("metric_source", "analytic")
+    if source not in sources:
+        failures.append((f"{at}metric_source", f"must be one of {sources}"))
+    form, n_out = cfg.get("fit_form", "linear"), cfg.get("n_out", 257)
     if command == "ige":
-        failures += [("fit_form", msg) for _, msg in
-                     cx.fit_failures(cfg.get("fit_form", "linear"))]
-        failures += dyn.n_out_failures(cfg.get("n_out", 257))
+        failures += [(f"{at}fit_form", msg)
+                     for _, msg in cx.fit_failures(form)]
+        failures += [(at + key, msg) for key, msg in dyn.n_out_failures(n_out)]
     for key in vectors:
         if key in cfg:
-            _check_vector(cfg[key], key, _dim(manifold), failures)
-    return manifold
+            _check_vector(cfg[key], f"{at}{key}", _dim(manifold), failures)
+    if failures or nonfinite:
+        return None
+    metric = _metric(manifold, source)
+    vec = {key: np.asarray(cfg[key], float) for key in vectors if key in cfg}
+    if command == "curvature":
+        return Flow(metric, vec["theta"])
+    return Flow(metric, vec["theta0"], vec["v0"], float(cfg["tau_end"]),
+                vec.get("j0", np.zeros(metric.dim)), vec.get("dj0"), n_out,
+                form, cfg["numerics"]["fit_window_fraction"])
 
 
 # each prior family: its builder, which takes the family's keys, and their
@@ -399,10 +371,16 @@ _PRIOR_FIELDS = {"sigmas[0]": "sigma"}
 def _validate_mre(spec, path, failures, nonfinite):
     """Record the problem's failures; returns its MrEProblem, or None.  The
     prior, its keys numbers and finite, and each constraint function are
-    built by their constructors; the domain meets ``mre.MrEProblem``."""
+    built by their constructors; the domain meets ``mre.MrEProblem``.  An
+    infinite domain end leaves that side of the prior untruncated: the
+    walk's failure there is taken back from ``nonfinite``."""
     if not isinstance(spec, dict):
         failures.append((path, "missing mre problem mapping"))
         return None
+    ends = spec.get("domain")
+    for i, end in enumerate(ends[:2] if isinstance(ends, list) else []):
+        if isinstance(end, float) and math.isinf(end):
+            del nonfinite[f"{path}.domain[{i}]"]
     n_failures = len(failures)
     prior, built = spec.get("prior"), None
     if not isinstance(prior, dict) or "family" not in prior:
@@ -451,6 +429,16 @@ def _validate_mre(spec, path, failures, nonfinite):
                                                        for c in cons))),
                           domain=domain if spec.get("domain") is None
                           else tuple(spec["domain"]))
+
+
+def _check_update(path, settings, spec, failures, nonfinite):
+    """Record the failures of the MrE problem ``spec`` at ``path`` and of
+    the ``tol`` in ``settings`` by the rule of ``mre.solve_multiplier``;
+    returns (problem, tol), or None."""
+    problem = _validate_mre(spec, path, failures, nonfinite)
+    tol = settings.get("tol", 1e-12)
+    failures += md.positive_failures({"tol": tol})
+    return None if failures or nonfinite else (problem, float(tol))
 
 
 def build_metric(spec: dict, source: str = "analytic") -> md.MetricField:
@@ -571,19 +559,10 @@ def emit(report: dict, traces: dict, outdir: Path, formats) -> list:
     return written
 
 
-def _setup(plan, name, inputs):
-    """The config of a manifold command, the metric of its manifold from
-    the source it names, and a report echoing its ``inputs``."""
-    cfg = plan.config
-    return (cfg, _metric(plan.built, cfg.get("metric_source", "analytic")),
-            sc.ScenarioReport(name, {k: cfg[k] for k in inputs}))
-
-
-def _cmd_curvature(plan):
-    cfg, metric, report = _setup(plan, "curvature", ("manifold",))
-    theta = np.asarray(cfg["theta"], float)
-    report.inputs["theta"] = theta
-    rep = geo.curvature_report(metric, theta)
+def _cmd_curvature(cfg, flow):
+    report = sc.ScenarioReport("curvature", {"manifold": cfg["manifold"],
+                                             "theta": flow.theta})
+    rep = geo.curvature_report(flow.metric, flow.theta)
     report.observables.update(
         ricci_scalar=rep.scalar,
         sectional=[{"plane": list(pl), "k": k} for pl, k in rep.sectional],
@@ -595,30 +574,26 @@ def _cmd_curvature(plan):
     return report
 
 
-def _cmd_geodesic(plan):
-    cfg, metric, report = _setup(plan, "geodesic", ("manifold", *_START))
-    path = dyn.integrate_geodesic(metric, cfg["theta0"], cfg["v0"],
-                                  float(cfg["tau_end"]))
-    # relative to a positive start speed; a constant geodesic has speed 0
-    speed0 = path.speed[0]
-    drift = float(np.max(np.abs(path.speed / speed0 - 1.0 if speed0 > 0
-                                else path.speed - speed0)))
-    report.add("speed_drift", drift, 0.0, 1e-9, "affine parametrization")
+def _cmd_geodesic(cfg, flow):
+    report = sc.ScenarioReport("geodesic", {k: cfg[k] for k in _ECHO})
+    path = dyn.integrate_geodesic(flow.metric, flow.theta, flow.v0,
+                                  flow.tau_end)
+    report.add("speed_drift", path.speed_drift, 0.0, 1e-9,
+               "affine parametrization")
     report.observables["endpoint"] = path.theta[-1]
     report.traces["geodesic"] = {"tau": path.tau_grid, "theta": path.theta,
                                  "speed": path.speed}
     return report
 
 
-def _cmd_jacobi(plan):
-    cfg, metric, report = _setup(plan, "jacobi", ("manifold", *_START))
-    j0 = np.asarray(cfg.get("j0", np.zeros(metric.dim)), float)
-    dj0 = np.asarray(cfg["dj0"], float) if "dj0" in cfg else \
-        dyn.normal_direction(metric, cfg["theta0"], cfg["v0"])
-    jac = dyn.integrate_jacobi(metric, cfg["theta0"], cfg["v0"],
-                               np.linspace(0.0, float(cfg["tau_end"]), 513),
-                               j0, dj0)
-    report.inputs.update(j0=j0, dj0=dj0)
+def _cmd_jacobi(cfg, flow):
+    report = sc.ScenarioReport("jacobi", {k: cfg[k] for k in _ECHO})
+    dj0 = dyn.normal_direction(flow.metric, flow.theta, flow.v0) \
+        if flow.dj0 is None else flow.dj0
+    jac = dyn.integrate_jacobi(flow.metric, flow.theta, flow.v0,
+                               np.linspace(0.0, flow.tau_end, 513), flow.j0,
+                               dj0)
+    report.inputs.update(j0=flow.j0, dj0=dj0)
     report.observables.update(
         lyapunov_estimate=dyn.lyapunov_estimate(jac).value,
         final_intensity=jac.intensity[-1])
@@ -628,15 +603,13 @@ def _cmd_jacobi(plan):
     return report
 
 
-def _cmd_ige(plan):
-    cfg, metric, report = _setup(plan, "ige", ("manifold", *_START))
-    path = dyn.integrate_geodesic(metric, cfg["theta0"], cfg["v0"],
-                                  float(cfg["tau_end"]),
-                                  n_out=cfg.get("n_out", 257))
-    trace = cx.complexity_trace(metric, path)
-    fit = cx.fit_asymptotics(trace, cfg.get("fit_form", "linear"),
-                             min_points=16, fit_window_fraction=cfg[
-                                 "numerics"]["fit_window_fraction"])
+def _cmd_ige(cfg, flow):
+    report = sc.ScenarioReport("ige", {k: cfg[k] for k in _ECHO})
+    path = dyn.integrate_geodesic(flow.metric, flow.theta, flow.v0,
+                                  flow.tau_end, n_out=flow.n_out)
+    trace = cx.complexity_trace(flow.metric, path)
+    fit = cx.fit_asymptotics(trace, flow.fit_form, min_points=16,
+                             fit_window_fraction=flow.fit_window_fraction)
     report.observables["fit"] = {"form": fit.form, "params": list(fit.params),
                                  "r2": fit.r2, "window": list(fit.window)}
     report.add("fit_r2", fit.r2, 1.0, 0.5, "goodness of the requested form",
@@ -647,11 +620,10 @@ def _cmd_ige(plan):
     return report
 
 
-def _cmd_mre(plan):
-    cfg, problem = plan
-    tol = float(cfg.get("tol", 1e-12))
+def _cmd_mre(spec, built):
+    problem, tol = built
     result = mre.solve_multiplier(problem, tol=tol)
-    report = sc.ScenarioReport("mre", {"mre": cfg["mre"]})
+    report = sc.ScenarioReport("mre", {"mre": spec})
     report.observables.update(beta=result.beta, log_z=result.log_z,
                               achieved=result.achieved,
                               objective=result.objective)
@@ -665,26 +637,53 @@ def _cmd_mre(plan):
     return report
 
 
-def _run_named_scenario(plan):
-    cfg, built = plan
-    name, params = cfg["scenario"], cfg["parameters"]
-    if name == "custom_manifold":
-        return _cmd_curvature(Plan({"manifold": params["manifold"],
-                                    "theta": params["theta"]}, built))
-    if name == "mre_update":
-        return _cmd_mre(Plan({"mre": params}, built))
-    return _DRIVERS[name][0](built)
+def _run_named_scenario(cfg, built):
+    return _SCENARIOS[cfg["scenario"]][1](cfg["parameters"], built)
 
 
-# each command's plan -> ScenarioReport, its traces in ``report.traces``
-_COMMANDS = {"curvature": _cmd_curvature, "geodesic": _cmd_geodesic,
-             "jacobi": _cmd_jacobi, "ige": _cmd_ige, "mre": _cmd_mre,
-             "scenario": _run_named_scenario}
+def _driver(run, cls, required, optional, renamed=None):
+    """The entry of a driver scenario: its check builds ``cls`` from the
+    ``required`` and ``optional`` keys, and ``run`` runs that config."""
+    return (partial(_check_parameters, cls, required, (*required, *optional),
+                    renamed or {}), lambda _, config: run(config))
+
+
+# each scenario: the check of the mapping at ``parameters`` (mapping,
+# failures, nonfinite -> the object its run takes, or None), and the run
+# (mapping, which holds the inputs its report echoes, and object ->
+# ScenarioReport); the last two are the commands they name
+_SCENARIOS = {
+    "uncorrelated_gaussian": _driver(sc.run_uncorrelated_gaussian,
+                                     sc.PairsConfig, {"l": int}, _START),
+    "macro_correlated": _driver(sc.run_macro_correlated, sc.PairsConfig,
+                                {"l": int, "r": None}, _START),
+    "iho": _driver(sc.run_iho, sc.IHOConfig, {"l": int},
+                   ("omega", "omega_total", "xi", "tau_end")),
+    "spin_chain": _driver(sc.run_spin_chain, sc.SpinChainConfig,
+                          {"regime": str}, _START),
+    "wavepacket": _driver(sc.run_wavepacket, sc.ScatterConfig, {},
+                          ("p0", "sigma0", "tau0", "R0", "L", "mu_mass", "r",
+                           "r_sweep"),
+                          {"R0": "r0_separation", "L": "potential_range"}),
+    "custom_manifold": (partial(_check_flow, "curvature", at="parameters."),
+                        _cmd_curvature),
+    "mre_update": (partial(_check_update, "parameters", {}), _cmd_mre)}
+
+# each command: the check of the whole config and the run, as above; the
+# run's report has its traces in ``report.traces``
+_COMMANDS = {
+    **{name: (partial(_check_flow, name), run) for name, run in (
+        ("curvature", _cmd_curvature), ("geodesic", _cmd_geodesic),
+        ("jacobi", _cmd_jacobi), ("ige", _cmd_ige))},
+    "mre": (lambda cfg, *found: _check_update("mre", cfg, cfg.get("mre"),
+                                               *found),
+            lambda cfg, update: _cmd_mre(cfg["mre"], update)),
+    "scenario": (_check_scenario, _run_named_scenario)}
 
 
 def run(plan: Plan, command: str) -> int:
     """Execute a validated plan; returns the process exit status."""
-    report = _COMMANDS[command](plan)
+    report = _COMMANDS[command][1](*plan)
     output = plan.config["output"]
     emit({**report.to_dict(), "command": command}, report.traces,
          Path(output["directory"]), output["formats"])

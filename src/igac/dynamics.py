@@ -83,6 +83,14 @@ class GeodesicPath:
     def dim(self) -> int:
         return self.theta.shape[1]
 
+    @property
+    def speed_drift(self) -> float:
+        """The largest change of the speed along the path, relative to a
+        positive start speed; a constant geodesic has speed 0 throughout."""
+        speed0 = self.speed[0]
+        return float(np.max(np.abs(self.speed / speed0 - 1.0 if speed0 > 0
+                                   else self.speed - speed0)))
+
     def state(self, tau):
         """(theta, theta_dot) at arbitrary tau inside the grid range: each
         of shape (dim,) for a scalar tau and (n, dim) for n of them, as

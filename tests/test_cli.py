@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from scipy.stats import norm
 
 from igac import cli
+from igac import errors
 from igac import models as md
 from igac import mre
 from igac import scenarios as sc
@@ -508,7 +509,7 @@ def test_scenario_default_lives_in_the_driver(monkeypatch, body, driver, key,
     fn = getattr(sc, driver)
     _patch_default(monkeypatch, fn.__init__ if isinstance(fn, type) else fn,
                    key, value)
-    report = cli._run_named_scenario(cli.parse_config(body))
+    report = cli._run_named_scenario(*cli.parse_config(body))
     assert report.inputs[key] == (list(value) if key == "r_sweep"
                                   else value)
 
@@ -1221,7 +1222,17 @@ def test_null_scenario_key_exits_1_at_its_path(tmp_path, capsys, body, key):
      "DegenerateMetricError"),
     ("scenario: wavepacket\nparameters: {sigma0: 1.0e+300}\n",
      "DegenerateMetricError"),
-], ids=["iho-omega", "iho-omega-total", "wavepacket-p0", "wavepacket-sigma0"])
+    # at odd l the box volume overflows to inf as at even l
+    ("scenario: iho\nparameters: {l: 3, omega_total: 1.0e+300}\n",
+     "FitFailureError"),
+    ("scenario: iho\nparameters: {l: 3, omega_total: 1.0, xi: 1.0e+300}\n",
+     "FitFailureError"),
+    # cubing L overflows to an infinite scattering length
+    ("scenario: wavepacket\nparameters: {L: 1.0e+300}\n", "RegimeError"),
+    ("scenario: wavepacket\nparameters: {L: 1.0e+300, r: 0.0}\n",
+     "RegimeError"),
+], ids=["iho-omega", "iho-omega-total", "wavepacket-p0", "wavepacket-sigma0",
+        "iho-l3-omega-total", "iho-l3-xi", "wavepacket-L", "wavepacket-L-r0"])
 def test_huge_finite_scale_exits_2_naming_its_error(tmp_path, capsys, body,
                                                     error):
     # each value is finite and in range, so the config parses; squaring it
@@ -1456,3 +1467,103 @@ def test_prior_and_constraint_ranges_live_in_the_library(prior, domain,
         expected += _raised(lambda: mre.constraint_function(
             c["f"], c.get("coefficients")), f"mre.constraints[{i}]")
     assert _config_failures({"mre": problem}, "mre") == sorted(expected)
+
+
+def test_flat_mean_at_r0_exits_2_at_the_linear_fit(tmp_path, capsys):
+    # r = 0 and a start whose second pair only spreads: every entropy entry
+    # is -inf in both traces, which the degeneration check counts as equal;
+    # the run then stops at the linear fit, which has no finite point
+    cfg = tmp_path / "macro.yaml"
+    cfg.write_text("scenario: macro_correlated\n"
+                   "parameters: {l: 2, r: 0, v0: [1.0, 0.0, 0.0, 1.0]}\n"
+                   f"output: {{directory: '{tmp_path}/out'}}\n")
+    assert cli.main(["scenario", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "FitFailureError: only 0 usable points in window")
+
+
+@pytest.mark.parametrize("source,code", [("quadrature", 0), ("exact", 1)])
+def test_custom_manifold_reads_its_metric_source(tmp_path, capsys,
+                                                 monkeypatch, source, code):
+    # the scenario is igac curvature on the mapping at parameters
+    monkeypatch.setattr(cli, "parse_config", _PARSE)   # one parse per run
+    built = Counter()
+    quadrature = md.fisher_quadrature
+    monkeypatch.setattr(md, "fisher_quadrature", lambda model: built.update(
+        ["quadrature"]) or quadrature(model))
+    cfg = {"scenario": "custom_manifold",
+           "parameters": {"manifold": {"kind": "exponential", "mu": 1.5},
+                          "theta": [1.5], "metric_source": source},
+           "output": {"directory": str(tmp_path / "out")}}
+    assert _main_with_config(tmp_path, "scenario", cfg) == code
+    if code:
+        assert capsys.readouterr().err == (
+            "config error at parameters.metric_source: must be one of "
+            "('analytic', 'quadrature')\n")
+    else:
+        assert built == {"quadrature": 1}
+
+
+def _config_nodes(node, path=(), name=""):
+    """(field path, key path) of every value under a parsed config that is
+    no mapping: each leaf, each list and each list entry."""
+    if isinstance(node, dict):
+        for key, val in node.items():
+            yield from _config_nodes(val, path + (key,),
+                                     f"{name}.{key}" if name else key)
+        return
+    yield name, path
+    if isinstance(node, list):
+        for i, val in enumerate(node):
+            yield from _config_nodes(val, path + (i,), f"{name}[{i}]")
+
+
+CONTRACT_NODES = [(config, name, path) for config in DEMO_CONFIGS
+                  for name, path in _config_nodes(
+                      yaml.safe_load(config.read_text()))]
+_REMOVE = object()
+MUTATIONS = {"remove": _REMOVE, "null": None, "string": "x", "bool": True,
+             "-1": -1, "0": 0, "nan": NAN, "inf": INF, "1e300": 1e300,
+             "empty-list": []}
+IGAC_ERRORS = {name for name, cls in vars(errors).items()
+               if isinstance(cls, type) and issubclass(cls, errors.IgacError)}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning", "ignore::UserWarning")
+@pytest.mark.parametrize("config,name,path", CONTRACT_NODES,
+                         ids=[f"{c.stem}-{n}" for c, n, _ in CONTRACT_NODES])
+def test_mutated_demo_config_keeps_the_cli_contract(tmp_path, capsys, config,
+                                                    name, path):
+    # the CLI contract: exit 0 with a report, exit 1 naming a config path,
+    # or exit 2 naming an IgacError or the checks that failed; never a
+    # traceback
+    command = config.stem if config.stem in cli._COMMANDS else "scenario"
+    broken = []
+    for label, value in MUTATIONS.items():
+        cfg = yaml.safe_load(config.read_text())
+        node = cfg
+        for key in path[:-1]:
+            node = node[key]
+        if value is _REMOVE:
+            del node[path[-1]]
+        else:
+            node[path[-1]] = value
+        cfg_path = tmp_path / f"{label}.yaml"
+        cfg_path.write_text(yaml.safe_dump(cfg))
+        try:
+            code = cli.main([command, "--config", str(cfg_path),
+                             "--out", str(tmp_path / label)])
+        except Exception as exc:
+            broken.append(f"{label}: raised {type(exc).__name__}: {exc}")
+            continue
+        err = capsys.readouterr().err
+        if code == 1:
+            kept = err.startswith("config error at ")
+        elif code == 2:
+            kept = err.partition(":")[0] in IGAC_ERRORS or \
+                err.startswith('{\n  "failures": [')
+        else:
+            kept = code == 0
+        if not kept:
+            broken.append(f"{label}: exit {code}: {err[:200]!r}")
+    assert not broken, "\n".join(broken)

@@ -28,6 +28,18 @@ def wavepacket_start(r, branch="after"):
     return p, th0, v0
 
 
+def test_speed_drift_is_relative_to_a_positive_start_speed():
+    path = dyn.path_from_functions(
+        np.array([0.0, 1.0, 2.0]), lambda t: np.multiply.outer(t, [1.0]),
+        lambda t: np.multiply.outer(1.0 + 0.1 * np.asarray(t), [1.0]),
+        md.flat_metric(1))
+    assert path.speed_drift == float(np.max(np.abs(path.speed
+                                                   / path.speed[0] - 1.0)))
+    still = dyn.integrate_geodesic(md.flat_metric(2), [0.0, 1.0],
+                                   [0.0, 0.0], 1.0)
+    assert still.speed_drift == 0.0
+
+
 def test_flat_geodesic_is_straight_line():
     m = md.flat_metric(2)
     path = dyn.integrate_geodesic(m, [0.0, 0.0], [1.0, 2.0], 3.0, tol=1e-10)
