@@ -19,17 +19,16 @@ np.set_printoptions(precision=6, suppress=True)
 
 cfg = sc.ScatterConfig(p0=1.0, sigma0=0.1, tau0=1.0, r0_separation=10.0,
                        potential_range=0.1, mu_mass=0.5, r=0.01)
-params = cfg.params
-a0 = params.a0
+a0 = cfg.a0
 print(f"initial data: p0 = {cfg.p0}, sigma0 = {cfg.sigma0}, "
       f"tau0 = {cfg.tau0}, r = {cfg.r}")
 print(f"derived rate a0 = {a0:.6f}; growth-rate scale lambda = 2 a0 = "
       f"{2 * a0:.6f}\n")
 
 print("-- geodesics against the closed forms ------------------------")
-metric, th0, v0 = sc.wavepacket_manifold(params, params.r)
+metric, th0, v0 = sc.wavepacket_manifold(cfg, cfg.r)
 path = dyn.integrate_geodesic(metric, th0, v0, 5.0 / a0, tol=1e-10)
-mu1, mu2, sig = dyn.wavepacket_geodesics(params, path.tau_grid, "after")
+mu1, mu2, sig = sc.wavepacket_geodesics(cfg, cfg.r, path.tau_grid, "after")
 err = np.max(np.abs(path.theta - np.column_stack([mu1, mu2, sig])))
 print(f"max deviation from tanh/cosh forms over [0, 5/a0]: {err:.2e}")
 print(f"speed drift: {np.max(np.abs(path.speed / path.speed[0] - 1)):.2e}")
@@ -43,7 +42,7 @@ w /= np.sqrt(w @ g0 @ w)
 jac = dyn.integrate_jacobi(metric, th0, v0, path.tau_grid, np.zeros(3), w,
                            rtol=1e-10)
 for k in (32, 128, 256, 512):
-    t = jac.tau_grid[k]
+    t = jac.path.tau_grid[k]
     print(f"  tau = {t:6.3f}: |J| = {jac.intensity[k]:10.4f}   "
           f"sinh(a0 tau)/a0 = {np.sinh(a0 * t) / a0:10.4f}")
 q = dyn.jacobi_q_coefficient(metric, th0, v0)
@@ -53,7 +52,7 @@ print("\n-- complexity compression ------------------------------------")
 lam = 2 * a0
 traces = {}
 for r in (0.0, 0.3, 0.5):
-    m, t0, vv0 = sc.wavepacket_manifold(params, r)
+    m, t0, vv0 = sc.wavepacket_manifold(cfg, r)
     pth = dyn.integrate_geodesic(m, t0, vv0, 10.0 / lam, tol=1e-10,
                                  n_out=129)
     traces[r] = cx.complexity_trace(m, pth)
@@ -87,8 +86,8 @@ print(f"  exact crossing tau* - tau0 = "
 print(f"  admissible correlations: r < {pro['r_upper_bound']:.4f}")
 
 print("\n-- purity from complexity ------------------------------------")
-cu_cf = float(sc.igc_closed_form(params, 0.0, 3.0))
-cc_cf = float(sc.igc_closed_form(params, cfg.r, 3.0))
+cu_cf = float(sc.igc_closed_form(cfg, 0.0, 3.0))
+cc_cf = float(sc.igc_closed_form(cfg, cfg.r, 3.0))
 print(f"  purity via complexity compression: "
       f"{sc.purity_from_igc(cfg, cu_cf, cc_cf):.6f}")
 print(f"  purity via scattering length     : {obs['purity']:.6f}")

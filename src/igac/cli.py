@@ -597,8 +597,9 @@ def _cmd_jacobi(cfg, flow):
     report.observables.update(
         lyapunov_estimate=dyn.lyapunov_estimate(jac).value,
         final_intensity=jac.intensity[-1])
-    report.traces["jacobi"] = {"tau": jac.tau_grid, "theta": jac.theta,
-                               "speed": jac.speed,
+    report.traces["jacobi"] = {"tau": jac.path.tau_grid,
+                               "theta": jac.path.theta,
+                               "speed": jac.path.speed,
                                "jacobi_intensity": jac.intensity}
     return report
 

@@ -18,9 +18,10 @@ round-off, it is solved by damped-Newton shooting on the initial
 velocity, each shot flowing the n x n block that starts at
 (J, J-dot) = (0, I), which is the exact Jacobian of the endpoint map.
 
-The tanh/cosh closed-form geodesics of the colliding wave-packet manifolds
-are provided for oracle checks, together with the finite-time growth-rate
-estimator built from the Jacobi intensity.
+Every flow returns its carrier as one ``GeodesicPath`` (grid, theta,
+theta-dot, the speed g(theta-dot, theta-dot) and dense state access);
+a ``JacobiTrace`` holds that path beside its field.  The finite-time
+growth-rate estimator is built from the Jacobi intensity.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from __future__ import annotations
 import contextlib
 from dataclasses import dataclass, field
 from numbers import Integral
-from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
@@ -42,18 +42,16 @@ from .errors import (
     StiffnessError,
     UndefinedRateError,
 )
-from .geometry import connection_jet
-from .models import MetricField, correlation_failures, positive_failures
+from .geometry import ricci_scalar
+from .models import MetricField
 
 __all__ = [
     "GeodesicPath",
     "JacobiTrace",
-    "WavePacketParams",
     "LyapunovEstimate",
     "n_out_failures",
     "integrate_geodesic",
     "solve_geodesic_bvp",
-    "wavepacket_geodesics",
     "path_from_functions",
     "normal_direction",
     "integrate_jacobi",
@@ -62,10 +60,20 @@ __all__ = [
     "jacobi_q_coefficient",
 ]
 
+def _freeze(record, names):
+    """Store each named field of a frozen record as a read-only float
+    array."""
+    for name in names:
+        arr = np.asarray(getattr(record, name), float)
+        arr.flags.writeable = False
+        object.__setattr__(record, name, arr)
+
+
 @dataclass(frozen=True, eq=False)
 class GeodesicPath:
     """Discretized geodesic with dense state access through ``_interp``,
-    tau -> (theta, theta_dot)."""
+    tau -> (theta, theta_dot).  ``GeodesicPath.on`` builds every path of
+    this module and computes its speed."""
 
     tau_grid: np.ndarray
     theta: np.ndarray        # (n, dim)
@@ -74,10 +82,16 @@ class GeodesicPath:
     _interp: Callable = field(repr=False)
 
     def __post_init__(self):
-        for name in ("tau_grid", "theta", "theta_dot", "speed"):
-            arr = np.asarray(getattr(self, name), float)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        _freeze(self, ("tau_grid", "theta", "theta_dot", "speed"))
+
+    @classmethod
+    def on(cls, metric: MetricField, tau_grid, theta, theta_dot,
+           state) -> GeodesicPath:
+        """The path with speed g(theta_dot, theta_dot) in ``metric`` and
+        ``state`` as its ``state``."""
+        speed = np.einsum("nab,na,nb->n", metric.eval(theta), theta_dot,
+                          theta_dot)
+        return cls(tau_grid, theta, theta_dot, speed, _interp=state)
 
     @property
     def dim(self) -> int:
@@ -106,9 +120,9 @@ def _variational_rhs(metric, k: int):
     Linearizing theta-ddot^a = -Gamma^a_bc v^b v^c gives
     J-ddot^a = -d_d Gamma^a_bc v^b v^c J^d - 2 Gamma^a_bc v^b J-dot^c,
     column by column.  Gamma and its derivative come from one
-    ``connection_jet`` call per step stage, which evaluates the metric
-    family's closed-form connection; with k = 0 that call reads Gamma
-    alone.
+    ``MetricField.connection`` call per step stage, which evaluates the
+    metric family's closed-form connection; with k = 0 that call reads
+    Gamma alone.
     """
     dim = metric.dim
 
@@ -118,7 +132,7 @@ def _variational_rhs(metric, k: int):
             gv = metric.connection(th) @ v
             return np.concatenate([v, -gv @ v])
         j, jdot = y[2 * dim:].reshape(2, dim, k)
-        gam, dgam = connection_jet(metric, th)
+        gam, dgam = metric.connection(th, order=2)
         gv = gam @ v                      # gv[a, b] = Gamma^a_bc v^c
         jdd = -(dgam @ v @ v).T @ j - 2.0 * gv @ jdot
         return np.concatenate([v, -gv @ v, jdot.ravel(), jdd.ravel()])
@@ -135,17 +149,18 @@ def _flow(metric: MetricField, theta0, v0, span, rtol: float, atol: float,
     deviation ``block`` (J, DJ/dtau), each of shape (dim, k), also its
     linearization; J-dot = DJ/dtau - Gamma(J, v0) once the start is known
     to lie in the chart, and each column flows at unit max-abs, so that
-    none underflows when squared.  Returns ``theta`` and ``theta_dot``
-    (n, dim) and ``j`` and ``j_dot`` (n, dim, k), k = 0 without a block,
-    at ``t_eval`` or ending at the end of the span, with ``state(tau)`` as
-    for ``GeodesicPath.state`` (None on DOP853 without ``dense_output``).
-    A closed-form flow is evaluated exactly (``_exact_flow``, tolerances
-    unused); any other is integrated by DOP853 at ``rtol`` and ``atol``,
-    the carrier's ``atol`` scaled by the max-abs entry of (theta0, v0)
-    where that lies below 1.  A start outside the chart, or a spread
-    falling through the chart floor on the way, raises ChartBoundaryError,
-    the latter with the carrier state (tau, theta, theta_dot) at the
-    crossing; step underflow raises StiffnessError.
+    none underflows when squared.  Returns (path, j, j_dot): the carrier
+    as a ``GeodesicPath`` on ``t_eval``, or on a grid ending at the end of
+    the span, and the block on that grid, each of shape (n, dim, k), k = 0
+    without a block; the path has no ``state`` on DOP853 without
+    ``dense_output``.  A closed-form flow is evaluated exactly
+    (``_exact_flow``, tolerances unused); any other is integrated by
+    DOP853 at ``rtol`` and ``atol``, the carrier's ``atol`` scaled by the
+    max-abs entry of (theta0, v0) where that lies below 1.  A start
+    outside the chart, or a spread falling through the chart floor on the
+    way, raises ChartBoundaryError, the latter with the carrier state
+    (tau, theta, theta_dot) at the crossing; step underflow raises
+    StiffnessError.
     """
     theta0 = np.asarray(theta0, float)
     if not metric.in_chart(theta0):
@@ -162,8 +177,9 @@ def _flow(metric: MetricField, theta0, v0, span, rtol: float, atol: float,
     size = np.where(size > 0, size, 1.0)
     j0, jdot0 = j0 / size, jdot0 / size
     if metric.has_exact_flow:
+        grid = np.asarray([span[1]] if t_eval is None else t_eval, float)
         theta, theta_dot, j, jdot, state = _exact_flow(
-            metric, theta0, v0, span, j0, jdot0, what, t_eval)
+            metric, theta0, v0, span[0], grid, j0, jdot0, what)
     else:
         k = j0.shape[1]
         y0 = np.concatenate([theta0, v0, j0.ravel(), jdot0.ravel()])
@@ -194,6 +210,7 @@ def _flow(metric: MetricField, theta0, v0, span, rtol: float, atol: float,
                 last_state=(t_ev, y_ev[:dim], y_ev[dim:2 * dim]))
         if not sol.success:
             raise StiffnessError(f"{what} integrator failed: {sol.message}")
+        grid = sol.t
         theta, theta_dot = sol.y[:dim].T, sol.y[dim:2 * dim].T
         # rows a * k + column of J and of J-dot -> (n, dim, k) each
         j, jdot = np.moveaxis(
@@ -203,8 +220,8 @@ def _flow(metric: MetricField, theta0, v0, span, rtol: float, atol: float,
             def state(tau):
                 y = sol.sol(tau)
                 return y[:dim].T, y[dim:2 * dim].T
-    return SimpleNamespace(theta=theta, theta_dot=theta_dot, j=j * size,
-                           j_dot=jdot * size, state=state)
+    return (GeodesicPath.on(metric, grid, theta, theta_dot, state),
+            j * size, jdot * size)
 
 
 # complex-step size: second-order terms (~1e-80) vanish against every
@@ -212,20 +229,18 @@ def _flow(metric: MetricField, theta0, v0, span, rtol: float, atol: float,
 _STEP = 1e-40
 
 
-def _exact_flow(metric: MetricField, theta0, v0, span, j0, jdot0, what,
-                t_eval):
+def _exact_flow(metric: MetricField, theta0, v0, t0, grid, j0, jdot0,
+                what):
     """(theta, theta_dot, j, j_dot, state) of ``_flow`` through the
     metric's closed-form flow, in one evaluation.
 
-    The flow is evaluated at ``t_eval``, or at the end of the span, which
-    also checks the whole span against the chart floor.  A deviation block
+    The flow from ``t0`` is evaluated on ``grid``, whose last point also
+    checks the whole span against the chart floor.  A deviation block
     of k columns flows from the k complex-step starts
     (theta0 + i h J, v0 + i h J-dot): the imaginary parts over h are the
     derivative of the flow in the direction of each column, and the real
     part of the first is the carrier, to O(h^2).
     """
-    t0, t1 = span
-    grid = np.asarray([t1] if t_eval is None else t_eval, float)
     k = j0.shape[1]
 
     def carrier(x):
@@ -276,13 +291,9 @@ def integrate_geodesic(metric: MetricField, theta0, v0, tau_end: float,
     state at the crossing; step underflow raises StiffnessError.
     """
     ParameterError.raise_any(n_out_failures(n_out))
-    taus = np.linspace(0.0, tau_end, n_out)
-    flow = _flow(metric, theta0, v0, (0.0, tau_end), tol, tol * 1e-2,
-                 dense_output=True, t_eval=taus)
-    g = metric.eval(flow.theta)
-    speed = np.einsum("nab,na,nb->n", g, flow.theta_dot, flow.theta_dot)
-    return GeodesicPath(taus, flow.theta, flow.theta_dot, speed,
-                        _interp=flow.state)
+    return _flow(metric, theta0, v0, (0.0, tau_end), tol, tol * 1e-2,
+                 t_eval=np.linspace(0.0, tau_end, n_out),
+                 dense_output=True)[0]
 
 
 def _shoot(metric: MetricField, theta_init, v0, tau_span: float,
@@ -297,9 +308,9 @@ def _shoot(metric: MetricField, theta_init, v0, tau_span: float,
     ChartBoundaryError.
     """
     dim = metric.dim
-    flow = _flow(metric, theta_init, v0, (0.0, tau_span), tol, tol * 1e-2,
-                 block=(np.zeros((dim, dim)), np.eye(dim)))
-    return flow.theta[-1], flow.j[-1]
+    path, j, _ = _flow(metric, theta_init, v0, (0.0, tau_span), tol,
+                       tol * 1e-2, block=(np.zeros((dim, dim)), np.eye(dim)))
+    return path.theta[-1], j[-1]
 
 
 def solve_geodesic_bvp(metric: MetricField, theta_init, theta_final,
@@ -391,64 +402,6 @@ def solve_geodesic_bvp(metric: MetricField, theta_init, theta_final,
         f"{stop}", best_residual=best)
 
 
-# ---------------------------------------------------------------------------
-# wave-packet closed forms
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class WavePacketParams:
-    """Initial data of the colliding Gaussian wave-packet pair.
-
-    ``a0`` is the derived rate (1/tau0) asinh(p0 / (sqrt(2) sigma0)); the
-    momentum-difference geodesics share the functional argument a0 * tau on
-    both sides of the collision.
-    """
-
-    p0: float
-    sigma0: float
-    tau0: float
-    r: float = 0.0
-
-    def __post_init__(self):
-        ParameterError.raise_any(
-            positive_failures({"p0": self.p0, "sigma0": self.sigma0,
-                               "tau0": self.tau0})
-            + correlation_failures({"r": self.r}))
-
-    @property
-    def a0(self) -> float:
-        return np.arcsinh(self.p0 / (np.sqrt(2.0) * self.sigma0)) / self.tau0
-
-    @property
-    def mean_amplitude(self) -> float:
-        """Asymptotic |mean| on the uncorrelated side."""
-        return np.sqrt(self.p0 * self.p0 + 2.0 * (self.sigma0 * self.sigma0))
-
-    @property
-    def sigma_peak(self) -> float:
-        """Common spread at the collision instant tau = 0."""
-        return np.sqrt(0.5 * (self.p0 * self.p0) + self.sigma0 * self.sigma0)
-
-
-def wavepacket_geodesics(params: WavePacketParams, tau, branch: str):
-    """Closed-form geodesics (mu_1, mu_2, sigma) of the wave-packet manifolds.
-
-    branch "before" is the uncorrelated pre-collision family (natural domain
-    tau <= 0); branch "after" carries the sqrt(1 - r) mean compression of the
-    correlated post-collision family (natural domain tau >= 0).  The two
-    branches join continuously at tau = 0.
-    """
-    if branch not in ("before", "after"):
-        raise ValueError("branch must be 'before' or 'after'")
-    tau = np.asarray(tau, float)
-    amp = params.mean_amplitude
-    if branch == "after":
-        amp = amp * np.sqrt(1.0 - params.r)
-    u = params.a0 * tau
-    mu1 = -amp * np.tanh(u)
-    return mu1, -mu1, params.sigma_peak / np.cosh(u)
-
-
 def path_from_functions(tau_grid, theta_fn: Callable, theta_dot_fn: Callable,
                         metric: MetricField) -> GeodesicPath:
     """Wrap closed-form trajectory functions as a GeodesicPath whose speed
@@ -458,17 +411,12 @@ def path_from_functions(tau_grid, theta_fn: Callable, theta_dot_fn: Callable,
     and a scalar tau to shape (dim,).  The grid takes one call of each, and
     ``state(tau)`` calls them at its tau.
     """
-    taus = np.asarray(tau_grid, float)
-    theta = np.asarray(theta_fn(taus), float)
-    theta_dot = np.asarray(theta_dot_fn(taus), float)
-    speed = np.einsum("nab,na,nb->n", metric.eval(theta), theta_dot,
-                      theta_dot)
-
-    def interp(tau):
+    def state(tau):
         return (np.asarray(theta_fn(tau), float),
                 np.asarray(theta_dot_fn(tau), float))
 
-    return GeodesicPath(taus, theta, theta_dot, speed, _interp=interp)
+    taus = np.asarray(tau_grid, float)
+    return GeodesicPath.on(metric, taus, *state(taus), state)
 
 
 # ---------------------------------------------------------------------------
@@ -480,27 +428,20 @@ class JacobiTrace:
     """Geodesic deviation field along the carrier geodesic it was integrated
     with.
 
-    ``theta`` and ``theta_dot`` are the carrier state on ``tau_grid``, from
-    the same solve as the field, and ``speed`` its g(theta_dot, theta_dot);
-    ``dj_dtau`` holds the covariant derivative DJ/Dtau; ``intensity`` is the
-    metric norm of J and ``intensity_rate`` its tau-derivative.
+    ``path`` is the carrier, from the same solve as the field, on the
+    field's grid; ``dj_dtau`` holds the covariant derivative DJ/Dtau;
+    ``intensity`` is the metric norm of J and ``intensity_rate`` its
+    tau-derivative.
     """
 
-    tau_grid: np.ndarray
-    theta: np.ndarray        # (n, dim)
-    theta_dot: np.ndarray    # (n, dim)
-    speed: np.ndarray
-    j: np.ndarray
+    path: GeodesicPath
+    j: np.ndarray            # (n, dim)
     dj_dtau: np.ndarray
     intensity: np.ndarray
     intensity_rate: np.ndarray
 
     def __post_init__(self):
-        for name in ("tau_grid", "theta", "theta_dot", "speed", "j",
-                     "dj_dtau", "intensity", "intensity_rate"):
-            arr = np.asarray(getattr(self, name), float)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        _freeze(self, ("j", "dj_dtau", "intensity", "intensity_rate"))
 
 
 def normal_direction(metric: MetricField, theta, v, axis: int = 1):
@@ -546,15 +487,15 @@ def integrate_jacobi(metric: MetricField, theta0, v0, tau_grid, J0, DJ0,
     boundary raises ChartBoundaryError, as in ``integrate_geodesic``.
     """
     tau_grid = np.asarray(tau_grid, float)
-    flow = _flow(metric, theta0, v0, (tau_grid[0], tau_grid[-1]), rtol,
-                 rtol * 1e-3, block=(J0, DJ0), what="Jacobi carrier",
-                 t_eval=tau_grid)
-    theta, theta_dot = flow.theta, flow.theta_dot
-    j, jdot = flow.j[..., 0], flow.j_dot[..., 0]
+    path, j, jdot = _flow(metric, theta0, v0, (tau_grid[0], tau_grid[-1]),
+                          rtol, rtol * 1e-3, block=(J0, DJ0),
+                          what="Jacobi carrier", t_eval=tau_grid)
+    j, jdot = j[..., 0], jdot[..., 0]
 
-    g = metric.eval(theta)
-    dj_cov = jdot + np.einsum("nabc,nb,nc->na", metric.connection(theta), j,
-                              theta_dot)
+    g = metric.eval(path.theta)
+    dj_cov = jdot + np.einsum("nabc,nb,nc->na",
+                              metric.connection(path.theta), j,
+                              path.theta_dot)
     inten2 = np.einsum("nab,na,nb->n", g, j, j)
     inten = np.sqrt(np.maximum(inten2, 0.0))
     cov_norm = np.sqrt(np.maximum(
@@ -563,9 +504,7 @@ def integrate_jacobi(metric: MetricField, theta0, v0, tau_grid, J0, DJ0,
                     np.einsum("nab,na,nb->n", g, dj_cov, j)
                     / np.where(inten > 1e-300, inten, 1.0),
                     cov_norm)
-    speed = np.einsum("nab,na,nb->n", g, theta_dot, theta_dot)
-    return JacobiTrace(tau_grid, theta, theta_dot, speed, j, dj_cov, inten,
-                       rate)
+    return JacobiTrace(path, j, dj_cov, inten, rate)
 
 
 @dataclass(frozen=True)
@@ -588,7 +527,8 @@ def lyapunov_sequence(trace: JacobiTrace):
     if base <= 0 or not np.any(trace.intensity > 0):
         raise UndefinedRateError("identically degenerate deviation trace")
     # elapsed affine parameter; backward traces are rated symmetrically
-    elapsed = np.abs(trace.tau_grid - trace.tau_grid[0])
+    tau_grid = trace.path.tau_grid
+    elapsed = np.abs(tau_grid - tau_grid[0])
     mask = elapsed > 0
     taus = elapsed[mask]
     num = trace.intensity[mask] ** 2 + trace.intensity_rate[mask] ** 2
@@ -602,7 +542,7 @@ def lyapunov_estimate(trace: JacobiTrace) -> LyapunovEstimate:
     rate of |J| itself, at the end of the trace; the full sequence over the
     grid is returned for convergence inspection.
     """
-    if trace.tau_grid.size < 16:
+    if trace.path.tau_grid.size < 16:
         raise UndefinedRateError("trace too short for a rate estimate")
     taus, seq = lyapunov_sequence(trace)
     return LyapunovEstimate(float(seq[-1]), taus, seq)
@@ -611,8 +551,6 @@ def lyapunov_estimate(trace: JacobiTrace) -> LyapunovEstimate:
 def jacobi_q_coefficient(metric: MetricField, theta, v) -> float:
     """Scalar coefficient R |v|^2 / (N(N-1)) of the reduced deviation
     equation on an isotropic manifold; negative values signal instability."""
-    from .geometry import ricci_scalar
-
     theta = np.asarray(theta, float)
     v = np.asarray(v, float)
     g = metric.eval(theta)

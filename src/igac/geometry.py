@@ -32,7 +32,6 @@ from .models import _CHART_FLOOR, MetricField
 __all__ = [
     "CurvatureReport",
     "christoffel",
-    "connection_jet",
     "riemann",
     "ricci_scalar",
     "sectional",
@@ -64,15 +63,6 @@ def christoffel(metric: MetricField, theta) -> np.ndarray:
     return metric.connection(_check_chart(metric, theta))
 
 
-def connection_jet(metric: MetricField, theta):
-    """(Gamma, dGamma) with dGamma[c, a, b, d] = d_c Gamma^a_bd.
-
-    Exact, from the metric's closed-form connection.  No chart-floor
-    rejection, so integrators may call it on trial steps.
-    """
-    return metric.connection(theta, order=2)
-
-
 def _riemann_from(gam, dgam) -> np.ndarray:
     return (np.einsum("cabd->abcd", dgam) - np.einsum("dabc->abcd", dgam)
             + np.einsum("afc,fbd->abcd", gam, gam)
@@ -81,14 +71,16 @@ def _riemann_from(gam, dgam) -> np.ndarray:
 
 def riemann(metric: MetricField, theta) -> np.ndarray:
     """Mixed curvature tensor R^a_bcd."""
-    return _riemann_from(*connection_jet(metric, _check_chart(metric, theta)))
+    theta = _check_chart(metric, theta)
+    return _riemann_from(*metric.connection(theta, order=2))
 
 
 def ricci_scalar(metric: MetricField, theta) -> float:
     """R = g^ab R_ab with R_ab = R^c_acb."""
     theta = _check_chart(metric, theta)
     ginv = _inverse(metric.eval(theta), theta)
-    ric = np.einsum("cacb->ab", _riemann_from(*connection_jet(metric, theta)))
+    ric = np.einsum("cacb->ab",
+                    _riemann_from(*metric.connection(theta, order=2)))
     return float(np.einsum("ab,ab->", ginv, ric))
 
 
@@ -101,7 +93,7 @@ def sectional(metric: MetricField, theta, u, v) -> float:
     theta = _check_chart(metric, theta)
     g = metric.eval(theta)
     rl = np.einsum("ae,ebcd->abcd", g,
-                   _riemann_from(*connection_jet(metric, theta)))
+                   _riemann_from(*metric.connection(theta, order=2)))
     return _sectional_from(g, rl, u, v)
 
 
@@ -205,7 +197,7 @@ def curvature_report(metric: MetricField, theta) -> CurvatureReport:
     theta = _check_chart(metric, theta)
     g, dg = metric.jet(theta)
     ginv = _inverse(g, theta)
-    gam, dgam = connection_jet(metric, theta)
+    gam, dgam = metric.connection(theta, order=2)
     rm = _riemann_from(gam, dgam)
     rl = np.einsum("ae,ebcd->abcd", g, rm)
     ric = np.einsum("cacb->ab", rm)

@@ -16,6 +16,11 @@ import numpy as np
 from .errors import QuadratureAccuracyError, UnsupportedFamilyError
 
 _SQRT2PI = np.sqrt(2.0 * np.pi)
+# largest ratio b / a of a geometric panel of ``legendre_panels``
+_MAX_PANEL_RATIO = 10.0
+# nodes per panel of the first estimate of ``integrate_box``, doubled
+# from there
+_START_NODES = 32
 
 
 @cache
@@ -45,22 +50,21 @@ def panel_rule(edges, nodes_per_panel: int):
     return (0.5 * (lo + hi) + half * t).ravel(), (half * w).ravel()
 
 
-def legendre_panels(a: float, b: float, nodes_per_panel: int,
-                    max_panel_ratio: float = 10.0):
+def legendre_panels(a: float, b: float, nodes_per_panel: int):
     """Composite Gauss-Legendre nodes/weights on [a, b].
 
     For 0 < a < b with b/a large the interval is split into geometric panels
-    of ratio at most ``max_panel_ratio``; otherwise a single panel is used.
+    of ratio at most ``_MAX_PANEL_RATIO``; otherwise a single panel is used.
     Returns (x, w) with sum w f(x) ~ integral_a^b f.
     """
     if b < a:
         a, b = b, a
     if b == a:
         return np.array([a]), np.array([0.0])
-    if a > 0.0 and b / a > max_panel_ratio:
+    if a > 0.0 and b / a > _MAX_PANEL_RATIO:
         # log(b) - log(a): b / a overflows for a subnormal a
         n_panels = int(np.ceil((np.log(b) - np.log(a))
-                               / np.log(max_panel_ratio)))
+                               / np.log(_MAX_PANEL_RATIO)))
         edges = np.geomspace(a, b, n_panels + 1)
     else:
         edges = np.array([a, b])
@@ -102,8 +106,7 @@ def _separable_factors(fn, bounds, n):
     return axes, fm
 
 
-def integrate_box(fn, bounds, rel_tol: float = 1e-6, start_nodes: int = 32,
-                  max_nodes: int = 4096):
+def integrate_box(fn, bounds, rel_tol: float = 1e-6, max_nodes: int = 4096):
     """Iterated integral of a separable ``fn`` over a coordinate box.
 
     ``fn`` maps a (npts, ndim) array of points to (npts,) values.  A rank-1
@@ -117,7 +120,7 @@ def integrate_box(fn, bounds, rel_tol: float = 1e-6, start_nodes: int = 32,
     bounds = [(float(lo), float(hi)) for lo, hi in bounds]
     if any(hi == lo for lo, hi in bounds):
         return 0.0
-    factors = _separable_factors(fn, bounds, start_nodes)
+    factors = _separable_factors(fn, bounds, _START_NODES)
     if factors is None:
         raise UnsupportedFamilyError(
             "box integrand does not factor across its axes; only separable "
@@ -133,8 +136,8 @@ def integrate_box(fn, bounds, rel_tol: float = 1e-6, start_nodes: int = 32,
 
     total, converged = fm ** (1 - len(bounds)), True
     for a, (_, w, vals) in enumerate(axes):
-        # double n from start_nodes until two estimates agree
-        n, prev, ok = start_nodes, float(w @ vals), False
+        # double n from _START_NODES until two estimates agree
+        n, prev, ok = _START_NODES, float(w @ vals), False
         while n < max_nodes:
             n *= 2
             cur = axis_value(a, n)

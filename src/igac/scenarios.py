@@ -7,13 +7,19 @@ spectrum, regular/chaotic level-spacing manifolds, and the colliding
 wave-packet pair with its scattering observables.  Every report entry carries
 its oracle value, tolerance and source tag; a report passes iff all its
 checks do.
+
+``ScatterConfig`` is the one record of the wave-packet pair: its initial
+data, the derived rate a0 and amplitudes, and the scattering constants.
+The wave-packet closed forms (the tanh/cosh geodesics, the average explored
+volume, the prolongation) take it with the correlation r of the manifold
+they describe.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import reduce
 from numbers import Integral, Real
 from typing import Optional
@@ -280,7 +286,7 @@ def run_uncorrelated_gaussian(cfg: PairsConfig) -> ScenarioReport:
     j0 = np.zeros(metric.dim)
     dj0 = dyn.normal_direction(metric, theta0, v0)
     jac = dyn.integrate_jacobi(metric, theta0, v0, path.tau_grid, j0, dj0)
-    jrate = _exp_rate(jac.tau_grid, jac.intensity)
+    jrate = _exp_rate(jac.path.tau_grid, jac.intensity)
     report.observables["jacobi_exp_rate"] = jrate
     report.add("jacobi_rate_vs_slope_per_pair", jrate, slope / l, 0.10,
                "entropy slope per pair", mode="rel")
@@ -849,12 +855,15 @@ def _cube(x: float) -> float:
 
 @dataclass(frozen=True)
 class ScatterConfig:
-    """Head-on collision of two Gaussian wave packets (hbar = 1 units).
+    """Head-on collision of two Gaussian wave packets, in hbar = 1 units,
+    where k0 = p0 and sigma_k0 = sigma0.
 
-    k0 = p0 and sigma_k0 = sigma0 under the unit convention; ``r`` is the
-    post-collision micro-correlation, bounded by the prolongation regime;
-    ``r_sweep`` the nonempty list of correlations in [0, 1) over which
-    ``run_wavepacket`` checks the complexity compression.
+    ``r`` is the post-collision micro-correlation, bounded by the
+    prolongation regime; ``r_sweep`` the nonempty list of correlations in
+    [0, 1) over which ``run_wavepacket`` checks the complexity compression.
+    ``a0`` is the derived rate (1/tau0) asinh(p0 / (sqrt(2) sigma0)); the
+    momentum-difference geodesics share the functional argument a0 * tau on
+    both sides of the collision.
     """
 
     p0: float = 1.0
@@ -868,12 +877,11 @@ class ScatterConfig:
 
     def __post_init__(self):
         failures = md.positive_failures(
-            {name: getattr(self, name) for name in
-             ("r0_separation", "potential_range", "mu_mass")})
-        try:
-            self.params     # checks p0, sigma0, tau0 and r
-        except ParameterError as exc:
-            failures = exc.failures + failures
+            {"p0": self.p0, "sigma0": self.sigma0, "tau0": self.tau0}) \
+            + md.correlation_failures({"r": self.r}) \
+            + md.positive_failures(
+                {name: getattr(self, name) for name in
+                 ("r0_separation", "potential_range", "mu_mass")})
         sweep = list(self.r_sweep) if isinstance(
             self.r_sweep, (list, tuple, np.ndarray)) else []
         failures += md.correlation_failures(
@@ -883,72 +891,90 @@ class ScatterConfig:
                              f"correlations, got {self.r_sweep!r}"))
         ParameterError.raise_any(failures)
         object.__setattr__(self, "r_sweep", tuple(sweep))
-        if self.k0 * self.potential_range > 0.3:
+        if self.p0 * self.potential_range > 0.3:
             warnings.warn("k0 L exceeds 0.3; the low-energy expansion "
                           "degrades", stacklevel=2)
 
     @property
-    def k0(self) -> float:
-        return self.p0
+    def a0(self) -> float:
+        return np.arcsinh(self.p0 / (np.sqrt(2.0) * self.sigma0)) / self.tau0
 
     @property
-    def sigma_k0(self) -> float:
-        return self.sigma0
+    def mean_amplitude(self) -> float:
+        """Asymptotic |mean| on the uncorrelated side."""
+        return np.sqrt(self.p0 * self.p0 + 2.0 * (self.sigma0 * self.sigma0))
 
     @property
-    def params(self) -> dyn.WavePacketParams:
-        return dyn.WavePacketParams(self.p0, self.sigma0, self.tau0, self.r)
+    def sigma_peak(self) -> float:
+        """Common spread at the collision instant tau = 0."""
+        return np.sqrt(0.5 * (self.p0 * self.p0) + self.sigma0 * self.sigma0)
 
     @property
     def m2(self) -> float:
         """2 k0^2 + sigma_k0^2, the momentum second moment of the pair."""
-        return 2 * self.k0 ** 2 + self.sigma_k0 ** 2
+        return 2 * self.p0 ** 2 + self.sigma0 ** 2
 
     @property
     def eta_c(self) -> float:
         """eta_C = (8/3) k0^2 m2 R0 L^3, the purity lost per unit of
         micro-correlation, P = 1 - eta_C r."""
-        return (8.0 / 3.0) * self.k0 ** 2 * self.m2 * self.r0_separation \
+        return (8.0 / 3.0) * self.p0 ** 2 * self.m2 * self.r0_separation \
             * _cube(self.potential_range)
 
     @property
     def r_upper_bound(self) -> float:
-        return 2.0 / prolongation_eta(self.params)
+        return 2.0 / prolongation_eta(self)
 
 
-def wavepacket_model(params: dyn.WavePacketParams) -> md.StatModel:
-    """Bivariate Gaussian at the collision instant, correlation params.r."""
-    return md.gaussian_bivariate_corr(0.0, 0.0, params.sigma_peak, r=params.r)
+def wavepacket_model(cfg: ScatterConfig, r: float) -> md.StatModel:
+    """Bivariate Gaussian at the collision instant, with correlation r."""
+    return md.gaussian_bivariate_corr(0.0, 0.0, cfg.sigma_peak, r=r)
 
 
-def wavepacket_manifold(params: dyn.WavePacketParams, r: float,
-                        branch: str = "after"):
+def wavepacket_manifold(cfg: ScatterConfig, r: float, branch: str = "after"):
     """(metric, theta0, v0) of the wave-packet manifold with correlation r,
     the start read off the closed-form geodesics of ``branch`` at tau = 0."""
-    return (_wavepacket_metric(params, r),
-            *_wavepacket_start(params, r, branch))
+    return _wavepacket_metric(cfg, r), *_wavepacket_start(cfg, r, branch)
 
 
-def _wavepacket_metric(params: dyn.WavePacketParams, r: float):
-    return md.analytic_fisher(wavepacket_model(replace(params, r=r)))
+def _wavepacket_metric(cfg: ScatterConfig, r: float):
+    return md.analytic_fisher(wavepacket_model(cfg, r))
 
 
-def _wavepacket_start(params: dyn.WavePacketParams, r: float,
-                      branch: str = "after"):
-    amp = params.mean_amplitude
+def _wavepacket_start(cfg: ScatterConfig, r: float, branch: str = "after"):
+    amp = cfg.mean_amplitude
     if branch == "after":
         amp *= np.sqrt(1.0 - r)
-    return (np.array([0.0, 0.0, params.sigma_peak]),
-            np.array([-amp * params.a0, amp * params.a0, 0.0]))
+    return (np.array([0.0, 0.0, cfg.sigma_peak]),
+            np.array([-amp * cfg.a0, amp * cfg.a0, 0.0]))
 
 
-def igc_closed_form(params: dyn.WavePacketParams, r: float, tau) -> np.ndarray:
+def wavepacket_geodesics(cfg: ScatterConfig, r: float, tau, branch: str):
+    """Closed-form geodesics (mu_1, mu_2, sigma) of the wave-packet manifolds.
+
+    branch "before" is the uncorrelated pre-collision family (natural domain
+    tau <= 0); branch "after" carries the sqrt(1 - r) mean compression of the
+    post-collision family of correlation r (natural domain tau >= 0).  The
+    two branches join continuously at tau = 0.
+    """
+    if branch not in ("before", "after"):
+        raise ValueError("branch must be 'before' or 'after'")
+    tau = np.asarray(tau, float)
+    amp = cfg.mean_amplitude
+    if branch == "after":
+        amp = amp * np.sqrt(1.0 - r)
+    u = cfg.a0 * tau
+    mu1 = -amp * np.tanh(u)
+    return mu1, -mu1, cfg.sigma_peak / np.cosh(u)
+
+
+def igc_closed_form(cfg: ScatterConfig, r: float, tau) -> np.ndarray:
     """Closed-form average explored volume of the correlated manifold.
 
     Carries the region-normalization constant CLOSED_FORM_REGION_FACTOR
     relative to the coordinate-box volume.
     """
-    lam = 2.0 * params.a0
+    lam = 2.0 * cfg.a0
     tau = np.asarray(tau, float)
     pref = 8.0 * np.sqrt((1 - r) / (1 + r)) / lam
     return pref * (-0.75 * lam + 0.25 * np.sinh(lam * tau) / tau
@@ -983,7 +1009,11 @@ def scattering_observables(cfg: ScatterConfig) -> dict:
     if cfg.r >= cfg.r_upper_bound:
         raise RegimeError(f"r = {cfg.r} at or above the regime bound "
                           f"{cfg.r_upper_bound}")
-    k0, L = cfg.k0, cfg.potential_range
+    if not cfg.eta_c > 0:
+        raise RegimeError(f"eta_C = (8/3) k0^2 m2 R0 L^3 underflows to "
+                          f"{cfg.eta_c}; the purity chain r -> P -> r has "
+                          f"no inverse")
+    k0, L = cfg.p0, cfg.potential_range
     v_pot = cfg.r * cfg.p0 ** 2 / (2 * cfg.mu_mass)
     k_r = np.sqrt(1 - cfg.r) * k0
     theta0 = -cfg.r * _cube(k0 * L) / 3.0
@@ -1012,7 +1042,7 @@ def exact_phase_shift(cfg: ScatterConfig) -> float:
     """Root of k_r cot(k_r L) = k0 cot(k0 L + theta) on (-pi/2, pi/2),
     bracketed where k0 L + theta lies in (0, pi); RegimeError when that
     bracket is empty or holds no sign change."""
-    k0, L = cfg.k0, cfg.potential_range
+    k0, L = cfg.p0, cfg.potential_range
     k_r = np.sqrt(1 - cfg.r) * k0
     if abs(np.sin(k_r * L)) < 1e-12:
         raise RegimeError("k_r L sits at a cotangent pole")
@@ -1032,9 +1062,9 @@ def exact_phase_shift(cfg: ScatterConfig) -> float:
     return float(brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16))
 
 
-def prolongation_eta(params: dyn.WavePacketParams) -> float:
+def prolongation_eta(cfg: ScatterConfig) -> float:
     """eta_Delta = exp(2 a0 tau0) / 2."""
-    return 0.5 * np.exp(2.0 * params.a0 * params.tau0)
+    return 0.5 * np.exp(2.0 * cfg.a0 * cfg.tau0)
 
 
 def prolongation(cfg: ScatterConfig) -> dict:
@@ -1044,43 +1074,41 @@ def prolongation(cfg: ScatterConfig) -> dict:
     r < 2 / eta.  The exact crossing time tau* from the atanh inversion is
     reported for cross-validation when its argument stays below one.
     """
-    params = cfg.params
     if cfg.sigma0 / cfg.p0 > 0.3:
         warnings.warn("sigma0/p0 above 0.3; the prolongation expansion "
                       "degrades", stacklevel=2)
-    eta = prolongation_eta(params)
-    delta = _prolongation_delta(params, cfg.r)
-    t_arg = (1.0 - cfg.r) ** -0.5 * np.tanh(params.a0 * cfg.tau0)
-    tau_star = float(np.arctanh(t_arg) / params.a0) if t_arg < 1.0 else None
-    return {"delta": float(delta), "eta_delta": float(eta),
-            "r_upper_bound": float(2.0 / eta), "tau_star_exact": tau_star,
-            "tau0": cfg.tau0}
+    delta = _prolongation_delta(cfg, cfg.r)
+    t_arg = (1.0 - cfg.r) ** -0.5 * np.tanh(cfg.a0 * cfg.tau0)
+    tau_star = float(np.arctanh(t_arg) / cfg.a0) if t_arg < 1.0 else None
+    return {"delta": float(delta), "eta_delta": float(prolongation_eta(cfg)),
+            "r_upper_bound": float(cfg.r_upper_bound),
+            "tau_star_exact": tau_star, "tau0": cfg.tau0}
 
 
-def _prolongation_delta(params: dyn.WavePacketParams, r):
+def _prolongation_delta(cfg: ScatterConfig, r):
     """Delta of ``prolongation`` at a correlation r, or elementwise over an
     array of them, which agrees with the one-r values to round-off; the
     first correlation whose logarithm has no positive argument raises
     RegimeError."""
-    eta = prolongation_eta(params)
+    eta = prolongation_eta(cfg)
     with np.errstate(divide="ignore", invalid="ignore"):   # r >= 1
         arg = 1.0 - ((1.0 - r) ** -0.5 - 1.0) * eta
     beyond = np.atleast_1d(r)[~(np.atleast_1d(arg) > 0)]
     if beyond.size:
         raise RegimeError(f"r = {beyond[0]} beyond the bound 2/eta = "
                           f"{2 / eta}")
-    return -np.log(arg) / (2.0 * params.a0)
+    return -np.log(arg) / (2.0 * cfg.a0)
 
 
 def _wavepacket_lyapunov(args):
     """Finite-time rate of the normal deviation on the manifold of
     correlation r, from the two ends of its window: the value
     ``lyapunov_estimate`` reads off a trace of the whole window."""
-    params, r, metric = args
-    a0 = params.a0
-    th0, v0 = _wavepacket_start(params, r)
+    cfg, r, metric = args
+    a0 = cfg.a0
+    th0, v0 = _wavepacket_start(cfg, r)
     # stay an order of magnitude above the sigma chart floor
-    tau_cap = np.arccosh(params.sigma_peak / 1e-7) / a0
+    tau_cap = np.arccosh(cfg.sigma_peak / 1e-7) / a0
     ends = np.array([0.0, min(20.0 / a0, tau_cap)])
     jac = dyn.integrate_jacobi(metric, th0, v0, ends, np.zeros(3),
                                dyn.normal_direction(metric, th0, v0))
@@ -1090,8 +1118,8 @@ def _wavepacket_lyapunov(args):
 def run_wavepacket(cfg: ScatterConfig) -> ScenarioReport:
     """Full wave-packet chain: curvature, geodesics, deviation growth,
     complexity compression and the scattering observables."""
-    params, r_sweep = cfg.params, cfg.r_sweep
-    a0 = params.a0
+    r_sweep = cfg.r_sweep
+    a0 = cfg.a0
     lam = 2.0 * a0
     report = ScenarioReport(
         "wavepacket",
@@ -1105,12 +1133,12 @@ def run_wavepacket(cfg: ScatterConfig) -> ScenarioReport:
     lyapunov_rs = (0.0, 0.2, 0.5)
     sweep_rs = [0.0, *r_sweep]
     # one metric per distinct correlation of the run
-    metrics = {r: _wavepacket_metric(params, r)
+    metrics = {r: _wavepacket_metric(cfg, r)
                for r in {r_geo, cfg.r, *lyapunov_rs, *sweep_rs}}
 
     # curvature of the correlated manifold at a generic point
     metric_c = metrics[r_geo]
-    th_probe = np.array([0.3, -0.2, 0.8 * params.sigma_peak])
+    th_probe = np.array([0.3, -0.2, 0.8 * cfg.sigma_peak])
     rep = geo.curvature_report(metric_c, th_probe)
     for (plane, k) in rep.sectional:
         report.add(f"sectional_plane_{plane[0]}{plane[1]}", k, -0.25, 1e-6,
@@ -1122,12 +1150,11 @@ def run_wavepacket(cfg: ScatterConfig) -> ScenarioReport:
 
     # geodesics against the closed forms, both branches
     for branch, rr in (("before", 0.0), ("after", cfg.r)):
-        th0, v0 = _wavepacket_start(params, rr, branch)
+        th0, v0 = _wavepacket_start(cfg, rr, branch)
         sign = -1.0 if branch == "before" else 1.0
         path = dyn.integrate_geodesic(metrics[rr], th0, v0, sign * 5.0 / a0,
                                       n_out=_TRACE_POINTS)
-        mu1, mu2, sig = dyn.wavepacket_geodesics(replace(params, r=rr),
-                                                 path.tau_grid, branch)
+        mu1, mu2, sig = wavepacket_geodesics(cfg, rr, path.tau_grid, branch)
         closed = np.column_stack([mu1, mu2, sig])
         err = float(np.max(np.abs(path.theta - closed)))
         report.add(f"geodesic_closed_form_{branch}", err, 0.0, 1e-6,
@@ -1137,13 +1164,13 @@ def run_wavepacket(cfg: ScatterConfig) -> ScenarioReport:
 
     # deviation growth and rate, swept over correlations
     metric = metrics[cfg.r]
-    th0, v0 = _wavepacket_start(params, cfg.r)
+    th0, v0 = _wavepacket_start(cfg, cfg.r)
     dj0 = dyn.normal_direction(metric, th0, v0)
     jac = dyn.integrate_jacobi(metric, th0, v0,
                                np.linspace(0.0, 10.0 / a0, _TRACE_POINTS),
                                np.zeros(3), dj0)
-    oracle = (1.0 / a0) * np.sinh(a0 * jac.tau_grid)   # |DJ0| = 1
-    late = jac.tau_grid >= 0.1 / a0
+    oracle = (1.0 / a0) * np.sinh(a0 * jac.path.tau_grid)   # |DJ0| = 1
+    late = jac.path.tau_grid >= 0.1 / a0
     rel = np.max(np.abs(jac.intensity[late] - oracle[late])
                  / oracle[late])
     report.add("jacobi_intensity_closed_form", float(rel), 0.0, 1e-4,
@@ -1153,7 +1180,7 @@ def run_wavepacket(cfg: ScatterConfig) -> ScenarioReport:
                "Q = R |v|^2 / (N(N-1))")
 
     lam_values = parallel_map(_wavepacket_lyapunov,
-                              [(params, r, metrics[r]) for r in lyapunov_rs])
+                              [(cfg, r, metrics[r]) for r in lyapunov_rs])
     for r, val in zip(lyapunov_rs, lam_values):
         report.add(f"lyapunov_r{r}", val, lam, 0.05,
                    "rate 2 a0, independent of the correlation", mode="rel")
@@ -1163,7 +1190,7 @@ def run_wavepacket(cfg: ScatterConfig) -> ScenarioReport:
     # complexity compression across the r sweep; one trace per manifold
     def wp_trace(r):
         wp_path = dyn.integrate_geodesic(
-            metrics[r], *_wavepacket_start(params, r), 10.0 / lam, n_out=129)
+            metrics[r], *_wavepacket_start(cfg, r), 10.0 / lam, n_out=129)
         return cx.complexity_trace(metrics[r], wp_path)
 
     traces = dict(zip(sweep_rs, parallel_map(wp_trace, sweep_rs)))
@@ -1182,8 +1209,8 @@ def run_wavepacket(cfg: ScatterConfig) -> ScenarioReport:
                    "entropy gap (1/2) ln((1-r)/(1+r))")
         report.add(f"r_recovered_numeric_r{r}", r_from_igc(c_u, c_c), r,
                    0.02, "complexity inversion", mode="rel")
-        cu_cf = float(igc_closed_form(params, 0.0, tau_probe))
-        cc_cf = float(igc_closed_form(params, r, tau_probe))
+        cu_cf = float(igc_closed_form(cfg, 0.0, tau_probe))
+        cc_cf = float(igc_closed_form(cfg, r, tau_probe))
         report.add(f"r_recovered_closed_form_r{r}",
                    r_from_igc(cu_cf, cc_cf), r, 1e-6,
                    "closed-form roundtrip", mode="rel")
@@ -1192,7 +1219,7 @@ def run_wavepacket(cfg: ScatterConfig) -> ScenarioReport:
     r_shape = r_sweep[-1]
     tr = traces[r_shape]
     win = (tr.tau_grid >= 2.0 / lam) & (tr.tau_grid <= 10.0 / lam)
-    ratios = igc_closed_form(params, r_shape, tr.tau_grid[win]) \
+    ratios = igc_closed_form(cfg, r_shape, tr.tau_grid[win]) \
         / tr.igc[win]
     report.observables["closed_form_region_factor"] = float(
         np.median(ratios))
@@ -1211,7 +1238,7 @@ def run_wavepacket(cfg: ScatterConfig) -> ScenarioReport:
 
     # momentum ordering along the difference curve
     taus = np.linspace(0.0, 5.0 / a0, 64)
-    p_unc = params.mean_amplitude * np.tanh(a0 * taus)
+    p_unc = cfg.mean_amplitude * np.tanh(a0 * taus)
     p_cor = np.sqrt(1 - cfg.r) * p_unc
     report.add("momentum_ordering",
                float(np.min(p_unc - p_cor)), 0.0, 1e-15,
@@ -1222,7 +1249,7 @@ def run_wavepacket(cfg: ScatterConfig) -> ScenarioReport:
     report.observables["scattering"] = obs
     theta_exact = exact_phase_shift(cfg)
     report.observables["theta_exact"] = theta_exact
-    if cfg.k0 * cfg.potential_range <= 0.1 and cfg.r <= 0.2:
+    if cfg.p0 * cfg.potential_range <= 0.1 and cfg.r <= 0.2:
         report.add("phase_shift_cubic_vs_exact", obs["theta0_shift"],
                    theta_exact, 0.01, "low-energy cubic expansion",
                    mode="rel")
@@ -1232,21 +1259,21 @@ def run_wavepacket(cfg: ScatterConfig) -> ScenarioReport:
 
     pro = prolongation(cfg)
     report.observables["prolongation"] = pro
-    cfg0 = replace(cfg, r=0.0)
-    report.add("prolongation_at_r0", prolongation(cfg0)["delta"], 0.0, 1e-14,
-               "no correlation, no delay")
+    report.add("prolongation_at_r0", _prolongation_delta(cfg, 0.0), 0.0,
+               1e-14, "no correlation, no delay")
     # Delta is defined below r* = 1 - (1 + 1/eta)^-2, which can lie
     # below the sweep's end
     r_star = 1.0 - (1.0 + 1.0 / pro["eta_delta"]) ** -2
     sweep = np.linspace(0.0, 0.9 * pro["r_upper_bound"], 24)
     sweep = sweep[sweep < r_star]
-    deltas = _prolongation_delta(params, sweep)
+    deltas = _prolongation_delta(cfg, sweep)
     report.add("prolongation_monotone",
                float(np.min(np.diff(deltas))), 0.0, 1e-15,
                "delay grows with the correlation", mode="min")
 
     report.traces["geodesic_after"] = {
-        "tau": jac.tau_grid, "theta": jac.theta, "speed": jac.speed,
+        "tau": jac.path.tau_grid, "theta": jac.path.theta,
+        "speed": jac.path.speed,
         "jacobi_intensity": jac.intensity,
     }
     return report

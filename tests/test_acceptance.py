@@ -21,8 +21,9 @@ from igac.errors import RegimeError
 from conftest import carrier, fd_score, philox
 
 # wave-packet parameters used throughout; sigma_peak = 3 keeps the spread
-# coordinate above the chart floor out to tau = 20 / a0
-WP = dyn.WavePacketParams(4.0, 1.0, 1.0, 0.5)
+# coordinate above the chart floor out to tau = 20 / a0, and k0 L = 0.2
+# stays in the low-energy range
+WP = sc.ScatterConfig(4.0, 1.0, 1.0, potential_range=0.05)
 
 
 def _line(name, ok, detail=""):
@@ -32,7 +33,7 @@ def _line(name, ok, detail=""):
 
 
 def _wp_setup(r, tau_over_a0, tol=1e-10, n_out=257):
-    p = dyn.WavePacketParams(WP.p0, WP.sigma0, WP.tau0, r)
+    p = WP
     metric = md.analytic_fisher(
         md.gaussian_bivariate_corr(0.0, 0.0, p.sigma_peak, r=r))
     amp = p.mean_amplitude * np.sqrt(1 - r)
@@ -98,7 +99,7 @@ def test_criterion_3_geodesic_closed_forms():
     worst = drift = 0.0
     # the r = 0 "after" case traces the pre-collision equations on [0, 5/a0]
     for branch, r in (("before", 0.0), ("after", 0.0), ("after", 0.5)):
-        p = dyn.WavePacketParams(WP.p0, WP.sigma0, WP.tau0, r)
+        p = WP
         metric = md.analytic_fisher(
             md.gaussian_bivariate_corr(0.0, 0.0, p.sigma_peak, r=r))
         amp = p.mean_amplitude * (np.sqrt(1 - r) if branch == "after"
@@ -108,7 +109,7 @@ def test_criterion_3_geodesic_closed_forms():
         sign = -1.0 if branch == "before" else 1.0
         path = dyn.integrate_geodesic(metric, th0, v0, sign * 5.0 / p.a0,
                                       tol=1e-10)
-        mu1, mu2, sig = dyn.wavepacket_geodesics(p, path.tau_grid, branch)
+        mu1, mu2, sig = sc.wavepacket_geodesics(p, r, path.tau_grid, branch)
         worst = max(worst, float(np.max(np.abs(
             path.theta - np.column_stack([mu1, mu2, sig])))))
         drift = max(drift, float(np.max(np.abs(path.speed / path.speed[0]
@@ -125,8 +126,8 @@ def test_criterion_4_jacobi_and_lyapunov():
     w = _normal_vector(metric, th0, v0)
     jac = dyn.integrate_jacobi(metric, *carrier(path), np.zeros(3), w,
                                rtol=1e-10)
-    oracle = np.sinh(p.a0 * jac.tau_grid) / p.a0
-    late = jac.tau_grid >= 0.1 / p.a0
+    oracle = np.sinh(p.a0 * jac.path.tau_grid) / p.a0
+    late = jac.path.tau_grid >= 0.1 / p.a0
     rel = float(np.max(np.abs(jac.intensity[late] - oracle[late])
                        / oracle[late]))
     lam_errs = []
@@ -283,7 +284,7 @@ def test_criterion_10_scattering_chain():
                            potential_range=0.1, mu_mass=0.5, r=0.01)
     obs = sc.scattering_observables(cfg)
     r_back = 3.0 * (1.0 - obs["purity"]) / (
-        8.0 * cfg.k0 ** 2 * (2 * cfg.k0 ** 2 + cfg.sigma_k0 ** 2)
+        8.0 * cfg.p0 ** 2 * (2 * cfg.p0 ** 2 + cfg.sigma0 ** 2)
         * cfg.r0_separation * cfg.potential_range ** 3)
     roundtrip = abs(r_back - cfg.r) / cfg.r
 

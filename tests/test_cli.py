@@ -1072,7 +1072,6 @@ def test_curvature_op_expands_riemann_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("config", DEMO_CONFIGS, ids=lambda p: p.stem)
 def test_demo_config_outputs_are_byte_identical(tmp_path, config):
     # every file a demo writes repeats byte for byte on a second run
@@ -1099,13 +1098,12 @@ BUILD_CONFIGS = {
                   "  constraints: [{f: identity, target: 0.5}]\n"}
 # the builds each run makes: its manifold's model, its prior with the grid
 # of a uniform one, and its scenario config, each once.  The second
-# IHOConfig is run_iho's doubled-frequency ensemble and the second
-# ScatterConfig run_wavepacket's r = 0 copy
+# IHOConfig is run_iho's doubled-frequency ensemble
 BUILDS = {"curvature": {"build_model": 1}, "geodesic": {"build_model": 1},
           "ige": {"build_model": 1}, "custom_manifold": {"build_model": 1},
           "mre": {"_build_prior": 1, "_composite_grid": 1},
           "mre_update": {"_build_prior": 1, "_composite_grid": 1},
-          "iho": {"IHOConfig": 2}, "wavepacket": {"ScatterConfig": 2},
+          "iho": {"IHOConfig": 2}, "wavepacket": {"ScatterConfig": 1},
           "macro_correlated": {"PairsConfig": 1},
           "spin_chain_chaotic": {"SpinChainConfig": 1},
           "uncorrelated_gaussian": {"PairsConfig": 1}}
@@ -1524,7 +1522,7 @@ CONTRACT_NODES = [(config, name, path) for config in DEMO_CONFIGS
 _REMOVE = object()
 MUTATIONS = {"remove": _REMOVE, "null": None, "string": "x", "bool": True,
              "-1": -1, "0": 0, "nan": NAN, "inf": INF, "1e300": 1e300,
-             "empty-list": []}
+             "1e-300": 1e-300, "5e-324": 5e-324, "empty-list": []}
 IGAC_ERRORS = {name for name, cls in vars(errors).items()
                if isinstance(cls, type) and issubclass(cls, errors.IgacError)}
 

@@ -23,11 +23,11 @@ from igac.errors import FitFailureError, ParameterError, \
 
 from conftest import base_metric
 
-PARAMS = dyn.WavePacketParams(1.0, 0.25, 1.0, 0.5)
+PARAMS = sc.ScatterConfig(1.0, 0.25, 1.0)
 
 
 def wavepacket_setup(r, tau_end_over_a0=10.0, n_out=129):
-    p = dyn.WavePacketParams(PARAMS.p0, PARAMS.sigma0, PARAMS.tau0, r)
+    p = PARAMS
     metric = md.analytic_fisher(
         md.gaussian_bivariate_corr(0.0, 0.0, p.sigma_peak, r=r))
     amp = p.mean_amplitude * np.sqrt(1 - r)

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 from igac import dynamics as dyn
 from igac import geometry as geo
 from igac import models as md
+from igac import scenarios as sc
 from igac.scenarios import iho_metric
 
 from conftest import (carrier, connection_einsum, gamma_derivative_fd,
@@ -25,7 +26,7 @@ PROPERTY = settings(max_examples=40)
 @given(jet_metric())
 def test_connection_jet_matches_finite_difference(case):
     metric, theta = case
-    gam, dgam = geo.connection_jet(metric, theta)
+    gam, dgam = metric.connection(theta, order=2)
     assert np.array_equal(gam, geo.christoffel(metric, theta))
     oracle = gamma_derivative_fd(metric, theta)
     assert np.max(np.abs(dgam - oracle)) <= 1e-6 * np.max(np.abs(oracle))
@@ -35,13 +36,13 @@ def test_connection_jet_matches_finite_difference(case):
 @given(jet_metric())
 def test_connection_derivative_symmetric_in_lower_pair(case):
     metric, theta = case
-    _, dgam = geo.connection_jet(metric, theta)
+    _, dgam = metric.connection(theta, order=2)
     asym = dgam - np.transpose(dgam, (0, 1, 3, 2))
     assert np.max(np.abs(asym)) <= 1e-14 * np.max(np.abs(dgam))
 
 
 def assert_matches_einsum(metric, theta):
-    gam, dgam = geo.connection_jet(metric, theta)
+    gam, dgam = metric.connection(theta, order=2)
     ref_gam, ref_dgam = connection_einsum(metric, theta)
     assert np.max(np.abs(gam - ref_gam)) <= \
         1e-13 * np.max(np.abs(ref_gam), initial=1e-300)
@@ -166,14 +167,14 @@ def test_integrators_call_no_metric_jet(name, monkeypatch):
     bvp = dyn.solve_geodesic_bvp(metric, theta0, path.theta[-1], 1.0,
                                  n_out=9)
     assert calls == []
-    assert np.max(np.abs(trace.theta - path.theta)) < 1e-7
+    assert np.max(np.abs(trace.path.theta - path.theta)) < 1e-7
     assert np.max(np.abs(bvp.theta_dot[0] - v0)) < 1e-6
 
 
 def test_jacobi_on_metric_without_second_jet_meets_sinh():
     # the chart pullback has no connection of its own: the deviation flow
     # runs on the base metric's closed form carried over by the chain rule
-    params = dyn.WavePacketParams(1.0, 0.25, 1.0, 0.5)
+    params = sc.ScatterConfig(1.0, 0.25, 1.0, r=0.5)
     metric = md.analytic_fisher(md.gaussian_bivariate_corr(
         0.0, 0.0, params.sigma_peak, r=params.r))
     scale = np.array([2.0, 0.5, 1.0])
@@ -187,7 +188,7 @@ def test_jacobi_on_metric_without_second_jet_meets_sinh():
     w = scale * dyn.normal_direction(metric, th0, v0, axis=2)
     trace = dyn.integrate_jacobi(scaled, *carrier(path), np.zeros(3), w,
                                  rtol=1e-10)
-    oracle = np.sinh(a0 * trace.tau_grid) / a0
-    late = trace.tau_grid >= 0.1 / a0
+    oracle = np.sinh(a0 * trace.path.tau_grid) / a0
+    late = trace.path.tau_grid >= 0.1 / a0
     rel = np.abs(trace.intensity[late] - oracle[late]) / oracle[late]
     assert np.max(rel) < 1e-4

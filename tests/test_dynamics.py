@@ -12,7 +12,7 @@ from igac.errors import BvpFailureError, ChartBoundaryError, \
 
 from conftest import carrier, ode_flow
 
-PARAMS = dyn.WavePacketParams(1.0, 0.25, 1.0, 0.5)
+PARAMS = sc.ScatterConfig(1.0, 0.25, 1.0)
 
 
 def wavepacket_metric(r):
@@ -21,7 +21,7 @@ def wavepacket_metric(r):
 
 
 def wavepacket_start(r, branch="after"):
-    p = dyn.WavePacketParams(PARAMS.p0, PARAMS.sigma0, PARAMS.tau0, r)
+    p = PARAMS
     amp = p.mean_amplitude * (np.sqrt(1 - r) if branch == "after" else 1.0)
     th0 = np.array([0.0, 0.0, p.sigma_peak])
     v0 = np.array([-amp * p.a0, amp * p.a0, 0.0])
@@ -54,7 +54,7 @@ def test_wavepacket_geodesics_match_closed_forms(branch, r):
     sign = -1.0 if branch == "before" else 1.0
     path = dyn.integrate_geodesic(metric, th0, v0, sign * 5.0 / p.a0,
                                   tol=1e-10)
-    mu1, mu2, sig = dyn.wavepacket_geodesics(p, path.tau_grid, branch)
+    mu1, mu2, sig = sc.wavepacket_geodesics(p, r, path.tau_grid, branch)
     closed = np.column_stack([mu1, mu2, sig])
     assert np.max(np.abs(path.theta - closed)) < 1e-6
     assert np.max(np.abs(path.speed / path.speed[0] - 1.0)) < 1e-8
@@ -119,10 +119,10 @@ def test_bvp_wavepacket_endpoints_from_closed_forms():
     p, th0, _ = wavepacket_start(0.5)
     metric = wavepacket_metric(0.5)
     tau_span = 2.0 / p.a0
-    mu1, mu2, sig = dyn.wavepacket_geodesics(p, tau_span, "after")
+    mu1, mu2, sig = sc.wavepacket_geodesics(p, 0.5, tau_span, "after")
     path = dyn.solve_geodesic_bvp(metric, th0, [mu1, mu2, sig], tau_span,
                                   tol=1e-9)
-    m1, m2, s = dyn.wavepacket_geodesics(p, path.tau_grid, "after")
+    m1, m2, s = sc.wavepacket_geodesics(p, 0.5, path.tau_grid, "after")
     assert np.max(np.abs(path.theta - np.column_stack([m1, m2, s]))) < 1e-5
 
 
@@ -145,7 +145,7 @@ def test_bvp_failure_reports_residual():
     p, th0, _ = wavepacket_start(0.5)
     metric = ode_flow(wavepacket_metric(0.5))
     tau_span = 3.0 / p.a0
-    mu1, mu2, sig = dyn.wavepacket_geodesics(p, tau_span, "after")
+    mu1, mu2, sig = sc.wavepacket_geodesics(p, 0.5, tau_span, "after")
     with pytest.raises(BvpFailureError) as err:
         dyn.solve_geodesic_bvp(metric, th0, [mu1, mu2, sig], tau_span,
                                tol=1e-12, max_iter=1)
@@ -284,14 +284,16 @@ def test_flow_returns_the_arrays_its_callers_read():
     grid = np.linspace(0.0, 2.0, 7)
     block = (np.zeros((3, 2)), np.eye(3)[:, :2])
     for metric in (wavepacket_metric(0.3), ode_flow(wavepacket_metric(0.3))):
-        out = dyn._flow(metric, th0, v0, (0.0, 2.0), 1e-10, 1e-12,
-                        block=block, t_eval=grid)
-        assert not hasattr(out, "y")
+        out, j, j_dot = dyn._flow(metric, th0, v0, (0.0, 2.0), 1e-10, 1e-12,
+                                  block=block, t_eval=grid)
+        assert isinstance(out, dyn.GeodesicPath)
+        assert np.array_equal(out.tau_grid, grid)
         assert out.theta.shape == out.theta_dot.shape == (7, 3)
-        assert out.j.shape == out.j_dot.shape == (7, 3, 2)
-        bare = dyn._flow(metric, th0, v0, (0.0, 2.0), 1e-10, 1e-12,
-                         t_eval=grid, dense_output=True)
-        assert bare.j.shape == (7, 3, 0)
+        assert out.speed.shape == (7,)
+        assert j.shape == j_dot.shape == (7, 3, 2)
+        bare, j, _ = dyn._flow(metric, th0, v0, (0.0, 2.0), 1e-10, 1e-12,
+                               t_eval=grid, dense_output=True)
+        assert j.shape == (7, 3, 0)
         assert np.allclose(bare.theta, out.theta, rtol=1e-9, atol=1e-12)
         theta, theta_dot = bare.state(grid[3])
         assert np.allclose(theta, bare.theta[3], rtol=1e-9, atol=1e-12)
@@ -392,36 +394,35 @@ def test_path_state_layout(make_path):
 
 def test_wavepacket_closed_form_values():
     p = PARAMS
-    mu1, mu2, sig = dyn.wavepacket_geodesics(p, 0.0, "before")
+    mu1, mu2, sig = sc.wavepacket_geodesics(p, 0.0, 0.0, "before")
     assert (mu1, mu2) == (0.0, 0.0)
     assert sig == pytest.approx(np.sqrt(0.5 * p.p0 ** 2 + p.sigma0 ** 2))
     # tanh(asinh x) = x / sqrt(1 + x^2): the mean at -tau0 returns p0 exactly
-    mu1, _, _ = dyn.wavepacket_geodesics(p, -p.tau0, "before")
+    mu1, _, _ = sc.wavepacket_geodesics(p, 0.0, -p.tau0, "before")
     assert mu1 == pytest.approx(p.p0, abs=1e-14)
 
 
 def test_wavepacket_after_branch_asymptote():
-    p = dyn.WavePacketParams(1.0, 0.25, 1.0, 0.19)
-    _, mu2, _ = dyn.wavepacket_geodesics(p, 200.0, "after")
+    p = PARAMS
+    _, mu2, _ = sc.wavepacket_geodesics(p, 0.19, 200.0, "after")
     assert mu2 == pytest.approx(0.9 * np.sqrt(p.p0 ** 2 + 2 * p.sigma0 ** 2),
                                 abs=1e-12)
 
 
 def test_branch_continuity_at_zero():
     for r in (0.0, 0.4):
-        p = dyn.WavePacketParams(1.0, 0.25, 1.0, r)
-        before = dyn.wavepacket_geodesics(p, 0.0, "before")
-        after = dyn.wavepacket_geodesics(p, 0.0, "after")
+        before = sc.wavepacket_geodesics(PARAMS, r, 0.0, "before")
+        after = sc.wavepacket_geodesics(PARAMS, r, 0.0, "after")
         assert before == pytest.approx(after, abs=1e-15)
 
 
 def test_params_validation():
     with pytest.raises(ValueError):
-        dyn.WavePacketParams(0.0, 1.0, 1.0)
+        sc.ScatterConfig(0.0, 1.0, 1.0)
     with pytest.raises(ValueError):
-        dyn.WavePacketParams(1.0, 1.0, 1.0, r=1.0)
+        sc.ScatterConfig(1.0, 1.0, 1.0, r=1.0)
     with pytest.raises(ValueError):
-        dyn.wavepacket_geodesics(PARAMS, 0.0, "during")
+        sc.wavepacket_geodesics(PARAMS, 0.5, 0.0, "during")
 
 
 def test_flat_jacobi_grows_linearly():
@@ -474,8 +475,8 @@ def test_wavepacket_jacobi_intensity_sinh():
     w /= np.sqrt(w @ g @ w)
     trace = dyn.integrate_jacobi(metric, *carrier(path), np.zeros(3), w,
                                  rtol=1e-10)
-    oracle = np.sinh(a0 * trace.tau_grid) / a0
-    late = trace.tau_grid >= 0.1 / a0
+    oracle = np.sinh(a0 * trace.path.tau_grid) / a0
+    late = trace.path.tau_grid >= 0.1 / a0
     rel = np.abs(trace.intensity[late] - oracle[late]) / oracle[late]
     assert np.max(rel) < 1e-4
 
@@ -494,7 +495,7 @@ def test_lyapunov_flat_decays_to_zero():
     trace = dyn.integrate_jacobi(m, *carrier(path), np.zeros(2), [0.0, 1.0])
     est = dyn.lyapunov_estimate(trace)
     # polynomial growth: the estimate decays like ln(tau^2) / tau
-    tau = trace.tau_grid[-1]
+    tau = trace.path.tau_grid[-1]
     assert est.value == pytest.approx(np.log(tau ** 2 + 1) / tau, rel=1e-6)
     assert est.value < 0.06
     assert est.sequence[8] > est.sequence[-1]
@@ -528,7 +529,7 @@ def test_lyapunov_error_cases():
 
 @pytest.mark.parametrize("r", [0.0, 0.2, 0.5])
 def test_lyapunov_independent_of_correlation(r):
-    p = dyn.WavePacketParams(4.0, 1.0, 1.0, r)
+    p = sc.ScatterConfig(4.0, 1.0, 1.0, potential_range=0.05)
     metric = md.analytic_fisher(
         md.gaussian_bivariate_corr(0.0, 0.0, p.sigma_peak, r=r))
     amp = p.mean_amplitude * np.sqrt(1 - r)
@@ -560,7 +561,7 @@ def test_path_immutability_and_state():
 def test_rate_series_expansion():
     # a0 tau0 = ln(sqrt(2) p0 / s0) + (1/2)(s0/p0)^2 - (3/8)(s0/p0)^4 + ...
     for eps in (0.05, 0.02):
-        p = dyn.WavePacketParams(1.0, eps, 1.3, 0.0)
+        p = sc.ScatterConfig(1.0, eps, 1.3)
         series = (np.log(np.sqrt(2) / eps) + 0.5 * eps ** 2
                   - 0.375 * eps ** 4) / 1.3
         assert p.a0 == pytest.approx(series, abs=eps ** 6 / 1.3 * 2)
@@ -568,10 +569,8 @@ def test_rate_series_expansion():
 
 def test_prolongation_scale_series():
     # eta = exp(2 a0 tau0)/2 = (p0/s0)^2 exp[(s0/p0)^2 - (3/4)(s0/p0)^4 + ..]
-    from igac import scenarios as sc
-
     for eps in (0.05, 0.02):
-        p = dyn.WavePacketParams(1.0, eps, 1.0, 0.0)
+        p = sc.ScatterConfig(1.0, eps, 1.0)
         eta = sc.prolongation_eta(p)
         series = eps ** -2 * np.exp(eps ** 2 - 0.75 * eps ** 4)
         assert eta == pytest.approx(series, rel=3 * eps ** 6)
@@ -600,7 +599,7 @@ def test_lyapunov_on_backward_trace():
 
 
 # initial data of demos/configs/wavepacket.yaml
-DEMO = dyn.WavePacketParams(1.0, 0.1, 1.0)
+DEMO = sc.ScatterConfig(1.0, 0.1, 1.0)
 
 
 @settings(max_examples=30)
@@ -610,14 +609,14 @@ def test_geodesic_closed_forms_across_tolerances(r, tol):
     """Both wave-packet branches meet the tanh/cosh forms within the
     report's bounds at every tolerance: error 1e-6, speed drift 10 tol."""
     for branch, rr in (("before", 0.0), ("after", r)):
-        p = dyn.WavePacketParams(DEMO.p0, DEMO.sigma0, DEMO.tau0, rr)
+        p = DEMO
         metric, th0, v0 = sc.wavepacket_manifold(p, rr, branch)
         metric = ode_flow(metric)
         sign = -1.0 if branch == "before" else 1.0
         path = dyn.integrate_geodesic(metric, th0, v0, sign * 5.0 / p.a0,
                                       tol=tol, n_out=257)
         closed = np.column_stack(
-            dyn.wavepacket_geodesics(p, path.tau_grid, branch))
+            sc.wavepacket_geodesics(p, rr, path.tau_grid, branch))
         assert np.max(np.abs(path.theta - closed)) <= 1e-6
         assert np.max(np.abs(path.speed / path.speed[0] - 1.0)) <= 10 * tol
 
@@ -646,6 +645,6 @@ def test_jacobi_carrier_matches_geodesic(branch, sign):
                                  np.zeros(3),
                                  dyn.normal_direction(metric, th0, v0),
                                  rtol=1e-10)
-    assert np.array_equal(trace.tau_grid, path.tau_grid)
-    assert np.max(np.abs(trace.theta - path.theta)) < 1e-8
-    assert np.max(np.abs(trace.theta_dot - path.theta_dot)) < 1e-8
+    assert np.array_equal(trace.path.tau_grid, path.tau_grid)
+    assert np.max(np.abs(trace.path.theta - path.theta)) < 1e-8
+    assert np.max(np.abs(trace.path.theta_dot - path.theta_dot)) < 1e-8

@@ -153,10 +153,10 @@ def test_complex_step_jacobi_matches_dop853(case, data):
     assert type(exact) is type(generic)
     if isinstance(exact, ChartBoundaryError):
         return
-    assert_within_dop853(exact, generic, metric, v, 1e-12, 1e-15)
+    assert_within_dop853(exact.path, generic.path, metric, v, 1e-12, 1e-15)
     # the deviation state (J, DJ/dtau) in units of each block's spread,
     # against its largest entry: the flow is linear in it
-    s = spread_of(metric, generic.theta)
+    s = spread_of(metric, generic.path.theta)
     got, ref = (np.stack([trace.j, trace.dj_dtau]) / s
                 for trace in (exact, generic))
     assert_close(got, ref, np.max(np.abs(ref)), 1e-6)

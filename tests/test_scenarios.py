@@ -167,13 +167,10 @@ NAN = float("nan")
     lambda: sc.ScatterConfig(r0_separation=NAN),
     lambda: sc.ScatterConfig(potential_range=NAN),
     lambda: sc.ScatterConfig(mu_mass=NAN),
-    lambda: dyn.WavePacketParams(NAN, 0.1, 1.0),
-    lambda: dyn.WavePacketParams(1.0, NAN, 1.0),
-    lambda: dyn.WavePacketParams(1.0, 0.1, NAN),
+    lambda: sc.ScatterConfig(r=NAN),
 ], ids=["iho-omega", "iho-omega_total", "iho-xi", "iho-tau_end",
         "scatter-p0", "scatter-sigma0", "scatter-tau0", "scatter-R0",
-        "scatter-L", "scatter-mu_mass", "wavepacket-p0", "wavepacket-sigma0",
-        "wavepacket-tau0"])
+        "scatter-L", "scatter-mu_mass", "scatter-r"])
 def test_nan_parameter_rejected(build):
     # nan <= 0 is False, so a positivity test must read "not x > 0"
     with pytest.raises(ValueError):
@@ -201,13 +198,13 @@ def test_spin_chain_regular_c_ig_tracks_exponential_count():
 def test_scattering_observables_chain():
     cfg = in_regime_cfg()
     obs = sc.scattering_observables(cfg)
-    r, k0, L = cfg.r, cfg.k0, cfg.potential_range
+    r, k0, L = cfg.r, cfg.p0, cfg.potential_range
     assert obs["V"] == pytest.approx(r * cfg.p0 ** 2 / (2 * cfg.mu_mass))
     assert obs["k_r"] == pytest.approx(np.sqrt(1 - r) * k0)
     assert obs["theta0_shift"] == pytest.approx(-r * (k0 * L) ** 3 / 3)
     assert obs["a_s"] == pytest.approx(r * (k0 * L) ** 3 / (3 * k0))
     assert obs["cross_section"] == pytest.approx(4 * np.pi * obs["a_s"] ** 2)
-    m2 = 2 * k0 ** 2 + cfg.sigma_k0 ** 2
+    m2 = 2 * k0 ** 2 + cfg.sigma0 ** 2
     assert obs["purity"] == pytest.approx(
         1 - 8 * m2 * cfg.r0_separation * obs["a_s"])
     assert obs["r_qm"] == pytest.approx(
@@ -250,7 +247,7 @@ def test_exact_phase_shift_vs_cubic():
     cfg2 = sc.ScatterConfig(p0=1.0, sigma0=0.3, tau0=1.0, r0_separation=10.0,
                             potential_range=0.3, mu_mass=0.5, r=0.15)
     exact2 = sc.exact_phase_shift(cfg2)
-    cubic2 = -cfg2.r * (cfg2.k0 * cfg2.potential_range) ** 3 / 3
+    cubic2 = -cfg2.r * (cfg2.p0 * cfg2.potential_range) ** 3 / 3
     assert exact2 < 0 and cubic2 < 0
     assert abs(cubic2 - exact2) / abs(exact2) > 0.01
 
@@ -271,7 +268,7 @@ def test_exact_phase_shift_is_a_root_or_a_regime_error(k0_l, p0, r_frac):
         theta = sc.exact_phase_shift(cfg)
     except RegimeError:
         return
-    k0, big_l = cfg.k0, cfg.potential_range
+    k0, big_l = cfg.p0, cfg.potential_range
     k_r = np.sqrt(1.0 - cfg.r) * k0
     arg = k0 * big_l + theta
     residual = k0 / np.tan(arg) - k_r / np.tan(k_r * big_l)
@@ -295,7 +292,7 @@ def test_prolongation_properties():
     assert pro["delta"] > 0
     assert pro["r_upper_bound"] == pytest.approx(2.0 / pro["eta_delta"])
     # exact crossing time against the dropped-term approximation
-    p = cfg.params
+    p = cfg
     if pro["tau_star_exact"] is not None:
         delta_exact = pro["tau_star_exact"] - cfg.tau0
         x = ((1 - cfg.r) ** -0.5 - 1.0) * pro["eta_delta"]
@@ -322,7 +319,7 @@ def test_r_from_igc_inversion():
     assert sc.r_from_igc(1.0, np.sqrt(1.0 / 3.0)) == pytest.approx(
         0.5, abs=1e-15)
     assert sc.r_from_igc(1.0, 1.0) == 0.0
-    p = dyn.WavePacketParams(1.0, 0.25, 1.0, 0.0)
+    p = sc.ScatterConfig(1.0, 0.25, 1.0)
     for r in (0.05, 0.3, 0.7):
         cu = float(sc.igc_closed_form(p, 0.0, 3.0))
         cc = float(sc.igc_closed_form(p, r, 3.0))
@@ -333,10 +330,9 @@ def test_r_from_igc_inversion():
 
 def test_purity_from_igc():
     cfg = in_regime_cfg()
-    p = cfg.params
-    cu = float(sc.igc_closed_form(p, 0.0, 3.0))
-    cc = float(sc.igc_closed_form(p, cfg.r, 3.0))
-    eta = (8.0 / 3.0) * cfg.k0 ** 2 * (2 * cfg.k0 ** 2 + cfg.sigma_k0 ** 2) \
+    cu = float(sc.igc_closed_form(cfg, 0.0, 3.0))
+    cc = float(sc.igc_closed_form(cfg, cfg.r, 3.0))
+    eta = (8.0 / 3.0) * cfg.p0 ** 2 * (2 * cfg.p0 ** 2 + cfg.sigma0 ** 2) \
         * cfg.r0_separation * cfg.potential_range ** 3
     assert sc.purity_from_igc(cfg, cu, cc) == pytest.approx(
         1.0 - eta * cfg.r, abs=1e-12)
@@ -349,10 +345,10 @@ def test_scattering_constant_has_one_home():
     a second spelling of it at round-off."""
     cfg = in_regime_cfg(p0=0.7, sigma0=0.23, r0_separation=7.3,
                         potential_range=0.13)
-    eta = (8.0 / 3.0) * cfg.k0 ** 2 * (2 * cfg.k0 ** 2 + cfg.sigma_k0 ** 2) \
+    eta = (8.0 / 3.0) * cfg.p0 ** 2 * (2 * cfg.p0 ** 2 + cfg.sigma0 ** 2) \
         * cfg.r0_separation * cfg.potential_range ** 3
     assert cfg.eta_c == pytest.approx(eta, rel=1e-15)
-    assert cfg.m2 == 2 * cfg.k0 ** 2 + cfg.sigma_k0 ** 2
+    assert cfg.m2 == 2 * cfg.p0 ** 2 + cfg.sigma0 ** 2
     obs = sc.scattering_observables(cfg)
     assert obs["self_consistent_r"] == cfg.eta_c
     assert sc.purity_from_igc(cfg, 2.0, 1.5) == \
@@ -378,12 +374,12 @@ def test_wavepacket_chain_consistency():
     cfg = in_regime_cfg(r=0.015, potential_range=0.08)
     obs = sc.scattering_observables(cfg)
     theta_exact = sc.exact_phase_shift(cfg)
-    a_s_exact = -theta_exact / cfg.k0
-    m2 = 2 * cfg.k0 ** 2 + cfg.sigma_k0 ** 2
+    a_s_exact = -theta_exact / cfg.p0
+    m2 = 2 * cfg.p0 ** 2 + cfg.sigma0 ** 2
     purity_exact = 1.0 - 8.0 * m2 * cfg.r0_separation * a_s_exact
     cross_exact = 4 * np.pi * a_s_exact ** 2
     # truncation order of the cubic expansion: O((k0 L)^2) relative
-    trunc = (cfg.k0 * cfg.potential_range) ** 2
+    trunc = (cfg.p0 * cfg.potential_range) ** 2
     assert abs(a_s_exact - obs["a_s"]) / obs["a_s"] < trunc
     assert abs(cross_exact - obs["cross_section"]) / obs["cross_section"] \
         < 3 * trunc
@@ -426,7 +422,7 @@ def test_wavepacket_lyapunov_solves_no_geodesic(monkeypatch):
         raise AssertionError("integrate_geodesic called")
 
     monkeypatch.setattr(dyn, "integrate_geodesic", forbidden)
-    params = in_regime_cfg().params
+    params = in_regime_cfg()
     for r in (0.0, 0.2, 0.5):
         metric = sc.wavepacket_manifold(params, r)[0]
         value = sc._wavepacket_lyapunov((params, r, metric))
@@ -438,8 +434,8 @@ def test_wavepacket_builds_one_metric_per_correlation(monkeypatch):
     r sweep share one metric per distinct correlation."""
     built, fishers = [], []
     metric, fisher = sc._wavepacket_metric, sc.md.analytic_fisher
-    monkeypatch.setattr(sc, "_wavepacket_metric", lambda params, r:
-                        built.append(r) or metric(params, r))
+    monkeypatch.setattr(sc, "_wavepacket_metric", lambda cfg, r:
+                        built.append(r) or metric(cfg, r))
     monkeypatch.setattr(sc.md, "analytic_fisher", lambda model:
                         fishers.append(model) or fisher(model))
     assert sc.run_wavepacket(in_regime_cfg(r=0.01,
@@ -455,7 +451,7 @@ def test_wavepacket_two_point_lyapunov_rate_is_the_estimate(r):
     """The rate from the two ends of the window equals
     ``lyapunov_estimate`` of the field on the 257-point grid, bit for
     bit."""
-    params = in_regime_cfg().params
+    params = in_regime_cfg()
     metric, th0, v0 = sc.wavepacket_manifold(params, r)
     a0 = params.a0
     tau_cap = np.arccosh(params.sigma_peak / 1e-7) / a0
@@ -472,10 +468,10 @@ def test_prolongation_sweep_is_the_scalar_formula():
     and beyond the regime it names the first correlation out of range."""
     cfg = in_regime_cfg()
     sweep = np.linspace(0.0, 0.9 * sc.prolongation(cfg)["r_upper_bound"], 24)
-    deltas = sc._prolongation_delta(cfg.params, sweep)
+    deltas = sc._prolongation_delta(cfg, sweep)
     assert deltas == pytest.approx(
         [sc.prolongation(in_regime_cfg(r=r))["delta"] for r in sweep],
         rel=1e-12, abs=0.0)
     wide = np.linspace(0.0, 0.99, 12)     # the bound 2 / eta is near 0.02
     with pytest.raises(RegimeError, match=f"r = {wide[1]} "):
-        sc._prolongation_delta(cfg.params, wide)
+        sc._prolongation_delta(cfg, wide)
