@@ -471,7 +471,7 @@ def _build_prior(spec):
 
 
 def emit_csv(path: Path, trace: dict) -> None:
-    """One trace file; fixed column order, 17 significant digits, LF.  The
+    """One new trace file; fixed column order, 17 significant digits, LF.  The
     whole table is one ``%`` format over its cells, row by row."""
     columns = [("tau", trace["tau"])]
     if trace.get("theta") is not None:
@@ -487,6 +487,7 @@ def emit_csv(path: Path, trace: dict) -> None:
     row = ",".join(["%.17g"] * len(columns))
     text = "\n".join([",".join(name for name, _ in columns)]
                      + [row] * len(table)) % tuple(table.ravel().tolist())
+    path.unlink(missing_ok=True)
     path.write_text(text + "\n", newline="\n")
 
 
@@ -545,12 +546,14 @@ def _dumps(obj, pad: str = "") -> str:
 
 
 def emit(report: dict, traces: dict, outdir: Path, formats) -> list:
-    """Write report.json (``_dumps`` of ``report``) and the per-trace
-    CSVs; returns the paths written."""
+    """Write report.json (``_dumps`` of ``report``) and the per-trace CSVs,
+    each a new file: on ext4 unlinking an old one (or a symlink) and making
+    it anew is faster than rewriting it in place.  Returns the paths."""
     outdir.mkdir(parents=True, exist_ok=True)
     written = []
     if "json" in formats:
         written.append(outdir / "report.json")
+        written[-1].unlink(missing_ok=True)
         written[-1].write_text(_dumps(report) + "\n", newline="\n")
     if "csv" in formats:
         for name, trace in traces.items():

@@ -13,9 +13,9 @@ A box is a pair of corner arrays lo, hi.  Closed-form metrics
 ``flat_metric`` and ``iho_metric``) take all boxes of a trace in one exact
 ``MetricField.box_volume`` call; every other metric (``rescaled_chart``,
 user metrics) goes through adaptive Gauss-Legendre quadrature
-(``integrate_box``) per block and box, axis by axis.  A block whose volume
-density does not factor across its axes has no volume there:
-``integrate_box`` raises UnsupportedFamilyError.
+(``integrate_box``) per factor (``MetricField.block_metric``) and box, axis
+by axis.  A factor whose volume density does not factor across its axes
+has no volume there: ``integrate_box`` raises UnsupportedFamilyError.
 
 The box reading of the region integral is a convention choice (the endpoint
 notation leaves the region open for more than one coordinate); it is recorded
@@ -77,19 +77,19 @@ def _box_volumes(metric: MetricField, lo, hi) -> np.ndarray:
 
     A box with zero extent on any axis has volume 0.  A metric with a
     closed-form box volume takes every box in one ``box_volume`` call; any
-    other gets the product of per-block ``integrate_box`` integrals, box by
-    box.
+    other gets the product of the ``integrate_box`` integrals of its
+    factors, box by box.
     """
     vol = np.zeros(len(lo))
     live = np.all(hi > lo, axis=1)
     if metric.has_exact_volume:
         vol[live] = metric.box_volume(np.stack([lo[live], hi[live]], -1))
         return vol
-    subs = [(list(b), metric.block_metric(b)) for b in metric.blocks]
+    factors = [(list(c), metric.block_metric(c)) for c in metric.blocks]
     for k in np.flatnonzero(live):
-        vol[k] = np.prod([integrate_box(sub.sqrt_det, zip(lo[k, b], hi[k, b]),
+        vol[k] = np.prod([integrate_box(f.sqrt_det, zip(lo[k, c], hi[k, c]),
                                         rel_tol=_QUAD_TOL)
-                          for b, sub in subs])
+                          for c, f in factors])
     return vol
 
 

@@ -484,7 +484,8 @@ def integrate_jacobi(metric: MetricField, theta0, v0, tau_grid, J0, DJ0,
     carrier are sampled on ``tau_grid``, which may run backward.  ``DJ0`` is
     the covariant derivative of J at the start; the field is linear in
     (J0, DJ0).  A carrier that starts outside the chart or reaches its
-    boundary raises ChartBoundaryError, as in ``integrate_geodesic``.
+    boundary raises ChartBoundaryError, as in ``integrate_geodesic``, and
+    an intensity or rate beyond the float range UndefinedRateError.
     """
     tau_grid = np.asarray(tau_grid, float)
     path, j, jdot = _flow(metric, theta0, v0, (tau_grid[0], tau_grid[-1]),
@@ -496,14 +497,17 @@ def integrate_jacobi(metric: MetricField, theta0, v0, tau_grid, J0, DJ0,
     dj_cov = jdot + np.einsum("nabc,nb,nc->na",
                               metric.connection(path.theta), j,
                               path.theta_dot)
-    inten2 = np.einsum("nab,na,nb->n", g, j, j)
-    inten = np.sqrt(np.maximum(inten2, 0.0))
-    cov_norm = np.sqrt(np.maximum(
-        np.einsum("nab,na,nb->n", g, dj_cov, dj_cov), 0.0))
-    rate = np.where(inten > 1e-300,
-                    np.einsum("nab,na,nb->n", g, dj_cov, j)
-                    / np.where(inten > 1e-300, inten, 1.0),
-                    cov_norm)
+    with np.errstate(all="ignore"):
+        inten2 = np.einsum("nab,na,nb->n", g, j, j)
+        inten = np.sqrt(np.maximum(inten2, 0.0))
+        cov_norm = np.sqrt(np.maximum(
+            np.einsum("nab,na,nb->n", g, dj_cov, dj_cov), 0.0))
+        rate = np.where(inten > 1e-300,
+                        np.einsum("nab,na,nb->n", g, dj_cov, j)
+                        / np.where(inten > 1e-300, inten, 1.0),
+                        cov_norm)
+    if not np.all(np.isfinite(inten) & np.isfinite(rate)):
+        raise UndefinedRateError("Jacobi intensity beyond the float range")
     return JacobiTrace(path, j, dj_cov, inten, rate)
 
 
@@ -523,16 +527,19 @@ def lyapunov_sequence(trace: JacobiTrace):
     Each entry reads only the start and its own grid point, so a trace
     sampled at its two ends alone gives the last entry of a finer one.
     """
-    base = trace.intensity[0] ** 2 + trace.intensity_rate[0] ** 2
-    if base <= 0 or not np.any(trace.intensity > 0):
-        raise UndefinedRateError("identically degenerate deviation trace")
     # elapsed affine parameter; backward traces are rated symmetrically
     tau_grid = trace.path.tau_grid
     elapsed = np.abs(tau_grid - tau_grid[0])
     mask = elapsed > 0
-    taus = elapsed[mask]
-    num = trace.intensity[mask] ** 2 + trace.intensity_rate[mask] ** 2
-    return taus, np.log(num / base) / taus
+    with np.errstate(all="ignore"):
+        base = trace.intensity[0] ** 2 + trace.intensity_rate[0] ** 2
+        num = trace.intensity[mask] ** 2 + trace.intensity_rate[mask] ** 2
+        rates = np.log(num / base) / elapsed[mask]
+    if base <= 0 or not np.any(trace.intensity > 0):
+        raise UndefinedRateError("identically degenerate deviation trace")
+    if not np.all(np.isfinite(rates)):
+        raise UndefinedRateError("Jacobi intensity beyond the float range")
+    return elapsed[mask], rates
 
 
 def lyapunov_estimate(trace: JacobiTrace) -> LyapunovEstimate:

@@ -59,7 +59,7 @@ class BvpFailureError(IgacError):
 
 
 class UndefinedRateError(IgacError):
-    """Growth-rate estimate requested for an identically degenerate trace."""
+    """Growth-rate estimate of a degenerate or overflowing deviation trace."""
 
 
 class UndefinedEntropyError(IgacError):

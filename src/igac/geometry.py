@@ -237,7 +237,7 @@ def rescaled_chart(metric: MetricField, scale) -> MetricField:
     statistical volumes compare two independent computations.  The chart
     floor stays where the base chart sets it: a point is in the rescaled
     chart exactly when its base point theta' / scale, formed as the metric
-    forms it, is in the base chart.
+    forms it, is in the base chart.  Each factor is the base's, rescaled.
     """
     scale = np.asarray(scale, float)
     inv = 1.0 / scale
@@ -263,7 +263,9 @@ def rescaled_chart(metric: MetricField, scale) -> MetricField:
         return gam * gam_factor, dgam * dgam_factor
 
     return MetricField(metric.dim, mat, jet_fn=jet, connection_fn=connection,
-                       source=metric.source, blocks=metric.blocks,
-                       scale_coords=metric.scale_coords,
+                       source=metric.source, scale_coords=metric.scale_coords,
+                       factors=[(c, lambda c=c: rescaled_chart(
+                           metric.block_metric(c), scale[list(c)]))
+                           for c in metric.blocks],
                        floor_margin_fn=lambda thp: metric.floor_margin(
                            thp * inv))

@@ -28,7 +28,7 @@ All spread coordinates live on the open half line (0, inf).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from numbers import Real
 from typing import Callable, Sequence
 
@@ -399,11 +399,9 @@ class MetricField:
     it: Gamma with Gamma[a, b, c] = Gamma^a_bc, symmetric in (b, c), for
     ``order=1`` and (Gamma, dGamma) with dGamma[c, a, b, d] =
     d_c Gamma^a_bd for ``order=2``, each family in its own closed form.
-    Every in-package metric supplies both, and a metric without them (the
-    block sub-metrics of ``block_metric``) serves ``eval`` and ``sqrt_det``
-    only.  ``volume_fn(lo, hi)`` maps box corners of shape (n, dim) to the
-    exact integrals of sqrt(det g) over the boxes, shape (n,); without it,
-    box volumes fall back to quadrature.
+    Every in-package metric supplies both.  ``volume_fn(lo, hi)`` maps box
+    corners of shape (n, dim) to the exact integrals of sqrt(det g) over
+    the boxes, shape (n,); without it, box volumes fall back to quadrature.
     ``flow_fn(theta0, v0, tau)`` is the exact geodesic flow: from starts of
     shape (..., dim), real or complex, it returns (theta, theta_dot) of
     shape (..., n_tau, dim) at the offsets ``tau`` from the start, and it
@@ -414,10 +412,12 @@ class MetricField:
     metrics supply both, each in closed form once per hyperbolic block;
     the flows of ``igac.dynamics`` integrate the geodesic equation without
     them.
-    ``blocks`` lists coordinate groups on which the metric factorizes (the
-    block submatrix depends only on the block's own coordinates), enabling
-    separable volume integrals.  ``scale_coords`` are indices restricted to
-    the open half line; ``in_chart`` holds them at or above the chart floor.
+    ``factors`` holds a (coords, build) pair per factor of a product: the
+    chart indices of a block of g that depends on them alone, zero across
+    blocks, and a function that builds the factor's own MetricField.  A
+    metric with one factor, the default, is that factor; ``blocks`` lists
+    the coords.  ``scale_coords`` are indices restricted to the open half
+    line; ``in_chart`` holds them at or above the chart floor.
     ``floor_margin_fn(theta)`` gives their heights above the floor when the
     floor is set in another chart (``rescaled_chart``); by default it is
     ``theta[..., scale_coords] - _CHART_FLOOR``.
@@ -425,7 +425,7 @@ class MetricField:
     """
 
     def __init__(self, dim: int, matrix_fn: Callable, jet_fn: Callable = None,
-                 source: str = "analytic", blocks=None, scale_coords=(),
+                 source: str = "analytic", factors=None, scale_coords=(),
                  volume_fn: Callable = None, connection_fn: Callable = None,
                  flow_fn: Callable = None, log_fn: Callable = None,
                  floor_margin_fn: Callable = None):
@@ -438,9 +438,13 @@ class MetricField:
         self._log_fn = log_fn
         self._floor_margin_fn = floor_margin_fn
         self.source = source
-        self.blocks = tuple(tuple(b) for b in blocks) if blocks \
-            else (tuple(range(dim)),)
+        self._factors = {tuple(c): cache(b) for c, b in factors} \
+            if len(factors or ()) > 1 else {tuple(range(dim)): None}
         self.scale_coords = tuple(scale_coords)
+
+    @property
+    def blocks(self) -> tuple:
+        return tuple(self._factors)
 
     @property
     def has_exact_volume(self) -> bool:
@@ -529,31 +533,23 @@ class MetricField:
             raise DegenerateMetricError("nonpositive metric determinant")
         return np.sqrt(det)
 
-    def block_metric(self, block):
-        """Restriction of the metric to one coordinate block, for
-        ``eval`` and ``sqrt_det``."""
-        idx = np.asarray(block)
-
-        def sub(th):
-            # out-of-block coordinates are irrelevant by the block contract;
-            # ones keep scale coordinates inside the chart
-            th = np.asarray(th, float)
-            full = np.ones(th.shape[:-1] + (self.dim,))
-            full[..., idx] = th
-            g = self._matrix_fn(full)
-            return g[..., idx[:, None], idx[None, :]]
-
-        return MetricField(len(block), sub, source=self.source,
-                           scale_coords=tuple(
-                               i for i, c in enumerate(block)
-                               if c in self.scale_coords))
+    def block_metric(self, coords) -> MetricField:
+        """The factor on ``coords``, one of ``blocks`` (else ValueError),
+        built once, on request only: its g, jets and connection are the
+        metric's entries on its block, and it has a flow, log map and exact
+        volume wherever the metric, which evaluates them stacked, has one."""
+        coords = tuple(coords)
+        if coords not in self._factors:
+            raise ValueError(f"{coords} is not a factor block of the metric, "
+                             f"whose blocks are {self.blocks}")
+        build = self._factors[coords]
+        return self if build is None else build()
 
 
 def flat_metric(dim: int) -> MetricField:
     eye = np.eye(dim)
 
     def mat(th):
-        th = np.asarray(th, float)
         return np.broadcast_to(eye, th.shape[:-1] + (dim, dim)).copy()
 
     def jet(th, order=1):
@@ -568,20 +564,21 @@ def flat_metric(dim: int) -> MetricField:
 
     return MetricField(dim, mat, jet_fn=jet, connection_fn=connection,
                        volume_fn=lambda lo, hi: np.prod(hi - lo, axis=-1),
-                       blocks=[(i,) for i in range(dim)])
+                       factors=[((i,), lambda: flat_metric(1))
+                                for i in range(dim)])
 
 
 # ---------------------------------------------------------------------------
 # closed-form Fisher metrics
 # ---------------------------------------------------------------------------
 
-def _inverse_square_metric(dim, blocks, source="analytic") -> MetricField:
+def _inverse_square_metric(blocks, source="analytic") -> MetricField:
     """Metric C_k / s_k^2 on each coordinate block k, zero across blocks.
 
-    ``blocks`` holds (start, constants) pairs: the first chart index of a
-    block of contiguous coordinates, whose last one is its spread s, and
-    the ``_Block`` of its constant SPD matrix C, computed where C is known,
-    so that a build only assembles arrays.  Every block entry scales as
+    ``blocks`` holds the ``_Block`` of each block's constant SPD matrix C,
+    in chart order: each block is a run of contiguous coordinates, its
+    spread s last.  The constants are computed where C is known, so that
+    a build only assembles arrays.  Every block entry scales as
     s^-2, so d_s g = -2 g / s and d_s^2 g = 6 g / s^2 are exact and all
     other derivatives vanish.  The connection within a block with spread
     index sigma is Gamma^a_bc = T^a_bc / s with the constant T^a_bc =
@@ -589,7 +586,7 @@ def _inverse_square_metric(dim, blocks, source="analytic") -> MetricField:
     so d_s Gamma = -Gamma / s and its other derivatives vanish.  The box
     volume is prod_k sqrt(det C_k) * (mean-axis extents) * integral of
     s^-d_k over the spread interval.  ``source`` records how the C_k were
-    obtained (closed form or quadrature).
+    obtained (closed form or quadrature); a factor is its block's metric.
 
     The geodesic flow is exact.  Write C = [[A, b], [b^T, c]] with the
     spread last and kappa = c - b^T A^-1 b, the Schur complement of A.  In
@@ -603,6 +600,10 @@ def _inverse_square_metric(dim, blocks, source="analytic") -> MetricField:
     is centred on the boundary, and the log map gives its start velocity
     (``_half_space_log``).
     """
+    sizes = np.array([len(b.c) for b in blocks], dtype=int)
+    spread = np.cumsum(sizes) - 1        # spread coordinate of each block
+    start = spread + 1 - sizes           # first coordinate of each block
+    dim = int(sizes.sum())
     c_full = np.zeros((dim, dim))
     t = np.zeros((dim, dim, dim))
     # the half-space chart of each block, y = mu + e s and x = L^T y:
@@ -610,23 +611,18 @@ def _inverse_square_metric(dim, blocks, source="analytic") -> MetricField:
     # the spreads
     e_full = np.zeros(dim)
     root = np.zeros((dim, dim))
-    spread = []                          # spread coordinate of each block
-    block_of = np.empty(dim, dtype=int)  # block of each coordinate
-    for k, (p, b) in enumerate(blocks):
-        q = p + len(b.c)
-        c_full[p:q, p:q] = b.c
-        t[p:q, p:q, p:q] = b.t
-        e_full[p:q - 1] = b.e
-        root[p:q - 1, p:q - 1] = b.root
-        block_of[p:q] = k
-        spread.append(q - 1)
-    spread = np.array(spread)
+    block_of = np.repeat(np.arange(len(blocks)), sizes)
+    for b, p, s in zip(blocks, start, spread):
+        c_full[p:s + 1, p:s + 1] = b.c
+        t[p:s + 1, p:s + 1, p:s + 1] = b.t
+        e_full[p:s] = b.e
+        root[p:s, p:s] = b.root
     owner = spread[block_of]             # spread coordinate of each index
     ia, ib = np.nonzero(owner[:, None] == owner[None, :])
     ic = owner[ia]
 
     def mat(th):
-        s = np.asarray(th, float)[..., owner]
+        s = th[..., owner]
         return c_full / (s[..., :, None] * s[..., None, :])
 
     def jet(th, order=1):
@@ -651,9 +647,6 @@ def _inverse_square_metric(dim, blocks, source="analytic") -> MetricField:
         dgam[..., owner, rows, :, :] = -gam / s
         return gam, dgam
 
-    # sums |x|^2 over the coordinates of each block
-    member = (block_of[:, None] == np.arange(len(blocks))).astype(float)
-
     def flow(th0, v0, tau):
         # per block: the spread s0, u = s-dot / s, w^2 = |x-dot|^2 / s^2
         # and a^2 = u^2 + w^2, the <V, V> of the hyperboloid tangent
@@ -661,7 +654,7 @@ def _inverse_square_metric(dim, blocks, source="analytic") -> MetricField:
         y_dot = v0 + e_full * v0[..., owner]
         x_dot = y_dot @ root
         u = v0[..., spread] / s0
-        w2 = (x_dot * x_dot) @ member / (s0 * s0)
+        w2 = np.add.reduceat(x_dot * x_dot, start, axis=-1) / (s0 * s0)
         a = np.sqrt(w2 + u * u)
 
         def states(tau):
@@ -692,7 +685,8 @@ def _inverse_square_metric(dim, blocks, source="analytic") -> MetricField:
         s0, s1 = th0[..., spread], th1[..., spread]
         dy = th1 - th0 + e_full * (s1 - s0)[..., block_of]
         dx = dy @ root
-        k, s_dot = _half_space_log(s0, s1, (dx * dx) @ member)
+        k, s_dot = _half_space_log(
+            s0, s1, np.add.reduceat(dx * dx, start, axis=-1))
         v = 2.0 * (s0 * k)[..., block_of] * dy \
             - e_full * s_dot[..., block_of]
         v[..., spread] = s_dot
@@ -700,7 +694,7 @@ def _inverse_square_metric(dim, blocks, source="analytic") -> MetricField:
 
     def volume(lo, hi):
         total = 1.0
-        for (p, b), s in zip(blocks, spread):
+        for b, p, s in zip(blocks, start, spread):
             total = total * b.root_det * _inverse_power_integral(
                 lo[:, s], hi[:, s], len(b.c)) \
                 * np.prod(hi[:, p:s] - lo[:, p:s], axis=1)
@@ -708,10 +702,10 @@ def _inverse_square_metric(dim, blocks, source="analytic") -> MetricField:
 
     return MetricField(dim, mat, jet_fn=jet, connection_fn=connection,
                        flow_fn=flow, log_fn=log, source=source,
-                       volume_fn=volume,
-                       blocks=[range(p, s + 1)
-                               for (p, _), s in zip(blocks, spread)],
-                       scale_coords=spread.tolist())
+                       volume_fn=volume, scale_coords=spread.tolist(),
+                       factors=[(range(p, s + 1), lambda b=b:
+                                 _inverse_square_metric([b], source))
+                                for b, p, s in zip(blocks, start, spread)])
 
 
 def _half_space_flow(u, w2, a, tau):
@@ -805,9 +799,7 @@ def _inverse_power_integral(lo, hi, d):
 def analytic_fisher(model: StatModel) -> MetricField:
     """Closed-form Fisher-Rao metric: C / s^2 on each factor's block, with
     C the closed form of the factor's family."""
-    return _inverse_square_metric(
-        model.param_dim,
-        [(f.theta_at.start, f.family.block) for f in model.factors])
+    return _inverse_square_metric([f.family.block for f in model.factors])
 
 
 def macro_correlated_metric(r_values: Sequence[float]) -> MetricField:
@@ -821,9 +813,8 @@ def macro_correlated_metric(r_values: Sequence[float]) -> MetricField:
     ParameterError.raise_any(correlation_failures(
         {f"r[{i}]": r for i, r in enumerate(r_values)}))
     r_values = [float(r) for r in r_values]
-    return _inverse_square_metric(
-        2 * len(r_values), [(2 * k, _block([[1.0, r], [r, 2.0]]))
-                            for k, r in enumerate(r_values)])
+    return _inverse_square_metric([_block([[1.0, r], [r, 2.0]])
+                                   for r in r_values])
 
 
 # ---------------------------------------------------------------------------
@@ -871,9 +862,8 @@ def fisher_quadrature(model: StatModel, rel_tol: float = 1e-9,
     """
     consts = {fam: _block(_quadrature_c(fam, rel_tol, max_nodes))
               for fam in dict.fromkeys(f.family for f in model.factors)}
-    return _inverse_square_metric(
-        model.param_dim, [(f.theta_at.start, consts[f.family])
-                          for f in model.factors], source="quadrature")
+    return _inverse_square_metric([consts[f.family] for f in model.factors],
+                                  source="quadrature")
 
 
 # ---------------------------------------------------------------------------

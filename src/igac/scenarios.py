@@ -490,7 +490,6 @@ def iho_metric(omegas) -> md.MetricField:
     dim = omegas.size
 
     def mat(th):
-        th = np.asarray(th, float)
         conf = 1.0 + 0.5 * np.sum(omegas ** 2 * th ** 2, axis=-1)
         eye = np.eye(dim)
         return conf[..., None, None] * eye
@@ -499,8 +498,7 @@ def iho_metric(omegas) -> md.MetricField:
     d2g = np.einsum("cd,ab->cdab", np.diag(omegas ** 2), np.eye(dim))
 
     def jet(th, order=1):
-        conf = 1.0 + 0.5 * float(np.sum(omegas ** 2 * th ** 2))
-        g = conf * np.eye(dim)
+        g = mat(th)
         dg = np.einsum("c,ab->cab", omegas ** 2 * th, np.eye(dim))
         return (g, dg) if order == 1 else (g, dg, d2g.copy())
 

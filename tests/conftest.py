@@ -5,6 +5,7 @@ closed-form flow, the nfev log of the dynamics solves and the metric
 strategy over every in-package family."""
 
 import copy
+import functools
 
 import numpy as np
 import pytest
@@ -200,9 +201,13 @@ def fisher_quadrature_at(model, theta, nodes=64, rel_tol=1e-9,
 
 def ode_flow(metric):
     """A copy of ``metric`` without its closed-form flow, so that the flows
-    of ``igac.dynamics`` integrate its geodesic equation by DOP853."""
+    of ``igac.dynamics`` integrate its geodesic equation by DOP853.  Its
+    factors are the copies of the metric's factors, kept apart from the
+    metric's own."""
     plain = copy.copy(metric)
     plain._flow_fn = None
+    plain._factors = {c: build and functools.cache(lambda c=c: ode_flow(
+        metric.block_metric(c))) for c, build in metric._factors.items()}
     return plain
 
 

@@ -14,9 +14,10 @@ from hypothesis import given, settings, strategies as st
 from igac import models as md
 from igac.errors import DomainError, ParameterError
 from igac.quadrature import legendre_panels
+from igac.scenarios import iho_metric
 
-from conftest import FAMILIES, fd_score, fisher_quadrature_at, philox, \
-    random_micro_point, random_model
+from conftest import FAMILIES, fd_score, fisher_quadrature_at, jet_metric, \
+    ode_flow, philox, random_micro_point, random_model
 
 
 def test_log_density_standard_normal_at_mean():
@@ -197,13 +198,92 @@ def test_metric_without_jet_raises_from_jet():
             bare.jet([0.0, 1.0], order)
         with pytest.raises(ValueError):
             bare.connection([0.0, 1.0], order)
-    # block sub-metrics carry no jet and no connection; they serve sqrt_det
-    sub = metric.block_metric((0, 1))
+    # a factor carries its own jet and connection
+    sub = md.analytic_fisher(md.gaussian_diag([0.0, 0.0], [1.0, 1.0])) \
+        .block_metric((2, 3))
     assert sub.sqrt_det([0.0, 2.0]) == pytest.approx(np.sqrt(2.0) / 4.0)
-    with pytest.raises(ValueError):
-        sub.jet([0.0, 2.0])
-    with pytest.raises(ValueError):
-        sub.connection([0.0, 2.0])
+    g, dg = sub.jet([0.0, 2.0])
+    assert np.array_equal(g, metric.eval([0.0, 2.0]))
+    assert np.array_equal(dg, metric.jet([0.0, 2.0])[1])
+    assert np.array_equal(sub.connection([0.0, 2.0]),
+                          metric.connection(np.array([0.0, 2.0])))
+
+
+@settings(max_examples=120)
+@given(jet_metric(st.floats(0.3, 3.0)), st.booleans(),
+       st.lists(st.floats(-1.0, 1.0), min_size=18, max_size=18))
+def test_each_factor_carries_the_geometry_of_its_block(case, plain, raw):
+    metric, theta = case
+    if plain:
+        metric = ode_flow(metric)
+    raw, spread = np.array(raw[:metric.dim]), list(metric.scale_coords)
+    theta1 = theta + 0.25 * raw
+    theta1[spread] = theta[spread] * np.exp(0.25 * raw[spread])
+    bounds = np.stack([np.minimum(theta, theta1),
+                       np.maximum(theta, theta1)], -1)
+    # each block moves at a rate of order one
+    v = raw.copy()
+    for coords in metric.blocks:
+        v[list(coords)] *= min([theta[i] for i in coords if i in spread],
+                               default=1.0)
+    g, dg, d2g = metric.jet(theta, 2)
+    gam, dgam = metric.connection(theta, 2)
+    volumes = []
+    for coords in metric.blocks:
+        idx, sub = list(coords), metric.block_metric(coords)
+        assert sub is metric.block_metric(coords) and sub.dim == len(idx)
+        th = theta[idx]
+        entries = [np.ix_(*[idx] * k) for k in (2, 3, 4)]
+        assert np.array_equal(sub.eval(th), metric.eval(theta)[entries[0]])
+        for part, full, at in zip(sub.jet(th, 2), (g, dg, d2g), entries):
+            assert np.array_equal(part, full[at])
+        for part, full, at in zip(sub.connection(th, 2), (gam, dgam),
+                                  entries[1:]):
+            assert np.array_equal(part, full[at])
+        assert sub.has_exact_flow == metric.has_exact_flow
+        assert sub.has_exact_volume == metric.has_exact_volume
+        atol = 1e-12 * (1.0 + np.max(np.abs(theta1)))
+        if metric.has_exact_flow:
+            tau = np.array([-0.5, 0.25, 1.0])
+            for part, full in zip(sub.flow(th, v[idx], tau),
+                                  metric.flow(theta, v, tau)):
+                np.testing.assert_allclose(part, full[:, idx], rtol=1e-12,
+                                           atol=atol)
+        try:
+            full_log = metric.log(theta, theta1)[idx]
+        except ValueError:
+            with pytest.raises(ValueError):
+                sub.log(th, theta1[idx])
+        else:
+            np.testing.assert_allclose(sub.log(th, theta1[idx]), full_log,
+                                       rtol=1e-12, atol=atol)
+        if metric.has_exact_volume:
+            volumes.append(sub.box_volume(bounds[idx]))
+    if metric.has_exact_volume:
+        assert np.prod(volumes) == pytest.approx(metric.box_volume(bounds),
+                                                 rel=1e-12, abs=0.0)
+
+
+def test_block_metric_takes_a_factor_block_only():
+    metric = md.analytic_fisher(md.gaussian_diag([0.0, 0.0], [1.0, 1.0]))
+    for coords in [(0,), (1, 0), (0, 1, 2, 3), (1, 2)]:
+        with pytest.raises(ValueError):
+            metric.block_metric(coords)
+    iho = iho_metric([0.5, 1.0])
+    assert iho.blocks == ((0, 1),) and iho.block_metric([0, 1]) is iho
+
+
+def test_full_metric_builds_no_factor(monkeypatch):
+    # a product evaluates stacked; a factor is built on request only
+    metric = md.analytic_fisher(md.product(
+        md.exponential(1.0), md.gaussian_diag([0.0, 0.0], [1.0, 2.0])))
+    monkeypatch.setattr(md, "_inverse_square_metric", None)
+    theta, v = np.array([1.0, 0.0, 1.0, 0.5, 2.0]), np.full(5, 0.1)
+    metric.eval(theta), metric.jet(theta, 2), metric.connection(theta, 2)
+    metric.flow(theta, v, [1.0]), metric.log(theta, theta + 0.1)
+    metric.box_volume(np.stack([theta, theta + 0.1], -1))
+    with pytest.raises(TypeError):
+        metric.block_metric((0,))
 
 
 def test_with_theta_rebinds_and_validates():
