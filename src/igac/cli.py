@@ -598,7 +598,7 @@ def _cmd_jacobi(cfg, flow):
                                dj0)
     report.inputs.update(j0=flow.j0, dj0=dj0)
     report.observables.update(
-        lyapunov_estimate=dyn.lyapunov_estimate(jac).value,
+        lyapunov_estimate=dyn.lyapunov_estimate(jac),
         final_intensity=jac.intensity[-1])
     report.traces["jacobi"] = {"tau": jac.path.tau_grid,
                                "theta": jac.path.theta,
@@ -612,7 +612,7 @@ def _cmd_ige(cfg, flow):
     path = dyn.integrate_geodesic(flow.metric, flow.theta, flow.v0,
                                   flow.tau_end, n_out=flow.n_out)
     trace = cx.complexity_trace(flow.metric, path)
-    fit = cx.fit_asymptotics(trace, flow.fit_form, min_points=16,
+    fit = cx.fit_asymptotics(trace, flow.fit_form,
                              fit_window_fraction=flow.fit_window_fraction)
     report.observables["fit"] = {"form": fit.form, "params": list(fit.params),
                                  "r2": fit.r2, "window": list(fit.window)}

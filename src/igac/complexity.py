@@ -250,7 +250,7 @@ def fit_failures(form: str = "linear", fit_window_fraction: float = 0.25,
 
 def fit_asymptotics(trace: ComplexityTrace, form: str, multiplicity: int = 1,
                     window: tuple = None, fit_window_fraction: float = 0.25,
-                    min_points: int = 32) -> AsymptoticFit:
+                    min_points: int = 16) -> AsymptoticFit:
     """Least-squares fit of the trace to one asymptotic form.
 
     The window defaults to the trace range with the first quarter (the

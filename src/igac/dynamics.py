@@ -20,8 +20,8 @@ velocity, each shot flowing the n x n block that starts at
 
 Every flow returns its carrier as one ``GeodesicPath`` (grid, theta,
 theta-dot, the speed g(theta-dot, theta-dot) and dense state access);
-a ``JacobiTrace`` holds that path beside its field.  The finite-time
-growth-rate estimator is built from the Jacobi intensity.
+a ``JacobiTrace`` holds that path beside its field.  The one growth-rate
+estimator reads the Jacobi intensity at the two ends of a trace.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ from .models import MetricField
 __all__ = [
     "GeodesicPath",
     "JacobiTrace",
-    "LyapunovEstimate",
     "n_out_failures",
     "integrate_geodesic",
     "solve_geodesic_bvp",
@@ -169,8 +168,12 @@ def _flow(metric: MetricField, theta0, v0, span, rtol: float, atol: float,
     v0 = np.asarray(v0, float)
     if block is None:
         j0 = jdot0 = np.zeros((dim, 0))
+        exp = 0
     else:
         j0, dj0 = (np.asarray(b, float).reshape(dim, -1) for b in block)
+        # an exact power of two per column keeps Gamma(J, v0) in range
+        exp = np.frexp(np.max(np.abs(np.concatenate([j0, dj0])), axis=0))[1]
+        j0, dj0 = np.ldexp(j0, -exp), np.ldexp(dj0, -exp)
         jdot0 = dj0 - np.einsum("abc,bk,c->ak", metric.connection(theta0),
                                 j0, v0)
     size = np.max(np.abs(np.concatenate([j0, jdot0])), axis=0)
@@ -220,8 +223,10 @@ def _flow(metric: MetricField, theta0, v0, span, rtol: float, atol: float,
             def state(tau):
                 y = sol.sol(tau)
                 return y[:dim].T, y[dim:2 * dim].T
-    return (GeodesicPath.on(metric, grid, theta, theta_dot, state),
-            j * size, jdot * size)
+    # a field beyond the float range overflows here, to inf
+    with np.errstate(over="ignore"):
+        return (GeodesicPath.on(metric, grid, theta, theta_dot, state),
+                np.ldexp(j * size, exp), np.ldexp(jdot * size, exp))
 
 
 # complex-step size: second-order terms (~1e-80) vanish against every
@@ -494,10 +499,10 @@ def integrate_jacobi(metric: MetricField, theta0, v0, tau_grid, J0, DJ0,
     j, jdot = j[..., 0], jdot[..., 0]
 
     g = metric.eval(path.theta)
-    dj_cov = jdot + np.einsum("nabc,nb,nc->na",
-                              metric.connection(path.theta), j,
-                              path.theta_dot)
     with np.errstate(all="ignore"):
+        dj_cov = jdot + np.einsum("nabc,nb,nc->na",
+                                  metric.connection(path.theta), j,
+                                  path.theta_dot)
         inten2 = np.einsum("nab,na,nb->n", g, j, j)
         inten = np.sqrt(np.maximum(inten2, 0.0))
         cov_norm = np.sqrt(np.maximum(
@@ -511,48 +516,43 @@ def integrate_jacobi(metric: MetricField, theta0, v0, tau_grid, J0, DJ0,
     return JacobiTrace(path, j, dj_cov, inten, rate)
 
 
-@dataclass(frozen=True)
-class LyapunovEstimate:
-    """Finite-time growth-rate diagnostic of a deviation trace."""
-
-    value: float
-    taus: np.ndarray
-    sequence: np.ndarray
-
-
-def lyapunov_sequence(trace: JacobiTrace):
-    """(elapsed tau, lambda) at every grid point after the start, with
-    lambda(tau) = ln[(|J|^2 + |dJ/dtau|^2) / (value at the start)] / tau.
-
-    Each entry reads only the start and its own grid point, so a trace
-    sampled at its two ends alone gives the last entry of a finer one.
-    """
+def _rates(trace: JacobiTrace, at):
+    """``lyapunov_sequence`` at the grid points ``at`` of ``trace``; each
+    point reads only itself and the start."""
     # elapsed affine parameter; backward traces are rated symmetrically
     tau_grid = trace.path.tau_grid
-    elapsed = np.abs(tau_grid - tau_grid[0])
-    mask = elapsed > 0
+    elapsed = np.abs(tau_grid[at] - tau_grid[0])
+    if not np.all(elapsed > 0):
+        raise UndefinedRateError("no elapsed time for a rate estimate")
     with np.errstate(all="ignore"):
         base = trace.intensity[0] ** 2 + trace.intensity_rate[0] ** 2
-        num = trace.intensity[mask] ** 2 + trace.intensity_rate[mask] ** 2
-        rates = np.log(num / base) / elapsed[mask]
+        num = trace.intensity[at] ** 2 + trace.intensity_rate[at] ** 2
+        rates = np.log(num / base) / elapsed
     if base <= 0 or not np.any(trace.intensity > 0):
         raise UndefinedRateError("identically degenerate deviation trace")
     if not np.all(np.isfinite(rates)):
         raise UndefinedRateError("Jacobi intensity beyond the float range")
-    return elapsed[mask], rates
+    return elapsed, rates
 
 
-def lyapunov_estimate(trace: JacobiTrace) -> LyapunovEstimate:
-    """Finite-time evaluation of the intensity growth-rate functional.
+def lyapunov_sequence(trace: JacobiTrace):
+    """(elapsed tau, lambda) at every grid point after the start, with
+    lambda(tau) = ln[(|J|^2 + |dJ/dtau|^2) / (value at the start)] / tau,
+    for convergence inspection."""
+    tau_grid = trace.path.tau_grid
+    return _rates(trace, tau_grid != tau_grid[0])
 
-    lambda(tau) of ``lyapunov_sequence``, which doubles the exponential
-    rate of |J| itself, at the end of the trace; the full sequence over the
-    grid is returned for convergence inspection.
+
+def lyapunov_estimate(trace: JacobiTrace) -> float:
+    """Finite-time evaluation of the intensity growth-rate functional:
+    lambda of ``lyapunov_sequence``, which doubles the exponential rate of
+    |J| itself, at the end of the trace.
+
+    It reads only the start and the end, so a trace sampled at its two
+    ends gives the bits of a finer one.  A trace with no elapsed time
+    raises UndefinedRateError.
     """
-    if trace.path.tau_grid.size < 16:
-        raise UndefinedRateError("trace too short for a rate estimate")
-    taus, seq = lyapunov_sequence(trace)
-    return LyapunovEstimate(float(seq[-1]), taus, seq)
+    return float(_rates(trace, [-1])[1][0])
 
 
 def jacobi_q_coefficient(metric: MetricField, theta, v) -> float:

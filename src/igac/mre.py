@@ -8,13 +8,14 @@ whose gradient is the moment residual and whose Hessian is the tilted
 covariance of f; one damped Newton iteration with Armijo backtracking solves
 it for any number of constraints.
 
-Integrals use composite Gauss-Legendre grids (2048 points, endpoint
-clustered); a tabulated prior on its own support is integrated on the
-rule it is tabulated on, which for ``uniform_prior`` and every posterior is
-that grid.  Infinite prior supports are truncated at the prior's effective
-range, where ln Z is finite for every beta; whether Z stays finite on the
-untruncated support is decided once, at the solution, from the tilted
-integrand far beyond each truncated end.
+One support record per prior (``_support``) holds its working interval,
+truncated ends and log-density.  Integrals use composite Gauss-Legendre
+grids (2048 points, endpoint clustered); a tabulated prior on its own
+support is read on its own rule, which for ``uniform_prior`` and every
+posterior is that grid.  Infinite prior supports are truncated at the
+prior's effective range, where ln Z is finite for every beta; whether Z
+stays finite on the untruncated support is decided once, at the solution,
+from the tilted log-density far beyond each truncated end.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 from .errors import BracketingError, DomainError, \
     InfeasibleConstraintError, ParameterError
 from .models import StatModel, log_density, _is_number, positive_failures
-from .quadrature import gauss_legendre
+from .quadrature import panel_rule
 
 __all__ = [
     "TabulatedDensity",
@@ -42,23 +43,14 @@ __all__ = [
     "domain_failures",
 ]
 
-_GRID_POINTS = 2048
-_PANEL_NODES = 64
 _NEWTON_STEPS = 100
 _HALVINGS = 60
 
 
 def _composite_grid(lo: float, hi: float):
-    """Uniform composite Gauss-Legendre rule of ``_GRID_POINTS`` nodes;
-    nodes cluster at panel edges."""
-    n_panels = _GRID_POINTS // _PANEL_NODES
-    t, w = gauss_legendre(_PANEL_NODES)
-    edges = np.linspace(lo, hi, n_panels + 1)
-    half = 0.5 * np.diff(edges)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    x = (mids[:, None] + half[:, None] * t).ravel()
-    ww = (half[:, None] * w).ravel()
-    return x, ww
+    """The working rule on (lo, hi): 32 equal panels of 64 Gauss-Legendre
+    nodes, 2048 in all, clustered at the panel edges."""
+    return panel_rule(np.linspace(lo, hi, 33), 64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,44 +94,39 @@ def uniform_prior(lo: float, hi: float) -> TabulatedDensity:
                             bounds=(float(lo), float(hi)))
 
 
-def _prior_interval(prior, domain):
-    """Finite working interval plus flags marking truncated infinite ends.
-
-    A hard support boundary (the origin of a half-line density) is not a
-    truncation; only genuinely infinite ends get the integrability check.
-    """
-    if isinstance(prior, StatModel) and prior.micro_dim != 1:
-        raise ValueError("only one-dimensional priors are supported")
+def _support(prior, domain):
+    """(lo, hi, open_lo, open_hi, ln_p) of ``prior`` on ``domain``, or on
+    its own support: the finite working interval, flags marking infinite
+    ends, which only a StatModel prior may have and which are truncated at
+    its effective range (a hard support edge, such as the origin of a
+    half-line density, is not one), and the log-density of nodes."""
     if domain is not None:
-        lo, hi = float(domain[0]), float(domain[1])
-        if isinstance(prior, TabulatedDensity) and \
-                not (prior.bounds[0] <= lo and hi <= prior.bounds[1]):
+        domain = (float(domain[0]), float(domain[1]))
+    if isinstance(prior, StatModel):
+        if prior.micro_dim != 1:
+            raise ValueError("only one-dimensional priors are supported")
+        lo, hi = prior.micro_bounds()[0] if domain is None else domain
+        open_lo, open_hi = not np.isfinite(lo), not np.isfinite(hi)
+        if open_lo or open_hi:
+            f = prior.factors[0]
+            box = f.to_x(prior.theta, f.family.box)[0]
+            lo = box[0] if open_lo else lo
+            hi = box[1] if open_hi else hi
+        return lo, hi, open_lo, open_hi, \
+            lambda x: log_density(prior, x[:, None])
+    if isinstance(prior, TabulatedDensity):
+        lo, hi = prior.bounds if domain is None else domain
+        if not (prior.bounds[0] <= lo and hi <= prior.bounds[1]):
             raise DomainError(f"domain ({lo}, {hi}) leaves the support "
                               f"{prior.bounds} of the tabulated prior")
-    elif isinstance(prior, TabulatedDensity):
-        lo, hi = prior.bounds
-    elif isinstance(prior, StatModel):
-        lo, hi = prior.micro_bounds()[0]
-    else:
+        return lo, hi, False, False, \
+            lambda x: _log_values(prior.density(x))
+    if domain is None:
         raise ValueError("a domain is required for callable priors")
-    open_lo = not np.isfinite(lo)
-    open_hi = not np.isfinite(hi)
-    if (open_lo or open_hi) and isinstance(prior, StatModel):
-        f = prior.factors[0]
-        box = f.to_x(prior.theta, f.family.box)[0]
-        lo = box[0] if open_lo else lo
-        hi = box[1] if open_hi else hi
-    elif open_lo or open_hi:
+    if not np.all(np.isfinite(domain)):
         raise ValueError("infinite domain requires a StatModel prior")
-    return lo, hi, open_lo, open_hi
-
-
-def _log_prior_values(prior, x):
-    if isinstance(prior, StatModel):
-        return log_density(prior, x[:, None])
-    if isinstance(prior, TabulatedDensity):
-        return _log_values(prior.density(x))
-    return _log_values(np.asarray(prior(x), float))
+    return *domain, False, False, \
+        lambda x: _log_values(np.asarray(prior(x), float))
 
 
 def _log_values(vals):
@@ -195,7 +182,7 @@ class _Workspace:
 
     def __init__(self, problem: MrEProblem):
         prior = problem.prior
-        lo, hi, self.open_lo, self.open_hi = _prior_interval(
+        lo, hi, self.open_lo, self.open_hi, self.ln_p = _support(
             prior, problem.domain)
         self.problem = problem
         self.bounds = (lo, hi)
@@ -205,7 +192,7 @@ class _Workspace:
             self.lnp_old = _log_values(prior.p)
         else:
             self.x, self.w = _composite_grid(lo, hi)
-            self.lnp_old = _log_prior_values(prior, self.x)
+            self.lnp_old = self.ln_p(self.x)
         self.f = _features(problem.constraints, self.x)
         self.targets = np.array([F for _, F in problem.constraints])
         self.lnpw = self.lnp_old + np.log(self.w)
@@ -246,8 +233,7 @@ def _check_integrable(ws: _Workspace, beta):
                              (ws.open_hi, hi + reach, "+inf")):
         if not is_open:
             continue
-        g = _log_prior_values(ws.problem.prior, x) + \
-            beta @ _features(ws.problem.constraints, x)
+        g = ws.ln_p(x) + beta @ _features(ws.problem.constraints, x)
         if not np.all(np.diff(g) < 0.0):
             raise InfeasibleConstraintError(
                 f"tilted integrand does not decay toward {side}; Z diverges")
@@ -330,21 +316,15 @@ def update(prior, mean: float, second_moment: float, domain=None,
 
 
 def relative_entropy(p, q, domain=None) -> float:
-    """S[p, q] = -int p ln(p/q); nonpositive, zero iff p = q."""
-    interval = None
-    for cand in (p, q):
-        if isinstance(cand, TabulatedDensity):
-            interval = cand.bounds
-            break
-    if domain is not None:
-        interval = (float(domain[0]), float(domain[1]))
-    ref = p if isinstance(p, (StatModel, TabulatedDensity)) else q
-    lo, hi, _, _ = _prior_interval(
-        ref if isinstance(ref, (StatModel, TabulatedDensity)) else None,
-        interval)
+    """S[p, q] = -int p ln(p/q); nonpositive, zero iff p = q.
+
+    Both densities are read through ``_support`` on one interval: ``domain``,
+    or else the support of ``p``.
+    """
+    lo, hi, _, _, ln_p = _support(p, domain)
+    *_, ln_q = _support(q, (lo, hi))
     x, w = _composite_grid(lo, hi)
-    lp = _log_prior_values(p, x)
-    lq = _log_prior_values(q, x)
+    lp, lq = ln_p(x), ln_q(x)
     pv = np.exp(lp)
     support = pv > 1e-15 * np.max(pv)
     if np.any(support & (lq < np.log(1e-280))):

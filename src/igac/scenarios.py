@@ -274,8 +274,7 @@ def run_uncorrelated_gaussian(cfg: PairsConfig) -> ScenarioReport:
     path, trace = _ige_trace(metric, theta0, v0, tau_end)
     # late window keeps the -ln(tau) finite-time correction small
     fit_window = (0.55 * tau_end, tau_end)
-    fit = cx.fit_asymptotics(trace, "linear", window=fit_window,
-                             min_points=16)
+    fit = cx.fit_asymptotics(trace, "linear", window=fit_window)
     slope = fit.params[0]
     report.observables["ige_linear_slope"] = slope
     report.observables["ige_fit_r2"] = fit.r2
@@ -294,8 +293,7 @@ def run_uncorrelated_gaussian(cfg: PairsConfig) -> ScenarioReport:
     th2, vv2 = np.tile(theta0, 2), np.tile(v0, 2)
     m2 = md.analytic_fisher(_gaussian_model_at(th2))
     _, tr2 = _ige_trace(m2, th2, vv2, tau_end)
-    slope2 = cx.fit_asymptotics(tr2, "linear", window=fit_window,
-                                min_points=16).params[0]
+    slope2 = cx.fit_asymptotics(tr2, "linear", window=fit_window).params[0]
     report.observables["ige_slope_doubled"] = slope2
     report.add("slope_ratio_doubling", slope2 / slope, 2.0, 0.2,
                "entropy slope proportional to pair count", mode="abs")
@@ -378,12 +376,11 @@ def run_macro_correlated(cfg: PairsConfig) -> ScenarioReport:
         report.add("ige_degeneration_at_r0", gap, 0.0, 1e-8,
                    "continuous limit of the pair metric")
 
-    lin = cx.fit_asymptotics(trace, "linear", min_points=16)
+    lin = cx.fit_asymptotics(trace, "linear")
     report.observables["ige_linear_slope"] = lin.params[0]
     report.observables["ige_linear_r2"] = lin.r2
     try:
-        sat = cx.fit_asymptotics(trace, "ige_saturating", multiplicity=l,
-                                 min_points=16)
+        sat = cx.fit_asymptotics(trace, "ige_saturating", multiplicity=l)
         report.observables["lambda1_fitted"] = sat.params[0]
         report.observables["lambda2_fitted"] = sat.params[1]
         report.observables["ige_saturating_r2"] = sat.r2
@@ -802,8 +799,7 @@ def run_spin_chain(cfg: SpinChainConfig) -> ScenarioReport:
 
     path, trace = _ige_trace(metric, theta0, v0, tau_end)
     window = (max(1.0, 0.04 * tau_end), tau_end)
-    winner, margin, fits = cx.select_growth_form(trace, window=window,
-                                                 min_points=16)
+    winner, margin, fits = cx.select_growth_form(trace, window=window)
     report.observables["growth_form"] = winner.form
     report.observables["r2_margin"] = margin
     for f in fits:
@@ -824,9 +820,9 @@ def run_spin_chain(cfg: SpinChainConfig) -> ScenarioReport:
         jac = dyn.integrate_jacobi(metric, theta0, v0, path.tau_grid,
                                    np.zeros(metric.dim), w)
         lam = dyn.lyapunov_estimate(jac)
-        report.observables["lyapunov_estimate"] = lam.value
+        report.observables["lyapunov_estimate"] = lam
         k_ig = report.observables["k_ig"]
-        report.observables["k_ig_vs_half_lyapunov"] = k_ig / (0.5 * lam.value)
+        report.observables["k_ig_vs_half_lyapunov"] = k_ig / (0.5 * lam)
         report.notes.append(
             "the squared-intensity rate functional returns twice the "
             "deviation growth rate; K_IG tracks half the estimate")
@@ -1100,8 +1096,8 @@ def _prolongation_delta(cfg: ScatterConfig, r):
 
 def _wavepacket_lyapunov(args):
     """Finite-time rate of the normal deviation on the manifold of
-    correlation r, from the two ends of its window: the value
-    ``lyapunov_estimate`` reads off a trace of the whole window."""
+    correlation r: ``lyapunov_estimate`` of the field at the two ends of
+    its window, which are all that estimate reads of a finer trace."""
     cfg, r, metric = args
     a0 = cfg.a0
     th0, v0 = _wavepacket_start(cfg, r)
@@ -1110,7 +1106,7 @@ def _wavepacket_lyapunov(args):
     ends = np.array([0.0, min(20.0 / a0, tau_cap)])
     jac = dyn.integrate_jacobi(metric, th0, v0, ends, np.zeros(3),
                                dyn.normal_direction(metric, th0, v0))
-    return float(dyn.lyapunov_sequence(jac)[1][-1])
+    return dyn.lyapunov_estimate(jac)
 
 
 def run_wavepacket(cfg: ScatterConfig) -> ScenarioReport:

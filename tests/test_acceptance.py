@@ -137,7 +137,7 @@ def test_criterion_4_jacobi_and_lyapunov():
         jr = dyn.integrate_jacobi(metric_r, *carrier(path20), np.zeros(3), wr,
                                   rtol=1e-10)
         est = dyn.lyapunov_estimate(jr)
-        lam_errs.append(abs(est.value - 2 * pr.a0) / (2 * pr.a0))
+        lam_errs.append(abs(est - 2 * pr.a0) / (2 * pr.a0))
     _line("criterion 4: deviation intensity and growth rate",
           rel < 1e-4 and max(lam_errs) < 0.05,
           f"intensity {rel:.2e}, rate errs {[f'{e:.3f}' for e in lam_errs]}")

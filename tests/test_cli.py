@@ -353,16 +353,22 @@ def test_jacobi_carrier_leaving_chart_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("j0,dj0", [("[1.0e+300, 0.0]", "[0.0, 1.0]"),
-                                    ("[1.0e+152, 0.0]", "[1.0e+152, 0.0]")])
+                                    ("[1.0e+152, 0.0]", "[1.0e+152, 0.0]"),
+                                    ("[0.0, 1.0e+300]", "[0.0, 1.0]"),
+                                    ("[1.7e+308, 1.7e+308]", "[0.0, 1.0]")])
 def test_jacobi_intensity_beyond_the_float_range_exits_2(tmp_path, capsys,
                                                          j0, dj0):
     # g(J, J) overflows from the start at 1e300; at 1e152 the intensity
-    # stays finite, and the sum of squares in the growth rate overflows
+    # stays finite, and the sum of squares in the growth rate overflows;
+    # at 1.7e308 Gamma(J, v0) is taken on the column scaled to unit size,
+    # so only the field itself leaves the float range; no warning escapes
     cfg = tmp_path / "jac.yaml"
     cfg.write_text(f"manifold: {DIAG_2D}\ntheta0: [0.0, 1.0]\n"
                    f"v0: [1.0, 0.5]\nj0: {j0}\ndj0: {dj0}\ntau_end: 6.0\n"
                    f"output: {{directory: '{tmp_path}/out'}}\n")
-    assert cli.main(["jacobi", "--config", str(cfg)]) == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["jacobi", "--config", str(cfg)]) == 2
     assert "UndefinedRateError" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 

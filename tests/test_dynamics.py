@@ -496,9 +496,10 @@ def test_lyapunov_flat_decays_to_zero():
     est = dyn.lyapunov_estimate(trace)
     # polynomial growth: the estimate decays like ln(tau^2) / tau
     tau = trace.path.tau_grid[-1]
-    assert est.value == pytest.approx(np.log(tau ** 2 + 1) / tau, rel=1e-6)
-    assert est.value < 0.06
-    assert est.sequence[8] > est.sequence[-1]
+    assert est == pytest.approx(np.log(tau ** 2 + 1) / tau, rel=1e-6)
+    assert est < 0.06
+    seq = dyn.lyapunov_sequence(trace)[1]
+    assert seq[8] > seq[-1]
 
 
 def test_lyapunov_symbolic_limit():
@@ -515,16 +516,37 @@ def test_lyapunov_symbolic_limit():
 
 
 def test_lyapunov_error_cases():
+    # a trace with no elapsed time has no rate
+    metric = md.analytic_fisher(md.gaussian_diag([0.0], [1.0]))
+    still = dyn.integrate_jacobi(metric, [0.0, 1.0], [1.0, 0.5], [1.0, 1.0],
+                                 [1.0, 0.0], [0.0, 1.0])
+    with pytest.raises(UndefinedRateError, match="no elapsed time"):
+        dyn.lyapunov_estimate(still)
     m = md.flat_metric(2)
-    path = dyn.integrate_geodesic(m, [0.0, 0.0], [1.0, 0.0], 1.0, tol=1e-9,
-                                  n_out=8)
-    trace = dyn.integrate_jacobi(m, *carrier(path), np.zeros(2), [0.0, 1.0])
-    with pytest.raises(UndefinedRateError):
-        dyn.lyapunov_estimate(trace)
     path = dyn.integrate_geodesic(m, [0.0, 0.0], [1.0, 0.0], 1.0, tol=1e-9)
     zero = dyn.integrate_jacobi(m, *carrier(path), np.zeros(2), np.zeros(2))
     with pytest.raises(UndefinedRateError):
         dyn.lyapunov_estimate(zero)
+
+
+@pytest.mark.parametrize("kind", ["closed form", "DOP853"])
+def test_lyapunov_estimate_reads_the_two_ends_only(kind):
+    """The estimate on the 257-point trace of one field is its estimate on
+    the trace at the two ends of the grid, bit for bit, and the last entry
+    of its sequence."""
+    metric = md.analytic_fisher(md.gaussian_diag([0.0], [1.0]))
+    if kind == "DOP853":
+        metric = ode_flow(metric)
+    grid = np.linspace(0.0, 4.0, 257)
+
+    def trace(taus):
+        return dyn.integrate_jacobi(metric, [0.0, 1.0], [1.0, 0.5], taus,
+                                    [0.3, 0.0], [0.0, 1.0])
+
+    fine = trace(grid)
+    assert dyn.lyapunov_estimate(fine) \
+        == dyn.lyapunov_estimate(trace(grid[[0, -1]])) \
+        == dyn.lyapunov_sequence(fine)[1][-1]
 
 
 @pytest.mark.parametrize("r", [0.0, 0.2, 0.5])
@@ -545,7 +567,7 @@ def test_lyapunov_independent_of_correlation(r):
     trace = dyn.integrate_jacobi(metric, *carrier(path), np.zeros(3), w,
                                  rtol=1e-10)
     est = dyn.lyapunov_estimate(trace)
-    assert abs(est.value - 2 * p.a0) / (2 * p.a0) < 0.05
+    assert abs(est - 2 * p.a0) / (2 * p.a0) < 0.05
 
 
 def test_path_immutability_and_state():
@@ -595,7 +617,7 @@ def test_lyapunov_on_backward_trace():
     est_b = dyn.lyapunov_estimate(
         dyn.integrate_jacobi(metric, *carrier(back), np.zeros(3), w,
                              rtol=1e-10))
-    assert est_b.value == pytest.approx(est_f.value, rel=1e-6)
+    assert est_b == pytest.approx(est_f, rel=1e-6)
 
 
 # initial data of demos/configs/wavepacket.yaml

@@ -303,14 +303,21 @@ def test_batched_metric_eval():
     assert out[1] == pytest.approx(np.diag([0.25, 0.5]))
 
 
-def test_quadrature_cap_reports_estimate():
+def test_quadrature_c_of_degree_8_reports_the_8_node_estimate():
+    """h = (t, t^4 - 3) under N(0, 1): h h^T has degree 8, beyond the
+    4-node rule, so the 4- and 8-node estimates of C differ and the error
+    carries the 8-node one, which is exact, diag(1, 96)."""
+    from dataclasses import replace
+
     from igac.errors import QuadratureAccuracyError
 
-    m = md.gaussian_diag([0.0], [1.0])
-    with pytest.raises(QuadratureAccuracyError) as err:
-        md.fisher_quadrature(m, max_nodes=4)
-    assert err.value.estimate is not None
-    assert err.value.estimate.shape == (2, 2)
+    family = replace(md._GAUSS, score=lambda t: np.concatenate(
+        [t, t ** 4 - 3.0], axis=-1))
+    with pytest.raises(QuadratureAccuracyError, match="4- and 8-node") \
+            as err:
+        md._quadrature_c(family)
+    assert err.value.estimate == pytest.approx(np.diag([1.0, 96.0]),
+                                               rel=1e-12, abs=1e-12)
 
 
 def test_block_constants_are_computed_once_per_c(monkeypatch):

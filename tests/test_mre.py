@@ -278,6 +278,22 @@ def test_jointly_infeasible_targets_raise():
         mre.solve_multiplier(problem)
 
 
+def test_one_prior_in_three_kinds_gives_one_beta():
+    """N(0, 1) on (-5, 5) as a StatModel, as a callable density and as a
+    TabulatedDensity on the working rule: one support record reads each,
+    and the multipliers agree."""
+    cons = ((lambda x: x, 0.3), (lambda x: x * x, 1.2))
+    x, w = mre._composite_grid(-5.0, 5.0)
+    priors = [(md.gaussian_diag([0.0], [1.0]), (-5.0, 5.0)),
+              (norm.pdf, (-5.0, 5.0)),
+              (mre.TabulatedDensity(x, w, norm.pdf(x), bounds=(-5.0, 5.0)),
+               None)]
+    betas = [mre.solve_multiplier(mre.MrEProblem(prior, cons, domain)).beta
+             for prior, domain in priors]
+    for beta in betas[1:]:
+        assert beta == pytest.approx(betas[0], abs=1e-12)
+
+
 def test_relative_entropy_values():
     p = md.gaussian_diag([1.0], [1.0])
     q = md.gaussian_diag([0.0], [1.0])
