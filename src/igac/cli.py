@@ -441,12 +441,13 @@ def _check_update(path, settings, spec, failures, nonfinite):
     return None if failures or nonfinite else (problem, float(tol))
 
 
-def build_metric(spec: dict, source: str = "analytic") -> md.MetricField:
-    """The metric of a manifold spec; ConfigError when it is invalid."""
+def build_metric(spec: dict) -> md.MetricField:
+    """The analytic metric of a manifold spec; ConfigError when it is
+    invalid."""
     failures = []
     manifold = _validate_manifold(spec, "manifold", failures, set())
     ConfigError.raise_any(failures)
-    return _metric(manifold, source)
+    return _metric(manifold, "analytic")
 
 
 def _metric(manifold, source) -> md.MetricField:
@@ -584,8 +585,7 @@ def _cmd_geodesic(cfg, flow):
     report.add("speed_drift", path.speed_drift, 0.0, 1e-9,
                "affine parametrization")
     report.observables["endpoint"] = path.theta[-1]
-    report.traces["geodesic"] = {"tau": path.tau_grid, "theta": path.theta,
-                                 "speed": path.speed}
+    report.traces["geodesic"] = sc.trace_columns(path)
     return report
 
 
@@ -600,10 +600,7 @@ def _cmd_jacobi(cfg, flow):
     report.observables.update(
         lyapunov_estimate=dyn.lyapunov_estimate(jac),
         final_intensity=jac.intensity[-1])
-    report.traces["jacobi"] = {"tau": jac.path.tau_grid,
-                               "theta": jac.path.theta,
-                               "speed": jac.path.speed,
-                               "jacobi_intensity": jac.intensity}
+    report.traces["jacobi"] = sc.trace_columns(jacobi=jac)
     return report
 
 
@@ -618,9 +615,7 @@ def _cmd_ige(cfg, flow):
                                  "r2": fit.r2, "window": list(fit.window)}
     report.add("fit_r2", fit.r2, 1.0, 0.5, "goodness of the requested form",
                note="informational quality gate")
-    report.traces["ige"] = {
-        "tau": trace.tau_grid, "theta": path.theta, "speed": path.speed,
-        "delta_v": trace.delta_v, "igc": trace.igc, "ige": trace.ige}
+    report.traces["ige"] = sc.trace_columns(path, trace)
     return report
 
 

@@ -37,7 +37,6 @@ from .quadrature import integrate_box
 __all__ = [
     "ComplexityTrace",
     "AsymptoticFit",
-    "volume_element",
     "path_box",
     "volume_between",
     "igc",
@@ -49,11 +48,6 @@ __all__ = [
 ]
 
 REGION_CONVENTION = "coordinate-box"
-
-
-def volume_element(metric: MetricField, theta):
-    """sqrt(det g); the invariant volume density in the chart."""
-    return metric.sqrt_det(np.asarray(theta, float))
 
 
 def path_box(path: GeodesicPath, tau: float):
@@ -248,14 +242,19 @@ def fit_failures(form: str = "linear", fit_window_fraction: float = 0.25,
     return fails
 
 
+# the fewest finite samples a fit window may hold
+_MIN_POINTS = 16
+
+
 def fit_asymptotics(trace: ComplexityTrace, form: str, multiplicity: int = 1,
-                    window: tuple = None, fit_window_fraction: float = 0.25,
-                    min_points: int = 16) -> AsymptoticFit:
+                    window: tuple = None,
+                    fit_window_fraction: float = 0.25) -> AsymptoticFit:
     """Least-squares fit of the trace to one asymptotic form.
 
     The window defaults to the trace range with the first quarter (the
-    transient) dropped; at least ``min_points`` finite samples are required,
-    and a transformed value that is not finite raises FitFailureError.
+    transient) dropped; at least ``_MIN_POINTS`` finite samples are
+    required, and a transformed value that is not finite raises
+    FitFailureError.
     """
     ParameterError.raise_any(fit_failures(form, fit_window_fraction,
                                           multiplicity))
@@ -265,10 +264,10 @@ def fit_asymptotics(trace: ComplexityTrace, form: str, multiplicity: int = 1,
     y = getattr(trace, which)[mask]
     good = np.isfinite(y) & (taus > 0)
     taus, y = taus[good], y[good]
-    if taus.size < min_points:
+    if taus.size < _MIN_POINTS:
         raise FitFailureError(
             f"only {taus.size} usable points in window {win}; "
-            f"need {min_points}")
+            f"need {_MIN_POINTS}")
     with np.errstate(all="ignore"):
         x, v = x_of(taus), v_of(y, float(multiplicity))
     a, b = _fit_line(x, v)
@@ -276,13 +275,12 @@ def fit_asymptotics(trace: ComplexityTrace, form: str, multiplicity: int = 1,
                          _r2(v, a + b * x), win)
 
 
-def select_growth_form(trace: ComplexityTrace, forms=("logarithmic", "linear"),
-                       **kwargs):
-    """Model selection among entropy growth forms by r2.
+def select_growth_form(trace: ComplexityTrace, **kwargs):
+    """Model selection between logarithmic and linear entropy growth by r2.
 
-    Returns (winning fit, r2 margin over the runner-up, all fits).
+    Returns (winning fit, r2 margin over the runner-up, both fits).
     """
-    fits = [fit_asymptotics(trace, f, **kwargs) for f in forms]
+    fits = [fit_asymptotics(trace, f, **kwargs)
+            for f in ("logarithmic", "linear")]
     ranked = sorted(fits, key=lambda f: f.r2, reverse=True)
-    margin = ranked[0].r2 - ranked[1].r2 if len(ranked) > 1 else ranked[0].r2
-    return ranked[0], margin, fits
+    return ranked[0], ranked[0].r2 - ranked[1].r2, fits

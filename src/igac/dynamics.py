@@ -29,6 +29,7 @@ from __future__ import annotations
 import contextlib
 from dataclasses import dataclass, field
 from numbers import Integral
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
@@ -155,10 +156,12 @@ def _flow(metric: MetricField, theta0, v0, span, rtol: float, atol: float,
     ``dense_output``.  A closed-form flow is evaluated exactly
     (``_exact_flow``, tolerances unused); any other is integrated by
     DOP853 at ``rtol`` and ``atol``, the carrier's ``atol`` scaled by the
-    max-abs entry of (theta0, v0) where that lies below 1.  A start
-    outside the chart, or a spread falling through the chart floor on the
-    way, raises ChartBoundaryError, the latter with the carrier state
-    (tau, theta, theta_dot) at the crossing; step underflow raises
+    max-abs entry of (theta0, v0) where that lies below 1, and an empty
+    span holds the start at every grid point.  A start outside the chart,
+    or a spread falling through the chart floor on the way, raises
+    ChartBoundaryError, the latter with the carrier state (tau, theta,
+    theta_dot) at the crossing, which DOP853 finds as the one terminal
+    event on the lowest floor margin; step underflow raises
     StiffnessError.
     """
     theta0 = np.asarray(theta0, float)
@@ -193,21 +196,23 @@ def _flow(metric: MetricField, theta0, v0, span, rtol: float, atol: float,
         if 0 < reach < 1:
             atol[:2 * dim] *= reach
 
-        # terminal when a spread coordinate falls through the floor
-        events = []
-        for c in range(len(metric.scale_coords)):
-            def ev(_tau, y, c=c):
-                return metric.floor_margin(y[:dim])[c]
-            ev.terminal, ev.direction = True, -1
-            events.append(ev)
+        # terminal when the lowest spread coordinate falls through the floor
+        def floor_event(_tau, y):
+            return np.min(metric.floor_margin(y[:dim]), initial=np.inf)
+        floor_event.terminal, floor_event.direction = True, -1
 
-        sol = solve_ivp(_variational_rhs(metric, k), span, y0,
-                        method="DOP853", rtol=rtol, atol=atol, events=events,
-                        t_eval=t_eval, dense_output=dense_output)
+        if span[0] != span[1]:
+            sol = solve_ivp(_variational_rhs(metric, k), span, y0,
+                            method="DOP853", rtol=rtol, atol=atol,
+                            events=floor_event, t_eval=t_eval,
+                            dense_output=dense_output)
+        else:   # no step to take: the start holds at every grid point
+            sol = SimpleNamespace(status=0, success=True, sol=lambda tau:
+                                  np.multiply.outer(y0, np.ones_like(tau)))
+            sol.t = np.asarray(span[1:] if t_eval is None else t_eval, float)
+            sol.y = sol.sol(sol.t)
         if sol.status == 1:
-            t_ev, y_ev = max(((t[-1], y[-1]) for t, y in
-                              zip(sol.t_events, sol.y_events) if t.size),
-                             key=lambda ty: abs(ty[0]))
+            t_ev, y_ev = sol.t_events[0][-1], sol.y_events[0][-1]
             raise ChartBoundaryError(
                 f"{what} reached the chart boundary at tau = {t_ev}",
                 last_state=(t_ev, y_ev[:dim], y_ev[dim:2 * dim]))

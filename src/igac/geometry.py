@@ -2,13 +2,15 @@
 
 Everything is computed pointwise from the exact connection each MetricField
 family supplies in closed form: Christoffel symbols and their derivative
-and, from them, the Riemann tensor.  ``curvature_report`` derives every
-curvature quantity of a point from one connection jet: lowered Riemann,
-Ricci tensor and scalar, sectional curvatures and their orthonormal-frame
-sum, projective anisotropy and the metric-compatibility residual, which
-checks the connection against the metric's own first jet.  ``ricci_scalar``
-and ``sectional`` are one-value shortcuts; Killing residuals, from the
-caller's field and its exact derivative (K, dK), complete the set.
+and, from them, the Riemann tensor, derived in one place for ``riemann``,
+``ricci_scalar``, ``sectional`` and ``curvature_report``.  The report
+derives every curvature quantity of a point from one connection jet:
+lowered Riemann, Ricci tensor and scalar, sectional curvatures and their
+orthonormal-frame sum, projective anisotropy and the metric-compatibility
+residual, which checks the connection against the metric's own first jet.
+``ricci_scalar`` and ``sectional`` are one-value shortcuts; Killing
+residuals, from the caller's field and its exact derivative (K, dK),
+complete the set.
 
 Sign conventions: Gamma^a_bc = (1/2) g^ad (d_b g_dc + d_c g_db - d_d g_bc),
 R^a_bcd = d_c Gamma^a_bd - d_d Gamma^a_bc + Gamma^a_fc Gamma^f_bd
@@ -69,19 +71,24 @@ def _riemann_from(gam, dgam) -> np.ndarray:
             - np.einsum("afd,fbc->abcd", gam, gam))
 
 
+def _riemann_at(metric: MetricField, theta):
+    """(theta, g, Gamma, R^a_bcd) at a chart point: the one derivation of
+    the Riemann tensor, from one connection jet."""
+    theta = _check_chart(metric, theta)
+    gam, dgam = metric.connection(theta, order=2)
+    return theta, metric.eval(theta), gam, _riemann_from(gam, dgam)
+
+
 def riemann(metric: MetricField, theta) -> np.ndarray:
     """Mixed curvature tensor R^a_bcd."""
-    theta = _check_chart(metric, theta)
-    return _riemann_from(*metric.connection(theta, order=2))
+    return _riemann_at(metric, theta)[3]
 
 
 def ricci_scalar(metric: MetricField, theta) -> float:
     """R = g^ab R_ab with R_ab = R^c_acb."""
-    theta = _check_chart(metric, theta)
-    ginv = _inverse(metric.eval(theta), theta)
-    ric = np.einsum("cacb->ab",
-                    _riemann_from(*metric.connection(theta, order=2)))
-    return float(np.einsum("ab,ab->", ginv, ric))
+    theta, g, _, rm = _riemann_at(metric, theta)
+    ric = np.einsum("cacb->ab", rm)
+    return float(np.einsum("ab,ab->", _inverse(g, theta), ric))
 
 
 def sectional(metric: MetricField, theta, u, v) -> float:
@@ -90,17 +97,11 @@ def sectional(metric: MetricField, theta, u, v) -> float:
     K = R_abcd u^a v^b u^c v^d / (<u,u><v,v> - <u,v>^2); invariant under any
     basis change of the plane.
     """
-    theta = _check_chart(metric, theta)
-    g = metric.eval(theta)
-    rl = np.einsum("ae,ebcd->abcd", g,
-                   _riemann_from(*metric.connection(theta, order=2)))
-    return _sectional_from(g, rl, u, v)
-
-
-def _sectional_from(g, rl, u, v) -> float:
+    _, g, _, rm = _riemann_at(metric, theta)
     u = np.asarray(u, float)
     v = np.asarray(v, float)
     uu, vv, uv = u @ g @ u, v @ g @ v, u @ g @ v
+    rl = np.einsum("ae,ebcd->abcd", g, rm)
     return float(_plane_ratio(np.einsum("abcd,a,b,c,d->", rl, u, v, u, v),
                               uu * vv - uv * uv))
 
@@ -192,13 +193,10 @@ class CurvatureReport:
 
 def curvature_report(metric: MetricField, theta) -> CurvatureReport:
     """Every curvature object at one point from a single connection jet;
-    the metric's first jet enters only the compatibility residual, which
-    thereby checks the closed-form connection against the metric."""
-    theta = _check_chart(metric, theta)
-    g, dg = metric.jet(theta)
+    the metric's first derivative enters only the compatibility residual,
+    which thereby checks the closed-form connection against the metric."""
+    theta, g, gam, rm = _riemann_at(metric, theta)
     ginv = _inverse(g, theta)
-    gam, dgam = metric.connection(theta, order=2)
-    rm = _riemann_from(gam, dgam)
     rl = np.einsum("ae,ebcd->abcd", g, rm)
     ric = np.einsum("cacb->ab", rm)
     scal = float(np.einsum("ab,ab->", ginv, ric))
@@ -223,7 +221,8 @@ def curvature_report(metric: MetricField, theta) -> CurvatureReport:
         theta=theta, christoffel=gam, riemann=rm, riemann_lowered=rl,
         ricci=ric, scalar=scal, sectional=sec, sectional_sum=sec_sum,
         weyl_max_abs=_weyl(g, rl, scal),
-        metric_compat_residual=_compat_residual(g, dg, gam))
+        metric_compat_residual=_compat_residual(g, metric.jet(theta)[1],
+                                                gam))
 
 
 def rescaled_chart(metric: MetricField, scale) -> MetricField:

@@ -19,8 +19,9 @@ _SQRT2PI = np.sqrt(2.0 * np.pi)
 # largest ratio b / a of a geometric panel of ``legendre_panels``
 _MAX_PANEL_RATIO = 10.0
 # nodes per panel of the first estimate of ``integrate_box``, doubled
-# from there
+# from there up to the cap
 _START_NODES = 32
+_MAX_NODES = 4096
 
 
 @cache
@@ -106,7 +107,7 @@ def _separable_factors(fn, bounds, n):
     return axes, fm
 
 
-def integrate_box(fn, bounds, rel_tol: float = 1e-6, max_nodes: int = 4096):
+def integrate_box(fn, bounds, rel_tol: float = 1e-6):
     """Iterated integral of a separable ``fn`` over a coordinate box.
 
     ``fn`` maps a (npts, ndim) array of points to (npts,) values.  A rank-1
@@ -114,8 +115,8 @@ def integrate_box(fn, bounds, rel_tol: float = 1e-6, max_nodes: int = 4096):
     integrated by composite Gauss-Legendre rules, the node count doubled
     until the value changes by less than ``rel_tol`` relatively.  Raises
     UnsupportedFamilyError for an integrand that does not factor, and
-    QuadratureAccuracyError, with the last estimate attached, when the node
-    cap is reached first.
+    QuadratureAccuracyError, with the last estimate attached, when the cap
+    of ``_MAX_NODES`` nodes per axis is reached first.
     """
     bounds = [(float(lo), float(hi)) for lo, hi in bounds]
     if any(hi == lo for lo, hi in bounds):
@@ -138,7 +139,7 @@ def integrate_box(fn, bounds, rel_tol: float = 1e-6, max_nodes: int = 4096):
     for a, (_, w, vals) in enumerate(axes):
         # double n from _START_NODES until two estimates agree
         n, prev, ok = _START_NODES, float(w @ vals), False
-        while n < max_nodes:
+        while n < _MAX_NODES:
             n *= 2
             cur = axis_value(a, n)
             if abs(cur - prev) <= rel_tol * max(abs(cur), abs(prev), 1e-300):
@@ -150,5 +151,5 @@ def integrate_box(fn, bounds, rel_tol: float = 1e-6, max_nodes: int = 4096):
     if not converged:
         raise QuadratureAccuracyError(
             f"box integral did not converge below {rel_tol} within "
-            f"{max_nodes} nodes per axis", estimate=total)
+            f"{_MAX_NODES} nodes per axis", estimate=total)
     return total

@@ -42,6 +42,7 @@ from .quadrature import gauss_legendre
 __all__ = [
     "Check",
     "ScenarioReport",
+    "trace_columns",
     "PairsConfig",
     "SpinChainConfig",
     "IHOConfig",
@@ -148,6 +149,22 @@ def _plain(obj):
     return obj
 
 
+def trace_columns(path=None, trace=None, jacobi=None) -> dict:
+    """The columns of a report trace: tau, theta and speed of the
+    GeodesicPath ``path``, by default the carrier of ``jacobi``; delta_v,
+    igc and ige of the ComplexityTrace ``trace``, whose grid is tau when
+    there is no path; jacobi_intensity of the JacobiTrace ``jacobi``."""
+    path = jacobi.path if path is None and jacobi is not None else path
+    cols = {} if path is None else {
+        "tau": path.tau_grid, "theta": path.theta, "speed": path.speed}
+    if trace is not None:
+        cols = {"tau": trace.tau_grid, **cols, "delta_v": trace.delta_v,
+                "igc": trace.igc, "ige": trace.ige}
+    if jacobi is not None:
+        cols["jacobi_intensity"] = jacobi.intensity
+    return cols
+
+
 def _exp_rate(taus, values, lo_frac=0.25):
     """Slope of ln(values) over the late window; values must be positive."""
     m = cx._window_mask(taus, None, lo_frac)[0] & (values > 0)
@@ -156,8 +173,8 @@ def _exp_rate(taus, values, lo_frac=0.25):
     return cx._fit_line(taus[m], np.log(values[m]))[1]
 
 
-def _linear_slope(taus, values, lo_frac=0.25):
-    m = cx._window_mask(taus, None, lo_frac)[0] & np.isfinite(values)
+def _linear_slope(taus, values):
+    m = np.isfinite(values)
     return cx._fit_line(taus[m], values[m])[1]
 
 
@@ -298,11 +315,7 @@ def run_uncorrelated_gaussian(cfg: PairsConfig) -> ScenarioReport:
     report.add("slope_ratio_doubling", slope2 / slope, 2.0, 0.2,
                "entropy slope proportional to pair count", mode="abs")
 
-    report.traces["geodesic"] = {
-        "tau": trace.tau_grid, "theta": path.theta, "speed": path.speed,
-        "delta_v": trace.delta_v, "igc": trace.igc, "ige": trace.ige,
-        "jacobi_intensity": jac.intensity,
-    }
+    report.traces["geodesic"] = trace_columns(path, trace, jac)
     return report
 
 
@@ -394,10 +407,7 @@ def run_macro_correlated(cfg: PairsConfig) -> ScenarioReport:
         "form's Lambda_1 is reported for comparison with the reference "
         "asymptotics, whose volume-region convention is not recoverable")
 
-    report.traces["geodesic"] = {
-        "tau": trace.tau_grid, "theta": path.theta, "speed": path.speed,
-        "delta_v": trace.delta_v, "igc": trace.igc, "ige": trace.ige,
-    }
+    report.traces["geodesic"] = trace_columns(path, trace)
     return report
 
 
@@ -715,8 +725,7 @@ def run_iho(cfg: IHOConfig) -> ScenarioReport:
 
     # closed-form average volume: rate and Omega proportionality
     fit_taus = np.linspace(_IHO_FIT_START, cfg.tau_end, 64)
-    s1 = _linear_slope(fit_taus, iho_log_igc_closed_form(cfg, fit_taus),
-                       lo_frac=0.0)
+    s1 = _linear_slope(fit_taus, iho_log_igc_closed_form(cfg, fit_taus))
     target = 0.5 * cfg.l * cfg.xi * cfg.omega_sum
     report.observables["igc_growth_rate"] = s1
     report.add("igc_growth_rate", s1, target, 0.05,
@@ -724,8 +733,7 @@ def run_iho(cfg: IHOConfig) -> ScenarioReport:
 
     doubled = IHOConfig(cfg.l, omega=tuple(2 * w), xi=cfg.xi,
                         tau_end=cfg.tau_end)
-    s2 = _linear_slope(fit_taus, iho_log_igc_closed_form(doubled, fit_taus),
-                       lo_frac=0.0)
+    s2 = _linear_slope(fit_taus, iho_log_igc_closed_form(doubled, fit_taus))
     report.observables["ige_slope"] = s1
     report.observables["ige_slope_doubled_omega"] = s2
     report.add("ige_slope_doubling", s2 / s1, 2.0, 0.02,
@@ -827,10 +835,7 @@ def run_spin_chain(cfg: SpinChainConfig) -> ScenarioReport:
             "the squared-intensity rate functional returns twice the "
             "deviation growth rate; K_IG tracks half the estimate")
 
-    report.traces["geodesic"] = {
-        "tau": trace.tau_grid, "theta": path.theta, "speed": path.speed,
-        "delta_v": trace.delta_v, "igc": trace.igc, "ige": trace.ige,
-    }
+    report.traces["geodesic"] = trace_columns(path, trace)
     return report
 
 
@@ -1225,10 +1230,7 @@ def run_wavepacket(cfg: ScatterConfig) -> ScenarioReport:
                CLOSED_FORM_REGION_FACTOR, 0.02,
                "box-region convention against the reference closed form",
                mode="rel")
-    report.traces["complexity"] = {
-        "tau": tr.tau_grid, "delta_v": tr.delta_v, "igc": tr.igc,
-        "ige": tr.ige,
-    }
+    report.traces["complexity"] = trace_columns(trace=tr)
 
     # momentum ordering along the difference curve
     taus = np.linspace(0.0, 5.0 / a0, 64)
@@ -1265,9 +1267,5 @@ def run_wavepacket(cfg: ScatterConfig) -> ScenarioReport:
                float(np.min(np.diff(deltas))), 0.0, 1e-15,
                "delay grows with the correlation", mode="min")
 
-    report.traces["geodesic_after"] = {
-        "tau": jac.path.tau_grid, "theta": jac.path.theta,
-        "speed": jac.path.speed,
-        "jacobi_intensity": jac.intensity,
-    }
+    report.traces["geodesic_after"] = trace_columns(jacobi=jac)
     return report

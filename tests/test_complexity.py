@@ -39,14 +39,14 @@ def wavepacket_setup(r, tau_end_over_a0=10.0, n_out=129):
 
 
 def test_volume_element_values():
-    assert cx.volume_element(md.flat_metric(3), [0.0, 1.0, 2.0]) == 1.0
+    assert md.flat_metric(3).sqrt_det([0.0, 1.0, 2.0]) == 1.0
     pair = md.analytic_fisher(md.gaussian_diag([0.0], [1.5]))
-    assert cx.volume_element(pair, [0.0, 1.5]) == pytest.approx(
+    assert pair.sqrt_det([0.0, 1.5]) == pytest.approx(
         np.sqrt(2.0) / 1.5 ** 2)
     r = 0.4
     wp = md.analytic_fisher(md.gaussian_bivariate_corr(0.0, 0.0, 1.0, r=r))
     s = 1.3
-    assert cx.volume_element(wp, [0.0, 0.0, s]) == pytest.approx(
+    assert wp.sqrt_det([0.0, 0.0, s]) == pytest.approx(
         2.0 / (s ** 3 * np.sqrt(1 - r * r)))
 
 
@@ -226,8 +226,7 @@ def test_fit_multiplicity_is_a_positive_integer(multiplicity):
     taus = np.linspace(1.0, 10.0, 64)
     trace = synthetic_trace(taus, np.log(1.0 + 1.0 / taus))
     with pytest.raises(ParameterError) as err:
-        cx.fit_asymptotics(trace, "ige_saturating", multiplicity=multiplicity,
-                           min_points=16)
+        cx.fit_asymptotics(trace, "ige_saturating", multiplicity=multiplicity)
     assert [f for f, _ in err.value.failures] == ["multiplicity"]
 
 
@@ -282,7 +281,7 @@ def test_wavepacket_ige_slope_matches_lambda():
     lam = 2 * p.a0
     fit = cx.fit_asymptotics(trace, "linear",
                              window=(0.55 * trace.tau_grid[-1],
-                                     trace.tau_grid[-1]), min_points=16)
+                                     trace.tau_grid[-1]))
     assert abs(fit.params[0] - lam) / lam < 0.05
 
 

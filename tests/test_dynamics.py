@@ -529,6 +529,29 @@ def test_lyapunov_error_cases():
         dyn.lyapunov_estimate(zero)
 
 
+@pytest.mark.parametrize("flow", ["closed", "dop853"])
+def test_empty_span_holds_the_start(flow):
+    # DOP853 once sampled no point of an empty span and failed reading the
+    # samples; the closed form evaluates the start at every grid point
+    metric = md.analytic_fisher(md.gaussian_diag([0.0], [1.0]))
+    if flow == "dop853":
+        metric = ode_flow(metric)
+    theta0, v0 = np.array([0.0, 1.0]), np.array([1.0, 0.5])
+    path = dyn.integrate_geodesic(metric, theta0, v0, 0.0, n_out=5)
+    assert np.all(path.tau_grid == 0.0)
+    assert np.all(path.theta == theta0) and np.all(path.theta_dot == v0)
+    assert np.all(path.speed == path.speed[0])
+    theta, theta_dot = path.state(0.0)
+    assert np.all(theta == theta0) and np.all(theta_dot == v0)
+    assert path.state(np.zeros(3))[0].shape == (3, 2)
+    trace = dyn.integrate_jacobi(metric, theta0, v0, [1.0, 1.0],
+                                 [1.0, 0.0], [0.0, 1.0])
+    assert np.all(trace.path.theta == theta0)
+    assert np.all(trace.j == [1.0, 0.0])
+    with pytest.raises(UndefinedRateError, match="no elapsed time"):
+        dyn.lyapunov_estimate(trace)
+
+
 @pytest.mark.parametrize("kind", ["closed form", "DOP853"])
 def test_lyapunov_estimate_reads_the_two_ends_only(kind):
     """The estimate on the 257-point trace of one field is its estimate on

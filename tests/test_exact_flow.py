@@ -194,6 +194,24 @@ def test_floor_crossing_is_exact(case):
         assert_same_exit(*both(flow, metric), metric)
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_first_spread_to_cross_stops_the_flow(sign):
+    # two spreads falling straight down their half planes, s_k(tau) =
+    # s0 e^(-rate_k |tau|): the faster one reaches the floor first, at
+    # ln(s0 / floor) / 2, while the slower one is still near sqrt(floor)
+    metric = md.analytic_fisher(md.gaussian_diag([0.0, 0.0], [1.0, 1.0]))
+    theta = np.array([0.0, 1.0, 0.0, 1.0])
+    v = -sign * np.array([0.0, 1.0, 0.0, 2.0])
+    span = sign * (np.log(1.0 / FLOOR) / 2.0 + 1.0)
+    exact, generic = both(lambda m: dyn.integrate_geodesic(
+        m, theta, v, span, tol=1e-12), metric)
+    assert_same_exit(exact, generic, metric)
+    tau, theta_g, _ = generic.last_state
+    assert tau == pytest.approx(sign * np.log(1.0 / FLOOR) / 2.0, rel=2e-6)
+    assert theta_g[3] == pytest.approx(FLOOR, rel=2e-6)
+    assert theta_g[1] > 1e3 * FLOOR
+
+
 def test_tiny_deviation_is_flowed_at_unit_size():
     # on a carrier at rest J = J0 + DJ0 tau: J0 = DJ0 = 1e-158, and a unit
     # J0 beside DJ0 = 1.97e-158.  DOP853 on the raw column squares its
