@@ -424,11 +424,10 @@ def _validate_mre(spec, path, failures, nonfinite):
     if len(failures) > n_failures or \
             any(p.startswith(f"{path}.") for p in nonfinite):
         return None
-    prior, domain = built
-    return mre.MrEProblem(prior, tuple(zip(functions, (c["target"]
+    domain = spec.get("domain")
+    return mre.MrEProblem(built, tuple(zip(functions, (c["target"]
                                                        for c in cons))),
-                          domain=domain if spec.get("domain") is None
-                          else tuple(spec["domain"]))
+                          domain=None if domain is None else tuple(domain))
 
 
 def _check_update(path, settings, spec, failures, nonfinite):
@@ -465,29 +464,25 @@ def build_model(spec: dict) -> md.StatModel:
 
 
 def _build_prior(spec):
-    """The prior of a spec, and the domain of a uniform one."""
+    """The prior of a spec."""
     build, defaults = _PRIORS[spec["family"]]
-    par = {key: spec.get(key, default) for key, default in defaults.items()}
-    return build(**par), (par["lo"], par["hi"]) if "lo" in par else None
+    return build(**{key: spec.get(key, default)
+                    for key, default in defaults.items()})
 
 
 def emit_csv(path: Path, trace: dict) -> None:
-    """One new trace file; fixed column order, 17 significant digits, LF.  The
-    whole table is one ``%`` format over its cells, row by row."""
-    columns = [("tau", trace["tau"])]
-    if trace.get("theta") is not None:
-        theta = np.asarray(trace["theta"], float)
-        columns += [(f"theta_{i + 1}", theta[:, i])
-                    for i in range(theta.shape[1])]
-    columns += [(key, trace[key]) for key in ("speed", "delta_v", "igc",
-                                              "ige", "jacobi_intensity")
-                if trace.get(key) is not None]
-    table = np.column_stack([np.asarray(col, float) for _, col in columns])
+    """One new trace file; the columns in the trace's order, ``theta`` one
+    per coordinate, 17 significant digits, LF.  The whole table is one ``%``
+    format over its cells, row by row."""
+    table = np.column_stack([np.asarray(col, float) for col in trace.values()])
+    names = [name for key, col in trace.items()
+             for name in ([f"theta_{i + 1}" for i in range(np.shape(col)[1])]
+                          if key == "theta" else [key])]
     # '%.17g' % x is format(x, '.17g') for every float, nan and inf too;
     # no column name holds a '%'
-    row = ",".join(["%.17g"] * len(columns))
-    text = "\n".join([",".join(name for name, _ in columns)]
-                     + [row] * len(table)) % tuple(table.ravel().tolist())
+    row = ",".join(["%.17g"] * len(names))
+    text = "\n".join([",".join(names)] + [row] * len(table)) \
+        % tuple(table.ravel().tolist())
     path.unlink(missing_ok=True)
     path.write_text(text + "\n", newline="\n")
 

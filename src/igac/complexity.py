@@ -12,10 +12,10 @@ A box is a pair of corner arrays lo, hi.  Closed-form metrics
 (``analytic_fisher``, ``fisher_quadrature``, ``macro_correlated_metric``,
 ``flat_metric`` and ``iho_metric``) take all boxes of a trace in one exact
 ``MetricField.box_volume`` call; every other metric (``rescaled_chart``,
-user metrics) goes through adaptive Gauss-Legendre quadrature
-(``integrate_box``) per factor (``MetricField.block_metric``) and box, axis
-by axis.  A factor whose volume density does not factor across its axes
-has no volume there: ``integrate_box`` raises UnsupportedFamilyError.
+user metrics) goes through 64-node Gauss-Legendre panels, halved until
+converged (``integrate_box``), per factor (``MetricField.block_metric``)
+and box, axis by axis.  A factor whose density does not factor across
+its axes has no volume there: ``integrate_box`` raises UnsupportedFamilyError.
 
 The box reading of the region integral is a convention choice (the endpoint
 notation leaves the region open for more than one coordinate); it is recorded
@@ -61,11 +61,6 @@ def path_box(path: GeodesicPath, tau: float):
     return pts.min(axis=0), pts.max(axis=0)
 
 
-# relative tolerance of the quadrature volume of metrics without a closed
-# form; the chart-invariance checks of ``rescaled_chart`` compare at 1e-6
-_QUAD_TOL = 1e-8
-
-
 def _box_volumes(metric: MetricField, lo, hi) -> np.ndarray:
     """Volumes of the boxes with corners lo, hi of shape (n, dim).
 
@@ -81,8 +76,7 @@ def _box_volumes(metric: MetricField, lo, hi) -> np.ndarray:
         return vol
     factors = [(list(c), metric.block_metric(c)) for c in metric.blocks]
     for k in np.flatnonzero(live):
-        vol[k] = np.prod([integrate_box(f.sqrt_det, zip(lo[k, c], hi[k, c]),
-                                        rel_tol=_QUAD_TOL)
+        vol[k] = np.prod([integrate_box(f.sqrt_det, zip(lo[k, c], hi[k, c]))
                           for c, f in factors])
     return vol
 

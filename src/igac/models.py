@@ -872,7 +872,7 @@ def _box_integrals(model: StatModel):
     of a 64-node rule is large enough to start a BLAS worker thread."""
     th = model.theta
     for f in model.factors:
-        axes = [panel_rule(np.linspace(lo, hi, 5), 64)
+        axes = [panel_rule(np.linspace(lo, hi, 5))
                 for lo, hi in f.to_x(th, f.family.box)]
         x = np.stack(np.meshgrid(*(x for x, _ in axes), indexing="ij"),
                      axis=-1).reshape(-1, len(axes))

@@ -50,7 +50,7 @@ _HALVINGS = 60
 def _composite_grid(lo: float, hi: float):
     """The working rule on (lo, hi): 32 equal panels of 64 Gauss-Legendre
     nodes, 2048 in all, clustered at the panel edges."""
-    return panel_rule(np.linspace(lo, hi, 33), 64)
+    return panel_rule(np.linspace(lo, hi, 33))
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,10 +1,12 @@
 """Gauss quadrature helpers.
 
 Natural-weight rules (Hermite for full-line Gaussian factors, Laguerre for
-half-line factors) plus composite Gauss-Legendre panels for box integrals of
-separable integrands, axis by axis; there is no tensor-product grid.  Panel
-subdivision is geometric when an axis spans several decades, which keeps
-integrands like 1/sigma^k resolvable without thousands of nodes.
+half-line factors) plus one composite Gauss-Legendre rule of
+``_PANEL_NODES`` nodes per panel for box integrals of separable integrands,
+axis by axis; there is no tensor-product grid.  Panel subdivision is
+geometric when an axis spans several decades, which keeps integrands like
+1/sigma^k resolvable without thousands of nodes; a box integral is refined
+by halving its panels, never by a larger rule.
 """
 
 from __future__ import annotations
@@ -16,12 +18,15 @@ import numpy as np
 from .errors import QuadratureAccuracyError, UnsupportedFamilyError
 
 _SQRT2PI = np.sqrt(2.0 * np.pi)
-# largest ratio b / a of a geometric panel of ``legendre_panels``
+# Gauss-Legendre nodes on each panel of a composite rule
+_PANEL_NODES = 64
+# largest ratio b / a of a geometric panel of ``_panel_edges``
 _MAX_PANEL_RATIO = 10.0
-# nodes per panel of the first estimate of ``integrate_box``, doubled
-# from there up to the cap
-_START_NODES = 32
-_MAX_NODES = 4096
+# relative agreement of two successive estimates of ``integrate_box``; the
+# chart-invariance checks of ``rescaled_chart`` compare at 1e-6
+_REL_TOL = 1e-8
+# parts per panel at which ``integrate_box`` stops halving: 4096 nodes
+_MAX_SPLIT = 64
 
 
 @cache
@@ -42,37 +47,33 @@ def gauss_legendre(n: int):
     return np.polynomial.legendre.leggauss(n)
 
 
-def panel_rule(edges, nodes_per_panel: int):
-    """Composite Gauss-Legendre nodes/weights, ``nodes_per_panel`` on each
+def panel_rule(edges):
+    """Composite Gauss-Legendre nodes/weights, ``_PANEL_NODES`` on each
     panel between consecutive ``edges``, in order."""
-    t, w = gauss_legendre(nodes_per_panel)
+    t, w = gauss_legendre(_PANEL_NODES)
     lo, hi = edges[:-1, None], edges[1:, None]
     half = 0.5 * (hi - lo)
     return (0.5 * (lo + hi) + half * t).ravel(), (half * w).ravel()
 
 
-def legendre_panels(a: float, b: float, nodes_per_panel: int):
-    """Composite Gauss-Legendre nodes/weights on [a, b].
+def _panel_edges(a: float, b: float, split: int):
+    """Panel edges on [a, b] for ``panel_rule``.
 
-    For 0 < a < b with b/a large the interval is split into geometric panels
-    of ratio at most ``_MAX_PANEL_RATIO``; otherwise a single panel is used.
-    Returns (x, w) with sum w f(x) ~ integral_a^b f.
+    For 0 < a < b with b/a large the interval is cut into geometric panels
+    of ratio at most ``_MAX_PANEL_RATIO``; otherwise it is one panel.  Each
+    panel is then cut into ``split`` parts, in ratio where it is geometric.
     """
     if b < a:
         a, b = b, a
-    if b == a:
-        return np.array([a]), np.array([0.0])
     if a > 0.0 and b / a > _MAX_PANEL_RATIO:
         # log(b) - log(a): b / a overflows for a subnormal a
         n_panels = int(np.ceil((np.log(b) - np.log(a))
                                / np.log(_MAX_PANEL_RATIO)))
-        edges = np.geomspace(a, b, n_panels + 1)
-    else:
-        edges = np.array([a, b])
-    return panel_rule(edges, nodes_per_panel)
+        return np.geomspace(a, b, n_panels * split + 1)
+    return np.linspace(a, b, split + 1)
 
 
-def _separable_factors(fn, bounds, n):
+def _separable_factors(fn, bounds):
     """Rank-1 factorization probe of the integrand over the box.
 
     Evaluates fn along each axis (others at the box midpoint), forms the
@@ -87,7 +88,7 @@ def _separable_factors(fn, bounds, n):
         return None
     axes = []
     for a, (lo, hi) in enumerate(bounds):
-        x, w = legendre_panels(lo, hi, n)
+        x, w = panel_rule(_panel_edges(lo, hi, 1))
         pts = np.tile(mid, (x.size, 1))
         pts[:, a] = x
         axes.append((x, w, np.asarray(fn(pts), float)))
@@ -107,42 +108,38 @@ def _separable_factors(fn, bounds, n):
     return axes, fm
 
 
-def integrate_box(fn, bounds, rel_tol: float = 1e-6):
+def integrate_box(fn, bounds):
     """Iterated integral of a separable ``fn`` over a coordinate box.
 
     ``fn`` maps a (npts, ndim) array of points to (npts,) values.  A rank-1
     probe checks that ``fn`` factors across the axes; each axis is then
-    integrated by composite Gauss-Legendre rules, the node count doubled
-    until the value changes by less than ``rel_tol`` relatively.  Raises
-    UnsupportedFamilyError for an integrand that does not factor, and
-    QuadratureAccuracyError, with the last estimate attached, when the cap
-    of ``_MAX_NODES`` nodes per axis is reached first.
+    integrated by ``panel_rule``, its panels halved until two estimates
+    agree to ``_REL_TOL`` relatively.  Raises UnsupportedFamilyError for an
+    integrand that does not factor, and QuadratureAccuracyError, with the
+    last estimate attached, when an axis reaches ``_MAX_SPLIT`` parts per
+    panel first.
     """
     bounds = [(float(lo), float(hi)) for lo, hi in bounds]
     if any(hi == lo for lo, hi in bounds):
         return 0.0
-    factors = _separable_factors(fn, bounds, _START_NODES)
+    factors = _separable_factors(fn, bounds)
     if factors is None:
         raise UnsupportedFamilyError(
             "box integrand does not factor across its axes; only separable "
             "integrands have a quadrature volume")
     axes, fm = factors
     mid = [0.5 * (lo + hi) for lo, hi in bounds]
-
-    def axis_value(a, n):
-        x, w = legendre_panels(*bounds[a], n)
-        pts = np.tile(mid, (x.size, 1))
-        pts[:, a] = x
-        return float(w @ np.asarray(fn(pts), float))
-
     total, converged = fm ** (1 - len(bounds)), True
-    for a, (_, w, vals) in enumerate(axes):
-        # double n from _START_NODES until two estimates agree
-        n, prev, ok = _START_NODES, float(w @ vals), False
-        while n < _MAX_NODES:
-            n *= 2
-            cur = axis_value(a, n)
-            if abs(cur - prev) <= rel_tol * max(abs(cur), abs(prev), 1e-300):
+    for a, (_, w0, vals) in enumerate(axes):
+        # halve the panels from the probe's until two estimates agree
+        split, prev, ok = 1, float(w0 @ vals), False
+        while split < _MAX_SPLIT:
+            split *= 2
+            x, w = panel_rule(_panel_edges(*bounds[a], split))
+            pts = np.tile(mid, (x.size, 1))
+            pts[:, a] = x
+            cur = float(w @ np.asarray(fn(pts), float))
+            if abs(cur - prev) <= _REL_TOL * max(abs(cur), abs(prev), 1e-300):
                 prev, ok = cur, True
                 break
             prev = cur
@@ -150,6 +147,6 @@ def integrate_box(fn, bounds, rel_tol: float = 1e-6):
         converged &= ok
     if not converged:
         raise QuadratureAccuracyError(
-            f"box integral did not converge below {rel_tol} within "
-            f"{_MAX_NODES} nodes per axis", estimate=total)
+            f"box integral did not converge below {_REL_TOL} within "
+            f"{_MAX_SPLIT * _PANEL_NODES} nodes per panel", estimate=total)
     return total

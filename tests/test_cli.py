@@ -112,6 +112,15 @@ def test_invalid_yaml_exits_1_at_document(tmp_path, capsys):
         capsys.readouterr().err
 
 
+def test_top_level_list_exits_1_at_document(tmp_path, capsys):
+    # no output line can follow a top-level sequence in valid YAML
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text("[1, 2]\n")
+    assert cli.main(["curvature", "--config", str(cfg)]) == 1
+    assert "config error at <document>: top level must be a mapping" in \
+        capsys.readouterr().err
+
+
 def test_integer_past_the_digit_limit_exits_1_at_document(tmp_path,
                                                          capsys):
     # int() refuses a decimal string of more than 4300 digits by default;
@@ -729,6 +738,12 @@ IGE_2D = f"manifold: {DIAG_2D}\ntheta0: [0.0, 1.0]\nv0: [1.0, 0.0]\n" \
     # a sound key's range failure is listed beside another key's failure
     ("scenario", "scenario: iho\nparameters: {l: 2, omega: [x, 1.0], "
      "tau_end: 5.0}\n", "parameters.tau_end"),
+    # a section that is no mapping, and a constraint that is none
+    ("scenario", "scenario: iho\nparameters: [1, 2]\n", "parameters"),
+    ("curvature", "manifold: [gaussian_diag]\ntheta: [1.0]\n", "manifold"),
+    ("mre", "mre: [1, 2]\n", "mre"),
+    ("mre", "mre:\n  prior: {family: gaussian}\n  constraints: [5]\n",
+     "mre.constraints[0]"),
 ], ids=["r-text", "sigma-text", "numerics-scalar", "theta-long",
         "theta-short", "theta0-long", "v0-long", "dj0-long",
         "custom-theta-long", "custom-theta-null", "tau-end-text",
@@ -758,7 +773,9 @@ IGE_2D = f"manifold: {DIAG_2D}\ntheta0: [0.0, 1.0]\nv0: [1.0, 0.0]\n" \
         "manifold-kind-list", "gaussian-sigma-entry-negative",
         "product-wigner-dyson-mu-zero", "mre-uniform-empty",
         "mre-domain-reversed", "ige-fit-form-list", "ige-n-out-one",
-        "ige-n-out-float", "iho-tau-end-short-beside-omega-text"])
+        "ige-n-out-float", "iho-tau-end-short-beside-omega-text",
+        "parameters-list", "manifold-list", "mre-list",
+        "mre-constraint-scalar"])
 def test_malformed_config_exits_1_naming_field(tmp_path, capsys, command,
                                                body, field):
     cfg = tmp_path / "bad.yaml"

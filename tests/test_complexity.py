@@ -363,9 +363,9 @@ def test_iho_tensor_grid_against_nested_adaptive_quadrature():
         return dens(pts[:, 1], pts[:, 0])
 
     bounds = list(zip(lo, hi))
-    assert _separable_factors(dens_pts, bounds, 32) is None
+    assert _separable_factors(dens_pts, bounds) is None
     with pytest.raises(UnsupportedFamilyError):
-        integrate_box(dens_pts, bounds, rel_tol=1e-9)
+        integrate_box(dens_pts, bounds)
     got = iho_metric(omegas).box_volume(bounds)
     oracle, err = dblquad(dens, lo[0], hi[0], lo[1], hi[1],
                           epsabs=1e-12, epsrel=1e-12)
@@ -415,7 +415,7 @@ def test_trace_volumes_equal_volume_between(case):
                                   "iho_l2", "analytic_backward"])
 def test_igc_at_grid_points_equals_trace(case):
     """``igc`` builds the running boxes of ``complexity_trace``, so at a
-    grid point it gives the trace's own value."""
+    grid point it gives the trace's own value, and ``ige`` its logarithm."""
     if case in ("analytic", "quadrature"):
         metric, path = _gauss_path(case, 4.0, 33)
     elif case == "analytic_backward":
@@ -425,6 +425,8 @@ def test_igc_at_grid_points_equals_trace(case):
     trace = cx.complexity_trace(metric, path)
     got = [cx.igc(metric, path, t) for t in path.tau_grid[1:]]
     assert np.array_equal(got, trace.igc[1:])
+    got = [cx.ige(metric, path, t) for t in path.tau_grid[1:]]
+    assert np.array_equal(got, trace.ige[1:])
 
 
 @settings(max_examples=30)

@@ -3,8 +3,10 @@ against per-block adaptive quadrature (``integrate_box``), the oscillator
 volume at l = 1, 2, 3 against independent oracles (an antiderivative and
 nested adaptive quadrature), the even-l oscillator volume against a
 hand-expanded polynomial integral, a stack of boxes against the same boxes
-one at a time, the one ``box_volume`` call of a trace, the node cap with one
-or with every axis short of convergence, and a subnormal lower end.
+one at a time, the one ``box_volume`` call of a trace, the panel cap with
+one or with every axis short of convergence, refinement by panels of one
+rule size, the rescaled oscillator chart against its exact volume, and a
+subnormal lower end.
 """
 
 from functools import partial
@@ -18,7 +20,9 @@ from scipy.integrate import nquad
 from igac import complexity as cx
 from igac import dynamics as dyn
 from igac import models as md
+from igac import quadrature
 from igac.errors import QuadratureAccuracyError
+from igac.geometry import rescaled_chart
 from igac.quadrature import integrate_box
 from igac.scenarios import iho_metric
 
@@ -122,8 +126,7 @@ def per_block_quadrature(metric, bounds):
     total = 1.0
     for block in metric.blocks:
         sub = metric.block_metric(block)
-        total *= integrate_box(sub.sqrt_det, [bounds[i] for i in block],
-                               rel_tol=1e-12)
+        total *= integrate_box(sub.sqrt_det, [bounds[i] for i in block])
     return total
 
 
@@ -321,23 +324,48 @@ def test_integrate_box_subnormal_lower_end():
     assert value == pytest.approx(0.75, rel=1e-12)
 
 
-def test_integrate_box_cap_raises_with_estimate_separable():
+def step_separable(pts):
     # a step at x = 1/3 never converges; the rank-1 probe sees a product
-    def step(pts):
-        return (pts[:, 0] > 1.0 / 3.0) * (1.0 + pts[:, 1])
+    return (pts[:, 0] > 1.0 / 3.0) * (1.0 + pts[:, 1])
 
+
+def step_tensor(pts):
+    # a step on both axes: neither converges
+    return (pts[:, 0] > 1.0 / 3.0) * (pts[:, 1] > 1.0 / 3.0) \
+        * (1.0 + pts[:, 1])
+
+
+def test_integrate_box_cap_raises_with_estimate_separable():
     with pytest.raises(QuadratureAccuracyError) as err:
-        integrate_box(step, [(0.0, 1.0), (0.0, 1.0)])
+        integrate_box(step_separable, [(0.0, 1.0), (0.0, 1.0)])
     assert err.value.estimate == pytest.approx(1.0, rel=1e-2)
 
 
 def test_integrate_box_cap_raises_with_estimate_tensor():
-    # a step on both axes: neither converges, and the estimate attached is
-    # the product of the last value on each axis
-    def step(pts):
-        return (pts[:, 0] > 1.0 / 3.0) * (pts[:, 1] > 1.0 / 3.0) \
-            * (1.0 + pts[:, 1])
-
+    # the estimate attached is the product of the last value on each axis
     with pytest.raises(QuadratureAccuracyError) as err:
-        integrate_box(step, [(0.0, 1.0), (0.0, 1.0)])
+        integrate_box(step_tensor, [(0.0, 1.0), (0.0, 1.0)])
     assert err.value.estimate == pytest.approx(2 / 3 * 10 / 9, rel=1e-2)
+
+
+def test_integrate_box_refines_by_panels_not_by_rule_size(monkeypatch):
+    """Every Gauss-Legendre rule ``integrate_box`` asks for is the one
+    panel rule, up to the cap and on a converging chart volume alike."""
+    sizes, rule = [], quadrature.gauss_legendre
+    monkeypatch.setattr(quadrature, "gauss_legendre",
+                        lambda n: sizes.append(n) or rule(n))
+    for step in (step_separable, step_tensor):
+        with pytest.raises(QuadratureAccuracyError):
+            integrate_box(step, [(0.0, 1.0), (0.0, 1.0)])
+    per_block_quadrature(rescaled_chart(iho_metric([1.0]), [1.0]),
+                         [(-10.0, 10.0)])
+    assert sizes and set(sizes) == {quadrature._PANEL_NODES}
+
+
+@pytest.mark.parametrize("half_width", [10.0, 100.0])
+def test_rescaled_oscillator_volume_matches_exact(half_width):
+    # the unit rescaling of l = 1 has no closed form of its own; its
+    # quadrature volume meets the exact oscillator volume
+    base, bounds = iho_metric([1.0]), [(-half_width, half_width)]
+    assert per_block_quadrature(rescaled_chart(base, [1.0]), bounds) == \
+        pytest.approx(base.box_volume(bounds), rel=1e-8, abs=0.0)
