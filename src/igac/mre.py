@@ -6,7 +6,10 @@ exponential tilt P_new = P_old exp(beta . f) / Z(beta), with the multipliers
 fixed by grad ln Z = F.  These minimize the convex dual ln Z(beta) - beta . F,
 whose gradient is the moment residual and whose Hessian is the tilted
 covariance of f; one damped Newton iteration with Armijo backtracking solves
-it for any number of constraints.
+it for any number of constraints.  It starts from beta = 0, or, for the
+first and second moments, from the tilt that takes the quadratic part of
+ln P_old to the Gaussian the targets name, which is the solution wherever
+ln P_old is quadratic and the support's truncation does not bind.
 
 One support record per prior (``_support``) holds its working interval,
 truncated ends and log-density.  Integrals use composite Gauss-Legendre
@@ -20,6 +23,7 @@ from the tilted log-density far beyond each truncated end.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -47,10 +51,14 @@ _NEWTON_STEPS = 100
 _HALVINGS = 60
 
 
+@functools.lru_cache(maxsize=16)
 def _composite_grid(lo: float, hi: float):
     """The working rule on (lo, hi): 32 equal panels of 64 Gauss-Legendre
-    nodes, 2048 in all, clustered at the panel edges."""
-    return panel_rule(np.linspace(lo, hi, 33))
+    nodes, 2048 in all, clustered at the panel edges; built once per
+    interval, as read-only arrays."""
+    x, w = panel_rule(np.linspace(lo, hi, 33))
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,9 +184,48 @@ def _features(constraints, x):
     return np.array([np.asarray(fn(x), float) for fn, _ in constraints])
 
 
+def _gaussian_start(x, lnp, f, targets):
+    """Newton's start for constraints that take the values x and x^2 on the
+    nodes, in either order, or None for any other constraints.
+
+    The targets (m, s) name N(m, v), v = s - m^2, with natural parameters
+    (m/v, -1/(2v)); the start is those less the quadratic part of ``lnp``,
+    the quadratic through its first, middle and last node, which is exact
+    for Gaussian, exponential and uniform priors.  Raises
+    InfeasibleConstraintError for targets on or outside the moment cone,
+    s <= m^2.
+    """
+    if len(f) != 2:
+        return None
+    for first in (0, 1):
+        if np.array_equal(f[first], x) and np.array_equal(f[1 - first],
+                                                          x * x):
+            break
+    else:
+        return None
+    m, s = float(targets[first]), float(targets[1 - first])
+    if not s > m * m:
+        raise InfeasibleConstraintError(
+            f"second moment {s} must exceed the squared mean {m * m}")
+    if x.size < 3:
+        return None
+    # Python floats: a start that overflows is rejected, not warned about
+    mid = x.size // 2
+    x0, x1, x2 = float(x[0]), float(x[mid]), float(x[-1])
+    y0, y1, y2 = float(lnp[0]), float(lnp[mid]), float(lnp[-1])
+    d01, d12 = (y1 - y0) / (x1 - x0), (y2 - y1) / (x2 - x1)
+    q2 = (d12 - d01) / (x2 - x0)
+    q1 = d01 - q2 * (x0 + x1)
+    v = s - m * m
+    beta = [m / v - q1, -0.5 / v - q2]
+    return np.array(beta if first == 0 else beta[::-1])
+
+
 class _Workspace:
     """The working grid of a problem, its normalized log prior and features,
-    and ``start``, the dual at beta = 0."""
+    and where Newton may start: ``tilt``, the Gaussian start of
+    ``_gaussian_start`` or None, and ``at_zero``, the dual at beta = 0 once
+    it is taken."""
 
     def __init__(self, problem: MrEProblem):
         prior = problem.prior
@@ -195,8 +242,17 @@ class _Workspace:
             self.lnp_old = self.ln_p(self.x)
         self.f = _features(problem.constraints, self.x)
         self.targets = np.array([F for _, F in problem.constraints])
+        self.tilt = _gaussian_start(self.x, self.lnp_old, self.f,
+                                    self.targets)
         self.lnpw = self.lnp_old + np.log(self.w)
-        log_mass, mean, cov = self.dual(np.zeros(self.targets.size))
+        # ln(mass) is the dual's value at 0, in the same arithmetic; its
+        # moments are taken here only where no Gaussian start is tried
+        if self.tilt is None:
+            self.at_zero = self.dual(np.zeros(self.targets.size))
+            log_mass = self.at_zero[0]
+        else:
+            self.at_zero, top = None, self.lnpw.max()
+            log_mass = top + math.log(np.exp(self.lnpw - top).sum())
         # an explicit domain conditions the prior on it
         if problem.domain is None and abs(np.expm1(log_mass)) > 1e-6:
             raise ValueError(f"prior is not normalized on its support "
@@ -204,7 +260,21 @@ class _Workspace:
         self.lnp_old -= log_mass
         self.lnpw -= log_mass
         # normalizing shifts ln Z(0) to 0 and leaves the tilted moments
-        self.start = (0.0, mean, cov)
+        if self.at_zero is not None:
+            self.at_zero = (0.0, *self.at_zero[1:])
+
+    def start(self):
+        """(beta, dual, tilted mean, tilted covariance) where Newton
+        starts: the Gaussian tilt when the dual there lies below its value
+        0 at beta = 0, else beta = 0."""
+        if self.tilt is not None and self.tilt.any():
+            with np.errstate(all="ignore"):     # an overflowing tilt is NaN
+                trial = self.dual(self.tilt)
+            if trial[0] < 0.0:
+                return self.tilt, *trial
+        if self.at_zero is None:
+            self.at_zero = (0.0, *self.dual(np.zeros(self.targets.size))[1:])
+        return np.zeros(self.targets.size), *self.at_zero
 
     def dual(self, beta):
         """(ln Z(beta) - beta . F, tilted mean of f, tilted covariance of
@@ -229,29 +299,31 @@ def _check_integrable(ws: _Workspace, beta):
     of the working interval)."""
     lo, hi = ws.bounds
     reach = (hi - lo) * np.array([0.0, 1e2, 1e4])
-    for is_open, x, side in ((ws.open_lo, lo - reach, "-inf"),
-                             (ws.open_hi, hi + reach, "+inf")):
-        if not is_open:
-            continue
-        g = ws.ln_p(x) + beta @ _features(ws.problem.constraints, x)
-        if not np.all(np.diff(g) < 0.0):
+    ends = [(x, side) for is_open, x, side in (
+        (ws.open_lo, lo - reach, "-inf"), (ws.open_hi, hi + reach, "+inf"))
+        if is_open]
+    if not ends:
+        return
+    x = np.concatenate([x for x, _ in ends])
+    g = ws.ln_p(x) + beta @ _features(ws.problem.constraints, x)
+    for g_end, (_, side) in zip(g.reshape(-1, reach.size), ends):
+        if not np.all(np.diff(g_end) < 0.0):
             raise InfeasibleConstraintError(
                 f"tilted integrand does not decay toward {side}; Z diverges")
 
 
 def _solve(ws: _Workspace, tol: float):
     """Damped Newton on the convex dual of the truncated problem, with
-    Armijo backtracking, from beta = 0 and the workspace's dual there;
-    integrability is decided at the solution.  Returns beta with the dual
-    and the tilted mean of f there."""
+    Armijo backtracking, from the workspace's start; integrability is
+    decided at the solution.  Returns beta with the dual and the tilted
+    mean of f there."""
     # no tilt can push a moment outside the range of its f on the grid
     for f, F in zip(ws.f, ws.targets):
         if not f.min() < F < f.max():
             raise BracketingError(
                 f"target {F} outside the reachable moment range "
                 f"[{f.min()}, {f.max()}]")
-    beta = np.zeros(ws.targets.size)
-    val, mean, cov = ws.start
+    beta, val, mean, cov = ws.start()
     for _ in range(_NEWTON_STEPS):
         grad = mean - ws.targets
         res = float(abs(grad).max())
@@ -305,10 +377,8 @@ def solve_multiplier(problem: MrEProblem, tol: float = 1e-12) -> MrEResult:
 
 def update(prior, mean: float, second_moment: float, domain=None,
            tol: float = 1e-12) -> MrEResult:
-    """First- plus second-moment update; produces a (truncated) normal."""
-    if second_moment - mean ** 2 <= 0:
-        raise InfeasibleConstraintError(
-            "second moment must exceed the squared mean")
+    """First- plus second-moment update; produces a (truncated) normal.
+    Targets with second_moment <= mean**2 raise InfeasibleConstraintError."""
     problem = MrEProblem(prior, ((lambda x: x, mean),
                                  (lambda x: x ** 2, second_moment)),
                          domain=domain)

@@ -411,6 +411,25 @@ def test_mre_command(tmp_path):
     assert report["observables"]["beta"][1] == pytest.approx(-0.5, abs=1e-9)
 
 
+@pytest.mark.parametrize("prior,mean,second", [
+    ("{family: gaussian}", 1.0, 0.5), ("{family: gaussian}", 1.0, 1.0),
+    ("{family: uniform}", 0.5, 0.25)],
+    ids=["gaussian-outside", "gaussian-on", "uniform-on"])
+def test_mre_targets_off_the_moment_cone_exit_2(tmp_path, capsys, prior,
+                                                 mean, second):
+    # a second moment at or below the squared mean is named before Newton
+    cfg = tmp_path / "mre.yaml"
+    cfg.write_text(
+        f"mre:\n  prior: {prior}\n  constraints:\n"
+        f"    - {{f: identity, target: {mean}}}\n"
+        f"    - {{f: square, target: {second}}}\n"
+        f"output: {{directory: '{tmp_path}/out'}}\n")
+    assert cli.main(["mre", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "InfeasibleConstraintError" in err
+    assert "must exceed the squared mean" in err
+
+
 def test_mre_demo_report_is_byte_identical(tmp_path):
     config = Path(__file__).parents[1] / "demos/configs/mre.yaml"
     for run in ("a", "b"):

@@ -49,23 +49,127 @@ def test_solve_multiplier_reuses_the_final_dual(monkeypatch):
     assert res.log_z == float(val + beta @ ws.targets)
 
 
-@pytest.mark.parametrize("prior,mean,second", [
-    (md.gaussian_diag([0.0], [1.0]), 0.3, 0.4),
-    (md.exponential(1.0), 1.0, 1.5),
-    (mre.uniform_prior(-1.0, 1.0), 0.3, 0.4),
-], ids=["gaussian", "exponential", "uniform"])
-def test_solve_evaluates_the_dual_at_zero_once(monkeypatch, prior, mean,
-                                               second):
-    # Newton starts from the normalization pass, where ln Z(0) = 0
-    problem = mre.MrEProblem(prior, ((lambda x: x, mean),
-                                     (lambda x: x * x, second)))
+def _spy_duals(monkeypatch):
+    """The betas of every dual evaluation from now on, in order."""
     betas = []
     dual = mre._Workspace.dual
     monkeypatch.setattr(mre._Workspace, "dual", lambda ws, beta:
                         betas.append(np.copy(beta)) or dual(ws, beta))
+    return betas
+
+
+def _two_moments(mean, second, swap=False):
+    cons = ((lambda x: x, mean), (lambda x: x * x, second))
+    return cons[::-1] if swap else cons
+
+
+@pytest.mark.parametrize("prior,mean,second", [
+    (md.gaussian_diag([0.0], [1.0]), 0.3, 0.4),
+    (md.exponential(1.0), 1.0, 1.5),
+    (md.exponential(1.0), 1.0, 1.8),
+    (mre.uniform_prior(-1.0, 1.0), 0.3, 0.4),
+], ids=["gaussian", "exponential", "exponential-from-zero", "uniform"])
+def test_solve_evaluates_the_dual_at_zero_once(monkeypatch, prior, mean,
+                                               second):
+    # Newton starts at the Gaussian tilt where the dual there is below its
+    # value 0 at beta = 0, and otherwise at 0, after the tilt was tried
+    problem = mre.MrEProblem(prior, _two_moments(mean, second))
+    ws = mre._Workspace(problem)
+    taken = ws.dual(ws.tilt)[0] < 0.0
+    betas = _spy_duals(monkeypatch)
     res = mre.solve_multiplier(problem)
-    assert sum(not np.any(beta) for beta in betas) == 1
-    assert len(betas) > 1 and np.any(res.beta)
+    zeros = [i for i, beta in enumerate(betas) if not np.any(beta)]
+    assert zeros == ([] if taken else [1])
+    assert np.array_equal(betas[0], ws.tilt) and np.any(res.beta)
+
+
+@pytest.mark.parametrize("mean,second", [(0.3, 0.4), (2.0, 6.0), (-1.0, 1.5),
+                                         (1.0, 3.0)])
+@pytest.mark.parametrize("swap", [False, True], ids=["x-x2", "x2-x"])
+def test_gaussian_two_moment_solve_starts_at_its_solution(monkeypatch, mean,
+                                                          second, swap):
+    # N(0, 1) e^(b1 x + b2 x^2) is N(m, v): the start is the solution
+    betas = _spy_duals(monkeypatch)
+    res = mre.solve_multiplier(mre.MrEProblem(
+        md.gaussian_diag([0.0], [1.0]), _two_moments(mean, second, swap)))
+    assert 1 <= len(betas) <= 2
+    assert all(np.any(beta) for beta in betas)
+    var = second - mean ** 2
+    want = [mean / var, 0.5 - 0.5 / var]
+    assert res.beta == pytest.approx(want[::-1] if swap else want, abs=1e-9)
+
+
+# feasible Exp(1) targets (m, (1 + r) m^2), r < 1; from beta = 0 these took
+# 19.2 dual evaluations a solve
+EXPONENTIAL_TARGETS = [(mean, (1.0 + r) * mean ** 2)
+                       for mean in (0.5, 1.0, 2.0, 3.0)
+                       for r in (0.2, 0.5, 0.8)]
+
+
+def test_exponential_two_moment_solves_take_few_dual_evaluations(
+        monkeypatch):
+    betas = _spy_duals(monkeypatch)
+    counts = []
+    for mean, second in EXPONENTIAL_TARGETS:
+        betas.clear()
+        mre.update(md.exponential(1.0), mean, second)
+        counts.append(len(betas))
+    assert np.mean(counts) < 8.0
+
+
+@pytest.mark.parametrize("prior,mean,second", [
+    (md.gaussian_diag([0.0], [1.0]), 3.0, 17.0),
+    (md.gaussian_diag([0.0], [1.0]), 0.0, 1.0),     # the start is beta = 0
+    (md.exponential(1.0), 0.5, 0.4),
+    (md.exponential(1.0), 1.0, 3.0),
+    (md.exponential(1.0), 0.45, 0.5),
+    (mre.uniform_prior(-1.0, 1.0), 0.8, 0.7),
+    (mre.uniform_prior(-1.0, 1.0), -0.3, 0.9),
+])
+def test_no_solve_evaluates_the_dual_at_zero_twice(monkeypatch, prior, mean,
+                                                   second):
+    # feasible or not (the exponential's v > m^2 is infeasible on the
+    # half line), a solve takes the dual at 0 at most once
+    betas = _spy_duals(monkeypatch)
+    try:
+        mre.update(prior, mean, second)
+    except InfeasibleConstraintError:
+        assert second - mean ** 2 > mean ** 2
+    assert sum(not np.any(beta) for beta in betas) <= 1
+
+
+@settings(max_examples=40)
+@given(st.floats(-4.0, 4.0), st.floats(0.01, 1.0))
+def test_gaussian_two_moment_beta_matches_closed_form(mean, var):
+    # posteriors N(m, v) well inside the +-13 box: no truncation binds
+    res = mre.update(md.gaussian_diag([0.0], [1.0]), mean, var + mean ** 2)
+    want = np.array([mean / var, 0.5 - 0.5 / var])
+    assert np.max(np.abs(res.beta - want)) <= \
+        1e-9 * max(1.0, np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("prior,mean,second", [
+    (md.gaussian_diag([0.0], [1.0]), 1.0, 0.5),
+    (md.gaussian_diag([0.0], [1.0]), 1.0, 1.0),
+    (mre.uniform_prior(-1.0, 1.0), 0.5, 0.25),
+])
+@pytest.mark.parametrize("swap", [False, True], ids=["x-x2", "x2-x"])
+def test_targets_off_the_moment_cone_raise_before_newton(monkeypatch, prior,
+                                                         mean, second, swap):
+    betas = _spy_duals(monkeypatch)
+    with pytest.raises(InfeasibleConstraintError,
+                       match="must exceed the squared mean"):
+        mre.solve_multiplier(mre.MrEProblem(
+            prior, _two_moments(mean, second, swap)))
+    assert not betas
+
+
+def test_composite_grid_is_built_once_per_interval():
+    x, w = mre._composite_grid(-3.0, 4.0)
+    again = mre._composite_grid(-3.0, 4.0)
+    assert again[0] is x and again[1] is w
+    assert not x.flags.writeable and not w.flags.writeable
+    assert mre.uniform_prior(-3.0, 4.0).x is x
 
 
 @pytest.mark.parametrize("prior", [
@@ -158,9 +262,19 @@ def test_half_line_variance_above_squared_mean_is_infeasible(mean, second):
 
 def test_divergent_tilt_rejected():
     # a linear tilt of the exponential tail diverges once beta reaches 1
-    with pytest.raises(InfeasibleConstraintError):
+    with pytest.raises(InfeasibleConstraintError,
+                       match=r"does not decay toward \+inf"):
         mre.solve_multiplier(
             mre.MrEProblem(md.exponential(1.0), ((lambda x: x, 60.0),)))
+
+
+def test_divergent_tilt_names_the_first_open_end():
+    # E x^2 = 100 on the +-13 box takes beta > 1/2: both tails of N(0, 1)
+    # rise, and the lower end is checked first
+    with pytest.raises(InfeasibleConstraintError,
+                       match="does not decay toward -inf"):
+        mre.solve_multiplier(mre.MrEProblem(
+            md.gaussian_diag([0.0], [1.0]), ((lambda x: x * x, 100.0),)))
 
 
 def test_bracketing_error_for_unreachable_target():
