@@ -508,14 +508,16 @@ def integrate_jacobi(metric: MetricField, theta0, v0, tau_grid, J0, DJ0,
         dj_cov = jdot + np.einsum("nabc,nb,nc->na",
                                   metric.connection(path.theta), j,
                                   path.theta_dot)
-        inten2 = np.einsum("nab,na,nb->n", g, j, j)
-        inten = np.sqrt(np.maximum(inten2, 0.0))
-        cov_norm = np.sqrt(np.maximum(
-            np.einsum("nab,na,nb->n", g, dj_cov, dj_cov), 0.0))
-        rate = np.where(inten > 1e-300,
-                        np.einsum("nab,na,nb->n", g, dj_cov, j)
-                        / np.where(inten > 1e-300, inten, 1.0),
-                        cov_norm)
+        # each form takes its operands scaled by one power of two, exactly,
+        # so that the squares of a field within the float range stay in it
+        je, de = (np.frexp(np.max(np.abs(u)))[1] for u in (j, dj_cov))
+        ju, du = np.ldexp(j, -je), np.ldexp(dj_cov, -de)
+        root = np.sqrt(np.maximum(np.einsum("nab,na,nb->n", g, ju, ju), 0.0))
+        inten = np.ldexp(root, je)
+        cov_norm = np.ldexp(np.sqrt(np.maximum(
+            np.einsum("nab,na,nb->n", g, du, du), 0.0)), de)
+        rate = np.where(inten > 1e-300, np.ldexp(
+            np.einsum("nab,na,nb->n", g, du, ju) / root, de), cov_norm)
     if not np.all(np.isfinite(inten) & np.isfinite(rate)):
         raise UndefinedRateError("Jacobi intensity beyond the float range")
     return JacobiTrace(path, j, dj_cov, inten, rate)
@@ -530,8 +532,14 @@ def _rates(trace: JacobiTrace, at):
     if not np.all(elapsed > 0):
         raise UndefinedRateError("no elapsed time for a rate estimate")
     with np.errstate(all="ignore"):
-        base = trace.intensity[0] ** 2 + trace.intensity_rate[0] ** 2
-        num = trace.intensity[at] ** 2 + trace.intensity_rate[at] ** 2
+        # both scaled by one power of two, as in integrate_jacobi: the ratio
+        # of the sums of squares is exactly the unscaled one
+        exp = np.frexp(np.max(np.abs([trace.intensity,
+                                      trace.intensity_rate])))[1]
+        inten = np.ldexp(trace.intensity, -exp)
+        rate = np.ldexp(trace.intensity_rate, -exp)
+        base = inten[0] ** 2 + rate[0] ** 2
+        num = inten[at] ** 2 + rate[at] ** 2
         rates = np.log(num / base) / elapsed
     if base <= 0 or not np.any(trace.intensity > 0):
         raise UndefinedRateError("identically degenerate deviation trace")

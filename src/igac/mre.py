@@ -223,9 +223,7 @@ def _gaussian_start(x, lnp, f, targets):
 
 class _Workspace:
     """The working grid of a problem, its normalized log prior and features,
-    and where Newton may start: ``tilt``, the Gaussian start of
-    ``_gaussian_start`` or None, and ``at_zero``, the dual at beta = 0 once
-    it is taken."""
+    and ``tilt``, the Gaussian start of ``_gaussian_start`` or None."""
 
     def __init__(self, problem: MrEProblem):
         prior = problem.prior
@@ -245,23 +243,15 @@ class _Workspace:
         self.tilt = _gaussian_start(self.x, self.lnp_old, self.f,
                                     self.targets)
         self.lnpw = self.lnp_old + np.log(self.w)
-        # ln(mass) is the dual's value at 0, in the same arithmetic; its
-        # moments are taken here only where no Gaussian start is tried
-        if self.tilt is None:
-            self.at_zero = self.dual(np.zeros(self.targets.size))
-            log_mass = self.at_zero[0]
-        else:
-            self.at_zero, top = None, self.lnpw.max()
-            log_mass = top + math.log(np.exp(self.lnpw - top).sum())
+        # ln(mass) is the dual's value at 0, in the same arithmetic
+        top = self.lnpw.max()
+        log_mass = top + math.log(np.exp(self.lnpw - top).sum())
         # an explicit domain conditions the prior on it
         if problem.domain is None and abs(np.expm1(log_mass)) > 1e-6:
             raise ValueError(f"prior is not normalized on its support "
                              f"(mass {np.exp(log_mass)})")
         self.lnp_old -= log_mass
         self.lnpw -= log_mass
-        # normalizing shifts ln Z(0) to 0 and leaves the tilted moments
-        if self.at_zero is not None:
-            self.at_zero = (0.0, *self.at_zero[1:])
 
     def start(self):
         """(beta, dual, tilted mean, tilted covariance) where Newton
@@ -272,9 +262,8 @@ class _Workspace:
                 trial = self.dual(self.tilt)
             if trial[0] < 0.0:
                 return self.tilt, *trial
-        if self.at_zero is None:
-            self.at_zero = (0.0, *self.dual(np.zeros(self.targets.size))[1:])
-        return np.zeros(self.targets.size), *self.at_zero
+        zero = np.zeros(self.targets.size)
+        return zero, 0.0, *self.dual(zero)[1:]
 
     def dual(self, beta):
         """(ln Z(beta) - beta . F, tilted mean of f, tilted covariance of

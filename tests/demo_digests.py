@@ -9,9 +9,15 @@ A change that moves a demo output on purpose regenerates the record with
 
     PYTHONPATH=src python tests/demo_digests.py
 
-and names each file that moved, and why.
+and names each file that moved, and why.  With ``--check`` the script only
+compares: it prints each file whose digest differs from the record, leaves
+the record as it is and exits 1 when one differs.  It compares under any
+versions, where ``test_demo_digests.py`` skips:
+
+    PYTHONPATH=src python tests/demo_digests.py --check
 """
 
+import argparse
 import hashlib
 import json
 import platform
@@ -64,9 +70,29 @@ def mismatches(outdir: Path, recorded: dict) -> list:
                   if found.get(name) != recorded.get(name))
 
 
-def main() -> int:
+def check(outdir: Path) -> int:
+    """Print each file under ``outdir`` whose digest differs from the
+    record; 1 when one differs, else 0."""
+    record = json.loads(RECORD.read_text())
+    if record["versions"] != versions():
+        print(f"recorded under {record['versions']}, running {versions()}")
+    moved = mismatches(outdir, record["files"])
+    for name in moved:
+        print(f"moved: {name}")
+    print(f"{len(moved)} of {len(record['files'])} recorded files moved")
+    return 1 if moved else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", action="store_true",
+                        help="compare with the record instead of "
+                             "rewriting it")
+    args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         run_demos(Path(tmp))
+        if args.check:
+            return check(Path(tmp))
         record = {"versions": versions(), "files": digests(Path(tmp))}
     RECORD.write_text(json.dumps(record, indent=2) + "\n")
     print(f"{len(record['files'])} digests written to {RECORD.name}")

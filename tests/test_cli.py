@@ -361,23 +361,48 @@ def test_jacobi_carrier_leaving_chart_exits_2(tmp_path, capsys):
     assert "ChartBoundaryError" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("j0,dj0", [("[1.0e+300, 0.0]", "[0.0, 1.0]"),
-                                    ("[1.0e+152, 0.0]", "[1.0e+152, 0.0]"),
-                                    ("[0.0, 1.0e+300]", "[0.0, 1.0]"),
-                                    ("[1.7e+308, 1.7e+308]", "[0.0, 1.0]")])
-def test_jacobi_intensity_beyond_the_float_range_exits_2(tmp_path, capsys,
-                                                         j0, dj0):
-    # g(J, J) overflows from the start at 1e300; at 1e152 the intensity
-    # stays finite, and the sum of squares in the growth rate overflows;
-    # at 1.7e308 Gamma(J, v0) is taken on the column scaled to unit size,
-    # so only the field itself leaves the float range; no warning escapes
-    cfg = tmp_path / "jac.yaml"
+def _run_jacobi(tmp_path, name, j0, dj0):
+    """The exit code of the demo ``gaussian_diag`` Jacobi run from (j0,
+    dj0) into ``tmp_path / name``, every warning raised as an error."""
+    cfg = tmp_path / f"{name}.yaml"
     cfg.write_text(f"manifold: {DIAG_2D}\ntheta0: [0.0, 1.0]\n"
                    f"v0: [1.0, 0.5]\nj0: {j0}\ndj0: {dj0}\ntau_end: 6.0\n"
-                   f"output: {{directory: '{tmp_path}/out'}}\n")
+                   f"output: {{directory: '{tmp_path}/{name}'}}\n")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert cli.main(["jacobi", "--config", str(cfg)]) == 2
+        return cli.main(["jacobi", "--config", str(cfg)])
+
+
+def _jacobi_observables(tmp_path, name, j0, dj0):
+    assert _run_jacobi(tmp_path, name, j0, dj0) == 0
+    report = json.loads((tmp_path / name / "report.json").read_text())
+    return report["observables"]
+
+
+@pytest.mark.parametrize("j0,dj0", [("[1.0e+200, 0.0]", "[0.0, 1.0]"),
+                                    ("[1.0e+300, 0.0]", "[0.0, 1.0]"),
+                                    ("[1.0e+152, 0.0]", "[1.0e+152, 0.0]"),
+                                    ("[0.0, 1.0e+300]", "[0.0, 1.0]")])
+def test_jacobi_field_within_the_float_range_exits_0(tmp_path, j0, dj0):
+    # squares of these fields leave the float range, the fields do not; the
+    # field is linear in (j0, dj0), so the run from both scaled by 2^-600
+    # has the same rate and 2^-600 times the intensity
+    big = _jacobi_observables(tmp_path, "big", j0, dj0)
+    small = _jacobi_observables(tmp_path, "small", *(
+        "[" + ", ".join(f"{v * 2.0 ** -600:.17e}" for v in yaml.safe_load(b))
+        + "]" for b in (j0, dj0)))
+    assert big["lyapunov_estimate"] == pytest.approx(
+        small["lyapunov_estimate"], rel=1e-12)
+    assert big["final_intensity"] == pytest.approx(
+        small["final_intensity"] * 2.0 ** 600, rel=1e-12)
+
+
+@pytest.mark.parametrize("j0,dj0", [("[1.7e+308, 1.7e+308]", "[0.0, 1.0]")])
+def test_jacobi_intensity_beyond_the_float_range_exits_2(tmp_path, capsys,
+                                                         j0, dj0):
+    # Gamma(J, v0) is taken on the column scaled to unit size, so only the
+    # field itself leaves the float range; no warning escapes
+    assert _run_jacobi(tmp_path, "out", j0, dj0) == 2
     assert "UndefinedRateError" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
@@ -409,6 +434,17 @@ def test_mre_command(tmp_path):
     assert cli.main(["mre", "--config", str(cfg)]) == 0
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["observables"]["beta"][1] == pytest.approx(-0.5, abs=1e-9)
+
+
+def test_mre_mean_alone_starts_at_zero(tmp_path):
+    # one constraint has no Gaussian start, so Newton starts at beta = 0;
+    # N(0, 1) e^(beta x) is N(beta, 1), so the mean 0.1 is beta
+    cfg = tmp_path / "mre.yaml"
+    cfg.write_text(mre_body("prior: {family: gaussian}")
+                   + f"output: {{directory: '{tmp_path}/out'}}\n")
+    assert cli.main(["mre", "--config", str(cfg)]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["observables"]["beta"] == [pytest.approx(0.1, abs=1e-10)]
 
 
 @pytest.mark.parametrize("prior,mean,second", [

@@ -572,6 +572,27 @@ def test_lyapunov_estimate_reads_the_two_ends_only(kind):
         == dyn.lyapunov_sequence(fine)[1][-1]
 
 
+@pytest.mark.parametrize("exp", [-600, 600])
+def test_jacobi_trace_scales_exactly_with_its_start(exp):
+    """The field is linear in (J0, DJ0): scaled by 2^exp, where every
+    square of the field leaves the float range, the start gives the
+    intensity and its rate scaled by 2^exp and the estimate, bit for
+    bit."""
+    metric = md.analytic_fisher(md.gaussian_diag([0.0], [1.0]))
+
+    def trace(scale):
+        return dyn.integrate_jacobi(metric, [0.0, 1.0], [1.0, 0.5],
+                                    np.linspace(0.0, 6.0, 65),
+                                    np.ldexp([0.3, 0.0], scale),
+                                    np.ldexp([0.0, 1.0], scale))
+
+    one, scaled = trace(0), trace(exp)
+    assert np.array_equal(scaled.intensity, np.ldexp(one.intensity, exp))
+    assert np.array_equal(scaled.intensity_rate,
+                          np.ldexp(one.intensity_rate, exp))
+    assert dyn.lyapunov_estimate(scaled) == dyn.lyapunov_estimate(one)
+
+
 @pytest.mark.parametrize("r", [0.0, 0.2, 0.5])
 def test_lyapunov_independent_of_correlation(r):
     p = sc.ScatterConfig(4.0, 1.0, 1.0, potential_range=0.05)

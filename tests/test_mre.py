@@ -138,6 +138,29 @@ def test_no_solve_evaluates_the_dual_at_zero_twice(monkeypatch, prior, mean,
     assert sum(not np.any(beta) for beta in betas) <= 1
 
 
+@pytest.mark.parametrize("prior,constraints,count,beta", [
+    # N(0, 1) e^(beta x) is N(beta, 1)
+    (md.gaussian_diag([0.0], [1.0]), ((lambda x: x, 0.7),), 2, [0.7]),
+    (md.exponential(1.0), ((lambda x: x, 0.4),), 7, None),
+    (mre.uniform_prior(-1.0, 1.0), ((lambda x: x, 0.3),), 5, None),
+    (mre.uniform_prior(-1.0, 1.0), ((np.abs, 0.6), (lambda x: x, 0.1)), 5,
+     None),
+], ids=["gaussian-mean", "exponential-mean", "uniform-mean",
+        "uniform-abs-mean"])
+def test_solve_without_gaussian_start_takes_the_dual_at_zero_first(
+        monkeypatch, prior, constraints, count, beta):
+    # with no Gaussian start Newton starts at beta = 0, whose dual is the
+    # first evaluation and the only one at 0; the counts pin the sequence
+    problem = mre.MrEProblem(prior, constraints)
+    assert mre._Workspace(problem).tilt is None
+    betas = _spy_duals(monkeypatch)
+    res = mre.solve_multiplier(problem)
+    assert len(betas) == count
+    assert not np.any(betas[0]) and all(np.any(b) for b in betas[1:])
+    if beta is not None:
+        assert res.beta == pytest.approx(beta, abs=1e-10)
+
+
 @settings(max_examples=40)
 @given(st.floats(-4.0, 4.0), st.floats(0.01, 1.0))
 def test_gaussian_two_moment_beta_matches_closed_form(mean, var):
