@@ -482,6 +482,16 @@ def normal_direction(metric: MetricField, theta, v, axis: int = 1):
         f"no coordinate axis spans a nondegenerate plane with v = {v}")
 
 
+def _square_safe(u):
+    """(u 2^-s, s), s per row of ``u``: 0 where the row's largest entry is
+    within 2^+-500, else the exact power of two taking it there (so that
+    squares and metric forms of the row fit in the float range)."""
+    # row maxima column by column: max(axis=-1) over a short axis is slow
+    e = np.frexp(np.maximum.reduce(list(np.abs(u).T)))[1]
+    s = e - np.clip(e, -500, 500)
+    return np.ldexp(u, -s[..., None]), s
+
+
 def integrate_jacobi(metric: MetricField, theta0, v0, tau_grid, J0, DJ0,
                      rtol: float = 1e-9) -> JacobiTrace:
     """Jacobi field along the geodesic from (theta0, v0) at ``tau_grid[0]``,
@@ -508,16 +518,13 @@ def integrate_jacobi(metric: MetricField, theta0, v0, tau_grid, J0, DJ0,
         dj_cov = jdot + np.einsum("nabc,nb,nc->na",
                                   metric.connection(path.theta), j,
                                   path.theta_dot)
-        # each form takes its operands scaled by one power of two, exactly,
-        # so that the squares of a field within the float range stay in it
-        je, de = (np.frexp(np.max(np.abs(u)))[1] for u in (j, dj_cov))
-        ju, du = np.ldexp(j, -je), np.ldexp(dj_cov, -de)
+        (ju, sj), (du, sd) = map(_square_safe, (j, dj_cov))
         root = np.sqrt(np.maximum(np.einsum("nab,na,nb->n", g, ju, ju), 0.0))
-        inten = np.ldexp(root, je)
-        cov_norm = np.ldexp(np.sqrt(np.maximum(
-            np.einsum("nab,na,nb->n", g, du, du), 0.0)), de)
-        rate = np.where(inten > 1e-300, np.ldexp(
-            np.einsum("nab,na,nb->n", g, du, ju) / root, de), cov_norm)
+        # d|J|/dtau is g(DJ, J) / |J| where J is nonzero, |DJ| where J = 0
+        rate = np.sqrt(np.maximum(np.einsum("nab,na,nb->n", g, du, du), 0.0))
+        np.divide(np.einsum("nab,na,nb->n", g, du, ju), root, out=rate,
+                  where=root > 0)
+        inten, rate = np.ldexp(root, sj), np.ldexp(rate, sd)
     if not np.all(np.isfinite(inten) & np.isfinite(rate)):
         raise UndefinedRateError("Jacobi intensity beyond the float range")
     return JacobiTrace(path, j, dj_cov, inten, rate)
@@ -532,15 +539,14 @@ def _rates(trace: JacobiTrace, at):
     if not np.all(elapsed > 0):
         raise UndefinedRateError("no elapsed time for a rate estimate")
     with np.errstate(all="ignore"):
-        # both scaled by one power of two, as in integrate_jacobi: the ratio
-        # of the sums of squares is exactly the unscaled one
-        exp = np.frexp(np.max(np.abs([trace.intensity,
-                                      trace.intensity_rate])))[1]
-        inten = np.ldexp(trace.intensity, -exp)
-        rate = np.ldexp(trace.intensity_rate, -exp)
-        base = inten[0] ** 2 + rate[0] ** 2
-        num = inten[at] ** 2 + rate[at] ** 2
-        rates = np.log(num / base) / elapsed
+        pair, shift = _square_safe(np.column_stack(
+            [trace.intensity, trace.intensity_rate]))
+        sums = pair[:, 0] ** 2 + pair[:, 1] ** 2
+        base, num, ratio = sums[0], sums[at], sums[at] / sums[0]
+        # a ratio out of the normal range is a difference of logs, plus shifts
+        normal = (ratio >= np.finfo(float).tiny) & (ratio < np.inf)
+        rates = (np.where(normal, np.log(ratio), np.log(num) - np.log(base))
+                 + 2 * np.log(2.0) * (shift[at] - shift[0])) / elapsed
     if base <= 0 or not np.any(trace.intensity > 0):
         raise UndefinedRateError("identically degenerate deviation trace")
     if not np.all(np.isfinite(rates)):

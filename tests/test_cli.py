@@ -387,14 +387,30 @@ def test_jacobi_field_within_the_float_range_exits_0(tmp_path, j0, dj0):
     # squares of these fields leave the float range, the fields do not; the
     # field is linear in (j0, dj0), so the run from both scaled by 2^-600
     # has the same rate and 2^-600 times the intensity
+    _assert_jacobi_scales(tmp_path, j0, dj0, -600)
+
+
+@pytest.mark.parametrize("j0,dj0", [("[1.0e-10, 0.0]", "[0.0, 1.0e+150]"),
+                                    ("[1.0e-90, 0.0]", "[0.0, 1.0e+80]")])
+def test_jacobi_field_spanning_the_float_range_exits_0(tmp_path, j0, dj0):
+    # rows of these fields differ by more than 1e154 and the ratio of the
+    # sums of squares overflows; DJ0 is g-orthogonal to J0, so the start's
+    # sum is |J0|^2 alone and lambda is above 100 (about 124 and 132)
+    assert _assert_jacobi_scales(tmp_path, j0, dj0, -300) > 100.0
+
+
+def _assert_jacobi_scales(tmp_path, j0, dj0, exp):
+    """The run from (j0, dj0) has the rate of the run from both scaled by
+    2^exp and 2^-exp times its final intensity; returns the rate."""
     big = _jacobi_observables(tmp_path, "big", j0, dj0)
     small = _jacobi_observables(tmp_path, "small", *(
-        "[" + ", ".join(f"{v * 2.0 ** -600:.17e}" for v in yaml.safe_load(b))
+        "[" + ", ".join(f"{v * 2.0 ** exp:.17e}" for v in yaml.safe_load(b))
         + "]" for b in (j0, dj0)))
     assert big["lyapunov_estimate"] == pytest.approx(
         small["lyapunov_estimate"], rel=1e-12)
     assert big["final_intensity"] == pytest.approx(
-        small["final_intensity"] * 2.0 ** 600, rel=1e-12)
+        small["final_intensity"] * 2.0 ** -exp, rel=1e-12)
+    return big["lyapunov_estimate"]
 
 
 @pytest.mark.parametrize("j0,dj0", [("[1.7e+308, 1.7e+308]", "[0.0, 1.0]")])

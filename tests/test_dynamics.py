@@ -593,6 +593,37 @@ def test_jacobi_trace_scales_exactly_with_its_start(exp):
     assert dyn.lyapunov_estimate(scaled) == dyn.lyapunov_estimate(one)
 
 
+@pytest.mark.parametrize("j0,dj0", [([1e-10, 0.0], [0.0, 1e150]),
+                                    ([1e-90, 0.0], [0.0, 1e80])])
+def test_jacobi_trace_spanning_the_float_range(j0, dj0):
+    """Rows of the field that differ by more than 1e154: each form is the
+    unscaled one bit for bit where its squares fit, lambda is its
+    definition although the ratio of the sums of squares overflows, and
+    the start scaled by 2^-300 or 2^300 gives the intensity scaled alike
+    and the same lambda."""
+    metric = md.analytic_fisher(md.gaussian_diag([0.0], [1.0]))
+
+    def trace(scale):
+        return dyn.integrate_jacobi(metric, [0.0, 1.0], [1.0, 0.5],
+                                    np.linspace(0.0, 6.0, 65),
+                                    np.ldexp(j0, scale), np.ldexp(dj0, scale))
+
+    one = trace(0)
+    g = metric.eval(one.path.theta)
+    inten = np.sqrt(np.einsum("nab,na,nb->n", g, one.j, one.j))
+    assert np.array_equal(one.intensity, inten)
+    assert np.array_equal(one.intensity_rate, np.einsum(
+        "nab,na,nb->n", g, one.dj_dtau, one.j) / inten)
+    sums = one.intensity ** 2 + one.intensity_rate ** 2
+    lam = dyn.lyapunov_estimate(one)
+    assert lam == pytest.approx(
+        (np.log(sums[-1]) - np.log(sums[0])) / 6.0, rel=1e-12)
+    for exp in (-300, 300):
+        scaled = trace(exp)
+        assert np.array_equal(scaled.intensity, np.ldexp(one.intensity, exp))
+        assert dyn.lyapunov_estimate(scaled) == pytest.approx(lam, rel=1e-12)
+
+
 @pytest.mark.parametrize("r", [0.0, 0.2, 0.5])
 def test_lyapunov_independent_of_correlation(r):
     p = sc.ScatterConfig(4.0, 1.0, 1.0, potential_range=0.05)
