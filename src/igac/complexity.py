@@ -37,7 +37,6 @@ from .quadrature import integrate_box
 __all__ = [
     "ComplexityTrace",
     "AsymptoticFit",
-    "path_box",
     "volume_between",
     "igc",
     "ige",
@@ -50,15 +49,18 @@ __all__ = [
 REGION_CONVENTION = "coordinate-box"
 
 
-def path_box(path: GeodesicPath, tau: float):
-    """Corners (lo, hi) of the per-coordinate range swept by the path over
-    [tau_start, tau]."""
-    t0 = path.tau_grid[0]
-    lo, hi = (t0, tau) if tau >= t0 else (tau, t0)
-    mask = (path.tau_grid >= lo) & (path.tau_grid <= hi)
-    end, _ = path.state(tau)
-    pts = np.vstack([path.theta[mask], end])
-    return pts.min(axis=0), pts.max(axis=0)
+def _path_to(path: GeodesicPath, tau: float, at_start: bool = False):
+    """(taus, points) of the path up to tau: the grid points strictly before
+    tau in the path's direction, then ``path.state(tau)``.  ValueError
+    unless tau lies past the start, or, with ``at_start``, at it."""
+    grid = path.tau_grid
+    ahead = np.sign(grid[-1] - grid[0]) * (tau - grid)
+    if not (ahead[0] >= 0 if at_start else ahead[0] > 0):
+        raise ValueError("tau must lie past the start of the path, in its "
+                         "direction")
+    before = ahead > 0
+    return (np.append(grid[before], tau),
+            np.vstack([path.theta[before], path.state(tau)[0]]))
 
 
 def _box_volumes(metric: MetricField, lo, hi) -> np.ndarray:
@@ -98,24 +100,17 @@ def _running_volumes(metric: MetricField, taus, pts):
 def volume_between(metric: MetricField, path: GeodesicPath,
                    tau: float) -> float:
     """Volume of the coordinate box traced by the geodesic up to tau, on or
-    off the path grid."""
-    lo, hi = path_box(path, tau)
-    return float(_box_volumes(metric, lo[None], hi[None])[0])
+    off the path grid: 0 at the start, and ValueError on its far side."""
+    _, pts = _path_to(path, tau, at_start=True)
+    return float(_box_volumes(metric, pts.min(axis=0)[None],
+                              pts.max(axis=0)[None])[0])
 
 
 def igc(metric: MetricField, path: GeodesicPath, tau: float) -> float:
     """Time-averaged explored volume C(tau) by composite quadrature over the
     path grid, on the boxes of ``complexity_trace``: the grid points before
     tau in the path's direction, then ``path.state(tau)``."""
-    grid = path.tau_grid
-    ahead = np.sign(grid[-1] - grid[0]) * (tau - grid)
-    if not ahead[0] > 0:
-        raise ValueError("tau must lie past the start of the path, in its "
-                         "direction")
-    before = ahead > 0
-    _, cvals = _running_volumes(
-        metric, np.append(grid[before], tau),
-        np.vstack([path.theta[before], path.state(tau)[0]]))
+    _, cvals = _running_volumes(metric, *_path_to(path, tau))
     return float(cvals[-1])
 
 

@@ -71,15 +71,16 @@ def _freeze(record, names):
 
 @dataclass(frozen=True, eq=False)
 class GeodesicPath:
-    """Discretized geodesic with dense state access through ``_interp``,
-    tau -> (theta, theta_dot).  ``GeodesicPath.on`` builds every path of
-    this module and computes its speed."""
+    """Discretized geodesic; ``state(tau)`` is (theta, theta_dot) at any
+    tau inside the grid range, each of shape (dim,) for a scalar tau and
+    (n, dim) for n of them.  ``GeodesicPath.on`` builds every path of this
+    module and computes its speed."""
 
     tau_grid: np.ndarray
     theta: np.ndarray        # (n, dim)
     theta_dot: np.ndarray    # (n, dim)
     speed: np.ndarray        # g(theta_dot, theta_dot) per grid point
-    _interp: Callable = field(repr=False)
+    state: Callable = field(repr=False)
 
     def __post_init__(self):
         _freeze(self, ("tau_grid", "theta", "theta_dot", "speed"))
@@ -91,7 +92,7 @@ class GeodesicPath:
         ``state`` as its ``state``."""
         speed = np.einsum("nab,na,nb->n", metric.eval(theta), theta_dot,
                           theta_dot)
-        return cls(tau_grid, theta, theta_dot, speed, _interp=state)
+        return cls(tau_grid, theta, theta_dot, speed, state)
 
     @property
     def dim(self) -> int:
@@ -104,12 +105,6 @@ class GeodesicPath:
         speed0 = self.speed[0]
         return float(np.max(np.abs(self.speed / speed0 - 1.0 if speed0 > 0
                                    else self.speed - speed0)))
-
-    def state(self, tau):
-        """(theta, theta_dot) at arbitrary tau inside the grid range: each
-        of shape (dim,) for a scalar tau and (n, dim) for n of them, as
-        ``theta`` and ``theta_dot``."""
-        return self._interp(tau)
 
 
 def _variational_rhs(metric, k: int):
@@ -518,6 +513,8 @@ def integrate_jacobi(metric: MetricField, theta0, v0, tau_grid, J0, DJ0,
         dj_cov = jdot + np.einsum("nabc,nb,nc->na",
                                   metric.connection(path.theta), j,
                                   path.theta_dot)
+        # the start itself: a J0 far below DJ0 flows as 0 in its column
+        j[0], dj_cov[0] = J0, DJ0
         (ju, sj), (du, sd) = map(_square_safe, (j, dj_cov))
         root = np.sqrt(np.maximum(np.einsum("nab,na,nb->n", g, ju, ju), 0.0))
         # d|J|/dtau is g(DJ, J) / |J| where J is nonzero, |DJ| where J = 0

@@ -41,9 +41,11 @@ def versions() -> dict:
             "scipy": scipy.__version__}
 
 
-def run_demos(outdir: Path) -> None:
-    """Run every demo config into ``outdir / <config stem>``; raises
-    RuntimeError for a nonzero exit, and a warning as its error."""
+def run_demos(outdir: Path) -> dict:
+    """Run every demo config into ``outdir / <config stem>``; returns
+    {config stem: exit code}, and raises RuntimeError for a nonzero exit,
+    and a warning as its error."""
+    codes = {}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for config in CONFIGS:
@@ -53,6 +55,8 @@ def run_demos(outdir: Path) -> None:
                              "--out", str(outdir / config.stem)])
             if code != 0:
                 raise RuntimeError(f"{config.name} exited {code}")
+            codes[config.stem] = code
+    return codes
 
 
 def digests(outdir: Path) -> dict:

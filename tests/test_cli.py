@@ -399,6 +399,19 @@ def test_jacobi_field_spanning_the_float_range_exits_0(tmp_path, j0, dj0):
     assert _assert_jacobi_scales(tmp_path, j0, dj0, -300) > 100.0
 
 
+def test_jacobi_start_far_below_its_rate_exits_0(tmp_path):
+    # J0 lies more than 2^1074 below DJ0, so it flows as 0 in its scaled
+    # column; the rate still reads the start (J0, DJ0), and J0 = 0 keeps
+    # its own rate
+    tiny = _jacobi_observables(tmp_path, "tiny", "[1.0e-200, 0.0]",
+                               "[0.0, 1.0e+200]")
+    assert tiny["lyapunov_estimate"] == pytest.approx(308.70159439600036,
+                                                      rel=1e-12)
+    zero = _jacobi_observables(tmp_path, "zero", "[0.0, 0.0]",
+                               "[0.0, 1.0e+200]")
+    assert zero["lyapunov_estimate"] == 1.5747241333676099
+
+
 def _assert_jacobi_scales(tmp_path, j0, dj0, exp):
     """The run from (j0, dj0) has the rate of the run from both scaled by
     2^exp and 2^-exp times its final intensity; returns the rate."""

@@ -429,6 +429,25 @@ def test_igc_at_grid_points_equals_trace(case):
     assert np.array_equal(got, trace.ige[1:])
 
 
+@pytest.mark.parametrize("tau_end", [4.0, -4.0],
+                         ids=["forward", "backward"])
+def test_volume_and_igc_read_one_path_up_to_tau(tau_end):
+    """``volume_between`` and ``igc`` read the path up to tau alike: a tau
+    past the start in the path's direction has a volume and an average, a
+    tau on the far side of the start has neither, and at the start the
+    volume is 0 while the average is undefined."""
+    metric, path = _gauss_path("analytic", tau_end, 65)
+    ahead = np.sign(tau_end)
+    assert cx.volume_between(metric, path, ahead) > 0
+    assert cx.igc(metric, path, ahead) > 0
+    for read in (cx.volume_between, cx.igc):
+        with pytest.raises(ValueError):
+            read(metric, path, -ahead)
+    assert cx.volume_between(metric, path, 0.0) == 0.0
+    with pytest.raises(ValueError):
+        cx.igc(metric, path, 0.0)
+
+
 @settings(max_examples=30)
 @given(base_metric(spread=st.floats(0.5, 2.0)), st.data())
 def test_backward_trace_is_the_trace_of_the_reversed_geodesic(case, data):

@@ -624,6 +624,29 @@ def test_jacobi_trace_spanning_the_float_range(j0, dj0):
         assert dyn.lyapunov_estimate(scaled) == pytest.approx(lam, rel=1e-12)
 
 
+def test_jacobi_start_far_below_its_rate_is_the_first_row():
+    """A J0 more than 2^1074 below DJ0 flows as 0 in its scaled column,
+    yet the trace starts at (J0, DJ0): lambda is its definition in log
+    space (about 308.7), and the start J0 = 0 keeps its lambda."""
+    metric = md.analytic_fisher(md.gaussian_diag([0.0], [1.0]))
+
+    def trace(j0):
+        return dyn.integrate_jacobi(metric, [0.0, 1.0], [1.0, 0.5],
+                                    np.linspace(0.0, 6.0, 65), j0,
+                                    [0.0, 1e200])
+
+    tiny = trace([1e-200, 0.0])
+    assert np.array_equal(tiny.j[0], [1e-200, 0.0])
+    assert np.array_equal(tiny.dj_dtau[0], [0.0, 1e200])
+    # g = diag(1, 2) at the start and DJ0 is g-orthogonal to J0, so the
+    # start's sum of squares is |J0|^2 = 1e-400
+    inten, rate = tiny.intensity[-1], tiny.intensity_rate[-1]
+    end = 2.0 * np.log(inten) + np.log1p((rate / inten) ** 2)
+    assert dyn.lyapunov_estimate(tiny) == pytest.approx(
+        (end - 2.0 * np.log(1e-200)) / 6.0, rel=1e-12)
+    assert dyn.lyapunov_estimate(trace([0.0, 0.0])) == 1.5747241333676099
+
+
 @pytest.mark.parametrize("r", [0.0, 0.2, 0.5])
 def test_lyapunov_independent_of_correlation(r):
     p = sc.ScatterConfig(4.0, 1.0, 1.0, potential_range=0.05)
